@@ -2,9 +2,10 @@
 
 Pure, stateless math shared by the planner and the evaluator: distances and
 elevation angles between the vehicle and ground nodes, the elevation-dependent
-Rician factor, the fading-power cdf (via Marcum Q1), gain sampling, and the
-outage-aware rate.  All quantities are linear-scale SI; dB conversion happens
-once at file load (see :mod:`uavrice.files`).
+Rician factor, the fading-power cdf and Marcum Q1 (both from SciPy's
+noncentral chi-square), gain sampling, and the outage-aware rate.  All
+quantities are linear-scale SI; dB conversion happens once at file load (see
+:mod:`uavrice.files`).
 """
 
 import math

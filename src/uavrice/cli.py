@@ -9,7 +9,6 @@ are written atomically so a failure leaves no partial files.
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import DEFAULT_SEED
 from .evaluation import (DEFAULT_TRIALS, SCHEMES, evaluate_plan,
@@ -182,13 +181,8 @@ def _cmd_sweep(args):
     if args.param not in ("eps", "kmax_db") and base_model is None:
         base_model = fit_for_scenario(scenario)
 
-    # Each value is an independent re-plan (no warm start), so the rows
-    # can be computed concurrently and gathered in submission order.
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        futures = [pool.submit(_sweep_row, scenario, args.param, v,
-                               base_model, args.seed)
-                   for v in values]
-        rows = [f.result() for f in futures]
+    rows = [_sweep_row(scenario, args.param, v, base_model, args.seed)
+            for v in values]
 
     doc = {
         "kind": "sweep",

@@ -2,10 +2,10 @@
 verification, and the four benchmark mission designs.
 
 The planner works with a fitted surrogate of the effective fading power; this
-module re-scores its plans with the exact quantile (cdf bisection) and, on
-request, with brute-force link simulation: per scheduled slot, draw Rician
-gains block by block and count how often the instantaneous capacity falls
-short of the committed rate.
+module re-scores its plans with the exact quantile (the inverse noncentral
+chi-square cdf) and, on request, with brute-force link simulation: per
+scheduled slot, draw Rician gains block by block and count how often the
+instantaneous capacity falls short of the committed rate.
 """
 
 import math
@@ -34,6 +34,7 @@ from .planner import (
     predicted_rates,
     round_schedule,
     run_bcd,
+    slot_geometry,
     solve_scheduling,
 )
 
@@ -79,32 +80,19 @@ def ks_upper_bound(samples, cdf, n_grid=200_000):
 # exact re-scoring
 # ---------------------------------------------------------------------------
 
-def _slot_geometry(q, z, scenario):
-    """Squared distance and elevation indicator per (node, slot), (N, M)."""
-    q = np.asarray(q, dtype=float)[1:]          # slot m sits at waypoint m
-    z = np.asarray(z, dtype=float)[1:]
-    diff = q[None, :, :] - scenario.sn_positions[:, None, :]
-    d2 = np.einsum("nmk,nmk->nm", diff, diff) + z[None, :] ** 2
-    return d2, z[None, :] / np.sqrt(d2)
-
-
 def exact_rates(q, z, scenario: Scenario):
     """Outage rates under the exact fading quantile, shape (N, M).
 
     The per-slot Rician factor follows from the elevation angle, the
-    effective power from cdf bisection, and the rate from the shared kernel.
+    effective power from the noncentral chi-square quantile, and the rate
+    from the shared kernel.
     """
-    d2, v = _slot_geometry(q, z, scenario)
+    d2, v = slot_geometry(q, z, scenario)
     a1, a2 = rician_coeffs_from_bounds(scenario.k_min, scenario.k_max)
     k = rician_factor(np.arcsin(np.clip(v, 0.0, 1.0)), a1, a2)
     f = exact_effective_power(k, scenario.epsilon)
     return rate_from_gain(f, scenario.snr_gamma_per_sn[:, None], d2,
                           scenario.alpha)
-
-
-def achieved_rates(plan: Plan, scenario: Scenario):
-    """Exact per-slot rates for the plan's geometry, shape (N, M)."""
-    return exact_rates(plan.q, plan.z, scenario)
 
 
 def max_min_rate(a, rates, n_slots=None):
@@ -159,7 +147,7 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
         owners = round_schedule(plan.a, rates)
     owners = np.asarray(owners, dtype=int)
 
-    d2, v = _slot_geometry(plan.q, plan.z, scenario)
+    d2, v = slot_geometry(plan.q, plan.z, scenario)
     a1, a2 = rician_coeffs_from_bounds(scenario.k_min, scenario.k_max)
     k_all = rician_factor(np.arcsin(np.clip(v, 0.0, 1.0)), a1, a2)
 

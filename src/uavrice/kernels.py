@@ -1,132 +1,23 @@
-"""Scalar numerical kernels for the Rician fading-power statistics.
+"""Numerical kernels for the Rician fading-power statistics.
 
-The fading-power cdf and its inverse, the outage quantile, are SciPy's
-compiled noncentral chi-square: the unit-power Rician gain has
-|g|² = X / (2(K+1)) with X ~ ncx2(2, 2K), so
+All three kernels are SciPy's compiled noncentral chi-square.  The
+unit-power Rician gain has |g|² = X / (2(K+1)) with X ~ ncx2(2, 2K), so
 
     F(u; K) = chndtr(2(K+1)u, 2, 2K),
-    f(K, eps) = min(chndtrix(eps, 2, 2K) / (2(K+1)), 1).
+    f(K, eps) = min(chndtrix(eps, 2, 2K) / (2(K+1)), 1),
+    Q1(a, b) = P(X > b²) for X ~ ncx2(2, a²) = 1 - F(b² / (a² + 2); a² / 2).
 
 SciPy's routines return nan for very large factors (K above about 1e10);
 those points take the normal-tail (Sankaran) approximation instead, and
-K = inf is the deterministic unit gain.
-
-The Marcum Q1 function is an in-repo Poisson-mixture series with optional
-numba acceleration.  Backend selection (env var ``UAVRICE_BACKEND``) applies
-to it alone:
-
-* ``auto``  (default) — use numba when importable, else pure Python.
-* ``numba`` — require numba; raise at import if missing.
-* ``numpy`` — force the interpreted fallback even when numba is present.
-
-Both backends run the *same* Marcum Q1 function body, so results agree to
-≤1 ulp of the underlying libm calls (asserted in the test-suite
-equivalence checks).
+K = inf is the deterministic unit gain.  Being one minus a cdf, Q1 has
+absolute accuracy (about 2e-15 against quadrature for a, b <= 50), and
+values below that round to 0.
 """
 
 import math
-import os
 
 import numpy as np
 from scipy.special import chndtr, chndtrix, ndtri
-
-_ENV_FLAG = "UAVRICE_BACKEND"
-_requested = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"{_ENV_FLAG}={_requested!r} not understood; expected auto, numba or numpy"
-    )
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    _HAVE_NUMBA = False
-
-if _requested == "numba" and not _HAVE_NUMBA:  # pragma: no cover
-    raise ImportError(f"{_ENV_FLAG}=numba but numba is not importable")
-
-USE_NUMBA = _HAVE_NUMBA and _requested != "numpy"
-
-
-def backend_name() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _compile(func):
-    """njit-compile under the numba backend, identity otherwise."""
-    if USE_NUMBA:
-        return _njit(cache=True)(func)
-    return func
-
-
-# ---------------------------------------------------------------------------
-# Marcum Q1 via the Poisson mixture of the noncentral chi-square (2 dof)
-# ---------------------------------------------------------------------------
-# Q1(a, b) = P(X > b²) with X ~ ncx2(k=2, lambda=a²).  Conditioning on the
-# Poisson mixing index j (mean a²/2) gives
-#     Q1(a, b) = sum_j  pois(j; a²/2) * P(chi2_{2j+2} > b²)
-#              = sum_j  pois(j; a²/2) * CumPois(j; b²/2),
-# i.e. a Poisson(h)-weighted sum of Poisson(y) partial sums with h = a²/2 and
-# y = b²/2.  Both pmf windows are generated from their modes with log-space
-# starts, so the sum neither under- nor overflows for any h, y of interest.
-
-SERIES_A_MAX = 50.0  # above this, switch to the normal-tail approximation
-_WINDOW_SIGMAS = 12.0
-_WINDOW_PAD = 40
-_LOG_2PI = 1.8378770664093453
-
-
-def _log_pois_at_mode(j0, lam):
-    """log pmf of Poisson(lam) at j0 ~= lam, without the giant cancelling
-    exponents of the naive -lam + j0*log(lam) - lgamma(j0+1) (those lose
-    ~lam*eps of precision; for lam ~ 1e3 that is 1e-13 relative error,
-    visible after the bisection that sits on top of this series)."""
-    if lam < 64.0:
-        return -lam + j0 * math.log(lam) - math.lgamma(j0 + 1.0)
-    # Stirling around j0 = floor(lam): every term below is O(1) or smaller
-    delta = lam - j0
-    inv = 1.0 / j0
-    corr = inv / 12.0 - inv ** 3 / 360.0 + inv ** 5 / 1260.0
-    return (j0 * math.log1p(delta * inv) - delta
-            - 0.5 * (_LOG_2PI + math.log(j0)) - corr)
-
-
-def _poisson_pmf_window(lam, j_lo, j_hi):
-    """Poisson(lam) pmf on the inclusive index window [j_lo, j_hi].
-
-    Seeded at the window's most probable index, then extended by the
-    two-sided multiplicative recurrence.
-    """
-    n = j_hi - j_lo + 1
-    out = np.empty(n, dtype=np.float64)
-    j0 = int(lam)
-    if j0 < j_lo:
-        j0 = j_lo
-    if j0 > j_hi:
-        j0 = j_hi
-    p0 = math.exp(_log_pois_at_mode(j0, lam))
-    out[j0 - j_lo] = p0
-    p = p0
-    for j in range(j0 + 1, j_hi + 1):
-        p *= lam / j
-        out[j - j_lo] = p
-    p = p0
-    for j in range(j0 - 1, j_lo - 1, -1):
-        p *= (j + 1.0) / lam
-        out[j - j_lo] = p
-    return out
-
-
-def _window_bounds(lam):
-    """Index window holding all Poisson(lam) mass above ~1e-18."""
-    half = int(_WINDOW_SIGMAS * math.sqrt(lam)) + _WINDOW_PAD
-    lo = int(lam) - half
-    if lo < 0:
-        lo = 0
-    return lo, int(lam) + half
 
 
 def _sankaran(k, lam):
@@ -143,8 +34,7 @@ def _sankaran(k, lam):
 
 def _ncx2_sf_normal(x, k, lam):
     """Normal-tail (Sankaran power-transform) survival approximation of
-    the noncentral chi-square; used only where the exact series or SciPy
-    does not reach."""
+    the noncentral chi-square; used only where SciPy does not reach."""
     s, h, mean, sd = _sankaran(k, lam)
     z = ((x / s) ** h - mean) / sd
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -156,73 +46,10 @@ def _ncx2_ppf_normal(q, k, lam):
     return s * (mean + sd * ndtri(q)) ** (1.0 / h)
 
 
-def _marcum_q1(a, b):
-    """Marcum Q1(a, b) for a, b >= 0."""
-    if b <= 0.0:
-        return 1.0
-    y = 0.5 * b * b
-    if a <= 0.0:
-        return math.exp(-y)
-    if a > SERIES_A_MAX:
-        return _ncx2_sf_normal(b * b, 2.0, a * a)
-    h = 0.5 * a * a
-
-    ha, hb = _window_bounds(h)
-    pj = _poisson_pmf_window(h, ha, hb)
-    ya, yb = _window_bounds(y)
-    ty = _poisson_pmf_window(y, ya, yb)
-    # prefix sums of the Poisson(y) pmf -> CumPois(j; y) lookups
-    for i in range(1, ty.shape[0]):
-        ty[i] += ty[i - 1]
-
-    total = 0.0
-    for j in range(ha, hb + 1):
-        if j < ya:
-            s_j = 0.0
-        elif j > yb:
-            s_j = 1.0
-        else:
-            s_j = ty[j - ya]
-            if s_j > 1.0:
-                s_j = 1.0
-        total += pj[j - ha] * s_j
-    if total < 0.0:
-        total = 0.0
-    elif total > 1.0:
-        total = 1.0
-    return total
-
-
-def _marcum_q1_many(a, b, out):
-    for i in range(a.shape[0]):
-        out[i] = _marcum_q1(a[i], b[i])
-
-
-# Compile in dependency order; compiled callees are rebound before callers
-# are compiled so the dispatcher resolves them correctly.
-_log_pois_at_mode = _compile(_log_pois_at_mode)
-_poisson_pmf_window = _compile(_poisson_pmf_window)
-_window_bounds = _compile(_window_bounds)
-_sankaran = _compile(_sankaran)
-_ncx2_sf_normal = _compile(_ncx2_sf_normal)
-_marcum_q1 = _compile(_marcum_q1)
-_marcum_q1_many = _compile(_marcum_q1_many)
-
-
 # ---------------------------------------------------------------------------
 # Public entry points (scalar or ndarray, raw — domain validation lives in
 # the channel/fading modules that own the physical contracts)
 # ---------------------------------------------------------------------------
-
-def marcum_q1(a, b):
-    """Q1(a, b), elementwise over broadcast inputs."""
-    if np.isscalar(a) and np.isscalar(b):
-        return float(_marcum_q1(float(a), float(b)))
-    aa, bb = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-    out = np.empty(aa.size, dtype=np.float64)
-    _marcum_q1_many(aa.ravel().astype(np.float64), bb.ravel().astype(np.float64), out)
-    return out.reshape(aa.shape)
-
 
 def fading_cdf(u, k):
     """Rician power cdf F(u; k), elementwise over broadcast inputs.
@@ -243,6 +70,17 @@ def fading_cdf(u, k):
     return out
 
 
+def marcum_q1(a, b):
+    """Q1(a, b), elementwise over broadcast inputs; b <= 0 gives 1."""
+    aa, bb = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    a2 = aa * aa
+    out = np.where(bb <= 0.0, 1.0,
+                   1.0 - fading_cdf(bb * bb / (a2 + 2.0), 0.5 * a2))
+    if np.isscalar(a) and np.isscalar(b):
+        return float(out)
+    return out
+
+
 def effective_power(k, eps):
     """Outage quantile f(k, eps), elementwise over k: the u with
     F(u; k) = eps, clamped to 1; k = inf gives 1."""
@@ -259,11 +97,11 @@ def effective_power(k, eps):
 
 
 def warmup():
-    """Trigger (cached) compilation of every kernel; no-op on numpy."""
+    """Evaluate every kernel once on scalars and arrays, so the first real
+    call pays no import or dispatch set-up."""
     marcum_q1(1.0, 1.0)
     marcum_q1(np.array([1.0]), np.array([1.0]))
     fading_cdf(0.5, 10.0)
     fading_cdf(np.array([0.5]), np.array([10.0]))
     effective_power(10.0, 0.01)
     effective_power(np.array([10.0]), 0.01)
-    return backend_name()

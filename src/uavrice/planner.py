@@ -24,7 +24,6 @@ from .fading import LogisticModel
 from .solvers import (
     ConcaveProgram,
     LinearProgram,
-    LinearRows,
     QuadExpRows,
     VRatioRows,
     maximize_concave_program,
@@ -64,13 +63,19 @@ class Plan:
         return Plan(q=self.q.copy(), z=self.z.copy(), a=self.a.copy())
 
 
-def predicted_rates(q, z, scenario: Scenario, model: LogisticModel):
-    """Model-based per-slot rates, shape (N, M): slot m uses waypoint m."""
+def slot_geometry(q, z, scenario: Scenario):
+    """Squared distance and elevation indicator per (node, slot), each of
+    shape (N, M): slot m sits at waypoint m."""
     q = np.asarray(q, dtype=float)[1:]          # (M, 2)
     z = np.asarray(z, dtype=float)[1:]          # (M,)
     diff = q[None, :, :] - scenario.sn_positions[:, None, :]
     d2 = np.einsum("nmk,nmk->nm", diff, diff) + z[None, :] ** 2
-    v = z[None, :] / np.sqrt(d2)
+    return d2, z[None, :] / np.sqrt(d2)
+
+
+def predicted_rates(q, z, scenario: Scenario, model: LogisticModel):
+    """Model-based per-slot rates, shape (N, M)."""
+    d2, v = slot_geometry(q, z, scenario)
     f = model.predict(np.clip(v, 0.0, 1.0))
     return rate_from_gain(f, scenario.snr_gamma_per_sn[:, None], d2,
                           scenario.alpha)
@@ -384,8 +389,7 @@ def solve_horizontal(plan: Plan, scenario: Scenario, model: LogisticModel):
     return q_new
 
 
-def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
-                   linearized_bound=False):
+def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel):
     """One tangent-bound improvement of the altitude profile (waypoints
     fixed horizontally).  Returns new altitudes or None when skipped."""
     m_slots = plan.n_slots
@@ -466,19 +470,9 @@ def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
         c_off = np.array([max(d2q[n, m], 1e-9) for n, m in s_pairs])
         z_idx = np.array([m for _, m in s_pairs], dtype=np.int64)
         s_idx = np.array([s_pos[p] for p in s_pairs], dtype=np.int64)
-        if linearized_bound:
-            zh = z_hat[z_idx + 1]
-            slope = model.b2 * c_off / (c_off + zh * zh) ** 1.5
-            v0 = zh / np.sqrt(c_off + zh * zh)
-            C = np.zeros((len(s_pairs), nv))
-            C[np.arange(len(s_pairs)), z_idx] = slope
-            C[np.arange(len(s_pairs)), s_idx] = -1.0
-            d = model.b1 + model.b2 * v0 - slope * zh
-            blocks.append(LinearRows(C=C, d=d))
-        else:
-            blocks.append(VRatioRows(
-                d=np.full(len(s_pairs), model.b1), b2=model.b2,
-                c=c_off, z_idx=z_idx, s_idx=s_idx))
+        blocks.append(VRatioRows(
+            d=np.full(len(s_pairs), model.b1), b2=model.b2,
+            c=c_off, z_idx=z_idx, s_idx=s_idx))
 
     lb = np.full(nv, -np.inf)
     lb[:n_free] = scenario.h_min
@@ -514,8 +508,8 @@ def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
 # ---------------------------------------------------------------------------
 
 def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
-            los_only=False, freeze_vertical=False, vertical_linearized=False,
-            tol=1e-4, max_iters=50, init: Optional[Plan] = None):
+            los_only=False, freeze_vertical=False, tol=1e-4,
+            max_iters=50, init: Optional[Plan] = None):
     """Block-coordinate ascent on (schedule, path, altitude).
 
     Each outer iteration runs the scheduling LP and one tangent-bound step
@@ -547,8 +541,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
                 plan = trial
 
         if not freeze_vertical:
-            z_new = solve_vertical(plan, scenario, model,
-                                   linearized_bound=vertical_linearized)
+            z_new = solve_vertical(plan, scenario, model)
             if z_new is not None:
                 rates_new = predicted_rates(plan.q, z_new, scenario, model)
                 trial = Plan(q=plan.q, z=z_new, a=plan.a)

@@ -1,22 +1,25 @@
-"""Deterministic dense solvers for the planner's two subproblem shapes.
+"""Solvers for the planner's two subproblem shapes.
 
-Plain numpy throughout: a two-phase tableau simplex for the scheduling
-linear program, and a primal-dual interior-point method for the smooth
-concave trajectory subproblems.  Problem sizes are small (hundreds of
-variables), so dense factorizations beat any sparse machinery, and keeping
-the solvers in-repo makes every pivot and line search reproducible
-bit-for-bit across runs and platforms.
+The scheduling linear program goes to SciPy's HiGHS (``linprog``), and its
+marginals come back as the report's duals together with a re-derived
+optimality certificate.  The smooth concave trajectory subproblems use an
+in-repo primal-dual interior-point method in plain numpy: problem sizes are
+small (hundreds of variables), so dense factorizations beat any sparse
+machinery, and every Newton step and line search is reproducible
+bit-for-bit across runs.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
-_PIVOT_TOL = 1e-10
-_COST_TOL = 1e-9
+# linprog status codes other than 0 (solved): 1 iteration limit,
+# 2 infeasible, 3 unbounded, 4 numerical difficulties
+_HIGHS_FAILURES = {1: "stalled", 2: "infeasible", 3: "unbounded",
+                   4: "stalled"}
 
 
 @dataclass
@@ -71,238 +74,51 @@ class LinearProgram:
             raise ValueError("upper bound below lower bound")
 
 
-def _pivot(T, basis, extra_rows, r, j):
-    """Pivot tableau T (and any extra objective rows) on element (r, j)."""
-    T[r] = T[r] / T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    for row in extra_rows:
-        if row[j] != 0.0:
-            row -= row[j] * T[r]
-    basis[r] = j
-
-
-def _price_and_pivot(T, basis, obj, allowed, max_iter, start_iter):
-    """Run simplex pivots until no allowed column prices out positive.
-
-    obj is a profit row (entry -1 tracks -objective); entering rule is
-    largest-coefficient, demoted permanently to Bland's smallest-index rule
-    after a stretch of degenerate pivots, which guarantees termination.
-    Returns (status, iterations, entering_col_or_-1).
-    """
-    it = start_iter
-    bland = False
-    stall = 0
-    last = obj[-1]
-    while it < max_iter:
-        red = np.where(allowed, obj[:-1], -np.inf)
-        if bland:
-            pos = np.flatnonzero(red > _COST_TOL)
-            if pos.size == 0:
-                return "optimal", it, -1
-            j = int(pos[0])
-        else:
-            j = int(np.argmax(red))
-            if red[j] <= _COST_TOL:
-                return "optimal", it, -1
-        col = T[:, j]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
-            return "unbounded", it, j
-        ratios = T[rows, -1] / col[rows]
-        rmin = ratios.min()
-        cand = rows[ratios <= rmin + 1e-12]
-        r = int(cand[np.argmin(basis[cand])])   # deterministic tie-break
-        _pivot(T, basis, [obj], r, j)
-        it += 1
-        if obj[-1] >= last - 1e-12:             # no progress: degenerate step
-            stall += 1
-            if stall > 2 * (T.shape[0] + T.shape[1]):
-                bland = True
-        else:
-            stall = 0
-            last = obj[-1]
-    return "stalled", it, -1
-
-
-def _solve_standard(c, A, b):
-    """maximize c @ y  s.t.  A y <= b, y >= 0, via two-phase dense simplex.
-
-    Rows with b < 0 get a phase-1 artificial; artificials that survive
-    phase 1 at zero level mark linearly dependent rows and simply stay basic
-    (their rows are inert), which keeps the column geometry intact for dual
-    extraction.  Returns a dict with status, y, basis labels, iterations,
-    and (for unbounded) an improving ray.
-    """
-    m, n = A.shape
-    max_iter = 20000 + 40 * (m + n)
-    neg = b < 0
-    sign = np.where(neg, -1.0, 1.0)
-    art_rows = np.flatnonzero(neg)
-    n_art = art_rows.size
-    ncols = n + m + n_art
-    T = np.zeros((m, ncols + 1))
-    T[:, :n] = A * sign[:, None]
-    T[np.arange(m), n + np.arange(m)] = sign
-    for k, r in enumerate(art_rows):
-        T[r, n + m + k] = 1.0
-    T[:, -1] = b * sign
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    iters = 0
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[n + m:] = False          # artificials never (re-)enter
-
-    if n_art:
-        # phase 1: drive the sum of artificials to zero
-        w = np.zeros(ncols + 1)
-        for r in art_rows:
-            w += T[r]
-        status, iters, _ = _price_and_pivot(T, basis, w, allowed, max_iter, 0)
-        if status == "stalled":
-            return dict(status="stalled", iterations=iters,
-                        y=_basic_solution(T, basis, n))
-        if w[-1] > 1e-7:
-            return dict(status="infeasible", iterations=iters,
-                        residual=float(w[-1]),
-                        y=_basic_solution(T, basis, n))
-        # pivot surviving zero-level artificials out where possible
-        for r in range(m):
-            if basis[r] >= n + m:
-                cols = np.flatnonzero(np.abs(T[r, :n + m]) > 1e-9)
-                if cols.size:
-                    _pivot(T, basis, [w], r, int(cols[0]))
-
-    # phase 2
-    obj = np.zeros(ncols + 1)
-    obj[:n] = c
-    for r in range(m):
-        cb = obj[basis[r]]
-        if cb != 0.0:
-            obj -= cb * T[r]
-    status, iters, jray = _price_and_pivot(T, basis, obj, allowed, max_iter, iters)
-    out = dict(status=status, iterations=iters, basis=basis.copy(),
-               y=_basic_solution(T, basis, n))
-    if status == "unbounded":
-        ray = np.zeros(n)
-        if jray < n:
-            ray[jray] = 1.0
-        for r in range(m):
-            if basis[r] < n:
-                ray[basis[r]] = -T[r, jray]
-        out["ray"] = ray
-    return out
-
-
-def _basic_solution(T, basis, n):
-    y = np.zeros(n)
-    for r in range(T.shape[0]):
-        if basis[r] < n:
-            y[basis[r]] = T[r, -1]
-    return y
-
-
 def solve_lp(lp: LinearProgram) -> SolverReport:
-    """Solve the boxed inequality-form LP; duals and complementary slackness
-    come back in the report for downstream verification."""
-    n = lp.c.size
+    """Solve the boxed inequality-form LP with HiGHS.
+
+    HiGHS minimizes, so the objective is negated and its marginals flipped
+    back into the nonnegative multipliers of the maximization.  The report
+    re-derives the optimality certificate from those duals in the variables
+    y = x - lb (dual infeasibility, complementary slackness, duality gap),
+    so 'optimal' never rests on the solver's word alone.
+    """
     m_ub = lp.a_ub.shape[0]
-    shift = lp.lb
-    A = lp.a_ub
-    b = lp.b_ub - A @ shift if m_ub else lp.b_ub.copy()
+    res = scipy.optimize.linprog(
+        -lp.c, A_ub=lp.a_ub if m_ub else None, b_ub=lp.b_ub if m_ub else None,
+        bounds=np.column_stack([lp.lb, lp.ub]), method="highs")
+    x = lp.lb.copy() if res.x is None else res.x
     fin = np.flatnonzero(np.isfinite(lp.ub))
-    if fin.size:
-        rows = np.zeros((fin.size, n))
-        rows[np.arange(fin.size), fin] = 1.0
-        A = np.vstack([A, rows]) if m_ub else rows
-        b = np.concatenate([b, lp.ub[fin] - lp.lb[fin]])
-    if A.shape[0] == 0:
-        # pure box problem: bounded only where c <= 0 (lb) — our instances
-        # never hit this, but resolve it exactly anyway
-        if np.any(lp.c > 0):
-            return SolverReport(x=shift.copy(), objective=float(lp.c @ shift),
-                                feasibility=0.0, stationarity=np.inf,
-                                iterations=0, status="unbounded",
-                                message="positive objective with no rows")
-        x = shift.copy()
-        return SolverReport(x=x, objective=float(lp.c @ x), feasibility=0.0,
-                            stationarity=0.0, iterations=0, status="optimal",
-                            duals={"ineq": np.zeros(0), "upper": np.zeros(n),
-                                   "reduced_costs": -lp.c})
+    feas = max(0.0, float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0)),
+               float(np.max(lp.lb - x)),
+               float(np.max((x - lp.ub)[fin], initial=0.0)))
+    report = dict(x=x, objective=float(lp.c @ x), feasibility=feas,
+                  iterations=int(res.nit), message=res.message)
+    if res.status in _HIGHS_FAILURES:
+        return SolverReport(stationarity=np.inf,
+                            status=_HIGHS_FAILURES[res.status], **report)
 
-    res = _solve_standard(lp.c, A, b)
-    status = res["status"]
-    y = res.get("y", np.zeros(n))
-    x = y + shift
-    viol = [0.0]
-    if m_ub:
-        viol.append(float(np.max(lp.a_ub @ x - lp.b_ub)))
-    viol.append(float(np.max(lp.lb - x)))
-    if fin.size:
-        viol.append(float(np.max((x - lp.ub)[fin])))
-    feas = max(0.0, *viol[1:]) if len(viol) > 1 else 0.0
-
-    if status == "infeasible":
-        return SolverReport(x=x, objective=float(lp.c @ x), feasibility=feas,
-                            stationarity=np.inf, iterations=res["iterations"],
-                            status="infeasible",
-                            message=f"phase-1 residual {res['residual']:.3e}")
-    if status == "unbounded":
-        ray = res["ray"]
-        return SolverReport(x=x, objective=float(lp.c @ x), feasibility=feas,
-                            stationarity=np.inf, iterations=res["iterations"],
-                            status="unbounded",
-                            message=f"improving ray, c@ray={float(lp.c @ ray):.3e}")
-    if status == "stalled":
-        return SolverReport(x=x, objective=float(lp.c @ x), feasibility=feas,
-                            stationarity=np.inf, iterations=res["iterations"],
-                            status="stalled", message="pivot limit reached")
-
-    # duals from the final basis against the original (unscaled) rows;
-    # rows still carrying a zero-level artificial are linearly dependent and
-    # take multiplier zero
-    basis = res["basis"]
-    m_all = A.shape[0]
-    real = np.flatnonzero(basis < n + m_all)
-    labels = basis[real]
-    k = real.size
-    Borig = np.zeros((k, k))
-    c_b = np.zeros(k)
-    try:
-        for i, lbl in enumerate(labels):
-            if lbl < n:
-                Borig[:, i] = A[real, lbl]
-                c_b[i] = lp.c[lbl]
-            else:
-                pos = np.flatnonzero(real == (lbl - n))
-                Borig[pos[0], i] = 1.0
-        lam = np.zeros(m_all)
-        lam[real] = np.linalg.solve(Borig.T, c_b)
-    except (np.linalg.LinAlgError, IndexError):
-        return SolverReport(x=x, objective=float(lp.c @ x), feasibility=feas,
-                            stationarity=np.inf, iterations=res["iterations"],
-                            status="stalled", message="singular dual basis")
-
-    reduced = A.T @ lam - lp.c
-    slack = b - A @ y
-    dual_infeas = max(0.0, float(-lam.min()), float(-reduced.min()))
-    compl = max(float(np.max(np.abs(lam * slack))),
+    lam_ub = -res.ineqlin.marginals if m_ub else np.zeros(0)
+    lam_box = -res.upper.marginals
+    reduced = lp.a_ub.T @ lam_ub + lam_box - lp.c
+    # the same LP shifted to y >= 0, with the finite upper bounds as rows
+    y = x - lp.lb
+    lam = np.concatenate([lam_ub, lam_box[fin]])
+    b = np.concatenate([lp.b_ub - lp.a_ub @ lp.lb, lp.ub[fin] - lp.lb[fin]])
+    slack = np.concatenate([lp.b_ub - lp.a_ub @ x, lp.ub[fin] - x[fin]])
+    dual_infeas = max(0.0, float(-np.min(lam, initial=0.0)),
+                      float(-reduced.min()))
+    compl = max(float(np.max(np.abs(lam * slack), initial=0.0)),
                 float(np.max(np.abs(reduced * y))))
     scale = 1.0 + abs(float(lp.c @ y))
     gap = abs(float(lp.c @ y) - float(lam @ b)) / scale
     stat = max(dual_infeas, compl / scale, gap)
-
-    lam_ub = lam[:m_ub]
-    lam_box = np.zeros(n)
-    if fin.size:
-        lam_box[fin] = lam[m_ub:]
     ok = feas <= 1e-8 and stat <= 1e-6
+    report["message"] = "" if ok else "optimality tolerances not met"
     return SolverReport(
-        x=x, objective=float(lp.c @ x), feasibility=feas, stationarity=stat,
-        iterations=res["iterations"], status="optimal" if ok else "stalled",
-        message="" if ok else "optimality tolerances not met",
-        duals={"ineq": lam_ub, "upper": lam_box, "reduced_costs": reduced})
+        stationarity=stat, status="optimal" if ok else "stalled",
+        duals={"ineq": lam_ub, "upper": lam_box, "reduced_costs": reduced},
+        **report)
 
 
 # ===========================================================================

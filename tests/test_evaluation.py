@@ -16,10 +16,10 @@ from uavrice.channel import Scenario, rate_from_gain
 from uavrice import evaluation as ev
 from uavrice.evaluation import (
     EvalReport,
-    achieved_rates,
     best_cruise_start,
     cruise_profile,
     evaluate_plan,
+    exact_rates,
     max_min_rate,
     monte_carlo_outage,
     owners_to_activity,
@@ -62,7 +62,8 @@ class TestExactRates:
         # quantile and the rate follows from gamma/z^2 = 120.2264...
         scen = _scenario([[200.0, 0.0]], m_slots=4, duration_s=4.0,
                          q0=(200.0, 0.0), qf=(200.0, 0.0))
-        rates = achieved_rates(_hover(scen), scen)
+        hover = _hover(scen)
+        rates = exact_rates(hover.q, hover.z, scen)
         assert rates.shape == (1, 4)
         assert rates == pytest.approx(6.768108235598043, rel=1e-9)
 
@@ -76,7 +77,7 @@ class TestExactRates:
         last = 0.0
         for k in (1e4, 1e6, 1e8):
             scen = dataclasses.replace(scen0, k_min=k, k_max=k)
-            r = achieved_rates(plan, scen)[0, 0]
+            r = exact_rates(plan.q, plan.z, scen)[0, 0]
             assert last < r < los
             last = r
         assert los - last < 1e-3
@@ -88,9 +89,9 @@ class TestExactRates:
             scen = _scenario(sn)
             plan = initialize_plan(scen)
             plan.z = plan.z + rng.uniform(0.0, 15.0, plan.z.size)
-            r_tight = achieved_rates(plan, scen)
-            r_loose = achieved_rates(
-                plan, dataclasses.replace(scen, epsilon=0.05))
+            r_tight = exact_rates(plan.q, plan.z, scen)
+            r_loose = exact_rates(
+                plan.q, plan.z, dataclasses.replace(scen, epsilon=0.05))
             assert np.all(r_loose >= r_tight - 1e-12)
 
     def test_max_min_is_worst_scheduled_average(self):
@@ -99,7 +100,7 @@ class TestExactRates:
         plan = initialize_plan(scen)
         owners = np.array([0, 0, -1, 1])
         a = owners_to_activity(owners, 2)
-        rates = achieved_rates(plan, scen)
+        rates = exact_rates(plan.q, plan.z, scen)
         want = min(rates[0, [0, 1]].sum() / 4.0, rates[1, 3] / 4.0)
         assert max_min_rate(a, rates) == pytest.approx(want, rel=1e-12)
 
@@ -171,7 +172,7 @@ class TestEvalReport:
         a = owners_to_activity(rep.owners, scen.n_sn)
         want_est = max_min_rate(a, predicted_rates(plan.q, plan.z, scen,
                                                    LOS_MODEL))
-        want_ach = max_min_rate(a, achieved_rates(plan, scen))
+        want_ach = max_min_rate(a, exact_rates(plan.q, plan.z, scen))
         assert rep.eta_estimated == pytest.approx(want_est, rel=1e-12)
         assert rep.eta_achieved == pytest.approx(want_ach, rel=1e-12)
         assert rep.model_gap == pytest.approx(want_est - want_ach, rel=1e-9)

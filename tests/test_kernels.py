@@ -1,4 +1,4 @@
-"""Numerical core: Marcum Q1 series, fading cdf, outage quantile, backends.
+"""Numerical core: Marcum Q1, fading cdf and outage quantile.
 
 Reference values were frozen from independent implementations:
 - adaptive quadrature of the Rician envelope density (scipy.integrate.quad
@@ -8,9 +8,6 @@ Reference values were frozen from independent implementations:
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -71,6 +68,10 @@ def test_marcum_large_argument_tail():
     assert kernels.marcum_q1(1.0, 30.0) < 1e-80
     assert kernels.marcum_q1(200.0, 1.0) == 1.0  # normal-tail branch
     assert kernels.marcum_q1(200.0, 400.0) == pytest.approx(0.0, abs=1e-12)
+    # factors this large make SciPy return nan; the normal-tail guard answers
+    for b in (1e6, 0.5e6):
+        q = kernels.marcum_q1(1e6, b)
+        assert math.isfinite(q) and 0.0 <= q <= 1.0
 
 
 def test_fading_cdf_basics():
@@ -168,44 +169,5 @@ def test_ks_statistic_small_sample():
 
 
 def test_backend_reports_and_warmup():
-    assert kernels.backend_name() in ("numba", "numpy")
     kernels.warmup()  # must be safe to call repeatedly
     kernels.warmup()
-
-
-def _run_with_backend(backend, code):
-    env = dict(os.environ, UAVRICE_BACKEND=backend)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    return out
-
-
-def test_numpy_backend_equivalence():
-    # the interpreted fallback must agree with the in-process backend to
-    # near machine precision on a mixed grid
-    code = (
-        "import numpy as np\n"
-        "from uavrice import kernels\n"
-        "assert kernels.backend_name() == 'numpy'\n"
-        "a = np.linspace(0.0, 49.0, 23); b = np.linspace(0.0, 30.0, 23)\n"
-        "q = kernels.marcum_q1(a, b)\n"
-        "f = kernels.effective_power(np.linspace(0., 500., 23), 0.01)\n"
-        "print(repr(list(q)) + '|' + repr(list(f)))\n"
-    )
-    out = _run_with_backend("numpy", code)
-    assert out.returncode == 0, out.stderr
-    qs, fs = out.stdout.strip().split("|")
-    q_other = np.array(eval(qs))
-    f_other = np.array(eval(fs))
-    a = np.linspace(0.0, 49.0, 23)
-    b = np.linspace(0.0, 30.0, 23)
-    q_here = kernels.marcum_q1(a, b)
-    f_here = kernels.effective_power(np.linspace(0.0, 500.0, 23), 0.01)
-    assert np.max(np.abs(q_here - q_other)) <= 1e-12 * np.maximum(1, np.abs(q_here)).max()
-    assert np.max(np.abs(f_here - f_other)) <= 1e-12
-
-
-def test_invalid_backend_flag_rejected():
-    out = _run_with_backend("fortran", "import uavrice.kernels")
-    assert out.returncode != 0
-    assert "UAVRICE_BACKEND" in out.stderr

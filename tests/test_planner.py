@@ -301,8 +301,7 @@ class TestOuterLoop:
     def test_trace_never_decreases_any_variant(self):
         scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
                          duration_s=10.0)
-        for kw in ({}, {"freeze_vertical": True}, {"los_only": True},
-                   {"vertical_linearized": True}):
+        for kw in ({}, {"freeze_vertical": True}, {"los_only": True}):
             plan, info = run_bcd(scen, FIT, **kw)
             tr = np.asarray(info["trace"])
             assert np.all(np.diff(tr) >= -1e-9)
