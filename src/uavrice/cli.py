@@ -156,8 +156,7 @@ def _sweep_row(scenario, param, value, base_model, seed):
         model = base_model
     row = {"value": float(value), "model": model_to_json(model)}
     for scheme in ("rfb", "lb"):
-        used = LOS_MODEL if scheme == "lb" else model
-        plan, report = run_scheme(scheme, scen, used,
+        plan, report = run_scheme(scheme, scen, model,
                                   seed=seed, simulate=False)
         row[scheme] = {
             "eta_estimated": report.eta_estimated,

@@ -31,6 +31,7 @@ from .planner import (
     LOS_MODEL,
     Plan,
     initialize_plan,
+    max_min_rate,
     predicted_rates,
     round_schedule,
     run_bcd,
@@ -93,14 +94,6 @@ def exact_rates(q, z, scenario: Scenario):
     f = exact_effective_power(k, scenario.epsilon)
     return rate_from_gain(f, scenario.snr_gamma_per_sn[:, None], d2,
                           scenario.alpha)
-
-
-def max_min_rate(a, rates, n_slots=None):
-    """Worst per-node average of activity-weighted rates (the true metric)."""
-    a = np.asarray(a, dtype=float)
-    m = a.shape[1] if n_slots is None else int(n_slots)
-    totals = np.einsum("nm,nm->n", a, np.asarray(rates, dtype=float))
-    return float(totals.min()) / m
 
 
 def owners_to_activity(owners, n_sn):
@@ -341,22 +334,18 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of "
                          f"{'/'.join(SCHEMES)}")
-    if scheme != "lb" and model is None:
-        model = fit_for_scenario(scenario)
-
     if scheme == "lb":
-        plan, info = run_bcd(scenario, los_only=True, freeze_vertical=True,
-                             init=_level_start(scenario, scenario.h_min),
-                             tol=tol, max_iters=max_iters)
-        used_model = LOS_MODEL
-    elif scheme == "rfla":
+        model = LOS_MODEL
+    elif model is None:
+        model = fit_for_scenario(scenario)
+    if altitudes is None:
+        altitudes = DEFAULT_ALTITUDES
+
+    if scheme in ("lb", "rfla"):
         plan, info = run_bcd(scenario, model, freeze_vertical=True,
                              init=_level_start(scenario, scenario.h_min),
                              tol=tol, max_iters=max_iters)
-        used_model = model
     elif scheme == "rffsa":
-        if altitudes is None:
-            altitudes = DEFAULT_ALTITUDES
         sweep = []
         best = None
         for h in altitudes:
@@ -369,14 +358,10 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
             if best is None or rep.eta_achieved > best[3].eta_achieved:
                 best = (float(h), cand, cinfo, rep)
         h_best, plan, info, _ = best
-        used_model = model
     else:
-        if altitudes is None:
-            altitudes = DEFAULT_ALTITUDES
         plan, info = run_bcd(scenario, model, tol=tol, max_iters=max_iters,
                              init=best_cruise_start(scenario, model,
                                                     altitudes))
-        used_model = model
 
     extras = {"trace": [float(t) for t in info["trace"]],
               "iterations": info["iterations"],
@@ -385,7 +370,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
         extras["altitude_sweep"] = sweep
         extras["altitude"] = h_best
 
-    report = evaluate_plan(plan, scenario, used_model, scheme=scheme,
+    report = evaluate_plan(plan, scenario, model, scheme=scheme,
                            seed=seed, trials=trials, simulate=simulate,
                            extras=extras)
     return plan, report

@@ -14,7 +14,7 @@ k corresponds to slot k+1 at waypoint k+1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -81,10 +81,12 @@ def predicted_rates(q, z, scenario: Scenario, model: LogisticModel):
                           scenario.alpha)
 
 
-def plan_eta(plan: Plan, rates):
-    """Max-min objective: worst per-node average of activity-weighted rates."""
-    totals = np.einsum("nm,nm->n", plan.a, rates)
-    return float(totals.min()) / plan.n_slots
+def max_min_rate(a, rates):
+    """Max-min objective: worst per-node average of activity-weighted rates
+    for activities a and per-slot rates, both (N, M)."""
+    a = np.asarray(a, dtype=float)
+    totals = np.einsum("nm,nm->n", a, np.asarray(rates, dtype=float))
+    return float(totals.min()) / a.shape[1]
 
 
 def initialize_plan(scenario: Scenario) -> Plan:
@@ -267,8 +269,192 @@ class _RowBuilder:
             exp_row=self.erow, exp_coef=self.ecoef, exp_idx=self.eidx)
 
 
-def _blend_path(values, target, tau):
-    return (1.0 - tau) * values + tau * target
+@dataclass
+class TrajectoryStep:
+    """One built tangent-bound subproblem.  Variables: the D coordinates of
+    each free waypoint 1..M-1, one logistic argument s per active (node,
+    slot) pair (``s_cols``), then eta.  Stacked ``program.all_blocks()``
+    rows start with the N rate rows; ``cap_rows`` holds each s's cap."""
+
+    program: ConcaveProgram
+    start: np.ndarray        # strictly interior start
+    path: np.ndarray         # (M+1, D) expansion path
+    s_cols: np.ndarray
+    cap_rows: np.ndarray
+
+
+def _stacked_values(cp: ConcaveProgram, x):
+    return np.concatenate([blk.values(x) for blk in cp.all_blocks()])
+
+
+def build_trajectory_step(plan: Plan, scenario: Scenario,
+                          model: LogisticModel, *, path, target, limit, ends,
+                          anchors, floor=-np.inf, offset=None):
+    """Tangent-bound subproblem for one trajectory block, or None when it
+    has no strict interior (e.g. a maximally taut path).
+
+    ``path`` holds the incumbent (M+1, D) block coordinates, ``ends`` the
+    two fixed endpoints, ``limit`` the per-slot move limit and ``floor`` a
+    lower bound on every free coordinate.  Rates see the block through the
+    squared distance to ``anchors`` (N, D).  ``offset`` picks the elevation
+    cap: None for the horizontal block (altitude fixed at ``plan.z``, cap
+    tangent to v in the squared offset), or the fixed squared horizontal
+    offsets (N, M) of the altitude block, capped exactly by VRatioRows.
+    """
+    m_slots = plan.n_slots
+    n_free = m_slots - 1
+    if n_free <= 0:
+        return None
+    dim = path.shape[1]
+    n_sn = scenario.n_sn
+    with_s = model.c2 > 0.0
+
+    # expansion point and start: blend a touch toward the target so every
+    # move row (and the floor) has positive slack
+    for tau in (1e-3, 1e-2, 0.1):
+        hat = path.copy()
+        hat[1:-1] = (1.0 - tau) * path[1:-1] + tau * target[1:-1]
+        seg = np.diff(hat, axis=0)
+        if (np.max(np.einsum("mk,mk->m", seg, seg)) < limit ** 2 - 1e-12
+                and hat[1:-1].min() > floor + 1e-12):
+            break
+    else:
+        return None
+
+    diff = hat[None, 1:, :] - anchors[:, None, :]            # (N, M, D)
+    p2 = np.einsum("nmk,nmk->nm", diff, diff)
+    if offset is None:           # horizontal block: altitude held fixed
+        d2q, z = p2, plan.z[None, 1:]
+    else:                        # altitude block: offsets held fixed
+        d2q, z = offset, hat[None, 1:, 0]
+    coef = tangent_coefficients(d2q, z, scenario.snr_gamma_per_sn[:, None],
+                                model, scenario.alpha)
+
+    active = plan.a > _SPARSIFY_TOL
+    s_pairs = [(n, m) for n in range(n_sn) for m in range(m_slots - 1)
+               if active[n, m]] if with_s else []
+    n_x = dim * n_free
+    s_pos = {pair: n_x + k for k, pair in enumerate(s_pairs)}
+    nv = n_x + len(s_pairs) + 1
+    eta_col = nv - 1
+    tangent_caps = s_pairs if offset is None else []
+    move_lo = n_sn + len(tangent_caps)
+    rb = _RowBuilder(move_lo + m_slots, nv)
+
+    def xcol(m):                 # first coordinate of waypoint m in 1..M-1
+        return dim * (m - 1)
+
+    def add_dist2(row, weight, n, m):    # weight * |x_{m+1} - anchor_n|^2
+        for k in range(dim):
+            rb.add_square(row, weight, 1.0, xcol(m + 1) + k, 0.0, 0,
+                          -anchors[n, k])
+
+    # per-node rate rows:  sum_m (a/M) * bound_rate  -  eta  >=  0
+    for n in range(n_sn):
+        rb.C[n, eta_col] = -1.0
+        for m in range(m_slots):                          # slot m+1
+            am = plan.a[n, m] / m_slots
+            if am * m_slots <= _SPARSIFY_TOL:
+                continue
+            r_hat = coef.r_hat[n, m]
+            if m == m_slots - 1:                          # fixed endpoint
+                rb.d[n] += am * r_hat
+                continue
+            phi, psi = coef.phi[n, m], coef.psi[n, m]
+            rb.d[n] += am * (r_hat + psi * p2[n, m])
+            add_dist2(n, am * psi, n, m)
+            if with_s:
+                rb.d[n] += am * phi * math.exp(-coef.s_hat[n, m])
+                rb.add_exp(n, am * phi, s_pos[(n, m)])
+
+    # horizontal caps:  s <= b1 + b2 * tangent bound of v
+    for k, (n, m) in enumerate(tangent_caps):
+        row = n_sn + k
+        b2lam = model.b2 * coef.lam[n, m]
+        rb.d[row] = model.b1 + model.b2 * coef.v_hat[n, m] + b2lam * p2[n, m]
+        rb.C[row, s_pos[(n, m)]] = -1.0
+        add_dist2(row, b2lam, n, m)
+
+    # move rows:  limit^2 - |x_{m+1} - x_m|^2 >= 0
+    for m in range(m_slots):
+        row = move_lo + m
+        rb.d[row] = limit ** 2
+        for k in range(dim):
+            if m == 0:
+                rb.add_square(row, 1.0, 1.0, xcol(1) + k, 0.0, 0,
+                              -ends[0][k])
+            elif m == m_slots - 1:
+                rb.add_square(row, 1.0, -1.0, xcol(m_slots - 1) + k,
+                              0.0, 0, ends[1][k])
+            else:
+                rb.add_square(row, 1.0, 1.0, xcol(m + 1) + k,
+                              -1.0, xcol(m) + k, 0.0)
+
+    blocks = [rb.block()]
+    if s_pairs and offset is not None:
+        blocks.append(VRatioRows(
+            d=np.full(len(s_pairs), model.b1), b2=model.b2,
+            c=np.array([max(offset[n, m], 1e-9) for n, m in s_pairs]),
+            z_idx=np.array([m for _, m in s_pairs], dtype=np.int64),
+            s_idx=np.array([s_pos[p] for p in s_pairs], dtype=np.int64)))
+    lb = np.full(nv, -np.inf)
+    lb[:n_x] = floor
+    objective = np.zeros(nv)
+    objective[eta_col] = 1.0
+    cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=blocks, lb=lb)
+
+    # start: each s just under its cap, eta just under the worst rate row
+    s_cols = np.arange(n_x, eta_col)
+    cap_lo = n_sn if offset is None else move_lo + m_slots
+    cap_rows = np.arange(cap_lo, cap_lo + len(s_pairs))
+    start = np.zeros(nv)
+    start[:n_x] = hat[1:-1].ravel()
+    start[s_cols] = _stacked_values(cp, start)[cap_rows] - _SLACK_GAP
+    eta0 = float(_stacked_values(cp, start)[:n_sn].min())
+    start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
+    if _stacked_values(cp, start).min() <= 0.0:
+        return None
+    return TrajectoryStep(program=cp, start=start, path=hat, s_cols=s_cols,
+                          cap_rows=cap_rows)
+
+
+def _horizontal_block(plan: Plan, scenario: Scenario):
+    """Builder data of the horizontal step: 2-D waypoints under the speed
+    limit, blended toward the straight line."""
+    line = scenario.q0[None, :] + np.linspace(0.0, 1.0, plan.n_slots + 1)[
+        :, None] * (scenario.qf - scenario.q0)
+    return dict(path=plan.q, target=line, limit=scenario.sxy,
+                ends=(scenario.q0, scenario.qf),
+                anchors=scenario.sn_positions)
+
+
+def _vertical_block(plan: Plan, scenario: Scenario):
+    """Builder data of the altitude step: 1-D altitudes under the climb
+    limit and above the floor, blended toward a gentle ridge lifted off the
+    floor, with the horizontal offsets held fixed."""
+    m_slots = plan.n_slots
+    frac = np.linspace(0.0, 1.0, m_slots + 1)
+    line = scenario.z0 + frac * (scenario.zf - scenario.z0)
+    climb = np.abs(scenario.zf - scenario.z0) / m_slots
+    ridge_slope = 0.5 * max(scenario.sz - climb, 0.0)
+    idx = np.arange(m_slots + 1, dtype=float)
+    ridge = np.minimum(np.minimum(idx, m_slots - idx) * ridge_slope, 20.0)
+    diff = plan.q[None, 1:, :] - scenario.sn_positions[:, None, :]
+    return dict(path=plan.z[:, None], target=(line + ridge)[:, None],
+                limit=scenario.sz, ends=([scenario.z0], [scenario.zf]),
+                anchors=np.zeros((scenario.n_sn, 1)), floor=scenario.h_min,
+                offset=np.einsum("nmk,nmk->nm", diff, diff))
+
+
+def _improve(plan, scenario, model, data):
+    """Build and solve one step; the new (M+1, D) path, or None."""
+    step = build_trajectory_step(plan, scenario, model, **data)
+    if step is None:
+        return None
+    rep = maximize_concave_program(step.program, step.start)
+    new = np.array(data["path"], dtype=float)
+    new[1:-1] = rep.x[:new[1:-1].size].reshape(new[1:-1].shape)
+    return new
 
 
 def solve_horizontal(plan: Plan, scenario: Scenario, model: LogisticModel):
@@ -278,229 +464,14 @@ def solve_horizontal(plan: Plan, scenario: Scenario, model: LogisticModel):
     interior (e.g. a maximally taut path), in which case the caller keeps
     the incumbent.
     """
-    m_slots = plan.n_slots
-    n_free = m_slots - 1
-    if n_free <= 0:
-        return None
-    n_sn = scenario.n_sn
-    gam = scenario.snr_gamma_per_sn
-    sxy = scenario.sxy
-    w = scenario.sn_positions
-    a = plan.a
-    with_s = model.c2 > 0.0
-
-    # expansion point and start: blend a touch toward the straight line so
-    # every speed row has positive slack
-    line = scenario.q0[None, :] + np.linspace(0.0, 1.0, m_slots + 1)[:, None] \
-        * (scenario.qf - scenario.q0)
-    for tau in (1e-3, 1e-2, 0.1):
-        q_hat = plan.q.copy()
-        q_hat[1:-1] = _blend_path(plan.q[1:-1], line[1:-1], tau)
-        seg = np.diff(q_hat, axis=0)
-        if np.max(np.einsum("mk,mk->m", seg, seg)) < sxy ** 2 - 1e-12:
-            break
-    else:
-        return None
-
-    diff = q_hat[None, 1:, :] - w[:, None, :]            # (N, M, 2)
-    d2q = np.einsum("nmk,nmk->nm", diff, diff)
-    coef = tangent_coefficients(d2q, plan.z[None, 1:], gam[:, None],
-                                model, scenario.alpha)
-
-    active = a > _SPARSIFY_TOL
-    s_pairs = [(n, m) for n in range(n_sn) for m in range(m_slots - 1)
-               if active[n, m]] if with_s else []
-    s_pos = {pair: 2 * n_free + k for k, pair in enumerate(s_pairs)}
-    nv = 2 * n_free + len(s_pairs) + 1
-    eta_col = nv - 1
-
-    def xcol(m):                 # waypoint m in 1..M-1
-        return 2 * (m - 1)
-
-    n_rows = n_sn + len(s_pairs) + m_slots
-    rb = _RowBuilder(n_rows, nv)
-
-    # per-node rate rows:  sum_m (a/M) * bound_rate  -  eta  >=  0
-    for n in range(n_sn):
-        rb.C[n, eta_col] = -1.0
-        for m in range(m_slots):                          # slot m+1
-            am = a[n, m] / m_slots
-            if am * m_slots <= _SPARSIFY_TOL:
-                continue
-            r_hat = coef.r_hat[n, m]
-            if m == m_slots - 1:                          # fixed endpoint
-                rb.d[n] += am * r_hat
-                continue
-            phi, psi = coef.phi[n, m], coef.psi[n, m]
-            rb.d[n] += am * (r_hat + psi * d2q[n, m])
-            ix = xcol(m + 1)
-            rb.add_square(n, am * psi, 1.0, ix, 0.0, 0, -w[n, 0])
-            rb.add_square(n, am * psi, 1.0, ix + 1, 0.0, 0, -w[n, 1])
-            if with_s:
-                rb.d[n] += am * phi * math.exp(-coef.s_hat[n, m])
-                rb.add_exp(n, am * phi, s_pos[(n, m)])
-
-    # logistic-argument caps:  s <= b1 + b2 * tangent bound of v
-    for k, (n, m) in enumerate(s_pairs):
-        row = n_sn + k
-        b2lam = model.b2 * coef.lam[n, m]
-        rb.d[row] = model.b1 + model.b2 * coef.v_hat[n, m] + b2lam * d2q[n, m]
-        rb.C[row, s_pos[(n, m)]] = -1.0
-        ix = xcol(m + 1)
-        rb.add_square(row, b2lam, 1.0, ix, 0.0, 0, -w[n, 0])
-        rb.add_square(row, b2lam, 1.0, ix + 1, 0.0, 0, -w[n, 1])
-
-    # speed rows:  sxy^2 - |q_{m+1} - q_m|^2 >= 0
-    for m in range(m_slots):
-        row = n_sn + len(s_pairs) + m
-        rb.d[row] = sxy ** 2
-        for axis in range(2):
-            if m == 0:
-                rb.add_square(row, 1.0, 1.0, xcol(1) + axis, 0.0, 0,
-                              -scenario.q0[axis])
-            elif m == m_slots - 1:
-                rb.add_square(row, 1.0, -1.0, xcol(m_slots - 1) + axis,
-                              0.0, 0, scenario.qf[axis])
-            else:
-                rb.add_square(row, 1.0, 1.0, xcol(m + 1) + axis,
-                              -1.0, xcol(m) + axis, 0.0)
-
-    objective = np.zeros(nv)
-    objective[eta_col] = 1.0
-    cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=[rb.block()])
-
-    start = np.zeros(nv)
-    start[:2 * n_free] = q_hat[1:-1].ravel()
-    block = cp.all_blocks()[0]
-    if s_pairs:
-        probe = start.copy()
-        probe[eta_col] = -1e18
-        bound_rows = block.values(probe)[n_sn:n_sn + len(s_pairs)]
-        start[2 * n_free:eta_col] = bound_rows - _SLACK_GAP
-    rate_vals = (block.values(start)[:n_sn])[: n_sn]
-    eta0 = float(rate_vals.min())
-    start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
-    if block.values(start).min() <= 0.0:
-        return None
-
-    rep = maximize_concave_program(cp, start)
-    q_new = plan.q.copy()
-    q_new[1:-1] = rep.x[:2 * n_free].reshape(n_free, 2)
-    return q_new
+    return _improve(plan, scenario, model, _horizontal_block(plan, scenario))
 
 
 def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel):
     """One tangent-bound improvement of the altitude profile (waypoints
     fixed horizontally).  Returns new altitudes or None when skipped."""
-    m_slots = plan.n_slots
-    n_free = m_slots - 1
-    if n_free <= 0 or scenario.sz <= 1e-12:
-        return None
-    n_sn = scenario.n_sn
-    gam = scenario.snr_gamma_per_sn
-    sz = scenario.sz
-    w = scenario.sn_positions
-    a = plan.a
-    with_s = model.c2 > 0.0
-
-    # interior start: blend toward a gentle ridge lifted off the floor
-    frac = np.linspace(0.0, 1.0, m_slots + 1)
-    line = scenario.z0 + frac * (scenario.zf - scenario.z0)
-    climb = np.abs(scenario.zf - scenario.z0) / m_slots
-    ridge_slope = 0.5 * max(sz - climb, 0.0)
-    idx = np.arange(m_slots + 1, dtype=float)
-    ridge = np.minimum(idx, m_slots - idx) * ridge_slope
-    ridge = np.minimum(ridge, 20.0)
-    target = line + ridge
-    for tau in (1e-3, 1e-2, 0.1):
-        z_hat = plan.z.copy()
-        z_hat[1:-1] = _blend_path(plan.z[1:-1], target[1:-1], tau)
-        dz = np.diff(z_hat)
-        if (np.max(np.abs(dz)) < sz - 1e-12
-                and z_hat[1:-1].min() > scenario.h_min + 1e-12):
-            break
-    else:
-        return None
-
-    diff = plan.q[None, 1:, :] - w[:, None, :]
-    d2q = np.einsum("nmk,nmk->nm", diff, diff)
-    coef = tangent_coefficients(d2q, z_hat[None, 1:], gam[:, None],
-                                model, scenario.alpha)
-
-    active = a > _SPARSIFY_TOL
-    s_pairs = [(n, m) for n in range(n_sn) for m in range(m_slots - 1)
-               if active[n, m]] if with_s else []
-    s_pos = {pair: n_free + k for k, pair in enumerate(s_pairs)}
-    nv = n_free + len(s_pairs) + 1
-    eta_col = nv - 1
-
-    n_rows = n_sn + m_slots
-    rb = _RowBuilder(n_rows, nv)
-
-    for n in range(n_sn):
-        rb.C[n, eta_col] = -1.0
-        for m in range(m_slots):
-            am = a[n, m] / m_slots
-            if am * m_slots <= _SPARSIFY_TOL:
-                continue
-            r_hat = coef.r_hat[n, m]
-            if m == m_slots - 1:
-                rb.d[n] += am * r_hat
-                continue
-            phi, psi = coef.phi[n, m], coef.psi[n, m]
-            zh = z_hat[m + 1]
-            rb.d[n] += am * (r_hat + psi * zh * zh)
-            rb.add_square(n, am * psi, 1.0, m, 0.0, 0, 0.0)
-            if with_s:
-                rb.d[n] += am * phi * math.exp(-coef.s_hat[n, m])
-                rb.add_exp(n, am * phi, s_pos[(n, m)])
-
-    for m in range(m_slots):                    # climb-rate rows
-        row = n_sn + m
-        rb.d[row] = sz ** 2
-        if m == 0:
-            rb.add_square(row, 1.0, 1.0, 0, 0.0, 0, -scenario.z0)
-        elif m == m_slots - 1:
-            rb.add_square(row, 1.0, -1.0, m_slots - 2, 0.0, 0, scenario.zf)
-        else:
-            rb.add_square(row, 1.0, 1.0, m, -1.0, m - 1, 0.0)
-
-    blocks = [rb.block()]
-    if s_pairs:
-        c_off = np.array([max(d2q[n, m], 1e-9) for n, m in s_pairs])
-        z_idx = np.array([m for _, m in s_pairs], dtype=np.int64)
-        s_idx = np.array([s_pos[p] for p in s_pairs], dtype=np.int64)
-        blocks.append(VRatioRows(
-            d=np.full(len(s_pairs), model.b1), b2=model.b2,
-            c=c_off, z_idx=z_idx, s_idx=s_idx))
-
-    lb = np.full(nv, -np.inf)
-    lb[:n_free] = scenario.h_min
-    objective = np.zeros(nv)
-    objective[eta_col] = 1.0
-    cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=blocks, lb=lb)
-
-    start = np.zeros(nv)
-    start[:n_free] = z_hat[1:-1]
-    all_blocks = cp.all_blocks()
-
-    def stacked(xv):
-        return np.concatenate([blk.values(xv) for blk in all_blocks])
-
-    if s_pairs:
-        probe = start.copy()
-        vals = blocks[1].values(probe)
-        start[n_free:eta_col] = vals - _SLACK_GAP
-    rate_vals = all_blocks[0].values(start)[:n_sn]
-    eta0 = float(rate_vals.min())
-    start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
-    if stacked(start).min() <= 0.0:
-        return None
-
-    rep = maximize_concave_program(cp, start)
-    z_new = plan.z.copy()
-    z_new[1:-1] = rep.x[:n_free]
-    return z_new
+    z_new = _improve(plan, scenario, model, _vertical_block(plan, scenario))
+    return None if z_new is None else z_new[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,52 +479,49 @@ def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel):
 # ---------------------------------------------------------------------------
 
 def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
-            los_only=False, freeze_vertical=False, tol=1e-4,
-            max_iters=50, init: Optional[Plan] = None):
+            freeze_vertical=False, tol=1e-4, max_iters=50,
+            init: Optional[Plan] = None):
     """Block-coordinate ascent on (schedule, path, altitude).
 
     Each outer iteration runs the scheduling LP and one tangent-bound step
     per trajectory block, accepting a block's move only if the model-based
-    objective does not fall.  Returns (plan, info) where info carries the
+    objective does not fall.  ``model=None`` plans for pure line-of-sight
+    (``LOS_MODEL``).  Returns (plan, info) where info carries the
     per-iteration objective trace, iteration count, and convergence flag.
     """
-    if los_only or model is None:
+    if model is None:
         model = LOS_MODEL
     plan = init.copy() if init is not None else initialize_plan(scenario)
-    eta = plan_eta(plan, predicted_rates(plan.q, plan.z, scenario, model))
+    rates = predicted_rates(plan.q, plan.z, scenario, model)
+    eta = max_min_rate(plan.a, rates)
     trace = [eta]
     converged = False
     iterations = 0
 
     for _ in range(max_iters):
         iterations += 1
-        rates = predicted_rates(plan.q, plan.z, scenario, model)
         a_new, eta_lp = solve_scheduling(rates)
-        if eta_lp >= plan_eta(plan, rates) - 1e-12:
+        if eta_lp >= eta - 1e-12:
             plan.a = a_new
+            eta = max_min_rate(a_new, rates)
 
-        q_new = solve_horizontal(plan, scenario, model)
-        if q_new is not None:
-            rates_new = predicted_rates(q_new, plan.z, scenario, model)
-            trial = Plan(q=q_new, z=plan.z, a=plan.a)
-            if plan_eta(trial, rates_new) >= plan_eta(
-                    plan, predicted_rates(plan.q, plan.z, scenario, model)):
-                plan = trial
-
+        # the incumbent's rates and objective ride along; block functions
+        # are looked up per call so wrappers set on this module take effect
+        blocks = [("q", solve_horizontal)]
         if not freeze_vertical:
-            z_new = solve_vertical(plan, scenario, model)
-            if z_new is not None:
-                rates_new = predicted_rates(plan.q, z_new, scenario, model)
-                trial = Plan(q=plan.q, z=z_new, a=plan.a)
-                if plan_eta(trial, rates_new) >= plan_eta(
-                        plan, predicted_rates(plan.q, plan.z, scenario, model)):
-                    plan = trial
+            blocks.append(("z", solve_vertical))
+        for name, solve in blocks:
+            new = solve(plan, scenario, model)
+            if new is None:
+                continue
+            trial = replace(plan, **{name: new})
+            trial_rates = predicted_rates(trial.q, trial.z, scenario, model)
+            trial_eta = max_min_rate(trial.a, trial_rates)
+            if trial_eta >= eta:
+                plan, rates, eta = trial, trial_rates, trial_eta
 
-        eta_new = plan_eta(plan, predicted_rates(plan.q, plan.z,
-                                                 scenario, model))
-        trace.append(eta_new)
-        rel = (eta_new - eta) / max(abs(eta), 1e-12)
-        eta = eta_new
+        rel = (eta - trace[-1]) / max(abs(trace[-1]), 1e-12)
+        trace.append(eta)
         if 0.0 <= rel < tol:
             converged = True
             break

@@ -6,7 +6,8 @@ optimality certificate.  The smooth concave trajectory subproblems use an
 in-repo primal-dual interior-point method in plain numpy: problem sizes are
 small (hundreds of variables), so dense factorizations beat any sparse
 machinery, and every Newton step and line search is reproducible
-bit-for-bit across runs.
+bit-for-bit across runs.  Callers leave fixed quantities (path endpoints)
+out of the variable vector, so each Newton step works on every variable.
 """
 
 from dataclasses import dataclass, field
@@ -125,7 +126,7 @@ def solve_lp(lp: LinearProgram) -> SolverReport:
 # Smooth concave maximization (log-barrier Newton)
 # ===========================================================================
 # Constraint rows are grouped into batched blocks.  Every block exposes the
-# same protocol on the FULL variable vector:
+# same protocol on the whole variable vector:
 #   values(x)            -> (m,) slacks, feasible iff all > 0
 #   grads(x)             -> (m, n) dense Jacobian of the slacks
 #   add_curvature(x, w, H) -> H += sum_i w[i] * (-hess g_i)   (n, n) in place
@@ -270,38 +271,29 @@ class VRatioRows:
 
 @dataclass
 class ConcaveProgram:
-    """maximize objective @ x over concave-slack blocks, variable pins, and
-    a box.  Pins are the equality constraints (fixed endpoints); they are
-    eliminated by substitution rather than carried as rows."""
+    """maximize objective @ x over concave-slack blocks and a box; fixed
+    quantities belong in the row constants, not the variable vector."""
 
     n_vars: int
     objective: np.ndarray
     blocks: list
-    pin_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    pin_val: np.ndarray = field(default_factory=lambda: np.zeros(0))
     lb: Optional[np.ndarray] = None   # entries -inf where unbounded
     ub: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.pin_idx = np.asarray(self.pin_idx, dtype=np.int64)
-        self.pin_val = np.asarray(self.pin_val, dtype=float)
         if self.objective.size != self.n_vars:
             raise ValueError("objective length must equal n_vars")
-        if self.pin_idx.size != self.pin_val.size:
-            raise ValueError("pin index/value lengths differ")
 
     def all_blocks(self):
-        """Constraint blocks plus box rows on free (unpinned) variables."""
+        """Constraint blocks plus one row per finite box bound."""
         blocks = list(self.blocks)
-        pinned = np.zeros(self.n_vars, dtype=bool)
-        pinned[self.pin_idx] = True
         rows = []
         for bound, sgn in ((self.lb, 1.0), (self.ub, -1.0)):
             if bound is None:
                 continue
             bound = np.asarray(bound, dtype=float)
-            for i in np.flatnonzero(np.isfinite(bound) & ~pinned):
+            for i in np.flatnonzero(np.isfinite(bound)):
                 row = np.zeros(self.n_vars)
                 row[i] = sgn
                 rows.append((row, -sgn * bound[i]))
@@ -343,11 +335,6 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     x = np.asarray(start, dtype=float).copy()
     if x.size != n:
         raise ValueError("start length must equal n_vars")
-    if cp.pin_idx.size:
-        x[cp.pin_idx] = cp.pin_val
-    pinned = np.zeros(n, dtype=bool)
-    pinned[cp.pin_idx] = True
-    free = np.flatnonzero(~pinned)
     blocks = cp.all_blocks()
     c = cp.objective
 
@@ -357,8 +344,8 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         raise ValueError(f"start point is not strictly feasible "
                          f"(row {k}, slack {g.min():.3e})")
     m = g.size
-    if m == 0 or free.size == 0:
-        stat0 = float(np.max(np.abs(c[free]), initial=0.0))
+    if m == 0:
+        stat0 = float(np.max(np.abs(c), initial=0.0))
         ok = stat0 <= 1e-6
         return SolverReport(
             x=x, objective=float(c @ x), feasibility=0.0, stationarity=stat0,
@@ -375,27 +362,26 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     it_total = 0
     stalled = False
     sigma = 0.2
-    eye = np.eye(free.size)
+    eye = np.eye(n)
 
     for _ in range(max_iters):
         g = _block_values(blocks, x)
-        G_all = np.vstack([blk.grads(x) for blk in blocks])
-        Gf = G_all[:, free]
-        rd = c[free] + Gf.T @ lam
+        G = np.vstack([blk.grads(x) for blk in blocks])
+        rd = c + G.T @ lam
         gap = float(lam @ g)
         obj = float(c @ x)
-        row_scale = np.max(np.abs(Gf), axis=1)
+        row_scale = np.max(np.abs(G), axis=1)
         denom = 1.0 + float(np.max(np.abs(c))) + float(np.max(lam * row_scale))
         if np.max(np.abs(rd)) <= 1e-7 * denom and gap <= 3e-7 * (1.0 + abs(obj)):
             break
 
         mu_t = max(sigma * gap / m, 1e-18 * (1.0 + abs(obj)))
-        Hfull = np.zeros((n, n))
+        H = np.zeros((n, n))
         for blk, lo, hi in zip(blocks, offsets[:-1], offsets[1:]):
-            blk.add_curvature(x, lam[lo:hi], Hfull)
+            blk.add_curvature(x, lam[lo:hi], H)
         W = lam / g
-        H = Hfull[np.ix_(free, free)] + (Gf * W[:, None]).T @ Gf
-        rhs = c[free] + Gf.T @ (mu_t / g)
+        H += (G * W[:, None]).T @ G
+        rhs = c + G.T @ (mu_t / g)
 
         # Jacobi equilibration keeps the ridge proportional to each
         # variable's own curvature; without it the heavily weighted rows
@@ -420,7 +406,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         if dx is None:
             stalled = True
             break
-        dlam = mu_t / g - lam - W * (Gf @ dx)
+        dlam = mu_t / g - lam - W * (G @ dx)
 
         # equal step length, fraction-to-boundary on the multipliers,
         # then backtrack on strict slack positivity and the KKT merit
@@ -429,16 +415,14 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         if np.any(neg):
             t = min(1.0, 0.995 * float(np.min(-lam[neg] / dlam[neg])))
         merit0 = float(rd @ rd) + float(np.sum((lam * g - mu_t) ** 2))
-        xt = x.copy()
         ok = False
         for _ in range(50):
-            xt[free] = x[free] + t * dx
+            xt = x + t * dx
             lt = lam + t * dlam
             gt = _block_values(blocks, xt)
             if gt.min() > 0.0 and lt.min() > 0.0:
-                rdt = c[free] + np.vstack(
-                    [blk.grads(xt) for blk in blocks])[:, free].T @ lt
-                meritt = float(rdt @ rdt) +                     float(np.sum((lt * gt - mu_t) ** 2))
+                rdt = c + np.vstack([blk.grads(xt) for blk in blocks]).T @ lt
+                meritt = float(rdt @ rdt) + float(np.sum((lt * gt - mu_t) ** 2))
                 if meritt <= (1.0 - 1e-4 * t) * merit0 + 1e-30:
                     ok = True
                     break
@@ -465,9 +449,9 @@ def maximize_concave_program(cp: ConcaveProgram, start,
 
     g_best = _block_values(blocks, best_x)
     feas = max(0.0, float(-g_best.min()))
-    Gf = np.vstack([blk.grads(best_x) for blk in blocks])[:, free]
-    resid = float(np.max(np.abs(c[free] + Gf.T @ lam)))
-    row_scale = np.max(np.abs(Gf), axis=1)
+    G = np.vstack([blk.grads(best_x) for blk in blocks])
+    resid = float(np.max(np.abs(c + G.T @ lam)))
+    row_scale = np.max(np.abs(G), axis=1)
     denom = 1.0 + float(np.max(np.abs(c))) + float(np.max(lam * row_scale))
     gap = float(lam @ g_best)
     stat = max(resid / denom, gap / (1.0 + abs(best_obj)))

@@ -20,13 +20,12 @@ from uavrice.evaluation import (
     cruise_profile,
     evaluate_plan,
     exact_rates,
-    max_min_rate,
     monte_carlo_outage,
     owners_to_activity,
     run_scheme,
 )
 from uavrice.planner import (LOS_MODEL, Plan, initialize_plan,
-                             predicted_rates, run_bcd)
+                             max_min_rate, predicted_rates, run_bcd)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +159,7 @@ class TestMonteCarlo:
 class TestEvalReport:
     def test_committed_schedule_and_objectives(self):
         scen = _scenario([[100.0, 0.0], [250.0, 0.0]])
-        plan, _ = run_bcd(scen, None, los_only=True, max_iters=5)
+        plan, _ = run_bcd(scen, LOS_MODEL, max_iters=5)
         rep = evaluate_plan(plan, scen, LOS_MODEL, scheme="lb",
                             trials=10_000, simulate=False)
         m = scen.n_slots

@@ -168,6 +168,6 @@ def test_ks_statistic_small_sample():
         assert d < 1.6276 / math.sqrt(n), f"KS bound {d:.2e} too large at K={k}"
 
 
-def test_backend_reports_and_warmup():
+def test_warmup_is_repeatable():
     kernels.warmup()  # must be safe to call repeatedly
     kernels.warmup()

@@ -18,7 +18,7 @@ from uavrice.planner import (
     LOS_MODEL,
     Plan,
     initialize_plan,
-    plan_eta,
+    max_min_rate,
     predicted_rates,
     round_schedule,
     run_bcd,
@@ -246,15 +246,54 @@ class TestTrajectoryBlocks:
         plan = initialize_plan(scen)
         plan.a, _ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, FIT))
-        before = plan_eta(plan, predicted_rates(plan.q, plan.z, scen, FIT))
+        before = max_min_rate(plan.a,
+                              predicted_rates(plan.q, plan.z, scen, FIT))
         q_new = solve_horizontal(plan, scen, FIT)
         assert q_new is not None
-        after_plan = Plan(q=q_new, z=plan.z, a=plan.a)
-        after = plan_eta(after_plan,
-                         predicted_rates(q_new, plan.z, scen, FIT))
+        after = max_min_rate(plan.a,
+                             predicted_rates(q_new, plan.z, scen, FIT))
         assert after > before
         # the path must bend toward the node (it starts on y = 0)
         assert q_new[:, 1].max() > plan.q[:, 1].max() + 1.0
+
+    @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
+    @pytest.mark.parametrize("block", ["horizontal", "vertical"])
+    def test_built_bound_is_tight_at_expansion_point(self, block, model):
+        # the SCA property the monotone trace rests on: with every s at its
+        # cap and eta = 0, each rate row equals the true average rate at the
+        # expansion point and each cap row has zero slack
+        scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
+                         m_slots=10, duration_s=10.0)
+        plan = initialize_plan(scen)
+        plan.a, _ = solve_scheduling(
+            predicted_rates(plan.q, plan.z, scen, model))
+        data = (planner._horizontal_block if block == "horizontal"
+                else planner._vertical_block)(plan, scen)
+        step = planner.build_trajectory_step(plan, scen, model, **data)
+        assert step is not None
+        assert step.s_cols.size == (
+            0 if model is LOS_MODEL
+            else np.count_nonzero(plan.a[:, :-1] > planner._SPARSIFY_TOL))
+
+        def rows(x):
+            return np.concatenate([blk.values(x)
+                                   for blk in step.program.all_blocks()])
+
+        x = step.start.copy()
+        x[-1] = 0.0
+        x[step.s_cols] = 0.0
+        x[step.s_cols] = rows(x)[step.cap_rows]
+        g = rows(x)
+        if block == "horizontal":
+            q, z = step.path, plan.z
+        else:
+            q, z = plan.q, step.path[:, 0]
+        rates = predicted_rates(q, z, scen, model)
+        active = plan.a > planner._SPARSIFY_TOL
+        want = (np.where(active, plan.a, 0.0) * rates).sum(axis=1) \
+            / scen.n_slots
+        assert g[:scen.n_sn] == pytest.approx(want, rel=1e-9)
+        assert g[step.cap_rows] == pytest.approx(0.0, abs=1e-12)
 
     def test_taut_line_leaves_no_interior(self):
         # exactly enough speed to reach the end point: every speed row is
@@ -301,8 +340,9 @@ class TestOuterLoop:
     def test_trace_never_decreases_any_variant(self):
         scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
                          duration_s=10.0)
-        for kw in ({}, {"freeze_vertical": True}, {"los_only": True}):
-            plan, info = run_bcd(scen, FIT, **kw)
+        for model, kw in ((FIT, {}), (FIT, {"freeze_vertical": True}),
+                          (LOS_MODEL, {})):
+            plan, info = run_bcd(scen, model, **kw)
             tr = np.asarray(info["trace"])
             assert np.all(np.diff(tr) >= -1e-9)
             assert info["eta_model"] == pytest.approx(tr[-1])
@@ -311,7 +351,7 @@ class TestOuterLoop:
     def test_default_model_is_line_of_sight(self):
         scen = _scenario([[400.0, 300.0]])
         p1, i1 = run_bcd(scen)
-        p2, i2 = run_bcd(scen, FIT, los_only=True)
+        p2, i2 = run_bcd(scen, LOS_MODEL)
         assert np.array_equal(p1.q, p2.q)
         assert np.array_equal(p1.z, p2.z)
         assert np.array_equal(p1.a, p2.a)
@@ -372,6 +412,6 @@ class TestOuterLoop:
         assert rates.shape == (2, 5)
         # objective convention: worst node's activity-weighted slot average
         want = min((plan.a * rates).sum(axis=1) / 5)
-        assert plan_eta(plan, rates) == pytest.approx(want, rel=1e-12)
+        assert max_min_rate(plan.a, rates) == pytest.approx(want, rel=1e-12)
         with pytest.raises(ValueError):
             Plan(q=plan.q, z=plan.z[:-1], a=plan.a)

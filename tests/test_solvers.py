@@ -129,7 +129,7 @@ class TestSolveLP:
         assert ref.status == 0
         assert rep.objective == pytest.approx(-ref.fun, abs=1e-8)
 
-    def test_negative_rhs_uses_phase_one(self):
+    def test_lower_bound_row_as_negative_rhs(self):
         # x + y >= 0.5 written as -x - y <= -0.5 plus a duplicated cap row
         lp = _box_lp([1.0, 1.0],
                      [[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]],
@@ -249,20 +249,6 @@ class TestBarrier:
         s_best = 0.2 + 6.0 * 100.0 / np.sqrt(2500.0 + 100.0 ** 2)
         assert rep.x[0] == pytest.approx(100.0, abs=1e-4)
         assert rep.objective == pytest.approx(s_best, abs=1e-5)
-
-    def test_pinned_variable_in_quadratic(self):
-        # pin x0 = 2; maximize x1 with (x0 + x1)^2 <= 10
-        blk = _quad_row_block([10.0], [[0.0, 0.0]],
-                              [(0, 1.0, 1.0, 0, 1.0, 1, 0.0)])
-        cp = ConcaveProgram(n_vars=2, objective=np.array([0.0, 1.0]),
-                            blocks=[blk],
-                            pin_idx=np.array([0]), pin_val=np.array([2.0]),
-                            lb=np.array([-np.inf, 0.0]),
-                            ub=np.array([np.inf, 5.0]))
-        rep = maximize_concave_program(cp, np.array([99.0, 0.5]))
-        assert rep.status == "optimal"
-        assert rep.x[0] == 2.0                      # pin held exactly
-        assert rep.x[1] == pytest.approx(np.sqrt(10.0) - 2.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", [11, 42, 90])
     def test_random_program_matches_slsqp(self, seed):
