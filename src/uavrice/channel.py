@@ -191,7 +191,12 @@ def rician_coeffs_from_bounds(k_min, k_max):
 # ---------------------------------------------------------------------------
 
 def marcum_q1(a, b):
-    """First-order Marcum Q function (Rician envelope tail probability)."""
+    """First-order Marcum Q function (Rician envelope tail probability).
+
+    Accurate in absolute terms only: deep in the upper tail it returns 0
+    where the true value is tiny but positive (Q1(1.67, 24.69) is
+    5.67e-117 by quadrature); see ``kernels.marcum_q1``.
+    """
     if np.any(np.asarray(a) < 0) or np.any(np.asarray(b) < 0):
         raise ValueError("marcum_q1 arguments must be nonnegative")
     return kernels.marcum_q1(a, b)

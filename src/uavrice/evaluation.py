@@ -178,7 +178,8 @@ class EvalReport:
     conservative, so no ordering is implied.  ``outage_freq[m]`` counts
     fading blocks whose capacity fell below the committed exact rate, out of
     ``outage_samples[m]`` drawn.  ``extras`` carries run metadata (objective
-    trace, iteration counts, altitude sweeps) for serialization.
+    trace, iteration counts, interior-point solves per trajectory block
+    that did not end optimal, altitude sweeps) for serialization.
     """
 
     scheme: str
@@ -365,7 +366,8 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
 
     extras = {"trace": [float(t) for t in info["trace"]],
               "iterations": info["iterations"],
-              "converged": info["converged"]}
+              "converged": info["converged"],
+              "ipm_not_optimal": info["ipm_not_optimal"]}
     if scheme == "rffsa":
         extras["altitude_sweep"] = sweep
         extras["altitude"] = h_best

@@ -71,7 +71,12 @@ def fading_cdf(u, k):
 
 
 def marcum_q1(a, b):
-    """Q1(a, b), elementwise over broadcast inputs; b <= 0 gives 1."""
+    """Q1(a, b), elementwise over broadcast inputs; b <= 0 gives 1.
+
+    Accurate in absolute terms only: computed as one minus a cdf, it
+    returns 0 deep in the upper tail (Q1(1.67, 24.69) is 5.67e-117 by
+    quadrature), so do not take ratios or logarithms of small values.
+    """
     aa, bb = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     a2 = aa * aa
     out = np.where(bb <= 0.0, 1.0,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from .channel import Scenario, rate_from_gain
 from .fading import LogisticModel
@@ -237,48 +238,20 @@ _SPARSIFY_TOL = 1e-6
 _SLACK_GAP = 1e-6
 
 
-class _RowBuilder:
-    """Accumulates QuadExpRows terms with readable append calls."""
-
-    def __init__(self, n_rows, n_vars):
-        self.d = np.zeros(n_rows)
-        self.C = np.zeros((n_rows, n_vars))
-        self.qrow, self.qw, self.qp, self.qi = [], [], [], []
-        self.qq, self.qj, self.qr = [], [], []
-        self.erow, self.ecoef, self.eidx = [], [], []
-
-    def add_square(self, row, weight, p, i, q, j, r):
-        self.qrow.append(row)
-        self.qw.append(weight)
-        self.qp.append(p)
-        self.qi.append(i)
-        self.qq.append(q)
-        self.qj.append(j)
-        self.qr.append(r)
-
-    def add_exp(self, row, coef, idx):
-        self.erow.append(row)
-        self.ecoef.append(coef)
-        self.eidx.append(idx)
-
-    def block(self):
-        return QuadExpRows(
-            d=self.d, C=self.C,
-            quad_row=self.qrow, quad_w=self.qw, quad_p=self.qp,
-            quad_i=self.qi, quad_q=self.qq, quad_j=self.qj, quad_r=self.qr,
-            exp_row=self.erow, exp_coef=self.ecoef, exp_idx=self.eidx)
-
-
 @dataclass
 class TrajectoryStep:
-    """One built tangent-bound subproblem.  Variables: the D coordinates of
-    each free waypoint 1..M-1, one logistic argument s per active (node,
-    slot) pair (``s_cols``), then eta.  Stacked ``program.all_blocks()``
-    rows start with the N rate rows; ``cap_rows`` holds each s's cap."""
+    """One built tangent-bound subproblem.  Variables run slot by slot:
+    each free waypoint 1..M-1 has its D coordinates (``x_cols``) followed
+    by one logistic argument s per active (node, slot) pair at it
+    (``s_cols``, node-major); eta comes last.  This order keeps the
+    move and cap rows banded for the Newton step.  Stacked
+    ``program.all_blocks()`` rows start with the N rate rows;
+    ``cap_rows`` holds each s's cap."""
 
     program: ConcaveProgram
     start: np.ndarray        # strictly interior start
     path: np.ndarray         # (M+1, D) expansion path
+    x_cols: np.ndarray       # (M-1, D)
     s_cols: np.ndarray
     cap_rows: np.ndarray
 
@@ -331,91 +304,91 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
                                 model, scenario.alpha)
 
     active = plan.a > _SPARSIFY_TOL
-    s_pairs = [(n, m) for n in range(n_sn) for m in range(m_slots - 1)
-               if active[n, m]] if with_s else []
-    n_x = dim * n_free
-    s_pos = {pair: n_x + k for k, pair in enumerate(s_pairs)}
-    nv = n_x + len(s_pairs) + 1
+    has_s = active[:, :-1] & with_s          # (node, slot) pairs with an s
+    s_node, s_slot = np.nonzero(has_s)       # node-major
+    # waypoint m+1's group: its D coordinates, then the s of slot m+1
+    first = np.concatenate([[0], np.cumsum(dim + has_s.sum(axis=0))])
+    x_cols = first[:-1, None] + np.arange(dim)              # (M-1, D)
+    s_cols = (first[:-1] + dim + np.cumsum(has_s, axis=0) - 1)[s_node, s_slot]
+    nv = int(first[-1]) + 1
     eta_col = nv - 1
-    tangent_caps = s_pairs if offset is None else []
-    move_lo = n_sn + len(tangent_caps)
-    rb = _RowBuilder(move_lo + m_slots, nv)
+    n_caps = s_cols.size if offset is None else 0
+    move_lo = n_sn + n_caps
 
-    def xcol(m):                 # first coordinate of waypoint m in 1..M-1
-        return dim * (m - 1)
-
-    def add_dist2(row, weight, n, m):    # weight * |x_{m+1} - anchor_n|^2
-        for k in range(dim):
-            rb.add_square(row, weight, 1.0, xcol(m + 1) + k, 0.0, 0,
-                          -anchors[n, k])
+    def dist2_terms(row, weight, n, m):  # weight * |x_{m+1} - anchor_n|^2
+        return (np.repeat(row, dim), np.repeat(weight, dim),
+                np.ones(row.size * dim), x_cols[m].ravel(),
+                np.zeros(row.size * dim), x_cols[m].ravel(),
+                -anchors[n].ravel())
 
     # per-node rate rows:  sum_m (a/M) * bound_rate  -  eta  >=  0
-    for n in range(n_sn):
-        rb.C[n, eta_col] = -1.0
-        for m in range(m_slots):                          # slot m+1
-            am = plan.a[n, m] / m_slots
-            if am * m_slots <= _SPARSIFY_TOL:
-                continue
-            r_hat = coef.r_hat[n, m]
-            if m == m_slots - 1:                          # fixed endpoint
-                rb.d[n] += am * r_hat
-                continue
-            phi, psi = coef.phi[n, m], coef.psi[n, m]
-            rb.d[n] += am * (r_hat + psi * p2[n, m])
-            add_dist2(n, am * psi, n, m)
-            if with_s:
-                rb.d[n] += am * phi * math.exp(-coef.s_hat[n, m])
-                rb.add_exp(n, am * phi, s_pos[(n, m)])
+    # the constant of each slot's bound: r_hat, plus for a free waypoint
+    # the constants of its tangent terms (slot M sits on the endpoint)
+    am = np.where(active, plan.a, 0.0) / m_slots
+    bound = coef.r_hat.copy()
+    bound[:, :-1] += (coef.psi * p2 + coef.phi * np.exp(-coef.s_hat))[:, :-1]
+    d = [np.sum(am * bound, axis=1)]
+    r_node, r_slot = np.nonzero(active[:, :-1])
+    terms = [dist2_terms(r_node, (am * coef.psi)[r_node, r_slot],
+                         r_node, r_slot)]
 
     # horizontal caps:  s <= b1 + b2 * tangent bound of v
-    for k, (n, m) in enumerate(tangent_caps):
-        row = n_sn + k
-        b2lam = model.b2 * coef.lam[n, m]
-        rb.d[row] = model.b1 + model.b2 * coef.v_hat[n, m] + b2lam * p2[n, m]
-        rb.C[row, s_pos[(n, m)]] = -1.0
-        add_dist2(row, b2lam, n, m)
+    if n_caps:
+        b2lam = model.b2 * coef.lam[s_node, s_slot]
+        d.append(model.b1 + model.b2 * coef.v_hat[s_node, s_slot]
+                 + b2lam * p2[s_node, s_slot])
+        terms.append(dist2_terms(n_sn + np.arange(n_caps), b2lam,
+                                 s_node, s_slot))
 
-    # move rows:  limit^2 - |x_{m+1} - x_m|^2 >= 0
-    for m in range(m_slots):
-        row = move_lo + m
-        rb.d[row] = limit ** 2
-        for k in range(dim):
-            if m == 0:
-                rb.add_square(row, 1.0, 1.0, xcol(1) + k, 0.0, 0,
-                              -ends[0][k])
-            elif m == m_slots - 1:
-                rb.add_square(row, 1.0, -1.0, xcol(m_slots - 1) + k,
-                              0.0, 0, ends[1][k])
-            else:
-                rb.add_square(row, 1.0, 1.0, xcol(m + 1) + k,
-                              -1.0, xcol(m) + k, 0.0)
+    # move rows:  limit^2 - |x_{m+1} - x_m|^2 >= 0; the first and the last
+    # move square one free waypoint against a fixed endpoint
+    d.append(np.full(m_slots, limit ** 2))
+    one, inner = np.ones(dim), np.ones(x_cols[1:].size)
+    terms.append((
+        move_lo + np.repeat(np.arange(m_slots), dim),             # row
+        np.ones(m_slots * dim),                                   # w
+        np.concatenate([one, inner, -one]),                       # p
+        np.concatenate([x_cols[0], x_cols[1:].ravel(), x_cols[-1]]),  # i
+        np.concatenate([0.0 * one, -inner, 0.0 * one]),           # q
+        np.concatenate([x_cols[0], x_cols[:-1].ravel(), x_cols[-1]]),  # j
+        np.concatenate([-np.asarray(ends[0], float), 0.0 * inner,
+                        np.asarray(ends[1], float)])))            # r
 
-    blocks = [rb.block()]
-    if s_pairs and offset is not None:
+    # linear part: -eta in each rate row, -s in each horizontal cap
+    C = scipy.sparse.coo_array(
+        (-np.ones(n_sn + n_caps),
+         (np.arange(n_sn + n_caps),
+          np.concatenate([np.full(n_sn, eta_col), s_cols[:n_caps]]))),
+        shape=(move_lo + m_slots, nv))
+    quad = [np.concatenate(part) for part in zip(*terms)]
+    blocks = [QuadExpRows(
+        d=np.concatenate(d), C=C, quad_row=quad[0], quad_w=quad[1],
+        quad_p=quad[2], quad_i=quad[3], quad_q=quad[4], quad_j=quad[5],
+        quad_r=quad[6], exp_row=s_node,
+        exp_coef=(am * coef.phi)[s_node, s_slot], exp_idx=s_cols)]
+    if s_cols.size and offset is not None:
         blocks.append(VRatioRows(
-            d=np.full(len(s_pairs), model.b1), b2=model.b2,
-            c=np.array([max(offset[n, m], 1e-9) for n, m in s_pairs]),
-            z_idx=np.array([m for _, m in s_pairs], dtype=np.int64),
-            s_idx=np.array([s_pos[p] for p in s_pairs], dtype=np.int64)))
+            d=np.full(s_cols.size, model.b1), b2=model.b2,
+            c=np.maximum(offset[s_node, s_slot], 1e-9),
+            z_idx=x_cols[s_slot, 0], s_idx=s_cols))
     lb = np.full(nv, -np.inf)
-    lb[:n_x] = floor
+    lb[x_cols] = floor
     objective = np.zeros(nv)
     objective[eta_col] = 1.0
     cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=blocks, lb=lb)
 
     # start: each s just under its cap, eta just under the worst rate row
-    s_cols = np.arange(n_x, eta_col)
     cap_lo = n_sn if offset is None else move_lo + m_slots
-    cap_rows = np.arange(cap_lo, cap_lo + len(s_pairs))
+    cap_rows = np.arange(cap_lo, cap_lo + s_cols.size)
     start = np.zeros(nv)
-    start[:n_x] = hat[1:-1].ravel()
+    start[x_cols] = hat[1:-1]
     start[s_cols] = _stacked_values(cp, start)[cap_rows] - _SLACK_GAP
     eta0 = float(_stacked_values(cp, start)[:n_sn].min())
     start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
     if _stacked_values(cp, start).min() <= 0.0:
         return None
-    return TrajectoryStep(program=cp, start=start, path=hat, s_cols=s_cols,
-                          cap_rows=cap_rows)
+    return TrajectoryStep(program=cp, start=start, path=hat, x_cols=x_cols,
+                          s_cols=s_cols, cap_rows=cap_rows)
 
 
 def _horizontal_block(plan: Plan, scenario: Scenario):
@@ -446,31 +419,40 @@ def _vertical_block(plan: Plan, scenario: Scenario):
                 offset=np.einsum("nmk,nmk->nm", diff, diff))
 
 
-def _improve(plan, scenario, model, data):
-    """Build and solve one step; the new (M+1, D) path, or None."""
+def _improve(plan, scenario, model, data, reports):
+    """Build and solve one step; the new (M+1, D) path, or None.  The
+    solver's report is appended to ``reports`` unless that is None."""
     step = build_trajectory_step(plan, scenario, model, **data)
     if step is None:
         return None
     rep = maximize_concave_program(step.program, step.start)
+    if reports is not None:
+        reports.append(rep)
     new = np.array(data["path"], dtype=float)
-    new[1:-1] = rep.x[:new[1:-1].size].reshape(new[1:-1].shape)
+    new[1:-1] = rep.x[step.x_cols]
     return new
 
 
-def solve_horizontal(plan: Plan, scenario: Scenario, model: LogisticModel):
+def solve_horizontal(plan: Plan, scenario: Scenario, model: LogisticModel,
+                     *, reports=None):
     """One tangent-bound improvement of the horizontal waypoints.
 
     Returns updated waypoints or None when the subproblem has no strict
     interior (e.g. a maximally taut path), in which case the caller keeps
-    the incumbent.
+    the incumbent.  The interior-point report goes to the ``reports`` list
+    when one is given.
     """
-    return _improve(plan, scenario, model, _horizontal_block(plan, scenario))
+    return _improve(plan, scenario, model, _horizontal_block(plan, scenario),
+                    reports)
 
 
-def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel):
+def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
+                   *, reports=None):
     """One tangent-bound improvement of the altitude profile (waypoints
-    fixed horizontally).  Returns new altitudes or None when skipped."""
-    z_new = _improve(plan, scenario, model, _vertical_block(plan, scenario))
+    fixed horizontally).  Returns new altitudes or None when skipped; the
+    interior-point report goes to ``reports`` as in solve_horizontal."""
+    z_new = _improve(plan, scenario, model, _vertical_block(plan, scenario),
+                     reports)
     return None if z_new is None else z_new[:, 0]
 
 
@@ -487,7 +469,9 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
     per trajectory block, accepting a block's move only if the model-based
     objective does not fall.  ``model=None`` plans for pure line-of-sight
     (``LOS_MODEL``).  Returns (plan, info) where info carries the
-    per-iteration objective trace, iteration count, and convergence flag.
+    per-iteration objective trace, iteration count, convergence flag, and
+    ``ipm_not_optimal``: per trajectory block, how many interior-point
+    solves did not end "optimal" (their moves still face the same test).
     """
     if model is None:
         model = LOS_MODEL
@@ -497,6 +481,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
     trace = [eta]
     converged = False
     iterations = 0
+    not_optimal = {"horizontal": 0, "vertical": 0}
 
     for _ in range(max_iters):
         iterations += 1
@@ -507,14 +492,16 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
 
         # the incumbent's rates and objective ride along; block functions
         # are looked up per call so wrappers set on this module take effect
-        blocks = [("q", solve_horizontal)]
+        blocks = [("q", "horizontal", solve_horizontal)]
         if not freeze_vertical:
-            blocks.append(("z", solve_vertical))
-        for name, solve in blocks:
-            new = solve(plan, scenario, model)
+            blocks.append(("z", "vertical", solve_vertical))
+        for attr, name, solve in blocks:
+            reports = []
+            new = solve(plan, scenario, model, reports=reports)
+            not_optimal[name] += sum(r.status != "optimal" for r in reports)
             if new is None:
                 continue
-            trial = replace(plan, **{name: new})
+            trial = replace(plan, **{attr: new})
             trial_rates = predicted_rates(trial.q, trial.z, scenario, model)
             trial_eta = max_min_rate(trial.a, trial_rates)
             if trial_eta >= eta:
@@ -527,5 +514,5 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
             break
 
     info = {"trace": trace, "iterations": iterations, "converged": converged,
-            "eta_model": eta}
+            "eta_model": eta, "ipm_not_optimal": not_optimal}
     return plan, info

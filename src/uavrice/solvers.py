@@ -3,9 +3,13 @@
 The scheduling linear program goes to SciPy's HiGHS (``linprog``), and its
 marginals come back as the report's duals together with a re-derived
 optimality certificate.  The smooth concave trajectory subproblems use an
-in-repo primal-dual interior-point method in plain numpy: problem sizes are
-small (hundreds of variables), so dense factorizations beat any sparse
-machinery, and every Newton step and line search is reproducible
+in-repo primal-dual interior-point method.  Its Newton step follows the
+sparsity the blocks report: a few coupling rows (those touching an
+objective column, i.e. the per-node rate rows) over local rows that join
+neighbouring variables only.  A Schur complement on the objective
+columns, a banded Cholesky factor of the local rows and a Woodbury update
+for what remains of the coupling rows solve the same system a dense
+factorization would, in time linear in the number of slots.  Every Newton step and line search is reproducible
 bit-for-bit across runs.  Callers leave fixed quantities (path endpoints)
 out of the variable vector, so each Newton step works on every variable.
 """
@@ -16,6 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 # linprog status codes other than 0 (solved): 1 iteration limit,
 # 2 infeasible, 3 unbounded, 4 numerical difficulties
@@ -126,33 +131,44 @@ def solve_lp(lp: LinearProgram) -> SolverReport:
 # Smooth concave maximization (log-barrier Newton)
 # ===========================================================================
 # Constraint rows are grouped into batched blocks.  Every block exposes the
-# same protocol on the whole variable vector:
-#   values(x)            -> (m,) slacks, feasible iff all > 0
-#   grads(x)             -> (m, n) dense Jacobian of the slacks
-#   add_curvature(x, w, H) -> H += sum_i w[i] * (-hess g_i)   (n, n) in place
+# same protocol on the whole variable vector.  Derivatives are COO triples
+# (rows, cols, vals) whose index arrays are the same on every call;
+# repeated (row, col) entries add up.
+#   values(x)        -> (m,) slacks, feasible iff all > 0
+#   grads(x)         -> Jacobian of the slacks, rows numbered 0..m-1
+#   curvature(x, w)  -> sum_i w[i] * (-hess g_i), off-diagonal entries
+#                       listed in both orders
 # All rows are concave, so -hess g_i is positive semidefinite and the
 # barrier Hessian stays PSD by construction.
+
+_NO_TERMS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
 
 
 @dataclass
 class LinearRows:
-    """Rows  d + C @ x >= 0  (box bounds, simple linear side constraints)."""
+    """Rows  d[r] + sum of vals[k] * x[cols[k]] over the k with rows[k] = r
+    >= 0  (box bounds, simple linear side constraints)."""
 
-    C: np.ndarray
     d: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.vals = np.asarray(self.vals, dtype=float)
 
     def values(self, x):
-        return self.d + self.C @ x
+        return self.d + np.bincount(self.rows, self.vals * x[self.cols],
+                                    minlength=self.d.size)
 
     def grads(self, x):
-        return self.C
+        return self.rows, self.cols, self.vals
 
-    def add_curvature(self, x, w, H):
-        pass
+    def curvature(self, x, w):
+        return _NO_TERMS
 
 
 @dataclass
@@ -163,7 +179,8 @@ class QuadExpRows:
     Each squared/exponential term is tagged with the row it belongs to, so a
     single block can hold every per-node rate row (many terms per row), the
     per-slot speed rows (one two-variable square each), and the horizontal
-    fading-bound rows.  w_k >= 0 and e_k >= 0 keep every row concave.
+    fading-bound rows.  w_k >= 0 and e_k >= 0 keep every row concave.  C
+    is a dense array or a SciPy sparse matrix, read once for its nonzeros.
     """
 
     d: np.ndarray
@@ -181,19 +198,32 @@ class QuadExpRows:
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
         for name in ("quad_row", "quad_i", "quad_j", "exp_row", "exp_idx"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         for name in ("quad_w", "quad_p", "quad_q", "quad_r", "exp_coef"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.quad_w < 0) or np.any(self.exp_coef < 0):
             raise ValueError("negative term weights would break concavity")
+        # a one-variable square points its unused index at the used one, so
+        # the sparsity pattern never couples a variable it does not touch
+        self.quad_j = np.where(self.quad_q == 0.0, self.quad_i, self.quad_j)
+        self.quad_i = np.where(self.quad_p == 0.0, self.quad_j, self.quad_i)
+        lin = scipy.sparse.coo_array(self.C)
+        self._linear = LinearRows(d=self.d, rows=lin.row, cols=lin.col,
+                                  vals=lin.data)
+        qi, qj = self.quad_i, self.quad_j
+        self._jac_rows = np.concatenate([self._linear.rows, self.quad_row,
+                                         self.quad_row, self.exp_row])
+        self._jac_cols = np.concatenate([self._linear.cols, qi, qj,
+                                         self.exp_idx])
+        self._curv_rows = np.concatenate([qi, qj, qi, qj, self.exp_idx])
+        self._curv_cols = np.concatenate([qi, qj, qj, qi, self.exp_idx])
 
     def _t(self, x):
         return self.quad_p * x[self.quad_i] + self.quad_q * x[self.quad_j] + self.quad_r
 
     def values(self, x):
-        g = self.d + self.C @ x
+        g = self._linear.values(x)
         m = g.size
         if self.quad_row.size:
             t = self._t(x)
@@ -205,27 +235,17 @@ class QuadExpRows:
         return g
 
     def grads(self, x):
-        G = np.array(self.C, copy=True)
-        if self.quad_row.size:
-            t2w = 2.0 * self.quad_w * self._t(x)
-            np.add.at(G, (self.quad_row, self.quad_i), -t2w * self.quad_p)
-            np.add.at(G, (self.quad_row, self.quad_j), -t2w * self.quad_q)
-        if self.exp_row.size:
-            np.add.at(G, (self.exp_row, self.exp_idx),
-                      self.exp_coef * np.exp(-x[self.exp_idx]))
-        return G
+        t2w = 2.0 * self.quad_w * self._t(x)
+        return self._jac_rows, self._jac_cols, np.concatenate([
+            self._linear.vals, -t2w * self.quad_p, -t2w * self.quad_q,
+            self.exp_coef * np.exp(-x[self.exp_idx])])
 
-    def add_curvature(self, x, w, H):
-        if self.quad_row.size:
-            c2 = 2.0 * self.quad_w * w[self.quad_row]
-            np.add.at(H, (self.quad_i, self.quad_i), c2 * self.quad_p ** 2)
-            np.add.at(H, (self.quad_j, self.quad_j), c2 * self.quad_q ** 2)
-            cross = c2 * self.quad_p * self.quad_q
-            np.add.at(H, (self.quad_i, self.quad_j), cross)
-            np.add.at(H, (self.quad_j, self.quad_i), cross)
-        if self.exp_row.size:
-            np.add.at(H, (self.exp_idx, self.exp_idx),
-                      w[self.exp_row] * self.exp_coef * np.exp(-x[self.exp_idx]))
+    def curvature(self, x, w):
+        c2 = 2.0 * self.quad_w * w[self.quad_row]
+        cross = c2 * self.quad_p * self.quad_q
+        return self._curv_rows, self._curv_cols, np.concatenate([
+            c2 * self.quad_p ** 2, c2 * self.quad_q ** 2, cross, cross,
+            w[self.exp_row] * self.exp_coef * np.exp(-x[self.exp_idx])])
 
 
 @dataclass
@@ -250,6 +270,9 @@ class VRatioRows:
         self.s_idx = np.asarray(self.s_idx, dtype=np.int64)
         if np.any(self.c <= 0):
             raise ValueError("horizontal offset term must be positive")
+        k = np.arange(self.d.size)
+        self._jac_rows = np.concatenate([k, k])
+        self._jac_cols = np.concatenate([self.z_idx, self.s_idx])
 
     def values(self, x):
         z = x[self.z_idx]
@@ -257,16 +280,14 @@ class VRatioRows:
 
     def grads(self, x):
         z = x[self.z_idx]
-        G = np.zeros((self.d.size, x.size))
         dv = self.b2 * self.c / (self.c + z * z) ** 1.5
-        np.add.at(G, (np.arange(self.d.size), self.z_idx), dv)
-        np.add.at(G, (np.arange(self.d.size), self.s_idx), -1.0)
-        return G
+        return self._jac_rows, self._jac_cols, np.concatenate(
+            [dv, np.full(self.d.size, -1.0)])
 
-    def add_curvature(self, x, w, H):
+    def curvature(self, x, w):
         z = x[self.z_idx]
         curv = 3.0 * self.b2 * self.c * z / (self.c + z * z) ** 2.5
-        np.add.at(H, (self.z_idx, self.z_idx), w * curv)
+        return self.z_idx, self.z_idx, w * curv
 
 
 @dataclass
@@ -286,28 +307,226 @@ class ConcaveProgram:
             raise ValueError("objective length must equal n_vars")
 
     def all_blocks(self):
-        """Constraint blocks plus one row per finite box bound."""
-        blocks = list(self.blocks)
-        rows = []
-        for bound, sgn in ((self.lb, 1.0), (self.ub, -1.0)):
-            if bound is None:
-                continue
-            bound = np.asarray(bound, dtype=float)
-            for i in np.flatnonzero(np.isfinite(bound)):
-                row = np.zeros(self.n_vars)
-                row[i] = sgn
-                rows.append((row, -sgn * bound[i]))
-        if rows:
-            C = np.stack([r for r, _ in rows])
-            d = np.array([v for _, v in rows])
-            blocks.append(LinearRows(C=C, d=d))
-        return blocks
+        """Constraint blocks, then one diagonal block with a row per finite
+        box bound, lower bounds first."""
+        n = self.n_vars
+        lb = np.full(n, -np.inf) if self.lb is None else self.lb
+        ub = np.full(n, np.inf) if self.ub is None else self.ub
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        lo = np.flatnonzero(np.isfinite(lb))
+        hi = np.flatnonzero(np.isfinite(ub))
+        if not lo.size + hi.size:
+            return list(self.blocks)
+        return list(self.blocks) + [LinearRows(
+            d=np.concatenate([-lb[lo], ub[hi]]),
+            rows=np.arange(lo.size + hi.size), cols=np.concatenate([lo, hi]),
+            vals=np.repeat([1.0, -1.0], [lo.size, hi.size]))]
 
 
 def _block_values(blocks, x):
     if not blocks:
         return np.zeros(0)
     return np.concatenate([blk.values(x) for blk in blocks])
+
+
+def _pairs_within_rows(rows):
+    """All index pairs (a, b), a and b in one row, of a sorted row array."""
+    start = np.searchsorted(rows, rows, side="left")
+    count = np.searchsorted(rows, rows, side="right") - start
+    a = np.repeat(np.arange(rows.size), count)
+    b = (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+         + np.repeat(start, count))
+    return a, b
+
+
+class _NewtonSystem:
+    """The barrier Newton matrix  H = curvature + G' diag(W) G  of one
+    program, split by its sparsity pattern, which is read once per solve.
+
+    The dense columns d are the objective's columns, grown until no
+    curvature term ties them to another column and every other column has
+    a local row or a curvature term of its own.  Rows with an entry in d
+    are the coupling rows, every other row is local.  The remaining
+    columns b keep the program's order, so a program whose local rows only
+    join neighbouring variables (the planner numbers its variables slot by
+    slot) has a banded local part A_bb: curvature plus local rows.  After
+    Jacobi equilibration and the ridge tau, with U = W_K^(1/2) G_K the
+    weighted coupling rows,
+
+        H = [[A_bb + U_b'U_b, U_b'U_d], [U_d'U_b, A_dd + U_d'U_d]].
+
+    The d columns are eliminated first, which leaves
+    A_bb + U_b' P U_b,  P = I - U_d H_dd^-1 U_d'  on b.  Their Schur
+    complement takes out exactly the direction that dominates near a
+    max-min optimum, so what reaches the banded Cholesky of A_bb as a
+    Woodbury update is the rank-(coupling rows - d) rest: nothing at all
+    for one node.  Each step costs one banded factorization, one banded
+    solve with one right-hand side per coupling row, and a few dense
+    solves of that size.
+    """
+
+    def __init__(self, blocks, c, x):
+        n = c.size
+        sizes = [blk.values(x).size for blk in blocks]
+        self.blocks = blocks
+        self.lam_slices = np.cumsum([0] + sizes)
+        m = int(self.lam_slices[-1])
+        self.n, self.m = n, m
+        jac = [blk.grads(x)[:2] for blk in blocks]
+        curv = [blk.curvature(x, np.ones(s))[:2]
+                for blk, s in zip(blocks, sizes)]
+        key = np.concatenate([(r + lo) * n + col for (r, col), lo
+                              in zip(jac, self.lam_slices)])
+        ukey, self.jac_inv = np.unique(key, return_inverse=True)
+        self.urow, self.ucol = ukey // n, ukey % n
+        cr = np.concatenate([r for r, _ in curv]).astype(np.int64)
+        cc = np.concatenate([col for _, col in curv]).astype(np.int64)
+        self.curv_diag = cr == cc
+        self.curv_diag_rows = cr[self.curv_diag]
+
+        dense = c != 0.0
+        while True:
+            coupling = np.zeros(m, bool)
+            coupling[self.urow[dense[self.ucol]]] = True
+            local = ~coupling[self.urow]
+            supported = np.zeros(n, bool)
+            supported[self.ucol[local]] = True
+            supported[cr] = True
+            grown = dense | ~supported
+            grown[cc[dense[cr]]] = True
+            if np.array_equal(grown, dense):
+                break
+            dense = grown
+        self.order = np.concatenate([np.flatnonzero(~dense),
+                                     np.flatnonzero(dense)])
+        pos = np.empty(n, np.int64)
+        pos[self.order] = np.arange(n)
+        self.pos = pos
+        nb = int(n - dense.sum())
+        self.nb, self.nd = nb, n - nb
+
+        # lower-triangle entries of A: curvature terms and products of two
+        # entries of one local row, as slots of the band of A_bb followed
+        # by the lower triangle of A_dd
+        self.curv_keep = pos[cr] >= pos[cc]
+        loc = np.flatnonzero(local)
+        a, b = _pairs_within_rows(self.urow[loc])
+        ea, eb = loc[a], loc[b]
+        low = pos[self.ucol[ea]] >= pos[self.ucol[eb]]
+        self.pair_a, self.pair_b = ea[low], eb[low]
+        self.src_r = np.concatenate([cr[self.curv_keep],
+                                     self.ucol[self.pair_a]])
+        self.src_c = np.concatenate([cc[self.curv_keep],
+                                     self.ucol[self.pair_b]])
+        r, col = pos[self.src_r], pos[self.src_c]
+        in_band = r < nb
+        self.bw = int(np.max((r - col)[in_band], initial=0))
+        band = (self.bw + 1) * nb
+        self.slot = np.where(in_band, (r - col) * nb + col,
+                             band + (r - nb) * self.nd + col - nb)
+        self.store_size = band + self.nd ** 2
+
+        # the coupling rows' entries, as slots of a dense (k, n) matrix
+        self.k_ent = np.flatnonzero(~local)
+        k_rows = np.flatnonzero(coupling)
+        self.k = k_rows.size
+        self.k_slot = (np.searchsorted(k_rows, self.urow[self.k_ent]) * n
+                       + pos[self.ucol[self.k_ent]])
+
+    def jacobian(self, x):
+        """Values of the Jacobian's distinct (row, col) entries at x."""
+        vals = np.concatenate([blk.grads(x)[2] for blk in self.blocks])
+        return np.bincount(self.jac_inv, vals, minlength=self.urow.size)
+
+    def rmatvec(self, gu, v):
+        """G' v."""
+        return np.bincount(self.ucol, gu * v[self.urow], minlength=self.n)
+
+    def matvec(self, gu, dx):
+        """G dx."""
+        return np.bincount(self.urow, gu * dx[self.ucol], minlength=self.m)
+
+    def row_scale(self, gu):
+        """Largest entry magnitude of each Jacobian row."""
+        out = np.zeros(self.m)
+        np.maximum.at(out, self.urow, np.abs(gu))
+        return out
+
+    def direction(self, x, lam, w, gu, rhs):
+        """Solve H dx = rhs, H with row weights w = lam / g; None when the
+        equilibrated matrix stays singular under every ridge."""
+        sl = self.lam_slices
+        cv = np.concatenate([blk.curvature(x, lam[lo:hi])[2] for blk, lo, hi
+                             in zip(self.blocks, sl[:-1], sl[1:])])
+        wg = w[self.urow] * gu
+        diag = (np.bincount(self.ucol, wg * gu, minlength=self.n)
+                + np.bincount(self.curv_diag_rows, cv[self.curv_diag],
+                              minlength=self.n))
+        # Jacobi equilibration keeps the ridge proportional to each
+        # variable's own curvature; without it the heavily weighted rows
+        # would drown the gentle directions and the step would quietly
+        # stop being a Newton step.
+        dsc = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
+        vals = np.concatenate([cv[self.curv_keep],
+                               wg[self.pair_a] * gu[self.pair_b]])
+        store = np.bincount(self.slot,
+                            vals * dsc[self.src_r] * dsc[self.src_c],
+                            minlength=self.store_size).astype(float)
+        band = (self.bw + 1) * self.nb
+        low = store[band:].reshape(self.nd, self.nd)
+        parts = (store[:band].reshape(self.bw + 1, self.nb),
+                 low + np.tril(low, -1).T,
+                 np.bincount(self.k_slot, np.sqrt(w[self.urow[self.k_ent]])
+                             * gu[self.k_ent] * dsc[self.ucol[self.k_ent]],
+                             minlength=self.k * self.n).reshape(self.k, self.n))
+        rs = (rhs * dsc)[self.order]
+        tau = 0.0
+        for _ in range(8):
+            try:
+                dx = self._solve(*parts, rs, tau)[self.pos] * dsc
+                if np.all(np.isfinite(dx)):
+                    return dx
+            except np.linalg.LinAlgError:
+                pass
+            tau = 1e-14 if tau == 0.0 else tau * 100.0
+        return None
+
+    def _solve(self, band, a_dd, u, rs, tau):
+        """The equilibrated, permuted system plus tau on the diagonal."""
+        nb, k = self.nb, self.k
+        band = band.copy()
+        band[0] += tau
+        chol = (scipy.linalg.cholesky_banded(band, lower=True,
+                                             check_finite=False), True)
+        u_b, u_d = u[:, :nb], u[:, nb:]
+        h_dd = a_dd + u_d.T @ u_d
+        h_dd[np.diag_indices(self.nd)] += tau
+        h_dd = _cholesky(h_dd)
+        # P = I - U_d H_dd^-1 U_d' = Q diag(e) Q' is PSD; V = e^(1/2) Q' U_b
+        p = -u_d @ _cho_solve(h_dd, u_d.T)
+        p[np.diag_indices(k)] += 1.0
+        e, q = np.linalg.eigh(p)
+        v = (q * np.sqrt(np.maximum(e, 0.0))).T @ u_b
+        z = scipy.linalg.cho_solve_banded(chol, v.T, check_finite=False)
+        # Woodbury: (A + V'V)^-1 = A^-1 - A^-1 V' (I + V A^-1 V')^-1 V A^-1
+        cap = v @ z
+        cap[np.diag_indices(k)] += 1.0
+        w_d = _cho_solve(h_dd, rs[nb:])
+        y = scipy.linalg.cho_solve_banded(chol, rs[:nb] - u_b.T @ (u_d @ w_d),
+                                          check_finite=False)
+        y_b = y - z @ _cho_solve(_cholesky(cap), v @ y)
+        y_d = w_d - _cho_solve(h_dd, u_d.T @ (u_b @ y_b))
+        return np.concatenate([y_b, y_d])
+
+
+def _cholesky(a):
+    """Lower Cholesky factor of a small dense SPD matrix, in the form
+    ``cho_solve`` takes; LinAlgError when it is not positive definite."""
+    return np.linalg.cholesky(a), True
+
+
+def _cho_solve(factor, b):
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def maximize_concave_program(cp: ConcaveProgram, start,
@@ -319,13 +538,15 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     primal/dual step length, a fraction-to-boundary rule on both slacks
     and multipliers, and a residual-norm backtracking test.  Eliminating
     dlam gives an SPD system in dx whose metric weights each row by
-    lam_i / g_i.  Carrying the duals is what makes this problem family
-    tractable: a slack-only barrier weights tight rows by mu / g_i**2,
-    and when the objective variable of a max-min program leans on several
-    nearly-active rows at once that weight crushes exactly the direction
-    the objective needs, freezing progress at a crawl no mu schedule can
-    fix.  Here lam_i approaches the true multiplier instead, so the metric
-    stays bounded and the step count stays flat as the gap shrinks.
+    lam_i / g_i; ``_NewtonSystem`` solves it through the program's
+    banded-plus-low-rank structure.  Carrying the duals is what makes this
+    problem family tractable: a slack-only barrier weights tight rows by
+    mu / g_i**2, and when the objective variable of a max-min program leans
+    on several nearly-active rows at once that weight crushes exactly the
+    direction the objective needs, freezing progress at a crawl no mu
+    schedule can fix.  Here lam_i approaches the true multiplier instead,
+    so the metric stays bounded and the step count stays flat as the gap
+    shrinks.
 
     The start must be strictly feasible.  The trace records the true
     objective after each accepted step (interior iterates may dip while
@@ -352,8 +573,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
             iterations=0, status="optimal" if ok else "stalled",
             message="" if ok else "unconstrained nonzero gradient",
             trace=(float(c @ x),))
-    sizes = [blk.values(x).size for blk in blocks]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    system = _NewtonSystem(blocks, c, x)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
     best_x = x.copy()
@@ -362,51 +582,25 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     it_total = 0
     stalled = False
     sigma = 0.2
-    eye = np.eye(n)
 
     for _ in range(max_iters):
         g = _block_values(blocks, x)
-        G = np.vstack([blk.grads(x) for blk in blocks])
-        rd = c + G.T @ lam
+        gu = system.jacobian(x)
+        rd = c + system.rmatvec(gu, lam)
         gap = float(lam @ g)
         obj = float(c @ x)
-        row_scale = np.max(np.abs(G), axis=1)
-        denom = 1.0 + float(np.max(np.abs(c))) + float(np.max(lam * row_scale))
+        denom = (1.0 + float(np.max(np.abs(c)))
+                 + float(np.max(lam * system.row_scale(gu))))
         if np.max(np.abs(rd)) <= 1e-7 * denom and gap <= 3e-7 * (1.0 + abs(obj)):
             break
 
         mu_t = max(sigma * gap / m, 1e-18 * (1.0 + abs(obj)))
-        H = np.zeros((n, n))
-        for blk, lo, hi in zip(blocks, offsets[:-1], offsets[1:]):
-            blk.add_curvature(x, lam[lo:hi], H)
         W = lam / g
-        H += (G * W[:, None]).T @ G
-        rhs = c + G.T @ (mu_t / g)
-
-        # Jacobi equilibration keeps the ridge proportional to each
-        # variable's own curvature; without it the heavily weighted rows
-        # would drown the gentle directions and the step would quietly
-        # stop being a Newton step.
-        diag = np.maximum(np.diagonal(H), 1e-300)
-        dsc = 1.0 / np.sqrt(diag)
-        Hs = H * dsc[:, None] * dsc[None, :]
-        rs = rhs * dsc
-        dx = None
-        tau = 0.0
-        for _ in range(8):
-            try:
-                cf = scipy.linalg.cho_factor(Hs + tau * eye, lower=True)
-                d = scipy.linalg.cho_solve(cf, rs) * dsc
-                if np.all(np.isfinite(d)):
-                    dx = d
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            tau = 1e-14 if tau == 0.0 else tau * 100.0
+        dx = system.direction(x, lam, W, gu, c + system.rmatvec(gu, mu_t / g))
         if dx is None:
             stalled = True
             break
-        dlam = mu_t / g - lam - W * (G @ dx)
+        dlam = mu_t / g - lam - W * system.matvec(gu, dx)
 
         # equal step length, fraction-to-boundary on the multipliers,
         # then backtrack on strict slack positivity and the KKT merit
@@ -421,7 +615,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
             lt = lam + t * dlam
             gt = _block_values(blocks, xt)
             if gt.min() > 0.0 and lt.min() > 0.0:
-                rdt = c + np.vstack([blk.grads(xt) for blk in blocks]).T @ lt
+                rdt = c + system.rmatvec(system.jacobian(xt), lt)
                 meritt = float(rdt @ rdt) + float(np.sum((lt * gt - mu_t) ** 2))
                 if meritt <= (1.0 - 1e-4 * t) * merit0 + 1e-30:
                     ok = True
@@ -449,10 +643,10 @@ def maximize_concave_program(cp: ConcaveProgram, start,
 
     g_best = _block_values(blocks, best_x)
     feas = max(0.0, float(-g_best.min()))
-    G = np.vstack([blk.grads(best_x) for blk in blocks])
-    resid = float(np.max(np.abs(c + G.T @ lam)))
-    row_scale = np.max(np.abs(G), axis=1)
-    denom = 1.0 + float(np.max(np.abs(c))) + float(np.max(lam * row_scale))
+    gu = system.jacobian(best_x)
+    resid = float(np.max(np.abs(c + system.rmatvec(gu, lam))))
+    denom = (1.0 + float(np.max(np.abs(c)))
+             + float(np.max(lam * system.row_scale(gu))))
     gap = float(lam @ g_best)
     stat = max(resid / denom, gap / (1.0 + abs(best_obj)))
     ok = (not stalled) and feas <= 1e-8 and stat <= 1e-6

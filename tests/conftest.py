@@ -1,0 +1,46 @@
+"""Shared test fixtures."""
+
+import numpy as np
+import pytest
+
+from uavrice.solvers import _NewtonSystem
+
+
+def _newton_step_gap(cp, x):
+    """Relative 2-norm gap between the interior-point method's structured
+    Newton direction at x and ``np.linalg.solve`` of the dense Jacobi-
+    equilibrated matrix, with the method's first multipliers and centering
+    target."""
+    blocks = cp.all_blocks()
+    c, n = cp.objective, cp.n_vars
+    g = np.concatenate([blk.values(x) for blk in blocks])
+    lam = ((1.0 + abs(float(c @ x))) / g.size) / g
+    mu = 0.2 * float(lam @ g) / g.size
+    hess = np.zeros((n, n))
+    jac = []
+    lo = 0
+    for blk in blocks:
+        hi = lo + blk.values(x).size
+        rows, cols, vals = blk.curvature(x, lam[lo:hi])
+        np.add.at(hess, (rows, cols), vals)
+        rows, cols, vals = blk.grads(x)
+        part = np.zeros((hi - lo, n))
+        np.add.at(part, (rows, cols), vals)
+        jac.append(part)
+        lo = hi
+    jac = np.vstack(jac)
+    w = lam / g
+    hess += (jac * w[:, None]).T @ jac
+    rhs = c + jac.T @ (mu / g)
+    dsc = 1.0 / np.sqrt(np.maximum(np.diagonal(hess), 1e-300))
+    dense = np.linalg.solve(hess * dsc[:, None] * dsc[None, :],
+                            rhs * dsc) * dsc
+
+    system = _NewtonSystem(blocks, c, x)
+    step = system.direction(x, lam, w, system.jacobian(x), rhs)
+    return float(np.linalg.norm(step - dense) / np.linalg.norm(dense))
+
+
+@pytest.fixture
+def newton_step_gap():
+    return _newton_step_gap

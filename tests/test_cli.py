@@ -7,11 +7,14 @@ fast.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import uavrice
 from uavrice import DEFAULT_SEED
 from uavrice.cli import cli
 from uavrice.files import dump_json, load_model, load_result
@@ -209,11 +212,16 @@ class TestSweep:
 
 class TestEntryPoint:
     def test_module_runs_as_script(self, tmp_path):
+        # the child must import the same package as this process, which
+        # may come from the pytest path setting rather than an install
+        src = str(Path(uavrice.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "model.json"
         proc = subprocess.run(
             [sys.executable, "-m", "uavrice.cli", "fit", "--grid", "60",
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "rmse" in proc.stdout

@@ -6,6 +6,7 @@ produce global lower bounds on the rate, which is the property the whole
 alternating scheme leans on.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,19 @@ class TestRounding:
             assert min_avg(sn) <= eta_frac + 1e-9
 
 
+def _built_step(block, model):
+    """A built (not solved) three-node trajectory step on the straight
+    initial path with its scheduled activities: (scenario, plan, step)."""
+    scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
+                     m_slots=10, duration_s=10.0)
+    plan = initialize_plan(scen)
+    plan.a, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen, model))
+    data = (planner._horizontal_block if block == "horizontal"
+            else planner._vertical_block)(plan, scen)
+    return scen, plan, planner.build_trajectory_step(plan, scen, model,
+                                                     **data)
+
+
 class TestTrajectoryBlocks:
     def test_horizontal_block_improves_single_node(self):
         scen = _scenario([[300.0, 200.0]])
@@ -262,14 +276,7 @@ class TestTrajectoryBlocks:
         # the SCA property the monotone trace rests on: with every s at its
         # cap and eta = 0, each rate row equals the true average rate at the
         # expansion point and each cap row has zero slack
-        scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
-                         m_slots=10, duration_s=10.0)
-        plan = initialize_plan(scen)
-        plan.a, _ = solve_scheduling(
-            predicted_rates(plan.q, plan.z, scen, model))
-        data = (planner._horizontal_block if block == "horizontal"
-                else planner._vertical_block)(plan, scen)
-        step = planner.build_trajectory_step(plan, scen, model, **data)
+        scen, plan, step = _built_step(block, model)
         assert step is not None
         assert step.s_cols.size == (
             0 if model is LOS_MODEL
@@ -294,6 +301,15 @@ class TestTrajectoryBlocks:
             / scen.n_slots
         assert g[:scen.n_sn] == pytest.approx(want, rel=1e-9)
         assert g[step.cap_rows] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
+    @pytest.mark.parametrize("block", ["horizontal", "vertical"])
+    def test_newton_step_matches_dense_solve(self, block, model,
+                                             newton_step_gap):
+        # the banded factor, Schur complement and Woodbury update solve the
+        # same system as a dense factorization of the whole matrix
+        _, _, step = _built_step(block, model)
+        assert newton_step_gap(step.program, step.start) <= 1e-8
 
     def test_taut_line_leaves_no_interior(self):
         # exactly enough speed to reach the end point: every speed row is
@@ -358,6 +374,36 @@ class TestOuterLoop:
         assert i1["eta_model"] == i2["eta_model"]
         # the LOS gain is pinned at one everywhere
         assert LOS_MODEL.predict(np.linspace(0, 1, 5)) == pytest.approx(1.0)
+
+    def test_stalled_inner_solves_are_counted(self, monkeypatch):
+        # a solve that does not end "optimal" is counted per block, and the
+        # count changes neither the plan nor the acceptance of moves
+        scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
+                         duration_s=10.0)
+        plan_ok, info_ok = run_bcd(scen, FIT)
+        assert info_ok["ipm_not_optimal"] == {"horizontal": 0, "vertical": 0}
+
+        real = planner.maximize_concave_program
+        calls = []
+
+        def stalled(cp, start, **kw):
+            calls.append(cp.n_vars)
+            return dataclasses.replace(real(cp, start, **kw),
+                                       status="stalled")
+
+        monkeypatch.setattr(planner, "maximize_concave_program", stalled)
+        plan, info = run_bcd(scen, FIT)
+        counts = info["ipm_not_optimal"]
+        assert counts["horizontal"] > 0 and counts["vertical"] > 0
+        assert counts["horizontal"] + counts["vertical"] == len(calls)
+        assert np.array_equal(plan.q, plan_ok.q)
+        assert np.array_equal(plan.z, plan_ok.z)
+        assert info["trace"] == info_ok["trace"]
+
+        calls.clear()
+        _, frozen = run_bcd(scen, FIT, freeze_vertical=True)
+        assert frozen["ipm_not_optimal"] == {"horizontal": len(calls),
+                                             "vertical": 0}
 
     def test_matches_brute_force_grid_tiny_case(self):
         # two slots, one free waypoint, frozen altitude: sweep the free

@@ -5,7 +5,8 @@ instances, on its own optimality certificate (feasibility, dual signs,
 complementary slackness, strong duality) for random boxed instances, whose
 optimum must also match HiGHS's interior-point method, and on
 degenerate/infeasible/unbounded cases; the barrier path is checked against
-analytic optima and a multi-start SLSQP oracle on random concave programs.
+analytic optima and a multi-start SLSQP oracle on random concave programs,
+and its structured Newton step against a dense solve.
 Determinism is asserted bit-for-bit.
 """
 
@@ -339,3 +340,62 @@ class TestBarrier:
             QuadExpRows(d=np.zeros(1), C=np.zeros((1, 1)),
                         quad_row=[0], quad_w=[-1.0], quad_p=[1.0],
                         quad_i=[0], quad_q=[0.0], quad_j=[0], quad_r=[0.0])
+
+
+def _random_program(seed):
+    rng = np.random.default_rng(seed)
+    n = 5
+    c = rng.normal(size=n)
+    blocks = []
+    for _ in range(3):
+        terms = [(0, float(rng.uniform(0.2, 1.0)), float(rng.normal()),
+                  int(rng.integers(0, n)), float(rng.normal()),
+                  int(rng.integers(0, n)), float(rng.normal() * 0.3))
+                 for _ in range(int(rng.integers(1, 4)))]
+        crow = rng.normal(size=(1, n)) * 0.3
+        d0 = float(-_quad_row_block([0.0], crow, terms).values(
+            np.zeros(n))[0]) + 2.0
+        blocks.append(_quad_row_block([d0], crow, terms))
+    return (ConcaveProgram(n_vars=n, objective=c, blocks=blocks,
+                           lb=np.full(n, -2.0), ub=np.full(n, 2.0)),
+            np.zeros(n))
+
+
+# the TestBarrier programs with their start points
+_BARRIER_PROGRAMS = {
+    "box": lambda: (ConcaveProgram(
+        n_vars=2, objective=np.array([1.0, 1.0]), blocks=[], lb=np.zeros(2),
+        ub=np.array([1.0, 2.0])), np.array([0.5, 0.5])),
+    "quadratic_cap": lambda: (ConcaveProgram(
+        n_vars=2, objective=np.array([1.0, 0.0]),
+        blocks=[_quad_row_block([4.0], [[-1.0, 0.0]],
+                                [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])],
+        lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0])),
+        np.array([2.0, 0.9])),
+    "exponential": lambda: (ConcaveProgram(
+        n_vars=1, objective=np.array([-1.0]),
+        blocks=[QuadExpRows(d=np.array([3.0]), C=np.zeros((1, 1)),
+                            exp_row=[0], exp_coef=[1.0], exp_idx=[0])],
+        lb=np.array([-10.0]), ub=np.array([10.0])), np.array([0.0])),
+    "altitude_ratio": lambda: (ConcaveProgram(
+        n_vars=2, objective=np.array([0.0, 1.0]),
+        blocks=[VRatioRows(d=np.array([0.2]), b2=6.0, c=np.array([2500.0]),
+                           z_idx=np.array([0]), s_idx=np.array([1]))],
+        lb=np.array([1.0, -np.inf]), ub=np.array([100.0, np.inf])),
+        np.array([50.0, 0.0])),
+    "coupled_cap": lambda: (ConcaveProgram(
+        n_vars=2, objective=np.array([1.0, 0.1]),
+        blocks=[_quad_row_block([4.0], [[-1.0, 0.2]],
+                                [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])],
+        lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0])),
+        np.array([0.0, 0.5])),
+    "random_11": lambda: _random_program(11),
+    "random_42": lambda: _random_program(42),
+    "random_90": lambda: _random_program(90),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS))
+def test_newton_step_matches_dense_solve(name, newton_step_gap):
+    cp, start = _BARRIER_PROGRAMS[name]()
+    assert newton_step_gap(cp, start) <= 1e-8
