@@ -1,19 +1,17 @@
-"""Link geometry and the angle-dependent Rician channel.
+"""Scenario constants and the angle-dependent Rician channel.
 
-Pure, stateless math shared by the planner and the evaluator: distances and
-elevation angles between the vehicle and ground nodes, the elevation-dependent
-Rician factor, the fading-power cdf and Marcum Q1 (both from SciPy's
-noncentral chi-square), gain sampling, and the outage-aware rate.  All
-quantities are linear-scale SI; dB conversion happens once at file load (see
-:mod:`uavrice.files`).
+Pure, stateless math shared by the planner and the evaluator: the
+elevation-dependent Rician factor, counter-based gain sampling, and the one
+rate kernel, :func:`rate_from_gain`.  Per-slot geometry comes from
+:func:`uavrice.planner.slot_geometry`; the fading-power cdf and Marcum Q1
+live in :mod:`uavrice.kernels`.  All quantities are linear-scale SI; dB
+conversion happens once at file load (see :mod:`uavrice.files`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
 
 _HALF_PI = math.pi / 2.0
 
@@ -83,7 +81,7 @@ class Scenario:
     @property
     def snr_gamma_per_sn(self) -> np.ndarray:
         """Outage-rate SNR coefficient, one entry per node."""
-        return snr_gamma(self.p_tx, self.beta0, self.sigma2, self.snr_gap)
+        return self.p_tx * self.beta0 / (self.sigma2 * self.snr_gap)
 
     # -- checks ------------------------------------------------------------
 
@@ -130,43 +128,8 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Geometry
+# Rician factor and gain sampling
 # ---------------------------------------------------------------------------
-
-def _check_positive_altitude(z):
-    if np.any(np.asarray(z) <= 0):
-        raise ValueError("altitude must be positive")
-
-
-def distance(q, w, z):
-    """Euclidean node–vehicle distance from horizontal positions and altitude."""
-    _check_positive_altitude(z)
-    q = np.asarray(q, dtype=float)
-    w = np.asarray(w, dtype=float)
-    d2 = np.sum((q - w) ** 2, axis=-1) + np.square(z)
-    return np.sqrt(d2)
-
-
-def pathloss(d, beta0, alpha):
-    """Average channel power gain beta0 * d^-alpha (reference distance 1 m)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 1.0):
-        raise ValueError("distance below the 1 m reference is outside the model")
-    out = beta0 * d ** (-alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def elevation_angle(q, w, z):
-    """Elevation of the vehicle as seen from the node, in (0, pi/2]."""
-    return np.arcsin(angle_indicator(q, w, z))
-
-
-def angle_indicator(q, w, z):
-    """sin(elevation) = z / distance; the regressor of the fading-power model."""
-    _check_positive_altitude(z)
-    out = z / distance(q, w, z)
-    return float(out) if np.ndim(out) == 0 else out
-
 
 def rician_factor(theta, a1, a2):
     """Rician factor K = a1 * exp(a2 * theta) for elevation theta in [0, pi/2]."""
@@ -184,31 +147,6 @@ def rician_coeffs_from_bounds(k_min, k_max):
     a1 = float(k_min)
     a2 = math.log(k_max / k_min) / _HALF_PI
     return a1, a2
-
-
-# ---------------------------------------------------------------------------
-# Channel statistics
-# ---------------------------------------------------------------------------
-
-def marcum_q1(a, b):
-    """First-order Marcum Q function (Rician envelope tail probability).
-
-    Accurate in absolute terms only: deep in the upper tail it returns 0
-    where the true value is tiny but positive (Q1(1.67, 24.69) is
-    5.67e-117 by quadrature); see ``kernels.marcum_q1``.
-    """
-    if np.any(np.asarray(a) < 0) or np.any(np.asarray(b) < 0):
-        raise ValueError("marcum_q1 arguments must be nonnegative")
-    return kernels.marcum_q1(a, b)
-
-
-def fading_power_cdf(u, k):
-    """P(|g|^2 <= u) for the unit-power Rician gain with factor k."""
-    if np.any(np.asarray(u) < 0):
-        raise ValueError("power threshold must be nonnegative")
-    if np.any(np.asarray(k) < 0):
-        raise ValueError("Rician factor must be nonnegative")
-    return kernels.fading_cdf(u, k)
 
 
 def sample_rician(k, rng, size=None):
@@ -239,41 +177,12 @@ def substream(seed, *path):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def snr_gamma(p, beta0, sigma2, gap):
-    """Rate-equation SNR coefficient p * beta0 / (sigma2 * gap)."""
-    arrs = [np.asarray(x, dtype=float) for x in (p, beta0, sigma2, gap)]
-    if any(np.any(a <= 0) for a in arrs):
-        raise ValueError("snr_gamma inputs must be positive")
-    out = arrs[0] * arrs[1] / (arrs[2] * arrs[3])
-    return float(out) if out.ndim == 0 else out
-
-
 def rate_from_gain(f, gamma, d2, alpha):
-    """log2(1 + f * gamma / d2^(alpha/2)) — shared rate kernel (d2 = squared
-    distance).  Vectorized over any broadcastable combination."""
+    """log2(1 + f * gamma / d2^(alpha/2)), the one rate kernel (d2 = squared
+    distance).  f is the effective fading power for an outage rate or a drawn
+    |g|^2 for an instantaneous capacity.  Vectorized over any broadcastable
+    combination."""
     f = np.asarray(f, dtype=float)
     d2 = np.asarray(d2, dtype=float)
     out = np.log2(1.0 + f * gamma * d2 ** (-0.5 * alpha))
-    return float(out) if out.ndim == 0 else out
-
-
-def outage_rate(f, gamma, q, w, z, alpha):
-    """Largest rate whose decoding-failure probability stays at the outage
-    target, given effective fading power f."""
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0) or np.any(f > 1):
-        raise ValueError("effective fading power must lie in [0, 1]")
-    _check_positive_altitude(z)
-    q = np.asarray(q, dtype=float)
-    w = np.asarray(w, dtype=float)
-    d2 = np.sum((q - w) ** 2, axis=-1) + np.square(z)
-    return rate_from_gain(f, gamma, d2, alpha)
-
-
-def instantaneous_capacity(g, beta, p, sigma2, gap):
-    """Per-block capacity for a concrete complex gain draw."""
-    if beta <= 0 or p <= 0 or sigma2 <= 0 or gap <= 0:
-        raise ValueError("instantaneous_capacity constants must be positive")
-    power = np.abs(np.asarray(g)) ** 2
-    out = np.log2(1.0 + power * beta * p / (sigma2 * gap))
     return float(out) if out.ndim == 0 else out

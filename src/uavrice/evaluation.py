@@ -8,7 +8,6 @@ scheduled slot, draw Rician gains block by block and count how often the
 instantaneous capacity falls short of the committed rate.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,10 +16,7 @@ import numpy as np
 from . import DEFAULT_SEED
 from .channel import (
     Scenario,
-    instantaneous_capacity,
-    pathloss,
     rate_from_gain,
-    rician_coeffs_from_bounds,
     rician_factor,
     sample_rician,
     substream,
@@ -81,16 +77,21 @@ def ks_upper_bound(samples, cdf, n_grid=200_000):
 # exact re-scoring
 # ---------------------------------------------------------------------------
 
+def _slot_channel(q, z, scenario: Scenario):
+    """Squared distance and Rician factor per (node, slot), each (N, M);
+    the factor follows from the elevation angle."""
+    d2, v = slot_geometry(q, z, scenario)
+    a1, a2 = scenario.rician_coeffs
+    return d2, rician_factor(np.arcsin(np.clip(v, 0.0, 1.0)), a1, a2)
+
+
 def exact_rates(q, z, scenario: Scenario):
     """Outage rates under the exact fading quantile, shape (N, M).
 
-    The per-slot Rician factor follows from the elevation angle, the
-    effective power from the noncentral chi-square quantile, and the rate
-    from the shared kernel.
+    The effective power is the noncentral chi-square quantile at each
+    slot's Rician factor; the rate comes from the shared kernel.
     """
-    d2, v = slot_geometry(q, z, scenario)
-    a1, a2 = rician_coeffs_from_bounds(scenario.k_min, scenario.k_max)
-    k = rician_factor(np.arcsin(np.clip(v, 0.0, 1.0)), a1, a2)
+    d2, k = _slot_channel(q, z, scenario)
     f = exact_effective_power(k, scenario.epsilon)
     return rate_from_gain(f, scenario.snr_gamma_per_sn[:, None], d2,
                           scenario.alpha)
@@ -140,9 +141,8 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
         owners = round_schedule(plan.a, rates)
     owners = np.asarray(owners, dtype=int)
 
-    d2, v = slot_geometry(plan.q, plan.z, scenario)
-    a1, a2 = rician_coeffs_from_bounds(scenario.k_min, scenario.k_max)
-    k_all = rician_factor(np.arcsin(np.clip(v, 0.0, 1.0)), a1, a2)
+    d2, k_all = _slot_channel(plan.q, plan.z, scenario)
+    gamma = scenario.snr_gamma_per_sn
 
     n_blocks = scenario.n_blocks
     m_slots = scenario.n_slots
@@ -154,9 +154,8 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
             continue
         rng = substream(seed, m)
         g = sample_rician(float(k_all[n, m]), rng, size=(trials, n_blocks))
-        cap = instantaneous_capacity(
-            g, pathloss(math.sqrt(d2[n, m]), scenario.beta0, scenario.alpha),
-            scenario.p_tx[n], scenario.sigma2, scenario.snr_gap)
+        cap = rate_from_gain(np.abs(g) ** 2, gamma[n], d2[n, m],
+                             scenario.alpha)
         samples[m] = trials * n_blocks
         freq[m] = np.count_nonzero(cap < rates[n, m]) / samples[m]
     return freq, samples

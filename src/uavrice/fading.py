@@ -13,7 +13,7 @@ provides three ways:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "generate_regression_samples",
     "LogisticModel",
     "fit_logistic",
-    "logistic_effective_power",
 ]
 
 
@@ -189,14 +188,6 @@ class LogisticModel:
         v = np.asarray(v, dtype=float)
         out = self.c1 + self.c2 / (1.0 + np.exp(-(self.b1 + self.b2 * v)))
         return float(out) if out.ndim == 0 else out
-
-
-def logistic_effective_power(model, v):
-    """Evaluate the fitted surrogate on v in [0, 1]."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-        raise ValueError("elevation indicator outside [0, 1]")
-    return model.predict(v)
 
 
 def _mse(params, v, f):

@@ -66,11 +66,14 @@ class Plan:
 
 def slot_geometry(q, z, scenario: Scenario):
     """Squared distance and elevation indicator per (node, slot), each of
-    shape (N, M): slot m sits at waypoint m."""
+    shape (N, M): slot m sits at waypoint m.  Raises when a slot comes
+    closer to a node than the path-loss model's 1 m reference distance."""
     q = np.asarray(q, dtype=float)[1:]          # (M, 2)
     z = np.asarray(z, dtype=float)[1:]          # (M,)
     diff = q[None, :, :] - scenario.sn_positions[:, None, :]
     d2 = np.einsum("nmk,nmk->nm", diff, diff) + z[None, :] ** 2
+    if np.any(d2 < 1.0):
+        raise ValueError("distance below the 1 m reference is outside the model")
     return d2, z[None, :] / np.sqrt(d2)
 
 
@@ -117,15 +120,13 @@ def solve_scheduling(rates):
     nv = n_sn * m_slots + 1
     c = np.zeros(nv)
     c[-1] = 1.0
+    col = np.arange(n_sn * m_slots)             # activity of node n, slot m
     rows = np.zeros((m_slots + n_sn, nv))
+    rows[col % m_slots, col] = 1.0              # occupancy caps
+    rows[m_slots + col // m_slots, col] = -rates.ravel() / m_slots
+    rows[m_slots:, -1] = 1.0                    # eta <= average rate of n
     rhs = np.zeros(m_slots + n_sn)
-    for m in range(m_slots):                    # occupancy caps
-        rows[m, m::m_slots][:n_sn] = 1.0
-        rhs[m] = 1.0
-    for n in range(n_sn):                       # eta <= average rate of n
-        rows[m_slots + n, n * m_slots:(n + 1) * m_slots] = -rates[n] / m_slots
-        rows[m_slots + n, -1] = 1.0
-        rhs[m_slots + n] = 0.0
+    rhs[:m_slots] = 1.0
     lp = LinearProgram(c=c, a_ub=rows, b_ub=rhs, lb=np.zeros(nv),
                        ub=np.full(nv, np.inf))
     rep = solve_lp(lp)

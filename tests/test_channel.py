@@ -1,4 +1,4 @@
-"""Geometry, Rician-factor model, sampling streams, and rate formulas."""
+"""Slot geometry, Rician-factor model, sampling streams, and the rate kernel."""
 
 import math
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from uavrice import channel
+from uavrice.evaluation import exact_rates, monte_carlo_outage
+from uavrice.planner import LOS_MODEL, Plan, predicted_rates, slot_geometry
 
 
 def make_scenario(**overrides):
@@ -55,28 +57,63 @@ class TestScenario:
 
 
 class TestGeometry:
+    """``planner.slot_geometry`` is the one geometry path: planning, exact
+    re-scoring and Monte-Carlo all take their distances from it."""
+
+    @staticmethod
+    def plan_over(scen, xy, z, n_slots=3):
+        # every waypoint at one point, so each slot sees the same geometry
+        q = np.tile(np.asarray(xy, dtype=float), (n_slots + 1, 1))
+        return Plan(q=q, z=np.full(n_slots + 1, float(z)),
+                    a=np.full((scen.n_sn, n_slots), 1.0 / scen.n_sn))
+
     def test_distance_and_pathloss(self):
-        d = channel.distance([3.0, 0.0], [0.0, 4.0], 12.0)
-        assert d == pytest.approx(13.0)
-        assert channel.pathloss(10.0, 1e-6, 2.0) == pytest.approx(1e-8)
-        with pytest.raises(ValueError):
-            channel.pathloss(0.5, 1e-6, 2.0)
-        with pytest.raises(ValueError):
-            channel.distance([0.0, 0.0], [0.0, 0.0], 0.0)
+        # 3-4-12 triangle: d = 13, sin(elevation) = 12/13
+        scen = make_scenario(sn_positions=[[0.0, 4.0]])
+        plan = self.plan_over(scen, [3.0, 0.0], 12.0)
+        d2, v = slot_geometry(plan.q, plan.z, scen)
+        assert np.all(d2 == 169.0)
+        assert np.all(v == 12.0 / 13.0)
+        # the path-loss model holds down to its 1 m reference distance only
+        at_1m = self.plan_over(scen, [0.0, 4.0], 1.0)
+        assert np.all(slot_geometry(at_1m.q, at_1m.z, scen)[0] == 1.0)
+        inside = self.plan_over(scen, [0.0, 4.0], 0.5)
+        with pytest.raises(ValueError, match="1 m reference"):
+            slot_geometry(inside.q, inside.z, scen)
 
     def test_elevation_angle(self):
-        # directly overhead -> pi/2; far away -> angle sinks toward 0
-        assert channel.elevation_angle([5.0, 5.0], [5.0, 5.0], 80.0) == pytest.approx(math.pi / 2)
-        th = channel.elevation_angle([1e5, 0.0], [0.0, 0.0], 100.0)
-        assert 0 < th < 1.1e-3
-        v = channel.angle_indicator([30.0, 0.0], [0.0, 0.0], 40.0)
-        assert v == pytest.approx(0.8)
+        # directly overhead -> v = 1; far away -> v sinks toward 0
+        scen = make_scenario(sn_positions=[[5.0, 5.0], [-1e5, 0.0]])
+        plan = self.plan_over(scen, [5.0, 5.0], 80.0)
+        _, v = slot_geometry(plan.q, plan.z, scen)
+        assert np.all(v[0] == 1.0)
+        assert np.all((0.0 < v[1]) & (v[1] < 1e-3))
 
     def test_vectorized_over_trajectory(self):
+        scen = make_scenario(sn_positions=[[50.0, 0.0], [0.0, 30.0],
+                                           [80.0, 80.0]])
         q = np.stack([np.linspace(0, 100, 11), np.zeros(11)], axis=1)
-        d = channel.distance(q, [50.0, 0.0], 100.0)
-        assert d.shape == (11,)
-        assert d.min() == pytest.approx(100.0)
+        d2, v = slot_geometry(q, np.full(11, 100.0), scen)
+        assert d2.shape == v.shape == (3, 10)
+        # slot m sits at waypoint m, so waypoint 0 never enters
+        assert d2[0].min() == pytest.approx(100.0 ** 2)
+        assert d2[0, 4] == pytest.approx(100.0 ** 2)
+
+    @pytest.mark.parametrize("score", ["predicted", "exact", "monte_carlo"])
+    def test_rates_reject_slots_inside_reference_distance(self, score):
+        # a hand-built plan flown at 0.5 m right over the node
+        scen = make_scenario()
+        plan = self.plan_over(scen, scen.sn_positions[0], 0.5,
+                              n_slots=scen.n_slots)
+        with pytest.raises(ValueError, match="1 m reference"):
+            if score == "predicted":
+                predicted_rates(plan.q, plan.z, scen, LOS_MODEL)
+            elif score == "exact":
+                exact_rates(plan.q, plan.z, scen)
+            else:
+                monte_carlo_outage(plan, scen, 10_000, 0,
+                                   rates=np.ones((1, scen.n_slots)),
+                                   owners=np.zeros(scen.n_slots, dtype=int))
 
 
 class TestRicianFactor:
@@ -134,27 +171,29 @@ class TestSampling:
 
 
 class TestRates:
+    """``rate_from_gain`` is the one rate formula: outage rates feed it the
+    effective fading power, Monte-Carlo feeds it the drawn |g|^2."""
+
     def test_outage_rate_formula(self):
         # f=1, gamma*d^-alpha = 3 -> log2(4) = 2
-        got = channel.outage_rate(1.0, 3.0 * 10.0 ** 2, [0.0, 0.0], [0.0, 0.0], 10.0, 2.0)
+        got = channel.rate_from_gain(1.0, 3.0 * 10.0 ** 2, 10.0 ** 2, 2.0)
         assert got == pytest.approx(2.0)
         # scaling f by the SNR coefficient is equivalent to scaling gamma
-        r1 = channel.outage_rate(0.25, 8.0e4, [30.0, 0.0], [0.0, 0.0], 40.0, 2.0)
-        r2 = channel.outage_rate(1.0, 0.25 * 8.0e4, [30.0, 0.0], [0.0, 0.0], 40.0, 2.0)
+        r1 = channel.rate_from_gain(0.25, 8.0e4, 50.0 ** 2, 2.0)
+        r2 = channel.rate_from_gain(1.0, 0.25 * 8.0e4, 50.0 ** 2, 2.0)
         assert r1 == pytest.approx(r2)
 
     def test_outage_rate_monotone_in_f(self):
         fs = np.linspace(0.01, 1.0, 30)
-        r = channel.outage_rate(fs, 1e5, [100.0, 0.0], [0.0, 0.0], 100.0, 2.0)
+        r = channel.rate_from_gain(fs, 1e5, 2 * 100.0 ** 2, 2.0)
         assert np.all(np.diff(r) > 0)
 
-    def test_outage_rate_rejects_bad_f(self):
-        with pytest.raises(ValueError):
-            channel.outage_rate(1.2, 1e5, [0.0, 0.0], [0.0, 0.0], 100.0, 2.0)
-
     def test_instantaneous_capacity(self):
-        got = channel.instantaneous_capacity(1.0 + 0.0j, 1e-6, 0.1, 1e-13, 1.0)
+        # per-block capacity of a drawn gain g is the same kernel at f=|g|^2
+        scen = make_scenario(p_tx=0.1, beta0=1e-6, sigma2=1e-13, snr_gap=1.0)
+        gamma = scen.snr_gamma_per_sn[0]
+        got = channel.rate_from_gain(abs(1.0 + 0.0j) ** 2, gamma, 1.0, 2.0)
         assert got == pytest.approx(math.log2(1.0 + 1e6))
-        # |g|^2 scales inside the log
-        half = channel.instantaneous_capacity(math.sqrt(0.5), 1e-6, 0.1, 1e-13, 1.0)
+        g = np.array([math.sqrt(0.5), 1j * math.sqrt(0.5)])
+        half = channel.rate_from_gain(np.abs(g) ** 2, gamma, 1.0, 2.0)
         assert half == pytest.approx(math.log2(1.0 + 5e5))

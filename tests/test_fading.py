@@ -125,14 +125,6 @@ class TestLogisticModel:
         with pytest.raises(ValueError):
             fading.LogisticModel(b1=0.0, b2=-2.0, c1=0.0, c2=1.0)
 
-    def test_bounds_check_on_eval(self):
-        m = fading.LogisticModel(b1=-1.0, b2=2.0, c1=0.0, c2=1.0)
-        with pytest.raises(ValueError):
-            fading.logistic_effective_power(m, 1.5)
-        v = np.linspace(0, 1, 9)
-        out = fading.logistic_effective_power(m, v)
-        assert np.all((out > 0) & (out <= 1))
-
 
 class TestFit:
     def test_recovers_synthetic_model(self):
