@@ -150,7 +150,7 @@ def _sweep_row(scenario, param, value, base_model, seed):
     scen = _sweep_scenario(scenario, param, value)
     # eps and kmax_db change the fading law itself, so the surrogate must
     # be refit for each value; T and vz leave the channel untouched.
-    if param in ("eps", "kmax_db") or base_model is None:
+    if param in ("eps", "kmax_db"):
         model = fit_for_scenario(scen)
     else:
         model = base_model

@@ -303,17 +303,16 @@ def best_cruise_start(scenario: Scenario, model: LogisticModel,
     return best[1]
 
 
-def fit_for_scenario(scenario: Scenario, grid_size=200):
+def fit_for_scenario(scenario: Scenario):
     """Fit the logistic effective-power surrogate to this scenario's channel."""
     samples = generate_regression_samples(scenario.k_min, scenario.k_max,
-                                          scenario.epsilon,
-                                          grid_size=grid_size)
+                                          scenario.epsilon)
     return fit_logistic(samples)
 
 
 def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None,
                *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS,
-               altitudes=None, simulate=True, tol=1e-4, max_iters=50):
+               altitudes=None, simulate=True):
     """Plan and score one benchmark mission design.  Returns (plan, report).
 
     lb     planner that pretends fading never bites (surrogate = 1) and
@@ -343,15 +342,13 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
 
     if scheme in ("lb", "rfla"):
         plan, info = run_bcd(scenario, model, freeze_vertical=True,
-                             init=_level_start(scenario, scenario.h_min),
-                             tol=tol, max_iters=max_iters)
+                             init=_level_start(scenario, scenario.h_min))
     elif scheme == "rffsa":
         sweep = []
         best = None
         for h in altitudes:
             cand, cinfo = run_bcd(scenario, model, freeze_vertical=True,
-                                  init=_level_start(scenario, h),
-                                  tol=tol, max_iters=max_iters)
+                                  init=_level_start(scenario, h))
             rep = evaluate_plan(cand, scenario, model, scheme=scheme,
                                 seed=seed, trials=trials, simulate=False)
             sweep.append([float(h), rep.eta_achieved])
@@ -359,7 +356,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
                 best = (float(h), cand, cinfo, rep)
         h_best, plan, info, _ = best
     else:
-        plan, info = run_bcd(scenario, model, tol=tol, max_iters=max_iters,
+        plan, info = run_bcd(scenario, model,
                              init=best_cruise_start(scenario, model,
                                                     altitudes))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import ndtri
 
 from . import kernels
@@ -59,7 +59,7 @@ def k_threshold(eps):
 
     The branch rule downstream is "small-K branch iff K <= k_threshold^2 / 2",
     i.e. the returned value is sqrt(2 K_switch).  The crossing is found by
-    bisection in t, where the high branch blows up as t approaches
+    Brent's method in t, where the high branch blows up as t approaches
     inverse_q(eps) from above and the low branch grows like exp(t^2/4), so
     exactly one crossing exists to the right of the pole.
     """
@@ -83,13 +83,8 @@ def k_threshold(eps):
             raise RuntimeError("closed-form branch intersection not bracketed")
     if gap(lo) >= 0.0:  # pole side must be negative by construction
         raise RuntimeError("closed-form branch intersection not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # SciPy's default xtol (2e-12) stops short of full double precision
+    return brentq(gap, lo, hi, xtol=1e-14)
 
 
 def closed_form_effective_power(k, eps):

@@ -342,22 +342,6 @@ def plan_from_json(doc):
         raise FileFormatError(f"result.plan: {exc}") from exc
 
 
-def report_from_json(doc):
-    """Rebuild the in-memory report from a result document."""
-    from .evaluation import EvalReport
-    return EvalReport(
-        scheme=doc["scheme"], seed=doc["seed"], trials=doc["trials"],
-        n_blocks=doc["n_blocks"], owners=doc["owners"],
-        rates_est=doc["rates_est_bpshz"],
-        rates_exact=doc["rates_exact_bpshz"],
-        eta_estimated=doc["eta_estimated"],
-        eta_achieved=doc["eta_achieved"],
-        outage_freq=doc["outage_freq"],
-        outage_samples=doc["outage_samples"],
-        extras=doc["extras"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # trajectory CSV
 # ---------------------------------------------------------------------------

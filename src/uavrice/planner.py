@@ -111,9 +111,11 @@ def solve_scheduling(rates):
     """Max-min slot assignment LP for fixed per-slot rates (N, M).
 
     Variables are the N*M activity fractions plus the bottleneck average;
-    each slot's total activity is capped at one.  Leftover capacity in any
-    slot is donated to whichever node currently has the worst average, so
-    the returned schedule always saturates every slot.
+    each slot's total activity is capped at one.  The (M+N) x (NM+1)
+    constraint matrix goes to HiGHS as one sparse array.  Returns the
+    activities and their max-min objective.  When every rate is positive
+    (every planner rate is), HiGHS's optimal vertex fills every slot; a
+    slot where all rates are exactly zero may stay idle.
     """
     rates = np.asarray(rates, dtype=float)
     n_sn, m_slots = rates.shape
@@ -121,10 +123,14 @@ def solve_scheduling(rates):
     c = np.zeros(nv)
     c[-1] = 1.0
     col = np.arange(n_sn * m_slots)             # activity of node n, slot m
-    rows = np.zeros((m_slots + n_sn, nv))
-    rows[col % m_slots, col] = 1.0              # occupancy caps
-    rows[m_slots + col // m_slots, col] = -rates.ravel() / m_slots
-    rows[m_slots:, -1] = 1.0                    # eta <= average rate of n
+    # occupancy caps (rows 0..M-1), then eta <= average rate of node n
+    row = np.concatenate([col % m_slots, m_slots + col // m_slots,
+                          m_slots + np.arange(n_sn)])
+    var = np.concatenate([col, col, np.full(n_sn, nv - 1)])
+    val = np.concatenate([np.ones(col.size), -rates.ravel() / m_slots,
+                          np.ones(n_sn)])
+    rows = scipy.sparse.csr_array((val, (row, var)),
+                                  shape=(m_slots + n_sn, nv))
     rhs = np.zeros(m_slots + n_sn)
     rhs[:m_slots] = 1.0
     lp = LinearProgram(c=c, a_ub=rows, b_ub=rhs, lb=np.zeros(nv),
@@ -133,16 +139,7 @@ def solve_scheduling(rates):
     if rep.status not in ("optimal", "stalled"):
         raise RuntimeError(f"scheduling LP came back {rep.status}")
     a = rep.x[:-1].reshape(n_sn, m_slots).clip(0.0, 1.0)
-
-    # saturation pass: donate per-slot slack to the worst node
-    totals = np.einsum("nm,nm->n", a, rates)
-    for m in range(m_slots):
-        slack = 1.0 - a[:, m].sum()
-        if slack > 1e-12:
-            n_star = int(np.argmin(totals))
-            a[n_star, m] += slack
-            totals[n_star] += slack * rates[n_star, m]
-    return a, float(totals.min()) / m_slots
+    return a, max_min_rate(a, rates)
 
 
 def round_schedule(a, rates):
@@ -488,8 +485,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
         iterations += 1
         a_new, eta_lp = solve_scheduling(rates)
         if eta_lp >= eta - 1e-12:
-            plan.a = a_new
-            eta = max_min_rate(a_new, rates)
+            plan.a, eta = a_new, eta_lp
 
         # the incumbent's rates and objective ride along; block functions
         # are looked up per call so wrappers set on this module take effect

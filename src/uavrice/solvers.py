@@ -53,12 +53,14 @@ class SolverReport:
 class LinearProgram:
     """maximize c @ x  subject to  a_ub @ x <= b_ub,  lb <= x <= ub.
 
-    Lower bounds must be finite (instances here always have them); upper
-    bounds may be +inf.
+    ``a_ub`` may be given dense or as any SciPy sparse matrix; it is stored
+    as a ``scipy.sparse.csr_array``, the form HiGHS reads, with one column
+    per variable.  Lower bounds must be finite (instances here always have
+    them); upper bounds may be +inf.
     """
 
     c: np.ndarray
-    a_ub: np.ndarray
+    a_ub: scipy.sparse.csr_array
     b_ub: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -66,7 +68,9 @@ class LinearProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
-        self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n)
+        self.a_ub = scipy.sparse.csr_array(self.a_ub, dtype=float)
+        if self.a_ub.ndim != 2 or self.a_ub.shape[1] != n:
+            raise ValueError("a_ub must have one column per variable")
         self.b_ub = np.asarray(self.b_ub, dtype=float).reshape(-1)
         self.lb = np.asarray(self.lb, dtype=float).reshape(-1)
         self.ub = np.asarray(self.ub, dtype=float).reshape(-1)

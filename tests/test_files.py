@@ -23,7 +23,6 @@ from uavrice.files import (
     model_from_json,
     model_to_json,
     plan_from_json,
-    report_from_json,
     result_to_json,
     save_model,
     scenario_from_config,
@@ -188,24 +187,6 @@ class TestResultDocuments:
                                extras={"trace": [1.0, 2.0],
                                        "iterations": 2, "converged": True})
         return plan, report, scen
-
-    def test_report_round_trip_through_json_text(self):
-        plan, report, scen = self._small_result()
-        doc = result_to_json(plan, report, scen, LOS_MODEL)
-        back = json.loads(dump_json(doc))
-        report2 = report_from_json(back)
-        assert report2.scheme == report.scheme
-        assert report2.seed == report.seed
-        assert report2.trials == report.trials
-        assert report2.n_blocks == report.n_blocks
-        assert report2.eta_estimated == report.eta_estimated
-        assert report2.eta_achieved == report.eta_achieved
-        assert np.array_equal(report2.owners, report.owners)
-        assert np.array_equal(report2.rates_est, report.rates_est)
-        assert np.array_equal(report2.rates_exact, report.rates_exact)
-        assert np.array_equal(report2.outage_freq, report.outage_freq)
-        assert np.array_equal(report2.outage_samples, report.outage_samples)
-        assert report2.extras == report.extras
 
     def test_plan_round_trip(self):
         plan, report, scen = self._small_result()

@@ -198,6 +198,36 @@ class TestScheduling:
             totals = np.einsum("nm,nm->n", a, rates)
             assert eta == pytest.approx(totals.min() / 12, abs=1e-12)
 
+    def test_bcd_schedules_saturate_every_slot(self, monkeypatch):
+        # no repair pass follows the LP: HiGHS's vertex itself must fill
+        # every slot of every schedule the outer loop sees
+        schedules = []
+
+        def recording(rates):
+            a, eta = solve_scheduling(rates)
+            schedules.append(a)
+            return a, eta
+
+        monkeypatch.setattr(planner, "solve_scheduling", recording)
+        scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
+                         m_slots=10, duration_s=10.0)
+        run_bcd(scen, FIT, max_iters=4)
+        assert schedules
+        for a in schedules:
+            np.testing.assert_allclose(a.sum(axis=0), 1.0, rtol=0.0,
+                                       atol=1e-9)
+
+    def test_zero_rate_slot_stays_idle(self):
+        # a slot no node can use adds nothing to any average, so the LP
+        # leaves it empty and rounding marks it idle (-1); the other slots
+        # still fill and eta is the hand-solved 0.75 (slot 3 split 1:3)
+        rates = np.array([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0]])
+        a, eta = solve_scheduling(rates)
+        assert eta == pytest.approx(0.75, abs=1e-9)
+        np.testing.assert_allclose(a[:, [0, 2]].sum(axis=0), 1.0, atol=1e-9)
+        assert np.all(a[:, 1] == 0.0)
+        assert round_schedule(a, rates).tolist() == [0, -1, 1]
+
     def test_beats_uniform_split(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

@@ -13,6 +13,7 @@ Determinism is asserted bit-for-bit.
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from uavrice.solvers import (
     ConcaveProgram,
@@ -109,6 +110,11 @@ class TestSolveLP:
         ub = np.full(n, 2.0)
         rep = solve_lp(_box_lp(c, A, b, lb, ub))
         assert rep.status == "optimal"
+        # the same rows handed over sparse give the same answer
+        sparse = solve_lp(LinearProgram(c=c, a_ub=scipy.sparse.csc_array(A),
+                                        b_ub=b, lb=lb, ub=ub))
+        assert sparse.status == rep.status
+        assert np.array_equal(sparse.x, rep.x)
         assert rep.feasibility <= 1e-8
         assert rep.stationarity <= 1e-6
         lam, upper = rep.duals["ineq"], rep.duals["upper"]
@@ -185,6 +191,11 @@ class TestSolveLP:
         with pytest.raises(ValueError):
             LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                           lb=np.array([0.0, -np.inf]), ub=np.ones(2))
+        for a_ub in (np.ones((1, 3)), scipy.sparse.csr_array(np.ones((1, 3))),
+                     np.ones(2)):
+            with pytest.raises(ValueError):
+                LinearProgram(c=np.ones(2), a_ub=a_ub, b_ub=np.ones(1),
+                              lb=np.zeros(2), ub=np.ones(2))
 
 
 # ---------------------------------------------------------------------------
