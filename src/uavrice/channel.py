@@ -153,18 +153,26 @@ def sample_rician(k, rng, size=None):
     """Draw unit-mean-power Rician gains with factor k from an explicit stream.
 
     The deterministic component is fixed on the positive real axis; power
-    statistics do not depend on its phase.
+    statistics do not depend on its phase.  Both quadratures are drawn into
+    one real buffer and written straight into the complex result, so no
+    complex temporary is made; the gain equals
+    ``los + scale * (re + 1j * im)`` bit for bit.
     """
     if k < 0:
         raise ValueError("Rician factor must be nonnegative")
+    shape = () if size is None else size
     if math.isinf(k):
-        shape = () if size is None else size
-        return np.ones(shape, dtype=np.complex128)
+        return np.ones(shape, dtype=np.complex128)[()]
     los = math.sqrt(k / (k + 1.0))
     scale = math.sqrt(0.5 / (k + 1.0))  # per-quadrature std of the diffuse part
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return los + scale * (re + 1j * im)
+    g = np.empty(shape, dtype=np.complex128)
+    draw = np.empty(shape)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=g.real)
+    g.real += los
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=g.imag)
+    return g[()]
 
 
 def substream(seed, *path):

@@ -8,6 +8,8 @@ scheduled slot, draw Rician gains block by block and count how often the
 instantaneous capacity falls short of the committed rate.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,6 +112,15 @@ def owners_to_activity(owners, n_sn):
 # Monte-Carlo outage verification
 # ---------------------------------------------------------------------------
 
+def _usable_cpus():
+    """CPUs this process may run on (all of them where affinity is not
+    exposed)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
                        rates=None, owners=None):
     """Empirical outage frequency per slot from brute-force link simulation.
@@ -125,39 +136,62 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
     which case every frequency estimates the scenario's outage target.
     Passing planner-model rates instead measures how far the surrogate's
     rate commitments miss that target.  ``owners`` defaults to rounding the
-    plan's activities against ``rates``.
+    plan's activities against ``rates``.  ``rates`` must be (N, M), finite
+    and nonnegative; ``owners`` must be (M,) integers in [-1, N), -1 marking
+    an idle slot.
 
-    Slot streams are derived from ``(seed, slot)`` so results do not depend
-    on evaluation order.
+    Scheduled slots run concurrently on a thread pool with one worker per
+    CPU the process may use.  Each slot draws from its own counter-based
+    stream derived from ``(seed, slot)``, so results do not depend on the
+    pool size or on the order slots finish in.
     """
     trials = int(trials)
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials per slot for a "
                          "meaningful frequency")
+    n_sn, m_slots = scenario.n_sn, scenario.n_slots
     if rates is None:
         rates = exact_rates(plan.q, plan.z, scenario)
     rates = np.asarray(rates, dtype=float)
+    if rates.shape != (n_sn, m_slots):
+        raise ValueError(f"rates must have shape ({n_sn}, {m_slots}), "
+                         f"got {rates.shape}")
+    if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
+        raise ValueError("rates must be finite and nonnegative")
     if owners is None:
         owners = round_schedule(plan.a, rates)
-    owners = np.asarray(owners, dtype=int)
+    owners = np.asarray(owners)
+    if owners.shape != (m_slots,):
+        raise ValueError(f"owners must have shape ({m_slots},), "
+                         f"got {owners.shape}")
+    if owners.dtype.kind not in "iu":
+        raise ValueError("owners must be integer node indices")
+    if np.any(owners < -1) or np.any(owners >= n_sn):
+        raise ValueError(f"owners must lie in [-1, {n_sn})")
+    owners = owners.astype(int)
 
     d2, k_all = _slot_channel(plan.q, plan.z, scenario)
     gamma = scenario.snr_gamma_per_sn
-
     n_blocks = scenario.n_blocks
-    m_slots = scenario.n_slots
+
+    def outages(m):
+        n = owners[m]
+        g = sample_rician(float(k_all[n, m]), substream(seed, m),
+                          size=(trials, n_blocks))
+        power = np.abs(g)
+        del g
+        np.square(power, out=power)
+        cap = rate_from_gain(power, gamma[n], d2[n, m], scenario.alpha)
+        return np.count_nonzero(cap < rates[n, m])
+
+    busy = np.flatnonzero(owners >= 0)
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        counts = list(pool.map(outages, busy))
+
     freq = np.zeros(m_slots)
     samples = np.zeros(m_slots, dtype=np.int64)
-    for m in range(m_slots):
-        n = owners[m]
-        if n < 0:
-            continue
-        rng = substream(seed, m)
-        g = sample_rician(float(k_all[n, m]), rng, size=(trials, n_blocks))
-        cap = rate_from_gain(np.abs(g) ** 2, gamma[n], d2[n, m],
-                             scenario.alpha)
-        samples[m] = trials * n_blocks
-        freq[m] = np.count_nonzero(cap < rates[n, m]) / samples[m]
+    samples[busy] = trials * n_blocks
+    freq[busy] = np.divide(counts, trials * n_blocks)
     return freq, samples
 
 

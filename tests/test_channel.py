@@ -155,9 +155,33 @@ class TestSampling:
             tol4 = 6 * np.std(p * p) / math.sqrt(n)
             assert abs(m4 - want4) < tol4
 
+    @pytest.mark.parametrize("size", [None, 5, (7, 2)])
+    @pytest.mark.parametrize("k", [0.0, 1e-12, 3.7, 1e3])
+    def test_gain_equals_complex_formula_bitwise(self, k, size):
+        # the gain is assembled in place; it must equal the plain complex
+        # expression on the same draws, last bit included
+        g = channel.sample_rician(k, channel.substream(5, 2), size)
+        rng = channel.substream(5, 2)
+        re = rng.standard_normal(size)
+        im = rng.standard_normal(size)
+        want = (math.sqrt(k / (k + 1.0))
+                + math.sqrt(0.5 / (k + 1.0)) * (re + 1j * im))
+        assert np.asarray(g).dtype == np.complex128
+        assert np.shape(g) == np.shape(re)
+        assert (np.asarray(g).tobytes()
+                == np.asarray(want, dtype=np.complex128).tobytes())
+        if size is None:
+            assert isinstance(g, complex) and not isinstance(g, np.ndarray)
+
     def test_deterministic_limit(self):
         g = channel.sample_rician(math.inf, channel.substream(9), 5)
         assert np.all(g == 1.0 + 0.0j)
+
+    def test_deterministic_limit_scalar_draw(self):
+        # size=None gives a complex scalar for every k, the limit included
+        g = channel.sample_rician(math.inf, channel.substream(9))
+        assert g == 1.0 + 0.0j
+        assert isinstance(g, complex) and not isinstance(g, np.ndarray)
 
     def test_substreams_are_order_independent(self):
         a1 = channel.substream(77, 3, 1).standard_normal(4)

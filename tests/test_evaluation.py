@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from uavrice.channel import Scenario, rate_from_gain
+from uavrice.channel import (Scenario, rate_from_gain, sample_rician,
+                             substream)
 from uavrice import evaluation as ev
 from uavrice.evaluation import (
     EvalReport,
@@ -141,6 +142,72 @@ class TestMonteCarlo:
         scen = _scenario([[150.0, 0.0]])
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_outage(initialize_plan(scen), scen, 5_000, 0)
+
+    @staticmethod
+    def _three_node_check():
+        # three nodes along the corridor, five of eight slots scheduled
+        scen = _scenario([[60.0, 0.0], [150.0, 40.0], [260.0, -30.0]])
+        plan = initialize_plan(scen)
+        owners = np.array([0, -1, 0, 1, -1, 2, -1, 2])
+        return scen, plan, owners, exact_rates(plan.q, plan.z, scen)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pool_matches_serial_loop(self, seed, monkeypatch):
+        scen, plan, owners, rates = self._three_node_check()
+        trials = 10_000
+        d2, k = ev._slot_channel(plan.q, plan.z, scen)
+        gamma = scen.snr_gamma_per_sn
+        want_freq = np.zeros(scen.n_slots)
+        want_samples = np.zeros(scen.n_slots, dtype=np.int64)
+        for m, n in enumerate(owners):
+            if n < 0:
+                continue
+            g = sample_rician(float(k[n, m]), substream(seed, m),
+                              size=(trials, scen.n_blocks))
+            cap = rate_from_gain(np.abs(g) ** 2, gamma[n], d2[n, m],
+                                 scen.alpha)
+            want_samples[m] = trials * scen.n_blocks
+            want_freq[m] = (np.count_nonzero(cap < rates[n, m])
+                            / want_samples[m])
+        assert np.count_nonzero(want_freq) >= 3    # the counts are not all 0
+        # the usable CPUs as they are, then pools of one and of five workers
+        for cpus in (None, {0}, set(range(5))):
+            if cpus is not None:
+                monkeypatch.setattr(ev.os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: cpus)
+            freq, samples = monte_carlo_outage(plan, scen, trials, seed,
+                                               rates=rates, owners=owners)
+            assert freq.tobytes() == want_freq.tobytes()
+            assert np.array_equal(samples, want_samples)
+
+    def test_pool_rejects_slot_inside_reference_distance(self):
+        scen, plan, owners, rates = self._three_node_check()
+        plan.q[3] = scen.sn_positions[1]
+        plan.z[3] = 0.5
+        with pytest.raises(ValueError, match="1 m reference"):
+            monte_carlo_outage(plan, scen, 10_000, 0, rates=rates,
+                               owners=owners)
+
+    @pytest.mark.parametrize("field, bad", [
+        pytest.param("owners", np.zeros(9, dtype=int), id="owners-too-long"),
+        pytest.param("owners", np.zeros(7, dtype=int), id="owners-too-short"),
+        pytest.param("owners", np.zeros((8, 1), dtype=int), id="owners-2d"),
+        pytest.param("owners", np.array([0, -2, 0, 1, -1, 2, -1, 2]),
+                     id="owners-below-idle"),
+        pytest.param("owners", np.array([0, -1, 0, 3, -1, 2, -1, 2]),
+                     id="owners-node-n"),
+        pytest.param("owners", np.zeros(8), id="owners-float"),
+        pytest.param("rates", np.ones(8), id="rates-1d"),
+        pytest.param("rates", np.ones((3, 9)), id="rates-wrong-slots"),
+        pytest.param("rates", np.full((3, 8), np.nan), id="rates-all-nan"),
+        pytest.param("rates", np.full((3, 8), np.inf), id="rates-inf"),
+        pytest.param("rates", np.full((3, 8), -0.5), id="rates-negative"),
+    ])
+    def test_rejects_bad_inputs(self, field, bad):
+        scen, plan, owners, rates = self._three_node_check()
+        args = {"owners": owners, "rates": rates, field: bad}
+        with pytest.raises(ValueError, match=field):
+            monte_carlo_outage(plan, scen, 10_000, 0, **args)
 
     def test_frequency_scatter_shrinks_like_binomial(self):
         # quadrupling the trial count should halve the seed-to-seed spread
