@@ -9,7 +9,10 @@ objective column, i.e. the per-node rate rows) over local rows that join
 neighbouring variables only.  A Schur complement on the objective
 columns, a banded Cholesky factor of the local rows and a Woodbury update
 for what remains of the coupling rows solve the same system a dense
-factorization would, in time linear in the number of slots.  Every Newton step and line search is reproducible
+factorization would, in time linear in the number of slots.  The
+factorizations and solves call LAPACK through ``scipy.linalg.lapack``
+directly, since at these sizes the public wrappers cost more than the
+arithmetic.  Every Newton step and line search is reproducible
 bit-for-bit across runs.  Callers leave fixed quantities (path endpoints)
 out of the variable vector, so each Newton step works on every variable.
 """
@@ -18,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
 
 # linprog status codes other than 0 (solved): 1 iteration limit,
 # 2 infeasible, 3 unbounded, 4 numerical difficulties
@@ -138,6 +141,7 @@ def solve_lp(lp: LinearProgram) -> SolverReport:
 # same protocol on the whole variable vector.  Derivatives are COO triples
 # (rows, cols, vals) whose index arrays are the same on every call;
 # repeated (row, col) entries add up.
+#   d                -> (m,) row constants; d.size is the block's row count
 #   values(x)        -> (m,) slacks, feasible iff all > 0
 #   grads(x)         -> Jacobian of the slacks, rows numbered 0..m-1
 #   curvature(x, w)  -> sum_i w[i] * (-hess g_i), off-diagonal entries
@@ -365,13 +369,13 @@ class _NewtonSystem:
     max-min optimum, so what reaches the banded Cholesky of A_bb as a
     Woodbury update is the rank-(coupling rows - d) rest: nothing at all
     for one node.  Each step costs one banded factorization, one banded
-    solve with one right-hand side per coupling row, and a few dense
-    solves of that size.
+    solve with one right-hand side per coupling row plus one for the
+    step's own right-hand side, and a few dense solves of that size.
     """
 
     def __init__(self, blocks, c, x):
         n = c.size
-        sizes = [blk.values(x).size for blk in blocks]
+        sizes = [blk.d.size for blk in blocks]
         self.blocks = blocks
         self.lam_slices = np.cumsum([0] + sizes)
         m = int(self.lam_slices[-1])
@@ -429,13 +433,17 @@ class _NewtonSystem:
         self.slot = np.where(in_band, (r - col) * nb + col,
                              band + (r - nb) * self.nd + col - nb)
         self.store_size = band + self.nd ** 2
+        # A_dd read back symmetric from its stored lower triangle
+        i, j = np.indices((self.nd, self.nd))
+        self.dd_slot = band + np.maximum(i, j) * self.nd + np.minimum(i, j)
 
         # the coupling rows' entries, as slots of a dense (k, n) matrix
         self.k_ent = np.flatnonzero(~local)
+        self.k_urow, self.k_ucol = self.urow[self.k_ent], self.ucol[self.k_ent]
         k_rows = np.flatnonzero(coupling)
         self.k = k_rows.size
-        self.k_slot = (np.searchsorted(k_rows, self.urow[self.k_ent]) * n
-                       + pos[self.ucol[self.k_ent]])
+        self.k_slot = (np.searchsorted(k_rows, self.k_urow) * n
+                       + pos[self.k_ucol])
 
     def jacobian(self, x):
         """Values of the Jacobian's distinct (row, col) entries at x."""
@@ -450,11 +458,10 @@ class _NewtonSystem:
         """G dx."""
         return np.bincount(self.urow, gu * dx[self.ucol], minlength=self.m)
 
-    def row_scale(self, gu):
-        """Largest entry magnitude of each Jacobian row."""
-        out = np.zeros(self.m)
-        np.maximum.at(out, self.urow, np.abs(gu))
-        return out
+    def dual_scale(self, gu, lam):
+        """max over rows i of lam_i times row i's largest |G_ij|.  With
+        lam > 0 and rounding monotone, that is the largest |lam_i G_ij|."""
+        return float(np.max(lam[self.urow] * np.abs(gu), initial=0.0))
 
     def direction(self, x, lam, w, gu, rhs):
         """Solve H dx = rhs, H with row weights w = lam / g; None when the
@@ -473,21 +480,20 @@ class _NewtonSystem:
         dsc = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
         vals = np.concatenate([cv[self.curv_keep],
                                wg[self.pair_a] * gu[self.pair_b]])
+        # bincount of an empty index array is integer-valued
         store = np.bincount(self.slot,
                             vals * dsc[self.src_r] * dsc[self.src_c],
-                            minlength=self.store_size).astype(float)
-        band = (self.bw + 1) * self.nb
-        low = store[band:].reshape(self.nd, self.nd)
-        parts = (store[:band].reshape(self.bw + 1, self.nb),
-                 low + np.tril(low, -1).T,
-                 np.bincount(self.k_slot, np.sqrt(w[self.urow[self.k_ent]])
-                             * gu[self.k_ent] * dsc[self.ucol[self.k_ent]],
-                             minlength=self.k * self.n).reshape(self.k, self.n))
+                            minlength=self.store_size).astype(float, copy=False)
+        band = store[:(self.bw + 1) * self.nb].reshape(self.bw + 1, self.nb)
+        u = np.bincount(self.k_slot, np.sqrt(w[self.k_urow]) * gu[self.k_ent]
+                        * dsc[self.k_ucol], minlength=self.k * self.n)
+        u = u.astype(float, copy=False).reshape(self.k, self.n)
+        a_dd = store[self.dd_slot]
         rs = (rhs * dsc)[self.order]
         tau = 0.0
         for _ in range(8):
             try:
-                dx = self._solve(*parts, rs, tau)[self.pos] * dsc
+                dx = self._solve(band, a_dd, u, rs, tau)[self.pos] * dsc
                 if np.all(np.isfinite(dx)):
                     return dx
             except np.linalg.LinAlgError:
@@ -497,40 +503,53 @@ class _NewtonSystem:
 
     def _solve(self, band, a_dd, u, rs, tau):
         """The equilibrated, permuted system plus tau on the diagonal."""
-        nb, k = self.nb, self.k
-        band = band.copy()
-        band[0] += tau
-        chol = (scipy.linalg.cholesky_banded(band, lower=True,
-                                             check_finite=False), True)
+        nb, nd, k = self.nb, self.nd, self.k
+        if tau:
+            band = band.copy()
+            band[0] += tau
+        chol = _lapack(dpbtrf, band)
         u_b, u_d = u[:, :nb], u[:, nb:]
         h_dd = a_dd + u_d.T @ u_d
-        h_dd[np.diag_indices(self.nd)] += tau
-        h_dd = _cholesky(h_dd)
+        h_dd.flat[::nd + 1] += tau
+        h_dd = _lapack(dpotrf, h_dd)
         # P = I - U_d H_dd^-1 U_d' = Q diag(e) Q' is PSD; V = e^(1/2) Q' U_b
-        p = -u_d @ _cho_solve(h_dd, u_d.T)
-        p[np.diag_indices(k)] += 1.0
-        e, q = np.linalg.eigh(p)
+        p = -u_d @ _lapack(dpotrs, h_dd, u_d.T)
+        p.flat[::k + 1] += 1.0
+        e, q, info = dsyevd(p, lower=1)
+        if info:
+            raise np.linalg.LinAlgError("dsyevd: eigenvalues did not converge")
         v = (q * np.sqrt(np.maximum(e, 0.0))).T @ u_b
-        z = scipy.linalg.cho_solve_banded(chol, v.T, check_finite=False)
+        # one banded solve for A^-1 V' and for A^-1 of the b part of the
+        # right-hand side with the d columns eliminated
+        w_d = _lapack(dpotrs, h_dd, rs[nb:])
+        both = np.empty((nb, k + 1), order="F")
+        both[:, :k] = v.T
+        both[:, k] = rs[:nb] - u_b.T @ (u_d @ w_d)
+        both = _lapack(dpbtrs, chol, both)
+        z, y = both[:, :k], both[:, k]
         # Woodbury: (A + V'V)^-1 = A^-1 - A^-1 V' (I + V A^-1 V')^-1 V A^-1
         cap = v @ z
-        cap[np.diag_indices(k)] += 1.0
-        w_d = _cho_solve(h_dd, rs[nb:])
-        y = scipy.linalg.cho_solve_banded(chol, rs[:nb] - u_b.T @ (u_d @ w_d),
-                                          check_finite=False)
-        y_b = y - z @ _cho_solve(_cholesky(cap), v @ y)
-        y_d = w_d - _cho_solve(h_dd, u_d.T @ (u_b @ y_b))
+        cap.flat[::k + 1] += 1.0
+        y_b = y - z @ _lapack(dpotrs, _lapack(dpotrf, cap), v @ y)
+        y_d = w_d - _lapack(dpotrs, h_dd, u_d.T @ (u_b @ y_b))
         return np.concatenate([y_b, y_d])
 
 
-def _cholesky(a):
-    """Lower Cholesky factor of a small dense SPD matrix, in the form
-    ``cho_solve`` takes; LinAlgError when it is not positive definite."""
-    return np.linalg.cholesky(a), True
-
-
-def _cho_solve(factor, b):
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+def _lapack(routine, *arrays):
+    """One lower-triangle Cholesky factorization or solve, called straight
+    through SciPy's LAPACK bindings: at the sizes here the public wrappers'
+    per-call checks cost more than the arithmetic.  An empty last operand
+    needs no work.  LinAlgError when a factorization meets a matrix that is
+    not positive definite."""
+    if not arrays[-1].size:
+        return arrays[-1]
+    out, info = routine(*arrays, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{routine.__name__}: leading minor {info} not positive definite")
+    if info < 0:
+        raise ValueError(f"{routine.__name__}: illegal argument {-info}")
+    return out
 
 
 def maximize_concave_program(cp: ConcaveProgram, start,
@@ -563,11 +582,14 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     blocks = cp.all_blocks()
     c = cp.objective
 
+    if not np.all(np.isfinite(x)):
+        raise ValueError("start point is not strictly feasible "
+                         "(non-finite entry)")
     g = _block_values(blocks, x)
-    if g.size and g.min() <= 0.0:
-        k = int(np.argmin(g))
+    bad = np.flatnonzero(~(np.isfinite(g) & (g > 0.0)))
+    if bad.size:
         raise ValueError(f"start point is not strictly feasible "
-                         f"(row {k}, slack {g.min():.3e})")
+                         f"(row {bad[0]}, slack {g[bad[0]]:.3e})")
     m = g.size
     if m == 0:
         stat0 = float(np.max(np.abs(c), initial=0.0))
@@ -580,31 +602,32 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     system = _NewtonSystem(blocks, c, x)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
-    best_x = x.copy()
-    best_obj = float(c @ x)
+    best_x = x
+    best_obj = obj = float(c @ x)
+    c_scale = 1.0 + float(np.max(np.abs(c)))
     trace = []
     it_total = 0
     stalled = False
     sigma = 0.2
+    # slacks g, Jacobian gu and dual residual rd always belong to (x, lam):
+    # an accepted trial point hands over the ones its test computed
+    gu = system.jacobian(x)
+    rd = c + system.rmatvec(gu, lam)
 
     for _ in range(max_iters):
-        g = _block_values(blocks, x)
-        gu = system.jacobian(x)
-        rd = c + system.rmatvec(gu, lam)
         gap = float(lam @ g)
-        obj = float(c @ x)
-        denom = (1.0 + float(np.max(np.abs(c)))
-                 + float(np.max(lam * system.row_scale(gu))))
+        denom = c_scale + system.dual_scale(gu, lam)
         if np.max(np.abs(rd)) <= 1e-7 * denom and gap <= 3e-7 * (1.0 + abs(obj)):
             break
 
         mu_t = max(sigma * gap / m, 1e-18 * (1.0 + abs(obj)))
         W = lam / g
-        dx = system.direction(x, lam, W, gu, c + system.rmatvec(gu, mu_t / g))
+        mu_g = mu_t / g
+        dx = system.direction(x, lam, W, gu, c + system.rmatvec(gu, mu_g))
         if dx is None:
             stalled = True
             break
-        dlam = mu_t / g - lam - W * system.matvec(gu, dx)
+        dlam = mu_g - lam - W * system.matvec(gu, dx)
 
         # equal step length, fraction-to-boundary on the multipliers,
         # then backtrack on strict slack positivity and the KKT merit
@@ -619,7 +642,8 @@ def maximize_concave_program(cp: ConcaveProgram, start,
             lt = lam + t * dlam
             gt = _block_values(blocks, xt)
             if gt.min() > 0.0 and lt.min() > 0.0:
-                rdt = c + system.rmatvec(system.jacobian(xt), lt)
+                gut = system.jacobian(xt)
+                rdt = c + system.rmatvec(gut, lt)
                 meritt = float(rdt @ rdt) + float(np.sum((lt * gt - mu_t) ** 2))
                 if meritt <= (1.0 - 1e-4 * t) * merit0 + 1e-30:
                     ok = True
@@ -628,30 +652,29 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         if not ok:
             stalled = True
             break
-        x = xt
-        lam = lt
+        x, lam, g, gu, rd = xt, lt, gt, gut, rdt
         it_total += 1
         sigma = 0.8 if t < 0.2 else (0.1 if t > 0.8 else 0.3)
-        obj_now = float(c @ x)
-        trace.append(obj_now)
-        if obj_now > best_obj:
-            best_obj = obj_now
-            best_x = x.copy()
+        obj = float(c @ x)
+        trace.append(obj)
+        if obj > best_obj:
+            best_obj = obj
+            best_x = x
 
     # prefer the final iterate (consistent multipliers) unless an earlier
     # point genuinely beat it on the true objective
-    obj_final = float(c @ x)
-    if obj_final >= best_obj - 1e-9 * max(1.0, abs(best_obj)):
-        best_x = x.copy()
-        best_obj = obj_final
+    if obj >= best_obj - 1e-9 * max(1.0, abs(best_obj)):
+        best_x = x
+        best_obj = obj
+    else:
+        g = _block_values(blocks, best_x)
+        gu = system.jacobian(best_x)
+        rd = c + system.rmatvec(gu, lam)
 
-    g_best = _block_values(blocks, best_x)
-    feas = max(0.0, float(-g_best.min()))
-    gu = system.jacobian(best_x)
-    resid = float(np.max(np.abs(c + system.rmatvec(gu, lam))))
-    denom = (1.0 + float(np.max(np.abs(c)))
-             + float(np.max(lam * system.row_scale(gu))))
-    gap = float(lam @ g_best)
+    feas = max(0.0, float(-g.min()))
+    resid = float(np.max(np.abs(rd)))
+    denom = c_scale + system.dual_scale(gu, lam)
+    gap = float(lam @ g)
     stat = max(resid / denom, gap / (1.0 + abs(best_obj)))
     ok = (not stalled) and feas <= 1e-8 and stat <= 1e-6
     return SolverReport(

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from uavrice.channel import Scenario, rate_from_gain
+from uavrice.evaluation import fit_for_scenario
 from uavrice.fading import LogisticModel
-from uavrice import planner
+from uavrice.files import bundled_scenario, load_scenario
+from uavrice import planner, solvers
 from uavrice.planner import (
     LOS_MODEL,
     Plan,
@@ -340,6 +342,44 @@ class TestTrajectoryBlocks:
         # same system as a dense factorization of the whole matrix
         _, _, step = _built_step(block, model)
         assert newton_step_gap(step.program, step.start) <= 1e-8
+
+    @pytest.mark.parametrize("block", ["horizontal", "vertical"])
+    def test_solve_evaluates_no_point_twice_in_a_row(self, block,
+                                                     monkeypatch):
+        # an accepted trial point's slacks and Jacobian carry over into the
+        # next Newton step and the final report instead of being evaluated
+        # again at the same x
+        scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+        model = fit_for_scenario(scen)
+        plan = initialize_plan(scen)
+        plan.a, _ = solve_scheduling(
+            predicted_rates(plan.q, plan.z, scen, model))
+        data = (planner._horizontal_block if block == "horizontal"
+                else planner._vertical_block)(plan, scen)
+        step = planner.build_trajectory_step(plan, scen, model, **data)
+        assert step is not None
+
+        seen = {"slacks": [], "jacobian": []}
+        values = solvers._block_values
+        jacobian = solvers._NewtonSystem.jacobian
+
+        def spy_values(blocks, x):
+            seen["slacks"].append(x.copy())
+            return values(blocks, x)
+
+        def spy_jacobian(system, x):
+            seen["jacobian"].append(x.copy())
+            return jacobian(system, x)
+
+        monkeypatch.setattr(solvers, "_block_values", spy_values)
+        monkeypatch.setattr(solvers._NewtonSystem, "jacobian", spy_jacobian)
+        rep = solvers.maximize_concave_program(step.program, step.start)
+        assert rep.status == "optimal" and rep.iterations > 10
+        for name, xs in seen.items():
+            assert len(xs) > rep.iterations, name
+            again = [i for i in range(1, len(xs))
+                     if np.array_equal(xs[i - 1], xs[i])]
+            assert not again, (name, again)
 
     def test_taut_line_leaves_no_interior(self):
         # exactly enough speed to reach the end point: every speed row is

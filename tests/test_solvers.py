@@ -6,7 +6,8 @@ complementary slackness, strong duality) for random boxed instances, whose
 optimum must also match HiGHS's interior-point method, and on
 degenerate/infeasible/unbounded cases; the barrier path is checked against
 analytic optima and a multi-start SLSQP oracle on random concave programs,
-and its structured Newton step against a dense solve.
+and its structured Newton step against a dense solve, also where the
+banded factorization needs the ridge and where no ridge helps.
 Determinism is asserted bit-for-bit.
 """
 
@@ -22,6 +23,7 @@ from uavrice.solvers import (
     QuadExpRows,
     SolverReport,
     VRatioRows,
+    _NewtonSystem,
     maximize_concave_program,
     solve_lp,
 )
@@ -330,6 +332,29 @@ class TestBarrier:
         with pytest.raises(ValueError, match="strictly feasible"):
             maximize_concave_program(cp, np.array([1.5]))
 
+    @pytest.mark.parametrize("program, start", [
+        ("disc", [np.nan, 0.0]), ("disc", [0.0, np.nan]),
+        ("disc", [np.inf, 0.0]), ("disc", [-np.inf, 0.0]),
+        # a +inf slack is not a strictly feasible start either
+        ("half_line", [np.inf]),
+        # nor is a non-finite entry where there are no rows to see it
+        ("free", [np.nan])])
+    def test_non_finite_start_rejected(self, program, start):
+        cp = {
+            "disc": ConcaveProgram(          # maximize x0, x0^2 + x1^2 <= 1
+                n_vars=2, objective=np.array([1.0, 0.0]),
+                blocks=[_quad_row_block([1.0], [[0.0, 0.0]],
+                                        [(0, 1.0, 1.0, 0, 0.0, 0, 0.0),
+                                         (0, 1.0, 1.0, 1, 0.0, 1, 0.0)])]),
+            "half_line": ConcaveProgram(     # maximize -x0, x0 >= 0
+                n_vars=1, objective=np.array([-1.0]), blocks=[],
+                lb=np.array([0.0])),
+            "free": ConcaveProgram(n_vars=1, objective=np.array([0.0]),
+                                   blocks=[]),
+        }[program]
+        with pytest.raises(ValueError, match="strictly feasible"):
+            maximize_concave_program(cp, np.array(start))
+
     def test_determinism(self):
         blk = _quad_row_block([4.0], [[-1.0, 0.2]],
                               [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])
@@ -400,6 +425,10 @@ _BARRIER_PROGRAMS = {
                                 [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])],
         lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0])),
         np.array([0.0, 0.5])),
+    # no objective column at all: nothing to eliminate, no coupling rows
+    "zero_objective": lambda: (ConcaveProgram(
+        n_vars=2, objective=np.zeros(2), blocks=[], lb=np.zeros(2),
+        ub=np.array([1.0, 3.0])), np.array([0.2, 0.5])),
     "random_11": lambda: _random_program(11),
     "random_42": lambda: _random_program(42),
     "random_90": lambda: _random_program(90),
@@ -410,3 +439,85 @@ _BARRIER_PROGRAMS = {
 def test_newton_step_matches_dense_solve(name, newton_step_gap):
     cp, start = _BARRIER_PROGRAMS[name]()
     assert newton_step_gap(cp, start) <= 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS))
+def test_dual_scale_is_largest_weighted_row_entry(name):
+    # dual_scale reads max_i lam_i * max_j |G_ij| straight off the entries
+    cp, x = _BARRIER_PROGRAMS[name]()
+    system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    gu = system.jacobian(x)
+    lam = np.random.default_rng(5).uniform(0.1, 10.0, system.m)
+    row_max = np.zeros(system.m)
+    np.maximum.at(row_max, system.urow, np.abs(gu))
+    assert system.dual_scale(gu, lam) == float(np.max(lam * row_max))
+
+
+class _SaddleRows:
+    """One constant row whose curvature term joins x[1] and x[2] by
+    w * [[1, 1 + delta], [1 + delta, 1]].  That is indefinite for
+    delta > 0, so no concave row has it; it makes the banded factor fail
+    until the ridge tau exceeds delta."""
+
+    def __init__(self, delta):
+        self.delta = delta
+        self.d = np.ones(1)
+
+    def values(self, x):
+        return self.d.copy()
+
+    def grads(self, x):
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+
+    def curvature(self, x, w):
+        off = 1.0 + self.delta
+        return (np.array([1, 2, 1, 2]), np.array([1, 2, 2, 1]),
+                w[0] * np.array([1.0, 1.0, off, off]))
+
+
+def _saddle_program(delta):
+    """maximize x0 subject to x0 <= 1, plus a saddle on (x1, x2)."""
+    rows = LinearRows(d=np.ones(1), rows=[0], cols=[0], vals=[-1.0])
+    return ConcaveProgram(n_vars=3, objective=np.array([1.0, 0.0, 0.0]),
+                          blocks=[rows, _SaddleRows(delta)])
+
+
+def test_ridge_recovers_failed_banded_factorization():
+    # tau = 0, 1e-14, 1e-12 and 1e-10 leave the saddle indefinite; 1e-8 is
+    # the first ridge under which the banded factor exists
+    cp = _saddle_program(1e-9)
+    x = np.zeros(3)
+    system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    assert (system.nb, system.nd, system.k) == (2, 1, 1)
+    lam = w = np.ones(2)
+    rhs = np.array([1.0, 0.5, -0.25])
+    step = system.direction(x, lam, w, system.jacobian(x), rhs)
+    # every diagonal entry is 1, so equilibration leaves the matrix as is
+    hess = np.array([[1.0, 0.0, 0.0],
+                     [0.0, 1.0, 1.0 + 1e-9],
+                     [0.0, 1.0 + 1e-9, 1.0]])
+    dense = np.linalg.solve(hess + 1e-8 * np.eye(3), rhs)
+    assert step is not None
+    assert np.linalg.norm(step - dense) <= 1e-6 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS) + ["saddle"])
+def test_no_direction_when_every_ridge_fails(name):
+    cp, x = ((_saddle_program(1e-9), np.zeros(3)) if name == "saddle"
+             else _BARRIER_PROGRAMS[name]())
+    system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    nan = np.full(system.m, np.nan)
+    assert system.direction(x, np.ones(system.m), nan, system.jacobian(x),
+                            cp.objective) is None
+
+
+def test_solver_stalls_without_a_direction():
+    # a saddle of depth 0.5 outlasts the largest ridge (1e-2), so the
+    # first Newton step already has no direction
+    cp = _saddle_program(0.5)
+    start = np.array([0.5, 0.0, 0.0])
+    rep = maximize_concave_program(cp, start)
+    assert rep.status == "stalled"
+    assert rep.message == "step rejected by merit backtracking"
+    assert rep.iterations == 0
+    assert np.array_equal(rep.x, start)
