@@ -1,9 +1,10 @@
 """Command-line interface: fit, plan, evaluate, and parameter sweeps.
 
 Subcommands write JSON/CSV artifacts suitable for offline plotting.  Every
-run is deterministic given its arguments: randomness flows from --seed
-(falling back to a fixed package constant, never the clock), and outputs
-are written atomically so a failure leaves no partial files.
+run is deterministic given its arguments: only ``evaluate`` draws random
+numbers, from --seed (falling back to a fixed package constant, never the
+clock), and outputs are written atomically so a failure leaves no partial
+files.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from .fading import fit_logistic, generate_regression_samples
 from .files import (db_to_linear, load_model, load_result, load_scenario,
                     model_from_json, model_to_json, plan_from_json,
                     save_json, save_model, scenario_to_config, write_outputs)
-from .planner import LOS_MODEL
+from .planner import LOS_MODEL, check_plan
 
 SWEEP_PARAMS = ("T", "vz", "eps", "kmax_db")
 
@@ -50,7 +51,6 @@ def _build_parser():
     plan.add_argument("--scheme", required=True, choices=SCHEMES)
     plan.add_argument("--out", required=True, help="result JSON output path")
     plan.add_argument("--traj", help="optional trajectory CSV output path")
-    plan.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     ev = sub.add_parser(
         "evaluate", help="Monte-Carlo outage check of a planned mission")
@@ -72,7 +72,6 @@ def _build_parser():
     sweep.add_argument("--values", required=True,
                        help="comma-separated parameter values")
     sweep.add_argument("--out", required=True, help="sweep JSON output path")
-    sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 
@@ -101,8 +100,7 @@ def _cmd_fit(args):
 def _cmd_plan(args):
     scenario = load_scenario(args.scenario)
     model = _resolve_model(scenario, args.scheme, args.model)
-    plan, report = run_scheme(args.scheme, scenario, model,
-                              seed=args.seed, simulate=False)
+    plan, report = run_scheme(args.scheme, scenario, model, simulate=False)
     write_outputs(plan, report, scenario, model,
                   result_path=args.out, traj_path=args.traj)
     print(f"plan {args.scheme}: eta_estimated={report.eta_estimated:.6f} "
@@ -115,11 +113,10 @@ def _cmd_evaluate(args):
     doc = load_result(args.plan)
     plan = plan_from_json(doc["plan"])
     model = model_from_json(doc["model"])
-    if plan.a.shape != (scenario.n_sn, scenario.n_slots):
-        raise ValueError(
-            f"plan was made for {plan.a.shape[0]} nodes x "
-            f"{plan.a.shape[1]} slots; scenario has {scenario.n_sn} x "
-            f"{scenario.n_slots}")
+    problems = check_plan(plan, scenario)
+    if problems:
+        raise ValueError(f"plan {args.plan} does not fit the scenario: "
+                         + "; ".join(problems))
     report = evaluate_plan(plan, scenario, model, scheme=doc["scheme"],
                            seed=args.seed, trials=args.trials,
                            extras=doc["extras"])
@@ -146,7 +143,7 @@ def _sweep_scenario(scenario, param, value):
     return dataclasses.replace(scenario, k_max=db_to_linear(value))
 
 
-def _sweep_row(scenario, param, value, base_model, seed):
+def _sweep_row(scenario, param, value, base_model):
     scen = _sweep_scenario(scenario, param, value)
     # eps and kmax_db change the fading law itself, so the surrogate must
     # be refit for each value; T and vz leave the channel untouched.
@@ -156,8 +153,7 @@ def _sweep_row(scenario, param, value, base_model, seed):
         model = base_model
     row = {"value": float(value), "model": model_to_json(model)}
     for scheme in ("rfb", "lb"):
-        plan, report = run_scheme(scheme, scen, model,
-                                  seed=seed, simulate=False)
+        plan, report = run_scheme(scheme, scen, model, simulate=False)
         row[scheme] = {
             "eta_estimated": report.eta_estimated,
             "eta_achieved": report.eta_achieved,
@@ -180,13 +176,12 @@ def _cmd_sweep(args):
     if args.param not in ("eps", "kmax_db") and base_model is None:
         base_model = fit_for_scenario(scenario)
 
-    rows = [_sweep_row(scenario, args.param, v, base_model, args.seed)
-            for v in values]
+    rows = [_sweep_row(scenario, args.param, v, base_model) for v in values]
 
     doc = {
         "kind": "sweep",
         "param": args.param,
-        "seed": args.seed,
+        "seed": DEFAULT_SEED,
         "scenario": scenario_to_config(scenario),
         "rows": rows,
     }

@@ -1,22 +1,26 @@
 """Scenario/model/result files and trajectory CSV output.
 
-Scenario files keep channel quantities in their customary dB units and
-geometry in SI; conversion to linear units happens exactly once, at load.
-All writers are atomic (temp file + rename in the target directory), so a
-failing run never leaves a partial output behind, and serialization is
-canonical (sorted keys, repr-shortest floats) so identical inputs give
-byte-identical files.
+Each document has one field table (key, attribute, reader, unit conversion
+both ways) from which its loader, writer and key lists derive.  Channel
+quantities keep their customary dB units in files and become linear once,
+at load.  No document may hold NaN or an infinity.  All writers are atomic
+(temp file + rename), and serialization is canonical (sorted keys,
+repr-shortest floats), so identical inputs give byte-identical files.
 """
 
 import json
 import math
 import os
 import tempfile
+from dataclasses import fields
+from functools import partial
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import Scenario
+from .evaluation import SCHEMES, EvalReport
 from .fading import LogisticModel
 from .planner import Plan
 
@@ -69,140 +73,169 @@ def save_json(path, obj):
 
 
 def _load_json(path, what):
+    """Parse a document, refusing NaN, Infinity and overflowing literals."""
+    def finite(token):
+        val = float(token)
+        if not math.isfinite(val):
+            raise FileFormatError(f"{what} file {path}: non-finite number "
+                                  f"{token}")
+        return val
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise FileFormatError(f"{what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{what} file {path}: invalid JSON "
                               f"({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{what}: top level must be a JSON object")
-    return doc
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# field readers (a JSON value and its dotted path) and field tables
 # ---------------------------------------------------------------------------
 
-def _want_number(doc, path, key, minimum=None):
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise FileFormatError(f"{path}.{key}: expected a number")
-    val = float(val)
-    if minimum is not None and val < minimum:
-        raise FileFormatError(f"{path}.{key}: must be >= {minimum}")
+def _object(val, path):
+    if not isinstance(val, dict):
+        raise FileFormatError(f"{path}: expected an object")
     return val
 
 
-def _want_int(doc, path, key, minimum=None):
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise FileFormatError(f"{path}.{key}: expected an integer")
-    if minimum is not None and val < minimum:
-        raise FileFormatError(f"{path}.{key}: must be >= {minimum}")
-    return int(val)
+def _choice(val, path, options):
+    if val not in options:
+        raise FileFormatError(f"{path}: {val!r} is not one of {options}")
+    return val
 
 
-def _want_pair(doc, path, key):
-    val = doc[key]
-    if (not isinstance(val, list) or len(val) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in val)):
-        raise FileFormatError(f"{path}.{key}: expected [x, y] numbers")
-    return [float(v) for v in val]
+def _array(val, path, ndim, integer=False):
+    """ndim-deep lists of finite numbers (or integers) as an array or, for
+    ndim = 0, a Python number."""
+    kind = int if integer else (int, float)
+    arr = np.array(val, dtype=object)
+    if arr.ndim != ndim or not all(
+            isinstance(v, kind) and not isinstance(v, bool)
+            and math.isfinite(v) for v in arr.flat):
+        what = "integer" if integer else "finite number"
+        raise FileFormatError(f"{path}: expected {'list[' * ndim}{what}"
+                              f"{']' * ndim}")
+    arr = arr.astype(np.int64 if integer else float)
+    return arr if ndim else arr.item()
 
 
-def _check_fields(doc, path, required, optional=()):
-    for key in doc:
-        if key not in required and key not in optional:
+_number = partial(_array, ndim=0)
+_int = partial(_array, ndim=0, integer=True)
+_vector = partial(_array, ndim=1)
+_matrix = partial(_array, ndim=2)
+_counts = partial(_array, ndim=1, integer=True)
+
+
+def _pair(val, path):
+    if not isinstance(val, list) or len(val) != 2:
+        raise FileFormatError(f"{path}: expected [x, y] numbers")
+    return _vector(val, path)
+
+
+def _power(val, path):
+    """Transmit power: one value for every node, or a list of them."""
+    return _vector(val, path) if isinstance(val, list) else _number(val, path)
+
+
+def _same(x):
+    return x
+
+
+def _plain(x):
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+class _Field(NamedTuple):
+    """A document key, the attribute it fills, its JSON reader and its units
+    (into the attribute, back into the document; no writer: only read)."""
+
+    key: str
+    attr: str
+    read: Callable
+    unit: tuple = (_same, _plain)
+    required: bool = True
+
+
+def _read(table, doc, path):
+    """{attribute: value} of every field present, after checking the keys."""
+    for key in _object(doc, path):
+        if key not in {f.key for f in table}:
             raise FileFormatError(f"{path}.{key}: unknown field")
-    for key in required:
-        if key not in doc:
-            raise FileFormatError(f"{path}.{key}: missing required field")
+    for f in table:
+        if f.required and f.key not in doc:
+            raise FileFormatError(f"{path}.{f.key}: missing required field")
+    return {f.attr: f.unit[0](f.read(doc[f.key], f"{path}.{f.key}"))
+            for f in table if f.key in doc}
+
+
+def _write(table, values):
+    """Document of every field that has a writer and a value."""
+    return {f.key: f.unit[1](values[f.attr]) for f in table
+            if f.unit[1] is not None and values[f.attr] is not None}
+
+
+def _build(cls, values, path):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # scenario documents
 # ---------------------------------------------------------------------------
 
-_SCENARIO_REQUIRED = (
-    "q0_m", "qf_m", "z0_m", "zf_m", "duration_s", "n_slots", "vxy_mps",
-    "vz_mps", "h_min_m", "p_tx_w", "beta0_db", "alpha", "sigma2_dbm",
-    "gamma_db", "kmin_db", "kmax_db", "epsilon",
+_PLACEMENT = (
+    _Field("count", "count", _int),
+    _Field("area_m", "area", _pair),
+    _Field("seed", "seed", _int),
 )
-_SCENARIO_OPTIONAL = ("sn_positions_m", "sn_placement", "n_blocks")
 
 
-def scenario_from_config(doc):
+def _placement(val, path):
+    """Node coordinates drawn uniformly over [0, area_m] from the seed."""
+    gen = _read(_PLACEMENT, val, path)
+    if gen["count"] < 1 or gen["seed"] < 0:
+        raise FileFormatError(f"{path}: count must be >= 1 and seed >= 0")
+    rng = np.random.default_rng(gen["seed"])
+    return rng.uniform([0.0, 0.0], gen["area"], (gen["count"], 2))
+
+
+_SCENARIO = (
+    _Field("sn_positions_m", "sn_positions", _matrix, required=False),
+    _Field("sn_placement", "sn_positions", _placement, (_same, None), False),
+    _Field("q0_m", "q0", _pair),
+    _Field("qf_m", "qf", _pair),
+    _Field("z0_m", "z0", _number),
+    _Field("zf_m", "zf", _number),
+    _Field("duration_s", "duration_s", _number),
+    _Field("n_slots", "n_slots", _int),
+    _Field("vxy_mps", "vxy", _number),
+    _Field("vz_mps", "vz", _number),
+    _Field("h_min_m", "h_min", _number),
+    _Field("p_tx_w", "p_tx", _power),
+    _Field("beta0_db", "beta0", _number, (db_to_linear, linear_to_db)),
+    _Field("alpha", "alpha", _number),
+    _Field("sigma2_dbm", "sigma2", _number, (dbm_to_watt, watt_to_dbm)),
+    _Field("gamma_db", "snr_gap", _number, (db_to_linear, linear_to_db)),
+    _Field("kmin_db", "k_min", _number, (db_to_linear, linear_to_db)),
+    _Field("kmax_db", "k_max", _number, (db_to_linear, linear_to_db)),
+    _Field("epsilon", "epsilon", _number),
+    _Field("n_blocks", "n_blocks", _int, required=False),
+)
+
+
+def scenario_from_config(doc, path="scenario"):
     """Validate a scenario document and build the in-memory Scenario."""
-    _check_fields(doc, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
-
-    has_pos = "sn_positions_m" in doc
-    has_gen = "sn_placement" in doc
-    if has_pos == has_gen:
-        raise FileFormatError(
-            "scenario: exactly one of sn_positions_m and sn_placement "
-            "is required")
-    if has_pos:
-        raw = doc["sn_positions_m"]
-        if not isinstance(raw, list) or not raw:
-            raise FileFormatError(
-                "scenario.sn_positions_m: expected a non-empty list of "
-                "[x, y] pairs")
-        positions = [_want_pair({"p": p}, "scenario.sn_positions_m", "p")
-                     for p in raw]
-    else:
-        gen = doc["sn_placement"]
-        if not isinstance(gen, dict):
-            raise FileFormatError("scenario.sn_placement: expected an object")
-        _check_fields(gen, "scenario.sn_placement",
-                      ("count", "area_m", "seed"))
-        count = _want_int(gen, "scenario.sn_placement", "count", minimum=1)
-        area = _want_pair(gen, "scenario.sn_placement", "area_m")
-        seed = _want_int(gen, "scenario.sn_placement", "seed", minimum=0)
-        rng = np.random.default_rng(seed)
-        positions = rng.uniform([0.0, 0.0], area, (count, 2)).tolist()
-
-    kmin_db = _want_number(doc, "scenario", "kmin_db")
-    kmax_db = _want_number(doc, "scenario", "kmax_db")
-    if kmin_db > kmax_db:
-        raise FileFormatError("scenario.kmin_db: must not exceed kmax_db")
-
-    p_tx = doc["p_tx_w"]
-    if isinstance(p_tx, list):
-        p_tx = [_want_number({"p": p}, "scenario.p_tx_w", "p") for p in p_tx]
-    else:
-        p_tx = _want_number(doc, "scenario", "p_tx_w")
-
-    try:
-        return Scenario(
-            sn_positions=positions,
-            q0=_want_pair(doc, "scenario", "q0_m"),
-            qf=_want_pair(doc, "scenario", "qf_m"),
-            z0=_want_number(doc, "scenario", "z0_m"),
-            zf=_want_number(doc, "scenario", "zf_m"),
-            duration_s=_want_number(doc, "scenario", "duration_s"),
-            n_slots=_want_int(doc, "scenario", "n_slots", minimum=1),
-            vxy=_want_number(doc, "scenario", "vxy_mps", minimum=0.0),
-            vz=_want_number(doc, "scenario", "vz_mps", minimum=0.0),
-            h_min=_want_number(doc, "scenario", "h_min_m"),
-            p_tx=p_tx,
-            beta0=db_to_linear(_want_number(doc, "scenario", "beta0_db")),
-            alpha=_want_number(doc, "scenario", "alpha"),
-            sigma2=dbm_to_watt(_want_number(doc, "scenario", "sigma2_dbm")),
-            snr_gap=db_to_linear(_want_number(doc, "scenario", "gamma_db")),
-            k_min=db_to_linear(kmin_db),
-            k_max=db_to_linear(kmax_db),
-            epsilon=_want_number(doc, "scenario", "epsilon"),
-            n_blocks=_want_int(doc, "scenario", "n_blocks", minimum=1)
-            if "n_blocks" in doc else 2,
-        )
-    except ValueError as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError(f"scenario: {exc}") from exc
+    if ("sn_positions_m" in _object(doc, path)) == ("sn_placement" in doc):
+        raise FileFormatError(f"{path}: exactly one of sn_positions_m and "
+                              f"sn_placement is required")
+    values = _read(_SCENARIO, doc, path)
+    if values["k_min"] > values["k_max"]:
+        raise FileFormatError(f"{path}.kmin_db: must not exceed kmax_db")
+    return _build(Scenario, values, path)
 
 
 def load_scenario(path):
@@ -211,27 +244,7 @@ def load_scenario(path):
 
 def scenario_to_config(scenario):
     """Resolved scenario document (placement expanded to coordinates)."""
-    return {
-        "sn_positions_m": scenario.sn_positions.tolist(),
-        "q0_m": scenario.q0.tolist(),
-        "qf_m": scenario.qf.tolist(),
-        "z0_m": scenario.z0,
-        "zf_m": scenario.zf,
-        "duration_s": scenario.duration_s,
-        "n_slots": scenario.n_slots,
-        "vxy_mps": scenario.vxy,
-        "vz_mps": scenario.vz,
-        "h_min_m": scenario.h_min,
-        "p_tx_w": scenario.p_tx.tolist(),
-        "beta0_db": linear_to_db(scenario.beta0),
-        "alpha": scenario.alpha,
-        "sigma2_dbm": watt_to_dbm(scenario.sigma2),
-        "gamma_db": linear_to_db(scenario.snr_gap),
-        "kmin_db": linear_to_db(scenario.k_min),
-        "kmax_db": linear_to_db(scenario.k_max),
-        "epsilon": scenario.epsilon,
-        "n_blocks": scenario.n_blocks,
-    }
+    return _write(_SCENARIO, vars(scenario))
 
 
 def bundled_scenario(name):
@@ -243,42 +256,25 @@ def bundled_scenario(name):
 # fitted-model documents
 # ---------------------------------------------------------------------------
 
-_MODEL_REQUIRED = ("b1", "b2", "c1", "c2")
-_MODEL_OPTIONAL = ("rmse", "kmin_db", "kmax_db", "epsilon", "grid")
+_MODEL = (
+    _Field("b1", "b1", _number),
+    _Field("b2", "b2", _number),
+    _Field("c1", "c1", _number),
+    _Field("c2", "c2", _number),
+    _Field("rmse", "rmse", _number, required=False),
+    _Field("kmin_db", "k_min", _number, (db_to_linear, linear_to_db), False),
+    _Field("kmax_db", "k_max", _number, (db_to_linear, linear_to_db), False),
+    _Field("epsilon", "epsilon", _number, required=False),
+    _Field("grid", "grid", _int, required=False),
+)
 
 
 def model_to_json(model):
-    out = {"b1": model.b1, "b2": model.b2, "c1": model.c1, "c2": model.c2}
-    if model.rmse is not None:
-        out["rmse"] = model.rmse
-    if model.k_min is not None:
-        out["kmin_db"] = linear_to_db(model.k_min)
-    if model.k_max is not None:
-        out["kmax_db"] = linear_to_db(model.k_max)
-    if model.epsilon is not None:
-        out["epsilon"] = model.epsilon
-    if model.grid is not None:
-        out["grid"] = model.grid
-    return out
+    return _write(_MODEL, vars(model))
 
 
-def model_from_json(doc):
-    _check_fields(doc, "model", _MODEL_REQUIRED, _MODEL_OPTIONAL)
-    kwargs = {k: _want_number(doc, "model", k) for k in _MODEL_REQUIRED}
-    if "rmse" in doc:
-        kwargs["rmse"] = _want_number(doc, "model", "rmse")
-    if "kmin_db" in doc:
-        kwargs["k_min"] = db_to_linear(_want_number(doc, "model", "kmin_db"))
-    if "kmax_db" in doc:
-        kwargs["k_max"] = db_to_linear(_want_number(doc, "model", "kmax_db"))
-    if "epsilon" in doc:
-        kwargs["epsilon"] = _want_number(doc, "model", "epsilon")
-    if "grid" in doc:
-        kwargs["grid"] = _want_int(doc, "model", "grid")
-    try:
-        return LogisticModel(**kwargs)
-    except ValueError as exc:
-        raise FileFormatError(f"model: {exc}") from exc
+def model_from_json(doc, path="model"):
+    return _build(LogisticModel, _read(_MODEL, doc, path), path)
 
 
 def save_model(path, model):
@@ -293,53 +289,56 @@ def load_model(path):
 # result documents (plan + evaluation report)
 # ---------------------------------------------------------------------------
 
-_RESULT_REQUIRED = (
-    "kind", "scheme", "seed", "trials", "n_blocks", "eta_estimated",
-    "eta_achieved", "owners", "rates_est_bpshz", "rates_exact_bpshz",
-    "outage_freq", "outage_samples", "extras", "plan", "model", "scenario",
+_PLAN = (
+    _Field("q_m", "q", _matrix),
+    _Field("z_m", "z", _vector),
+    _Field("a", "a", _matrix),
+)
+
+
+def plan_from_json(doc, path="result.plan"):
+    return _build(Plan, _read(_PLAN, doc, path), path)
+
+
+_RESULT = (
+    _Field("kind", "kind", partial(_choice,
+                                   options=("plan_result", "evaluation"))),
+    _Field("scheme", "scheme", partial(_choice, options=SCHEMES)),
+    _Field("seed", "seed", _int),
+    _Field("trials", "trials", _int),
+    _Field("n_blocks", "n_blocks", _int),
+    _Field("eta_estimated", "eta_estimated", _number),
+    _Field("eta_achieved", "eta_achieved", _number),
+    _Field("owners", "owners", _counts),
+    _Field("rates_est_bpshz", "rates_est", _vector),
+    _Field("rates_exact_bpshz", "rates_exact", _vector),
+    _Field("outage_freq", "outage_freq", _vector),
+    _Field("outage_samples", "outage_samples", _counts),
+    _Field("extras", "extras", _object),
+    _Field("plan", "plan", plan_from_json,
+           (_same, lambda plan: _write(_PLAN, vars(plan)))),
+    _Field("model", "model", model_from_json, (_same, model_to_json)),
+    _Field("scenario", "scenario", scenario_from_config,
+           (_same, scenario_to_config)),
 )
 
 
 def result_to_json(plan, report, scenario, model, kind="plan_result"):
     """Full result document: objectives, schedule, plan geometry, and the
     resolved configuration that produced them (audit trail)."""
-    return {
-        "kind": kind,
-        "scheme": report.scheme,
-        "seed": report.seed,
-        "trials": report.trials,
-        "n_blocks": report.n_blocks,
-        "eta_estimated": report.eta_estimated,
-        "eta_achieved": report.eta_achieved,
-        "owners": report.owners.tolist(),
-        "rates_est_bpshz": report.rates_est.tolist(),
-        "rates_exact_bpshz": report.rates_exact.tolist(),
-        "outage_freq": report.outage_freq.tolist(),
-        "outage_samples": report.outage_samples.tolist(),
-        "extras": report.extras,
-        "plan": {"q_m": plan.q.tolist(), "z_m": plan.z.tolist(),
-                 "a": plan.a.tolist()},
-        "model": model_to_json(model),
-        "scenario": scenario_to_config(scenario),
-    }
+    return _write(_RESULT, dict(vars(report), kind=kind, plan=plan,
+                                model=model, scenario=scenario))
 
 
 def load_result(path):
+    """Check every field of a result document; returns the document."""
     doc = _load_json(path, "result")
-    _check_fields(doc, "result", _RESULT_REQUIRED)
-    if doc["kind"] not in ("plan_result", "evaluation"):
-        raise FileFormatError(f"result.kind: unknown kind {doc['kind']!r}")
+    values = _read(_RESULT, doc, "result")
+    report = _build(EvalReport, {f.name: values[f.name]
+                                 for f in fields(EvalReport)}, "result")
+    if report.owners.size != values["plan"].n_slots:
+        raise FileFormatError("result.owners: needs one entry per plan slot")
     return doc
-
-
-def plan_from_json(doc):
-    _check_fields(doc, "result.plan", ("q_m", "z_m", "a"))
-    try:
-        return Plan(q=np.asarray(doc["q_m"], dtype=float),
-                    z=np.asarray(doc["z_m"], dtype=float),
-                    a=np.asarray(doc["a"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"result.plan: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

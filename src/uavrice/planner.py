@@ -64,6 +64,47 @@ class Plan:
         return Plan(q=self.q.copy(), z=self.z.copy(), a=self.a.copy())
 
 
+#: tolerance of check_plan, relative to each limit (or to 1 when smaller)
+PLAN_RTOL = 1e-6
+
+
+def check_plan(plan: Plan, scenario: Scenario):
+    """Worst violation of each feasibility constraint: one message per
+    violated constraint, none when the plan fits the scenario.
+
+    The constraints are the (N, M) activity shape, finite values, activity
+    in [0, 1] with each slot's column sum at most 1, the horizontal step
+    limit sxy, the climb limit sz, the altitude floor h_min and the pinned
+    endpoints.
+    """
+    want = (scenario.n_sn, scenario.n_slots)
+    if plan.a.shape != want:
+        return [f"plan was made for {plan.a.shape[0]} nodes x "
+                f"{plan.a.shape[1]} slots; scenario has {want[0]} x "
+                f"{want[1]}"]
+    if not all(np.isfinite(x).all() for x in (plan.q, plan.z, plan.a)):
+        return ["plan holds non-finite values"]
+    pins = np.concatenate([scenario.q0, scenario.qf,
+                           [scenario.z0, scenario.zf]])
+    ends = np.concatenate([plan.q[0], plan.q[-1], plan.z[[0, -1]]])
+    worst = {  # constraint: (worst excess over its limit, the limit)
+        "activity outside [0, 1]":
+            (max(-plan.a.min(), plan.a.max() - 1.0), 1.0),
+        "slot activity sum above 1": (plan.a.sum(axis=0).max() - 1.0, 1.0),
+        "horizontal step above sxy":
+            (np.linalg.norm(np.diff(plan.q, axis=0), axis=1).max()
+             - scenario.sxy, scenario.sxy),
+        "climb above sz":
+            (np.abs(np.diff(plan.z)).max() - scenario.sz, scenario.sz),
+        "altitude below h_min":
+            (scenario.h_min - plan.z.min(), scenario.h_min),
+        "endpoint off its pin":
+            (np.abs(ends - pins).max(), np.abs(pins).max()),
+    }
+    return [f"{name} by {excess:.9g}" for name, (excess, limit)
+            in worst.items() if excess > PLAN_RTOL * max(limit, 1.0)]
+
+
 def slot_geometry(q, z, scenario: Scenario):
     """Squared distance and elevation indicator per (node, slot), each of
     shape (N, M): slot m sits at waypoint m.  Raises when a slot comes

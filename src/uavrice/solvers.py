@@ -607,7 +607,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     c_scale = 1.0 + float(np.max(np.abs(c)))
     trace = []
     it_total = 0
-    stalled = False
+    stall = ""             # why the loop stopped short, if it did
     sigma = 0.2
     # slacks g, Jacobian gu and dual residual rd always belong to (x, lam):
     # an accepted trial point hands over the ones its test computed
@@ -625,7 +625,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         mu_g = mu_t / g
         dx = system.direction(x, lam, W, gu, c + system.rmatvec(gu, mu_g))
         if dx is None:
-            stalled = True
+            stall = "no Newton direction under any ridge"
             break
         dlam = mu_g - lam - W * system.matvec(gu, dx)
 
@@ -650,7 +650,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
                     break
             t *= 0.5
         if not ok:
-            stalled = True
+            stall = "step rejected by merit backtracking"
             break
         x, lam, g, gu, rd = xt, lt, gt, gut, rdt
         it_total += 1
@@ -676,11 +676,9 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     denom = c_scale + system.dual_scale(gu, lam)
     gap = float(lam @ g)
     stat = max(resid / denom, gap / (1.0 + abs(best_obj)))
-    ok = (not stalled) and feas <= 1e-8 and stat <= 1e-6
+    ok = not stall and feas <= 1e-8 and stat <= 1e-6
     return SolverReport(
         x=best_x, objective=best_obj, feasibility=feas, stationarity=stat,
         iterations=it_total, status="optimal" if ok else "stalled",
-        message="" if ok else
-        ("step rejected by merit backtracking" if stalled else
-         "tolerances not met"),
+        message="" if ok else (stall or "tolerances not met"),
         trace=tuple(trace))

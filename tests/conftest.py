@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from uavrice.solvers import _NewtonSystem
+
+# property tests draw the same 50 examples on every run and keep no
+# database, so the suite stays deterministic and quick
+settings.register_profile("uavrice", derandomize=True, database=None,
+                          deadline=None, max_examples=50)
+settings.load_profile("uavrice")
 
 
 def _newton_step_gap(cp, x):

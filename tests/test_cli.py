@@ -7,6 +7,7 @@ fast.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +159,68 @@ class TestPlanAndEvaluate:
                     "--out", str(out)]) == 1
         assert "slots" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("path, value, reason", [
+        (("plan", "a", 0, 2), 7.0, "activity outside [0, 1] by 6"),
+        (("plan", "q_m", 3, 0), 5000.0, "horizontal step above sxy"),
+        (("plan", "z_m", 4), 98.5, "altitude below h_min by 1.5"),
+        (("scheme",), {"name": "lb"}, "result.scheme"),
+    ], ids=["activity-7", "5km-jump", "under-floor", "scheme-object"])
+    def test_evaluate_refuses_a_hand_edited_plan(self, scen_path, tmp_path,
+                                                 capsys, path, value, reason):
+        planned = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "lb",
+                    "--out", str(planned)]) == 0
+        doc = json.loads(planned.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        planned.write_text(dump_json(doc))
+        out, traj = tmp_path / "e.json", tmp_path / "e.csv"
+        assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                    str(planned), "--trials", "10000", "--out", str(out),
+                    "--traj", str(traj)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists() and not traj.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("duration_s", "NaN"), ("vxy_mps", "Infinity"),
+        ("beta0_db", "NaN"), ("kmax_db", "1e999"),
+    ])
+    def test_plan_refuses_a_non_finite_scenario(self, scen_path, tmp_path,
+                                                capsys, key, value):
+        doc = json.loads(scen_path.read_text())
+        doc[key] = "@"
+        scen_path.write_text(dump_json(doc).replace('"@"', value))
+        out = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "lb",
+                    "--out", str(out)]) == 1
+        assert f"non-finite number {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_refuses_a_non_finite_model(self, scen_path, model_path,
+                                             tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["b1"] = math.nan
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model_path), "--scheme", "rfb",
+                    "--out", str(out)]) == 1
+        assert "non-finite number NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_only_evaluate_takes_a_seed(self, scen_path, tmp_path, capsys,
+                                        command):
+        extra = (["--scheme", "lb"] if command == "plan" else
+                 ["--param", "vz", "--values", "20"])
+        assert cli([command, "--scenario", str(scen_path), *extra,
+                    "--seed", "3", "--out", str(tmp_path / "x.json")]) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -6,9 +6,12 @@ against an independently constructed generator stream.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavrice import files
 from uavrice.evaluation import EvalReport, evaluate_plan
@@ -208,6 +211,33 @@ class TestResultDocuments:
         with pytest.raises(FileFormatError, match="kind"):
             load_result(path)
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d.update(scheme={"x": 1}), r"result\.scheme"),
+        (lambda d: d.update(kind=["plan_result"]), r"result\.kind"),
+        (lambda d: d.update(extras=[1, 2]), r"result\.extras"),
+        (lambda d: d.update(seed=1.5), r"result\.seed"),
+        (lambda d: d["rates_exact_bpshz"].pop(), "one entry per slot"),
+        (lambda d: d["outage_samples"].__setitem__(0, 0.5),
+         r"result\.outage_samples"),
+        (lambda d: [d[k].pop() for k in ("owners", "rates_est_bpshz",
+                                         "rates_exact_bpshz", "outage_freq",
+                                         "outage_samples")],
+         r"result\.owners: needs one entry per plan slot"),
+        (lambda d: d["plan"]["a"][0].__setitem__(0, "0.5"),
+         r"result\.plan\.a"),
+        (lambda d: d["model"].update(b2=True), r"result\.model\.b2"),
+        (lambda d: d["scenario"].pop("epsilon"), r"result\.scenario\.epsilon"),
+    ])
+    def test_each_field_is_type_checked_on_load(self, tmp_path, edit, where):
+        plan, report, scen = self._small_result()
+        doc = json.loads(dump_json(result_to_json(plan, report, scen,
+                                                  LOS_MODEL)))
+        edit(doc)
+        path = tmp_path / "result.json"
+        path.write_text(dump_json(doc))
+        with pytest.raises(FileFormatError, match=where):
+            load_result(path)
+
     def test_saved_result_loads_identically(self, tmp_path):
         plan, report, scen = self._small_result()
         path = tmp_path / "result.json"
@@ -264,3 +294,142 @@ class TestTrajectoryCsv:
         write_outputs(plan, report, scen, LOS_MODEL, traj_path=p1)
         write_outputs(plan, report, scen, LOS_MODEL, traj_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers and schema properties
+# ---------------------------------------------------------------------------
+
+_DB_KEYS = {"beta0_db", "sigma2_dbm", "gamma_db", "kmin_db", "kmax_db"}
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Valid scenario documents in the form the writer produces."""
+    nodes = draw(st.lists(st.lists(_finite(-1e3, 1e3), min_size=2,
+                                   max_size=2), min_size=1, max_size=4))
+    duration = draw(_finite(1.0, 100.0))
+    vxy, vz = draw(_finite(0.0, 100.0)), draw(_finite(0.0, 30.0))
+    h_min = draw(_finite(1.0, 200.0))
+    q0 = [draw(_finite(-1e3, 1e3)), draw(_finite(-1e3, 1e3))]
+    reach = 0.99 * vxy * duration * draw(_finite(0.0, 1.0))
+    heading = draw(_finite(0.0, 2.0 * math.pi))
+    z0 = h_min + draw(_finite(0.0, 100.0))
+    kmin_db = draw(_finite(-10.0, 20.0))
+    return {
+        "sn_positions_m": nodes, "q0_m": q0,
+        "qf_m": [q0[0] + reach * math.cos(heading),
+                 q0[1] + reach * math.sin(heading)],
+        "z0_m": z0, "zf_m": z0 + 0.99 * vz * duration * draw(_finite(0, 1)),
+        "duration_s": duration, "n_slots": draw(st.integers(1, 200)),
+        "vxy_mps": vxy, "vz_mps": vz, "h_min_m": h_min,
+        "p_tx_w": draw(st.lists(_finite(1e-3, 10.0), min_size=len(nodes),
+                                max_size=len(nodes))),
+        "beta0_db": draw(_finite(-90.0, -30.0)),
+        "alpha": draw(_finite(2.0, 6.0)),
+        "sigma2_dbm": draw(_finite(-130.0, -80.0)),
+        "gamma_db": draw(_finite(0.0, 15.0)),
+        "kmin_db": kmin_db, "kmax_db": kmin_db + draw(_finite(0.0, 30.0)),
+        "epsilon": draw(_finite(1e-4, 0.1)),
+        "n_blocks": draw(st.integers(1, 8)),
+    }
+
+
+@st.composite
+def model_docs(draw):
+    """Valid model documents, each optional field present or not."""
+    c1 = draw(_finite(0.0, 1.0))
+    doc = {"b1": draw(_finite(-20.0, 20.0)), "b2": draw(_finite(0.0, 20.0)),
+           "c1": c1, "c2": 1.0 - c1}
+    optional = {"rmse": _finite(0.0, 1.0), "kmin_db": _finite(-10.0, 20.0),
+                "kmax_db": _finite(20.0, 40.0),
+                "epsilon": _finite(1e-4, 0.1), "grid": st.integers(2, 1000)}
+    for key in draw(st.sets(st.sampled_from(sorted(optional)))):
+        doc[key] = draw(optional[key])
+    return doc
+
+
+def _assert_same_document(back, doc):
+    # dB fields pass through 10^(x/10) and back, so they match to rounding
+    assert back.keys() == doc.keys()
+    for key, val in doc.items():
+        if key in _DB_KEYS:
+            assert back[key] == pytest.approx(val, rel=1e-12, abs=1e-12)
+        else:
+            assert back[key] == val
+
+
+def _number_paths(doc, path=()):
+    """Path of every number in a document (all its leaves are numbers)."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [p for k, v in items for p in _number_paths(v, path + (k,))]
+    return [path]
+
+
+def _replace(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestSchemaProperties:
+    @given(scenario_docs())
+    def test_scenario_documents_round_trip(self, doc):
+        _assert_same_document(scenario_to_config(scenario_from_config(doc)),
+                              doc)
+
+    @given(model_docs())
+    def test_model_documents_round_trip(self, doc):
+        _assert_same_document(model_to_json(model_from_json(doc)), doc)
+
+    @given(st.data(), _NON_FINITE)
+    def test_non_finite_scenario_number_is_rejected(self, data, bad):
+        doc = data.draw(scenario_docs())
+        path = data.draw(st.sampled_from(_number_paths(doc)))
+        _replace(doc, path, bad)
+        with pytest.raises(FileFormatError, match=rf"scenario\.{path[0]}"):
+            scenario_from_config(doc)
+
+    @given(st.data(), _NON_FINITE)
+    def test_non_finite_model_number_is_rejected(self, data, bad):
+        doc = data.draw(model_docs())
+        key = data.draw(st.sampled_from(sorted(doc)))
+        doc[key] = bad
+        with pytest.raises(FileFormatError, match=rf"model\.{key}"):
+            model_from_json(doc)
+
+
+class TestNonFiniteFiles:
+    @pytest.mark.parametrize("key, text, token", [
+        ("duration_s", "NaN", "NaN"), ("q0_m", "[NaN, 0.0]", "NaN"),
+        ("vxy_mps", "Infinity", "Infinity"), ("beta0_db", "NaN", "NaN"),
+        ("kmin_db", "-Infinity", "-Infinity"), ("kmax_db", "1e999", "1e999"),
+    ])
+    def test_scenario_file(self, tmp_path, key, text, token):
+        path = tmp_path / "scen.json"
+        path.write_text(dump_json(_config(**{key: "@"})).replace('"@"', text))
+        with pytest.raises(FileFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == (f"scenario file {path}: non-finite "
+                                  f"number {token}")
+
+    @pytest.mark.parametrize("key", ["b1", "b2"])
+    def test_model_file(self, tmp_path, key):
+        doc = model_to_json(LogisticModel(b1=-4.1, b2=5.8, c1=0.2, c2=0.8))
+        doc[key] = math.nan
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="non-finite number NaN"):
+            load_model(path)
+
+    def test_writers_refuse_what_readers_refuse(self):
+        with pytest.raises(ValueError):
+            dump_json({"x": math.inf})

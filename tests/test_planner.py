@@ -20,6 +20,7 @@ from uavrice import planner, solvers
 from uavrice.planner import (
     LOS_MODEL,
     Plan,
+    check_plan,
     initialize_plan,
     max_min_rate,
     predicted_rates,
@@ -531,3 +532,53 @@ class TestOuterLoop:
         assert max_min_rate(plan.a, rates) == pytest.approx(want, rel=1e-12)
         with pytest.raises(ValueError):
             Plan(q=plan.q, z=plan.z[:-1], a=plan.a)
+
+
+class TestCheckPlan:
+    def _plan(self):
+        scen = _scenario([[150.0, 40.0], [200.0, -60.0]])
+        return initialize_plan(scen), scen
+
+    def test_feasible_plan_passes(self):
+        plan, scen = self._plan()
+        assert check_plan(plan, scen) == []
+        # a planned mission sits on its limits, within the tolerance
+        planned, _ = run_bcd(scen, FIT)
+        assert check_plan(planned, scen) == []
+
+    def test_shape_mismatch_names_the_slots(self):
+        plan, scen = self._plan()
+        other = dataclasses.replace(scen, n_slots=16, duration_s=16.0)
+        (problem,) = check_plan(plan, other)
+        assert "8 slots" in problem and "2 x 16" in problem
+
+    def test_non_finite_values_are_named(self):
+        plan, scen = self._plan()
+        plan.z[3] = math.nan
+        assert check_plan(plan, scen) == ["plan holds non-finite values"]
+
+    @pytest.mark.parametrize("attr, index, value, name, excess", [
+        ("a", (0, 2), 7.0, "activity outside", 6.0),
+        ("a", (0, 2), -0.25, "activity outside", 0.25),
+        ("a", (slice(None), 2), 0.75, "slot activity sum", 0.5),
+        ("q", (3, 1), 5000.0, "horizontal step above sxy", None),
+        ("z", 4, 98.5, "altitude below h_min", 1.5),
+        ("z", 4, 130.0, "climb above sz", 10.0),
+        ("q", (-1, 0), 301.0, "endpoint off its pin", 1.0),
+    ])
+    def test_each_violation_reports_its_worst_case(self, attr, index, value,
+                                                   name, excess):
+        plan, scen = self._plan()
+        getattr(plan, attr)[index] = value
+        (hit,) = [p for p in check_plan(plan, scen) if p.startswith(name)]
+        if excess is not None:
+            assert float(hit.rsplit(" ", 1)[1]) == pytest.approx(excess)
+
+    def test_violation_within_the_relative_tolerance_passes(self):
+        plan, scen = self._plan()
+        plan.z[4] = scen.h_min * (1.0 - 0.5 * planner.PLAN_RTOL)
+        plan.a[:, 2] = 0.5 * (1.0 + 0.5 * planner.PLAN_RTOL)
+        assert check_plan(plan, scen) == []
+        plan.z[4] = scen.h_min * (1.0 - 2.0 * planner.PLAN_RTOL)
+        assert [p.split(" by ")[0] for p in check_plan(plan, scen)] == [
+            "altitude below h_min"]

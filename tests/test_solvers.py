@@ -518,6 +518,6 @@ def test_solver_stalls_without_a_direction():
     start = np.array([0.5, 0.0, 0.0])
     rep = maximize_concave_program(cp, start)
     assert rep.status == "stalled"
-    assert rep.message == "step rejected by merit backtracking"
+    assert rep.message == "no Newton direction under any ridge"
     assert rep.iterations == 0
     assert np.array_equal(rep.x, start)
