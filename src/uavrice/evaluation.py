@@ -380,15 +380,20 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
     elif scheme == "rffsa":
         sweep = []
         best = None
+        not_optimal = {"horizontal": 0, "vertical": 0}
         for h in altitudes:
             cand, cinfo = run_bcd(scenario, model, freeze_vertical=True,
                                   init=_level_start(scenario, h))
+            for block, count in cinfo["ipm_not_optimal"].items():
+                not_optimal[block] += count
             rep = evaluate_plan(cand, scenario, model, scheme=scheme,
                                 seed=seed, trials=trials, simulate=False)
             sweep.append([float(h), rep.eta_achieved])
             if best is None or rep.eta_achieved > best[3].eta_achieved:
                 best = (float(h), cand, cinfo, rep)
         h_best, plan, info, _ = best
+        # every altitude's solves count, not only the winner's
+        info = {**info, "ipm_not_optimal": not_optimal}
     else:
         plan, info = run_bcd(scenario, model,
                              init=best_cruise_start(scenario, model,

@@ -72,17 +72,29 @@ def save_json(path, obj):
     save_text(path, dump_json(obj))
 
 
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
 def _load_json(path, what):
-    """Parse a document, refusing NaN, Infinity and overflowing literals."""
+    """Parse a document, refusing NaN, Infinity, overflowing literals and
+    integers outside int64."""
     def finite(token):
         val = float(token)
         if not math.isfinite(val):
             raise FileFormatError(f"{what} file {path}: non-finite number "
                                   f"{token}")
         return val
+
+    def int64(token):
+        val = int(token)
+        if val not in _INT64:
+            raise FileFormatError(f"{what} file {path}: integer {token} "
+                                  f"outside int64")
+        return val
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=finite, parse_constant=finite,
+                             parse_int=int64)
     except OSError as exc:
         raise FileFormatError(f"{what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -111,13 +123,18 @@ def _array(val, path, ndim, integer=False):
     ndim = 0, a Python number."""
     kind = int if integer else (int, float)
     arr = np.array(val, dtype=object)
-    if arr.ndim != ndim or not all(
+    try:
+        ok = arr.ndim == ndim and all(
             isinstance(v, kind) and not isinstance(v, bool)
-            and math.isfinite(v) for v in arr.flat):
+            and math.isfinite(v) for v in arr.flat)
+        if ok:
+            arr = arr.astype(np.int64 if integer else float)
+    except OverflowError as exc:
+        raise FileFormatError(f"{path}: number out of range ({exc})") from exc
+    if not ok:
         what = "integer" if integer else "finite number"
         raise FileFormatError(f"{path}: expected {'list[' * ndim}{what}"
                               f"{']' * ndim}")
-    arr = arr.astype(np.int64 if integer else float)
     return arr if ndim else arr.item()
 
 

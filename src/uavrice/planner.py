@@ -24,7 +24,6 @@ from .channel import Scenario, rate_from_gain
 from .fading import LogisticModel
 from .solvers import (
     ConcaveProgram,
-    LinearProgram,
     QuadExpRows,
     VRatioRows,
     maximize_concave_program,
@@ -151,36 +150,18 @@ def initialize_plan(scenario: Scenario) -> Plan:
 def solve_scheduling(rates):
     """Max-min slot assignment LP for fixed per-slot rates (N, M).
 
-    Variables are the N*M activity fractions plus the bottleneck average;
-    each slot's total activity is capped at one.  The (M+N) x (NM+1)
-    constraint matrix goes to HiGHS as one sparse array.  Returns the
-    activities and their max-min objective.  When every rate is positive
-    (every planner rate is), HiGHS's optimal vertex fills every slot; a
-    slot where all rates are exactly zero may stay idle.
+    Returns the activities and their max-min objective, solved exactly by
+    ``solve_lp``'s dual simplex over the node weights.  Every slot where
+    some node has a positive rate (every planner slot) is filled; a slot
+    where all rates are exactly zero stays idle.  Raises ValueError for
+    rates that are not a nonempty 2-D array of finite nonnegative numbers,
+    and RuntimeError when the schedule's optimality certificate fails.
     """
-    rates = np.asarray(rates, dtype=float)
-    n_sn, m_slots = rates.shape
-    nv = n_sn * m_slots + 1
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    col = np.arange(n_sn * m_slots)             # activity of node n, slot m
-    # occupancy caps (rows 0..M-1), then eta <= average rate of node n
-    row = np.concatenate([col % m_slots, m_slots + col // m_slots,
-                          m_slots + np.arange(n_sn)])
-    var = np.concatenate([col, col, np.full(n_sn, nv - 1)])
-    val = np.concatenate([np.ones(col.size), -rates.ravel() / m_slots,
-                          np.ones(n_sn)])
-    rows = scipy.sparse.csr_array((val, (row, var)),
-                                  shape=(m_slots + n_sn, nv))
-    rhs = np.zeros(m_slots + n_sn)
-    rhs[:m_slots] = 1.0
-    lp = LinearProgram(c=c, a_ub=rows, b_ub=rhs, lb=np.zeros(nv),
-                       ub=np.full(nv, np.inf))
-    rep = solve_lp(lp)
-    if rep.status not in ("optimal", "stalled"):
-        raise RuntimeError(f"scheduling LP came back {rep.status}")
-    a = rep.x[:-1].reshape(n_sn, m_slots).clip(0.0, 1.0)
-    return a, max_min_rate(a, rates)
+    rep = solve_lp(rates)
+    if rep.status != "optimal":
+        raise RuntimeError(f"scheduling LP came back {rep.status}: "
+                           f"{rep.message}")
+    return rep.x, rep.objective
 
 
 def round_schedule(a, rates):

@@ -1,9 +1,11 @@
 """Solvers for the planner's two subproblem shapes.
 
-The scheduling linear program goes to SciPy's HiGHS (``linprog``), and its
-marginals come back as the report's duals together with a re-derived
-optimality certificate.  The smooth concave trajectory subproblems use an
-in-repo primal-dual interior-point method.  Its Newton step follows the
+The max-min scheduling linear program is solved exactly through its dual,
+which has one weight per node: an in-repo dual simplex moves between the
+dual's vertices, reads each vertex's activities off one small square
+solve, and certifies the result by its duality gap.  The node weights come
+back as the report's duals.  The smooth concave trajectory subproblems use
+an in-repo primal-dual interior-point method.  Its Newton step follows the
 sparsity the blocks report: a few coupling rows (those touching an
 objective column, i.e. the per-node rate rows) over local rows that join
 neighbouring variables only.  A Schur complement on the objective
@@ -21,21 +23,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
-
-# linprog status codes other than 0 (solved): 1 iteration limit,
-# 2 infeasible, 3 unbounded, 4 numerical difficulties
-_HIGHS_FAILURES = {1: "stalled", 2: "infeasible", 3: "unbounded",
-                   4: "stalled"}
+from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
 
 
 @dataclass
 class SolverReport:
     """Outcome of one solve.  status='optimal' certifies feasibility <= 1e-8
-    and stationarity <= 1e-6; anything weaker is 'stalled' (best iterate is
-    still returned), 'infeasible', or 'unbounded'."""
+    and stationarity <= 1e-6 for the interior-point method, and for the
+    scheduling LP nonnegative activities, slot sums at most one and a
+    duality gap at most 1e-12 (1 + eta); anything weaker is 'stalled'
+    (best iterate is still returned)."""
 
     x: np.ndarray
     objective: float
@@ -45,93 +43,390 @@ class SolverReport:
     status: str
     message: str = ""
     trace: tuple = ()
-    duals: Optional[dict] = None
+    duals: Optional[np.ndarray] = None
 
 
 # ===========================================================================
-# Linear programming
+# Max-min scheduling LP (dual simplex over the node weights)
 # ===========================================================================
+# The LP  max eta  s.t.  sum_n a_nm <= 1,  sum_m r_nm a_nm / M >= eta,
+# a >= 0  has the dual  min over weights w >= 0, sum w = 1  of
+# sum_m max_n w_n r_nm / M.  At a vertex of that dual the slots whose top
+# is tied (tie slots, each with its tie set of nodes) join the nodes as a
+# hypertree, sum over tie slots of (|tie set| - 1) = N - 1, and every other
+# slot belongs to its top node.  The tie slots' activities and eta solve
+# one square system: each tie slot is shared out in full and every node
+# reaches the same total.  A negative share leaves: taking node n out of
+# its tie set cuts the hypertree in two, and scaling down the weights of
+# n's side lowers the dual until a node of the other side ties a slot the
+# side holds, which enters.  As in generalized upper bounding (Dantzig &
+# Van Slyke, J. Comput. Syst. Sci. 1(3), 1967), the slot rows never enter
+# the basis matrix.  Totals below are sums over slots, eta times M.
+
+_SHARE_TOL = 1e-12     # a share above -_SHARE_TOL counts as nonnegative
+_CERT_TOL = 1e-12      # certificate: relative gap and slot-sum allowance
+_JOIN_RTOL = 1e-13     # dropped nodes this close to the active total stay out
+
 
 @dataclass
-class LinearProgram:
-    """maximize c @ x  subject to  a_ub @ x <= b_ub,  lb <= x <= ub.
+class _Schedule:
+    """Max-min schedule of one rate block, in the block's own indices."""
 
-    ``a_ub`` may be given dense or as any SciPy sparse matrix; it is stored
-    as a ``scipy.sparse.csr_array``, the form HiGHS reads, with one column
-    per variable.  Lower bounds must be finite (instances here always have
-    them); upper bounds may be +inf.
+    a: np.ndarray        # (n, k) activities
+    total: float         # bottleneck total
+    w: np.ndarray        # (n,) weights, zero off the bottleneck's active nodes
+    owner: np.ndarray    # (k,) node holding each slot, -1 for an idle slot
+    ties: dict           # tie slot -> sorted tuple of its active nodes
+    pivots: int
+
+
+def solve_lp(rates) -> SolverReport:
+    """Max-min slot assignment for per-slot rates (N, M): maximize
+    eta = min_n sum_m r_nm a_nm / M over activities a >= 0 with each slot's
+    column sum at most one.
+
+    Each connected component of the positive rates is solved on its own and
+    eta is the smallest component value; a slot where every rate is zero
+    stays idle.  ``x`` holds the (N, M) activities, ``objective`` eta,
+    ``iterations`` the dual-simplex pivots and ``duals`` the node weights
+    of the bottleneck component (zero elsewhere).  The report is 'optimal'
+    only when the activities are nonnegative, every slot sums to at most
+    one (to 1e-12 of rounding) and the duality gap
+    sum_m max_n w_n r_nm / M - eta is at most 1e-12 (1 + eta).
     """
-
-    c: np.ndarray
-    a_ub: scipy.sparse.csr_array
-    b_ub: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.size
-        self.a_ub = scipy.sparse.csr_array(self.a_ub, dtype=float)
-        if self.a_ub.ndim != 2 or self.a_ub.shape[1] != n:
-            raise ValueError("a_ub must have one column per variable")
-        self.b_ub = np.asarray(self.b_ub, dtype=float).reshape(-1)
-        self.lb = np.asarray(self.lb, dtype=float).reshape(-1)
-        self.ub = np.asarray(self.ub, dtype=float).reshape(-1)
-        if self.a_ub.shape[0] != self.b_ub.size:
-            raise ValueError("a_ub and b_ub row counts differ")
-        if self.lb.size != n or self.ub.size != n:
-            raise ValueError("bound arrays must match the variable count")
-        if not np.all(np.isfinite(self.lb)):
-            raise ValueError("lower bounds must be finite")
-        if np.any(self.ub < self.lb):
-            raise ValueError("upper bound below lower bound")
-
-
-def solve_lp(lp: LinearProgram) -> SolverReport:
-    """Solve the boxed inequality-form LP with HiGHS.
-
-    HiGHS minimizes, so the objective is negated and its marginals flipped
-    back into the nonnegative multipliers of the maximization.  The report
-    re-derives the optimality certificate from those duals in the variables
-    y = x - lb (dual infeasibility, complementary slackness, duality gap),
-    so 'optimal' never rests on the solver's word alone.
-    """
-    m_ub = lp.a_ub.shape[0]
-    res = scipy.optimize.linprog(
-        -lp.c, A_ub=lp.a_ub if m_ub else None, b_ub=lp.b_ub if m_ub else None,
-        bounds=np.column_stack([lp.lb, lp.ub]), method="highs")
-    x = lp.lb.copy() if res.x is None else res.x
-    fin = np.flatnonzero(np.isfinite(lp.ub))
-    feas = max(0.0, float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0)),
-               float(np.max(lp.lb - x)),
-               float(np.max((x - lp.ub)[fin], initial=0.0)))
-    report = dict(x=x, objective=float(lp.c @ x), feasibility=feas,
-                  iterations=int(res.nit), message=res.message)
-    if res.status in _HIGHS_FAILURES:
-        return SolverReport(stationarity=np.inf,
-                            status=_HIGHS_FAILURES[res.status], **report)
-
-    lam_ub = -res.ineqlin.marginals if m_ub else np.zeros(0)
-    lam_box = -res.upper.marginals
-    reduced = lp.a_ub.T @ lam_ub + lam_box - lp.c
-    # the same LP shifted to y >= 0, with the finite upper bounds as rows
-    y = x - lp.lb
-    lam = np.concatenate([lam_ub, lam_box[fin]])
-    b = np.concatenate([lp.b_ub - lp.a_ub @ lp.lb, lp.ub[fin] - lp.lb[fin]])
-    slack = np.concatenate([lp.b_ub - lp.a_ub @ x, lp.ub[fin] - x[fin]])
-    dual_infeas = max(0.0, float(-np.min(lam, initial=0.0)),
-                      float(-reduced.min()))
-    compl = max(float(np.max(np.abs(lam * slack), initial=0.0)),
-                float(np.max(np.abs(reduced * y))))
-    scale = 1.0 + abs(float(lp.c @ y))
-    gap = abs(float(lp.c @ y) - float(lam @ b)) / scale
-    stat = max(dual_infeas, compl / scale, gap)
-    ok = feas <= 1e-8 and stat <= 1e-6
-    report["message"] = "" if ok else "optimality tolerances not met"
+    r = np.asarray(rates, dtype=float)
+    if r.ndim != 2:
+        raise ValueError(f"rates must be a 2-D (nodes, slots) array, "
+                         f"got {r.ndim}-D")
+    if r.size == 0:
+        raise ValueError(f"rates of shape {r.shape} are empty")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("rates hold non-finite entries")
+    if np.any(r < 0.0):
+        raise ValueError("rates hold negative entries")
+    m_slots = r.shape[1]
+    totals = r.sum(axis=1)
+    start = 1.0 / np.where(totals > 0.0, totals, 1.0)
+    sched = _max_min(r, start)
+    a, w = sched.a, sched.w
+    eta = float(np.einsum("nm,nm->n", a, r).min()) / m_slots
+    bound = float(np.max(w[:, None] * r, axis=0).sum()) / (m_slots * w.sum())
+    gap = (bound - eta) / (1.0 + eta)
+    over = float(a.sum(axis=0).max()) - 1.0
+    ok = a.min() >= 0.0 and over <= _CERT_TOL and gap <= _CERT_TOL
     return SolverReport(
-        stationarity=stat, status="optimal" if ok else "stalled",
-        duals={"ineq": lam_ub, "upper": lam_box, "reduced_costs": reduced},
-        **report)
+        x=a, objective=eta, feasibility=max(0.0, -float(a.min()), over),
+        stationarity=max(gap, 0.0), iterations=sched.pivots,
+        status="optimal" if ok else "stalled",
+        message="" if ok else (f"certificate failed: relative gap {gap:.3e}, "
+                               f"slot sum over one by {over:.3e}"),
+        duals=w)
+
+
+def _max_min(r, start):
+    """Each connected component of the block's positive rates on its own;
+    the bottleneck component's weights are the block's."""
+    n, k = r.shape
+    out = _Schedule(a=np.zeros((n, k)), total=np.inf, w=np.zeros(n),
+                    owner=np.full(k, -1), ties={}, pivots=0)
+    for nodes, slots in _components(r > 0.0):
+        sub = _component(r[np.ix_(nodes, slots)], start[nodes])
+        out.a[np.ix_(nodes, slots)] = sub.a
+        out.owner[slots] = nodes[sub.owner]
+        out.ties.update({slots[s]: tuple(nodes[list(t)])
+                         for s, t in sub.ties.items()})
+        out.pivots += sub.pivots
+        if sub.total < out.total:
+            out.total = sub.total
+            out.w = np.zeros(n)
+            out.w[nodes] = sub.w
+    return out
+
+
+def _components(pos):
+    """(nodes, slots) of each connected component of the bipartite graph
+    pos (n, k), in the order of their first node.  A node without an edge
+    is a component without slots; a slot without one belongs to none."""
+    n, k = pos.shape
+    if pos.all():
+        return [(np.arange(n), np.arange(k))]
+    edges = pos.astype(float)
+    share = edges @ edges.T > 0.0           # nodes with a slot in common
+    seen = np.zeros(n, bool)
+    out = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        nodes = np.zeros(n, bool)
+        nodes[i] = True
+        while True:
+            grown = nodes | share[nodes].any(axis=0)
+            if np.array_equal(grown, nodes):
+                break
+            nodes = grown
+        seen |= nodes
+        out.append((np.flatnonzero(nodes),
+                    np.flatnonzero(pos[nodes].any(axis=0))))
+    return out
+
+
+def _component(r, start):
+    """Max-min schedule of a connected block r (n, k).
+
+    The dual simplex runs on the active nodes, at first all of them.  A
+    side whose slots no other node can use drops out with weight zero and
+    keeps those slots.  Once the active nodes are optimal, the dropped ones
+    are solved on their own slots.  If they fall short of the active total,
+    their bottleneck's weights rise from zero, on the line towards its own
+    optimal weights, until one of its nodes ties a slot an active node
+    holds; every such move lowers the dual, so no basis repeats.
+    """
+    n, k = r.shape
+    active = np.ones(n, bool)
+    owner, ties = _start_basis(r, _smoothed_weights(r, start))
+    pivots, bland, rest = 0, False, None
+    limit = 50 * (n + k)
+    while True:
+        w = _weights(r, ties, active)
+        keys, shares, total = _shares(r, active, owner, ties)
+        neg = np.flatnonzero(shares < -_SHARE_TOL)
+        if pivots >= limit:
+            break
+        if neg.size:
+            # most negative share, or Bland's lowest index after a step
+            # that moved no weight, which rules out cycling
+            pick = neg[0] if bland else neg[np.argmin(shares[neg])]
+            bland = _pivot(r, w, active, owner, ties, *keys[pick])
+            pivots += 1
+            continue
+        if active.all():
+            break
+        rest, free = np.flatnonzero(~active), np.flatnonzero(owner < 0)
+        sub = _max_min(r[np.ix_(rest, free)], start[rest])
+        pivots += sub.pivots
+        if sub.total >= total * (1.0 - _JOIN_RTOL):
+            total = min(total, sub.total)
+            break
+        _rejoin(r, w, active, owner, ties, rest, free, sub)
+        pivots += 1
+        rest = None
+
+    a = np.zeros((n, k))
+    held = np.flatnonzero(owner >= 0)
+    a[owner[held], held] = 1.0
+    for (s, j), share in zip(keys, shares):
+        a[j, s] = max(share, 0.0)
+    tied = list(ties)
+    a[:, tied] /= np.maximum(a[:, tied].sum(axis=0), 1.0)
+    if rest is not None:
+        a[np.ix_(rest, free)] = sub.a
+        owner[free] = rest[sub.owner]
+    return _Schedule(a=a, total=total, w=w, owner=owner, ties=ties,
+                     pivots=pivots)
+
+
+def _smoothed_weights(r, w):
+    """Weights at which the softmax-smoothed schedule, slot m shared in
+    proportion to (w_n r_nm)^(1/tau), gives every node the same total:
+    damped Newton on the log totals in log w, a few steps at each tau from
+    0.3 down to 0.01.  Only a start: returns w instead when a step leaves
+    the finite numbers or a weight underflows."""
+    n = r.shape[0]
+    if n == 1:
+        return w
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+    v = np.log(w)
+
+    def residual(v, tau):
+        z = (v[:, None] + log_r) * (1.0 / tau)
+        q = np.exp(z - z.max(axis=0))
+        q *= 1.0 / q.sum(axis=0)
+        rq = r * q
+        total = rq.sum(axis=1)
+        log_t = np.log(np.maximum(total, 1e-300))
+        return log_t[1:] - log_t[0], q, rq, total
+
+    for tau in (0.3, 0.1, 0.03, 0.01):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, q, rq, total = residual(v, tau)
+        for _ in range(3):
+            norm = float(np.abs(f).max())
+            if not (np.isfinite(norm) and total.min() > 0.0):
+                return w
+            if norm < 1e-2:
+                break
+            # d log T_n / d v_j = (delta_nj - sum_m r_nm q_nm q_jm / T_n) / tau
+            jac = -(rq @ q.T) / total[:, None]
+            jac.flat[::n + 1] += 1.0
+            _, _, step, info = dgesv((jac[1:, 1:] - jac[:1, 1:]) / tau, -f)
+            if info or not np.all(np.isfinite(step)):
+                return w
+            t = 1.0
+            while True:
+                trial = v.copy()
+                trial[1:] += t * step
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = residual(trial, tau)
+                if t < 1e-3 or np.abs(res[0]).max() < (1.0 - 0.1 * t) * norm:
+                    break
+                t *= 0.5
+            v, (f, q, rq, total) = trial, res
+    out = np.exp(v - v.max())
+    return out if np.all(out > 0.0) else w
+
+
+def _start_basis(r, w):
+    """A first vertex near the weights w: every slot to its top node, then
+    the groups of tied nodes joined one tie at a time, each time by scaling
+    up the group that needs the smallest factor to tie a slot it does not
+    hold.  The smallest factor overtakes no other slot."""
+    n, k = r.shape
+    cols = np.arange(k)
+    val = w[:, None] * r
+    owner = np.argmax(val, axis=0)
+    group = np.arange(n)
+    ties = {}
+    for _ in range(n - 1):
+        other = np.where(group[:, None] == group[owner], 0.0, val)
+        best = np.argmax(other, axis=0)
+        cand = np.flatnonzero(other[best, cols] > 0.0)
+        factor = val[owner[cand], cand] / other[best[cand], cand]
+        s = cand[np.argmin(factor)]
+        up = group == group[best[s]]
+        val[up] *= factor.min()
+        ties[s] = tuple(sorted(ties.get(s, (owner[s],)) + (best[s],)))
+        group[up] = group[owner[s]]
+    return owner, ties
+
+
+def _weights(r, ties, active):
+    """Weights of a basis: one on the first active node, carried through
+    the tie slots by w_j r_js = w_i r_is, then normalized; zero off the
+    active nodes."""
+    w = np.zeros(r.shape[0])
+    known = np.zeros(r.shape[0], bool)
+    known[np.flatnonzero(active)[0]] = True
+    w[known] = 1.0
+    todo = list(ties.items())
+    while todo:
+        left = []
+        for s, t in todo:
+            i = next((i for i in t if known[i]), None)
+            if i is None:
+                left.append((s, t))
+                continue
+            for j in t:
+                if not known[j]:
+                    w[j] = w[i] * r[i, s] / r[j, s]
+                    known[j] = True
+        if len(left) == len(todo):
+            raise RuntimeError("tie slots do not join the active nodes")
+        todo = left
+    return w / w.sum()
+
+
+def _shares(r, active, owner, ties):
+    """The tie slots' shares and the common total of a basis, from one
+    square solve: every tie slot shared out in full, every active node at
+    the same total.  Returns the (slot, node) key of each share, the
+    shares and the total."""
+    n = r.shape[0]
+    nodes = np.flatnonzero(active)
+    node_row = np.full(n, -1)
+    node_row[nodes] = len(ties) + np.arange(nodes.size)
+    keys = [(s, j) for s in sorted(ties) for j in ties[s]]
+    size = len(keys) + 1
+    mat = np.zeros((size, size))
+    rhs = np.zeros(size)
+    rhs[:len(ties)] = 1.0
+    held = owner >= 0
+    held[list(ties)] = False
+    cols = np.flatnonzero(held)
+    rhs[len(ties):] = -np.bincount(owner[cols], r[owner[cols], cols],
+                                   minlength=n)[nodes]
+    row = {s: i for i, s in enumerate(sorted(ties))}
+    for col, (s, j) in enumerate(keys):
+        mat[row[s], col] = 1.0
+        mat[node_row[j], col] = r[j, s]
+    mat[len(ties):, -1] = -1.0
+    sol = np.linalg.solve(mat, rhs)
+    return keys, sol[:-1], float(sol[-1])
+
+
+def _side(ties, node, slot):
+    """Nodes the hypertree still joins to node once it leaves slot's tie
+    set."""
+    side, frontier = {node}, [node]
+    while frontier:
+        i = frontier.pop()
+        for s, t in ties.items():
+            if s != slot and i in t:
+                new = set(t) - side
+                side |= new
+                frontier.extend(new)
+    return side
+
+
+def _pivot(r, w, active, owner, ties, slot, node):
+    """Take node out of slot's tie set and scale its side down until a node
+    of the other side ties a slot the side holds, which enters; with no
+    such slot the side drops out, weight zero, keeping its slots.  True
+    when the step moved no weight."""
+    n, k = r.shape
+    side = np.zeros(n, bool)
+    side[list(_side(ties, node, slot))] = True
+    rest = tuple(j for j in ties.pop(slot) if j != node)
+    if len(rest) > 1:
+        ties[slot] = rest
+    owner[slot] = rest[0]
+    mine = np.zeros(k, bool)
+    held = owner >= 0
+    mine[held] = side[owner[held]]
+    val = w[:, None] * r
+    other = np.where(side[:, None], 0.0, val).max(axis=0)
+    cand = np.flatnonzero(mine & (other > 0.0))
+    if not cand.size:
+        active[side] = False
+        for s in [s for s, t in ties.items() if side[t[0]]]:
+            del ties[s]
+        owner[mine] = -1
+        return False
+    ratio = np.minimum(other[cand] / val[owner[cand], cand], 1.0)
+    best = int(np.argmax(ratio))
+    enter = cand[best]
+    j = int(np.argmax(np.where(side, -1.0, val[:, enter])))
+    ties[enter] = tuple(sorted(ties.get(enter, (owner[enter],)) + (j,)))
+    return bool(ratio[best] == 1.0)
+
+
+def _rejoin(r, w, active, owner, ties, rest, free, sub):
+    """Raise the dropped bottleneck's weights (``sub`` solved the dropped
+    nodes ``rest`` on the slots ``free``) from zero until one of its nodes
+    ties a slot an active node holds; with no such slot the active nodes
+    drop out instead."""
+    joined = sub.w > 0.0
+    wz = np.zeros(r.shape[0])
+    wz[rest] = sub.w
+    held = np.flatnonzero(owner >= 0)
+    val = wz[:, None] * r[:, held]
+    top = val.max(axis=0)
+    cand = np.flatnonzero(top > 0.0)
+    if cand.size:
+        cols = held[cand]
+        ratio = w[owner[cols]] * r[owner[cols], cols] / top[cand]
+        enter = cols[np.argmin(ratio)]
+        j = int(np.argmax(wz * r[:, enter]))
+        ties[enter] = tuple(sorted(ties.get(enter, (owner[enter],)) + (j,)))
+    else:
+        active[:] = False
+        ties.clear()
+        owner[held] = -1
+    active[rest[joined]] = True
+    mine = joined[np.maximum(sub.owner, 0)] & (sub.owner >= 0)
+    owner[free[mine]] = rest[sub.owner[mine]]
+    ties.update({free[s]: tuple(rest[list(t)]) for s, t in sub.ties.items()
+                 if joined[list(t)].all()})
 
 
 # ===========================================================================

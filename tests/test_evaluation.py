@@ -15,6 +15,7 @@ import pytest
 from uavrice.channel import (Scenario, rate_from_gain, sample_rician,
                              substream)
 from uavrice import evaluation as ev
+from uavrice import planner
 from uavrice.evaluation import (
     EvalReport,
     best_cruise_start,
@@ -319,6 +320,25 @@ class TestRunScheme:
         assert rep.eta_achieved == pytest.approx(max(e for _, e in sweep))
         assert np.allclose(
             plan.z, cruise_profile(scen, rep.extras["altitude"]))
+
+    def test_sweep_counts_every_failed_solve(self, fitted, monkeypatch):
+        # a 3-step cap makes most interior-point solves stop short; the
+        # report must count them over the whole altitude sweep
+        failed = []
+        solve = planner.maximize_concave_program
+
+        def capped(cp, start, max_iters=200):
+            rep = solve(cp, start, max_iters=3)
+            failed.append(rep.status != "optimal")
+            return rep
+
+        monkeypatch.setattr(planner, "maximize_concave_program", capped)
+        scen = _scenario([[150.0, 0.0]], m_slots=10, duration_s=10.0)
+        _, rep = run_scheme("rffsa", scen, fitted, simulate=False,
+                            altitudes=(100.0, 150.0, 200.0))
+        counts = rep.extras["ipm_not_optimal"]
+        assert sum(failed) > 0
+        assert counts == {"horizontal": sum(failed), "vertical": 0}
 
     def test_sweep_dominates_floor_variant(self, fitted):
         scen = _scenario([[150.0, 0.0]], m_slots=10, duration_s=10.0)

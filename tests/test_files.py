@@ -421,6 +421,23 @@ class TestNonFiniteFiles:
         assert str(err.value) == (f"scenario file {path}: non-finite "
                                   f"number {token}")
 
+    @pytest.mark.parametrize("text", ["100000000000000000000",
+                                      "-9223372036854775809"])
+    def test_oversized_integer_file(self, tmp_path, text):
+        path = tmp_path / "scen.json"
+        path.write_text(dump_json(_config(n_slots="@")).replace('"@"', text))
+        with pytest.raises(FileFormatError) as err:
+            load_scenario(path)
+        assert str(err.value) == (f"scenario file {path}: integer {text} "
+                                  f"outside int64")
+
+    @pytest.mark.parametrize("key, value", [("n_slots", 10 ** 20),
+                                            ("duration_s", 10 ** 400)])
+    def test_oversized_number_names_its_field(self, key, value):
+        with pytest.raises(FileFormatError,
+                           match=rf"scenario\.{key}: number out of range"):
+            scenario_from_config(_config(**{key: value}))
+
     @pytest.mark.parametrize("key", ["b1", "b2"])
     def test_model_file(self, tmp_path, key):
         doc = model_to_json(LogisticModel(b1=-4.1, b2=5.8, c1=0.2, c2=0.8))

@@ -202,8 +202,8 @@ class TestScheduling:
             assert eta == pytest.approx(totals.min() / 12, abs=1e-12)
 
     def test_bcd_schedules_saturate_every_slot(self, monkeypatch):
-        # no repair pass follows the LP: HiGHS's vertex itself must fill
-        # every slot of every schedule the outer loop sees
+        # no repair pass follows the LP: the simplex vertex itself must
+        # fill every slot of every schedule the outer loop sees
         schedules = []
 
         def recording(rates):
@@ -230,6 +230,40 @@ class TestScheduling:
         np.testing.assert_allclose(a[:, [0, 2]].sum(axis=0), 1.0, atol=1e-9)
         assert np.all(a[:, 1] == 0.0)
         assert round_schedule(a, rates).tolist() == [0, -1, 1]
+
+    def test_unreachable_node_leaves_the_others_scheduled(self):
+        # node 1 earns nothing anywhere, so eta is 0; node 0 still gets
+        # slot 0, and slot 1 (no rate at all) stays idle
+        a, eta = solve_scheduling([[1.0, 0.0], [0.0, 0.0]])
+        assert eta == 0.0
+        np.testing.assert_array_equal(a, [[1.0, 0.0], [0.0, 0.0]])
+        # with a third node the reachable pair keeps its own max-min split
+        # (the hand-solved 1:3 share of slot 2 above)
+        a, eta = solve_scheduling([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0],
+                                   [0.0, 0.0, 0.0]])
+        assert eta == 0.0
+        np.testing.assert_allclose(a, [[1.0, 0.0, 0.25], [0.0, 0.0, 0.75],
+                                       [0.0, 0.0, 0.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("rates, text", [
+        ([1.0, 2.0], "2-D"), (np.zeros((2, 0)), "empty"),
+        ([[1.0, np.nan]], "non-finite"), ([[1.0, -2.0]], "negative")])
+    def test_rejects_bad_rates(self, rates, text):
+        with pytest.raises(ValueError, match=text):
+            solve_scheduling(rates)
+
+    def test_uncertified_schedule_raises(self, monkeypatch):
+        # a schedule whose certificate fails never reaches the outer loop
+        honest = solvers._max_min
+
+        def idle(r, start):
+            sched = honest(r, start)
+            sched.a = sched.a * 0.5
+            return sched
+
+        monkeypatch.setattr(solvers, "_max_min", idle)
+        with pytest.raises(RuntimeError, match="certificate failed"):
+            solve_scheduling([[2.0, 0.0], [0.0, 1.0]])
 
     def test_beats_uniform_split(self):
         rng = np.random.default_rng(4)

@@ -1,13 +1,14 @@
 """Solver-layer tests.
 
-The LP path (HiGHS behind ``solve_lp``) is checked on hand-solved
-instances, on its own optimality certificate (feasibility, dual signs,
-complementary slackness, strong duality) for random boxed instances, whose
-optimum must also match HiGHS's interior-point method, and on
-degenerate/infeasible/unbounded cases; the barrier path is checked against
-analytic optima and a multi-start SLSQP oracle on random concave programs,
-and its structured Newton step against a dense solve, also where the
-banded factorization needs the ridge and where no ridge helps.
+The scheduling LP (the dual simplex behind ``solve_lp``) is checked on
+hand-solved instances, on its own optimality certificate (nonnegative
+activities, slot sums, dual weights in the simplex, complementary
+slackness, strong duality), against SciPy's HiGHS as an oracle on seeded
+and Hypothesis-drawn rates with zeros, equal rows and duplicate slots, on
+disconnected rates, and on its input checks; the barrier path is checked
+against analytic optima and a multi-start SLSQP oracle on random concave
+programs, and its structured Newton step against a dense solve, also where
+the banded factorization needs the ridge and where no ridge helps.
 Determinism is asserted bit-for-bit.
 """
 
@@ -15,13 +16,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+from hypothesis import given, strategies as st
 
+from uavrice import solvers
 from uavrice.solvers import (
     ConcaveProgram,
-    LinearProgram,
     LinearRows,
     QuadExpRows,
-    SolverReport,
     VRatioRows,
     _NewtonSystem,
     maximize_concave_program,
@@ -29,175 +30,234 @@ from uavrice.solvers import (
 )
 
 
-def _box_lp(c, a_ub, b_ub, lb, ub):
-    return LinearProgram(c=np.asarray(c, float), a_ub=np.asarray(a_ub, float),
-                         b_ub=np.asarray(b_ub, float), lb=np.asarray(lb, float),
-                         ub=np.asarray(ub, float))
+def _highs(rates, method="highs"):
+    """The scheduling LP through linprog: activities (N, M) and eta."""
+    n, m = rates.shape
+    nv = n * m + 1
+    c = np.zeros(nv)
+    c[-1] = -1.0
+    col = np.arange(n * m)
+    row = np.concatenate([col % m, m + col // m, m + np.arange(n)])
+    var = np.concatenate([col, col, np.full(n, nv - 1)])
+    val = np.concatenate([np.ones(col.size), -rates.ravel() / m,
+                          np.ones(n)])
+    rhs = np.zeros(m + n)
+    rhs[:m] = 1.0
+    res = scipy.optimize.linprog(
+        c, A_ub=scipy.sparse.csr_array((val, (row, var)), shape=(m + n, nv)),
+        b_ub=rhs, bounds=(0.0, None), method=method)
+    assert res.status == 0
+    return res.x[:-1].reshape(n, m), -res.fun
+
+
+def _assert_certified(rep, rates):
+    """The report's own certificate, re-derived from its activities and
+    node weights."""
+    a, w = rep.x, rep.duals
+    m = rates.shape[1]
+    assert rep.status == "optimal"
+    assert a.shape == rates.shape and np.all(a >= 0.0)
+    assert np.all(a.sum(axis=0) <= 1.0 + 1e-12)
+    assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+    totals = np.einsum("nm,nm->n", a, rates) / m
+    assert rep.objective == totals.min()
+    # complementary slackness: activity only on a slot's top nodes, and
+    # every weighted node at the bottleneck
+    val = w[:, None] * rates
+    top = val.max(axis=0)
+    assert np.all((a <= 1e-12) | (val >= top - 1e-12 * (1.0 + top)))
+    assert np.all(totals[w > 0.0] <= rep.objective * (1 + 1e-12) + 1e-15)
+    # strong duality
+    assert top.sum() / m == pytest.approx(rep.objective, rel=1e-12,
+                                          abs=1e-15)
 
 
 class TestSolveLP:
     def test_single_variable(self):
-        lp = _box_lp([1.0], np.zeros((1, 1)), [5.0], [0.0], [3.0])
-        rep = solve_lp(lp)
-        assert rep.status == "optimal"
-        assert rep.objective == pytest.approx(3.0, abs=1e-12)
-        assert rep.feasibility <= 1e-12
-
-    def test_textbook_two_var(self):
-        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6), obj 36
-        lp = _box_lp([3.0, 5.0],
-                     [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-                     [4.0, 12.0, 18.0],
-                     [0.0, 0.0], [np.inf, np.inf])
-        rep = solve_lp(lp)
-        assert rep.status == "optimal"
-        np.testing.assert_allclose(rep.x, [2.0, 6.0], atol=1e-10)
-        assert rep.objective == pytest.approx(36.0, abs=1e-9)
+        rep = solve_lp([[3.0]])
+        _assert_certified(rep, np.array([[3.0]]))
+        assert rep.x.tolist() == [[1.0]]
+        assert rep.objective == 3.0
+        assert rep.iterations == 0
 
     def test_scheduling_shape_single_node(self):
-        # one node, five slots: eta <= mean-rate, per-slot activity <= 1;
-        # everything should saturate and eta hits the full average
-        m_slots = 5
-        rates = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
-        n = m_slots + 1                      # activities then eta
-        c = np.zeros(n)
-        c[-1] = 1.0
-        rows = []
-        rhs = []
-        for m in range(m_slots):            # a_m <= 1
-            r = np.zeros(n)
-            r[m] = 1.0
-            rows.append(r)
-            rhs.append(1.0)
-        r = np.zeros(n)                      # eta - mean(r*a) <= 0
-        r[:m_slots] = -rates / m_slots
-        r[-1] = 1.0
-        rows.append(r)
-        rhs.append(0.0)
-        lp = _box_lp(c, rows, rhs, np.zeros(n), np.full(n, np.inf))
-        rep = solve_lp(lp)
-        assert rep.status == "optimal"
-        np.testing.assert_allclose(rep.x[:m_slots], 1.0, atol=1e-10)
-        assert rep.objective == pytest.approx(rates.mean(), abs=1e-10)
+        # one node, five slots: everything saturates and eta hits the full
+        # average
+        rates = np.array([[1.0, 2.0, 0.5, 3.0, 1.5]])
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        assert np.all(rep.x == 1.0)
+        assert rep.objective == pytest.approx(rates.mean(), abs=1e-15)
 
     def test_max_min_two_nodes_matches_shared_slot_split(self):
         # two nodes competing for one good slot: the max-min optimum splits
         # it so both averages are equal; solved by hand for these numbers
         #   node0 rates: [4, 0], node1 rates: [4, 1]
-        # Variables a0[0], a0[1], a1[0], a1[1], eta; slots share a0+a1 <= 1.
-        c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        rows = np.array([
-            [1.0, 0.0, 1.0, 0.0, 0.0],           # slot 0 occupancy
-            [0.0, 1.0, 0.0, 1.0, 0.0],           # slot 1 occupancy
-            [-2.0, 0.0, 0.0, 0.0, 1.0],          # eta <= (4*a00 + 0)/2
-            [0.0, 0.0, -2.0, -0.5, 1.0],         # eta <= (4*a10 + 1*a11)/2
-        ])
-        rhs = np.array([1.0, 1.0, 0.0, 0.0])
-        lp = _box_lp(c, rows, rhs, np.zeros(5), np.full(5, np.inf))
-        rep = solve_lp(lp)
-        assert rep.status == "optimal"
         # equalized optimum: a00 = x, a10 = 1 - x, with 4x = 4(1-x) + 1 at
         # a11 = 1  ->  x = 5/8, eta = 4 * (5/8) / 2 = 1.25
-        assert rep.objective == pytest.approx(1.25, abs=1e-9)
+        rates = np.array([[4.0, 0.0], [4.0, 1.0]])
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        assert rep.objective == pytest.approx(1.25, abs=1e-15)
+        np.testing.assert_allclose(rep.x, [[0.625, 0.0], [0.375, 1.0]],
+                                   atol=1e-15)
+        np.testing.assert_allclose(rep.duals, [0.5, 0.5], atol=1e-15)
 
     @pytest.mark.parametrize("seed", [3, 17, 29, 101, 555])
     def test_random_instances_match_linprog(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 12))
-        m = int(rng.integers(3, 10))
-        A = rng.normal(size=(m, n))
-        b = np.abs(rng.normal(size=m)) + 0.1
-        c = rng.normal(size=n)
-        lb = np.zeros(n)
-        ub = np.full(n, 2.0)
-        rep = solve_lp(_box_lp(c, A, b, lb, ub))
-        assert rep.status == "optimal"
-        # the same rows handed over sparse give the same answer
-        sparse = solve_lp(LinearProgram(c=c, a_ub=scipy.sparse.csc_array(A),
-                                        b_ub=b, lb=lb, ub=ub))
-        assert sparse.status == rep.status
-        assert np.array_equal(sparse.x, rep.x)
-        assert rep.feasibility <= 1e-8
-        assert rep.stationarity <= 1e-6
-        lam, upper = rep.duals["ineq"], rep.duals["upper"]
-        reduced = rep.duals["reduced_costs"]
-        # dual feasibility and stationarity c = A'lam + upper - reduced
-        for d in (lam, upper, reduced):
-            assert np.all(d >= -1e-10)
-        np.testing.assert_allclose(A.T @ lam + upper - reduced, c, atol=1e-9)
-        # complementary slackness on the rows and on both bounds
-        assert np.max(np.abs(lam * (b - A @ rep.x))) <= 1e-8
-        assert np.max(np.abs(upper * (ub - rep.x))) <= 1e-8
-        assert np.max(np.abs(reduced * (rep.x - lb))) <= 1e-8
-        # strong duality (lb = 0, so the lower bounds add nothing)
-        assert lam @ b + upper @ ub == pytest.approx(rep.objective, abs=1e-8)
-        # the interior-point method reaches the same optimum
-        ref = scipy.optimize.linprog(-c, A_ub=A, b_ub=b,
-                                     bounds=[(0.0, 2.0)] * n,
-                                     method="highs-ipm")
-        assert ref.status == 0
-        assert rep.objective == pytest.approx(-ref.fun, abs=1e-8)
-
-    def test_lower_bound_row_as_negative_rhs(self):
-        # x + y >= 0.5 written as -x - y <= -0.5 plus a duplicated cap row
-        lp = _box_lp([1.0, 1.0],
-                     [[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]],
-                     [1.0, 1.0, -0.5],
-                     [0.0, 0.0], [1.0, 1.0])
-        rep = solve_lp(lp)
-        assert rep.status == "optimal"
-        assert rep.objective == pytest.approx(1.0, abs=1e-9)
-
-    def test_infeasible_is_reported(self):
-        lp = _box_lp([1.0], [[-1.0]], [-10.0], [0.0], [1.0])  # x >= 10, x <= 1
-        rep = solve_lp(lp)
-        assert rep.status == "infeasible"
-        assert rep.message
-
-    def test_unbounded_is_reported(self):
-        lp = _box_lp([1.0, 0.0], [[-1.0, 0.0]], [0.0],
-                     [0.0, 0.0], [np.inf, 1.0])
-        rep = solve_lp(lp)
-        assert rep.status == "unbounded"
-        assert rep.message
+        rates = rng.uniform(0.1, 5.0, size=(int(rng.integers(2, 7)),
+                                            int(rng.integers(20, 200))))
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        for method in ("highs-ds", "highs-ipm"):
+            a_ref, eta_ref = _highs(rates, method)
+            assert rep.objective == pytest.approx(eta_ref, rel=1e-9)
+        np.testing.assert_allclose(rep.x, _highs(rates)[0], atol=1e-9)
 
     def test_duals_satisfy_complementary_slackness(self):
-        lp = _box_lp([3.0, 5.0],
-                     [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-                     [4.0, 12.0, 18.0],
-                     [0.0, 0.0], [np.inf, np.inf])
-        rep = solve_lp(lp)
-        lam = rep.duals["ineq"]
-        assert np.all(lam >= -1e-10)
-        slack = lp.b_ub - lp.a_ub @ rep.x
-        assert np.max(np.abs(lam * slack)) <= 1e-8
-        # strong duality
-        assert lam @ lp.b_ub == pytest.approx(rep.objective, abs=1e-8)
+        # node 1 only earns in slot 2, node 0 everywhere: the weights tie in
+        # slot 0 or 1 and every weighted node sits at eta
+        rates = np.array([[3.0, 2.0, 0.5], [1.0, 1.0, 2.0]])
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        assert np.all(rep.duals > 0.0)
+        totals = np.einsum("nm,nm->n", rep.x, rates) / 3
+        np.testing.assert_allclose(totals, rep.objective, rtol=1e-14)
 
     def test_determinism(self):
         rng = np.random.default_rng(77)
-        A = rng.normal(size=(8, 10))
-        b = np.abs(rng.normal(size=8)) + 0.1
-        c = rng.normal(size=10)
-        lp1 = _box_lp(c, A, b, np.zeros(10), np.full(10, 2.0))
-        lp2 = _box_lp(c, A, b, np.zeros(10), np.full(10, 2.0))
-        r1, r2 = solve_lp(lp1), solve_lp(lp2)
+        rates = rng.uniform(0.0, 3.0, size=(5, 140))
+        rates[rng.random(rates.shape) < 0.3] = 0.0
+        r1, r2 = solve_lp(rates), solve_lp(rates.copy())
         assert np.array_equal(r1.x, r2.x)
+        assert np.array_equal(r1.duals, r2.duals)
         assert r1.objective == r2.objective
         assert r1.iterations == r2.iterations
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(2),
-                          lb=np.zeros(2), ub=np.ones(2))
-        with pytest.raises(ValueError):
-            LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
-                          lb=np.array([0.0, -np.inf]), ub=np.ones(2))
-        for a_ub in (np.ones((1, 3)), scipy.sparse.csr_array(np.ones((1, 3))),
-                     np.ones(2)):
-            with pytest.raises(ValueError):
-                LinearProgram(c=np.ones(2), a_ub=a_ub, b_ub=np.ones(1),
-                              lb=np.zeros(2), ub=np.ones(2))
+        for rates, text in (([1.0, 2.0], "2-D"), ([[[1.0]]], "2-D"),
+                            (np.zeros((0, 3)), "empty"),
+                            (np.zeros((2, 0)), "empty")):
+            with pytest.raises(ValueError, match=text):
+                solve_lp(rates)
+
+    @pytest.mark.parametrize("bad, text", [(np.nan, "non-finite"),
+                                           (np.inf, "non-finite"),
+                                           (-1e-300, "negative")])
+    def test_rejects_bad_entries(self, bad, text):
+        rates = np.ones((2, 3))
+        rates[1, 2] = bad
+        with pytest.raises(ValueError, match=text):
+            solve_lp(rates)
+
+    def test_disconnected_components_solve_on_their_own(self):
+        # nodes 0 and 1 share slots 0-1, node 2 owns slot 2 alone, slot 3
+        # is empty: components {0, 1} (eta 1.0) and {2} (eta 0.25)
+        rates = np.array([[4.0, 2.0, 0.0, 0.0],
+                          [2.0, 4.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0]])
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        assert rep.objective == 0.25
+        np.testing.assert_allclose(
+            rep.x, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], atol=1e-15)
+        np.testing.assert_array_equal(rep.duals, [0.0, 0.0, 1.0])
+
+    def test_node_no_one_else_can_serve_drops_out(self):
+        # node 0 alone earns in slot 0 and far out-earns node 1; the
+        # optimum gives slot 1 to node 1, weight 0 to node 0, which keeps
+        # slot 0
+        rates = np.array([[10.0, 1.0], [0.0, 1.0]])
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        assert rep.objective == 0.5
+        np.testing.assert_array_equal(rep.x, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(rep.duals, [0.0, 1.0])
+
+    @pytest.mark.parametrize("rates, moves", [
+        # the dropped nodes' bottleneck falls short but ties no slot an
+        # active node holds, so the active nodes drop out instead
+        ([[0.0, 0.0, 0.3, 1.8, 0.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.4, 0.0],
+          [1.8, 2.2, 1.5, 2.6, 0.0, 0.0, 0.3, 0.0]], "swap"),
+        # a dropped node falls short and rejoins through a tie slot
+        ([[0.0, 0.0, 0.0, 0.6, 0.0, 1.4, 0.4, 0.0],
+          [0.0, 1.5, 2.0, 0.3, 2.2, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 1.9, 0.0, 0.3, 0.0, 0.0, 0.0]], "tie"),
+    ])
+    def test_dropped_side_rejoins_when_short(self, rates, moves, monkeypatch):
+        seen = []
+        rejoin = solvers._rejoin
+
+        def recording(r, w, active, owner, ties, rest, free, sub):
+            was = active.copy()
+            rejoin(r, w, active, owner, ties, rest, free, sub)
+            seen.append("tie" if active[was].any() else "swap")
+
+        monkeypatch.setattr(solvers, "_rejoin", recording)
+        rates = np.array(rates)
+        rep = solve_lp(rates)
+        assert moves in seen
+        _assert_certified(rep, rates)
+        assert rep.objective == pytest.approx(_highs(rates)[1], rel=1e-12)
+
+    def test_short_dropped_side_cannot_end_the_solve(self):
+        # dropping nodes 0 and 1 with slots 0 and 3 would leave node 1 at
+        # 1.4 / 4 against node 2's 1.5 / 4; the optimum gives node 1 a
+        # share of slot 2 as well
+        rates = np.array([[1.0, 1.0, 0.0, 10.0], [1.4, 0.0, 0.6, 0.0],
+                          [0.0, 1.0, 0.5, 0.0]])
+        rep = solve_lp(rates)
+        _assert_certified(rep, rates)
+        assert rep.objective == pytest.approx(1.6 / 1.1 / 4, rel=1e-14)
+
+    def test_failed_certificate_is_reported(self, monkeypatch):
+        honest = solvers._max_min
+
+        def shifted(r, start):
+            sched = honest(r, start)
+            sched.w = sched.w[::-1].copy()
+            return sched
+
+        monkeypatch.setattr(solvers, "_max_min", shifted)
+        rep = solve_lp([[3.0, 1.0], [1.0, 2.0]])
+        assert rep.status == "stalled"
+        assert "certificate failed" in rep.message
+        assert rep.stationarity > 1e-12
+
+
+@st.composite
+def _rates(draw):
+    """Rates with N in 1..6 and M in 1..300, from a seeded generator, with
+    optional zeros, equal rows and duplicate slots; the flag says whether
+    the draw is generic (a unique optimum, almost surely)."""
+    n = draw(st.sampled_from(range(1, 7)))
+    m = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rates = rng.uniform(0.05, 5.0, size=(n, m))
+    zeros = draw(st.sampled_from([0.0, 0.0, 0.3, 0.8]))
+    rates[rng.random((n, m)) < zeros] = 0.0
+    equal_rows = n > 1 and draw(st.booleans())
+    if equal_rows:
+        rates[n - 1] = rates[0]
+    dup_slots = m > 1 and draw(st.booleans())
+    if dup_slots:
+        rates[:, m - m // 2:] = rates[:, :m // 2]
+    return rates, not (zeros or equal_rows or dup_slots)
+
+
+@given(_rates())
+def test_solve_lp_matches_highs(drawn):
+    rates, generic = drawn
+    rep = solve_lp(rates)
+    _assert_certified(rep, rates)
+    a_ref, _ = _highs(rates)
+    a_ref = a_ref.clip(0.0, 1.0)
+    eta_ref = np.einsum("nm,nm->n", a_ref, rates).min() / rates.shape[1]
+    assert rep.objective == pytest.approx(eta_ref, rel=1e-12, abs=1e-300)
+    if generic:
+        np.testing.assert_allclose(rep.x, a_ref, rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
