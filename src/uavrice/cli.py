@@ -131,9 +131,14 @@ def _cmd_evaluate(args):
 
 
 def _sweep_scenario(scenario, param, value):
-    """Scenario with one parameter replaced; slot length stays fixed."""
+    """Scenario with one parameter replaced; slot length stays fixed, so a
+    duration T must be a whole number of slots (ValueError otherwise)."""
     if param == "T":
-        n_slots = int(round(value / scenario.delta_s))
+        slots = value / scenario.delta_s
+        n_slots = int(round(slots))
+        if n_slots < 1 or abs(slots - n_slots) > 1e-9 * slots:
+            raise ValueError(f"--values: T={value:g} s is not a whole "
+                             f"number of {scenario.delta_s:g} s slots")
         return dataclasses.replace(scenario, duration_s=float(value),
                                    n_slots=n_slots)
     if param == "vz":
@@ -143,8 +148,7 @@ def _sweep_scenario(scenario, param, value):
     return dataclasses.replace(scenario, k_max=db_to_linear(value))
 
 
-def _sweep_row(scenario, param, value, base_model):
-    scen = _sweep_scenario(scenario, param, value)
+def _sweep_row(scen, param, value, base_model):
     # eps and kmax_db change the fading law itself, so the surrogate must
     # be refit for each value; T and vz leave the channel untouched.
     if param in ("eps", "kmax_db"):
@@ -176,7 +180,9 @@ def _cmd_sweep(args):
     if args.param not in ("eps", "kmax_db") and base_model is None:
         base_model = fit_for_scenario(scenario)
 
-    rows = [_sweep_row(scenario, args.param, v, base_model) for v in values]
+    scens = [_sweep_scenario(scenario, args.param, v) for v in values]
+    rows = [_sweep_row(scen, args.param, v, base_model)
+            for scen, v in zip(scens, values)]
 
     doc = {
         "kind": "sweep",

@@ -480,6 +480,15 @@ def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
 # outer loop
 # ---------------------------------------------------------------------------
 
+def _require_feasible(trial: Plan, scenario: Scenario, block):
+    """Raise RuntimeError naming the block when its trial plan breaks a
+    constraint of check_plan."""
+    problems = check_plan(trial, scenario)
+    if problems:
+        raise RuntimeError(f"{block} step gave an infeasible plan: "
+                           + "; ".join(problems))
+
+
 def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
             freeze_vertical=False, tol=1e-4, max_iters=50,
             init: Optional[Plan] = None):
@@ -487,11 +496,13 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
 
     Each outer iteration runs the scheduling LP and one tangent-bound step
     per trajectory block, accepting a block's move only if the model-based
-    objective does not fall.  ``model=None`` plans for pure line-of-sight
-    (``LOS_MODEL``).  Returns (plan, info) where info carries the
-    per-iteration objective trace, iteration count, convergence flag, and
-    ``ipm_not_optimal``: per trajectory block, how many interior-point
-    solves did not end "optimal" (their moves still face the same test).
+    objective does not fall.  Every trial plan must pass check_plan, or
+    RuntimeError names the block and the violations.  ``model=None`` plans
+    for pure line-of-sight (``LOS_MODEL``).  Returns (plan, info) where
+    info carries the per-iteration objective trace, iteration count,
+    convergence flag, and ``ipm_not_optimal``: per trajectory block, how
+    many interior-point solves did not end "optimal" (their moves still
+    face the same test).
     """
     if model is None:
         model = LOS_MODEL
@@ -506,6 +517,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
     for _ in range(max_iters):
         iterations += 1
         a_new, eta_lp = solve_scheduling(rates)
+        _require_feasible(replace(plan, a=a_new), scenario, "scheduling")
         if eta_lp >= eta - 1e-12:
             plan.a, eta = a_new, eta_lp
 
@@ -521,6 +533,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
             if new is None:
                 continue
             trial = replace(plan, **{attr: new})
+            _require_feasible(trial, scenario, name)
             trial_rates = predicted_rates(trial.q, trial.z, scenario, model)
             trial_eta = max_min_rate(trial.a, trial_rates)
             if trial_eta >= eta:

@@ -54,14 +54,17 @@ class SolverReport:
 # sum_m max_n w_n r_nm / M.  At a vertex of that dual the slots whose top
 # is tied (tie slots, each with its tie set of nodes) join the nodes as a
 # hypertree, sum over tie slots of (|tie set| - 1) = N - 1, and every other
-# slot belongs to its top node.  The tie slots' activities and eta solve
-# one square system: each tie slot is shared out in full and every node
-# reaches the same total.  A negative share leaves: taking node n out of
-# its tie set cuts the hypertree in two, and scaling down the weights of
-# n's side lowers the dual until a node of the other side ties a slot the
-# side holds, which enters.  As in generalized upper bounding (Dantzig &
-# Van Slyke, J. Comput. Syst. Sci. 1(3), 1967), the slot rows never enter
-# the basis matrix.  Totals below are sums over slots, eta times M.
+# slot belongs to its top node.  One square basis matrix B gives the rest:
+# B x = b (each tie slot shared out in full, every node at the same total)
+# gives the tie slots' shares and eta, B^T y = -e_eta the node weights
+# (w_j r_js = w_i r_is on each tie set, sum w = 1), and B^T y = e_share
+# the pivot's side: y is a positive multiple of w on the nodes the share's
+# node stays joined to once it leaves its tie set, a negative one on the
+# rest.  A negative share leaves, and scaling down its side lowers the
+# dual until a node of the other side ties a slot the side holds, which
+# enters.  As in generalized upper bounding (Dantzig & Van Slyke,
+# J. Comput. Syst. Sci. 1(3), 1967), the slot rows never enter B.  Totals
+# below are sums over slots, eta times M.
 
 _SHARE_TOL = 1e-12     # a share above -_SHARE_TOL counts as nonnegative
 _CERT_TOL = 1e-12      # certificate: relative gap and slot-sum allowance
@@ -173,13 +176,16 @@ def _components(pos):
 def _component(r, start):
     """Max-min schedule of a connected block r (n, k).
 
-    The dual simplex runs on the active nodes, at first all of them.  A
-    side whose slots no other node can use drops out with weight zero and
-    keeps those slots.  Once the active nodes are optimal, the dropped ones
-    are solved on their own slots.  If they fall short of the active total,
-    their bottleneck's weights rise from zero, on the line towards its own
-    optimal weights, until one of its nodes ties a slot an active node
-    holds; every such move lowers the dual, so no basis repeats.
+    The dual simplex runs on the active nodes, at first all of them.  Each
+    basis is one square system (``_basis``): its solves give the shares,
+    the node weights and, for the leaving share, the side its pivot
+    scales.  A side whose slots no other node can use drops out with
+    weight zero and keeps those slots.  Once the active nodes are optimal,
+    the dropped ones are solved on their own slots.  If they fall short of
+    the active total, their bottleneck's weights rise from zero, on the
+    line towards its own optimal weights, until one of its nodes ties a
+    slot an active node holds; every such move lowers the dual, so no
+    basis repeats.
     """
     n, k = r.shape
     active = np.ones(n, bool)
@@ -187,8 +193,8 @@ def _component(r, start):
     pivots, bland, rest = 0, False, None
     limit = 50 * (n + k)
     while True:
-        w = _weights(r, ties, active)
-        keys, shares, total = _shares(r, active, owner, ties)
+        keys, shares, total, y = _basis(r, active, owner, ties)
+        w = 0.0 - y[-1]      # not -y[-1]: no -0.0 off the active nodes
         neg = np.flatnonzero(shares < -_SHARE_TOL)
         if pivots >= limit:
             break
@@ -196,7 +202,8 @@ def _component(r, start):
             # most negative share, or Bland's lowest index after a step
             # that moved no weight, which rules out cycling
             pick = neg[0] if bland else neg[np.argmin(shares[neg])]
-            bland = _pivot(r, w, active, owner, ties, *keys[pick])
+            bland = _pivot(r, w, active, owner, ties, *keys[pick],
+                           y[pick] > 0.0)
             pivots += 1
             continue
         if active.all():
@@ -300,37 +307,14 @@ def _start_basis(r, w):
     return owner, ties
 
 
-def _weights(r, ties, active):
-    """Weights of a basis: one on the first active node, carried through
-    the tie slots by w_j r_js = w_i r_is, then normalized; zero off the
-    active nodes."""
-    w = np.zeros(r.shape[0])
-    known = np.zeros(r.shape[0], bool)
-    known[np.flatnonzero(active)[0]] = True
-    w[known] = 1.0
-    todo = list(ties.items())
-    while todo:
-        left = []
-        for s, t in todo:
-            i = next((i for i in t if known[i]), None)
-            if i is None:
-                left.append((s, t))
-                continue
-            for j in t:
-                if not known[j]:
-                    w[j] = w[i] * r[i, s] / r[j, s]
-                    known[j] = True
-        if len(left) == len(todo):
-            raise RuntimeError("tie slots do not join the active nodes")
-        todo = left
-    return w / w.sum()
-
-
-def _shares(r, active, owner, ties):
-    """The tie slots' shares and the common total of a basis, from one
-    square solve: every tie slot shared out in full, every active node at
-    the same total.  Returns the (slot, node) key of each share, the
-    shares and the total."""
+def _basis(r, active, owner, ties):
+    """The square basis matrix B of a basis, solved both ways: B for every
+    tie slot shared out in full and every active node at the same total,
+    B^T for the weights and sides.  Returns the (slot, node) key of each
+    share, the shares, the total and y (size, n), whose row c is the node
+    rows of the solution of B^T y = e_c (zero off the active nodes).  Row
+    -1 is minus the node weights; a share's row is positive exactly on
+    the side its leaving cuts off, the nodes its node stays joined to."""
     n = r.shape[0]
     nodes = np.flatnonzero(active)
     node_row = np.full(n, -1)
@@ -351,31 +335,18 @@ def _shares(r, active, owner, ties):
         mat[node_row[j], col] = r[j, s]
     mat[len(ties):, -1] = -1.0
     sol = np.linalg.solve(mat, rhs)
-    return keys, sol[:-1], float(sol[-1])
+    y = np.zeros((size, n))
+    y[:, nodes] = np.linalg.inv(mat)[:, len(ties):]
+    return keys, sol[:-1], float(sol[-1]), y
 
 
-def _side(ties, node, slot):
-    """Nodes the hypertree still joins to node once it leaves slot's tie
-    set."""
-    side, frontier = {node}, [node]
-    while frontier:
-        i = frontier.pop()
-        for s, t in ties.items():
-            if s != slot and i in t:
-                new = set(t) - side
-                side |= new
-                frontier.extend(new)
-    return side
-
-
-def _pivot(r, w, active, owner, ties, slot, node):
-    """Take node out of slot's tie set and scale its side down until a node
-    of the other side ties a slot the side holds, which enters; with no
-    such slot the side drops out, weight zero, keeping its slots.  True
-    when the step moved no weight."""
-    n, k = r.shape
-    side = np.zeros(n, bool)
-    side[list(_side(ties, node, slot))] = True
+def _pivot(r, w, active, owner, ties, slot, node, side):
+    """Take node out of slot's tie set and scale its side (the mask of
+    nodes it stays joined to) down until a node of the other side ties a
+    slot the side holds, which enters; with no such slot the side drops
+    out, weight zero, keeping its slots.  True when the step moved no
+    weight."""
+    k = r.shape[1]
     rest = tuple(j for j in ties.pop(slot) if j != node)
     if len(rest) > 1:
         ties[slot] = rest

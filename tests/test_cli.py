@@ -272,6 +272,20 @@ class TestSweep:
         assert "values" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, bad", [("8,8.5", "8.5"),
+                                             ("0.4", "0.4")])
+    def test_duration_off_the_slot_grid_fails_cleanly(self, scen_path,
+                                                      tmp_path, capsys,
+                                                      values, bad):
+        # the slot length (1 s here) stays fixed, so T must be a whole
+        # number of slots; nothing is planned or written otherwise
+        out = tmp_path / "t.json"
+        assert cli(["sweep", "--scenario", str(scen_path), "--param", "T",
+                    "--values", values, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"T={bad} s" in err and "1 s slots" in err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_runs_as_script(self, tmp_path):

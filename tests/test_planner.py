@@ -510,6 +510,23 @@ class TestOuterLoop:
         assert frozen["ipm_not_optimal"] == {"horizontal": len(calls),
                                              "vertical": 0}
 
+    def test_infeasible_trial_names_its_block(self, monkeypatch):
+        # a horizontal step that breaks the speed limit is refused before
+        # the acceptance test, naming the block and the violation
+        scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
+                         duration_s=10.0)
+
+        def too_far(plan, scenario, model, *, reports=None):
+            q = plan.q.copy()
+            q[3, 1] += 3.0 * scenario.sxy
+            return q
+
+        monkeypatch.setattr(planner, "solve_horizontal", too_far)
+        with pytest.raises(RuntimeError,
+                           match="horizontal step .*horizontal step above "
+                                 "sxy"):
+            run_bcd(scen, FIT)
+
     def test_matches_brute_force_grid_tiny_case(self):
         # two slots, one free waypoint, frozen altitude: sweep the free
         # waypoint over a fine grid of the reachable lens and compare

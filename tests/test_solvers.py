@@ -5,10 +5,11 @@ hand-solved instances, on its own optimality certificate (nonnegative
 activities, slot sums, dual weights in the simplex, complementary
 slackness, strong duality), against SciPy's HiGHS as an oracle on seeded
 and Hypothesis-drawn rates with zeros, equal rows and duplicate slots, on
-disconnected rates, and on its input checks; the barrier path is checked
-against analytic optima and a multi-start SLSQP oracle on random concave
-programs, and its structured Newton step against a dense solve, also where
-the banded factorization needs the ridge and where no ridge helps.
+disconnected rates and on its input checks; its pivot sides are checked
+against a walk over the tie sets.  The barrier path is checked against
+analytic optima and a multi-start SLSQP oracle on random concave programs,
+and its structured Newton step against a dense solve, also where the
+banded factorization needs the ridge and where no ridge helps.
 Determinism is asserted bit-for-bit.
 """
 
@@ -225,6 +226,57 @@ class TestSolveLP:
         assert rep.status == "stalled"
         assert "certificate failed" in rep.message
         assert rep.stationarity > 1e-12
+
+
+def _walked_side(ties, node, slot):
+    """Nodes the hypertree of tie sets still joins to node once it leaves
+    slot's tie set, found by walking the tie sets."""
+    side, frontier = {node}, [node]
+    while frontier:
+        i = frontier.pop()
+        for s, t in ties.items():
+            if s != slot and i in t:
+                new = set(t) - side
+                side |= new
+                frontier.extend(new)
+    return side
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.3])
+def test_pivot_side_is_the_part_cut_off(zeros, monkeypatch):
+    # every pivot's side, read off the basis matrix, is the part of the
+    # hypertree the leaving node stays joined to; cold starts pivot often,
+    # and row scales 1e-8..1e4 with zero rates make sides drop out and
+    # rejoin
+    calls, drops, rejoins = [], [], []
+    pivot, rejoin = solvers._pivot, solvers._rejoin
+
+    def recording(r, w, active, owner, ties, slot, node, side):
+        calls.append((dict(ties), slot, node, side.copy()))
+        moved = pivot(r, w, active, owner, ties, slot, node, side)
+        drops.append(not active[side].any())
+        return moved
+
+    def counted(*args):
+        rejoins.append(True)
+        rejoin(*args)
+
+    monkeypatch.setattr(solvers, "_pivot", recording)
+    monkeypatch.setattr(solvers, "_rejoin", counted)
+    monkeypatch.setattr(solvers, "_smoothed_weights", lambda r, w: w)
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 8)), int(rng.integers(5, 200))
+        rates = rng.uniform(0.05, 5.0, (n, m)) * 10.0 ** rng.uniform(
+            -8.0, 4.0, (n, 1))
+        rates[rng.random((n, m)) < zeros] = 0.0
+        _assert_certified(solve_lp(rates), rates)
+    assert len(calls) > 10000
+    assert any(drops) == any(rejoins) == (zeros > 0.0)
+    for ties, slot, node, side in calls:
+        want = np.zeros(side.size, bool)
+        want[list(_walked_side(ties, node, slot))] = True
+        assert np.array_equal(side, want)
 
 
 @st.composite
