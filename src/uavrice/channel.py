@@ -86,6 +86,9 @@ class Scenario:
     # -- checks ------------------------------------------------------------
 
     def validate(self):
+        for name, value in vars(self).items():
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{name} must be finite")
         if self.sn_positions.ndim != 2 or self.sn_positions.shape[1] != 2:
             raise ValueError("sn_positions must be an (N, 2) array")
         if self.n_sn < 1:
@@ -111,6 +114,10 @@ class Scenario:
             raise ValueError("p_tx must be positive")
         if self.vxy < 0 or self.vz < 0:
             raise ValueError("speed limits must be nonnegative")
+        for name, limit in (("vxy", self.sxy), ("vz", self.sz)):
+            if not math.isfinite(limit * limit):
+                raise ValueError(f"{name}: per-slot limit {limit:g} m "
+                                 f"overflows when squared")
         rician_coeffs_from_bounds(self.k_min, self.k_max)  # bound sanity
         # reachability of the endpoints within the mission time
         horiz = float(np.linalg.norm(self.qf - self.q0))
@@ -142,8 +149,8 @@ def rician_factor(theta, a1, a2):
 
 def rician_coeffs_from_bounds(k_min, k_max):
     """Invert the exponential angle model so (K at 0, K at pi/2) = (k_min, k_max)."""
-    if not (0.0 < k_min <= k_max):
-        raise ValueError("need 0 < k_min <= k_max")
+    if not (0.0 < k_min <= k_max < math.inf):
+        raise ValueError("need 0 < k_min <= k_max < inf")
     a1 = float(k_min)
     a2 = math.log(k_max / k_min) / _HALF_PI
     return a1, a2

@@ -9,6 +9,7 @@ files.
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import DEFAULT_SEED
@@ -176,6 +177,9 @@ def _cmd_sweep(args):
                          f"got {args.values!r}") from None
     if not values:
         raise ValueError("--values: at least one value required")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--values: expected finite numbers, "
+                         f"got {args.values!r}")
     base_model = load_model(args.model) if args.model else None
     if args.param not in ("eps", "kmax_db") and base_model is None:
         base_model = fit_for_scenario(scenario)

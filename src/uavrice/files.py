@@ -183,8 +183,17 @@ def _read(table, doc, path):
     for f in table:
         if f.required and f.key not in doc:
             raise FileFormatError(f"{path}.{f.key}: missing required field")
-    return {f.attr: f.unit[0](f.read(doc[f.key], f"{path}.{f.key}"))
+    return {f.attr: _value(f, doc[f.key], f"{path}.{f.key}")
             for f in table if f.key in doc}
+
+
+def _value(f, val, path):
+    """One field read and converted into its attribute's units."""
+    try:
+        return f.unit[0](f.read(val, path))
+    except OverflowError as exc:
+        raise FileFormatError(f"{path}: number out of range in its units "
+                              f"({exc})") from exc
 
 
 def _write(table, values):

@@ -414,10 +414,8 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
 def _horizontal_block(plan: Plan, scenario: Scenario):
     """Builder data of the horizontal step: 2-D waypoints under the speed
     limit, blended toward the straight line."""
-    line = scenario.q0[None, :] + np.linspace(0.0, 1.0, plan.n_slots + 1)[
-        :, None] * (scenario.qf - scenario.q0)
-    return dict(path=plan.q, target=line, limit=scenario.sxy,
-                ends=(scenario.q0, scenario.qf),
+    return dict(path=plan.q, target=initialize_plan(scenario).q,
+                limit=scenario.sxy, ends=(scenario.q0, scenario.qf),
                 anchors=scenario.sn_positions)
 
 
@@ -426,8 +424,7 @@ def _vertical_block(plan: Plan, scenario: Scenario):
     limit and above the floor, blended toward a gentle ridge lifted off the
     floor, with the horizontal offsets held fixed."""
     m_slots = plan.n_slots
-    frac = np.linspace(0.0, 1.0, m_slots + 1)
-    line = scenario.z0 + frac * (scenario.zf - scenario.z0)
+    line = initialize_plan(scenario).z
     climb = np.abs(scenario.zf - scenario.z0) / m_slots
     ridge_slope = 0.5 * max(scenario.sz - climb, 0.0)
     idx = np.arange(m_slots + 1, dtype=float)

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass
@@ -153,24 +154,12 @@ def _components(pos):
     n, k = pos.shape
     if pos.all():
         return [(np.arange(n), np.arange(k))]
-    edges = pos.astype(float)
-    share = edges @ edges.T > 0.0           # nodes with a slot in common
-    seen = np.zeros(n, bool)
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        nodes = np.zeros(n, bool)
-        nodes[i] = True
-        while True:
-            grown = nodes | share[nodes].any(axis=0)
-            if np.array_equal(grown, nodes):
-                break
-            nodes = grown
-        seen |= nodes
-        out.append((np.flatnonzero(nodes),
-                    np.flatnonzero(pos[nodes].any(axis=0))))
-    return out
+    node, slot = np.nonzero(pos)
+    graph = scipy.sparse.coo_array((np.ones(node.size), (node, n + slot)),
+                                   shape=(n + k, n + k))
+    _, label = connected_components(graph, directed=False)
+    return [(np.flatnonzero(label[:n] == c), np.flatnonzero(label[n:] == c))
+            for c in np.unique(label[:n])]
 
 
 def _component(r, start):
@@ -302,9 +291,14 @@ def _start_basis(r, w):
         s = cand[np.argmin(factor)]
         up = group == group[best[s]]
         val[up] *= factor.min()
-        ties[s] = tuple(sorted(ties.get(s, (owner[s],)) + (best[s],)))
+        _tie(ties, owner, s, best[s])
         group[up] = group[owner[s]]
     return owner, ties
+
+
+def _tie(ties, owner, slot, node):
+    """Add node to slot's tie set, which starts from the slot's owner."""
+    ties[slot] = tuple(sorted(ties.get(slot, (owner[slot],)) + (node,)))
 
 
 def _basis(r, active, owner, ties):
@@ -346,12 +340,11 @@ def _pivot(r, w, active, owner, ties, slot, node, side):
     slot the side holds, which enters; with no such slot the side drops
     out, weight zero, keeping its slots.  True when the step moved no
     weight."""
-    k = r.shape[1]
     rest = tuple(j for j in ties.pop(slot) if j != node)
     if len(rest) > 1:
         ties[slot] = rest
     owner[slot] = rest[0]
-    mine = np.zeros(k, bool)
+    mine = np.zeros(r.shape[1], bool)
     held = owner >= 0
     mine[held] = side[owner[held]]
     val = w[:, None] * r
@@ -367,7 +360,7 @@ def _pivot(r, w, active, owner, ties, slot, node, side):
     best = int(np.argmax(ratio))
     enter = cand[best]
     j = int(np.argmax(np.where(side, -1.0, val[:, enter])))
-    ties[enter] = tuple(sorted(ties.get(enter, (owner[enter],)) + (j,)))
+    _tie(ties, owner, enter, j)
     return bool(ratio[best] == 1.0)
 
 
@@ -388,7 +381,7 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
         ratio = w[owner[cols]] * r[owner[cols], cols] / top[cand]
         enter = cols[np.argmin(ratio)]
         j = int(np.argmax(wz * r[:, enter]))
-        ties[enter] = tuple(sorted(ties.get(enter, (owner[enter],)) + (j,)))
+        _tie(ties, owner, enter, j)
     else:
         active[:] = False
         ties.clear()
@@ -413,36 +406,8 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 #   curvature(x, w)  -> sum_i w[i] * (-hess g_i), off-diagonal entries
 #                       listed in both orders
 # All rows are concave, so -hess g_i is positive semidefinite and the
-# barrier Hessian stays PSD by construction.
-
-_NO_TERMS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-
-
-@dataclass
-class LinearRows:
-    """Rows  d[r] + sum of vals[k] * x[cols[k]] over the k with rows[k] = r
-    >= 0  (box bounds, simple linear side constraints)."""
-
-    d: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float)
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.vals = np.asarray(self.vals, dtype=float)
-
-    def values(self, x):
-        return self.d + np.bincount(self.rows, self.vals * x[self.cols],
-                                    minlength=self.d.size)
-
-    def grads(self, x):
-        return self.rows, self.cols, self.vals
-
-    def curvature(self, x, w):
-        return _NO_TERMS
+# barrier Hessian stays PSD by construction.  QuadExpRows carries every
+# linear row, box bounds included; VRatioRows the altitude's ratio rows.
 
 
 @dataclass
@@ -454,7 +419,8 @@ class QuadExpRows:
     single block can hold every per-node rate row (many terms per row), the
     per-slot speed rows (one two-variable square each), and the horizontal
     fading-bound rows.  w_k >= 0 and e_k >= 0 keep every row concave.  C
-    is a dense array or a SciPy sparse matrix, read once for its nonzeros.
+    is a dense array or a SciPy sparse matrix, read once for its COO
+    triples in their stored order.
     """
 
     d: np.ndarray
@@ -483,12 +449,13 @@ class QuadExpRows:
         self.quad_j = np.where(self.quad_q == 0.0, self.quad_i, self.quad_j)
         self.quad_i = np.where(self.quad_p == 0.0, self.quad_j, self.quad_i)
         lin = scipy.sparse.coo_array(self.C)
-        self._linear = LinearRows(d=self.d, rows=lin.row, cols=lin.col,
-                                  vals=lin.data)
+        self._lin_rows = lin.row.astype(np.int64)
+        self._lin_cols = lin.col.astype(np.int64)
+        self._lin_vals = lin.data.astype(float)
         qi, qj = self.quad_i, self.quad_j
-        self._jac_rows = np.concatenate([self._linear.rows, self.quad_row,
+        self._jac_rows = np.concatenate([self._lin_rows, self.quad_row,
                                          self.quad_row, self.exp_row])
-        self._jac_cols = np.concatenate([self._linear.cols, qi, qj,
+        self._jac_cols = np.concatenate([self._lin_cols, qi, qj,
                                          self.exp_idx])
         self._curv_rows = np.concatenate([qi, qj, qi, qj, self.exp_idx])
         self._curv_cols = np.concatenate([qi, qj, qj, qi, self.exp_idx])
@@ -497,8 +464,10 @@ class QuadExpRows:
         return self.quad_p * x[self.quad_i] + self.quad_q * x[self.quad_j] + self.quad_r
 
     def values(self, x):
-        g = self._linear.values(x)
-        m = g.size
+        m = self.d.size
+        g = self.d + np.bincount(self._lin_rows,
+                                 self._lin_vals * x[self._lin_cols],
+                                 minlength=m)
         if self.quad_row.size:
             t = self._t(x)
             g -= np.bincount(self.quad_row, self.quad_w * t * t, minlength=m)
@@ -511,7 +480,7 @@ class QuadExpRows:
     def grads(self, x):
         t2w = 2.0 * self.quad_w * self._t(x)
         return self._jac_rows, self._jac_cols, np.concatenate([
-            self._linear.vals, -t2w * self.quad_p, -t2w * self.quad_q,
+            self._lin_vals, -t2w * self.quad_p, -t2w * self.quad_q,
             self.exp_coef * np.exp(-x[self.exp_idx])])
 
     def curvature(self, x, w):
@@ -579,22 +548,24 @@ class ConcaveProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.size != self.n_vars:
             raise ValueError("objective length must equal n_vars")
-
-    def all_blocks(self):
-        """Constraint blocks, then one diagonal block with a row per finite
-        box bound, lower bounds first."""
+        # the box rows, built once: callers ask for the blocks many times
         n = self.n_vars
         lb = np.full(n, -np.inf) if self.lb is None else self.lb
         ub = np.full(n, np.inf) if self.ub is None else self.ub
         lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
         lo = np.flatnonzero(np.isfinite(lb))
         hi = np.flatnonzero(np.isfinite(ub))
-        if not lo.size + hi.size:
-            return list(self.blocks)
-        return list(self.blocks) + [LinearRows(
+        m = lo.size + hi.size
+        self._box = [] if not m else [QuadExpRows(
             d=np.concatenate([-lb[lo], ub[hi]]),
-            rows=np.arange(lo.size + hi.size), cols=np.concatenate([lo, hi]),
-            vals=np.repeat([1.0, -1.0], [lo.size, hi.size]))]
+            C=scipy.sparse.coo_array(
+                (np.repeat([1.0, -1.0], [lo.size, hi.size]),
+                 (np.arange(m), np.concatenate([lo, hi]))), shape=(m, n)))]
+
+    def all_blocks(self):
+        """Constraint blocks, then one block with a linear row per finite
+        box bound, lower bounds first."""
+        return list(self.blocks) + self._box
 
 
 def _block_values(blocks, x):
@@ -837,13 +808,12 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     so the metric stays bounded and the step count stays flat as the gap
     shrinks.
 
-    The start must be strictly feasible.  The trace records the true
-    objective after each accepted step (interior iterates may dip while
-    recentering); the returned objective never falls below the start.
+    A program needs rows and a strictly feasible start.  The trace records
+    the true objective after each accepted step (interior iterates may dip
+    while recentering); the returned objective never falls below the start.
     """
-    n = cp.n_vars
     x = np.asarray(start, dtype=float).copy()
-    if x.size != n:
+    if x.size != cp.n_vars:
         raise ValueError("start length must equal n_vars")
     blocks = cp.all_blocks()
     c = cp.objective
@@ -858,13 +828,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
                          f"(row {bad[0]}, slack {g[bad[0]]:.3e})")
     m = g.size
     if m == 0:
-        stat0 = float(np.max(np.abs(c), initial=0.0))
-        ok = stat0 <= 1e-6
-        return SolverReport(
-            x=x, objective=float(c @ x), feasibility=0.0, stationarity=stat0,
-            iterations=0, status="optimal" if ok else "stalled",
-            message="" if ok else "unconstrained nonzero gradient",
-            trace=(float(c @ x),))
+        raise ValueError("program has no constraint rows")
     system = _NewtonSystem(blocks, c, x)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g

@@ -55,6 +55,27 @@ class TestScenario:
         with pytest.raises(ValueError):
             make_scenario(**bad)
 
+    @pytest.mark.parametrize("name", ["vxy", "vz", "duration_s", "beta0",
+                                      "sigma2", "snr_gap", "p_tx"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_scenario(**{name: value})
+
+    @pytest.mark.parametrize("name", ["h_min", "z0", "k_max"])
+    def test_rejects_nan_that_passes_every_comparison(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_scenario(**{name: math.nan})
+
+    @pytest.mark.parametrize("name, limit", [("vxy", "sxy"), ("vz", "sz")])
+    def test_per_slot_limit_must_square_finitely(self, name, limit):
+        # 1e200 m/s over 0.2 s slots squares past the float range; 1e150
+        # does not
+        assert getattr(make_scenario(**{name: 1e150}), limit) ** 2 < math.inf
+        with pytest.raises(ValueError, match=f"{name}: per-slot limit "
+                                             "2e\\+199 m overflows"):
+            make_scenario(**{name: 1e200})
+
 
 class TestGeometry:
     """``planner.slot_geometry`` is the one geometry path: planning, exact
@@ -133,6 +154,11 @@ class TestRicianFactor:
             channel.rician_factor(1.7, 1.0, 1.0)
         with pytest.raises(ValueError):
             channel.rician_coeffs_from_bounds(5.0, 1.0)
+
+    @pytest.mark.parametrize("k_max", [math.inf, math.nan])
+    def test_rejects_non_finite_k_max(self, k_max):
+        with pytest.raises(ValueError, match="k_max < inf"):
+            channel.rician_coeffs_from_bounds(1.0, k_max)
 
     def test_equal_bounds_flat(self):
         a1, a2 = channel.rician_coeffs_from_bounds(10.0, 10.0)

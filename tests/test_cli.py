@@ -79,6 +79,12 @@ class TestFit:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_kmax_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert cli(["fit", "--kmax-db", "inf", "--out", str(out)]) == 1
+        assert "k_max < inf" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlanAndEvaluate:
     def test_lb_gap_is_one_sided(self, scen_path, model_path, tmp_path,
@@ -270,6 +276,17 @@ class TestSweep:
         assert cli(["sweep", "--scenario", str(scen_path), "--param", "vz",
                     "--values", "a,b", "--out", str(out)]) == 1
         assert "values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values", [
+        ("vz", "nan"), ("vz", "inf"), ("kmax_db", "inf"), ("T", "8,inf"),
+        ("eps", "0.01,-inf")])
+    def test_non_finite_values_fail_cleanly(self, scen_path, tmp_path,
+                                            capsys, param, values):
+        out = tmp_path / "n.json"
+        assert cli(["sweep", "--scenario", str(scen_path), "--param", param,
+                    "--values", values, "--out", str(out)]) == 1
+        assert "--values: expected finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("values, bad", [("8,8.5", "8.5"),

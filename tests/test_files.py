@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uavrice import files
+from uavrice.cli import cli
 from uavrice.evaluation import EvalReport, evaluate_plan
 from uavrice.fading import LogisticModel
 from uavrice.files import (
@@ -437,6 +438,33 @@ class TestNonFiniteFiles:
         with pytest.raises(FileFormatError,
                            match=rf"scenario\.{key}: number out of range"):
             scenario_from_config(_config(**{key: value}))
+
+    @pytest.mark.parametrize("key", ["kmax_db", "beta0_db", "sigma2_dbm"])
+    def test_overflowing_db_field_names_its_field(self, tmp_path, key):
+        # 4000 dB is a finite number whose linear value is not
+        path = tmp_path / "scen.json"
+        path.write_text(dump_json(_config(**{key: 4000.0})))
+        with pytest.raises(FileFormatError, match=rf"scenario\.{key}: "
+                                                  "number out of range"):
+            load_scenario(path)
+
+    def test_overflowing_model_db_field_names_its_field(self, tmp_path):
+        doc = model_to_json(LogisticModel(b1=-4.1, b2=5.8, c1=0.2, c2=0.8))
+        doc["kmax_db"] = 4000.0
+        path = tmp_path / "model.json"
+        path.write_text(dump_json(doc))
+        with pytest.raises(FileFormatError,
+                           match=r"model\.kmax_db: number out of range"):
+            load_model(path)
+
+    def test_plan_refuses_an_overflowing_db_field(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen.json", tmp_path / "plan.json"
+        scen.write_text(dump_json(_config(kmax_db=4000.0)))
+        assert cli(["plan", "--scenario", str(scen), "--scheme", "lb",
+                    "--out", str(out)]) == 1
+        assert "scenario.kmax_db: number out of range" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["b1", "b2"])
     def test_model_file(self, tmp_path, key):

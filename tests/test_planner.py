@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from uavrice.channel import Scenario, rate_from_gain
-from uavrice.evaluation import fit_for_scenario
+from uavrice.evaluation import fit_for_scenario, run_scheme
 from uavrice.fading import LogisticModel
 from uavrice.files import bundled_scenario, load_scenario
 from uavrice import planner, solvers
@@ -633,3 +633,43 @@ class TestCheckPlan:
         plan.z[4] = scen.h_min * (1.0 - 2.0 * planner.PLAN_RTOL)
         assert [p.split(" by ")[0] for p in check_plan(plan, scen)] == [
             "altitude below h_min"]
+
+
+_BASE_1SN = dataclasses.replace(
+    load_scenario(bundled_scenario("scenario_1sn.json")), n_slots=20)
+_DEGENERATE = {
+    "one_slot": dict(n_slots=1),
+    "two_slots": dict(n_slots=2),
+    "hover": dict(vxy=0.0, qf=_BASE_1SN.q0),
+    "no_climb": dict(vz=0.0),
+    "flat_k": dict(k_min=_BASE_1SN.k_max),
+    "node_under_start": dict(sn_positions=[_BASE_1SN.q0]),
+    "node_under_end": dict(sn_positions=[_BASE_1SN.qf, [200.0, 0.0]]),
+}
+
+
+class TestDegenerateScenarios:
+    """Edge cases of scenario_1sn at 20 slots, planned with one fitted
+    model: every plan fits its scenario, earns a positive rate, never lets
+    the outer trace fall, and reruns byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return fit_for_scenario(_BASE_1SN)
+
+    @pytest.mark.parametrize("scheme", ["lb", "rfb"])
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE))
+    def test_plans_stay_feasible_monotone_and_repeatable(self, case, scheme,
+                                                         model):
+        scen = dataclasses.replace(_BASE_1SN, **_DEGENERATE[case])
+        plan, rep = run_scheme(scheme, scen, model, simulate=False)
+        assert check_plan(plan, scen) == []
+        assert rep.eta_achieved > 0.0
+        trace = rep.extras["trace"]
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        again, rep2 = run_scheme(scheme, scen, model, simulate=False)
+        for attr in ("q", "z", "a"):
+            assert getattr(again, attr).tobytes() == getattr(plan,
+                                                             attr).tobytes()
+        assert rep2.eta_achieved == rep.eta_achieved
+        assert rep2.extras == rep.extras

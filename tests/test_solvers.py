@@ -22,7 +22,6 @@ from hypothesis import given, strategies as st
 from uavrice import solvers
 from uavrice.solvers import (
     ConcaveProgram,
-    LinearRows,
     QuadExpRows,
     VRatioRows,
     _NewtonSystem,
@@ -226,6 +225,48 @@ class TestSolveLP:
         assert rep.status == "stalled"
         assert "certificate failed" in rep.message
         assert rep.stationarity > 1e-12
+
+
+def _looped_components(pos):
+    """The components found by growing each unseen node's set through the
+    nodes it shares a slot with, in the order of their first node."""
+    n = pos.shape[0]
+    edges = pos.astype(float)
+    share = edges @ edges.T > 0.0
+    seen = np.zeros(n, bool)
+    out = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        nodes = np.zeros(n, bool)
+        nodes[i] = True
+        while True:
+            grown = nodes | share[nodes].any(axis=0)
+            if np.array_equal(grown, nodes):
+                break
+            nodes = grown
+        seen |= nodes
+        out.append((np.flatnonzero(nodes),
+                    np.flatnonzero(pos[nodes].any(axis=0))))
+    return out
+
+
+def test_components_match_a_node_by_node_search():
+    # sparse to dense patterns leave edgeless nodes and empty slots; the
+    # all-true pattern takes the fast path
+    patterns = [np.ones((3, 5), bool), np.zeros((2, 4), bool)]
+    for seed in range(1500):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+        patterns.append(rng.random((n, k)) < rng.uniform(0.0, 0.6))
+    assert any(not p.any(axis=1).all() for p in patterns)
+    assert any(not p.any(axis=0).all() for p in patterns)
+    for pos in patterns:
+        got, want = solvers._components(pos), _looped_components(pos)
+        assert len(got) == len(want)
+        for (nodes, slots), (ref_nodes, ref_slots) in zip(got, want):
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(slots, ref_slots)
 
 
 def _walked_side(ties, node, slot):
@@ -467,6 +508,26 @@ class TestBarrier:
         with pytest.raises(ValueError, match="strictly feasible"):
             maximize_concave_program(cp, np.array(start))
 
+    def test_program_without_rows_is_refused(self):
+        cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 0.0]),
+                            blocks=[])
+        with pytest.raises(ValueError, match="no constraint rows"):
+            maximize_concave_program(cp, np.zeros(2))
+
+    def test_box_rows_are_linear_rows_lower_bounds_first(self):
+        cp = ConcaveProgram(n_vars=3, objective=np.zeros(3), blocks=[],
+                            lb=np.array([0.0, -np.inf, -1.0]),
+                            ub=np.array([2.0, 5.0, np.inf]))
+        (box,) = cp.all_blocks()
+        x = np.array([0.5, 1.0, 3.0])
+        np.testing.assert_array_equal(box.values(x),
+                                      [0.5, 4.0, 1.5, 4.0])
+        rows, cols, vals = box.grads(x)
+        np.testing.assert_array_equal(rows, [0, 1, 2, 3])
+        np.testing.assert_array_equal(cols, [0, 2, 0, 1])
+        np.testing.assert_array_equal(vals, [1.0, 1.0, -1.0, -1.0])
+        assert all(part.size == 0 for part in box.curvature(x, np.ones(4)))
+
     def test_determinism(self):
         blk = _quad_row_block([4.0], [[-1.0, 0.2]],
                               [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])
@@ -589,7 +650,7 @@ class _SaddleRows:
 
 def _saddle_program(delta):
     """maximize x0 subject to x0 <= 1, plus a saddle on (x1, x2)."""
-    rows = LinearRows(d=np.ones(1), rows=[0], cols=[0], vals=[-1.0])
+    rows = QuadExpRows(d=np.ones(1), C=[[-1.0, 0.0, 0.0]])
     return ConcaveProgram(n_vars=3, objective=np.array([1.0, 0.0, 0.0]),
                           blocks=[rows, _SaddleRows(delta)])
 
