@@ -85,11 +85,20 @@ def _resolve_model(scenario, scheme, model_path):
     return fit_for_scenario(scenario)
 
 
+def _linear(option, db):
+    """db_to_linear, with a ValueError naming the option and the value when
+    the linear value overflows."""
+    try:
+        return db_to_linear(db)
+    except OverflowError:
+        raise ValueError(f"{option}={db:g} dB is out of range") from None
+
+
 def _cmd_fit(args):
     if args.kmin_db > args.kmax_db:
         raise ValueError("--kmin-db must not exceed --kmax-db")
     samples = generate_regression_samples(
-        db_to_linear(args.kmin_db), db_to_linear(args.kmax_db),
+        _linear("--kmin-db", args.kmin_db), _linear("--kmax-db", args.kmax_db),
         args.eps, args.grid)
     model = fit_logistic(samples)
     save_model(args.out, model)
@@ -146,7 +155,8 @@ def _sweep_scenario(scenario, param, value):
         return dataclasses.replace(scenario, vz=float(value))
     if param == "eps":
         return dataclasses.replace(scenario, epsilon=float(value))
-    return dataclasses.replace(scenario, k_max=db_to_linear(value))
+    return dataclasses.replace(scenario,
+                               k_max=_linear("--values: kmax_db", value))
 
 
 def _sweep_row(scen, param, value, base_model):

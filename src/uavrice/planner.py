@@ -263,17 +263,16 @@ class TrajectoryStep:
     """One built tangent-bound subproblem.  Variables run slot by slot:
     each free waypoint 1..M-1 has its D coordinates (``x_cols``) followed
     by one logistic argument s per active (node, slot) pair at it
-    (``s_cols``, node-major); eta comes last.  This order keeps the
-    move and cap rows banded for the Newton step.  Stacked
-    ``program.all_blocks()`` rows start with the N rate rows;
-    ``cap_rows`` holds each s's cap."""
+    (``program.cap_cols``, node-major); eta comes last
+    (``program.eta_col``).  This order keeps the move and cap rows banded
+    for the Newton step.  Stacked ``program.all_blocks()`` rows start with
+    the N rate rows (``program.eta_rows``); ``program.cap_rows`` holds each
+    s's cap."""
 
     program: ConcaveProgram
     start: np.ndarray        # strictly interior start
     path: np.ndarray         # (M+1, D) expansion path
     x_cols: np.ndarray       # (M-1, D)
-    s_cols: np.ndarray
-    cap_rows: np.ndarray
 
 
 def _stacked_values(cp: ConcaveProgram, x):
@@ -395,11 +394,13 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     lb[x_cols] = floor
     objective = np.zeros(nv)
     objective[eta_col] = 1.0
-    cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=blocks, lb=lb)
-
-    # start: each s just under its cap, eta just under the worst rate row
     cap_lo = n_sn if offset is None else move_lo + m_slots
     cap_rows = np.arange(cap_lo, cap_lo + s_cols.size)
+    cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=blocks, lb=lb,
+                        cap_rows=cap_rows, cap_cols=s_cols, eta_col=eta_col,
+                        eta_rows=np.arange(n_sn))
+
+    # start: each s just under its cap, eta just under the worst rate row
     start = np.zeros(nv)
     start[x_cols] = hat[1:-1]
     start[s_cols] = _stacked_values(cp, start)[cap_rows] - _SLACK_GAP
@@ -407,8 +408,7 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
     if _stacked_values(cp, start).min() <= 0.0:
         return None
-    return TrajectoryStep(program=cp, start=start, path=hat, x_cols=x_cols,
-                          s_cols=s_cols, cap_rows=cap_rows)
+    return TrajectoryStep(program=cp, start=start, path=hat, x_cols=x_cols)
 
 
 def _horizontal_block(plan: Plan, scenario: Scenario):

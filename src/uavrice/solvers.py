@@ -14,9 +14,12 @@ for what remains of the coupling rows solve the same system a dense
 factorization would, in time linear in the number of slots.  The
 factorizations and solves call LAPACK through ``scipy.linalg.lapack``
 directly, since at these sizes the public wrappers cost more than the
-arithmetic.  Every Newton step and line search is reproducible
-bit-for-bit across runs.  Callers leave fixed quantities (path endpoints)
-out of the variable vector, so each Newton step works on every variable.
+arithmetic.  The line search corrects a trial that fails slack
+positivity along the epigraph columns the program declares, and skips
+step lengths whose linear prediction already fails.  Every Newton step
+and line search is reproducible bit-for-bit across runs.  Callers leave
+fixed quantities (path endpoints) out of the variable vector, so each
+Newton step works on every variable.
 """
 
 from dataclasses import dataclass, field
@@ -478,17 +481,25 @@ class QuadExpRows:
         return g
 
     def grads(self, x):
-        t2w = 2.0 * self.quad_w * self._t(x)
-        return self._jac_rows, self._jac_cols, np.concatenate([
-            self._lin_vals, -t2w * self.quad_p, -t2w * self.quad_q,
-            self.exp_coef * np.exp(-x[self.exp_idx])])
+        vals = [self._lin_vals]
+        if self.quad_row.size:
+            t2w = 2.0 * self.quad_w * self._t(x)
+            vals += [-t2w * self.quad_p, -t2w * self.quad_q]
+        if self.exp_row.size:
+            vals.append(self.exp_coef * np.exp(-x[self.exp_idx]))
+        return self._jac_rows, self._jac_cols, np.concatenate(vals)
 
     def curvature(self, x, w):
-        c2 = 2.0 * self.quad_w * w[self.quad_row]
-        cross = c2 * self.quad_p * self.quad_q
-        return self._curv_rows, self._curv_cols, np.concatenate([
-            c2 * self.quad_p ** 2, c2 * self.quad_q ** 2, cross, cross,
-            w[self.exp_row] * self.exp_coef * np.exp(-x[self.exp_idx])])
+        vals = [np.zeros(0)]
+        if self.quad_row.size:
+            c2 = 2.0 * self.quad_w * w[self.quad_row]
+            cross = c2 * self.quad_p * self.quad_q
+            vals += [c2 * self.quad_p ** 2, c2 * self.quad_q ** 2, cross,
+                     cross]
+        if self.exp_row.size:
+            vals.append(w[self.exp_row] * self.exp_coef
+                        * np.exp(-x[self.exp_idx]))
+        return self._curv_rows, self._curv_cols, np.concatenate(vals)
 
 
 @dataclass
@@ -536,18 +547,34 @@ class VRatioRows:
 @dataclass
 class ConcaveProgram:
     """maximize objective @ x over concave-slack blocks and a box; fixed
-    quantities belong in the row constants, not the variable vector."""
+    quantities belong in the row constants, not the variable vector.
+
+    The epigraph fields declare columns that sit under concave functions,
+    for the line search's correction; rows are numbered as in
+    ``all_blocks()``.  Row ``cap_rows[k]`` reads f(x) - x[cap_cols[k]] >= 0
+    (other rows may hold that column in monotone terms).  ``eta_col`` is a
+    column that enters exactly the rows ``eta_rows``, each as - x[eta_col];
+    every other row is free of it.
+    """
 
     n_vars: int
     objective: np.ndarray
     blocks: list
     lb: Optional[np.ndarray] = None   # entries -inf where unbounded
     ub: Optional[np.ndarray] = None
+    cap_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    cap_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    eta_col: Optional[int] = None
+    eta_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.size != self.n_vars:
             raise ValueError("objective length must equal n_vars")
+        for name in ("cap_rows", "cap_cols", "eta_rows"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if self.cap_rows.shape != self.cap_cols.shape:
+            raise ValueError("cap_rows and cap_cols must pair up")
         # the box rows, built once: callers ask for the blocks many times
         n = self.n_vars
         lb = np.full(n, -np.inf) if self.lb is None else self.lb
@@ -572,6 +599,50 @@ def _block_values(blocks, x):
     if not blocks:
         return np.zeros(0)
     return np.concatenate([blk.values(x) for blk in blocks])
+
+
+def _check_epigraph(cp, system, gu):
+    """ValueError unless, at the start, each declared cap column enters its
+    cap row and the eta column exactly its rows, all with slope -1."""
+    n, m = system.n, system.m
+    rows, cols = cp.cap_rows, cp.cap_cols
+    if cp.eta_col is not None:
+        rows = np.concatenate([rows, cp.eta_rows])
+        cols = np.concatenate([cols, np.full(cp.eta_rows.size, cp.eta_col)])
+    key = system.urow * n + system.ucol     # sorted: np.unique made it
+    want = rows * n + cols
+    at = np.minimum(np.searchsorted(key, want), max(key.size - 1, 0))
+    ok = (np.all((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n))
+          and (key.size or not want.size)
+          and np.array_equal(key[at], want) and np.all(gu[at] == -1.0))
+    if ok and cp.eta_col is not None:
+        ok = 0 < cp.eta_rows.size == np.count_nonzero(system.ucol == cp.eta_col)
+    if not ok:
+        raise ValueError("declared epigraph columns do not match the rows' "
+                         "Jacobian at the start")
+
+
+def _epigraph_correction(cp, blocks, xt, gt, pred):
+    """Second-order correction of a trial point that failed positivity,
+    restricted to the epigraph columns (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., section 18.3): each cap column drops by its cap
+    row's curvature residual min(0, g(xt) - pred), which restores that
+    row's linear prediction pred; then the eta column drops by the worst
+    residual over its rows.  It enters them linearly, so their slacks are
+    updated in place.  Returns the corrected (xt, gt)."""
+    if cp.cap_cols.size:
+        cap = xt[cp.cap_cols]
+        moved = cap + np.minimum(0.0, gt[cp.cap_rows] - pred[cp.cap_rows])
+        if not np.array_equal(moved, cap):
+            xt[cp.cap_cols] = moved
+            gt = _block_values(blocks, xt)
+    if cp.eta_col is not None:
+        worst = float(np.min(gt[cp.eta_rows] - pred[cp.eta_rows]))
+        if worst < 0.0:
+            eta = xt[cp.eta_col]
+            xt[cp.eta_col] = eta + worst
+            gt[cp.eta_rows] += eta - xt[cp.eta_col]
+    return xt, gt
 
 
 def _pairs_within_rows(rows):
@@ -789,6 +860,16 @@ def _lapack(routine, *arrays):
     return out
 
 
+def _trial_steps(t, t_lin):
+    """The step lengths the backtracking tries: t, t/2, ..., 50 in all,
+    without those above t_lin, the longest step at which every screened
+    row's linear prediction stays nonnegative."""
+    for _ in range(50):
+        if t <= t_lin:
+            yield t
+        t *= 0.5
+
+
 def maximize_concave_program(cp: ConcaveProgram, start,
                              max_iters=200) -> SolverReport:
     """Primal-dual interior-point maximization.
@@ -808,9 +889,22 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     so the metric stays bounded and the step count stays flat as the gap
     shrinks.
 
-    A program needs rows and a strictly feasible start.  The trace records
-    the true objective after each accepted step (interior iterates may dip
-    while recentering); the returned objective never falls below the start.
+    The backtracking halves t at most 50 times.  It skips, unevaluated,
+    every t at which a row other than the eta rows has a linear
+    prediction g + t G dx below zero beyond rounding, since such a trial
+    fails positivity anyway.  A trial that fails positivity gets the
+    epigraph correction (``_epigraph_correction``) on the columns the
+    program declares, then the positivity and merit tests; the dual trial
+    is not corrected.  Without the correction, the curvature of a rate row
+    whose slack eta has pushed to 1e-10 turns long waypoint steps negative
+    and the step length crawls; with it, the cap and rate rows keep the
+    slack their linear model promises.
+
+    A program needs rows and a strictly feasible start, and its declared
+    epigraph columns must enter their rows with slope -1 there.  The trace
+    records the true objective after each accepted step (interior iterates
+    may dip while recentering); the returned objective never falls below
+    the start.
     """
     x = np.asarray(start, dtype=float).copy()
     if x.size != cp.n_vars:
@@ -830,6 +924,9 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     if m == 0:
         raise ValueError("program has no constraint rows")
     system = _NewtonSystem(blocks, c, x)
+    gu = system.jacobian(x)
+    _check_epigraph(cp, system, gu)
+    row_scale = np.abs(np.concatenate([blk.d for blk in blocks]))
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
     best_x = x
@@ -841,7 +938,6 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     sigma = 0.2
     # slacks g, Jacobian gu and dual residual rd always belong to (x, lam):
     # an accepted trial point hands over the ones its test computed
-    gu = system.jacobian(x)
     rd = c + system.rmatvec(gu, lam)
 
     for _ in range(max_iters):
@@ -857,20 +953,33 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         if dx is None:
             stall = "no Newton direction under any ridge"
             break
-        dlam = mu_g - lam - W * system.matvec(gu, dx)
+        gdx = system.matvec(gu, dx)
+        dlam = mu_g - lam - W * gdx
 
         # equal step length, fraction-to-boundary on the multipliers,
-        # then backtrack on strict slack positivity and the KKT merit
+        # then backtrack on strict slack positivity and the KKT merit.
+        # A concave row never rises above its linear prediction g + t gdx,
+        # and the epigraph correction lifts only the eta rows above theirs,
+        # so a t at which another row's prediction falls below zero by
+        # more than rounding fails positivity; it is never evaluated.
         neg = dlam < 0.0
         t = 1.0
         if np.any(neg):
             t = min(1.0, 0.995 * float(np.min(-lam[neg] / dlam[neg])))
+        lo = g + 1e-12 * (1.0 + row_scale + np.abs(g))
+        hi = gdx + 1e-12 * np.abs(gdx)
+        down = hi < 0.0
+        down[cp.eta_rows] = False
+        t_lin = float(np.min(lo[down] / -hi[down], initial=np.inf))
         merit0 = float(rd @ rd) + float(np.sum((lam * g - mu_t) ** 2))
         ok = False
-        for _ in range(50):
+        for t in _trial_steps(t, t_lin):
             xt = x + t * dx
             lt = lam + t * dlam
             gt = _block_values(blocks, xt)
+            if not gt.min() > 0.0:
+                xt, gt = _epigraph_correction(cp, blocks, xt, gt,
+                                              g + t * gdx)
             if gt.min() > 0.0 and lt.min() > 0.0:
                 gut = system.jacobian(xt)
                 rdt = c + system.rmatvec(gut, lt)
@@ -878,7 +987,6 @@ def maximize_concave_program(cp: ConcaveProgram, start,
                 if meritt <= (1.0 - 1e-4 * t) * merit0 + 1e-30:
                     ok = True
                     break
-            t *= 0.5
         if not ok:
             stall = "step rejected by merit backtracking"
             break

@@ -86,6 +86,16 @@ class TestFit:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("option", ["--kmin-db", "--kmax-db"])
+    def test_overflowing_db_fails_naming_the_option(self, tmp_path, capsys,
+                                                     option):
+        out = tmp_path / "m.json"
+        assert cli(["fit", "--kmin-db", "0", "--kmax-db", "4000", option,
+                    "4000", "--out", str(out)]) == 1
+        assert f"{option}=4000 dB is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPlanAndEvaluate:
     def test_lb_gap_is_one_sided(self, scen_path, model_path, tmp_path,
                                  capsys):
@@ -287,6 +297,15 @@ class TestSweep:
         assert cli(["sweep", "--scenario", str(scen_path), "--param", param,
                     "--values", values, "--out", str(out)]) == 1
         assert "--values: expected finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_kmax_fails_naming_the_value(self, scen_path,
+                                                     tmp_path, capsys):
+        out = tmp_path / "k.json"
+        assert cli(["sweep", "--scenario", str(scen_path), "--param",
+                    "kmax_db", "--values", "30,4000", "--out", str(out)]) == 1
+        assert ("--values: kmax_db=4000 dB is out of range"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("values, bad", [("8,8.5", "8.5"),

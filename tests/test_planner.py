@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavrice.channel import Scenario, rate_from_gain
 from uavrice.evaluation import fit_for_scenario, run_scheme
@@ -345,7 +346,7 @@ class TestTrajectoryBlocks:
         # expansion point and each cap row has zero slack
         scen, plan, step = _built_step(block, model)
         assert step is not None
-        assert step.s_cols.size == (
+        assert step.program.cap_cols.size == (
             0 if model is LOS_MODEL
             else np.count_nonzero(plan.a[:, :-1] > planner._SPARSIFY_TOL))
 
@@ -355,8 +356,8 @@ class TestTrajectoryBlocks:
 
         x = step.start.copy()
         x[-1] = 0.0
-        x[step.s_cols] = 0.0
-        x[step.s_cols] = rows(x)[step.cap_rows]
+        x[step.program.cap_cols] = 0.0
+        x[step.program.cap_cols] = rows(x)[step.program.cap_rows]
         g = rows(x)
         if block == "horizontal":
             q, z = step.path, plan.z
@@ -367,7 +368,7 @@ class TestTrajectoryBlocks:
         want = (np.where(active, plan.a, 0.0) * rates).sum(axis=1) \
             / scen.n_slots
         assert g[:scen.n_sn] == pytest.approx(want, rel=1e-9)
-        assert g[step.cap_rows] == pytest.approx(0.0, abs=1e-12)
+        assert g[step.program.cap_rows] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
@@ -673,3 +674,61 @@ class TestDegenerateScenarios:
                                                              attr).tobytes()
         assert rep2.eta_achieved == rep.eta_achieved
         assert rep2.extras == rep.extras
+
+
+def test_every_bundled_1sn_solve_ends_optimal(monkeypatch):
+    # the line search's epigraph correction finishes every interior-point
+    # solve of the four schemes on scenario_1sn, which used to crawl into
+    # the step cap, and the counts in the result say so
+    scen = load_scenario(bundled_scenario("scenario_1sn.json"))
+    model = fit_for_scenario(scen)
+    solve = planner.maximize_concave_program
+    status = []
+
+    def spy(cp, start, **kw):
+        rep = solve(cp, start, **kw)
+        status.append(rep.status)
+        return rep
+
+    monkeypatch.setattr(planner, "maximize_concave_program", spy)
+    for scheme in ("lb", "rfla", "rffsa", "rfb"):
+        _, rep = run_scheme(scheme, scen, model, simulate=False)
+        assert rep.extras["ipm_not_optimal"] == {"horizontal": 0,
+                                                 "vertical": 0}, scheme
+    assert status and set(status) == {"optimal"}
+
+
+@st.composite
+def _small_scenarios(draw):
+    """Scenarios of 1-3 nodes and 1-20 slots, reachable in time: the
+    horizontal leg takes a drawn share of the full-speed range and the
+    altitude change one of the climb range."""
+    n_slots = draw(st.integers(1, 20))
+    duration_s = n_slots * draw(st.sampled_from([0.5, 1.0, 2.0]))
+    vxy, vz = draw(st.sampled_from([0.0, 20.0, 50.0])), 10.0
+    reach = draw(st.floats(0.0, 1.0)) * vxy * duration_s
+    heading = draw(st.floats(0.0, 2.0 * math.pi))
+    qf = reach * np.array([math.cos(heading), math.sin(heading)])
+    zf = 100.0 + draw(st.floats(0.0, 1.0)) * vz * duration_s
+    nodes = draw(st.lists(st.tuples(st.floats(-300.0, 300.0),
+                                    st.floats(-300.0, 300.0)),
+                          min_size=1, max_size=3))
+    return _scenario(nodes, m_slots=n_slots, duration_s=duration_s, qf=qf,
+                     vxy=vxy, vz=vz, zf=zf)
+
+
+@settings(max_examples=25)
+@given(scen=_small_scenarios())
+def test_random_small_scenarios_plan_cleanly(scen):
+    # lb and rfb on drawn scenarios: a plan that fits, an outer trace that
+    # never falls, and a byte-identical rerun
+    for scheme, model in (("lb", LOS_MODEL), ("rfb", FIT)):
+        plan, rep = run_scheme(scheme, scen, model, simulate=False)
+        assert check_plan(plan, scen) == [], scheme
+        trace = rep.extras["trace"]
+        assert all(b >= a for a, b in zip(trace, trace[1:])), scheme
+        again, rep2 = run_scheme(scheme, scen, model, simulate=False)
+        for attr in ("q", "z", "a"):
+            assert getattr(again, attr).tobytes() == \
+                getattr(plan, attr).tobytes(), (scheme, attr)
+        assert rep2.eta_achieved == rep.eta_achieved

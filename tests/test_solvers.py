@@ -9,7 +9,10 @@ disconnected rates and on its input checks; its pivot sides are checked
 against a walk over the tie sets.  The barrier path is checked against
 analytic optima and a multi-start SLSQP oracle on random concave programs,
 and its structured Newton step against a dense solve, also where the
-banded factorization needs the ridge and where no ridge helps.
+banded factorization needs the ridge and where no ridge helps.  Its line
+search is checked on a capped program the epigraph correction finishes,
+on refused epigraph declarations, and on the rfb plan of scenario_4sn,
+where every step the linear pre-screen skips is evaluated and fails.
 Determinism is asserted bit-for-bit.
 """
 
@@ -19,7 +22,9 @@ import scipy.optimize
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from uavrice import solvers
+from uavrice import planner, solvers
+from uavrice.evaluation import fit_for_scenario, run_scheme
+from uavrice.files import bundled_scenario, load_scenario
 from uavrice.solvers import (
     ConcaveProgram,
     QuadExpRows,
@@ -694,3 +699,143 @@ def test_solver_stalls_without_a_direction():
     assert rep.message == "no Newton direction under any ridge"
     assert rep.iterations == 0
     assert np.array_equal(rep.x, start)
+
+
+@pytest.mark.parametrize("quad, exp", [(True, True), (True, False),
+                                       (False, True), (False, False)])
+def test_empty_term_groups_leave_the_derivatives_as_they_were(quad, exp):
+    # grads and curvature skip an empty group of squared or exponential
+    # terms; the values are those of the formula over every group
+    rng = np.random.default_rng(7)
+    n, nq, ne = 6, 5 * quad, 4 * exp
+    blk = QuadExpRows(
+        d=np.ones(3), C=rng.normal(size=(3, n)),
+        quad_row=rng.integers(0, 3, nq), quad_w=rng.uniform(0.1, 1.0, nq),
+        quad_p=rng.normal(size=nq), quad_i=rng.integers(0, n, nq),
+        quad_q=rng.normal(size=nq), quad_j=rng.integers(0, n, nq),
+        quad_r=rng.normal(size=nq), exp_row=rng.integers(0, 3, ne),
+        exp_coef=rng.uniform(0.1, 1.0, ne), exp_idx=rng.integers(0, n, ne))
+    x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, 3)
+    t2w = 2.0 * blk.quad_w * blk._t(x)
+    grads = np.concatenate([blk._lin_vals, -t2w * blk.quad_p,
+                            -t2w * blk.quad_q,
+                            blk.exp_coef * np.exp(-x[blk.exp_idx])])
+    c2 = 2.0 * blk.quad_w * w[blk.quad_row]
+    cross = c2 * blk.quad_p * blk.quad_q
+    curv = np.concatenate([c2 * blk.quad_p ** 2, c2 * blk.quad_q ** 2, cross,
+                           cross, w[blk.exp_row] * blk.exp_coef
+                           * np.exp(-x[blk.exp_idx])])
+    assert blk.grads(x)[2].tobytes() == grads.tobytes()
+    assert blk.curvature(x, w)[2].tobytes() == curv.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# line search: linear pre-screen and epigraph correction
+# ---------------------------------------------------------------------------
+
+def _capped_program(declare):
+    """maximize eta over (x, s, eta), x in [-100, 100], subject to
+    eta <= -0.1 (x - 10)^2 - 0.1 exp(-s)  (row 0, the rate row) and
+    s <= -0.1 x^2  (row 1, the cap); with ``declare`` the program names s
+    and eta as its epigraph columns.  Started at x = 0, s and eta 1e-6
+    under their rows."""
+    blk = QuadExpRows(
+        d=np.zeros(2), C=np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
+        quad_row=[0, 1], quad_w=[0.1, 0.1], quad_p=[1.0, 1.0],
+        quad_i=[0, 0], quad_q=[0.0, 0.0], quad_j=[0, 0], quad_r=[-10.0, 0.0],
+        exp_row=[0], exp_coef=[0.1], exp_idx=[1])
+    epigraph = (dict(cap_rows=[1], cap_cols=[1], eta_col=2, eta_rows=[0])
+                if declare else {})
+    cp = ConcaveProgram(n_vars=3, objective=np.array([0.0, 0.0, 1.0]),
+                        blocks=[blk], lb=np.array([-100.0, -np.inf, -np.inf]),
+                        ub=np.array([100.0, np.inf, np.inf]), **epigraph)
+    start = np.array([0.0, -1e-6, -0.1 - 10.0 - 1e-6])
+    return cp, start
+
+
+def test_epigraph_correction_finishes_a_capped_crawl():
+    # without the declaration every long step bends the cap and rate rows
+    # negative and the solve crawls into the 200-step cap; the correction
+    # restores their linear predictions and the solve ends optimal
+    crawl = maximize_concave_program(*_capped_program(declare=False))
+    assert crawl.status == "stalled" and crawl.iterations == 200
+    rep = maximize_concave_program(*_capped_program(declare=True))
+    assert rep.status == "optimal" and rep.iterations <= 20
+    # the optimum of the one-variable reduction eta(x) with s at its cap
+    best = scipy.optimize.minimize_scalar(
+        lambda x: 0.1 * (x - 10.0) ** 2 + 0.1 * np.exp(0.1 * x * x),
+        bounds=(-100.0, 100.0), method="bounded", options={"xatol": 1e-10})
+    assert rep.x[0] == pytest.approx(best.x, abs=1e-5)
+    assert rep.objective == pytest.approx(-best.fun, abs=2e-6)
+    assert rep.objective > crawl.objective
+
+
+@pytest.mark.parametrize("epigraph", [
+    dict(cap_rows=[0], cap_cols=[1]),          # s is not in the rate row
+    dict(cap_rows=[1], cap_cols=[0]),          # x enters its cap quadratically
+    dict(cap_rows=[7], cap_cols=[1]),          # no such row
+    dict(eta_col=2, eta_rows=[0, 1]),          # eta is not in the cap row
+    dict(eta_col=2, eta_rows=[]),              # eta's row left out
+    dict(eta_col=1, eta_rows=[1]),             # s also enters the rate row
+    dict(eta_col=2, eta_rows=[0, 0]),          # a row named twice
+])
+def test_wrong_epigraph_declaration_is_refused(epigraph):
+    cp, start = _capped_program(declare=False)
+    bad = ConcaveProgram(n_vars=3, objective=cp.objective, blocks=cp.blocks,
+                         lb=cp.lb, ub=cp.ub, **epigraph)
+    with pytest.raises(ValueError, match="epigraph"):
+        maximize_concave_program(bad, start)
+
+
+def test_cap_declaration_must_pair_up():
+    with pytest.raises(ValueError, match="pair up"):
+        ConcaveProgram(n_vars=3, objective=np.zeros(3), blocks=[],
+                       cap_rows=[0, 1], cap_cols=[1])
+
+
+def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
+    # every trial step the linear pre-screen skips on the rfb plan of
+    # scenario_4sn fails strict positivity, before and after the epigraph
+    # correction, so evaluating it could not have changed the solve
+    scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+    model = fit_for_scenario(scen)
+    steps = []        # (program, x, dx, first t, t_lin), one per line search
+    solve, direction = planner.maximize_concave_program, _NewtonSystem.direction
+    trial_steps = solvers._trial_steps
+    seen = {}
+
+    def spy_solve(cp, start, **kw):
+        seen["cp"] = cp
+        return solve(cp, start, **kw)
+
+    def spy_direction(system, x, *args):
+        dx = direction(system, x, *args)
+        seen["x"], seen["dx"] = x, dx
+        return dx
+
+    def spy_trial_steps(t, t_lin):
+        steps.append((seen["cp"], seen["x"], seen["dx"], t, t_lin))
+        return trial_steps(t, t_lin)
+
+    monkeypatch.setattr(planner, "maximize_concave_program", spy_solve)
+    monkeypatch.setattr(_NewtonSystem, "direction", spy_direction)
+    monkeypatch.setattr(solvers, "_trial_steps", spy_trial_steps)
+    run_scheme("rfb", scen, model, simulate=False)
+    monkeypatch.undo()
+
+    skipped = 0
+    for cp, x, dx, t, t_lin in steps:
+        blocks = cp.all_blocks()
+        system = _NewtonSystem(blocks, cp.objective, x)
+        g = solvers._block_values(blocks, x)
+        gdx = system.matvec(system.jacobian(x), dx)
+        while t > t_lin:
+            xt = x + t * dx
+            gt = solvers._block_values(blocks, xt)
+            assert not gt.min() > 0.0
+            _, gc = solvers._epigraph_correction(cp, blocks, xt, gt,
+                                                 g + t * gdx)
+            assert not gc.min() > 0.0
+            skipped += 1
+            t *= 0.5
+    assert len(steps) > 400 and skipped > 100
