@@ -12,6 +12,12 @@ the plan's ``q``, ``z`` and ``a`` bytes.  The solver counts come from
 wrapping ``planner.maximize_concave_program`` and ``planner.solve_lp``.
 The BLAS thread count changes the interior-point time, so the run records
 the thread variables it saw; set them before starting the script.
+
+``--against PREV.json`` compares each plan with the same plan in an earlier
+output: whether the sha256 is equal, the relative change in
+``eta_achieved``, and the outer iterations, Newton steps and LP pivots as
+[previous, this run].  The comparison goes into each run's ``parity`` entry
+and, as a Markdown table, to stderr.
 """
 
 import argparse
@@ -97,10 +103,38 @@ def run_plan(scheme, scenario, model):
     }
 
 
+PARITY_COUNTS = ("outer_iters", "newton_steps", "lp_pivots")
+
+
+def parity(prev, run):
+    """How ``run`` differs from the same plan's earlier record ``prev``."""
+    eta0 = prev["eta_achieved"]
+    out = {"sha256_equal": prev["sha256"] == run["sha256"],
+           "eta_rel_change": (run["eta_achieved"] - eta0) / abs(eta0)}
+    out.update({key: [prev[key], run[key]] for key in PARITY_COUNTS})
+    return out
+
+
+def parity_table(runs):
+    """Markdown table of the runs' ``parity`` entries."""
+    lines = ["| plan | sha256 equal | eta rel. change | outer iters "
+             "| Newton steps | LP pivots |", "|---" * 6 + "|"]
+    for key, run in runs.items():
+        par = run["parity"]
+        counts = " | ".join("{} -> {}".format(*par[c]) for c in PARITY_COUNTS)
+        lines.append(f"| {key} | {'yes' if par['sha256_equal'] else 'no'} "
+                     f"| {par['eta_rel_change']:.2e} | {counts} |")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON output path (default: stdout)")
+    parser.add_argument("--against", metavar="PREV.json",
+                        help="earlier output to compare every plan with")
     args = parser.parse_args(argv)
+    prev = (json.loads(Path(args.against).read_text())["runs"]
+            if args.against else None)
 
     runs = {}
     for name, path in SCENARIOS.items():
@@ -109,6 +143,8 @@ def main(argv=None):
         for scheme in SCHEMES:
             key = f"{scheme}/{name}"
             runs[key] = run_plan(scheme, scenario, model)
+            if prev is not None:
+                runs[key]["parity"] = parity(prev[key], runs[key])
             print(f"{key}: {runs[key]['wall_s']:.2f} s, "
                   f"eta {runs[key]['eta_achieved']:.6f}", file=sys.stderr)
 
@@ -124,6 +160,9 @@ def main(argv=None):
         },
         "runs": runs,
     }
+    if prev is not None:
+        doc["against"] = args.against
+        print(parity_table(runs), file=sys.stderr)
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -263,13 +263,8 @@ def evaluate_plan(plan: Plan, scenario: Scenario, model: LogisticModel, *,
     rates_true = exact_rates(plan.q, plan.z, scenario)
     owners = round_schedule(plan.a, rates_model)
     a_int = owners_to_activity(owners, scenario.n_sn)
-
-    idx = np.arange(owners.size)
-    on = owners >= 0
-    est = np.zeros(owners.size)
-    exact = np.zeros(owners.size)
-    est[on] = rates_model[owners[on], idx[on]]
-    exact[on] = rates_true[owners[on], idx[on]]
+    est = (a_int * rates_model).sum(axis=0)
+    exact = (a_int * rates_true).sum(axis=0)
 
     if simulate:
         freq, samples = monte_carlo_outage(plan, scenario, trials, seed,

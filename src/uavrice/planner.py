@@ -26,6 +26,7 @@ from .solvers import (
     ConcaveProgram,
     QuadExpRows,
     VRatioRows,
+    _block_values,
     maximize_concave_program,
     solve_lp,
 )
@@ -174,37 +175,28 @@ def round_schedule(a, rates):
     sn = np.full(m_slots, -1, dtype=np.int64)
     active = a.max(axis=0) > 1e-9
     sn[active] = np.argmax(a[:, active], axis=0)
-
-    def averages(assign):
-        avg = np.zeros(n_sn)
-        for n in range(n_sn):
-            avg[n] = rates[n, assign == n].sum() / m_slots
-        return avg
-
-    avg = averages(sn)
+    share = rates / m_slots
+    node = np.arange(n_sn)[:, None]
+    avg = np.array([rates[n, sn == n].sum() for n in range(n_sn)]) / m_slots
     for _ in range(n_sn * m_slots):
         n_star = int(np.argmin(avg))
-        best_gain = 0.0
-        best_m = -1
-        for m in range(m_slots):
-            donor = sn[m]
-            if donor == n_star:
-                continue
-            trial_min = min(
-                avg[n] + (rates[n_star, m] / m_slots if n == n_star else 0.0)
-                - (rates[donor, m] / m_slots if n == donor else 0.0)
-                for n in range(n_sn))
-            gain = trial_min - avg.min()
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best_m = m
+        # column m: the averages after slot m moves from sn[m] to n_star
+        trial = (avg[:, None] + np.where(node == n_star, share, 0.0)
+                 - np.where(node == sn, share, 0.0))
+        gain = np.where(sn == n_star, -np.inf, trial.min(axis=0) - avg.min())
+        # the first slot that beats every earlier one by more than 1e-15
+        best_m, best_gain = -1, 0.0
+        while (beat := np.flatnonzero(gain[best_m + 1:]
+                                      > best_gain + 1e-15)).size:
+            best_m += 1 + int(beat[0])
+            best_gain = gain[best_m]
         if best_m < 0:
             break
         donor = sn[best_m]
         sn[best_m] = n_star
-        avg[n_star] += rates[n_star, best_m] / m_slots
+        avg[n_star] += share[n_star, best_m]
         if donor >= 0:
-            avg[donor] -= rates[donor, best_m] / m_slots
+            avg[donor] -= share[donor, best_m]
     return sn
 
 
@@ -273,10 +265,6 @@ class TrajectoryStep:
     start: np.ndarray        # strictly interior start
     path: np.ndarray         # (M+1, D) expansion path
     x_cols: np.ndarray       # (M-1, D)
-
-
-def _stacked_values(cp: ConcaveProgram, x):
-    return np.concatenate([blk.values(x) for blk in cp.all_blocks()])
 
 
 def build_trajectory_step(plan: Plan, scenario: Scenario,
@@ -403,10 +391,11 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     # start: each s just under its cap, eta just under the worst rate row
     start = np.zeros(nv)
     start[x_cols] = hat[1:-1]
-    start[s_cols] = _stacked_values(cp, start)[cap_rows] - _SLACK_GAP
-    eta0 = float(_stacked_values(cp, start)[:n_sn].min())
+    rows = cp.all_blocks()
+    start[s_cols] = _block_values(rows, start)[cap_rows] - _SLACK_GAP
+    eta0 = float(_block_values(rows, start)[:n_sn].min())
     start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
-    if _stacked_values(cp, start).min() <= 0.0:
+    if _block_values(rows, start).min() <= 0.0:
         return None
     return TrajectoryStep(program=cp, start=start, path=hat, x_cols=x_cols)
 

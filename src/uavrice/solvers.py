@@ -659,13 +659,14 @@ class _NewtonSystem:
     """The barrier Newton matrix  H = curvature + G' diag(W) G  of one
     program, split by its sparsity pattern, which is read once per solve.
 
-    The dense columns d are the objective's columns, grown until no
-    curvature term ties them to another column and every other column has
-    a local row or a curvature term of its own.  Rows with an entry in d
-    are the coupling rows, every other row is local.  The remaining
-    columns b keep the program's order, so a program whose local rows only
-    join neighbouring variables (the planner numbers its variables slot by
-    slot) has a banded local part A_bb: curvature plus local rows.  After
+    The dense columns d are the objective's columns, and no curvature term
+    may join one to another column.  Rows with an entry in d are the
+    coupling rows, every other row is local.  The remaining columns b keep
+    the program's order, so a program whose local rows only join
+    neighbouring variables (the planner numbers its variables slot by slot)
+    has a banded local part A_bb: curvature plus local rows.  A column of b
+    with neither a local row nor a curvature term makes A_bb singular; the
+    ridge loop in ``direction`` handles it.  After
     Jacobi equilibration and the ridge tau, with U = W_K^(1/2) G_K the
     weighted coupling rows,
 
@@ -701,18 +702,11 @@ class _NewtonSystem:
         self.curv_diag_rows = cr[self.curv_diag]
 
         dense = c != 0.0
-        while True:
-            coupling = np.zeros(m, bool)
-            coupling[self.urow[dense[self.ucol]]] = True
-            local = ~coupling[self.urow]
-            supported = np.zeros(n, bool)
-            supported[self.ucol[local]] = True
-            supported[cr] = True
-            grown = dense | ~supported
-            grown[cc[dense[cr]]] = True
-            if np.array_equal(grown, dense):
-                break
-            dense = grown
+        if np.any(dense[cr] != dense[cc]):
+            raise ValueError("curvature joins an objective column to another")
+        coupling = np.zeros(m, bool)
+        coupling[self.urow[dense[self.ucol]]] = True
+        local = ~coupling[self.urow]
         self.order = np.concatenate([np.flatnonzero(~dense),
                                      np.flatnonzero(dense)])
         pos = np.empty(n, np.int64)

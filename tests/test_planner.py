@@ -275,6 +275,49 @@ class TestScheduling:
             assert eta >= uniform - 1e-9
 
 
+def _round_schedule_loop(a, rates):
+    # reference: the per-slot generator loop round_schedule replaced; the
+    # array code must pick the same owner on every move
+    a = np.asarray(a, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    n_sn, m_slots = a.shape
+    sn = np.full(m_slots, -1, dtype=np.int64)
+    active = a.max(axis=0) > 1e-9
+    sn[active] = np.argmax(a[:, active], axis=0)
+
+    def averages(assign):
+        avg = np.zeros(n_sn)
+        for n in range(n_sn):
+            avg[n] = rates[n, assign == n].sum() / m_slots
+        return avg
+
+    avg = averages(sn)
+    for _ in range(n_sn * m_slots):
+        n_star = int(np.argmin(avg))
+        best_gain = 0.0
+        best_m = -1
+        for m in range(m_slots):
+            donor = sn[m]
+            if donor == n_star:
+                continue
+            trial_min = min(
+                avg[n] + (rates[n_star, m] / m_slots if n == n_star else 0.0)
+                - (rates[donor, m] / m_slots if n == donor else 0.0)
+                for n in range(n_sn))
+            gain = trial_min - avg.min()
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best_m = m
+        if best_m < 0:
+            break
+        donor = sn[best_m]
+        sn[best_m] = n_star
+        avg[n_star] += rates[n_star, best_m] / m_slots
+        if donor >= 0:
+            avg[donor] -= rates[donor, best_m] / m_slots
+    return sn
+
+
 class TestRounding:
     def test_argmax_and_inactive_slots(self):
         a = np.array([[0.9, 0.0], [0.1, 0.0]])
@@ -291,6 +334,22 @@ class TestRounding:
         sn = round_schedule(a, rates)
         # argmax ties both slots to node 0; repair hands one to node 1
         assert sorted(sn.tolist()) == [0, 1]
+
+    def test_matches_the_slot_loop_reference(self):
+        # 2,400 seeded cases: 1-4 nodes, 1-24 slots, tied activities and
+        # rates, all-zero activity columns and zero rates
+        rng = np.random.default_rng(21)
+        for case in range(2400):
+            n_sn, m_slots = rng.integers(1, 5), rng.integers(1, 25)
+            a = rng.uniform(size=(n_sn, m_slots))
+            rates = rng.uniform(0.0, 3.0, size=(n_sn, m_slots))
+            if case % 3 == 0:
+                a = rng.integers(0, 3, size=a.shape) / 2.0
+                rates = rng.integers(0, 3, size=rates.shape).astype(float)
+            a[:, rng.uniform(size=m_slots) < 0.2] = 0.0
+            rates[rng.uniform(size=rates.shape) < 0.2] = 0.0
+            np.testing.assert_array_equal(
+                round_schedule(a, rates), _round_schedule_loop(a, rates))
 
     def test_repair_never_hurts_the_min_average(self):
         rng = np.random.default_rng(5)
@@ -378,6 +437,10 @@ class TestTrajectoryBlocks:
         # same system as a dense factorization of the whole matrix
         _, _, step = _built_step(block, model)
         assert newton_step_gap(step.program, step.start) <= 1e-8
+        # eta is the one dense column
+        cp = step.program
+        assert solvers._NewtonSystem(cp.all_blocks(), cp.objective,
+                                     step.start).nd == 1
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_solve_evaluates_no_point_twice_in_a_row(self, block,

@@ -624,11 +624,25 @@ def test_dual_scale_is_largest_weighted_row_entry(name):
     # dual_scale reads max_i lam_i * max_j |G_ij| straight off the entries
     cp, x = _BARRIER_PROGRAMS[name]()
     system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    # the eliminated dense columns are exactly the objective's columns
+    assert system.nd == np.count_nonzero(cp.objective)
     gu = system.jacobian(x)
     lam = np.random.default_rng(5).uniform(0.1, 10.0, system.m)
     row_max = np.zeros(system.m)
     np.maximum.at(row_max, system.urow, np.abs(gu))
     assert system.dual_scale(gu, lam) == float(np.max(lam * row_max))
+
+
+def test_rejects_curvature_joining_an_objective_column():
+    # 4 - x0 - (x0 + x1)^2 >= 0 with the objective on x0 alone: the cross
+    # term would fall between the dense and the banded block
+    cp = ConcaveProgram(
+        n_vars=2, objective=np.array([1.0, 0.0]),
+        blocks=[_quad_row_block([4.0], [[-1.0, 0.0]],
+                                [(0, 1.0, 1.0, 0, 1.0, 1, 0.0)])],
+        lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0]))
+    with pytest.raises(ValueError, match="curvature joins an objective"):
+        maximize_concave_program(cp, np.array([0.0, 0.5]))
 
 
 class _SaddleRows:
