@@ -234,7 +234,7 @@ def tangent_coefficients(d2q, z, gamma, model: LogisticModel,
     x_fac = 1.0 + np.exp(-s_hat)
     lin = model.c1 * x_fac + model.c2
     denom = x_fac * y ** (alpha / 2.0) + gamma * lin
-    r_hat = np.log2(1.0 + gamma * lin / (x_fac * y ** (alpha / 2.0)))
+    r_hat = rate_from_gain(model.predict(v_hat), gamma, y, alpha)
     phi = LOG2E * gamma * model.c2 / (x_fac * denom)
     psi = LOG2E * (alpha / 2.0) * gamma * lin / (y * denom)
     lam = z / (2.0 * y ** 1.5)

@@ -80,6 +80,20 @@ class TestTangentCoefficients:
             want = rate_from_gain(f, gamma, y, 2.0)
             assert coef.r_hat == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
+    def test_rate_value_is_the_planner_rate(self, model):
+        # r_hat goes through the one rate kernel, so at the planner's own
+        # geometry it equals predicted_rates bit for bit
+        scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+        plan = initialize_plan(scen)
+        z = plan.z + 37.0
+        diff = plan.q[None, 1:, :] - scen.sn_positions[:, None, :]
+        coef = tangent_coefficients(
+            np.einsum("nmk,nmk->nm", diff, diff), z[None, 1:],
+            scen.snr_gamma_per_sn[:, None], model, scen.alpha)
+        assert np.array_equal(coef.r_hat,
+                              predicted_rates(plan.q, z, scen, model))
+
     def test_sensitivities_match_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
