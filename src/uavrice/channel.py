@@ -101,8 +101,9 @@ class Scenario:
             raise ValueError(f"alpha={self.alpha} outside the supported [2, 6]")
         if not (0.0 < self.epsilon <= 0.1):
             raise ValueError(f"epsilon={self.epsilon} outside (0, 0.1]")
-        if self.h_min <= 0:
-            raise ValueError("h_min must be positive")
+        if self.h_min < 1.0:
+            raise ValueError(f"h_min={self.h_min:g} m is below the path-loss "
+                             f"model's 1 m reference distance")
         if self.z0 < self.h_min or self.zf < self.h_min:
             raise ValueError("endpoint altitudes must respect the altitude floor")
         if self.n_blocks < 1:

@@ -46,7 +46,7 @@ class TestScenario:
 
     @pytest.mark.parametrize("bad", [
         dict(epsilon=0.0), dict(epsilon=0.2), dict(alpha=1.5), dict(alpha=7.0),
-        dict(h_min=0.0), dict(z0=50.0), dict(n_slots=0), dict(duration_s=-1.0),
+        dict(h_min=0.0), dict(h_min=0.5), dict(z0=50.0), dict(n_slots=0), dict(duration_s=-1.0),
         dict(p_tx=0.0), dict(k_min=0.0), dict(k_min=2000.0),
         dict(duration_s=10.0),            # 1000 m at 50 m/s needs 20 s
         dict(zf=300.0, vz=1.0),           # 200 m climb at 1 m/s needs 200 s

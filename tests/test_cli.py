@@ -217,6 +217,20 @@ class TestBoundaryChecks:
         assert f"non-finite number {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_plan_refuses_a_floor_below_the_reference_distance(
+            self, scen_path, tmp_path, capsys):
+        # the path-loss model starts at 1 m, so a lower floor is refused
+        # when the file loads, before any scheme plans
+        doc = json.loads(scen_path.read_text())
+        doc.update(h_min_m=0.5, z0_m=0.5, zf_m=0.5)
+        scen_path.write_text(dump_json(doc))
+        out = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "rffsa",
+                    "--out", str(out)]) == 1
+        assert ("h_min=0.5 m is below the path-loss model's 1 m reference"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_plan_refuses_a_non_finite_model(self, scen_path, model_path,
                                              tmp_path, capsys):
         doc = json.loads(model_path.read_text())
