@@ -180,7 +180,6 @@ def round_schedule(a, rates):
     avg = np.array([rates[n, sn == n].sum() for n in range(n_sn)]) / m_slots
     for _ in range(n_sn * m_slots):
         n_star = int(np.argmin(avg))
-        # column m: the averages after slot m moves from sn[m] to n_star
         trial = (avg[:, None] + np.where(node == n_star, share, 0.0)
                  - np.where(node == sn, share, 0.0))
         gain = np.where(sn == n_star, -np.inf, trial.min(axis=0) - avg.min())

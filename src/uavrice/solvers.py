@@ -659,16 +659,15 @@ class _NewtonSystem:
     """The barrier Newton matrix  H = curvature + G' diag(W) G  of one
     program, split by its sparsity pattern, which is read once per solve.
 
-    The dense columns d are the objective's columns, and no curvature term
-    may join one to another column.  Rows with an entry in d are the
+    The dense columns d are the objective's columns; no curvature term may
+    join one of them to a column outside d.  Rows with an entry in d are the
     coupling rows, every other row is local.  The remaining columns b keep
     the program's order, so a program whose local rows only join
     neighbouring variables (the planner numbers its variables slot by slot)
     has a banded local part A_bb: curvature plus local rows.  A column of b
     with neither a local row nor a curvature term makes A_bb singular; the
-    ridge loop in ``direction`` handles it.  After
-    Jacobi equilibration and the ridge tau, with U = W_K^(1/2) G_K the
-    weighted coupling rows,
+    ridge loop in ``direction`` handles it.  After Jacobi equilibration and
+    the ridge tau, with U = W_K^(1/2) G_K the weighted coupling rows,
 
         H = [[A_bb + U_b'U_b, U_b'U_d], [U_d'U_b, A_dd + U_d'U_d]].
 
@@ -703,7 +702,8 @@ class _NewtonSystem:
 
         dense = c != 0.0
         if np.any(dense[cr] != dense[cc]):
-            raise ValueError("curvature joins an objective column to another")
+            raise ValueError("a curvature term joins an objective column "
+                             "to a column outside the objective")
         coupling = np.zeros(m, bool)
         coupling[self.urow[dense[self.ucol]]] = True
         local = ~coupling[self.urow]

@@ -641,7 +641,7 @@ def test_rejects_curvature_joining_an_objective_column():
         blocks=[_quad_row_block([4.0], [[-1.0, 0.0]],
                                 [(0, 1.0, 1.0, 0, 1.0, 1, 0.0)])],
         lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0]))
-    with pytest.raises(ValueError, match="curvature joins an objective"):
+    with pytest.raises(ValueError, match="joins an objective column"):
         maximize_concave_program(cp, np.array([0.0, 0.5]))
 
 
