@@ -1,19 +1,44 @@
 """Scenario constants and the angle-dependent Rician channel.
 
 Pure, stateless math shared by the planner and the evaluator: the
-elevation-dependent Rician factor, counter-based gain sampling, and the one
-rate kernel, :func:`rate_from_gain`.  Per-slot geometry comes from
+elevation-dependent Rician factor, counter-based sampling of the Rician
+envelope, and the one rate kernel, :func:`rate_from_gain`, with its inverse
+:func:`gain_for_rate`.  Per-slot geometry comes from
 :func:`uavrice.planner.slot_geometry`; the fading-power cdf and Marcum Q1
 live in :mod:`uavrice.kernels`.  All quantities are linear-scale SI; dB
 conversion happens once at file load (see :mod:`uavrice.files`).
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 _HALF_PI = math.pi / 2.0
+
+# Peak memory of planning one scenario, per slot: the interior-point
+# programs hold about 6 KB, and each node's (N, M) arrays about 128 B more.
+# Fitted to the tracemalloc peak of rfla and rfb plans of 1-32 nodes over
+# 130-1000 slots (5.8-10.0 KB per slot).
+_PLAN_BYTES_PER_SLOT = 6144
+_PLAN_BYTES_PER_NODE_SLOT = 128
+
+
+def _memory_bytes():
+    """Physical memory of this machine; the address space where the
+    platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
+def max_slots(n_sn):
+    """The most slots whose planning arrays for n_sn nodes fit in memory."""
+    per_slot = _PLAN_BYTES_PER_SLOT + _PLAN_BYTES_PER_NODE_SLOT * int(n_sn)
+    return _memory_bytes() // per_slot
 
 
 @dataclass
@@ -95,6 +120,12 @@ class Scenario:
             raise ValueError("at least one sensor node required")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
+        limit = max_slots(self.n_sn)
+        if self.n_slots > limit:
+            raise ValueError(
+                f"n_slots={self.n_slots} exceeds {limit}, the most whose "
+                f"planning arrays for {self.n_sn} node(s) fit in this "
+                f"machine's memory")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not (2.0 <= self.alpha <= 6.0):
@@ -136,7 +167,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Rician factor and gain sampling
+# Rician factor and envelope sampling
 # ---------------------------------------------------------------------------
 
 def rician_factor(theta, a1, a2):
@@ -158,29 +189,35 @@ def rician_coeffs_from_bounds(k_min, k_max):
 
 
 def sample_rician(k, rng, size=None):
-    """Draw unit-mean-power Rician gains with factor k from an explicit stream.
+    """Draw envelopes |g| of unit-mean-power Rician gains with factor k from
+    an explicit stream.
 
-    The deterministic component is fixed on the positive real axis; power
-    statistics do not depend on its phase.  Both quadratures are drawn into
-    one real buffer and written straight into the complex result, so no
-    complex temporary is made; the gain equals
-    ``los + scale * (re + 1j * im)`` bit for bit.
+    The deterministic component is fixed on the positive real axis; the
+    envelope does not depend on its phase.  The stream's first
+    ``standard_normal`` draw of the full shape is the in-phase part, the
+    second the quadrature part, and the result equals
+    ``sqrt((los + scale * re)**2 + (scale * im)**2)`` bit for bit, squares
+    taken as products.  No complex gain is formed: every caller needs |g| or
+    |g|^2 only.  A scalar draw (``size=None``) is a float.
     """
     if k < 0:
         raise ValueError("Rician factor must be nonnegative")
     shape = () if size is None else size
     if math.isinf(k):
-        return np.ones(shape, dtype=np.complex128)[()]
+        return np.ones(shape)[()]
     los = math.sqrt(k / (k + 1.0))
     scale = math.sqrt(0.5 / (k + 1.0))  # per-quadrature std of the diffuse part
-    g = np.empty(shape, dtype=np.complex128)
-    draw = np.empty(shape)
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=g.real)
-    g.real += los
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=g.imag)
-    return g[()]
+    env = np.empty(shape)
+    rng.standard_normal(out=env)
+    env *= scale
+    env += los
+    np.square(env, out=env)
+    quad = np.empty(shape)
+    rng.standard_normal(out=quad)
+    quad *= scale
+    np.square(quad, out=quad)
+    env += quad
+    return np.sqrt(env, out=env)[()]
 
 
 def substream(seed, *path):
@@ -197,8 +234,20 @@ def rate_from_gain(f, gamma, d2, alpha):
     """log2(1 + f * gamma / d2^(alpha/2)), the one rate kernel (d2 = squared
     distance).  f is the effective fading power for an outage rate or a drawn
     |g|^2 for an instantaneous capacity.  Vectorized over any broadcastable
-    combination."""
+    combination; :func:`gain_for_rate` is its inverse."""
     f = np.asarray(f, dtype=float)
     d2 = np.asarray(d2, dtype=float)
     out = np.log2(1.0 + f * gamma * d2 ** (-0.5 * alpha))
+    return float(out) if out.ndim == 0 else out
+
+
+def gain_for_rate(r, gamma, d2, alpha):
+    """(2^r - 1) * d2^(alpha/2) / gamma, the inverse of :func:`rate_from_gain`
+    in f: the fading power whose rate is exactly r.  A block whose power falls
+    below it is in outage at rate r.  A power beyond the float range comes
+    back as inf, since no finite power reaches such a rate."""
+    r = np.asarray(r, dtype=float)
+    d2 = np.asarray(d2, dtype=float)
+    with np.errstate(over="ignore"):
+        out = (np.exp2(r) - 1.0) * d2 ** (0.5 * alpha) / gamma
     return float(out) if out.ndim == 0 else out

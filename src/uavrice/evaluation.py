@@ -4,7 +4,7 @@ verification, and the four benchmark mission designs.
 The planner works with a fitted surrogate of the effective fading power; this
 module re-scores its plans with the exact quantile (the inverse noncentral
 chi-square cdf) and, on request, with brute-force link simulation: per
-scheduled slot, draw Rician gains block by block and count how often the
+scheduled slot, draw Rician envelopes block by block and count how often the
 instantaneous capacity falls short of the committed rate.
 """
 
@@ -18,6 +18,7 @@ import numpy as np
 from . import DEFAULT_SEED
 from .channel import (
     Scenario,
+    gain_for_rate,
     rate_from_gain,
     rician_factor,
     sample_rician,
@@ -128,9 +129,12 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
     For each scheduled slot the owner's committed rate is tested against
     ``trials`` independent slots of ``scenario.n_blocks`` Rician fading
     blocks each; a block is in outage when its instantaneous capacity falls
-    below the rate.  Returns ``(freq, samples)`` where ``samples[m]`` is the
-    number of fading blocks drawn for slot m (0 when unscheduled, in which
-    case ``freq[m]`` is 0 by convention).
+    below the rate.  That is the event "envelope below
+    ``sqrt(gain_for_rate(rate))``", so the threshold is computed once per
+    (node, slot) and each drawn envelope takes one comparison.  Returns
+    ``(freq, samples)`` where ``samples[m]`` is the number of fading blocks
+    drawn for slot m (0 when unscheduled, in which case ``freq[m]`` is 0 by
+    convention).
 
     ``rates`` defaults to the exact outage rates for the plan's geometry, in
     which case every frequency estimates the scenario's outage target.
@@ -171,18 +175,15 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
     owners = owners.astype(int)
 
     d2, k_all = _slot_channel(plan.q, plan.z, scenario)
-    gamma = scenario.snr_gamma_per_sn
+    threshold = np.sqrt(gain_for_rate(
+        rates, scenario.snr_gamma_per_sn[:, None], d2, scenario.alpha))
     n_blocks = scenario.n_blocks
 
     def outages(m):
         n = owners[m]
-        g = sample_rician(float(k_all[n, m]), substream(seed, m),
-                          size=(trials, n_blocks))
-        power = np.abs(g)
-        del g
-        np.square(power, out=power)
-        cap = rate_from_gain(power, gamma[n], d2[n, m], scenario.alpha)
-        return np.count_nonzero(cap < rates[n, m])
+        envelope = sample_rician(float(k_all[n, m]), substream(seed, m),
+                                 size=(trials, n_blocks))
+        return np.count_nonzero(envelope < threshold[n, m])
 
     busy = np.flatnonzero(owners >= 0)
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:

@@ -76,6 +76,30 @@ class TestScenario:
                                              "2e\\+199 m overflows"):
             make_scenario(**{name: 1e200})
 
+    def test_refuses_slots_beyond_memory(self):
+        # validation reads n_slots only; none of these allocates a slot array
+        with pytest.raises(ValueError, match=r"n_slots=9223372036854775807 "
+                                             r"exceeds \d+"):
+            make_scenario(n_slots=2 ** 63 - 1)
+        for n_sn in (1, 4):
+            nodes = [[200.0, 10.0 * i] for i in range(n_sn)]
+            limit = channel.max_slots(n_sn)
+            assert make_scenario(sn_positions=nodes, n_slots=limit).n_slots \
+                == limit
+            with pytest.raises(ValueError, match=f"n_slots={limit + 1} "
+                                                 f"exceeds {limit}"):
+                make_scenario(sn_positions=nodes, n_slots=limit + 1)
+
+    def test_slot_bound_is_a_memory_estimate(self, monkeypatch):
+        # 6 KB of programs plus 128 B per node, per slot, against the memory
+        monkeypatch.setattr(channel, "_memory_bytes",
+                            lambda: 1000 * (6144 + 128))
+        assert channel.max_slots(1) == 1000
+        assert channel.max_slots(2) == 980
+        make_scenario(n_slots=1000)
+        with pytest.raises(ValueError, match="n_slots=1001 exceeds 1000"):
+            make_scenario(n_slots=1001)
+
 
 class TestGeometry:
     """``planner.slot_geometry`` is the one geometry path: planning, exact
@@ -184,30 +208,36 @@ class TestSampling:
     @pytest.mark.parametrize("size", [None, 5, (7, 2)])
     @pytest.mark.parametrize("k", [0.0, 1e-12, 3.7, 1e3])
     def test_gain_equals_complex_formula_bitwise(self, k, size):
-        # the gain is assembled in place; it must equal the plain complex
-        # expression on the same draws, last bit included
-        g = channel.sample_rician(k, channel.substream(5, 2), size)
+        # the envelope |los + scale * (re + 1j * im)| is built in place from
+        # the in-phase draw, then the quadrature draw; it must equal that
+        # modulus written as a plain real expression on the same draws,
+        # last bit included
+        env = channel.sample_rician(k, channel.substream(5, 2), size)
         rng = channel.substream(5, 2)
-        re = rng.standard_normal(size)
-        im = rng.standard_normal(size)
-        want = (math.sqrt(k / (k + 1.0))
-                + math.sqrt(0.5 / (k + 1.0)) * (re + 1j * im))
-        assert np.asarray(g).dtype == np.complex128
-        assert np.shape(g) == np.shape(re)
-        assert (np.asarray(g).tobytes()
-                == np.asarray(want, dtype=np.complex128).tobytes())
+        re = np.asarray(rng.standard_normal(size))
+        im = np.asarray(rng.standard_normal(size))
+        los, scale = math.sqrt(k / (k + 1.0)), math.sqrt(0.5 / (k + 1.0))
+        x, y = los + scale * re, scale * im
+        want = np.sqrt(x * x + y * y)
+        assert np.asarray(env).dtype == np.float64
+        assert np.shape(env) == np.shape(re)
+        assert np.asarray(env).tobytes() == want.tobytes()
+        # ... and |g| of the complex gain on those draws to rounding
+        gain = los + scale * (re + 1j * im)
+        np.testing.assert_allclose(env, np.abs(gain), rtol=4e-16, atol=0.0)
         if size is None:
-            assert isinstance(g, complex) and not isinstance(g, np.ndarray)
+            assert isinstance(env, float) and not isinstance(env, np.ndarray)
 
     def test_deterministic_limit(self):
-        g = channel.sample_rician(math.inf, channel.substream(9), 5)
-        assert np.all(g == 1.0 + 0.0j)
+        env = channel.sample_rician(math.inf, channel.substream(9), 5)
+        assert env.dtype == np.float64
+        assert np.all(env == 1.0)
 
     def test_deterministic_limit_scalar_draw(self):
-        # size=None gives a complex scalar for every k, the limit included
-        g = channel.sample_rician(math.inf, channel.substream(9))
-        assert g == 1.0 + 0.0j
-        assert isinstance(g, complex) and not isinstance(g, np.ndarray)
+        # size=None gives a float envelope for every k, the limit included
+        env = channel.sample_rician(math.inf, channel.substream(9))
+        assert env == 1.0
+        assert isinstance(env, float) and not isinstance(env, np.ndarray)
 
     def test_substreams_are_order_independent(self):
         a1 = channel.substream(77, 3, 1).standard_normal(4)
@@ -222,7 +252,9 @@ class TestSampling:
 
 class TestRates:
     """``rate_from_gain`` is the one rate formula: outage rates feed it the
-    effective fading power, Monte-Carlo feeds it the drawn |g|^2."""
+    effective fading power, an instantaneous capacity the drawn |g|^2.
+    ``gain_for_rate`` is its inverse, the power threshold Monte-Carlo
+    compares each drawn block with."""
 
     def test_outage_rate_formula(self):
         # f=1, gamma*d^-alpha = 3 -> log2(4) = 2
@@ -247,3 +279,30 @@ class TestRates:
         g = np.array([math.sqrt(0.5), 1j * math.sqrt(0.5)])
         half = channel.rate_from_gain(np.abs(g) ** 2, gamma, 1.0, 2.0)
         assert half == pytest.approx(math.log2(1.0 + 5e5))
+
+    def test_gain_for_rate_inverts_rate(self):
+        # rate_from_gain takes log2 of the rounded sum 1 + f*gamma/d^alpha,
+        # so the round trip holds r to a few ulps of max(r, 1)
+        rng = np.random.default_rng(11)
+        r = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                            rng.uniform(1.0, 40.0, 2000)])
+        gamma = rng.uniform(1e3, 1e9, r.size)
+        d2 = rng.uniform(1.0, 1e6, r.size)
+        alpha = rng.uniform(2.0, 6.0, r.size)
+        f = channel.gain_for_rate(r, gamma, d2, alpha)
+        back = channel.rate_from_gain(f, gamma, d2, alpha)
+        assert np.all(np.abs(back - r) <= 4 * np.spacing(np.maximum(r, 1.0)))
+        assert channel.gain_for_rate(0.0, 3.0, 1.0, 2.0) == 0.0
+
+    def test_gain_for_rate_at_an_exact_capacity(self):
+        # gamma / d^alpha = 3 and |g|^2 = 1 give capacity log2(4) = 2 with no
+        # rounding, and the threshold of rate 2 is that power exactly
+        assert channel.rate_from_gain(1.0, 3.0, 1.0, 2.0) == 2.0
+        assert channel.gain_for_rate(2.0, 3.0, 1.0, 2.0) == 1.0
+        assert channel.gain_for_rate(2.0, 3.0 * 10.0 ** 4, 100.0, 4.0) == 1.0
+
+    def test_gain_for_rate_beyond_float_range_is_inf(self):
+        # no finite power reaches 2000 bps/Hz; no overflow warning escapes
+        assert channel.gain_for_rate(2000.0, 3.0, 1.0, 2.0) == math.inf
+        assert np.all(channel.gain_for_rate(np.array([0.0, 2000.0]), 3.0,
+                                            1.0, 2.0) == [0.0, math.inf])

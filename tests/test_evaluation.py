@@ -129,6 +129,35 @@ class TestMonteCarlo:
                                      rates=np.zeros((1, 4)))
         assert np.all(freq == 0.0)
 
+    def test_unreachable_rate_always_fails(self):
+        # 2000 bps/Hz needs a power beyond the float range: the threshold is
+        # inf, every block is in outage, and no overflow warning escapes
+        scen = _scenario([[200.0, 0.0]], m_slots=4, duration_s=4.0,
+                         q0=(200.0, 0.0), qf=(200.0, 0.0))
+        freq, _ = monte_carlo_outage(_hover(scen), scen, 10_000, 3,
+                                     rates=np.array([[0.0, 2000.0, 0.0,
+                                                      2000.0]]))
+        assert np.array_equal(freq, [0.0, 1.0, 0.0, 1.0])
+
+    def test_capacity_equal_to_rate_is_no_outage(self, monkeypatch):
+        # hovering 1 m over the node with gamma = 3, every block of envelope
+        # 1 has capacity log2(1 + 3) = 2 with no rounding; a committed rate
+        # of exactly 2 is met, not missed, under either form of the test
+        scen = dataclasses.replace(
+            _scenario([[200.0, 0.0]], m_slots=4, duration_s=4.0,
+                      q0=(200.0, 0.0), qf=(200.0, 0.0)),
+            h_min=1.0, z0=1.0, zf=1.0, p_tx=3.0, beta0=1.0, sigma2=1.0,
+            snr_gap=1.0)
+        monkeypatch.setattr(ev, "sample_rician",
+                            lambda k, rng, size: np.ones(size))
+        rates = np.array([[1.99, 2.0, 2.0, 2.01]])
+        freq, _ = monte_carlo_outage(_hover(scen), scen, 10_000, 0,
+                                     rates=rates)
+        assert np.array_equal(freq, [0.0, 0.0, 0.0, 1.0])
+        cap = rate_from_gain(1.0, scen.snr_gamma_per_sn[0], 1.0, 2.0)
+        assert cap == 2.0
+        assert np.array_equal(cap < rates[0], freq == 1.0)
+
     def test_exact_rates_calibrate_per_slot(self):
         # default rates are the exact quantile rates, so every slot is a
         # Bernoulli(eps) counter; 16 slots x 40k blocks stays within 3 sigma
@@ -152,14 +181,14 @@ class TestMonteCarlo:
         owners = np.array([0, -1, 0, 1, -1, 2, -1, 2])
         return scen, plan, owners, exact_rates(plan.q, plan.z, scen)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pool_matches_serial_loop(self, seed, monkeypatch):
-        scen, plan, owners, rates = self._three_node_check()
-        trials = 10_000
+    @staticmethod
+    def _reference(plan, scen, owners, rates, trials, seed):
+        """Frequencies and sample counts slot by slot, each block's capacity
+        from ``rate_from_gain`` on the drawn |g|^2 against the rate."""
         d2, k = ev._slot_channel(plan.q, plan.z, scen)
         gamma = scen.snr_gamma_per_sn
-        want_freq = np.zeros(scen.n_slots)
-        want_samples = np.zeros(scen.n_slots, dtype=np.int64)
+        freq = np.zeros(scen.n_slots)
+        samples = np.zeros(scen.n_slots, dtype=np.int64)
         for m, n in enumerate(owners):
             if n < 0:
                 continue
@@ -167,9 +196,16 @@ class TestMonteCarlo:
                               size=(trials, scen.n_blocks))
             cap = rate_from_gain(np.abs(g) ** 2, gamma[n], d2[n, m],
                                  scen.alpha)
-            want_samples[m] = trials * scen.n_blocks
-            want_freq[m] = (np.count_nonzero(cap < rates[n, m])
-                            / want_samples[m])
+            samples[m] = trials * scen.n_blocks
+            freq[m] = np.count_nonzero(cap < rates[n, m]) / samples[m]
+        return freq, samples
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pool_matches_serial_loop(self, seed, monkeypatch):
+        scen, plan, owners, rates = self._three_node_check()
+        trials = 10_000
+        want_freq, want_samples = self._reference(plan, scen, owners, rates,
+                                                  trials, seed)
         assert np.count_nonzero(want_freq) >= 3    # the counts are not all 0
         # the usable CPUs as they are, then pools of one and of five workers
         for cpus in (None, {0}, set(range(5))):
@@ -180,6 +216,27 @@ class TestMonteCarlo:
                                                rates=rates, owners=owners)
             assert freq.tobytes() == want_freq.tobytes()
             assert np.array_equal(samples, want_samples)
+
+    def test_threshold_counts_match_rate_reference(self):
+        # the envelope threshold must count exactly the blocks whose
+        # capacity misses the rate: 8 seeds x 24 slots, rates spread from
+        # 0.6x to 1.4x the exact ones so frequencies run from 0 to near 1
+        scen = _scenario([[60.0, 0.0], [150.0, 40.0], [260.0, -30.0]],
+                         m_slots=24, duration_s=24.0)
+        plan = initialize_plan(scen)
+        owners = np.arange(scen.n_slots) % scen.n_sn
+        rng = np.random.default_rng(5)
+        rates = (exact_rates(plan.q, plan.z, scen)
+                 * rng.uniform(0.6, 1.4, (scen.n_sn, scen.n_slots)))
+        spread = []
+        for seed in range(8):
+            want, _ = self._reference(plan, scen, owners, rates, 10_000,
+                                      seed)
+            freq, _ = monte_carlo_outage(plan, scen, 10_000, seed,
+                                         rates=rates, owners=owners)
+            assert freq.tobytes() == want.tobytes()
+            spread.extend(want)
+        assert min(spread) == 0.0 and max(spread) > 0.5
 
     def test_pool_rejects_slot_inside_reference_distance(self):
         scen, plan, owners, rates = self._three_node_check()

@@ -131,6 +131,12 @@ class TestScenarioDocuments:
         with pytest.raises(FileFormatError, match=r"scenario\.q0_m"):
             scenario_from_config(_config(q0_m=[0.0]))
 
+    def test_slot_count_beyond_memory_is_named(self):
+        # a hand-edited count the planner could never allocate
+        with pytest.raises(FileFormatError,
+                           match=r"n_slots=9223372036854775807 exceeds"):
+            scenario_from_config(_config(n_slots=2 ** 63 - 1))
+
     def test_infeasible_geometry_surfaces_the_planner_message(self):
         with pytest.raises(FileFormatError, match="unreachable"):
             scenario_from_config(_config(duration_s=2.0))
