@@ -1,13 +1,16 @@
-"""The eight bundled plans, scheme by scenario, with their solver counts.
+"""The eight bundled plans, scheme by scenario, and one long mission, with
+their solver counts.
 
     OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_plans.py --out plans.json
 
 Imports ``uavrice`` from this checkout's ``src``, fits the surrogate of each
 bundled scenario once, then plans every scheme on it with
-``run_scheme(..., simulate=False)``.  Per plan it records the wall time,
-the outer iterations, the interior-point solves (calls, Newton steps, and
-how many did not end "optimal"), the scheduling LPs (calls and dual-simplex
-pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sha256 of
+``run_scheme(..., simulate=False)``.  A ninth run, ``rfb/4sn-1000``, plans
+``rfb`` on ``scenario_4sn`` stretched to 1000 slots of the same length,
+with the surrogate fitted to ``scenario_4sn``.  Per plan it records the
+wall time, the outer iterations, the interior-point solves (calls, Newton
+steps, and how many did not end "optimal"), the scheduling LPs (calls and
+dual-simplex pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sha256 of
 the plan's ``q``, ``z`` and ``a`` bytes.  The solver counts come from
 wrapping ``planner.maximize_concave_program`` and ``planner.solve_lp``.
 The BLAS thread count changes the interior-point time, so the run records
@@ -15,12 +18,14 @@ the thread variables it saw; set them before starting the script.
 
 ``--against PREV.json`` compares each plan with the same plan in an earlier
 output: whether the sha256 is equal, the relative change in
-``eta_achieved``, and the outer iterations, Newton steps and LP pivots as
-[previous, this run].  The comparison goes into each run's ``parity`` entry
-and, as a Markdown table, to stderr.
+``eta_achieved``, and the outer iterations, Newton steps, LP pivots and
+non-optimal interior-point solves as [previous, this run].  The comparison
+goes into each run's ``parity`` entry and, as a Markdown table, to stderr;
+a run the earlier output lacks gets none.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -41,6 +46,7 @@ from uavrice.files import bundled_scenario, load_scenario  # noqa: E402
 
 SCHEMES = ("lb", "rfla", "rffsa", "rfb")
 SCENARIOS = {"1sn": "scenario_1sn.json", "4sn": "scenario_4sn.json"}
+LONG_SLOTS = 1000
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -103,7 +109,8 @@ def run_plan(scheme, scenario, model):
     }
 
 
-PARITY_COUNTS = ("outer_iters", "newton_steps", "lp_pivots")
+PARITY_COUNTS = ("outer_iters", "newton_steps", "lp_pivots",
+                 "ipm_not_optimal")
 
 
 def parity(prev, run):
@@ -118,8 +125,11 @@ def parity(prev, run):
 def parity_table(runs):
     """Markdown table of the runs' ``parity`` entries."""
     lines = ["| plan | sha256 equal | eta rel. change | outer iters "
-             "| Newton steps | LP pivots |", "|---" * 6 + "|"]
+             "| Newton steps | LP pivots | IPM not optimal |",
+             "|---" * 7 + "|"]
     for key, run in runs.items():
+        if "parity" not in run:
+            continue
         par = run["parity"]
         counts = " | ".join("{} -> {}".format(*par[c]) for c in PARITY_COUNTS)
         lines.append(f"| {key} | {'yes' if par['sha256_equal'] else 'no'} "
@@ -136,17 +146,24 @@ def main(argv=None):
     prev = (json.loads(Path(args.against).read_text())["runs"]
             if args.against else None)
 
-    runs = {}
+    jobs = []            # (key, scheme, scenario, model)
     for name, path in SCENARIOS.items():
         scenario = load_scenario(bundled_scenario(path))
         model = fit_for_scenario(scenario)
-        for scheme in SCHEMES:
-            key = f"{scheme}/{name}"
-            runs[key] = run_plan(scheme, scenario, model)
-            if prev is not None:
-                runs[key]["parity"] = parity(prev[key], runs[key])
-            print(f"{key}: {runs[key]['wall_s']:.2f} s, "
-                  f"eta {runs[key]['eta_achieved']:.6f}", file=sys.stderr)
+        jobs += [(f"{scheme}/{name}", scheme, scenario, model)
+                 for scheme in SCHEMES]
+    # the last scenario (4sn) with LONG_SLOTS slots of the same length
+    long = dataclasses.replace(scenario, n_slots=LONG_SLOTS,
+                               duration_s=scenario.delta_s * LONG_SLOTS)
+    jobs.append((f"rfb/{name}-{LONG_SLOTS}", "rfb", long, model))
+
+    runs = {}
+    for key, scheme, scenario, model in jobs:
+        runs[key] = run_plan(scheme, scenario, model)
+        if prev is not None and key in prev:
+            runs[key]["parity"] = parity(prev[key], runs[key])
+        print(f"{key}: {runs[key]['wall_s']:.2f} s, "
+              f"eta {runs[key]['eta_achieved']:.6f}", file=sys.stderr)
 
     doc = {
         "command": "python3 benchmarks/bench_plans.py",

@@ -119,6 +119,9 @@ def _cmd_plan(args):
 
 
 def _cmd_evaluate(args):
+    if not 0 <= args.seed < 2 ** 63:
+        raise ValueError(f"--seed={args.seed} is outside [0, 2**63), the "
+                         f"seeds a result file holds")
     scenario = load_scenario(args.scenario)
     doc = load_result(args.plan)
     plan = plan_from_json(doc["plan"])

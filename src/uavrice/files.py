@@ -356,14 +356,29 @@ def result_to_json(plan, report, scenario, model, kind="plan_result"):
                                 model=model, scenario=scenario))
 
 
+# the smallest value each ranged field of a result document may hold
+_RESULT_MIN = {"seed": 0, "trials": 0, "n_blocks": 1, "eta_estimated": 0.0,
+               "eta_achieved": 0.0, "owners": -1, "rates_est_bpshz": 0.0,
+               "rates_exact_bpshz": 0.0, "outage_samples": 0}
+
+
 def load_result(path):
-    """Check every field of a result document; returns the document."""
+    """Check every field of a result document and its range; returns the
+    document."""
     doc = _load_json(path, "result")
     values = _read(_RESULT, doc, "result")
     report = _build(EvalReport, {f.name: values[f.name]
                                  for f in fields(EvalReport)}, "result")
-    if report.owners.size != values["plan"].n_slots:
+    n_sn, n_slots = values["plan"].a.shape
+    if report.owners.size != n_slots:
         raise FileFormatError("result.owners: needs one entry per plan slot")
+    for key, low in _RESULT_MIN.items():
+        worst = np.min(doc[key], initial=low)
+        if worst < low:
+            raise FileFormatError(f"result.{key}: {worst:g} is below {low}")
+    if np.max(report.owners, initial=-1) >= n_sn:
+        raise FileFormatError(f"result.owners: node {report.owners.max()} "
+                              f"outside [-1, {n_sn})")
     return doc
 
 

@@ -23,7 +23,6 @@ import scipy.sparse
 from .channel import Scenario, rate_from_gain
 from .fading import LogisticModel
 from .solvers import (
-    ConcaveProgram,
     QuadExpRows,
     VRatioRows,
     _block_values,
@@ -251,16 +250,17 @@ _SLACK_GAP = 1e-6
 
 @dataclass
 class TrajectoryStep:
-    """One built tangent-bound subproblem.  Variables run slot by slot:
-    each free waypoint 1..M-1 has its D coordinates (``x_cols``) followed
-    by one logistic argument s per active (node, slot) pair at it
-    (``program.cap_cols``, node-major); eta comes last
-    (``program.eta_col``).  This order keeps the move and cap rows banded
-    for the Newton step.  Stacked ``program.all_blocks()`` rows start with
-    the N rate rows (``program.eta_rows``); ``program.cap_rows`` holds each
-    s's cap."""
+    """One built tangent-bound subproblem: maximize ``objective`` @ x, which
+    is eta, over the rows of ``blocks``.  Variables run slot by slot: each
+    free waypoint 1..M-1 has its D coordinates (``x_cols``) followed by one
+    logistic argument s per active (node, slot) pair at it, node-major; eta
+    comes last.  This order keeps the move and cap rows banded for the
+    Newton step.  The stacked rows start with the N rate rows, each -eta
+    plus a concave bound; each s has one cap row, s under its elevation
+    cap, and the solver reads these epigraph columns off the rows."""
 
-    program: ConcaveProgram
+    objective: np.ndarray
+    blocks: list
     start: np.ndarray        # strictly interior start
     path: np.ndarray         # (M+1, D) expansion path
     x_cols: np.ndarray       # (M-1, D)
@@ -377,26 +377,27 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
             d=np.full(s_cols.size, model.b1), b2=model.b2,
             c=np.maximum(offset[s_node, s_slot], 1e-9),
             z_idx=x_cols[s_slot, 0], s_idx=s_cols))
-    lb = np.full(nv, -np.inf)
-    lb[x_cols] = floor
+    if np.isfinite(floor):       # floor rows:  x - floor >= 0, last
+        lo = x_cols.ravel()
+        blocks.append(QuadExpRows(
+            d=np.full(lo.size, -floor), C=scipy.sparse.coo_array(
+                (np.ones(lo.size), (np.arange(lo.size), lo)),
+                shape=(lo.size, nv))))
     objective = np.zeros(nv)
     objective[eta_col] = 1.0
     cap_lo = n_sn if offset is None else move_lo + m_slots
     cap_rows = np.arange(cap_lo, cap_lo + s_cols.size)
-    cp = ConcaveProgram(n_vars=nv, objective=objective, blocks=blocks, lb=lb,
-                        cap_rows=cap_rows, cap_cols=s_cols, eta_col=eta_col,
-                        eta_rows=np.arange(n_sn))
 
     # start: each s just under its cap, eta just under the worst rate row
     start = np.zeros(nv)
     start[x_cols] = hat[1:-1]
-    rows = cp.all_blocks()
-    start[s_cols] = _block_values(rows, start)[cap_rows] - _SLACK_GAP
-    eta0 = float(_block_values(rows, start)[:n_sn].min())
+    start[s_cols] = _block_values(blocks, start)[cap_rows] - _SLACK_GAP
+    eta0 = float(_block_values(blocks, start)[:n_sn].min())
     start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
-    if _block_values(rows, start).min() <= 0.0:
+    if _block_values(blocks, start).min() <= 0.0:
         return None
-    return TrajectoryStep(program=cp, start=start, path=hat, x_cols=x_cols)
+    return TrajectoryStep(objective=objective, blocks=blocks, start=start,
+                          path=hat, x_cols=x_cols)
 
 
 def _horizontal_block(plan: Plan, scenario: Scenario):
@@ -430,7 +431,7 @@ def _improve(plan, scenario, model, data, reports):
     step = build_trajectory_step(plan, scenario, model, **data)
     if step is None:
         return None
-    rep = maximize_concave_program(step.program, step.start)
+    rep = maximize_concave_program(step.objective, step.blocks, step.start)
     if reports is not None:
         reports.append(rep)
     new = np.array(data["path"], dtype=float)

@@ -15,11 +15,11 @@ factorization would, in time linear in the number of slots.  The
 factorizations and solves call LAPACK through ``scipy.linalg.lapack``
 directly, since at these sizes the public wrappers cost more than the
 arithmetic.  The line search corrects a trial that fails slack
-positivity along the epigraph columns the program declares, and skips
-step lengths whose linear prediction already fails.  Every Newton step
-and line search is reproducible bit-for-bit across runs.  Callers leave
-fixed quantities (path endpoints) out of the variable vector, so each
-Newton step works on every variable.
+positivity along the epigraph columns it reads off the rows' Jacobian at
+the start, and skips step lengths whose linear prediction already fails.
+Every Newton step and line search is reproducible bit-for-bit across
+runs.  Callers leave fixed quantities (path endpoints) out of the
+variable vector, so each Newton step works on every variable.
 """
 
 from dataclasses import dataclass, field
@@ -410,7 +410,7 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 #                       listed in both orders
 # All rows are concave, so -hess g_i is positive semidefinite and the
 # barrier Hessian stays PSD by construction.  QuadExpRows carries every
-# linear row, box bounds included; VRatioRows the altitude's ratio rows.
+# linear row, variable bounds included; VRatioRows the altitude's ratio rows.
 
 
 @dataclass
@@ -544,85 +544,32 @@ class VRatioRows:
         return self.z_idx, self.z_idx, w * curv
 
 
-@dataclass
-class ConcaveProgram:
-    """maximize objective @ x over concave-slack blocks and a box; fixed
-    quantities belong in the row constants, not the variable vector.
-
-    The epigraph fields declare columns that sit under concave functions,
-    for the line search's correction; rows are numbered as in
-    ``all_blocks()``.  Row ``cap_rows[k]`` reads f(x) - x[cap_cols[k]] >= 0
-    (other rows may hold that column in monotone terms).  ``eta_col`` is a
-    column that enters exactly the rows ``eta_rows``, each as - x[eta_col];
-    every other row is free of it.
-    """
-
-    n_vars: int
-    objective: np.ndarray
-    blocks: list
-    lb: Optional[np.ndarray] = None   # entries -inf where unbounded
-    ub: Optional[np.ndarray] = None
-    cap_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    cap_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    eta_col: Optional[int] = None
-    eta_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.size != self.n_vars:
-            raise ValueError("objective length must equal n_vars")
-        for name in ("cap_rows", "cap_cols", "eta_rows"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        if self.cap_rows.shape != self.cap_cols.shape:
-            raise ValueError("cap_rows and cap_cols must pair up")
-        # the box rows, built once: callers ask for the blocks many times
-        n = self.n_vars
-        lb = np.full(n, -np.inf) if self.lb is None else self.lb
-        ub = np.full(n, np.inf) if self.ub is None else self.ub
-        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
-        lo = np.flatnonzero(np.isfinite(lb))
-        hi = np.flatnonzero(np.isfinite(ub))
-        m = lo.size + hi.size
-        self._box = [] if not m else [QuadExpRows(
-            d=np.concatenate([-lb[lo], ub[hi]]),
-            C=scipy.sparse.coo_array(
-                (np.repeat([1.0, -1.0], [lo.size, hi.size]),
-                 (np.arange(m), np.concatenate([lo, hi]))), shape=(m, n)))]
-
-    def all_blocks(self):
-        """Constraint blocks, then one block with a linear row per finite
-        box bound, lower bounds first."""
-        return list(self.blocks) + self._box
-
-
 def _block_values(blocks, x):
     if not blocks:
         return np.zeros(0)
     return np.concatenate([blk.values(x) for blk in blocks])
 
 
-def _check_epigraph(cp, system, gu):
-    """ValueError unless, at the start, each declared cap column enters its
-    cap row and the eta column exactly its rows, all with slope -1."""
-    n, m = system.n, system.m
-    rows, cols = cp.cap_rows, cp.cap_cols
-    if cp.eta_col is not None:
-        rows = np.concatenate([rows, cp.eta_rows])
-        cols = np.concatenate([cols, np.full(cp.eta_rows.size, cp.eta_col)])
-    key = system.urow * n + system.ucol     # sorted: np.unique made it
-    want = rows * n + cols
-    at = np.minimum(np.searchsorted(key, want), max(key.size - 1, 0))
-    ok = (np.all((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n))
-          and (key.size or not want.size)
-          and np.array_equal(key[at], want) and np.all(gu[at] == -1.0))
-    if ok and cp.eta_col is not None:
-        ok = 0 < cp.eta_rows.size == np.count_nonzero(system.ucol == cp.eta_col)
-    if not ok:
-        raise ValueError("declared epigraph columns do not match the rows' "
-                         "Jacobian at the start")
+def _epigraph(system, c, gu):
+    """The epigraph columns, read off the Jacobian gu at the start, as
+    (cap_rows, cap_cols, eta_col, eta_rows).  eta is the objective's single
+    column when it has no curvature term and enters each of its rows, the
+    coupling rows, with slope -1; otherwise eta_col is None.  A cap pair is
+    a column with exactly one local row, which it enters with slope -1
+    (its coupling rows may hold it in monotone terms)."""
+    obj = np.flatnonzero(c)
+    eta_col, eta_rows = None, np.zeros(0, np.int64)
+    if obj.size == 1 and obj[0] not in system.curv_diag_rows:
+        at = system.ucol == obj[0]
+        if at.any() and np.all(gu[at] == -1.0):
+            eta_col, eta_rows = int(obj[0]), system.urow[at]
+    local = system.local
+    count = np.bincount(system.ucol[local], minlength=system.n)
+    cap = local & (count[system.ucol] == 1) & (gu == -1.0)
+    return system.urow[cap], system.ucol[cap], eta_col, eta_rows
 
 
-def _epigraph_correction(cp, blocks, xt, gt, pred):
+def _epigraph_correction(epigraph, blocks, xt, gt, pred):
     """Second-order correction of a trial point that failed positivity,
     restricted to the epigraph columns (Nocedal & Wright, *Numerical
     Optimization*, 2nd ed., section 18.3): each cap column drops by its cap
@@ -630,18 +577,19 @@ def _epigraph_correction(cp, blocks, xt, gt, pred):
     row's linear prediction pred; then the eta column drops by the worst
     residual over its rows.  It enters them linearly, so their slacks are
     updated in place.  Returns the corrected (xt, gt)."""
-    if cp.cap_cols.size:
-        cap = xt[cp.cap_cols]
-        moved = cap + np.minimum(0.0, gt[cp.cap_rows] - pred[cp.cap_rows])
+    cap_rows, cap_cols, eta_col, eta_rows = epigraph
+    if cap_cols.size:
+        cap = xt[cap_cols]
+        moved = cap + np.minimum(0.0, gt[cap_rows] - pred[cap_rows])
         if not np.array_equal(moved, cap):
-            xt[cp.cap_cols] = moved
+            xt[cap_cols] = moved
             gt = _block_values(blocks, xt)
-    if cp.eta_col is not None:
-        worst = float(np.min(gt[cp.eta_rows] - pred[cp.eta_rows]))
+    if eta_col is not None:
+        worst = float(np.min(gt[eta_rows] - pred[eta_rows]))
         if worst < 0.0:
-            eta = xt[cp.eta_col]
-            xt[cp.eta_col] = eta + worst
-            gt[cp.eta_rows] += eta - xt[cp.eta_col]
+            eta = xt[eta_col]
+            xt[eta_col] = eta + worst
+            gt[eta_rows] += eta - xt[eta_col]
     return xt, gt
 
 
@@ -706,7 +654,7 @@ class _NewtonSystem:
                              "to a column outside the objective")
         coupling = np.zeros(m, bool)
         coupling[self.urow[dense[self.ucol]]] = True
-        local = ~coupling[self.urow]
+        self.local = local = ~coupling[self.urow]
         self.order = np.concatenate([np.flatnonzero(~dense),
                                      np.flatnonzero(dense)])
         pos = np.empty(n, np.int64)
@@ -864,9 +812,12 @@ def _trial_steps(t, t_lin):
         t *= 0.5
 
 
-def maximize_concave_program(cp: ConcaveProgram, start,
+def maximize_concave_program(objective, blocks, start,
                              max_iters=200) -> SolverReport:
-    """Primal-dual interior-point maximization.
+    """Primal-dual interior-point maximization of objective @ x over the
+    concave-slack rows of ``blocks``; fixed quantities belong in the row
+    constants, not the variable vector, and a bound on a variable is one
+    more linear row.
 
     Newton steps on the perturbed KKT system (stationarity c + G'lam = 0,
     complementarity lam_i g_i = mu) with explicit dual iterates, equal
@@ -887,24 +838,23 @@ def maximize_concave_program(cp: ConcaveProgram, start,
     every t at which a row other than the eta rows has a linear
     prediction g + t G dx below zero beyond rounding, since such a trial
     fails positivity anyway.  A trial that fails positivity gets the
-    epigraph correction (``_epigraph_correction``) on the columns the
-    program declares, then the positivity and merit tests; the dual trial
-    is not corrected.  Without the correction, the curvature of a rate row
-    whose slack eta has pushed to 1e-10 turns long waypoint steps negative
-    and the step length crawls; with it, the cap and rate rows keep the
-    slack their linear model promises.
+    epigraph correction (``_epigraph_correction``) on the epigraph columns
+    ``_epigraph`` reads off the start's Jacobian, then the positivity and
+    merit tests; the dual trial is not corrected.  Without the correction,
+    the curvature of a rate row whose slack eta has pushed to 1e-10 turns
+    long waypoint steps negative and the step length crawls; with it, the
+    cap and rate rows keep the slack their linear model promises.
 
-    A program needs rows and a strictly feasible start, and its declared
-    epigraph columns must enter their rows with slope -1 there.  The trace
-    records the true objective after each accepted step (interior iterates
-    may dip while recentering); the returned objective never falls below
-    the start.
+    A program needs rows and a strictly feasible start of the objective's
+    shape.  The trace records the true objective after each accepted step
+    (interior iterates may dip while recentering); the returned objective
+    never falls below the start.
     """
+    c = np.asarray(objective, dtype=float)
     x = np.asarray(start, dtype=float).copy()
-    if x.size != cp.n_vars:
-        raise ValueError("start length must equal n_vars")
-    blocks = cp.all_blocks()
-    c = cp.objective
+    if x.shape != c.shape:
+        raise ValueError(f"start of shape {x.shape} does not match the "
+                         f"objective's {c.shape}")
 
     if not np.all(np.isfinite(x)):
         raise ValueError("start point is not strictly feasible "
@@ -919,7 +869,8 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         raise ValueError("program has no constraint rows")
     system = _NewtonSystem(blocks, c, x)
     gu = system.jacobian(x)
-    _check_epigraph(cp, system, gu)
+    epigraph = _epigraph(system, c, gu)
+    eta_rows = epigraph[3]
     row_scale = np.abs(np.concatenate([blk.d for blk in blocks]))
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
@@ -963,7 +914,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
         lo = g + 1e-12 * (1.0 + row_scale + np.abs(g))
         hi = gdx + 1e-12 * np.abs(gdx)
         down = hi < 0.0
-        down[cp.eta_rows] = False
+        down[eta_rows] = False
         t_lin = float(np.min(lo[down] / -hi[down], initial=np.inf))
         merit0 = float(rd @ rd) + float(np.sum((lam * g - mu_t) ** 2))
         ok = False
@@ -972,7 +923,7 @@ def maximize_concave_program(cp: ConcaveProgram, start,
             lt = lam + t * dlam
             gt = _block_values(blocks, xt)
             if not gt.min() > 0.0:
-                xt, gt = _epigraph_correction(cp, blocks, xt, gt,
+                xt, gt = _epigraph_correction(epigraph, blocks, xt, gt,
                                               g + t * gdx)
             if gt.min() > 0.0 and lt.min() > 0.0:
                 gut = system.jacobian(xt)

@@ -13,13 +13,12 @@ settings.register_profile("uavrice", derandomize=True, database=None,
 settings.load_profile("uavrice")
 
 
-def _newton_step_gap(cp, x):
+def _newton_step_gap(c, blocks, x):
     """Relative 2-norm gap between the interior-point method's structured
-    Newton direction at x and ``np.linalg.solve`` of the dense Jacobi-
-    equilibrated matrix, with the method's first multipliers and centering
-    target."""
-    blocks = cp.all_blocks()
-    c, n = cp.objective, cp.n_vars
+    Newton direction at x for maximizing c @ x over the rows of ``blocks``
+    and ``np.linalg.solve`` of the dense Jacobi-equilibrated matrix, with
+    the method's first multipliers and centering target."""
+    n = c.size
     g = np.concatenate([blk.values(x) for blk in blocks])
     lam = ((1.0 + abs(float(c @ x))) / g.size) / g
     mu = 0.2 * float(lam @ g) / g.size

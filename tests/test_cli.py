@@ -202,6 +202,29 @@ class TestBoundaryChecks:
         assert reason in capsys.readouterr().err
         assert not out.exists() and not traj.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 63])
+    def test_evaluate_refuses_a_seed_no_result_holds(self, scen_path,
+                                                     tmp_path, capsys, seed):
+        planned = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "lb",
+                    "--out", str(planned)]) == 0
+        out, traj = tmp_path / "e.json", tmp_path / "e.csv"
+        assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                    str(planned), "--trials", "10000", "--seed", str(seed),
+                    "--out", str(out), "--traj", str(traj)]) == 1
+        assert f"--seed={seed}" in capsys.readouterr().err
+        assert not out.exists() and not traj.exists()
+
+    def test_largest_seed_reloads(self, scen_path, tmp_path, capsys):
+        planned, out = tmp_path / "p.json", tmp_path / "e.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "lb",
+                    "--out", str(planned)]) == 0
+        assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                    str(planned), "--trials", "10000",
+                    "--seed", str(2 ** 63 - 1), "--out", str(out)]) == 0
+        assert load_result(out)["seed"] == 2 ** 63 - 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize("key, value", [
         ("duration_s", "NaN"), ("vxy_mps", "Infinity"),
         ("beta0_db", "NaN"), ("kmax_db", "1e999"),

@@ -384,8 +384,8 @@ class TestRunScheme:
         failed = []
         solve = planner.maximize_concave_program
 
-        def capped(cp, start, max_iters=200):
-            rep = solve(cp, start, max_iters=3)
+        def capped(c, blocks, start, max_iters=200):
+            rep = solve(c, blocks, start, max_iters=3)
             failed.append(rep.status != "optimal")
             return rep
 

@@ -7,6 +7,7 @@ against an independently constructed generator stream.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,10 @@ from uavrice.files import (
     write_outputs,
 )
 from uavrice.planner import LOS_MODEL, Plan, initialize_plan
+
+
+_STORED_PLAN = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                / "plan_rfb_4sn.json")
 
 
 def _config(**overrides):
@@ -234,6 +239,23 @@ class TestResultDocuments:
          r"result\.plan\.a"),
         (lambda d: d["model"].update(b2=True), r"result\.model\.b2"),
         (lambda d: d["scenario"].pop("epsilon"), r"result\.scenario\.epsilon"),
+        (lambda d: d["owners"].__setitem__(0, 99),
+         r"result\.owners: node 99 outside \[-1, 1\)"),
+        (lambda d: d["owners"].__setitem__(0, 1),
+         r"result\.owners: node 1 outside \[-1, 1\)"),
+        (lambda d: d["owners"].__setitem__(0, -2),
+         r"result\.owners: -2 is below -1"),
+        (lambda d: d["outage_samples"].__setitem__(0, -1),
+         r"result\.outage_samples: -1 is below 0"),
+        (lambda d: d["rates_est_bpshz"].__setitem__(0, -0.5),
+         r"result\.rates_est_bpshz: -0\.5 is below 0"),
+        (lambda d: d["rates_exact_bpshz"].__setitem__(0, -0.5),
+         r"result\.rates_exact_bpshz: -0\.5 is below 0"),
+        (lambda d: d.update(eta_achieved=-0.25),
+         r"result\.eta_achieved: -0\.25 is below 0"),
+        (lambda d: d.update(trials=-3), r"result\.trials: -3 is below 0"),
+        (lambda d: d.update(n_blocks=0), r"result\.n_blocks: 0 is below 1"),
+        (lambda d: d.update(seed=-1), r"result\.seed: -1 is below 0"),
     ])
     def test_each_field_is_type_checked_on_load(self, tmp_path, edit, where):
         plan, report, scen = self._small_result()
@@ -244,6 +266,11 @@ class TestResultDocuments:
         path.write_text(dump_json(doc))
         with pytest.raises(FileFormatError, match=where):
             load_result(path)
+
+    def test_stored_plan_loads(self):
+        # the 4-node plan the benchmark evaluates passes every range check
+        doc = load_result(_STORED_PLAN)
+        assert len(doc["plan"]["a"]) == 4 and max(doc["owners"]) == 3
 
     def test_saved_result_loads_identically(self, tmp_path):
         plan, report, scen = self._small_result()

@@ -395,6 +395,19 @@ def _built_step(block, model):
                                                      **data)
 
 
+def _caps(blocks, n_sn):
+    """(s columns, their cap rows) by the builder's layout: each s has one
+    exponential term in its node's rate row, node-major, and its cap is row
+    n_sn + k of the first block (horizontal) or row k of the VRatioRows
+    block after it (vertical)."""
+    s_cols = blocks[0].exp_idx
+    ratio = [blk for blk in blocks if isinstance(blk, solvers.VRatioRows)]
+    if ratio:
+        assert np.array_equal(ratio[0].s_idx, s_cols)
+        return s_cols, blocks[0].d.size + np.arange(s_cols.size)
+    return s_cols, n_sn + np.arange(s_cols.size)
+
+
 class TestTrajectoryBlocks:
     def test_horizontal_block_improves_single_node(self):
         scen = _scenario([[300.0, 200.0]])
@@ -419,18 +432,18 @@ class TestTrajectoryBlocks:
         # expansion point and each cap row has zero slack
         scen, plan, step = _built_step(block, model)
         assert step is not None
-        assert step.program.cap_cols.size == (
+        s_cols, cap_rows = _caps(step.blocks, scen.n_sn)
+        assert s_cols.size == (
             0 if model is LOS_MODEL
             else np.count_nonzero(plan.a[:, :-1] > planner._SPARSIFY_TOL))
 
         def rows(x):
-            return np.concatenate([blk.values(x)
-                                   for blk in step.program.all_blocks()])
+            return solvers._block_values(step.blocks, x)
 
         x = step.start.copy()
         x[-1] = 0.0
-        x[step.program.cap_cols] = 0.0
-        x[step.program.cap_cols] = rows(x)[step.program.cap_rows]
+        x[s_cols] = 0.0
+        x[s_cols] = rows(x)[cap_rows]
         g = rows(x)
         if block == "horizontal":
             q, z = step.path, plan.z
@@ -441,7 +454,56 @@ class TestTrajectoryBlocks:
         want = (np.where(active, plan.a, 0.0) * rates).sum(axis=1) \
             / scen.n_slots
         assert g[:scen.n_sn] == pytest.approx(want, rel=1e-9)
-        assert g[step.program.cap_rows] == pytest.approx(0.0, abs=1e-12)
+        assert g[cap_rows] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["scenario_1sn.json",
+                                      "scenario_4sn.json"])
+    def test_solver_reads_the_built_epigraph(self, name, monkeypatch):
+        # on every program run_scheme builds, the epigraph the solver reads
+        # off the rows is the builder's: each s over its cap row, and eta,
+        # the objective's one column, over the N rate rows
+        scen = load_scenario(bundled_scenario(name))
+        model = fit_for_scenario(scen)
+        programs = []
+        solve = planner.maximize_concave_program
+
+        def spy(c, blocks, start, **kw):
+            programs.append((c, blocks, start))
+            return solve(c, blocks, start, **kw)
+
+        monkeypatch.setattr(planner, "maximize_concave_program", spy)
+        run_scheme("rfb", scen, model, simulate=False)
+        vertical = set()
+        for c, blocks, start in programs:
+            system = solvers._NewtonSystem(blocks, c, start)
+            rows, cols, eta, eta_rows = solvers._epigraph(
+                system, c, system.jacobian(start))
+            s_cols, cap_rows = _caps(blocks, scen.n_sn)
+            assert s_cols.size > 0
+            assert (sorted(zip(cols.tolist(), rows.tolist()))
+                    == sorted(zip(s_cols.tolist(), cap_rows.tolist())))
+            assert np.flatnonzero(c).tolist() == [eta] == [c.size - 1]
+            assert eta_rows.tolist() == list(range(scen.n_sn))
+            vertical.add(any(isinstance(blk, solvers.VRatioRows)
+                             for blk in blocks))
+        assert vertical == {False, True}
+
+    @pytest.mark.parametrize("block", ["horizontal", "vertical"])
+    def test_floor_rows_come_last(self, block):
+        # the altitude floor is one linear row per free altitude, x - h_min,
+        # in the last block; the horizontal block has no floor
+        scen, _, step = _built_step(block, FIT)
+        if block == "horizontal":
+            assert len(step.blocks) == 1
+            return
+        floor = step.blocks[-1]
+        x = step.start
+        np.testing.assert_array_equal(floor.values(x),
+                                      x[step.x_cols[:, 0]] - scen.h_min)
+        rows, cols, vals = floor.grads(x)
+        np.testing.assert_array_equal(rows, np.arange(scen.n_slots - 1))
+        np.testing.assert_array_equal(cols, step.x_cols[:, 0])
+        np.testing.assert_array_equal(vals, 1.0)
 
     @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
@@ -450,10 +512,10 @@ class TestTrajectoryBlocks:
         # the banded factor, Schur complement and Woodbury update solve the
         # same system as a dense factorization of the whole matrix
         _, _, step = _built_step(block, model)
-        assert newton_step_gap(step.program, step.start) <= 1e-8
+        gap = newton_step_gap(step.objective, step.blocks, step.start)
+        assert gap <= 1e-8
         # eta is the one dense column
-        cp = step.program
-        assert solvers._NewtonSystem(cp.all_blocks(), cp.objective,
+        assert solvers._NewtonSystem(step.blocks, step.objective,
                                      step.start).nd == 1
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
@@ -486,7 +548,8 @@ class TestTrajectoryBlocks:
 
         monkeypatch.setattr(solvers, "_block_values", spy_values)
         monkeypatch.setattr(solvers._NewtonSystem, "jacobian", spy_jacobian)
-        rep = solvers.maximize_concave_program(step.program, step.start)
+        rep = solvers.maximize_concave_program(step.objective, step.blocks,
+                                               step.start)
         assert rep.status == "optimal" and rep.iterations > 10
         for name, xs in seen.items():
             assert len(xs) > rep.iterations, name
@@ -569,9 +632,9 @@ class TestOuterLoop:
         real = planner.maximize_concave_program
         calls = []
 
-        def stalled(cp, start, **kw):
-            calls.append(cp.n_vars)
-            return dataclasses.replace(real(cp, start, **kw),
+        def stalled(c, blocks, start, **kw):
+            calls.append(c.size)
+            return dataclasses.replace(real(c, blocks, start, **kw),
                                        status="stalled")
 
         monkeypatch.setattr(planner, "maximize_concave_program", stalled)
@@ -762,8 +825,8 @@ def test_every_bundled_1sn_solve_ends_optimal(monkeypatch):
     solve = planner.maximize_concave_program
     status = []
 
-    def spy(cp, start, **kw):
-        rep = solve(cp, start, **kw)
+    def spy(c, blocks, start, **kw):
+        rep = solve(c, blocks, start, **kw)
         status.append(rep.status)
         return rep
 

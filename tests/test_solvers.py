@@ -11,8 +11,9 @@ analytic optima and a multi-start SLSQP oracle on random concave programs,
 and its structured Newton step against a dense solve, also where the
 banded factorization needs the ridge and where no ridge helps.  Its line
 search is checked on a capped program the epigraph correction finishes,
-on refused epigraph declarations, and on the rfb plan of scenario_4sn,
-where every step the linear pre-screen skips is evaluated and fails.
+on the epigraph columns it reads off the rows (and those it must not
+read), and on the rfb plan of scenario_4sn, where every step the linear
+pre-screen skips is evaluated and fails.
 Determinism is asserted bit-for-bit.
 """
 
@@ -26,7 +27,6 @@ from uavrice import planner, solvers
 from uavrice.evaluation import fit_for_scenario, run_scheme
 from uavrice.files import bundled_scenario, load_scenario
 from uavrice.solvers import (
-    ConcaveProgram,
     QuadExpRows,
     VRatioRows,
     _NewtonSystem,
@@ -373,24 +373,46 @@ def _quad_row_block(d, c_row, terms):
         quad_r=[t[6] for t in terms])
 
 
+def _bounds(lb, ub):
+    """One linear row per finite bound, lower bounds first:
+    x[i] - lb[i] >= 0, then ub[i] - x[i] >= 0."""
+    lb, ub = np.asarray(lb, float), np.asarray(ub, float)
+    lo, hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
+    m = lo.size + hi.size
+    return QuadExpRows(
+        d=np.concatenate([-lb[lo], ub[hi]]),
+        C=scipy.sparse.coo_array(
+            (np.repeat([1.0, -1.0], [lo.size, hi.size]),
+             (np.arange(m), np.concatenate([lo, hi]))), shape=(m, lb.size)))
+
+
+def _quadratic_cap():
+    """maximize eta subject to eta <= 4 - x^2, x in [-3, 3]: optimum eta=4
+    at x=0.  Variables (eta, x)."""
+    return (np.array([1.0, 0.0]),
+            [_quad_row_block([4.0], [[-1.0, 0.0]],
+                             [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)]),
+             _bounds([-np.inf, -3.0], [np.inf, 3.0])])
+
+
+def _epigraph_of(c, blocks, x):
+    """The solver's epigraph columns of the program at x."""
+    system = _NewtonSystem(blocks, c, x)
+    return solvers._epigraph(system, c, system.jacobian(x))
+
+
 class TestBarrier:
     def test_box_corner(self):
-        cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 1.0]),
-                            blocks=[], lb=np.zeros(2), ub=np.array([1.0, 2.0]))
-        rep = maximize_concave_program(cp, np.array([0.5, 0.5]))
+        rep = maximize_concave_program(
+            np.array([1.0, 1.0]), [_bounds(np.zeros(2), [1.0, 2.0])],
+            np.array([0.5, 0.5]))
         assert rep.status == "optimal"
         np.testing.assert_allclose(rep.x, [1.0, 2.0], atol=1e-6)
         assert rep.objective == pytest.approx(3.0, abs=1e-6)
 
     def test_quadratic_cap(self):
-        # maximize eta subject to eta <= 4 - x^2: optimum eta=4 at x=0
-        blk = _quad_row_block([4.0], [[-1.0, 0.0]],
-                              [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])
-        cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 0.0]),
-                            blocks=[blk],
-                            lb=np.array([-np.inf, -3.0]),
-                            ub=np.array([np.inf, 3.0]))
-        rep = maximize_concave_program(cp, np.array([2.0, 0.9]))
+        rep = maximize_concave_program(*_quadratic_cap(),
+                                       np.array([2.0, 0.9]))
         assert rep.status == "optimal"
         assert rep.objective == pytest.approx(4.0, abs=1e-6)
         assert abs(rep.x[1]) <= 1e-4
@@ -399,10 +421,9 @@ class TestBarrier:
         # maximize -u subject to exp(-u) <= 3: optimum u = -ln 3
         blk = QuadExpRows(d=np.array([3.0]), C=np.zeros((1, 1)),
                           exp_row=[0], exp_coef=[1.0], exp_idx=[0])
-        cp = ConcaveProgram(n_vars=1, objective=np.array([-1.0]),
-                            blocks=[blk], lb=np.array([-10.0]),
-                            ub=np.array([10.0]))
-        rep = maximize_concave_program(cp, np.array([0.0]))
+        rep = maximize_concave_program(
+            np.array([-1.0]), [blk, _bounds([-10.0], [10.0])],
+            np.array([0.0]))
         assert rep.status == "optimal"
         assert rep.x[0] == pytest.approx(-np.log(3.0), abs=1e-6)
 
@@ -411,12 +432,10 @@ class TestBarrier:
         # ratio increases with z, so z -> 100
         blk = VRatioRows(d=np.array([0.2]), b2=6.0, c=np.array([2500.0]),
                          z_idx=np.array([0]), s_idx=np.array([1]))
-        cp = ConcaveProgram(n_vars=2, objective=np.array([0.0, 1.0]),
-                            blocks=[blk],
-                            lb=np.array([1.0, -np.inf]),
-                            ub=np.array([100.0, np.inf]))
         start = np.array([50.0, 0.0])
-        rep = maximize_concave_program(cp, start)
+        rep = maximize_concave_program(
+            np.array([0.0, 1.0]),
+            [blk, _bounds([1.0, -np.inf], [100.0, np.inf])], start)
         assert rep.status == "optimal"
         s_best = 0.2 + 6.0 * 100.0 / np.sqrt(2500.0 + 100.0 ** 2)
         assert rep.x[0] == pytest.approx(100.0, abs=1e-4)
@@ -446,9 +465,8 @@ class TestBarrier:
                 return blk.values(x)[0]
             cons.append({"type": "ineq", "fun": g_fun})
 
-        cp = ConcaveProgram(n_vars=n, objective=c, blocks=blocks,
-                            lb=np.full(n, -2.0), ub=np.full(n, 2.0))
-        rep = maximize_concave_program(cp, np.zeros(n))
+        blocks.append(_bounds(np.full(n, -2.0), np.full(n, 2.0)))
+        rep = maximize_concave_program(c, blocks, np.zeros(n))
         assert rep.status == "optimal"
         assert rep.feasibility <= 1e-8
 
@@ -465,30 +483,24 @@ class TestBarrier:
         assert rep.objective == pytest.approx(best, abs=5e-6)
 
     def test_trace_is_nondecreasing(self):
-        blk = _quad_row_block([4.0], [[-1.0, 0.0]],
-                              [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])
-        cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 0.0]),
-                            blocks=[blk],
-                            lb=np.array([-np.inf, -3.0]),
-                            ub=np.array([np.inf, 3.0]))
-        rep = maximize_concave_program(cp, np.array([0.0, 0.5]))
+        rep = maximize_concave_program(*_quadratic_cap(),
+                                       np.array([0.0, 0.5]))
         diffs = np.diff(np.asarray(rep.trace))
         assert np.all(diffs >= -1e-9)
 
     def test_never_worse_than_start(self):
         # start hugging the optimal corner: early centering pulls inward,
         # but the returned point must not lose objective
-        cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 1.0]),
-                            blocks=[], lb=np.zeros(2), ub=np.array([1.0, 2.0]))
+        c = np.array([1.0, 1.0])
         start = np.array([1.0 - 1e-9, 2.0 - 1e-9])
-        rep = maximize_concave_program(cp, start)
-        assert rep.objective >= float(cp.objective @ start) - 1e-9
+        rep = maximize_concave_program(
+            c, [_bounds(np.zeros(2), [1.0, 2.0])], start)
+        assert rep.objective >= float(c @ start) - 1e-9
 
     def test_infeasible_start_rejected(self):
-        cp = ConcaveProgram(n_vars=1, objective=np.array([1.0]),
-                            blocks=[], lb=np.array([0.0]), ub=np.array([1.0]))
         with pytest.raises(ValueError, match="strictly feasible"):
-            maximize_concave_program(cp, np.array([1.5]))
+            maximize_concave_program(np.array([1.0]), [_bounds([0.0], [1.0])],
+                                     np.array([1.5]))
 
     @pytest.mark.parametrize("program, start", [
         ("disc", [np.nan, 0.0]), ("disc", [0.0, np.nan]),
@@ -498,35 +510,35 @@ class TestBarrier:
         # nor is a non-finite entry where there are no rows to see it
         ("free", [np.nan])])
     def test_non_finite_start_rejected(self, program, start):
-        cp = {
-            "disc": ConcaveProgram(          # maximize x0, x0^2 + x1^2 <= 1
-                n_vars=2, objective=np.array([1.0, 0.0]),
-                blocks=[_quad_row_block([1.0], [[0.0, 0.0]],
-                                        [(0, 1.0, 1.0, 0, 0.0, 0, 0.0),
-                                         (0, 1.0, 1.0, 1, 0.0, 1, 0.0)])]),
-            "half_line": ConcaveProgram(     # maximize -x0, x0 >= 0
-                n_vars=1, objective=np.array([-1.0]), blocks=[],
-                lb=np.array([0.0])),
-            "free": ConcaveProgram(n_vars=1, objective=np.array([0.0]),
-                                   blocks=[]),
+        c, blocks = {
+            "disc": (                        # maximize x0, x0^2 + x1^2 <= 1
+                np.array([1.0, 0.0]),
+                [_quad_row_block([1.0], [[0.0, 0.0]],
+                                 [(0, 1.0, 1.0, 0, 0.0, 0, 0.0),
+                                  (0, 1.0, 1.0, 1, 0.0, 1, 0.0)])]),
+            "half_line": (                   # maximize -x0, x0 >= 0
+                np.array([-1.0]), [_bounds([0.0], [np.inf])]),
+            "free": (np.array([0.0]), []),
         }[program]
         with pytest.raises(ValueError, match="strictly feasible"):
-            maximize_concave_program(cp, np.array(start))
+            maximize_concave_program(c, blocks, np.array(start))
 
     def test_program_without_rows_is_refused(self):
-        cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 0.0]),
-                            blocks=[])
         with pytest.raises(ValueError, match="no constraint rows"):
-            maximize_concave_program(cp, np.zeros(2))
+            maximize_concave_program(np.array([1.0, 0.0]), [], np.zeros(2))
+
+    @pytest.mark.parametrize("start", [np.zeros(1), np.zeros(3),
+                                       np.zeros((2, 1))])
+    def test_start_must_match_the_objective(self, start):
+        with pytest.raises(ValueError, match="does not match the objective"):
+            maximize_concave_program(*_quadratic_cap(), start)
 
     def test_box_rows_are_linear_rows_lower_bounds_first(self):
-        cp = ConcaveProgram(n_vars=3, objective=np.zeros(3), blocks=[],
-                            lb=np.array([0.0, -np.inf, -1.0]),
-                            ub=np.array([2.0, 5.0, np.inf]))
-        (box,) = cp.all_blocks()
+        # the bounds these programs pass as rows are linear rows, one per
+        # finite bound, without curvature
+        box = _bounds([0.0, -np.inf, -1.0], [2.0, 5.0, np.inf])
         x = np.array([0.5, 1.0, 3.0])
-        np.testing.assert_array_equal(box.values(x),
-                                      [0.5, 4.0, 1.5, 4.0])
+        np.testing.assert_array_equal(box.values(x), [0.5, 4.0, 1.5, 4.0])
         rows, cols, vals = box.grads(x)
         np.testing.assert_array_equal(rows, [0, 1, 2, 3])
         np.testing.assert_array_equal(cols, [0, 2, 0, 1])
@@ -538,11 +550,10 @@ class TestBarrier:
                               [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])
 
         def run():
-            cp = ConcaveProgram(n_vars=2, objective=np.array([1.0, 0.1]),
-                                blocks=[blk],
-                                lb=np.array([-np.inf, -3.0]),
-                                ub=np.array([np.inf, 3.0]))
-            return maximize_concave_program(cp, np.array([0.0, 0.5]))
+            return maximize_concave_program(
+                np.array([1.0, 0.1]),
+                [blk, _bounds([-np.inf, -3.0], [np.inf, 3.0])],
+                np.array([0.0, 0.5]))
 
         r1, r2 = run(), run()
         assert np.array_equal(r1.x, r2.x)
@@ -570,43 +581,33 @@ def _random_program(seed):
         d0 = float(-_quad_row_block([0.0], crow, terms).values(
             np.zeros(n))[0]) + 2.0
         blocks.append(_quad_row_block([d0], crow, terms))
-    return (ConcaveProgram(n_vars=n, objective=c, blocks=blocks,
-                           lb=np.full(n, -2.0), ub=np.full(n, 2.0)),
-            np.zeros(n))
+    blocks.append(_bounds(np.full(n, -2.0), np.full(n, 2.0)))
+    return c, blocks, np.zeros(n)
 
 
-# the TestBarrier programs with their start points
+# the TestBarrier programs as (objective, blocks, start)
 _BARRIER_PROGRAMS = {
-    "box": lambda: (ConcaveProgram(
-        n_vars=2, objective=np.array([1.0, 1.0]), blocks=[], lb=np.zeros(2),
-        ub=np.array([1.0, 2.0])), np.array([0.5, 0.5])),
-    "quadratic_cap": lambda: (ConcaveProgram(
-        n_vars=2, objective=np.array([1.0, 0.0]),
-        blocks=[_quad_row_block([4.0], [[-1.0, 0.0]],
-                                [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])],
-        lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0])),
-        np.array([2.0, 0.9])),
-    "exponential": lambda: (ConcaveProgram(
-        n_vars=1, objective=np.array([-1.0]),
-        blocks=[QuadExpRows(d=np.array([3.0]), C=np.zeros((1, 1)),
-                            exp_row=[0], exp_coef=[1.0], exp_idx=[0])],
-        lb=np.array([-10.0]), ub=np.array([10.0])), np.array([0.0])),
-    "altitude_ratio": lambda: (ConcaveProgram(
-        n_vars=2, objective=np.array([0.0, 1.0]),
-        blocks=[VRatioRows(d=np.array([0.2]), b2=6.0, c=np.array([2500.0]),
-                           z_idx=np.array([0]), s_idx=np.array([1]))],
-        lb=np.array([1.0, -np.inf]), ub=np.array([100.0, np.inf])),
-        np.array([50.0, 0.0])),
-    "coupled_cap": lambda: (ConcaveProgram(
-        n_vars=2, objective=np.array([1.0, 0.1]),
-        blocks=[_quad_row_block([4.0], [[-1.0, 0.2]],
-                                [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])],
-        lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0])),
-        np.array([0.0, 0.5])),
+    "box": lambda: (np.array([1.0, 1.0]), [_bounds(np.zeros(2), [1.0, 2.0])],
+                    np.array([0.5, 0.5])),
+    "quadratic_cap": lambda: (*_quadratic_cap(), np.array([2.0, 0.9])),
+    "exponential": lambda: (
+        np.array([-1.0]),
+        [QuadExpRows(d=np.array([3.0]), C=np.zeros((1, 1)),
+                     exp_row=[0], exp_coef=[1.0], exp_idx=[0]),
+         _bounds([-10.0], [10.0])], np.array([0.0])),
+    "altitude_ratio": lambda: (
+        np.array([0.0, 1.0]),
+        [VRatioRows(d=np.array([0.2]), b2=6.0, c=np.array([2500.0]),
+                    z_idx=np.array([0]), s_idx=np.array([1])),
+         _bounds([1.0, -np.inf], [100.0, np.inf])], np.array([50.0, 0.0])),
+    "coupled_cap": lambda: (
+        np.array([1.0, 0.1]),
+        [_quad_row_block([4.0], [[-1.0, 0.2]],
+                         [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)]),
+         _bounds([-np.inf, -3.0], [np.inf, 3.0])], np.array([0.0, 0.5])),
     # no objective column at all: nothing to eliminate, no coupling rows
-    "zero_objective": lambda: (ConcaveProgram(
-        n_vars=2, objective=np.zeros(2), blocks=[], lb=np.zeros(2),
-        ub=np.array([1.0, 3.0])), np.array([0.2, 0.5])),
+    "zero_objective": lambda: (
+        np.zeros(2), [_bounds(np.zeros(2), [1.0, 3.0])], np.array([0.2, 0.5])),
     "random_11": lambda: _random_program(11),
     "random_42": lambda: _random_program(42),
     "random_90": lambda: _random_program(90),
@@ -615,17 +616,16 @@ _BARRIER_PROGRAMS = {
 
 @pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS))
 def test_newton_step_matches_dense_solve(name, newton_step_gap):
-    cp, start = _BARRIER_PROGRAMS[name]()
-    assert newton_step_gap(cp, start) <= 1e-8
+    assert newton_step_gap(*_BARRIER_PROGRAMS[name]()) <= 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS))
 def test_dual_scale_is_largest_weighted_row_entry(name):
     # dual_scale reads max_i lam_i * max_j |G_ij| straight off the entries
-    cp, x = _BARRIER_PROGRAMS[name]()
-    system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    c, blocks, x = _BARRIER_PROGRAMS[name]()
+    system = _NewtonSystem(blocks, c, x)
     # the eliminated dense columns are exactly the objective's columns
-    assert system.nd == np.count_nonzero(cp.objective)
+    assert system.nd == np.count_nonzero(c)
     gu = system.jacobian(x)
     lam = np.random.default_rng(5).uniform(0.1, 10.0, system.m)
     row_max = np.zeros(system.m)
@@ -636,13 +636,12 @@ def test_dual_scale_is_largest_weighted_row_entry(name):
 def test_rejects_curvature_joining_an_objective_column():
     # 4 - x0 - (x0 + x1)^2 >= 0 with the objective on x0 alone: the cross
     # term would fall between the dense and the banded block
-    cp = ConcaveProgram(
-        n_vars=2, objective=np.array([1.0, 0.0]),
-        blocks=[_quad_row_block([4.0], [[-1.0, 0.0]],
-                                [(0, 1.0, 1.0, 0, 1.0, 1, 0.0)])],
-        lb=np.array([-np.inf, -3.0]), ub=np.array([np.inf, 3.0]))
+    blocks = [_quad_row_block([4.0], [[-1.0, 0.0]],
+                              [(0, 1.0, 1.0, 0, 1.0, 1, 0.0)]),
+              _bounds([-np.inf, -3.0], [np.inf, 3.0])]
     with pytest.raises(ValueError, match="joins an objective column"):
-        maximize_concave_program(cp, np.array([0.0, 0.5]))
+        maximize_concave_program(np.array([1.0, 0.0]), blocks,
+                                 np.array([0.0, 0.5]))
 
 
 class _SaddleRows:
@@ -668,18 +667,18 @@ class _SaddleRows:
 
 
 def _saddle_program(delta):
-    """maximize x0 subject to x0 <= 1, plus a saddle on (x1, x2)."""
+    """maximize x0 subject to x0 <= 1, plus a saddle on (x1, x2), as
+    (objective, blocks)."""
     rows = QuadExpRows(d=np.ones(1), C=[[-1.0, 0.0, 0.0]])
-    return ConcaveProgram(n_vars=3, objective=np.array([1.0, 0.0, 0.0]),
-                          blocks=[rows, _SaddleRows(delta)])
+    return np.array([1.0, 0.0, 0.0]), [rows, _SaddleRows(delta)]
 
 
 def test_ridge_recovers_failed_banded_factorization():
     # tau = 0, 1e-14, 1e-12 and 1e-10 leave the saddle indefinite; 1e-8 is
     # the first ridge under which the banded factor exists
-    cp = _saddle_program(1e-9)
+    c, blocks = _saddle_program(1e-9)
     x = np.zeros(3)
-    system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    system = _NewtonSystem(blocks, c, x)
     assert (system.nb, system.nd, system.k) == (2, 1, 1)
     lam = w = np.ones(2)
     rhs = np.array([1.0, 0.5, -0.25])
@@ -695,20 +694,19 @@ def test_ridge_recovers_failed_banded_factorization():
 
 @pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS) + ["saddle"])
 def test_no_direction_when_every_ridge_fails(name):
-    cp, x = ((_saddle_program(1e-9), np.zeros(3)) if name == "saddle"
-             else _BARRIER_PROGRAMS[name]())
-    system = _NewtonSystem(cp.all_blocks(), cp.objective, x)
+    c, blocks, x = ((*_saddle_program(1e-9), np.zeros(3)) if name == "saddle"
+                    else _BARRIER_PROGRAMS[name]())
+    system = _NewtonSystem(blocks, c, x)
     nan = np.full(system.m, np.nan)
     assert system.direction(x, np.ones(system.m), nan, system.jacobian(x),
-                            cp.objective) is None
+                            c) is None
 
 
 def test_solver_stalls_without_a_direction():
     # a saddle of depth 0.5 outlasts the largest ridge (1e-2), so the
     # first Newton step already has no direction
-    cp = _saddle_program(0.5)
     start = np.array([0.5, 0.0, 0.0])
-    rep = maximize_concave_program(cp, start)
+    rep = maximize_concave_program(*_saddle_program(0.5), start)
     assert rep.status == "stalled"
     assert rep.message == "no Newton direction under any ridge"
     assert rep.iterations == 0
@@ -747,64 +745,88 @@ def test_empty_term_groups_leave_the_derivatives_as_they_were(quad, exp):
 # line search: linear pre-screen and epigraph correction
 # ---------------------------------------------------------------------------
 
-def _capped_program(declare):
+def _capped_program(cap_slope=1.0, eta_slope=1.0):
     """maximize eta over (x, s, eta), x in [-100, 100], subject to
     eta <= -0.1 (x - 10)^2 - 0.1 exp(-s)  (row 0, the rate row) and
-    s <= -0.1 x^2  (row 1, the cap); with ``declare`` the program names s
-    and eta as its epigraph columns.  Started at x = 0, s and eta 1e-6
-    under their rows."""
+    s <= -0.1 x^2  (row 1, the cap).  Row 0 is written with -eta_slope * eta
+    and row 1 with -cap_slope * s, both scaled through; with both slopes 1
+    the solver reads s and eta as epigraph columns.  Started at x = 0, s and
+    eta 1e-6 under their rows."""
+    ke, kc = eta_slope, cap_slope
     blk = QuadExpRows(
-        d=np.zeros(2), C=np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
-        quad_row=[0, 1], quad_w=[0.1, 0.1], quad_p=[1.0, 1.0],
+        d=np.zeros(2), C=np.array([[0.0, 0.0, -ke], [0.0, -kc, 0.0]]),
+        quad_row=[0, 1], quad_w=[0.1 * ke, 0.1 * kc], quad_p=[1.0, 1.0],
         quad_i=[0, 0], quad_q=[0.0, 0.0], quad_j=[0, 0], quad_r=[-10.0, 0.0],
-        exp_row=[0], exp_coef=[0.1], exp_idx=[1])
-    epigraph = (dict(cap_rows=[1], cap_cols=[1], eta_col=2, eta_rows=[0])
-                if declare else {})
-    cp = ConcaveProgram(n_vars=3, objective=np.array([0.0, 0.0, 1.0]),
-                        blocks=[blk], lb=np.array([-100.0, -np.inf, -np.inf]),
-                        ub=np.array([100.0, np.inf, np.inf]), **epigraph)
+        exp_row=[0], exp_coef=[0.1 * ke], exp_idx=[1])
+    blocks = [blk, _bounds([-100.0, -np.inf, -np.inf],
+                           [100.0, np.inf, np.inf])]
     start = np.array([0.0, -1e-6, -0.1 - 10.0 - 1e-6])
-    return cp, start
+    return np.array([0.0, 0.0, 1.0]), blocks, start
+
+
+def _capped_optimum():
+    """The optimum of the capped program's one-variable reduction eta(x),
+    with s at its cap."""
+    return scipy.optimize.minimize_scalar(
+        lambda x: 0.1 * (x - 10.0) ** 2 + 0.1 * np.exp(0.1 * x * x),
+        bounds=(-100.0, 100.0), method="bounded", options={"xatol": 1e-10})
+
+
+def test_epigraph_is_read_off_the_capped_program():
+    rows, cols, eta, eta_rows = _epigraph_of(*_capped_program())
+    assert (rows.tolist(), cols.tolist(), eta, eta_rows.tolist()) == (
+        [1], [1], 2, [0])
+    # a cap written as -2 s is not an epigraph row; eta still is
+    rows, cols, eta, eta_rows = _epigraph_of(*_capped_program(cap_slope=2.0))
+    assert (rows.size, eta, eta_rows.tolist()) == (0, 2, [0])
 
 
 def test_epigraph_correction_finishes_a_capped_crawl():
-    # without the declaration every long step bends the cap and rate rows
-    # negative and the solve crawls into the 200-step cap; the correction
-    # restores their linear predictions and the solve ends optimal
-    crawl = maximize_concave_program(*_capped_program(declare=False))
+    # with the cap written as -2 s the solver reads no cap column, so every
+    # long step bends the cap row negative and the solve crawls into the
+    # 200-step cap; with -s the correction restores the rows' linear
+    # predictions and the solve ends optimal
+    crawl = maximize_concave_program(*_capped_program(cap_slope=2.0))
     assert crawl.status == "stalled" and crawl.iterations == 200
-    rep = maximize_concave_program(*_capped_program(declare=True))
+    rep = maximize_concave_program(*_capped_program())
     assert rep.status == "optimal" and rep.iterations <= 20
-    # the optimum of the one-variable reduction eta(x) with s at its cap
-    best = scipy.optimize.minimize_scalar(
-        lambda x: 0.1 * (x - 10.0) ** 2 + 0.1 * np.exp(0.1 * x * x),
-        bounds=(-100.0, 100.0), method="bounded", options={"xatol": 1e-10})
+    best = _capped_optimum()
     assert rep.x[0] == pytest.approx(best.x, abs=1e-5)
     assert rep.objective == pytest.approx(-best.fun, abs=2e-6)
     assert rep.objective > crawl.objective
 
 
-@pytest.mark.parametrize("epigraph", [
-    dict(cap_rows=[0], cap_cols=[1]),          # s is not in the rate row
-    dict(cap_rows=[1], cap_cols=[0]),          # x enters its cap quadratically
-    dict(cap_rows=[7], cap_cols=[1]),          # no such row
-    dict(eta_col=2, eta_rows=[0, 1]),          # eta is not in the cap row
-    dict(eta_col=2, eta_rows=[]),              # eta's row left out
-    dict(eta_col=1, eta_rows=[1]),             # s also enters the rate row
-    dict(eta_col=2, eta_rows=[0, 0]),          # a row named twice
-])
-def test_wrong_epigraph_declaration_is_refused(epigraph):
-    cp, start = _capped_program(declare=False)
-    bad = ConcaveProgram(n_vars=3, objective=cp.objective, blocks=cp.blocks,
-                         lb=cp.lb, ub=cp.ub, **epigraph)
-    with pytest.raises(ValueError, match="epigraph"):
-        maximize_concave_program(bad, start)
+@pytest.mark.parametrize("slope", [1.0, 0.5])
+def test_objective_column_off_slope_gets_no_eta_correction(slope,
+                                                           monkeypatch):
+    # maximize eta over (eta, x), x in [-3, 3], subject to eta <= 4 - x^2
+    # and slope * eta <= slope * (2 + 2 x): the optimum is eta = 2 sqrt(3)
+    # at x = sqrt(3) - 1.  With slope 0.5, eta enters its second row off
+    # -1, so it is no epigraph column and the line search never moves it
+    c = np.array([1.0, 0.0])
+    blocks = [_quad_row_block([4.0, 2.0 * slope], [[-1.0, 0.0],
+                                                    [-slope, 2.0 * slope]],
+                              [(0, 1.0, 1.0, 1, 0.0, 1, 0.0)]),
+              _bounds([-np.inf, -3.0], [np.inf, 3.0])]
+    start = np.zeros(2)
+    _, _, eta, eta_rows = _epigraph_of(c, blocks, start)
+    assert (eta, eta_rows.tolist()) == ((0, [0, 1]) if slope == 1.0
+                                        else (None, []))
+    correct = solvers._epigraph_correction
+    moved = []
 
+    def spy(epigraph, blocks, xt, gt, pred):
+        eta_before = xt[0]
+        xt, gt = correct(epigraph, blocks, xt, gt, pred)
+        moved.append(xt[0] != eta_before)
+        return xt, gt
 
-def test_cap_declaration_must_pair_up():
-    with pytest.raises(ValueError, match="pair up"):
-        ConcaveProgram(n_vars=3, objective=np.zeros(3), blocks=[],
-                       cap_rows=[0, 1], cap_cols=[1])
+    monkeypatch.setattr(solvers, "_epigraph_correction", spy)
+    rep = maximize_concave_program(c, blocks, start)
+    assert moved and any(moved) == (slope == 1.0)
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-6)
+    assert rep.x[1] == pytest.approx(np.sqrt(3.0) - 1.0, abs=1e-6)
 
 
 def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
@@ -813,14 +835,15 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
     # correction, so evaluating it could not have changed the solve
     scen = load_scenario(bundled_scenario("scenario_4sn.json"))
     model = fit_for_scenario(scen)
-    steps = []        # (program, x, dx, first t, t_lin), one per line search
+    # (objective, blocks, start, x, dx, first t, t_lin), one per line search
+    steps = []
     solve, direction = planner.maximize_concave_program, _NewtonSystem.direction
     trial_steps = solvers._trial_steps
     seen = {}
 
-    def spy_solve(cp, start, **kw):
-        seen["cp"] = cp
-        return solve(cp, start, **kw)
+    def spy_solve(c, blocks, start, **kw):
+        seen["program"] = c, blocks, start
+        return solve(c, blocks, start, **kw)
 
     def spy_direction(system, x, *args):
         dx = direction(system, x, *args)
@@ -828,7 +851,7 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
         return dx
 
     def spy_trial_steps(t, t_lin):
-        steps.append((seen["cp"], seen["x"], seen["dx"], t, t_lin))
+        steps.append((*seen["program"], seen["x"], seen["dx"], t, t_lin))
         return trial_steps(t, t_lin)
 
     monkeypatch.setattr(planner, "maximize_concave_program", spy_solve)
@@ -838,16 +861,16 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
     monkeypatch.undo()
 
     skipped = 0
-    for cp, x, dx, t, t_lin in steps:
-        blocks = cp.all_blocks()
-        system = _NewtonSystem(blocks, cp.objective, x)
+    for c, blocks, start, x, dx, t, t_lin in steps:
+        system = _NewtonSystem(blocks, c, x)
+        epigraph = solvers._epigraph(system, c, system.jacobian(start))
         g = solvers._block_values(blocks, x)
         gdx = system.matvec(system.jacobian(x), dx)
         while t > t_lin:
             xt = x + t * dx
             gt = solvers._block_values(blocks, xt)
             assert not gt.min() > 0.0
-            _, gc = solvers._epigraph_correction(cp, blocks, xt, gt,
+            _, gc = solvers._epigraph_correction(epigraph, blocks, xt, gt,
                                                  g + t * gdx)
             assert not gc.min() > 0.0
             skipped += 1
