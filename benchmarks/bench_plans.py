@@ -11,17 +11,23 @@ with the surrogate fitted to ``scenario_4sn``.  Per plan it records the
 wall time, the outer iterations, the interior-point solves (calls, Newton
 steps, and how many did not end "optimal"), the scheduling LPs (calls and
 dual-simplex pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sha256 of
-the plan's ``q``, ``z`` and ``a`` bytes.  The solver counts come from
-wrapping ``planner.maximize_concave_program`` and ``planner.solve_lp``.
-The BLAS thread count changes the interior-point time, so the run records
-the thread variables it saw; set them before starting the script.
+the plan's ``q``, ``z`` and ``a`` bytes.  Under ``blocks`` it splits the
+interior-point solves by trajectory block, horizontal and vertical: calls,
+Newton steps, the most steps in one solve, and solves that did not end
+"optimal".  The solver counts come from wrapping
+``planner.solve_horizontal``, ``planner.solve_vertical`` (whose reports
+hold each interior-point solve) and ``planner.solve_lp``.  The BLAS thread
+count changes the interior-point time, so the run records the thread
+variables it saw; set them before starting the script.  A Markdown table of
+the per-block counts goes to stderr.
 
 ``--against PREV.json`` compares each plan with the same plan in an earlier
 output: whether the sha256 is equal, the relative change in
 ``eta_achieved``, and the outer iterations, Newton steps, LP pivots and
-non-optimal interior-point solves as [previous, this run].  The comparison
-goes into each run's ``parity`` entry and, as a Markdown table, to stderr;
-a run the earlier output lacks gets none.
+non-optimal interior-point solves as [previous, this run], and each
+block's counts the same way when the earlier output has them.  The
+comparison goes into each run's ``parity`` entry and, as Markdown tables,
+to stderr; a run the earlier output lacks gets none.
 """
 
 import argparse
@@ -58,23 +64,32 @@ def plan_sha256(plan):
     return digest.hexdigest()
 
 
+BLOCKS = ("horizontal", "vertical")
+BLOCK_COUNTS = ("calls", "newton_steps", "max_steps", "not_optimal")
+
+
 class Counter:
-    """Counts the solves of planner's two solvers while installed."""
+    """Collects the interior-point reports of each trajectory block and
+    counts the scheduling LPs while installed."""
 
     def __init__(self):
-        self.ipm = self.newton = self.ipm_not_optimal = 0
+        self.reports = {name: [] for name in BLOCKS}
         self.lp = self.pivots = 0
 
     def __enter__(self):
-        self._saved = planner.maximize_concave_program, planner.solve_lp
-        ipm, lp = self._saved
+        self._saved = (planner.solve_horizontal, planner.solve_vertical,
+                       planner.solve_lp)
+        lp = self._saved[2]
 
-        def counted_ipm(*args, **kwargs):
-            rep = ipm(*args, **kwargs)
-            self.ipm += 1
-            self.newton += rep.iterations
-            self.ipm_not_optimal += rep.status != "optimal"
-            return rep
+        def counted_block(name, solve):
+            def counted(*args, reports=None, **kwargs):
+                mine = []
+                out = solve(*args, reports=mine, **kwargs)
+                self.reports[name] += mine
+                if reports is not None:
+                    reports += mine
+                return out
+            return counted
 
         def counted_lp(*args, **kwargs):
             rep = lp(*args, **kwargs)
@@ -82,12 +97,28 @@ class Counter:
             self.pivots += rep.iterations
             return rep
 
-        planner.maximize_concave_program = counted_ipm
+        planner.solve_horizontal, planner.solve_vertical = (
+            counted_block(name, solve)
+            for name, solve in zip(BLOCKS, self._saved))
         planner.solve_lp = counted_lp
         return self
 
     def __exit__(self, *exc):
-        planner.maximize_concave_program, planner.solve_lp = self._saved
+        (planner.solve_horizontal, planner.solve_vertical,
+         planner.solve_lp) = self._saved
+
+    def blocks(self):
+        """BLOCK_COUNTS of each block's interior-point solves."""
+        out = {}
+        for name, reps in self.reports.items():
+            steps = [rep.iterations for rep in reps]
+            out[name] = {
+                "calls": len(reps),
+                "newton_steps": sum(steps),
+                "max_steps": max(steps, default=0),
+                "not_optimal": sum(rep.status != "optimal" for rep in reps),
+            }
+        return out
 
 
 def run_plan(scheme, scenario, model):
@@ -95,17 +126,19 @@ def run_plan(scheme, scenario, model):
         start = time.perf_counter()
         plan, rep = run_scheme(scheme, scenario, model, simulate=False)
         wall = time.perf_counter() - start
+    blocks = count.blocks()
     return {
         "wall_s": round(wall, 4),
         "outer_iters": rep.extras["iterations"],
-        "ipm_calls": count.ipm,
-        "newton_steps": count.newton,
-        "ipm_not_optimal": count.ipm_not_optimal,
+        "ipm_calls": sum(b["calls"] for b in blocks.values()),
+        "newton_steps": sum(b["newton_steps"] for b in blocks.values()),
+        "ipm_not_optimal": sum(b["not_optimal"] for b in blocks.values()),
         "lp_calls": count.lp,
         "lp_pivots": count.pivots,
         "eta_achieved": rep.eta_achieved,
         "extras_ipm_not_optimal": rep.extras["ipm_not_optimal"],
         "sha256": plan_sha256(plan),
+        "blocks": blocks,
     }
 
 
@@ -119,6 +152,11 @@ def parity(prev, run):
     out = {"sha256_equal": prev["sha256"] == run["sha256"],
            "eta_rel_change": (run["eta_achieved"] - eta0) / abs(eta0)}
     out.update({key: [prev[key], run[key]] for key in PARITY_COUNTS})
+    if "blocks" in prev:
+        out["blocks"] = {
+            name: {key: [prev["blocks"][name][key], run["blocks"][name][key]]
+                   for key in BLOCK_COUNTS}
+            for name in BLOCKS}
     return out
 
 
@@ -134,6 +172,20 @@ def parity_table(runs):
         counts = " | ".join("{} -> {}".format(*par[c]) for c in PARITY_COUNTS)
         lines.append(f"| {key} | {'yes' if par['sha256_equal'] else 'no'} "
                      f"| {par['eta_rel_change']:.2e} | {counts} |")
+    return "\n".join(lines)
+
+
+def block_table(runs):
+    """Markdown table of each run's per-block counts, as previous -> this
+    run where its ``parity`` entry has them."""
+    lines = ["| plan | block | IPM calls | Newton steps | most steps "
+             "| not optimal |", "|---" * 6 + "|"]
+    for key, run in runs.items():
+        prev = run.get("parity", {}).get("blocks")
+        for name in BLOCKS:
+            cells = ("{} -> {}".format(*prev[name][c]) if prev
+                     else str(run["blocks"][name][c]) for c in BLOCK_COUNTS)
+            lines.append(f"| {key} | {name} | {' | '.join(cells)} |")
     return "\n".join(lines)
 
 
@@ -180,6 +232,7 @@ def main(argv=None):
     if prev is not None:
         doc["against"] = args.against
         print(parity_table(runs), file=sys.stderr)
+    print(block_table(runs), file=sys.stderr)
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -41,6 +41,13 @@ def max_slots(n_sn):
     return _memory_bytes() // per_slot
 
 
+def max_trials(n_blocks, workers):
+    """The most Monte-Carlo trials per slot whose envelopes fit in memory
+    when ``workers`` slots of ``n_blocks`` fading blocks are drawn at once:
+    ``sample_rician`` holds two float64 arrays, 16 B per envelope."""
+    return _memory_bytes() // (16 * int(n_blocks) * int(workers))
+
+
 @dataclass
 class Scenario:
     """One complete problem instance.

@@ -13,12 +13,15 @@ import math
 import sys
 
 from . import DEFAULT_SEED
-from .evaluation import (DEFAULT_TRIALS, SCHEMES, evaluate_plan,
-                         fit_for_scenario, run_scheme)
-from .fading import fit_logistic, generate_regression_samples
-from .files import (db_to_linear, load_model, load_result, load_scenario,
-                    model_from_json, model_to_json, plan_from_json,
-                    save_json, save_model, scenario_to_config, write_outputs)
+from .channel import max_trials
+from .evaluation import (DEFAULT_TRIALS, MIN_TRIALS, SCHEMES, evaluate_plan,
+                         fit_for_scenario, run_scheme, usable_cpus)
+from .fading import (MAX_EPSILON, MIN_GRID, fit_logistic,
+                     generate_regression_samples)
+from .files import (db_to_linear, linear_to_db, load_model, load_result,
+                    load_scenario, model_from_json, model_to_json,
+                    plan_from_json, save_json, save_model, scenario_to_config,
+                    write_outputs)
 from .planner import LOS_MODEL, check_plan
 
 SWEEP_PARAMS = ("T", "vz", "eps", "kmax_db")
@@ -77,12 +80,32 @@ def _build_parser():
     return parser
 
 
+# the channel constants a fitted model records, as (document key,
+# attribute, shown in the document's units)
+_MODEL_CHANNEL = (("kmin_db", "k_min", linear_to_db),
+                  ("kmax_db", "k_max", linear_to_db),
+                  ("epsilon", "epsilon", float))
+
+
+def _check_channel(model, scenario, model_path):
+    """ValueError naming the field when the model records channel constants
+    other than the scenario's; a model that records none passes."""
+    for key, attr, show in _MODEL_CHANNEL:
+        fitted, want = getattr(model, attr), getattr(scenario, attr)
+        if fitted is not None and not math.isclose(fitted, want,
+                                                    rel_tol=1e-9):
+            raise ValueError(f"--model {model_path}: {key}={show(fitted):g} "
+                             f"differs from the scenario's {show(want):g}")
+
+
 def _resolve_model(scenario, scheme, model_path):
     if scheme == "lb":
         return LOS_MODEL
-    if model_path is not None:
-        return load_model(model_path)
-    return fit_for_scenario(scenario)
+    if model_path is None:
+        return fit_for_scenario(scenario)
+    model = load_model(model_path)
+    _check_channel(model, scenario, model_path)
+    return model
 
 
 def _linear(option, db):
@@ -95,6 +118,12 @@ def _linear(option, db):
 
 
 def _cmd_fit(args):
+    if not 0.0 < args.eps <= MAX_EPSILON:
+        raise ValueError(f"--eps={args.eps:g} is outside (0, {MAX_EPSILON}], "
+                         f"the outage targets a fit covers")
+    if args.grid < MIN_GRID:
+        raise ValueError(f"--grid={args.grid} is below {MIN_GRID}, the "
+                         f"fewest regression points a fit takes")
     if args.kmin_db > args.kmax_db:
         raise ValueError("--kmin-db must not exceed --kmax-db")
     samples = generate_regression_samples(
@@ -122,7 +151,16 @@ def _cmd_evaluate(args):
     if not 0 <= args.seed < 2 ** 63:
         raise ValueError(f"--seed={args.seed} is outside [0, 2**63), the "
                          f"seeds a result file holds")
+    if args.trials < MIN_TRIALS:
+        raise ValueError(f"--trials={args.trials} is below {MIN_TRIALS}, the "
+                         f"fewest per slot for a meaningful frequency")
     scenario = load_scenario(args.scenario)
+    workers = usable_cpus()
+    limit = max_trials(scenario.n_blocks, workers)
+    if args.trials > limit:
+        raise ValueError(f"--trials={args.trials} exceeds {limit}, the most "
+                         f"whose {scenario.n_blocks} fading blocks per trial "
+                         f"fit in memory on {workers} workers")
     doc = load_result(args.plan)
     plan = plan_from_json(doc["plan"])
     model = model_from_json(doc["model"])
@@ -193,9 +231,15 @@ def _cmd_sweep(args):
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"--values: expected finite numbers, "
                          f"got {args.values!r}")
-    base_model = load_model(args.model) if args.model else None
-    if args.param not in ("eps", "kmax_db") and base_model is None:
-        base_model = fit_for_scenario(scenario)
+    # eps and kmax_db sweeps refit per value; T and vz keep the channel,
+    # so a given model must have been fitted to it
+    refit = args.param in ("eps", "kmax_db")
+    if args.model:
+        base_model = load_model(args.model)
+        if not refit:
+            _check_channel(base_model, scenario, args.model)
+    else:
+        base_model = None if refit else fit_for_scenario(scenario)
 
     scens = [_sweep_scenario(scenario, args.param, v) for v in values]
     rows = [_sweep_row(scen, args.param, v, base_model)

@@ -41,6 +41,8 @@ from .planner import (
 SCHEMES = ("lb", "rfla", "rffsa", "rfb")
 
 DEFAULT_TRIALS = 100_000
+#: the fewest Monte-Carlo trials per slot that give a meaningful frequency
+MIN_TRIALS = 10_000
 
 # candidate fixed altitudes swept by the best-fixed-altitude benchmark [m]
 DEFAULT_ALTITUDES = tuple(float(h) for h in range(100, 301, 25))
@@ -113,7 +115,7 @@ def owners_to_activity(owners, n_sn):
 # Monte-Carlo outage verification
 # ---------------------------------------------------------------------------
 
-def _usable_cpus():
+def usable_cpus():
     """CPUs this process may run on (all of them where affinity is not
     exposed)."""
     try:
@@ -150,9 +152,9 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
     pool size or on the order slots finish in.
     """
     trials = int(trials)
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 trials per slot for a "
-                         "meaningful frequency")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials per slot for a "
+                         f"meaningful frequency")
     n_sn, m_slots = scenario.n_sn, scenario.n_slots
     if rates is None:
         rates = exact_rates(plan.q, plan.z, scenario)
@@ -186,7 +188,7 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
         return np.count_nonzero(envelope < threshold[n, m])
 
     busy = np.flatnonzero(owners >= 0)
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+    with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:
         counts = list(pool.map(outages, busy))
 
     freq = np.zeros(m_slots)

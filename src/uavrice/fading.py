@@ -34,6 +34,11 @@ __all__ = [
     "fit_logistic",
 ]
 
+#: the largest outage target the closed forms and the fit cover
+MAX_EPSILON = 0.1
+#: the fewest regression sample points a fit takes
+MIN_GRID = 50
+
 
 def inverse_q(p):
     """Inverse of the standard normal tail Q(x) = P(Z > x)."""
@@ -47,8 +52,8 @@ def inverse_q(p):
 def exact_effective_power(k, eps):
     """epsilon-quantile of the unit-power Rician |g|^2, by inverting the
     noncentral chi-square cdf (see :func:`uavrice.kernels.effective_power`)."""
-    if not (0.0 < eps <= 0.1):
-        raise ValueError("outage target must lie in (0, 0.1]")
+    if not (0.0 < eps <= MAX_EPSILON):
+        raise ValueError(f"outage target must lie in (0, {MAX_EPSILON}]")
     if np.any(np.asarray(k) < 0):
         raise ValueError("Rician factor must be nonnegative")
     return kernels.effective_power(k, eps)
@@ -63,8 +68,8 @@ def k_threshold(eps):
     inverse_q(eps) from above and the low branch grows like exp(t^2/4), so
     exactly one crossing exists to the right of the pole.
     """
-    if not (0.0 < eps <= 0.1):
-        raise ValueError("outage target must lie in (0, 0.1]")
+    if not (0.0 < eps <= MAX_EPSILON):
+        raise ValueError(f"outage target must lie in (0, {MAX_EPSILON}]")
     qi = inverse_q(eps)
     c_low = math.sqrt(-2.0 * math.log1p(-eps))
 
@@ -94,8 +99,8 @@ def closed_form_effective_power(k, eps):
     where the Rayleigh-like tail dominates, and a normal-tail expansion once
     the specular component is strong.  Result clamped to (0, 1].
     """
-    if not (0.0 < eps <= 0.1):
-        raise ValueError("outage target must lie in (0, 0.1]")
+    if not (0.0 < eps <= MAX_EPSILON):
+        raise ValueError(f"outage target must lie in (0, {MAX_EPSILON}]")
     kk = np.asarray(k, dtype=float)
     if np.any(kk < 0):
         raise ValueError("Rician factor must be nonnegative")
@@ -140,8 +145,8 @@ class RegressionSamples:
 
 def generate_regression_samples(k_min, k_max, eps, grid_size=200):
     """Tabulate the exact effective power on a uniform v = sin(theta) grid."""
-    if grid_size < 50:
-        raise ValueError("grid_size must be at least 50")
+    if grid_size < MIN_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GRID}")
     a1, a2 = rician_coeffs_from_bounds(k_min, k_max)
     v = np.linspace(0.0, 1.0, int(grid_size))
     theta = np.arcsin(v)

@@ -379,7 +379,33 @@ def load_result(path):
     if np.max(report.owners, initial=-1) >= n_sn:
         raise FileFormatError(f"result.owners: node {report.owners.max()} "
                               f"outside [-1, {n_sn})")
+    _check_outage_counts(report)
     return doc
+
+
+def _check_outage_counts(report):
+    """FileFormatError unless the Monte-Carlo columns agree: a slot draws
+    trials * n_blocks fading blocks when simulated and scheduled, none
+    otherwise, and its frequency is a whole count of the blocks drawn."""
+    drawn = report.trials * report.n_blocks
+    samples, freq = report.outage_samples, report.outage_freq
+    for bad, what in (
+            ((samples != 0) & (samples != drawn),
+             f"is neither 0 nor trials * n_blocks = {drawn}"),
+            ((samples != 0) & (report.owners < 0), "drawn for an idle slot")):
+        if bad.any():
+            m = int(np.flatnonzero(bad)[0])
+            raise FileFormatError(f"result.outage_samples[{m}]: "
+                                  f"{samples[m]} {what}")
+    count = freq * samples
+    for bad, what in (
+            ((samples == 0) & (freq != 0.0), "with no block drawn"),
+            (np.abs(count - np.round(count)) > 1e-12 * samples,
+             "is no whole count of the blocks drawn")):
+        if bad.any():
+            m = int(np.flatnonzero(bad)[0])
+            raise FileFormatError(f"result.outage_freq[{m}]: {freq[m]:g} "
+                                  f"{what}")
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ def tangent_coefficients(d2q, z, gamma, model: LogisticModel,
 
 _SPARSIFY_TOL = 1e-6
 _SLACK_GAP = 1e-6
+#: weight of the target in the blend that gives the expansion point
+_BLEND = 1e-3
 
 
 @dataclass
@@ -290,14 +292,11 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
 
     # expansion point and start: blend a touch toward the target so every
     # move row (and the floor) has positive slack
-    for tau in (1e-3, 1e-2, 0.1):
-        hat = path.copy()
-        hat[1:-1] = (1.0 - tau) * path[1:-1] + tau * target[1:-1]
-        seg = np.diff(hat, axis=0)
-        if (np.max(np.einsum("mk,mk->m", seg, seg)) < limit ** 2 - 1e-12
-                and hat[1:-1].min() > floor + 1e-12):
-            break
-    else:
+    hat = path.copy()
+    hat[1:-1] = (1.0 - _BLEND) * path[1:-1] + _BLEND * target[1:-1]
+    seg = np.diff(hat, axis=0)
+    if not (np.max(np.einsum("mk,mk->m", seg, seg)) < limit ** 2 - 1e-12
+            and hat[1:-1].min() > floor + 1e-12):
         return None
 
     diff = hat[None, 1:, :] - anchors[:, None, :]            # (N, M, D)

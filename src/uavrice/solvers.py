@@ -612,10 +612,15 @@ class _NewtonSystem:
     coupling rows, every other row is local.  The remaining columns b keep
     the program's order, so a program whose local rows only join
     neighbouring variables (the planner numbers its variables slot by slot)
-    has a banded local part A_bb: curvature plus local rows.  A column of b
-    with neither a local row nor a curvature term makes A_bb singular; the
-    ridge loop in ``direction`` handles it.  After Jacobi equilibration and
-    the ridge tau, with U = W_K^(1/2) G_K the weighted coupling rows,
+    has a banded local part A_bb: curvature plus local rows.  A_bb must be
+    positive definite, and every program the planner builds has one: each
+    free waypoint column carries the move rows' squared terms, which chain
+    the free waypoints to the two pinned endpoints, and each s column
+    carries its exponential term and its cap row.  A program without that
+    (a column of b with neither a local row nor a curvature term, or an
+    indefinite curvature) gets no direction, and its solve ends "stalled".
+    After Jacobi equilibration, with U = W_K^(1/2) G_K the weighted coupling
+    rows,
 
         H = [[A_bb + U_b'U_b, U_b'U_d], [U_d'U_b, A_dd + U_d'U_d]].
 
@@ -714,8 +719,9 @@ class _NewtonSystem:
         return float(np.max(lam[self.urow] * np.abs(gu), initial=0.0))
 
     def direction(self, x, lam, w, gu, rhs):
-        """Solve H dx = rhs, H with row weights w = lam / g; None when the
-        equilibrated matrix stays singular under every ridge."""
+        """Solve H dx = rhs, H with row weights w = lam / g; None when a
+        factorization fails or the step is not finite."""
+        nb, k = self.nb, self.k
         sl = self.lam_slices
         cv = np.concatenate([blk.curvature(x, lam[lo:hi])[2] for blk, lo, hi
                              in zip(self.blocks, sl[:-1], sl[1:])])
@@ -723,10 +729,8 @@ class _NewtonSystem:
         diag = (np.bincount(self.ucol, wg * gu, minlength=self.n)
                 + np.bincount(self.curv_diag_rows, cv[self.curv_diag],
                               minlength=self.n))
-        # Jacobi equilibration keeps the ridge proportional to each
-        # variable's own curvature; without it the heavily weighted rows
-        # would drown the gentle directions and the step would quietly
-        # stop being a Newton step.
+        # Jacobi equilibration: without it the heavily weighted rows would
+        # drown the gentle directions in rounding
         dsc = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
         vals = np.concatenate([cv[self.curv_keep],
                                wg[self.pair_a] * gu[self.pair_b]])
@@ -734,55 +738,40 @@ class _NewtonSystem:
         store = np.bincount(self.slot,
                             vals * dsc[self.src_r] * dsc[self.src_c],
                             minlength=self.store_size).astype(float, copy=False)
-        band = store[:(self.bw + 1) * self.nb].reshape(self.bw + 1, self.nb)
+        band = store[:(self.bw + 1) * nb].reshape(self.bw + 1, nb)
         u = np.bincount(self.k_slot, np.sqrt(w[self.k_urow]) * gu[self.k_ent]
-                        * dsc[self.k_ucol], minlength=self.k * self.n)
-        u = u.astype(float, copy=False).reshape(self.k, self.n)
-        a_dd = store[self.dd_slot]
+                        * dsc[self.k_ucol], minlength=k * self.n)
+        u = u.astype(float, copy=False).reshape(k, self.n)
         rs = (rhs * dsc)[self.order]
-        tau = 0.0
-        for _ in range(8):
-            try:
-                dx = self._solve(band, a_dd, u, rs, tau)[self.pos] * dsc
-                if np.all(np.isfinite(dx)):
-                    return dx
-            except np.linalg.LinAlgError:
-                pass
-            tau = 1e-14 if tau == 0.0 else tau * 100.0
-        return None
-
-    def _solve(self, band, a_dd, u, rs, tau):
-        """The equilibrated, permuted system plus tau on the diagonal."""
-        nb, nd, k = self.nb, self.nd, self.k
-        if tau:
-            band = band.copy()
-            band[0] += tau
-        chol = _lapack(dpbtrf, band)
-        u_b, u_d = u[:, :nb], u[:, nb:]
-        h_dd = a_dd + u_d.T @ u_d
-        h_dd.flat[::nd + 1] += tau
-        h_dd = _lapack(dpotrf, h_dd)
-        # P = I - U_d H_dd^-1 U_d' = Q diag(e) Q' is PSD; V = e^(1/2) Q' U_b
-        p = -u_d @ _lapack(dpotrs, h_dd, u_d.T)
-        p.flat[::k + 1] += 1.0
-        e, q, info = dsyevd(p, lower=1)
-        if info:
-            raise np.linalg.LinAlgError("dsyevd: eigenvalues did not converge")
-        v = (q * np.sqrt(np.maximum(e, 0.0))).T @ u_b
-        # one banded solve for A^-1 V' and for A^-1 of the b part of the
-        # right-hand side with the d columns eliminated
-        w_d = _lapack(dpotrs, h_dd, rs[nb:])
-        both = np.empty((nb, k + 1), order="F")
-        both[:, :k] = v.T
-        both[:, k] = rs[:nb] - u_b.T @ (u_d @ w_d)
-        both = _lapack(dpbtrs, chol, both)
-        z, y = both[:, :k], both[:, k]
-        # Woodbury: (A + V'V)^-1 = A^-1 - A^-1 V' (I + V A^-1 V')^-1 V A^-1
-        cap = v @ z
-        cap.flat[::k + 1] += 1.0
-        y_b = y - z @ _lapack(dpotrs, _lapack(dpotrf, cap), v @ y)
-        y_d = w_d - _lapack(dpotrs, h_dd, u_d.T @ (u_b @ y_b))
-        return np.concatenate([y_b, y_d])
+        try:
+            chol = _lapack(dpbtrf, band)
+            u_b, u_d = u[:, :nb], u[:, nb:]
+            h_dd = _lapack(dpotrf, store[self.dd_slot] + u_d.T @ u_d)
+            # P = I - U_d H_dd^-1 U_d' = Q diag(e) Q' is PSD;
+            # V = e^(1/2) Q' U_b
+            p = -u_d @ _lapack(dpotrs, h_dd, u_d.T)
+            p.flat[::k + 1] += 1.0
+            e, q, info = dsyevd(p, lower=1)
+            if info:
+                return None
+            v = (q * np.sqrt(np.maximum(e, 0.0))).T @ u_b
+            # one banded solve for A^-1 V' and for A^-1 of the b part of the
+            # right-hand side with the d columns eliminated
+            w_d = _lapack(dpotrs, h_dd, rs[nb:])
+            both = np.empty((nb, k + 1), order="F")
+            both[:, :k] = v.T
+            both[:, k] = rs[:nb] - u_b.T @ (u_d @ w_d)
+            both = _lapack(dpbtrs, chol, both)
+            z, y = both[:, :k], both[:, k]
+            # Woodbury: (A + V'V)^-1 = A^-1 - A^-1 V' (I + V A^-1 V')^-1 V A^-1
+            cap = v @ z
+            cap.flat[::k + 1] += 1.0
+            y_b = y - z @ _lapack(dpotrs, _lapack(dpotrf, cap), v @ y)
+            y_d = w_d - _lapack(dpotrs, h_dd, u_d.T @ (u_b @ y_b))
+        except np.linalg.LinAlgError:
+            return None
+        dx = np.concatenate([y_b, y_d])[self.pos] * dsc
+        return dx if np.all(np.isfinite(dx)) else None
 
 
 def _lapack(routine, *arrays):
@@ -896,7 +885,7 @@ def maximize_concave_program(objective, blocks, start,
         mu_g = mu_t / g
         dx = system.direction(x, lam, W, gu, c + system.rmatvec(gu, mu_g))
         if dx is None:
-            stall = "no Newton direction under any ridge"
+            stall = "no Newton direction"
             break
         gdx = system.matvec(gu, dx)
         dlam = mu_g - lam - W * gdx

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import uavrice
-from uavrice import DEFAULT_SEED
+from uavrice import DEFAULT_SEED, channel, evaluation
+from uavrice import cli as cli_module
 from uavrice.cli import cli
 from uavrice.files import dump_json, load_model, load_result
 
@@ -41,6 +42,10 @@ def model_path(tmp_path):
     path = tmp_path / "model.json"
     assert cli(["fit", "--out", str(path)]) == 0
     return path
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the options should have been refused first")
 
 
 class TestArgumentHandling:
@@ -93,6 +98,20 @@ class TestFit:
         assert cli(["fit", "--kmin-db", "0", "--kmax-db", "4000", option,
                     "4000", "--out", str(out)]) == 1
         assert f"{option}=4000 dB is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "10"], "--grid=10 is below 50"),
+        (["--eps", "0.5"], "--eps=0.5 is outside (0, 0.1]"),
+        (["--eps", "0"], "--eps=0 is outside (0, 0.1]"),
+        (["--eps", "nan"], "--eps=nan is outside (0, 0.1]"),
+    ])
+    def test_out_of_range_option_fails_naming_it(self, tmp_path, capsys,
+                                                  argv, message):
+        out = tmp_path / "m.json"
+        assert cli(["fit", *argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -214,6 +233,80 @@ class TestBoundaryChecks:
                     "--out", str(out), "--traj", str(traj)]) == 1
         assert f"--seed={seed}" in capsys.readouterr().err
         assert not out.exists() and not traj.exists()
+
+    def test_evaluate_refuses_too_few_trials(self, scen_path, tmp_path,
+                                             capsys, monkeypatch):
+        planned = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "lb",
+                    "--out", str(planned)]) == 0
+        monkeypatch.setattr(cli_module, "evaluate_plan", _never)
+        out = tmp_path / "e.json"
+        assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                    str(planned), "--trials", "5", "--out", str(out)]) == 1
+        assert "--trials=5 is below 10000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_refuses_trials_beyond_memory(self, scen_path, tmp_path,
+                                                   capsys, monkeypatch):
+        # 16 B per envelope on every worker at once: with memory for 1e4
+        # trials of the scenario's 2 blocks, 10001 trials are refused
+        # before any draw, and 10000 run
+        planned = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "lb",
+                    "--out", str(planned)]) == 0
+        workers = evaluation.usable_cpus()
+        monkeypatch.setattr(channel, "_memory_bytes",
+                            lambda: 16 * 2 * workers * 10_000)
+        out = tmp_path / "e.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "evaluate_plan", _never)
+            assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                        str(planned), "--trials", "10001",
+                        "--out", str(out)]) == 1
+        assert (f"--trials=10001 exceeds 10000, the most whose 2 fading "
+                f"blocks per trial fit in memory on {workers} workers"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                    str(planned), "--trials", "10000",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("fit_args, field", [
+        (["--eps", "0.05"], "epsilon=0.05 differs from the scenario's 0.01"),
+        (["--kmax-db", "20"], "kmax_db=20 differs from the scenario's 30"),
+        (["--kmin-db", "3"], "kmin_db=3 differs from the scenario's 0"),
+    ])
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_refuses_a_model_fitted_to_another_channel(
+            self, scen_path, tmp_path, capsys, fit_args, field, command):
+        model = tmp_path / "m.json"
+        assert cli(["fit", *fit_args, "--grid", "60",
+                    "--out", str(model)]) == 0
+        extra = (["--scheme", "rfla"] if command == "plan" else
+                 ["--param", "vz", "--values", "20"])
+        out = tmp_path / "x.json"
+        assert cli([command, "--scenario", str(scen_path), "--model",
+                    str(model), *extra, "--out", str(out)]) == 1
+        assert f"--model {model}: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_channel_fields_still_plans(self, scen_path,
+                                                      tmp_path, capsys):
+        # the channel fields are optional; lb ignores the model altogether
+        model = tmp_path / "m.json"
+        assert cli(["fit", "--eps", "0.05", "--grid", "60",
+                    "--out", str(model)]) == 0
+        out = tmp_path / "x.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model), "--scheme", "lb", "--out", str(out)]) == 0
+        doc = json.loads(model.read_text())
+        for key in ("kmin_db", "kmax_db", "epsilon"):
+            del doc[key]
+        model.write_text(dump_json(doc))
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model), "--scheme", "rfla", "--out", str(out)]) == 0
+        capsys.readouterr()
 
     def test_largest_seed_reloads(self, scen_path, tmp_path, capsys):
         planned, out = tmp_path / "p.json", tmp_path / "e.json"

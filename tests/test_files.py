@@ -272,6 +272,33 @@ class TestResultDocuments:
         doc = load_result(_STORED_PLAN)
         assert len(doc["plan"]["a"]) == 4 and max(doc["owners"]) == 3
 
+    @pytest.mark.parametrize("samples, freq, owner, where", [
+        (7, 0.9, None, r"outage_samples\[0\]: 7 is neither 0 nor "
+                       r"trials \* n_blocks = 200000"),
+        (200000, 0.0, -1, r"outage_samples\[0\]: 200000 drawn for an "
+                          r"idle slot"),
+        (0, 0.25, None, r"outage_freq\[0\]: 0.25 with no block drawn"),
+        (200000, 0.0123456789, None,
+         r"outage_freq\[0\]: 0.0123457 is no whole count"),
+        (200000, 2469 / 200000, None, None),
+    ], ids=["7-blocks", "idle-slot", "freq-undrawn", "fractional", "whole"])
+    def test_monte_carlo_counts_must_agree(self, tmp_path, samples, freq,
+                                           owner, where):
+        # on the stored plan (1e5 trials of 2 blocks): a slot draws every
+        # block or none, and its frequency counts whole blocks
+        doc = json.loads(_STORED_PLAN.read_text())
+        doc["outage_samples"][0] = samples
+        doc["outage_freq"][0] = freq
+        if owner is not None:
+            doc["owners"][0] = owner
+        path = tmp_path / "result.json"
+        path.write_text(dump_json(doc))
+        if where is None:
+            assert load_result(path)["outage_samples"][0] == samples
+        else:
+            with pytest.raises(FileFormatError, match=where):
+                load_result(path)
+
     def test_saved_result_loads_identically(self, tmp_path):
         plan, report, scen = self._small_result()
         path = tmp_path / "result.json"

@@ -488,6 +488,37 @@ class TestTrajectoryBlocks:
                              for blk in blocks))
         assert vertical == {False, True}
 
+    @pytest.mark.parametrize("name", ["scenario_1sn.json",
+                                      "scenario_4sn.json"])
+    def test_every_built_column_has_diagonal_curvature(self, name,
+                                                       monkeypatch):
+        # what keeps the Newton step's banded block positive definite with
+        # no ridge: on every program the four schemes build, each column
+        # but eta has a positive diagonal curvature term (the move rows'
+        # squares on a waypoint, the exponential term on an s)
+        scen = load_scenario(bundled_scenario(name))
+        model = fit_for_scenario(scen)
+        steps = []
+        build = planner.build_trajectory_step
+
+        def spy(*args, **kw):
+            steps.append(build(*args, **kw))
+            return steps[-1]
+
+        monkeypatch.setattr(planner, "build_trajectory_step", spy)
+        for scheme in ("lb", "rfla", "rffsa", "rfb"):
+            run_scheme(scheme, scen, model, simulate=False)
+        assert steps and None not in steps
+        for step in steps:
+            diag = np.zeros(step.objective.size)
+            for blk in step.blocks:
+                rows, cols, vals = blk.curvature(step.start,
+                                                 np.ones(blk.d.size))
+                np.add.at(diag, rows[rows == cols], vals[rows == cols])
+            free = step.objective == 0.0
+            assert np.all(diag[free] > 0.0)
+            assert np.all(diag[~free] == 0.0)
+
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_floor_rows_come_last(self, block):
         # the altitude floor is one linear row per free altitude, x - h_min,
