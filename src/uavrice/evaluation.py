@@ -133,7 +133,8 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
     blocks each; a block is in outage when its instantaneous capacity falls
     below the rate.  That is the event "envelope below
     ``sqrt(gain_for_rate(rate))``", so the threshold is computed once per
-    (node, slot) and each drawn envelope takes one comparison.  Returns
+    (node, slot) and ``sample_rician`` counts the envelopes below it without
+    holding them all.  Returns
     ``(freq, samples)`` where ``samples[m]`` is the number of fading blocks
     drawn for slot m (0 when unscheduled, in which case ``freq[m]`` is 0 by
     convention).
@@ -183,9 +184,8 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
 
     def outages(m):
         n = owners[m]
-        envelope = sample_rician(float(k_all[n, m]), substream(seed, m),
-                                 size=(trials, n_blocks))
-        return np.count_nonzero(envelope < threshold[n, m])
+        return sample_rician(float(k_all[n, m]), substream(seed, m),
+                             size=(trials, n_blocks), below=threshold[n, m])
 
     busy = np.flatnonzero(owners >= 0)
     with ThreadPoolExecutor(max_workers=usable_cpus()) as pool:

@@ -481,7 +481,9 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
 
     Each outer iteration runs the scheduling LP and one tangent-bound step
     per trajectory block, accepting a block's move only if the model-based
-    objective does not fall.  Every trial plan must pass check_plan, or
+    objective does not fall.  The ascent stops, converged, when an
+    iteration gains less than ``tol`` relative or accepts no trajectory
+    move, a fixed point.  Every trial plan must pass check_plan, or
     RuntimeError names the block and the violations.  ``model=None`` plans
     for pure line-of-sight (``LOS_MODEL``).  Returns (plan, info) where
     info carries the per-iteration objective trace, iteration count,
@@ -511,6 +513,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
         blocks = [("q", "horizontal", solve_horizontal)]
         if not freeze_vertical:
             blocks.append(("z", "vertical", solve_vertical))
+        moved = False
         for attr, name, solve in blocks:
             reports = []
             new = solve(plan, scenario, model, reports=reports)
@@ -523,10 +526,13 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
             trial_eta = max_min_rate(trial.a, trial_rates)
             if trial_eta >= eta:
                 plan, rates, eta = trial, trial_rates, trial_eta
+                moved = True
 
         rel = (eta - trace[-1]) / max(abs(trace[-1]), 1e-12)
         trace.append(eta)
-        if 0.0 <= rel < tol:
+        # with no trajectory move the next iteration would replay this one:
+        # the same LP rates, the same programs from the same plan
+        if not moved or 0.0 <= rel < tol:
             converged = True
             break
 

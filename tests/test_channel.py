@@ -1,6 +1,7 @@
 """Slot geometry, Rician-factor model, sampling streams, and the rate kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,54 @@ class TestSampling:
         env = channel.sample_rician(math.inf, channel.substream(9))
         assert env == 1.0
         assert isinstance(env, float) and not isinstance(env, np.ndarray)
+
+    @pytest.mark.parametrize("size", [
+        None, 1, 1000, 2 * channel.COUNT_CHUNK, 2 * channel.COUNT_CHUNK + 1,
+        (20_000, 2)])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 8.0, 1e4, math.inf])
+    def test_count_matches_array_form(self, k, size):
+        # the count form streams the same draws through one buffer and
+        # counts exactly the array form's envelopes below the threshold:
+        # none, those under a drawn envelope (which itself does not count),
+        # every one, and every one at t = inf
+        env = np.asarray(channel.sample_rician(k, channel.substream(8, 1),
+                                               size))
+        mid = float(np.sort(env, axis=None)[env.size * 2 // 5])
+        top = float(np.nextafter(env.max(), math.inf))
+        for t in (0.0, mid, top, math.inf):
+            got = channel.sample_rician(k, channel.substream(8, 1), size,
+                                        below=t)
+            assert type(got) is int
+            assert got == np.count_nonzero(env < t), t
+
+    def test_count_boundary_at_line_of_sight(self):
+        # at K = inf every envelope is exactly 1: none lies below 1, every
+        # one below the next float up
+        rng = channel.substream(9)
+        assert channel.sample_rician(math.inf, rng, (5, 2), below=1.0) == 0
+        assert channel.sample_rician(math.inf, rng, (5, 2),
+                                     below=np.nextafter(1.0, 2.0)) == 10
+
+    def test_count_memory_does_not_grow_with_the_draws(self):
+        # at an outage threshold (the 1% quantile) one count holds the
+        # buffer and the few blocks below it, where the array form holds
+        # two float64 arrays of 2e5 draws
+        size = (100_000, 2)
+        t = float(np.quantile(channel.sample_rician(
+            8.0, channel.substream(4), size), 0.01))
+
+        def peak(**below):
+            tracemalloc.start()
+            try:
+                channel.sample_rician(8.0, channel.substream(4), size,
+                                      **below)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        array_peak = peak()
+        assert array_peak >= 16 * 200_000
+        assert peak(below=t) < array_peak / 4
 
     def test_substreams_are_order_independent(self):
         a1 = channel.substream(77, 3, 1).standard_normal(4)

@@ -142,17 +142,24 @@ class TestMonteCarlo:
     def test_capacity_equal_to_rate_is_no_outage(self, monkeypatch):
         # hovering 1 m over the node with gamma = 3, every block of envelope
         # 1 has capacity log2(1 + 3) = 2 with no rounding; a committed rate
-        # of exactly 2 is met, not missed, under either form of the test
+        # of exactly 2 is met, not missed, under either form of the test.
+        # A pure line-of-sight channel (K = inf) draws envelope 1 exactly
         scen = dataclasses.replace(
             _scenario([[200.0, 0.0]], m_slots=4, duration_s=4.0,
                       q0=(200.0, 0.0), qf=(200.0, 0.0)),
             h_min=1.0, z0=1.0, zf=1.0, p_tx=3.0, beta0=1.0, sigma2=1.0,
             snr_gap=1.0)
-        monkeypatch.setattr(ev, "sample_rician",
-                            lambda k, rng, size: np.ones(size))
+        channel = ev._slot_channel
+
+        def line_of_sight(q, z, scenario):
+            d2, k = channel(q, z, scenario)
+            return d2, np.full_like(k, math.inf)
+
+        monkeypatch.setattr(ev, "_slot_channel", line_of_sight)
+        plan = _hover(scen)
+        assert np.all(line_of_sight(plan.q, plan.z, scen)[0] == 1.0)
         rates = np.array([[1.99, 2.0, 2.0, 2.01]])
-        freq, _ = monte_carlo_outage(_hover(scen), scen, 10_000, 0,
-                                     rates=rates)
+        freq, _ = monte_carlo_outage(plan, scen, 10_000, 0, rates=rates)
         assert np.array_equal(freq, [0.0, 0.0, 0.0, 1.0])
         cap = rate_from_gain(1.0, scen.snr_gamma_per_sn[0], 1.0, 2.0)
         assert cap == 2.0

@@ -699,6 +699,28 @@ class TestOuterLoop:
                                  "sxy"):
             run_bcd(scen, FIT)
 
+    def test_stops_at_its_fixed_point(self, monkeypatch):
+        # an iteration that accepts no trajectory move leaves the rates and
+        # the plan as they were, so the next one would replay it: no block
+        # is asked to solve the same plan twice, and the run has converged
+        scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+        calls = []
+        for name in ("solve_horizontal", "solve_vertical"):
+            def spy(plan, *args, _solve=getattr(planner, name), _name=name,
+                    **kw):
+                calls.append((_name, plan.q.tobytes(), plan.z.tobytes(),
+                              plan.a.tobytes()))
+                return _solve(plan, *args, **kw)
+
+            monkeypatch.setattr(planner, name, spy)
+        _, rep = run_scheme("rfb", scen, fit_for_scenario(scen),
+                            simulate=False)
+        assert {call[0] for call in calls} == {"solve_horizontal",
+                                               "solve_vertical"}
+        replays = len(calls) - len(set(calls))
+        assert replays == 0
+        assert rep.extras["converged"] is True
+
     def test_matches_brute_force_grid_tiny_case(self):
         # two slots, one free waypoint, frozen altitude: sweep the free
         # waypoint over a fine grid of the reachable lens and compare
