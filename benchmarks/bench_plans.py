@@ -27,7 +27,10 @@ output: whether the sha256 is equal, the relative change in
 non-optimal interior-point solves as [previous, this run], and each
 block's counts the same way when the earlier output has them.  The
 comparison goes into each run's ``parity`` entry and, as Markdown tables,
-to stderr; a run the earlier output lacks gets none.
+to stderr; a run the earlier output lacks gets none.  The stderr report
+then ends with one line naming the plans whose sha256 differ, and the
+script exits 1 if any does, so one command checks that a change keeps
+every plan bit for bit.
 """
 
 import argparse
@@ -233,12 +236,17 @@ def main(argv=None):
         doc["against"] = args.against
         print(parity_table(runs), file=sys.stderr)
     print(block_table(runs), file=sys.stderr)
+    moved = [key for key, run in runs.items()
+             if not run.get("parity", {}).get("sha256_equal", True)]
+    if prev is not None:
+        print(f"sha256 differs: {', '.join(moved) or 'none'}",
+              file=sys.stderr)
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -257,9 +257,12 @@ def _count_below(k, rng, n, t):
     monotone and the quadrature power is nonnegative, so no other block can
     fall below t.  The kept blocks finish with the array form's operations
     in its order, so the count is exact.  At worst every block is kept, 16 B
-    per block."""
+    per block.  A threshold of inf counts every envelope and one at or
+    below 0 none; those, like k = inf, leave the stream undrawn."""
     if math.isinf(k):
         return n if 1.0 < t else 0
+    if not 0.0 < t < math.inf:
+        return n if t > 0.0 else 0
     los, scale = _rician_parts(k)
     buf = np.empty(min(n, COUNT_CHUNK))
     kept = []

@@ -43,16 +43,18 @@ SCHEMES = ("lb", "rfla", "rffsa", "rfb")
 DEFAULT_TRIALS = 100_000
 #: the fewest Monte-Carlo trials per slot that give a meaningful frequency
 MIN_TRIALS = 10_000
+#: sample points of ks_upper_bound's quantile-spaced grid
+KS_GRID = 200_000
 
 # candidate fixed altitudes swept by the best-fixed-altitude benchmark [m]
 DEFAULT_ALTITUDES = tuple(float(h) for h in range(100, 301, 25))
 
 
-def ks_upper_bound(samples, cdf, n_grid=200_000):
+def ks_upper_bound(samples, cdf):
     """Rigorous upper bound on the Kolmogorov-Smirnov statistic.
 
     Sandwiches sup |F_hat - F| using a quantile-spaced grid of sample points,
-    so the model cdf is evaluated n_grid times instead of once per sample.
+    so the model cdf is evaluated KS_GRID times instead of once per sample.
     Both F_hat and F are monotone, hence on each cell (g[i-1], g[i]]:
 
         sup (F_hat - F) <= F_hat(g[i]) - F(g[i-1])
@@ -60,11 +62,11 @@ def ks_upper_bound(samples, cdf, n_grid=200_000):
 
     and the tails beyond the extreme samples contribute max(1/n, F(g[0])) and
     1 - F(g[-1]).  The bound overshoots the true statistic by at most one
-    cell's probability mass (~ n/n_grid samples).
+    cell's probability mass (~ n/KS_GRID samples).
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    idx = np.unique(np.linspace(0, n - 1, min(n_grid, n)).astype(np.int64))
+    idx = np.unique(np.linspace(0, n - 1, min(KS_GRID, n)).astype(np.int64))
     g = x[idx]
     rank = np.searchsorted(x, g, side="right") / n   # F_hat at grid points
     F = np.asarray(cdf(g), dtype=float)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
 from .channel import Scenario, rate_from_gain
 from .fading import LogisticModel
@@ -360,14 +359,12 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
                         np.asarray(ends[1], float)])))            # r
 
     # linear part: -eta in each rate row, -s in each horizontal cap
-    C = scipy.sparse.coo_array(
-        (-np.ones(n_sn + n_caps),
-         (np.arange(n_sn + n_caps),
-          np.concatenate([np.full(n_sn, eta_col), s_cols[:n_caps]]))),
-        shape=(move_lo + m_slots, nv))
+    lin = (np.arange(move_lo),
+           np.concatenate([np.full(n_sn, eta_col), s_cols[:n_caps]]),
+           -np.ones(move_lo))
     quad = [np.concatenate(part) for part in zip(*terms)]
     blocks = [QuadExpRows(
-        d=np.concatenate(d), C=C, quad_row=quad[0], quad_w=quad[1],
+        d=np.concatenate(d), lin=lin, quad_row=quad[0], quad_w=quad[1],
         quad_p=quad[2], quad_i=quad[3], quad_q=quad[4], quad_j=quad[5],
         quad_r=quad[6], exp_row=s_node,
         exp_coef=(am * coef.phi)[s_node, s_slot], exp_idx=s_cols)]
@@ -379,9 +376,8 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     if np.isfinite(floor):       # floor rows:  x - floor >= 0, last
         lo = x_cols.ravel()
         blocks.append(QuadExpRows(
-            d=np.full(lo.size, -floor), C=scipy.sparse.coo_array(
-                (np.ones(lo.size), (np.arange(lo.size), lo)),
-                shape=(lo.size, nv))))
+            d=np.full(lo.size, -floor),
+            lin=(np.arange(lo.size), lo, np.ones(lo.size))))
     objective = np.zeros(nv)
     objective[eta_col] = 1.0
     cap_lo = n_sn if offset is None else move_lo + m_slots

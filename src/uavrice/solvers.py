@@ -399,15 +399,17 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 # ===========================================================================
 # Smooth concave maximization (log-barrier Newton)
 # ===========================================================================
-# Constraint rows are grouped into batched blocks.  Every block exposes the
-# same protocol on the whole variable vector.  Derivatives are COO triples
-# (rows, cols, vals) whose index arrays are the same on every call;
-# repeated (row, col) entries add up.
+# Constraint rows are grouped into batched blocks.  Every block states its
+# sparsity once, at construction, as fixed COO index arrays over the whole
+# variable vector; its derivative methods return the values that go with
+# them, in the same order.  Repeated (row, col) entries add up.
 #   d                -> (m,) row constants; d.size is the block's row count
 #   values(x)        -> (m,) slacks, feasible iff all > 0
-#   grads(x)         -> Jacobian of the slacks, rows numbered 0..m-1
-#   curvature(x, w)  -> sum_i w[i] * (-hess g_i), off-diagonal entries
-#                       listed in both orders
+#   jac_rows, jac_cols   -> the Jacobian's entries, rows numbered 0..m-1
+#   grads(x)             -> their values
+#   curv_rows, curv_cols -> the entries of sum_i w[i] * (-hess g_i),
+#                           off-diagonal ones listed in both orders
+#   curvature(x, w)      -> their values
 # All rows are concave, so -hess g_i is positive semidefinite and the
 # barrier Hessian stays PSD by construction.  QuadExpRows carries every
 # linear row, variable bounds included; VRatioRows the altitude's ratio rows.
@@ -415,19 +417,21 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 
 @dataclass
 class QuadExpRows:
-    """Rows  d + C@x - sum_k w_k (p_k x[i_k] + q_k x[j_k] + r_k)^2
+    """Rows  d + L@x - sum_k w_k (p_k x[i_k] + q_k x[j_k] + r_k)^2
                     - sum_k e_k exp(-x[u_k])  >= 0.
 
-    Each squared/exponential term is tagged with the row it belongs to, so a
-    single block can hold every per-node rate row (many terms per row), the
-    per-slot speed rows (one two-variable square each), and the horizontal
-    fading-bound rows.  w_k >= 0 and e_k >= 0 keep every row concave.  C
-    is a dense array or a SciPy sparse matrix, read once for its COO
-    triples in their stored order.
+    ``lin`` lists the entries of L as COO triples (rows, cols, vals), kept
+    in the order given.  Each squared/exponential term is tagged with the row
+    it belongs to, so a single block can hold every per-node rate row (many
+    terms per row), the per-slot speed rows (one square each), and the
+    horizontal fading-bound rows.  w_k >= 0 and e_k >= 0 keep every row
+    concave.  A square has Jacobian and diagonal curvature entries only on
+    the variables it has a nonzero coefficient on, and cross entries only
+    when it has two, so a one-variable square (q_k = 0) couples nothing.
     """
 
     d: np.ndarray
-    C: np.ndarray
+    lin: tuple = ((), (), ())
     quad_row: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     quad_w: np.ndarray = field(default_factory=lambda: np.zeros(0))
     quad_p: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -441,36 +445,42 @@ class QuadExpRows:
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
+        self.lin = tuple(np.asarray(a, dtype=t) for a, t
+                         in zip(self.lin, (np.int64, np.int64, float)))
         for name in ("quad_row", "quad_i", "quad_j", "exp_row", "exp_idx"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         for name in ("quad_w", "quad_p", "quad_q", "quad_r", "exp_coef"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.quad_w < 0) or np.any(self.exp_coef < 0):
             raise ValueError("negative term weights would break concavity")
-        # a one-variable square points its unused index at the used one, so
-        # the sparsity pattern never couples a variable it does not touch
-        self.quad_j = np.where(self.quad_q == 0.0, self.quad_i, self.quad_j)
-        self.quad_i = np.where(self.quad_p == 0.0, self.quad_j, self.quad_i)
-        lin = scipy.sparse.coo_array(self.C)
-        self._lin_rows = lin.row.astype(np.int64)
-        self._lin_cols = lin.col.astype(np.int64)
-        self._lin_vals = lin.data.astype(float)
-        qi, qj = self.quad_i, self.quad_j
-        self._jac_rows = np.concatenate([self._lin_rows, self.quad_row,
-                                         self.quad_row, self.exp_row])
-        self._jac_cols = np.concatenate([self._lin_cols, qi, qj,
+        p, q, i, j = self.quad_p, self.quad_q, self.quad_i, self.quad_j
+        on_i, on_j = np.flatnonzero(p != 0.0), np.flatnonzero(q != 0.0)
+        on_ij = np.flatnonzero((p != 0.0) & (q != 0.0))
+        # a square's entries as (term, coefficient): its derivative in x[i]
+        # or x[j] is -2 w t p or -2 w t q, its curvature 2 w times p^2, q^2
+        # and, on the cross entries, p q
+        self._jac_term = np.concatenate([on_i, on_j])
+        self._jac_coef = np.concatenate([p[on_i], q[on_j]])
+        self._curv_term = np.concatenate([self._jac_term, on_ij, on_ij])
+        self._curv_coef = np.concatenate([self._jac_coef ** 2,
+                                          np.tile(p[on_ij] * q[on_ij], 2)])
+        var = np.concatenate([i[on_i], j[on_j]])
+        self.jac_rows = np.concatenate([self.lin[0],
+                                        self.quad_row[self._jac_term],
+                                        self.exp_row])
+        self.jac_cols = np.concatenate([self.lin[1], var, self.exp_idx])
+        self.curv_rows = np.concatenate([var, i[on_ij], j[on_ij],
                                          self.exp_idx])
-        self._curv_rows = np.concatenate([qi, qj, qi, qj, self.exp_idx])
-        self._curv_cols = np.concatenate([qi, qj, qj, qi, self.exp_idx])
+        self.curv_cols = np.concatenate([var, j[on_ij], i[on_ij],
+                                         self.exp_idx])
 
     def _t(self, x):
         return self.quad_p * x[self.quad_i] + self.quad_q * x[self.quad_j] + self.quad_r
 
     def values(self, x):
         m = self.d.size
-        g = self.d + np.bincount(self._lin_rows,
-                                 self._lin_vals * x[self._lin_cols],
-                                 minlength=m)
+        rows, cols, vals = self.lin
+        g = self.d + np.bincount(rows, vals * x[cols], minlength=m)
         if self.quad_row.size:
             t = self._t(x)
             g -= np.bincount(self.quad_row, self.quad_w * t * t, minlength=m)
@@ -481,25 +491,16 @@ class QuadExpRows:
         return g
 
     def grads(self, x):
-        vals = [self._lin_vals]
-        if self.quad_row.size:
-            t2w = 2.0 * self.quad_w * self._t(x)
-            vals += [-t2w * self.quad_p, -t2w * self.quad_q]
-        if self.exp_row.size:
-            vals.append(self.exp_coef * np.exp(-x[self.exp_idx]))
-        return self._jac_rows, self._jac_cols, np.concatenate(vals)
+        t2w = 2.0 * self.quad_w * self._t(x)
+        return np.concatenate([self.lin[2],
+                               -t2w[self._jac_term] * self._jac_coef,
+                               self.exp_coef * np.exp(-x[self.exp_idx])])
 
     def curvature(self, x, w):
-        vals = [np.zeros(0)]
-        if self.quad_row.size:
-            c2 = 2.0 * self.quad_w * w[self.quad_row]
-            cross = c2 * self.quad_p * self.quad_q
-            vals += [c2 * self.quad_p ** 2, c2 * self.quad_q ** 2, cross,
-                     cross]
-        if self.exp_row.size:
-            vals.append(w[self.exp_row] * self.exp_coef
-                        * np.exp(-x[self.exp_idx]))
-        return self._curv_rows, self._curv_cols, np.concatenate(vals)
+        c2 = 2.0 * self.quad_w * w[self.quad_row]
+        return np.concatenate([c2[self._curv_term] * self._curv_coef,
+                               w[self.exp_row] * self.exp_coef
+                               * np.exp(-x[self.exp_idx])])
 
 
 @dataclass
@@ -525,8 +526,9 @@ class VRatioRows:
         if np.any(self.c <= 0):
             raise ValueError("horizontal offset term must be positive")
         k = np.arange(self.d.size)
-        self._jac_rows = np.concatenate([k, k])
-        self._jac_cols = np.concatenate([self.z_idx, self.s_idx])
+        self.jac_rows = np.concatenate([k, k])
+        self.jac_cols = np.concatenate([self.z_idx, self.s_idx])
+        self.curv_rows = self.curv_cols = self.z_idx
 
     def values(self, x):
         z = x[self.z_idx]
@@ -535,13 +537,11 @@ class VRatioRows:
     def grads(self, x):
         z = x[self.z_idx]
         dv = self.b2 * self.c / (self.c + z * z) ** 1.5
-        return self._jac_rows, self._jac_cols, np.concatenate(
-            [dv, np.full(self.d.size, -1.0)])
+        return np.concatenate([dv, np.full(self.d.size, -1.0)])
 
     def curvature(self, x, w):
         z = x[self.z_idx]
-        curv = 3.0 * self.b2 * self.c * z / (self.c + z * z) ** 2.5
-        return self.z_idx, self.z_idx, w * curv
+        return w * (3.0 * self.b2 * self.c * z / (self.c + z * z) ** 2.5)
 
 
 def _block_values(blocks, x):
@@ -605,7 +605,7 @@ def _pairs_within_rows(rows):
 
 class _NewtonSystem:
     """The barrier Newton matrix  H = curvature + G' diag(W) G  of one
-    program, split by its sparsity pattern, which is read once per solve.
+    program, split by the sparsity pattern its blocks state.
 
     The dense columns d are the objective's columns; no curvature term may
     join one of them to a column outside d.  Rows with an entry in d are the
@@ -634,22 +634,18 @@ class _NewtonSystem:
     step's own right-hand side, and a few dense solves of that size.
     """
 
-    def __init__(self, blocks, c, x):
+    def __init__(self, blocks, c):
         n = c.size
-        sizes = [blk.d.size for blk in blocks]
         self.blocks = blocks
-        self.lam_slices = np.cumsum([0] + sizes)
+        self.lam_slices = np.cumsum([0] + [blk.d.size for blk in blocks])
         m = int(self.lam_slices[-1])
         self.n, self.m = n, m
-        jac = [blk.grads(x)[:2] for blk in blocks]
-        curv = [blk.curvature(x, np.ones(s))[:2]
-                for blk, s in zip(blocks, sizes)]
-        key = np.concatenate([(r + lo) * n + col for (r, col), lo
-                              in zip(jac, self.lam_slices)])
+        key = np.concatenate([(blk.jac_rows + lo) * n + blk.jac_cols
+                              for blk, lo in zip(blocks, self.lam_slices)])
         ukey, self.jac_inv = np.unique(key, return_inverse=True)
         self.urow, self.ucol = ukey // n, ukey % n
-        cr = np.concatenate([r for r, _ in curv]).astype(np.int64)
-        cc = np.concatenate([col for _, col in curv]).astype(np.int64)
+        cr = np.concatenate([blk.curv_rows for blk in blocks])
+        cc = np.concatenate([blk.curv_cols for blk in blocks])
         self.curv_diag = cr == cc
         self.curv_diag_rows = cr[self.curv_diag]
 
@@ -702,7 +698,7 @@ class _NewtonSystem:
 
     def jacobian(self, x):
         """Values of the Jacobian's distinct (row, col) entries at x."""
-        vals = np.concatenate([blk.grads(x)[2] for blk in self.blocks])
+        vals = np.concatenate([blk.grads(x) for blk in self.blocks])
         return np.bincount(self.jac_inv, vals, minlength=self.urow.size)
 
     def rmatvec(self, gu, v):
@@ -723,7 +719,7 @@ class _NewtonSystem:
         factorization fails or the step is not finite."""
         nb, k = self.nb, self.k
         sl = self.lam_slices
-        cv = np.concatenate([blk.curvature(x, lam[lo:hi])[2] for blk, lo, hi
+        cv = np.concatenate([blk.curvature(x, lam[lo:hi]) for blk, lo, hi
                              in zip(self.blocks, sl[:-1], sl[1:])])
         wg = w[self.urow] * gu
         diag = (np.bincount(self.ucol, wg * gu, minlength=self.n)
@@ -856,7 +852,7 @@ def maximize_concave_program(objective, blocks, start,
     m = g.size
     if m == 0:
         raise ValueError("program has no constraint rows")
-    system = _NewtonSystem(blocks, c, x)
+    system = _NewtonSystem(blocks, c)
     gu = system.jacobian(x)
     epigraph = _epigraph(system, c, gu)
     eta_rows = epigraph[3]

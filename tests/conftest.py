@@ -27,11 +27,10 @@ def _newton_step_gap(c, blocks, x):
     lo = 0
     for blk in blocks:
         hi = lo + blk.values(x).size
-        rows, cols, vals = blk.curvature(x, lam[lo:hi])
-        np.add.at(hess, (rows, cols), vals)
-        rows, cols, vals = blk.grads(x)
+        np.add.at(hess, (blk.curv_rows, blk.curv_cols),
+                  blk.curvature(x, lam[lo:hi]))
         part = np.zeros((hi - lo, n))
-        np.add.at(part, (rows, cols), vals)
+        np.add.at(part, (blk.jac_rows, blk.jac_cols), blk.grads(x))
         jac.append(part)
         lo = hi
     jac = np.vstack(jac)
@@ -42,7 +41,7 @@ def _newton_step_gap(c, blocks, x):
     dense = np.linalg.solve(hess * dsc[:, None] * dsc[None, :],
                             rhs * dsc) * dsc
 
-    system = _NewtonSystem(blocks, c, x)
+    system = _NewtonSystem(blocks, c)
     step = system.direction(x, lam, w, system.jacobian(x), rhs)
     return float(np.linalg.norm(step - dense) / np.linalg.norm(dense))
 

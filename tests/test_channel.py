@@ -267,6 +267,18 @@ class TestSampling:
         assert channel.sample_rician(math.inf, rng, (5, 2),
                                      below=np.nextafter(1.0, 2.0)) == 10
 
+    @pytest.mark.parametrize("k", [0.0, 8.0, math.inf])
+    @pytest.mark.parametrize("t, want", [(math.inf, 10), (0.0, 0),
+                                         (-1.0, 0)])
+    def test_count_decided_by_the_threshold_draws_nothing(self, k, t, want):
+        # every envelope lies below inf and none below 0, so the count
+        # needs no draw: the generator raises on any
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"stream drawn through {name}")
+
+        assert channel.sample_rician(k, NoDraws(), (5, 2), below=t) == want
+
     def test_count_memory_does_not_grow_with_the_draws(self):
         # at an outage threshold (the 1% quantile) one count holds the
         # buffer and the few blocks below it, where the array form holds

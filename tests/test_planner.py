@@ -408,6 +408,28 @@ def _caps(blocks, n_sn):
     return s_cols, n_sn + np.arange(s_cols.size)
 
 
+@pytest.fixture(scope="module", params=["scenario_1sn.json",
+                                        "scenario_4sn.json"])
+def built_steps(request):
+    """Every trajectory step the four schemes build on a bundled
+    scenario."""
+    scen = load_scenario(bundled_scenario(request.param))
+    model = fit_for_scenario(scen)
+    steps = []
+    build = planner.build_trajectory_step
+
+    def spy(*args, **kw):
+        steps.append(build(*args, **kw))
+        return steps[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "build_trajectory_step", spy)
+        for scheme in ("lb", "rfla", "rffsa", "rfb"):
+            run_scheme(scheme, scen, model, simulate=False)
+    assert steps and None not in steps
+    return steps
+
+
 class TestTrajectoryBlocks:
     def test_horizontal_block_improves_single_node(self):
         scen = _scenario([[300.0, 200.0]])
@@ -475,7 +497,7 @@ class TestTrajectoryBlocks:
         run_scheme("rfb", scen, model, simulate=False)
         vertical = set()
         for c, blocks, start in programs:
-            system = solvers._NewtonSystem(blocks, c, start)
+            system = solvers._NewtonSystem(blocks, c)
             rows, cols, eta, eta_rows = solvers._epigraph(
                 system, c, system.jacobian(start))
             s_cols, cap_rows = _caps(blocks, scen.n_sn)
@@ -488,36 +510,62 @@ class TestTrajectoryBlocks:
                              for blk in blocks))
         assert vertical == {False, True}
 
-    @pytest.mark.parametrize("name", ["scenario_1sn.json",
-                                      "scenario_4sn.json"])
-    def test_every_built_column_has_diagonal_curvature(self, name,
-                                                       monkeypatch):
+    def test_every_built_column_has_diagonal_curvature(self, built_steps):
         # what keeps the Newton step's banded block positive definite with
         # no ridge: on every program the four schemes build, each column
         # but eta has a positive diagonal curvature term (the move rows'
         # squares on a waypoint, the exponential term on an s)
-        scen = load_scenario(bundled_scenario(name))
-        model = fit_for_scenario(scen)
-        steps = []
-        build = planner.build_trajectory_step
-
-        def spy(*args, **kw):
-            steps.append(build(*args, **kw))
-            return steps[-1]
-
-        monkeypatch.setattr(planner, "build_trajectory_step", spy)
-        for scheme in ("lb", "rfla", "rffsa", "rfb"):
-            run_scheme(scheme, scen, model, simulate=False)
-        assert steps and None not in steps
-        for step in steps:
+        for step in built_steps:
             diag = np.zeros(step.objective.size)
             for blk in step.blocks:
-                rows, cols, vals = blk.curvature(step.start,
-                                                 np.ones(blk.d.size))
-                np.add.at(diag, rows[rows == cols], vals[rows == cols])
+                on = blk.curv_rows == blk.curv_cols
+                np.add.at(diag, blk.curv_rows[on],
+                          blk.curvature(step.start, np.ones(blk.d.size))[on])
             free = step.objective == 0.0
             assert np.all(diag[free] > 0.0)
             assert np.all(diag[~free] == 0.0)
+
+    def test_built_patterns_hold_one_entry_per_nonzero_coefficient(
+            self, built_steps):
+        # each block states its sparsity once: a square has Jacobian and
+        # diagonal curvature entries on the variables it has a nonzero
+        # coefficient on and cross entries only when it has two, and the
+        # derivative values line up with the pattern
+        one_variable = 0
+        for step in built_steps:
+            for blk in step.blocks:
+                x, w = step.start, np.ones(blk.d.size)
+                if isinstance(blk, solvers.QuadExpRows):
+                    on_i, on_j = blk.quad_p != 0.0, blk.quad_q != 0.0
+                    on_ij = on_i & on_j
+                    one_variable += int(np.count_nonzero(on_i != on_j))
+                    jac = np.concatenate([
+                        np.stack([blk.lin[0], blk.lin[1]], 1),
+                        np.stack([blk.quad_row[on_i], blk.quad_i[on_i]], 1),
+                        np.stack([blk.quad_row[on_j], blk.quad_j[on_j]], 1),
+                        np.stack([blk.exp_row, blk.exp_idx], 1)])
+                    ci, cj = blk.quad_i, blk.quad_j
+                    curv = np.concatenate([
+                        np.stack([ci[on_i], ci[on_i]], 1),
+                        np.stack([cj[on_j], cj[on_j]], 1),
+                        np.stack([ci[on_ij], cj[on_ij]], 1),
+                        np.stack([cj[on_ij], ci[on_ij]], 1),
+                        np.stack([blk.exp_idx, blk.exp_idx], 1)])
+                else:
+                    k = np.arange(blk.d.size)
+                    jac = np.concatenate([np.stack([k, blk.z_idx], 1),
+                                          np.stack([k, blk.s_idx], 1)])
+                    curv = np.stack([blk.z_idx, blk.z_idx], 1)
+                np.testing.assert_array_equal(
+                    np.stack([blk.jac_rows, blk.jac_cols], 1), jac)
+                np.testing.assert_array_equal(
+                    np.stack([blk.curv_rows, blk.curv_cols], 1), curv)
+                assert np.all((blk.jac_rows >= 0)
+                              & (blk.jac_rows < blk.d.size))
+                assert blk.grads(x).shape == blk.jac_rows.shape
+                assert blk.curvature(x, w).shape == blk.curv_rows.shape
+        # the rate- and cap-row distance terms and both end moves
+        assert one_variable > 0
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_floor_rows_come_last(self, block):
@@ -531,10 +579,10 @@ class TestTrajectoryBlocks:
         x = step.start
         np.testing.assert_array_equal(floor.values(x),
                                       x[step.x_cols[:, 0]] - scen.h_min)
-        rows, cols, vals = floor.grads(x)
-        np.testing.assert_array_equal(rows, np.arange(scen.n_slots - 1))
-        np.testing.assert_array_equal(cols, step.x_cols[:, 0])
-        np.testing.assert_array_equal(vals, 1.0)
+        np.testing.assert_array_equal(floor.jac_rows,
+                                      np.arange(scen.n_slots - 1))
+        np.testing.assert_array_equal(floor.jac_cols, step.x_cols[:, 0])
+        np.testing.assert_array_equal(floor.grads(x), 1.0)
 
     @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
@@ -546,8 +594,7 @@ class TestTrajectoryBlocks:
         gap = newton_step_gap(step.objective, step.blocks, step.start)
         assert gap <= 1e-8
         # eta is the one dense column
-        assert solvers._NewtonSystem(step.blocks, step.objective,
-                                     step.start).nd == 1
+        assert solvers._NewtonSystem(step.blocks, step.objective).nd == 1
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_solve_evaluates_no_point_twice_in_a_row(self, block,

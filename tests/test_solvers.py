@@ -362,11 +362,20 @@ def test_solve_lp_matches_highs(drawn):
 # concave barrier solver
 # ---------------------------------------------------------------------------
 
+def _lin(c):
+    """The nonzero entries of a dense linear part c, row by row, as COO
+    triples."""
+    c = np.asarray(c, float)
+    rows, cols = np.nonzero(c)
+    return rows, cols, c[rows, cols]
+
+
 def _quad_row_block(d, c_row, terms):
-    """Build a QuadExpRows block from (row, w, p, i, q, j, r) term tuples."""
+    """Build a QuadExpRows block from a dense linear part and (row, w, p, i,
+    q, j, r) term tuples."""
     terms = list(terms)
     return QuadExpRows(
-        d=np.asarray(d, float), C=np.asarray(c_row, float),
+        d=np.asarray(d, float), lin=_lin(c_row),
         quad_row=[t[0] for t in terms], quad_w=[t[1] for t in terms],
         quad_p=[t[2] for t in terms], quad_i=[t[3] for t in terms],
         quad_q=[t[4] for t in terms], quad_j=[t[5] for t in terms],
@@ -378,12 +387,10 @@ def _bounds(lb, ub):
     x[i] - lb[i] >= 0, then ub[i] - x[i] >= 0."""
     lb, ub = np.asarray(lb, float), np.asarray(ub, float)
     lo, hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
-    m = lo.size + hi.size
     return QuadExpRows(
         d=np.concatenate([-lb[lo], ub[hi]]),
-        C=scipy.sparse.coo_array(
-            (np.repeat([1.0, -1.0], [lo.size, hi.size]),
-             (np.arange(m), np.concatenate([lo, hi]))), shape=(m, lb.size)))
+        lin=(np.arange(lo.size + hi.size), np.concatenate([lo, hi]),
+             np.repeat([1.0, -1.0], [lo.size, hi.size])))
 
 
 def _quadratic_cap():
@@ -397,7 +404,7 @@ def _quadratic_cap():
 
 def _epigraph_of(c, blocks, x):
     """The solver's epigraph columns of the program at x."""
-    system = _NewtonSystem(blocks, c, x)
+    system = _NewtonSystem(blocks, c)
     return solvers._epigraph(system, c, system.jacobian(x))
 
 
@@ -419,8 +426,8 @@ class TestBarrier:
 
     def test_exponential_row(self):
         # maximize -u subject to exp(-u) <= 3: optimum u = -ln 3
-        blk = QuadExpRows(d=np.array([3.0]), C=np.zeros((1, 1)),
-                          exp_row=[0], exp_coef=[1.0], exp_idx=[0])
+        blk = QuadExpRows(d=np.array([3.0]), exp_row=[0], exp_coef=[1.0],
+                          exp_idx=[0])
         rep = maximize_concave_program(
             np.array([-1.0]), [blk, _bounds([-10.0], [10.0])],
             np.array([0.0]))
@@ -539,11 +546,11 @@ class TestBarrier:
         box = _bounds([0.0, -np.inf, -1.0], [2.0, 5.0, np.inf])
         x = np.array([0.5, 1.0, 3.0])
         np.testing.assert_array_equal(box.values(x), [0.5, 4.0, 1.5, 4.0])
-        rows, cols, vals = box.grads(x)
-        np.testing.assert_array_equal(rows, [0, 1, 2, 3])
-        np.testing.assert_array_equal(cols, [0, 2, 0, 1])
-        np.testing.assert_array_equal(vals, [1.0, 1.0, -1.0, -1.0])
-        assert all(part.size == 0 for part in box.curvature(x, np.ones(4)))
+        np.testing.assert_array_equal(box.jac_rows, [0, 1, 2, 3])
+        np.testing.assert_array_equal(box.jac_cols, [0, 2, 0, 1])
+        np.testing.assert_array_equal(box.grads(x), [1.0, 1.0, -1.0, -1.0])
+        assert box.curv_rows.size == box.curv_cols.size == 0
+        assert box.curvature(x, np.ones(4)).size == 0
 
     def test_determinism(self):
         blk = _quad_row_block([4.0], [[-1.0, 0.2]],
@@ -562,9 +569,9 @@ class TestBarrier:
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="concavity"):
-            QuadExpRows(d=np.zeros(1), C=np.zeros((1, 1)),
-                        quad_row=[0], quad_w=[-1.0], quad_p=[1.0],
-                        quad_i=[0], quad_q=[0.0], quad_j=[0], quad_r=[0.0])
+            QuadExpRows(d=np.zeros(1), quad_row=[0], quad_w=[-1.0],
+                        quad_p=[1.0], quad_i=[0], quad_q=[0.0], quad_j=[0],
+                        quad_r=[0.0])
 
 
 def _random_program(seed):
@@ -592,8 +599,8 @@ _BARRIER_PROGRAMS = {
     "quadratic_cap": lambda: (*_quadratic_cap(), np.array([2.0, 0.9])),
     "exponential": lambda: (
         np.array([-1.0]),
-        [QuadExpRows(d=np.array([3.0]), C=np.zeros((1, 1)),
-                     exp_row=[0], exp_coef=[1.0], exp_idx=[0]),
+        [QuadExpRows(d=np.array([3.0]), exp_row=[0], exp_coef=[1.0],
+                     exp_idx=[0]),
          _bounds([-10.0], [10.0])], np.array([0.0])),
     "altitude_ratio": lambda: (
         np.array([0.0, 1.0]),
@@ -623,7 +630,7 @@ def test_newton_step_matches_dense_solve(name, newton_step_gap):
 def test_dual_scale_is_largest_weighted_row_entry(name):
     # dual_scale reads max_i lam_i * max_j |G_ij| straight off the entries
     c, blocks, x = _BARRIER_PROGRAMS[name]()
-    system = _NewtonSystem(blocks, c, x)
+    system = _NewtonSystem(blocks, c)
     # the eliminated dense columns are exactly the objective's columns
     assert system.nd == np.count_nonzero(c)
     gu = system.jacobian(x)
@@ -649,6 +656,9 @@ class _SaddleRows:
     w * [[1, 1 + delta], [1 + delta, 1]].  That is indefinite for
     delta > 0, so no concave row has it; it makes the banded factor fail."""
 
+    jac_rows = jac_cols = np.zeros(0, np.int64)
+    curv_rows, curv_cols = np.array([1, 2, 1, 2]), np.array([1, 2, 2, 1])
+
     def __init__(self, delta):
         self.delta = delta
         self.d = np.ones(1)
@@ -657,18 +667,17 @@ class _SaddleRows:
         return self.d.copy()
 
     def grads(self, x):
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+        return np.zeros(0)
 
     def curvature(self, x, w):
         off = 1.0 + self.delta
-        return (np.array([1, 2, 1, 2]), np.array([1, 2, 2, 1]),
-                w[0] * np.array([1.0, 1.0, off, off]))
+        return w[0] * np.array([1.0, 1.0, off, off])
 
 
 def _saddle_program(delta):
     """maximize x0 subject to x0 <= 1, plus a saddle on (x1, x2), as
     (objective, blocks)."""
-    rows = QuadExpRows(d=np.ones(1), C=[[-1.0, 0.0, 0.0]])
+    rows = QuadExpRows(d=np.ones(1), lin=([0], [0], [-1.0]))
     return np.array([1.0, 0.0, 0.0]), [rows, _SaddleRows(delta)]
 
 
@@ -682,7 +691,7 @@ def test_no_direction_from_a_failed_factorization_or_nan_weights(name):
     else:
         c, blocks, x = _BARRIER_PROGRAMS[name]()
         fill = np.nan
-    system = _NewtonSystem(blocks, c, x)
+    system = _NewtonSystem(blocks, c)
     w = np.full(system.m, fill)
     assert system.direction(x, np.ones(system.m), w, system.jacobian(x),
                             c) is None
@@ -701,29 +710,42 @@ def test_solver_stalls_without_a_direction():
 @pytest.mark.parametrize("quad, exp", [(True, True), (True, False),
                                        (False, True), (False, False)])
 def test_empty_term_groups_leave_the_derivatives_as_they_were(quad, exp):
-    # grads and curvature skip an empty group of squared or exponential
-    # terms; the values are those of the formula over every group
+    # grads and curvature return the formula's values over every group in
+    # the pattern's order, an empty group of squared or exponential terms
+    # included; a square gets entries only on its nonzero coefficients
     rng = np.random.default_rng(7)
     n, nq, ne = 6, 5 * quad, 4 * exp
+    p, q = rng.normal(size=nq), rng.normal(size=nq)
+    p[:2 * quad] = q[2 * quad:4 * quad] = 0.0    # one-variable squares
     blk = QuadExpRows(
-        d=np.ones(3), C=rng.normal(size=(3, n)),
+        d=np.ones(3), lin=_lin(rng.normal(size=(3, n))),
         quad_row=rng.integers(0, 3, nq), quad_w=rng.uniform(0.1, 1.0, nq),
-        quad_p=rng.normal(size=nq), quad_i=rng.integers(0, n, nq),
-        quad_q=rng.normal(size=nq), quad_j=rng.integers(0, n, nq),
+        quad_p=p, quad_i=rng.integers(0, n, nq),
+        quad_q=q, quad_j=rng.integers(0, n, nq),
         quad_r=rng.normal(size=nq), exp_row=rng.integers(0, 3, ne),
         exp_coef=rng.uniform(0.1, 1.0, ne), exp_idx=rng.integers(0, n, ne))
     x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, 3)
-    t2w = 2.0 * blk.quad_w * blk._t(x)
-    grads = np.concatenate([blk._lin_vals, -t2w * blk.quad_p,
-                            -t2w * blk.quad_q,
+    on_i, on_j = p != 0.0, q != 0.0
+    on_ij = on_i & on_j
+    i, j = blk.quad_i, blk.quad_j
+    t2w = 2.0 * blk.quad_w * (p * x[i] + q * x[j] + blk.quad_r)
+    grads = np.concatenate([blk.lin[2], (-t2w * p)[on_i], (-t2w * q)[on_j],
                             blk.exp_coef * np.exp(-x[blk.exp_idx])])
     c2 = 2.0 * blk.quad_w * w[blk.quad_row]
-    cross = c2 * blk.quad_p * blk.quad_q
-    curv = np.concatenate([c2 * blk.quad_p ** 2, c2 * blk.quad_q ** 2, cross,
+    cross = (c2 * (p * q))[on_ij]
+    curv = np.concatenate([(c2 * p ** 2)[on_i], (c2 * q ** 2)[on_j], cross,
                            cross, w[blk.exp_row] * blk.exp_coef
                            * np.exp(-x[blk.exp_idx])])
-    assert blk.grads(x)[2].tobytes() == grads.tobytes()
-    assert blk.curvature(x, w)[2].tobytes() == curv.tobytes()
+    assert blk.grads(x).tobytes() == grads.tobytes()
+    assert blk.curvature(x, w).tobytes() == curv.tobytes()
+    np.testing.assert_array_equal(blk.jac_rows, np.concatenate(
+        [blk.lin[0], blk.quad_row[on_i], blk.quad_row[on_j], blk.exp_row]))
+    np.testing.assert_array_equal(blk.jac_cols, np.concatenate(
+        [blk.lin[1], i[on_i], j[on_j], blk.exp_idx]))
+    np.testing.assert_array_equal(blk.curv_rows, np.concatenate(
+        [i[on_i], j[on_j], i[on_ij], j[on_ij], blk.exp_idx]))
+    np.testing.assert_array_equal(blk.curv_cols, np.concatenate(
+        [i[on_i], j[on_j], j[on_ij], i[on_ij], blk.exp_idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +761,7 @@ def _capped_program(cap_slope=1.0, eta_slope=1.0):
     eta 1e-6 under their rows."""
     ke, kc = eta_slope, cap_slope
     blk = QuadExpRows(
-        d=np.zeros(2), C=np.array([[0.0, 0.0, -ke], [0.0, -kc, 0.0]]),
+        d=np.zeros(2), lin=([0, 1], [2, 1], [-ke, -kc]),
         quad_row=[0, 1], quad_w=[0.1 * ke, 0.1 * kc], quad_p=[1.0, 1.0],
         quad_i=[0, 0], quad_q=[0.0, 0.0], quad_j=[0, 0], quad_r=[-10.0, 0.0],
         exp_row=[0], exp_coef=[0.1 * ke], exp_idx=[1])
@@ -847,7 +869,7 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
 
     skipped = 0
     for c, blocks, start, x, dx, t, t_lin in steps:
-        system = _NewtonSystem(blocks, c, x)
+        system = _NewtonSystem(blocks, c)
         epigraph = solvers._epigraph(system, c, system.jacobian(start))
         g = solvers._block_values(blocks, x)
         gdx = system.matvec(system.jacobian(x), dx)
