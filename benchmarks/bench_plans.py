@@ -28,9 +28,10 @@ non-optimal interior-point solves as [previous, this run], and each
 block's counts the same way when the earlier output has them.  The
 comparison goes into each run's ``parity`` entry and, as Markdown tables,
 to stderr; a run the earlier output lacks gets none.  The stderr report
-then ends with one line naming the plans whose sha256 differ, and the
-script exits 1 if any does, so one command checks that a change keeps
-every plan bit for bit.
+then ends with one line naming the plans whose sha256 differ and one
+naming those whose counts differ (any of the four above, or a per-block
+count), and the script exits 1 if any plan is named, so one command checks
+that a change keeps every plan and every count.
 """
 
 import argparse
@@ -163,6 +164,28 @@ def parity(prev, run):
     return out
 
 
+def _count_pairs(par):
+    """Every [previous, this run] count pair of a ``parity`` entry."""
+    pairs = [par[key] for key in PARITY_COUNTS]
+    for block in par.get("blocks", {}).values():
+        pairs += block.values()
+    return pairs
+
+
+def report_drift(runs):
+    """Print to stderr one line naming the compared plans whose sha256
+    differ and one naming those whose counts differ; the exit status, 1
+    when either line names a plan."""
+    compared = {key: run["parity"] for key, run in runs.items()
+                if "parity" in run}
+    moved = [key for key, par in compared.items() if not par["sha256_equal"]]
+    drift = [key for key, par in compared.items()
+             if any(a != b for a, b in _count_pairs(par))]
+    print(f"sha256 differs: {', '.join(moved) or 'none'}", file=sys.stderr)
+    print(f"counts differ: {', '.join(drift) or 'none'}", file=sys.stderr)
+    return 1 if moved or drift else 0
+
+
 def parity_table(runs):
     """Markdown table of the runs' ``parity`` entries."""
     lines = ["| plan | sha256 equal | eta rel. change | outer iters "
@@ -236,17 +259,13 @@ def main(argv=None):
         doc["against"] = args.against
         print(parity_table(runs), file=sys.stderr)
     print(block_table(runs), file=sys.stderr)
-    moved = [key for key, run in runs.items()
-             if not run.get("parity", {}).get("sha256_equal", True)]
-    if prev is not None:
-        print(f"sha256 differs: {', '.join(moved) or 'none'}",
-              file=sys.stderr)
+    status = report_drift(runs) if prev is not None else 0
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    return 1 if moved else 0
+    return status
 
 
 if __name__ == "__main__":

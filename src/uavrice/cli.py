@@ -87,15 +87,16 @@ _MODEL_CHANNEL = (("kmin_db", "k_min", linear_to_db),
                   ("epsilon", "epsilon", float))
 
 
-def _check_channel(model, scenario, model_path):
-    """ValueError naming the field when the model records channel constants
-    other than the scenario's; a model that records none passes."""
+def _check_channel(model, scenario, source):
+    """ValueError naming ``source`` (the option and file the model came
+    from) and the field when the model records channel constants other
+    than the scenario's; a model that records none passes."""
     for key, attr, show in _MODEL_CHANNEL:
         fitted, want = getattr(model, attr), getattr(scenario, attr)
         if fitted is not None and not math.isclose(fitted, want,
                                                     rel_tol=1e-9):
-            raise ValueError(f"--model {model_path}: {key}={show(fitted):g} "
-                             f"differs from the scenario's {show(want):g}")
+            raise ValueError(f"{source}: {key}={show(fitted):g} differs "
+                             f"from the scenario's {show(want):g}")
 
 
 def _resolve_model(scenario, scheme, model_path):
@@ -104,7 +105,7 @@ def _resolve_model(scenario, scheme, model_path):
     if model_path is None:
         return fit_for_scenario(scenario)
     model = load_model(model_path)
-    _check_channel(model, scenario, model_path)
+    _check_channel(model, scenario, f"--model {model_path}")
     return model
 
 
@@ -164,6 +165,8 @@ def _cmd_evaluate(args):
     doc = load_result(args.plan)
     plan = plan_from_json(doc["plan"])
     model = model_from_json(doc["model"])
+    # eta_estimated comes from this model's surrogate, so it must fit too
+    _check_channel(model, scenario, f"--plan {args.plan} model")
     problems = check_plan(plan, scenario)
     if problems:
         raise ValueError(f"plan {args.plan} does not fit the scenario: "
@@ -237,7 +240,7 @@ def _cmd_sweep(args):
     if args.model:
         base_model = load_model(args.model)
         if not refit:
-            _check_channel(base_model, scenario, args.model)
+            _check_channel(base_model, scenario, f"--model {args.model}")
     else:
         base_model = None if refit else fit_for_scenario(scenario)
 

@@ -321,9 +321,7 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
 
     def dist2_terms(row, weight, n, m):  # weight * |x_{m+1} - anchor_n|^2
         return (np.repeat(row, dim), np.repeat(weight, dim),
-                np.ones(row.size * dim), x_cols[m].ravel(),
-                np.zeros(row.size * dim), x_cols[m].ravel(),
-                -anchors[n].ravel())
+                x_cols[m].ravel(), anchors[n].ravel())
 
     # per-node rate rows:  sum_m (a/M) * bound_rate  -  eta  >=  0
     # the constant of each slot's bound: r_hat, plus for a free waypoint
@@ -333,41 +331,37 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     bound[:, :-1] += (coef.psi * p2 + coef.phi * np.exp(-coef.s_hat))[:, :-1]
     d = [np.sum(am * bound, axis=1)]
     r_node, r_slot = np.nonzero(active[:, :-1])
-    terms = [dist2_terms(r_node, (am * coef.psi)[r_node, r_slot],
-                         r_node, r_slot)]
+    anchor = [dist2_terms(r_node, (am * coef.psi)[r_node, r_slot],
+                          r_node, r_slot)]
 
     # horizontal caps:  s <= b1 + b2 * tangent bound of v
     if n_caps:
         b2lam = model.b2 * coef.lam[s_node, s_slot]
         d.append(model.b1 + model.b2 * coef.v_hat[s_node, s_slot]
                  + b2lam * p2[s_node, s_slot])
-        terms.append(dist2_terms(n_sn + np.arange(n_caps), b2lam,
-                                 s_node, s_slot))
+        anchor.append(dist2_terms(n_sn + np.arange(n_caps), b2lam,
+                                  s_node, s_slot))
 
     # move rows:  limit^2 - |x_{m+1} - x_m|^2 >= 0; the first and the last
-    # move square one free waypoint against a fixed endpoint
+    # move square a free waypoint's offset from a fixed endpoint, the inner
+    # ones the difference of two free waypoints
     d.append(np.full(m_slots, limit ** 2))
-    one, inner = np.ones(dim), np.ones(x_cols[1:].size)
-    terms.append((
-        move_lo + np.repeat(np.arange(m_slots), dim),             # row
-        np.ones(m_slots * dim),                                   # w
-        np.concatenate([one, inner, -one]),                       # p
-        np.concatenate([x_cols[0], x_cols[1:].ravel(), x_cols[-1]]),  # i
-        np.concatenate([0.0 * one, -inner, 0.0 * one]),           # q
-        np.concatenate([x_cols[0], x_cols[:-1].ravel(), x_cols[-1]]),  # j
-        np.concatenate([-np.asarray(ends[0], float), 0.0 * inner,
-                        np.asarray(ends[1], float)])))            # r
+    anchor.append((move_lo + np.repeat([0, m_slots - 1], dim),
+                   np.ones(2 * dim), np.concatenate([x_cols[0], x_cols[-1]]),
+                   np.asarray(ends, float).ravel()))
+    inner = x_cols[1:].ravel()
+    inner_moves = (move_lo + np.repeat(np.arange(1, m_slots - 1), dim),
+                   np.ones(inner.size), inner, x_cols[:-1].ravel())
 
     # linear part: -eta in each rate row, -s in each horizontal cap
     lin = (np.arange(move_lo),
            np.concatenate([np.full(n_sn, eta_col), s_cols[:n_caps]]),
            -np.ones(move_lo))
-    quad = [np.concatenate(part) for part in zip(*terms)]
     blocks = [QuadExpRows(
-        d=np.concatenate(d), lin=lin, quad_row=quad[0], quad_w=quad[1],
-        quad_p=quad[2], quad_i=quad[3], quad_q=quad[4], quad_j=quad[5],
-        quad_r=quad[6], exp_row=s_node,
-        exp_coef=(am * coef.phi)[s_node, s_slot], exp_idx=s_cols)]
+        d=np.concatenate(d), lin=lin,
+        anchor=tuple(np.concatenate(part) for part in zip(*anchor)),
+        diff=inner_moves,
+        exp=(s_node, (am * coef.phi)[s_node, s_slot], s_cols))]
     if s_cols.size and offset is not None:
         blocks.append(VRatioRows(
             d=np.full(s_cols.size, model.b1), b2=model.b2,

@@ -18,11 +18,11 @@ arithmetic.  The line search corrects a trial that fails slack
 positivity along the epigraph columns it reads off the rows' Jacobian at
 the start, and skips step lengths whose linear prediction already fails.
 Every Newton step and line search is reproducible bit-for-bit across
-runs.  Callers leave fixed quantities (path endpoints) out of the
-variable vector, so each Newton step works on every variable.
+runs.  Fixed quantities (path endpoints) stay out of the variable vector,
+as the anchors of squares, so each Newton step works on every variable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -415,101 +415,99 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 # linear row, variable bounds included; VRatioRows the altitude's ratio rows.
 
 
+def _terms(name, arrays, dtypes, m):
+    """A term group (rows, ...) cast to dtypes; ValueError naming the group
+    unless its arrays are 1-D and of one length, its rows lie in [0, m) and
+    its other integer arrays, column indices, are nonnegative."""
+    out = tuple(np.asarray(a, dtype=t) for a, t in zip(arrays, dtypes))
+    if len(out) != len(dtypes) or any(a.shape != (out[0].size,) for a in out):
+        raise ValueError(f"{name}: want {len(dtypes)} 1-D arrays of one size")
+    if np.any((out[0] < 0) | (out[0] >= m)):
+        raise ValueError(f"{name}: a row index lies outside [0, {m})")
+    if any(np.any(a < 0) for a in out[1:] if a.dtype == np.int64):
+        raise ValueError(f"{name}: a column index is negative")
+    return out
+
+
 @dataclass
 class QuadExpRows:
-    """Rows  d + L@x - sum_k w_k (p_k x[i_k] + q_k x[j_k] + r_k)^2
-                    - sum_k e_k exp(-x[u_k])  >= 0.
+    """Rows  d + L@x - sum w (x[i] - a)^2 - sum v (x[i] - x[j])^2
+                    - sum e exp(-x[u])  >= 0,  each sum over its group's terms.
 
-    ``lin`` lists the entries of L as COO triples (rows, cols, vals), kept
-    in the order given.  Each squared/exponential term is tagged with the row
-    it belongs to, so a single block can hold every per-node rate row (many
-    terms per row), the per-slot speed rows (one square each), and the
-    horizontal fading-bound rows.  w_k >= 0 and e_k >= 0 keep every row
-    concave.  A square has Jacobian and diagonal curvature entries only on
-    the variables it has a nonzero coefficient on, and cross entries only
-    when it has two, so a one-variable square (q_k = 0) couples nothing.
+    Each term group is a tuple of equal-length arrays led by the rows its
+    terms belong to, kept in the order given: ``lin`` the entries of L as
+    COO triples (rows, cols, vals), the anchor squares ``anchor`` (rows, w,
+    i, a), the difference squares ``diff`` (rows, v, i, j) and ``exp``
+    (rows, e, u).  So one block holds every per-node rate row (many terms
+    per row), the per-slot speed rows and the horizontal fading-bound rows.
+    w, v, e >= 0 keep every row concave.  An anchor square has its entries
+    on x[i] alone; a difference square on x[i] and x[j], plus the cross
+    entry (i, j) in both orders.
     """
 
     d: np.ndarray
     lin: tuple = ((), (), ())
-    quad_row: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    quad_w: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    quad_p: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    quad_i: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    quad_q: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    quad_j: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    quad_r: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    exp_row: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    exp_coef: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    exp_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    anchor: tuple = ((), (), (), ())
+    diff: tuple = ((), (), (), ())
+    exp: tuple = ((), (), ())
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
-        self.lin = tuple(np.asarray(a, dtype=t) for a, t
-                         in zip(self.lin, (np.int64, np.int64, float)))
-        for name in ("quad_row", "quad_i", "quad_j", "exp_row", "exp_idx"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        for name in ("quad_w", "quad_p", "quad_q", "quad_r", "exp_coef"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.quad_w < 0) or np.any(self.exp_coef < 0):
+        m, i8 = self.d.size, np.int64
+        self.lin = _terms("lin", self.lin, (i8, i8, float), m)
+        self.anchor = _terms("anchor", self.anchor, (i8, float, i8, float), m)
+        self.diff = _terms("diff", self.diff, (i8, float, i8, i8), m)
+        self.exp = _terms("exp", self.exp, (i8, float, i8), m)
+        if np.any(np.concatenate([self.anchor[1], self.diff[1],
+                                  self.exp[1]]) < 0):
             raise ValueError("negative term weights would break concavity")
-        p, q, i, j = self.quad_p, self.quad_q, self.quad_i, self.quad_j
-        on_i, on_j = np.flatnonzero(p != 0.0), np.flatnonzero(q != 0.0)
-        on_ij = np.flatnonzero((p != 0.0) & (q != 0.0))
-        # a square's entries as (term, coefficient): its derivative in x[i]
-        # or x[j] is -2 w t p or -2 w t q, its curvature 2 w times p^2, q^2
-        # and, on the cross entries, p q
-        self._jac_term = np.concatenate([on_i, on_j])
-        self._jac_coef = np.concatenate([p[on_i], q[on_j]])
-        self._curv_term = np.concatenate([self._jac_term, on_ij, on_ij])
-        self._curv_coef = np.concatenate([self._jac_coef ** 2,
-                                          np.tile(p[on_ij] * q[on_ij], 2)])
-        var = np.concatenate([i[on_i], j[on_j]])
-        self.jac_rows = np.concatenate([self.lin[0],
-                                        self.quad_row[self._jac_term],
-                                        self.exp_row])
-        self.jac_cols = np.concatenate([self.lin[1], var, self.exp_idx])
-        self.curv_rows = np.concatenate([var, i[on_ij], j[on_ij],
-                                         self.exp_idx])
-        self.curv_cols = np.concatenate([var, j[on_ij], i[on_ij],
-                                         self.exp_idx])
+        # both shapes square x[i] - y: y = a for the anchors, then x[j]
+        self._row, self._w, self._i = (np.concatenate(pair) for pair
+                                       in zip(self.anchor[:3], self.diff[:3]))
+        i, j, u = self._i, self.diff[3], self.exp[2]
+        self.jac_rows = np.concatenate([self.lin[0], self._row, self.diff[0],
+                                        self.exp[0]])
+        self.jac_cols = np.concatenate([self.lin[1], i, j, u])
+        self.curv_rows = np.concatenate([i, j, self.diff[2], j, u])
+        self.curv_cols = np.concatenate([i, j, j, self.diff[2], u])
 
-    def _t(self, x):
-        return self.quad_p * x[self.quad_i] + self.quad_q * x[self.quad_j] + self.quad_r
+    def _gap(self, x):
+        """x[i] - a of each anchor square, then x[i] - x[j] of each diff."""
+        return x[self._i] - np.concatenate([self.anchor[3], x[self.diff[3]]])
 
     def values(self, x):
         m = self.d.size
         rows, cols, vals = self.lin
         g = self.d + np.bincount(rows, vals * x[cols], minlength=m)
-        if self.quad_row.size:
-            t = self._t(x)
-            g -= np.bincount(self.quad_row, self.quad_w * t * t, minlength=m)
-        if self.exp_row.size:
-            g -= np.bincount(self.exp_row,
-                             self.exp_coef * np.exp(-x[self.exp_idx]),
-                             minlength=m)
+        if self._row.size:
+            t = self._gap(x)
+            g -= np.bincount(self._row, self._w * t * t, minlength=m)
+        rows, e, u = self.exp
+        if rows.size:
+            g -= np.bincount(rows, e * np.exp(-x[u]), minlength=m)
         return g
 
     def grads(self, x):
-        t2w = 2.0 * self.quad_w * self._t(x)
-        return np.concatenate([self.lin[2],
-                               -t2w[self._jac_term] * self._jac_coef,
-                               self.exp_coef * np.exp(-x[self.exp_idx])])
+        # -2 w t on x[i], +2 w t on a difference's x[j]
+        t2w = 2.0 * self._w * self._gap(x)
+        return np.concatenate([self.lin[2], -t2w, t2w[self.anchor[0].size:],
+                               self.exp[1] * np.exp(-x[self.exp[2]])])
 
     def curvature(self, x, w):
-        c2 = 2.0 * self.quad_w * w[self.quad_row]
-        return np.concatenate([c2[self._curv_term] * self._curv_coef,
-                               w[self.exp_row] * self.exp_coef
-                               * np.exp(-x[self.exp_idx])])
+        # 2 w on x[i], then on a difference's x[j]; -2 w on its cross entries
+        c2 = 2.0 * self._w * w[self._row]
+        cross = -c2[self.anchor[0].size:]
+        return np.concatenate([c2, -cross, cross, cross, w[self.exp[0]]
+                               * self.exp[1] * np.exp(-x[self.exp[2]])])
 
 
 @dataclass
 class VRatioRows:
     """Rows  d + b2 * x[z] / sqrt(c + x[z]^2) - x[s]  >= 0.
 
-    The exact elevation-indicator bound of the vertical subproblem; the
-    ratio is concave in the altitude for nonnegative altitudes, so it rides
-    the barrier directly with analytic first/second derivatives.
+    The exact elevation-indicator bound of the vertical subproblem, one c,
+    z and s per row; the ratio is concave in nonnegative altitudes, so it
+    rides the barrier directly with analytic first/second derivatives.
     """
 
     d: np.ndarray
@@ -520,12 +518,13 @@ class VRatioRows:
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.z_idx = np.asarray(self.z_idx, dtype=np.int64)
-        self.s_idx = np.asarray(self.s_idx, dtype=np.int64)
+        m, i8 = self.d.size, np.int64
+        k, self.c, self.z_idx, self.s_idx = _terms(
+            "VRatioRows d, c, z_idx, s_idx", (np.arange(m), self.c,
+                                              self.z_idx, self.s_idx),
+            (i8, float, i8, i8), m)
         if np.any(self.c <= 0):
             raise ValueError("horizontal offset term must be positive")
-        k = np.arange(self.d.size)
         self.jac_rows = np.concatenate([k, k])
         self.jac_cols = np.concatenate([self.z_idx, self.s_idx])
         self.curv_rows = self.curv_cols = self.z_idx
@@ -545,9 +544,7 @@ class VRatioRows:
 
 
 def _block_values(blocks, x):
-    if not blocks:
-        return np.zeros(0)
-    return np.concatenate([blk.values(x) for blk in blocks])
+    return np.concatenate([np.zeros(0)] + [blk.values(x) for blk in blocks])
 
 
 def _epigraph(system, c, gu):
@@ -840,7 +837,9 @@ def maximize_concave_program(objective, blocks, start,
     if x.shape != c.shape:
         raise ValueError(f"start of shape {x.shape} does not match the "
                          f"objective's {c.shape}")
-
+    if any(np.any(np.concatenate([b.jac_cols, b.curv_rows]) >= x.size)
+           for b in blocks):
+        raise ValueError(f"a block column lies beyond the {x.size} variables")
     if not np.all(np.isfinite(x)):
         raise ValueError("start point is not strictly feasible "
                          "(non-finite entry)")

@@ -1,0 +1,51 @@
+"""``benchmarks/bench_plans.py --against``: the parity record and the exit
+rule, on hand-made run records with no planning."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_plans.py"
+_spec = importlib.util.spec_from_file_location("bench_plans", _PATH)
+bench_plans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_plans)
+
+
+def _run(sha="aa", outer_iters=17, vertical_max_steps=20):
+    """One plan's record as ``run_plan`` writes it, without timings."""
+    blocks = {name: {"calls": 17, "newton_steps": 219, "max_steps": 20,
+                     "not_optimal": 0} for name in bench_plans.BLOCKS}
+    blocks["vertical"]["max_steps"] = vertical_max_steps
+    return {"eta_achieved": 0.25, "sha256": sha, "outer_iters": outer_iters,
+            "newton_steps": 438, "lp_pivots": 8, "ipm_not_optimal": 0,
+            "blocks": blocks}
+
+
+def test_parity_pairs_every_count():
+    par = bench_plans.parity(_run(), _run(sha="bb", outer_iters=18))
+    assert par["sha256_equal"] is False and par["eta_rel_change"] == 0.0
+    assert par["outer_iters"] == [17, 18] and par["newton_steps"] == [438, 438]
+    assert par["blocks"]["vertical"]["max_steps"] == [20, 20]
+    # an earlier output without per-block counts gets no block comparison
+    old = _run()
+    del old["blocks"]
+    assert "blocks" not in bench_plans.parity(old, _run())
+
+
+@pytest.mark.parametrize("change, moved, drift", [
+    ({}, "none", "none"),
+    ({"sha": "bb"}, "p", "none"),
+    ({"outer_iters": 18}, "none", "p"),
+    ({"vertical_max_steps": 21}, "none", "p"),
+    ({"sha": "bb", "outer_iters": 18}, "p", "p"),
+], ids=["equal", "sha256", "outer-iters", "block-count", "both"])
+def test_exit_rule_names_sha256_and_count_changes(change, moved, drift,
+                                                  capsys):
+    runs = {"p": _run(**change), "q": _run(sha="new")}
+    runs["p"]["parity"] = bench_plans.parity(_run(), runs["p"])
+    # "q" is missing from the earlier output: it is compared with nothing
+    status = bench_plans.report_drift(runs)
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sha256 differs: {moved}", f"counts differ: {drift}"]
+    assert status == (0 if moved == drift == "none" else 1)

@@ -221,6 +221,30 @@ class TestBoundaryChecks:
         assert reason in capsys.readouterr().err
         assert not out.exists() and not traj.exists()
 
+    @pytest.mark.parametrize("change, field", [
+        ({"kmax_db": 20.0}, "kmax_db=30 differs from the scenario's 20"),
+        ({"kmax_db": 20.0, "epsilon": 0.05},
+         "kmax_db=30 differs from the scenario's 20"),
+        ({"epsilon": 0.05}, "epsilon=0.01 differs from the scenario's 0.05"),
+    ], ids=["kmax", "kmax-and-eps", "eps"])
+    def test_evaluate_refuses_a_plan_fitted_to_another_channel(
+            self, scen_path, tmp_path, capsys, monkeypatch, change, field):
+        # the stored eta_estimated would come from the other channel's
+        # surrogate, so the plan is refused before any draw
+        planned = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--scheme", "rfla",
+                    "--out", str(planned)]) == 0
+        other = tmp_path / "other.json"
+        other.write_text(dump_json(json.loads(scen_path.read_text())
+                                   | change))
+        monkeypatch.setattr(cli_module, "evaluate_plan", _never)
+        out, traj = tmp_path / "e.json", tmp_path / "e.csv"
+        assert cli(["evaluate", "--scenario", str(other), "--plan",
+                    str(planned), "--trials", "10000", "--out", str(out),
+                    "--traj", str(traj)]) == 1
+        assert f"--plan {planned} model: {field}" in capsys.readouterr().err
+        assert not out.exists() and not traj.exists()
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 63])
     def test_evaluate_refuses_a_seed_no_result_holds(self, scen_path,
                                                      tmp_path, capsys, seed):

@@ -400,7 +400,7 @@ def _caps(blocks, n_sn):
     exponential term in its node's rate row, node-major, and its cap is row
     n_sn + k of the first block (horizontal) or row k of the VRatioRows
     block after it (vertical)."""
-    s_cols = blocks[0].exp_idx
+    s_cols = blocks[0].exp[2]
     ratio = [blk for blk in blocks if isinstance(blk, solvers.VRatioRows)]
     if ratio:
         assert np.array_equal(ratio[0].s_idx, s_cols)
@@ -525,32 +525,33 @@ class TestTrajectoryBlocks:
             assert np.all(diag[free] > 0.0)
             assert np.all(diag[~free] == 0.0)
 
-    def test_built_patterns_hold_one_entry_per_nonzero_coefficient(
-            self, built_steps):
-        # each block states its sparsity once: a square has Jacobian and
-        # diagonal curvature entries on the variables it has a nonzero
-        # coefficient on and cross entries only when it has two, and the
-        # derivative values line up with the pattern
-        one_variable = 0
+    def test_built_patterns_follow_the_two_square_shapes(self, built_steps):
+        # each block states its sparsity once: an anchor square has its
+        # Jacobian and curvature entries on x[i] alone, a difference square
+        # on x[i] and x[j] plus the cross entry both ways; the derivative
+        # values line up with the pattern.  Only the inner moves are
+        # differences of two free waypoints
+        n_anchor = n_diff = 0
         for step in built_steps:
+            _, _, d_i, d_j = step.blocks[0].diff
+            np.testing.assert_array_equal(d_i, step.x_cols[1:].ravel())
+            np.testing.assert_array_equal(d_j, step.x_cols[:-1].ravel())
             for blk in step.blocks:
                 x, w = step.start, np.ones(blk.d.size)
                 if isinstance(blk, solvers.QuadExpRows):
-                    on_i, on_j = blk.quad_p != 0.0, blk.quad_q != 0.0
-                    on_ij = on_i & on_j
-                    one_variable += int(np.count_nonzero(on_i != on_j))
+                    a_row, _, a_i, _ = blk.anchor
+                    d_row, _, d_i, d_j = blk.diff
+                    e_row, _, e_u = blk.exp
+                    n_anchor += a_row.size
+                    n_diff += d_row.size
                     jac = np.concatenate([
                         np.stack([blk.lin[0], blk.lin[1]], 1),
-                        np.stack([blk.quad_row[on_i], blk.quad_i[on_i]], 1),
-                        np.stack([blk.quad_row[on_j], blk.quad_j[on_j]], 1),
-                        np.stack([blk.exp_row, blk.exp_idx], 1)])
-                    ci, cj = blk.quad_i, blk.quad_j
+                        np.stack([a_row, a_i], 1), np.stack([d_row, d_i], 1),
+                        np.stack([d_row, d_j], 1), np.stack([e_row, e_u], 1)])
                     curv = np.concatenate([
-                        np.stack([ci[on_i], ci[on_i]], 1),
-                        np.stack([cj[on_j], cj[on_j]], 1),
-                        np.stack([ci[on_ij], cj[on_ij]], 1),
-                        np.stack([cj[on_ij], ci[on_ij]], 1),
-                        np.stack([blk.exp_idx, blk.exp_idx], 1)])
+                        np.stack([a_i, a_i], 1), np.stack([d_i, d_i], 1),
+                        np.stack([d_j, d_j], 1), np.stack([d_i, d_j], 1),
+                        np.stack([d_j, d_i], 1), np.stack([e_u, e_u], 1)])
                 else:
                     k = np.arange(blk.d.size)
                     jac = np.concatenate([np.stack([k, blk.z_idx], 1),
@@ -564,8 +565,9 @@ class TestTrajectoryBlocks:
                               & (blk.jac_rows < blk.d.size))
                 assert blk.grads(x).shape == blk.jac_rows.shape
                 assert blk.curvature(x, w).shape == blk.curv_rows.shape
-        # the rate- and cap-row distance terms and both end moves
-        assert one_variable > 0
+        # the rate- and cap-row distance terms and both end moves, and the
+        # inner moves
+        assert n_anchor > 0 and n_diff > 0
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_floor_rows_come_last(self, block):

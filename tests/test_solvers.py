@@ -13,9 +13,13 @@ factorization or a non-finite step gives no direction.  Its line
 search is checked on a capped program the epigraph correction finishes,
 on the epigraph columns it reads off the rows (and those it must not
 read), and on the rfb plan of scenario_4sn, where every step the linear
-pre-screen skips is evaluated and fails.
+pre-screen skips is evaluated and fails.  The row blocks' derivatives are
+checked against their closed forms and central differences, and their
+index checks on rows, columns and term-group shapes.
 Determinism is asserted bit-for-bit.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -370,16 +374,12 @@ def _lin(c):
     return rows, cols, c[rows, cols]
 
 
-def _quad_row_block(d, c_row, terms):
-    """Build a QuadExpRows block from a dense linear part and (row, w, p, i,
-    q, j, r) term tuples."""
-    terms = list(terms)
-    return QuadExpRows(
-        d=np.asarray(d, float), lin=_lin(c_row),
-        quad_row=[t[0] for t in terms], quad_w=[t[1] for t in terms],
-        quad_p=[t[2] for t in terms], quad_i=[t[3] for t in terms],
-        quad_q=[t[4] for t in terms], quad_j=[t[5] for t in terms],
-        quad_r=[t[6] for t in terms])
+def _quad_row_block(d, c_row, anchor=(), diff=()):
+    """Build a QuadExpRows block from a dense linear part, anchor squares
+    (row, w, i, a) and difference squares (row, v, i, j)."""
+    return QuadExpRows(d=np.asarray(d, float), lin=_lin(c_row),
+                       anchor=tuple(zip(*anchor)) or ((),) * 4,
+                       diff=tuple(zip(*diff)) or ((),) * 4)
 
 
 def _bounds(lb, ub):
@@ -397,8 +397,7 @@ def _quadratic_cap():
     """maximize eta subject to eta <= 4 - x^2, x in [-3, 3]: optimum eta=4
     at x=0.  Variables (eta, x)."""
     return (np.array([1.0, 0.0]),
-            [_quad_row_block([4.0], [[-1.0, 0.0]],
-                             [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)]),
+            [_quad_row_block([4.0], [[-1.0, 0.0]], anchor=[(0, 1.0, 1, 0.0)]),
              _bounds([-np.inf, -3.0], [np.inf, 3.0])])
 
 
@@ -426,8 +425,7 @@ class TestBarrier:
 
     def test_exponential_row(self):
         # maximize -u subject to exp(-u) <= 3: optimum u = -ln 3
-        blk = QuadExpRows(d=np.array([3.0]), exp_row=[0], exp_coef=[1.0],
-                          exp_idx=[0])
+        blk = QuadExpRows(d=np.array([3.0]), exp=([0], [1.0], [0]))
         rep = maximize_concave_program(
             np.array([-1.0]), [blk, _bounds([-10.0], [10.0])],
             np.array([0.0]))
@@ -450,30 +448,11 @@ class TestBarrier:
 
     @pytest.mark.parametrize("seed", [11, 42, 90])
     def test_random_program_matches_slsqp(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 5
-        c = rng.normal(size=n)
-        blocks = []
-        cons = []
-        for k in range(3):
-            nt = int(rng.integers(1, 4))
-            terms = [(0, float(rng.uniform(0.2, 1.0)), float(rng.normal()),
-                      int(rng.integers(0, n)), float(rng.normal()),
-                      int(rng.integers(0, n)), float(rng.normal() * 0.3))
-                     for _ in range(nt)]
-            crow = rng.normal(size=(1, n)) * 0.3
-            blk = _quad_row_block([0.0], crow, terms)
-            # lift d so the origin is comfortably feasible
-            d0 = float(-blk.values(np.zeros(n))[0]) + 2.0
-            blk = _quad_row_block([d0], crow, terms)
-            blocks.append(blk)
-
-            def g_fun(x, blk=blk):
-                return blk.values(x)[0]
-            cons.append({"type": "ineq", "fun": g_fun})
-
-        blocks.append(_bounds(np.full(n, -2.0), np.full(n, 2.0)))
-        rep = maximize_concave_program(c, blocks, np.zeros(n))
+        c, blocks, start = _random_program(seed)
+        n = c.size
+        cons = [{"type": "ineq", "fun": lambda x, blk=blk: blk.values(x)[0]}
+                for blk in blocks[:-1]]
+        rep = maximize_concave_program(c, blocks, start)
         assert rep.status == "optimal"
         assert rep.feasibility <= 1e-8
 
@@ -521,8 +500,7 @@ class TestBarrier:
             "disc": (                        # maximize x0, x0^2 + x1^2 <= 1
                 np.array([1.0, 0.0]),
                 [_quad_row_block([1.0], [[0.0, 0.0]],
-                                 [(0, 1.0, 1.0, 0, 0.0, 0, 0.0),
-                                  (0, 1.0, 1.0, 1, 0.0, 1, 0.0)])]),
+                                 anchor=[(0, 1.0, 0, 0.0), (0, 1.0, 1, 0.0)])]),
             "half_line": (                   # maximize -x0, x0 >= 0
                 np.array([-1.0]), [_bounds([0.0], [np.inf])]),
             "free": (np.array([0.0]), []),
@@ -553,8 +531,7 @@ class TestBarrier:
         assert box.curvature(x, np.ones(4)).size == 0
 
     def test_determinism(self):
-        blk = _quad_row_block([4.0], [[-1.0, 0.2]],
-                              [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)])
+        blk = _quad_row_block([4.0], [[-1.0, 0.2]], anchor=[(0, 1.0, 1, 0.0)])
 
         def run():
             return maximize_concave_program(
@@ -567,27 +544,34 @@ class TestBarrier:
         assert r1.objective == r2.objective
         assert r1.trace == r2.trace
 
-    def test_negative_weights_rejected(self):
+    @pytest.mark.parametrize("group", [
+        {"anchor": ([0], [-1.0], [0], [0.0])},
+        {"diff": ([0], [-1.0], [0], [1])},
+        {"exp": ([0], [-1.0], [0])}], ids=["anchor", "diff", "exp"])
+    def test_negative_weights_rejected(self, group):
         with pytest.raises(ValueError, match="concavity"):
-            QuadExpRows(d=np.zeros(1), quad_row=[0], quad_w=[-1.0],
-                        quad_p=[1.0], quad_i=[0], quad_q=[0.0], quad_j=[0],
-                        quad_r=[0.0])
+            QuadExpRows(d=np.zeros(1), **group)
 
 
 def _random_program(seed):
+    """maximize a random c @ x over three rows, each a random linear part
+    less one to three anchor squares and up to two difference squares, in
+    the box [-2, 2]^5; the origin has slack 2 in every row."""
     rng = np.random.default_rng(seed)
     n = 5
     c = rng.normal(size=n)
     blocks = []
     for _ in range(3):
-        terms = [(0, float(rng.uniform(0.2, 1.0)), float(rng.normal()),
-                  int(rng.integers(0, n)), float(rng.normal()),
-                  int(rng.integers(0, n)), float(rng.normal() * 0.3))
-                 for _ in range(int(rng.integers(1, 4)))]
+        anchor = [(0, float(rng.uniform(0.2, 1.0)), int(rng.integers(0, n)),
+                   float(rng.normal() * 0.3))
+                  for _ in range(int(rng.integers(1, 4)))]
+        diff = [(0, float(rng.uniform(0.2, 1.0)),
+                 *map(int, rng.choice(n, 2, replace=False)))
+                for _ in range(int(rng.integers(0, 3)))]
         crow = rng.normal(size=(1, n)) * 0.3
-        d0 = float(-_quad_row_block([0.0], crow, terms).values(
+        d0 = float(-_quad_row_block([0.0], crow, anchor, diff).values(
             np.zeros(n))[0]) + 2.0
-        blocks.append(_quad_row_block([d0], crow, terms))
+        blocks.append(_quad_row_block([d0], crow, anchor, diff))
     blocks.append(_bounds(np.full(n, -2.0), np.full(n, 2.0)))
     return c, blocks, np.zeros(n)
 
@@ -599,8 +583,7 @@ _BARRIER_PROGRAMS = {
     "quadratic_cap": lambda: (*_quadratic_cap(), np.array([2.0, 0.9])),
     "exponential": lambda: (
         np.array([-1.0]),
-        [QuadExpRows(d=np.array([3.0]), exp_row=[0], exp_coef=[1.0],
-                     exp_idx=[0]),
+        [QuadExpRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
          _bounds([-10.0], [10.0])], np.array([0.0])),
     "altitude_ratio": lambda: (
         np.array([0.0, 1.0]),
@@ -609,8 +592,7 @@ _BARRIER_PROGRAMS = {
          _bounds([1.0, -np.inf], [100.0, np.inf])], np.array([50.0, 0.0])),
     "coupled_cap": lambda: (
         np.array([1.0, 0.1]),
-        [_quad_row_block([4.0], [[-1.0, 0.2]],
-                         [(0, 1.0, 1.0, 1, 0.0, 0, 0.0)]),
+        [_quad_row_block([4.0], [[-1.0, 0.2]], anchor=[(0, 1.0, 1, 0.0)]),
          _bounds([-np.inf, -3.0], [np.inf, 3.0])], np.array([0.0, 0.5])),
     # no objective column at all: nothing to eliminate, no coupling rows
     "zero_objective": lambda: (
@@ -641,10 +623,9 @@ def test_dual_scale_is_largest_weighted_row_entry(name):
 
 
 def test_rejects_curvature_joining_an_objective_column():
-    # 4 - x0 - (x0 + x1)^2 >= 0 with the objective on x0 alone: the cross
+    # 4 - x0 - (x0 - x1)^2 >= 0 with the objective on x0 alone: the cross
     # term would fall between the dense and the banded block
-    blocks = [_quad_row_block([4.0], [[-1.0, 0.0]],
-                              [(0, 1.0, 1.0, 0, 1.0, 1, 0.0)]),
+    blocks = [_quad_row_block([4.0], [[-1.0, 0.0]], diff=[(0, 1.0, 0, 1)]),
               _bounds([-np.inf, -3.0], [np.inf, 3.0])]
     with pytest.raises(ValueError, match="joins an objective column"):
         maximize_concave_program(np.array([1.0, 0.0]), blocks,
@@ -707,45 +688,144 @@ def test_solver_stalls_without_a_direction():
     assert np.array_equal(rep.x, start)
 
 
-@pytest.mark.parametrize("quad, exp", [(True, True), (True, False),
-                                       (False, True), (False, False)])
-def test_empty_term_groups_leave_the_derivatives_as_they_were(quad, exp):
+def _random_rows(rng, n, m, n_anchor, n_diff, n_exp):
+    """A QuadExpRows block of m rows over n variables: a random linear part
+    and the given numbers of random anchor, difference (over two distinct
+    variables) and exponential terms."""
+    d_i = rng.integers(0, n, n_diff)
+    return QuadExpRows(
+        d=np.ones(m), lin=_lin(rng.normal(size=(m, n))),
+        anchor=(rng.integers(0, m, n_anchor), rng.uniform(0.1, 1.0, n_anchor),
+                rng.integers(0, n, n_anchor), rng.normal(size=n_anchor)),
+        diff=(rng.integers(0, m, n_diff), rng.uniform(0.1, 1.0, n_diff), d_i,
+              (d_i + rng.integers(1, n, n_diff)) % n),
+        exp=(rng.integers(0, m, n_exp), rng.uniform(0.1, 1.0, n_exp),
+             rng.integers(0, n, n_exp)))
+
+
+@pytest.mark.parametrize("anchor, diff, exp",
+                         list(itertools.product([True, False], repeat=3)))
+def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
+                                                              exp):
     # grads and curvature return the formula's values over every group in
-    # the pattern's order, an empty group of squared or exponential terms
-    # included; a square gets entries only on its nonzero coefficients
+    # the pattern's order, an empty anchor, difference or exponential group
+    # included: an anchor square has entries on x[i] alone, a difference
+    # square on x[i] and x[j] and the cross entry both ways
     rng = np.random.default_rng(7)
-    n, nq, ne = 6, 5 * quad, 4 * exp
-    p, q = rng.normal(size=nq), rng.normal(size=nq)
-    p[:2 * quad] = q[2 * quad:4 * quad] = 0.0    # one-variable squares
-    blk = QuadExpRows(
-        d=np.ones(3), lin=_lin(rng.normal(size=(3, n))),
-        quad_row=rng.integers(0, 3, nq), quad_w=rng.uniform(0.1, 1.0, nq),
-        quad_p=p, quad_i=rng.integers(0, n, nq),
-        quad_q=q, quad_j=rng.integers(0, n, nq),
-        quad_r=rng.normal(size=nq), exp_row=rng.integers(0, 3, ne),
-        exp_coef=rng.uniform(0.1, 1.0, ne), exp_idx=rng.integers(0, n, ne))
+    n = 6
+    blk = _random_rows(rng, n, 3, 5 * anchor, 4 * diff, 4 * exp)
     x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, 3)
-    on_i, on_j = p != 0.0, q != 0.0
-    on_ij = on_i & on_j
-    i, j = blk.quad_i, blk.quad_j
-    t2w = 2.0 * blk.quad_w * (p * x[i] + q * x[j] + blk.quad_r)
-    grads = np.concatenate([blk.lin[2], (-t2w * p)[on_i], (-t2w * q)[on_j],
-                            blk.exp_coef * np.exp(-x[blk.exp_idx])])
-    c2 = 2.0 * blk.quad_w * w[blk.quad_row]
-    cross = (c2 * (p * q))[on_ij]
-    curv = np.concatenate([(c2 * p ** 2)[on_i], (c2 * q ** 2)[on_j], cross,
-                           cross, w[blk.exp_row] * blk.exp_coef
-                           * np.exp(-x[blk.exp_idx])])
+    a_row, a_w, a_i, a = blk.anchor
+    d_row, d_v, d_i, d_j = blk.diff
+    e_row, e, u = blk.exp
+    ta, td = x[a_i] - a, x[d_i] - x[d_j]
+    grads = np.concatenate([blk.lin[2], -(2.0 * a_w * ta), -(2.0 * d_v * td),
+                            2.0 * d_v * td, e * np.exp(-x[u])])
+    ca, cd = 2.0 * a_w * w[a_row], 2.0 * d_v * w[d_row]
+    curv = np.concatenate([ca, cd, cd, -cd, -cd,
+                           w[e_row] * e * np.exp(-x[u])])
     assert blk.grads(x).tobytes() == grads.tobytes()
     assert blk.curvature(x, w).tobytes() == curv.tobytes()
     np.testing.assert_array_equal(blk.jac_rows, np.concatenate(
-        [blk.lin[0], blk.quad_row[on_i], blk.quad_row[on_j], blk.exp_row]))
+        [blk.lin[0], a_row, d_row, d_row, e_row]))
     np.testing.assert_array_equal(blk.jac_cols, np.concatenate(
-        [blk.lin[1], i[on_i], j[on_j], blk.exp_idx]))
+        [blk.lin[1], a_i, d_i, d_j, u]))
     np.testing.assert_array_equal(blk.curv_rows, np.concatenate(
-        [i[on_i], j[on_j], i[on_ij], j[on_ij], blk.exp_idx]))
+        [a_i, d_i, d_j, d_i, d_j, u]))
     np.testing.assert_array_equal(blk.curv_cols, np.concatenate(
-        [i[on_i], j[on_j], j[on_ij], i[on_ij], blk.exp_idx]))
+        [a_i, d_i, d_j, d_j, d_i, u]))
+
+
+@pytest.mark.parametrize("shape", ["anchor", "diff"])
+def test_square_derivatives_match_the_formula_and_central_differences(shape):
+    # each shape's grads and curvature equal its closed form bit for bit,
+    # and, scattered onto their patterns, the central differences of the
+    # slacks: exact up to rounding, since the rows are quadratic
+    rng = np.random.default_rng(3)
+    n, m = 4, 2
+    blk = _random_rows(rng, n, m, 6 * (shape == "anchor"),
+                       6 * (shape == "diff"), 0)
+    x, lam = rng.normal(size=n), rng.uniform(0.5, 2.0, m)
+    rows, w, i, y = getattr(blk, shape)
+    t = x[i] - (y if shape == "anchor" else x[y])
+    c2 = 2.0 * w * lam[rows]
+    grads, curv = (-(2.0 * w * t), c2) if shape == "anchor" else (
+        np.concatenate([-(2.0 * w * t), 2.0 * w * t]),
+        np.concatenate([c2, c2, -c2, -c2]))
+    k = blk.lin[2].size
+    assert blk.grads(x)[k:].tobytes() == grads.tobytes()
+    assert blk.curvature(x, lam).tobytes() == curv.tobytes()
+
+    h, eye = 1e-2, np.eye(n)
+    jac = np.zeros((m, n))
+    np.add.at(jac, (blk.jac_rows, blk.jac_cols), blk.grads(x))
+    fd_jac = np.stack([(blk.values(x + h * e) - blk.values(x - h * e))
+                       / (2.0 * h) for e in eye], axis=1)
+    np.testing.assert_allclose(jac, fd_jac, rtol=1e-9, atol=1e-10)
+    hess = np.zeros((n, n))
+    np.add.at(hess, (blk.curv_rows, blk.curv_cols), blk.curvature(x, lam))
+
+    def f(z):
+        return lam @ blk.values(z)
+    fd_hess = np.array([[-(f(x + h * (a + b)) - f(x + h * (a - b))
+                           - f(x - h * (a - b)) + f(x - h * (a + b)))
+                         / (4.0 * h * h) for b in eye] for a in eye])
+    np.testing.assert_allclose(hess, fd_hess, rtol=1e-7, atol=1e-8)
+
+
+@pytest.mark.parametrize("group", [
+    {"lin": ([1], [0], [1.0])}, {"anchor": ([-1], [1.0], [0], [0.0])},
+    {"diff": ([1], [1.0], [0], [1])}, {"exp": ([2], [1.0], [0])}],
+    ids=["lin", "anchor", "diff", "exp"])
+def test_quad_rows_refuse_a_row_outside_the_block(group):
+    # a row past d.size would add a slack the block does not have, and a
+    # negative one would wrap onto its last row
+    with pytest.raises(ValueError, match=r"row index lies outside \[0, 1\)"):
+        QuadExpRows(d=np.ones(1), **group)
+
+
+@pytest.mark.parametrize("group", [
+    {"lin": ([0], [-1], [1.0])}, {"anchor": ([0], [1.0], [-1], [0.0])},
+    {"diff": ([0], [1.0], [0], [-2])}, {"exp": ([0], [1.0], [-1])}],
+    ids=["lin", "anchor", "diff", "exp"])
+def test_quad_rows_refuse_a_negative_column(group):
+    with pytest.raises(ValueError, match="column index is negative"):
+        QuadExpRows(d=np.ones(1), **group)
+
+
+@pytest.mark.parametrize("group", [
+    {"lin": ([0, 0], [0], [1.0])}, {"anchor": ([0], [1.0], [0])},
+    {"diff": ([[0]], [1.0], [0], [1])}], ids=["ragged", "short", "2-D"])
+def test_quad_rows_refuse_a_malformed_term_group(group):
+    with pytest.raises(ValueError, match="1-D arrays of one size"):
+        QuadExpRows(d=np.ones(1), **group)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"z_idx": [0, 2]}, "1-D arrays of one size"),
+    ({"c": [2500.0, 1.0]}, "1-D arrays of one size"),
+    ({"z_idx": [-1]}, "column index is negative"),
+    ({"s_idx": [-2]}, "column index is negative")],
+    ids=["second-z", "second-c", "negative-z", "negative-s"])
+def test_ratio_rows_refuse_out_of_range_indices(change, match):
+    # one row: a second z or c would be a row past d.size
+    args = dict(d=[0.2], b2=6.0, c=[2500.0], z_idx=[0], s_idx=[1])
+    with pytest.raises(ValueError, match=match):
+        VRatioRows(**(args | change))
+
+
+@pytest.mark.parametrize("extra", ["linear", "saddle"])
+def test_solver_refuses_a_column_beyond_the_start(extra):
+    # maximize x0 subject to x0 <= 1, plus a block that reaches column 2 of
+    # a two-variable start: a linear entry, or a curvature term whose
+    # values never index x.  Its Jacobian key would alias onto the next
+    # row, so the solver refuses it before the first Newton step
+    rows = QuadExpRows(d=np.ones(1), lin=([0], [0], [-1.0]))
+    blk = (QuadExpRows(d=np.ones(1), lin=([0], [2], [-1.0]))
+           if extra == "linear" else _SaddleRows(0.0))
+    with pytest.raises(ValueError, match="beyond the 2 variables"):
+        maximize_concave_program(np.array([1.0, 0.0]), [rows, blk],
+                                 np.array([0.5, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -762,9 +842,8 @@ def _capped_program(cap_slope=1.0, eta_slope=1.0):
     ke, kc = eta_slope, cap_slope
     blk = QuadExpRows(
         d=np.zeros(2), lin=([0, 1], [2, 1], [-ke, -kc]),
-        quad_row=[0, 1], quad_w=[0.1 * ke, 0.1 * kc], quad_p=[1.0, 1.0],
-        quad_i=[0, 0], quad_q=[0.0, 0.0], quad_j=[0, 0], quad_r=[-10.0, 0.0],
-        exp_row=[0], exp_coef=[0.1 * ke], exp_idx=[1])
+        anchor=([0, 1], [0.1 * ke, 0.1 * kc], [0, 0], [10.0, 0.0]),
+        exp=([0], [0.1 * ke], [1]))
     blocks = [blk, _bounds([-100.0, -np.inf, -np.inf],
                            [100.0, np.inf, np.inf])]
     start = np.array([0.0, -1e-6, -0.1 - 10.0 - 1e-6])
@@ -813,7 +892,7 @@ def test_objective_column_off_slope_gets_no_eta_correction(slope,
     c = np.array([1.0, 0.0])
     blocks = [_quad_row_block([4.0, 2.0 * slope], [[-1.0, 0.0],
                                                     [-slope, 2.0 * slope]],
-                              [(0, 1.0, 1.0, 1, 0.0, 1, 0.0)]),
+                              anchor=[(0, 1.0, 1, 0.0)]),
               _bounds([-np.inf, -3.0], [np.inf, 3.0])]
     start = np.zeros(2)
     _, _, eta, eta_rows = _epigraph_of(c, blocks, start)
