@@ -7,7 +7,10 @@ Imports ``uavrice`` from this checkout's ``src``, fits the surrogate of each
 bundled scenario once, then plans every scheme on it with
 ``run_scheme(..., simulate=False)``.  A ninth run, ``rfb/4sn-1000``, plans
 ``rfb`` on ``scenario_4sn`` stretched to 1000 slots of the same length,
-with the surrogate fitted to ``scenario_4sn``.  Per plan it records the
+with the surrogate fitted to ``scenario_4sn``.  Under ``fits`` it records
+each fit's wall time (``fit_logistic`` alone), b1, b2, c1 and rmse: one
+per bundled scenario and one per point of a grid, the outage targets
+``FIT_EPS`` by k_max in ``FIT_KMAX_DB`` (k_min 0 dB, 200 samples).  Per plan it records the
 wall time, the outer iterations, the interior-point solves (calls, Newton
 steps, and how many did not end "optimal"), the scheduling LPs (calls and
 dual-simplex pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sha256 of
@@ -18,8 +21,8 @@ Newton steps, the most steps in one solve, and solves that did not end
 ``planner.solve_horizontal``, ``planner.solve_vertical`` (whose reports
 hold each interior-point solve) and ``planner.solve_lp``.  The BLAS thread
 count changes the interior-point time, so the run records the thread
-variables it saw; set them before starting the script.  A Markdown table of
-the per-block counts goes to stderr.
+variables it saw; set them before starting the script.  Markdown tables of
+the per-block counts and of the fits go to stderr.
 
 ``--against PREV.json`` compares each plan with the same plan in an earlier
 output: whether the sha256 is equal, the relative change in
@@ -31,7 +34,10 @@ to stderr; a run the earlier output lacks gets none.  The stderr report
 then ends with one line naming the plans whose sha256 differ and one
 naming those whose counts differ (any of the four above, or a per-block
 count), and the script exits 1 if any plan is named, so one command checks
-that a change keeps every plan and every count.
+that a change keeps every plan and every count.  Each fit the earlier
+output also holds gets a ``parity`` entry beside it: the relative change of
+b1, b2, c1 and rmse (None where the earlier value is 0) and both wall
+times.  Fits are reported, not gated.
 """
 
 import argparse
@@ -51,13 +57,18 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from uavrice import planner  # noqa: E402
-from uavrice.evaluation import fit_for_scenario, run_scheme  # noqa: E402
+from uavrice.evaluation import run_scheme  # noqa: E402
+from uavrice.fading import (fit_logistic,  # noqa: E402
+                            generate_regression_samples)
 from uavrice.files import bundled_scenario, load_scenario  # noqa: E402
 
 SCHEMES = ("lb", "rfla", "rffsa", "rfb")
 SCENARIOS = {"1sn": "scenario_1sn.json", "4sn": "scenario_4sn.json"}
 LONG_SLOTS = 1000
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FIT_EPS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1)
+FIT_KMAX_DB = tuple(range(0, 45, 5))
+FIT_FIELDS = ("b1", "b2", "c1", "rmse")
 
 
 def plan_sha256(plan):
@@ -146,6 +157,44 @@ def run_plan(scheme, scenario, model):
     }
 
 
+def run_fit(k_min, k_max, eps):
+    """(model, record) of the surrogate fit to this channel."""
+    samples = generate_regression_samples(k_min, k_max, eps)
+    start = time.perf_counter()
+    model = fit_logistic(samples)
+    wall = time.perf_counter() - start
+    record = {"wall_s": round(wall, 5)}
+    record.update({key: getattr(model, key) for key in FIT_FIELDS})
+    return model, record
+
+
+def fit_parity(prev, fit):
+    """Relative change of each FIT_FIELDS value of ``fit`` against the
+    earlier record ``prev`` (None where that value is 0), and both wall
+    times."""
+    out = {key: (fit[key] - prev[key]) / abs(prev[key]) if prev[key] else None
+           for key in FIT_FIELDS}
+    out["wall_s"] = [prev["wall_s"], fit["wall_s"]]
+    return out
+
+
+def fit_table(fits):
+    """Markdown table of the fits, with their ``parity`` entries where
+    they have one."""
+    lines = ["| fit | wall ms | b1 | b2 | c1 | rmse |", "|---" * 6 + "|"]
+    for key, fit in fits.items():
+        par = fit.get("parity")
+        if par is None:
+            cells = [f"{1e3 * fit['wall_s']:.1f}"]
+            cells += [f"{fit[f]:.10g}" for f in FIT_FIELDS]
+        else:
+            cells = ["{:.1f} -> {:.1f}".format(*(1e3 * w for w in par["wall_s"]))]
+            cells += ["was 0" if par[f] is None else f"{par[f]:+.2e}"
+                      for f in FIT_FIELDS]
+        lines.append(f"| {key} | {' | '.join(cells)} |")
+    return "\n".join(lines)
+
+
 PARITY_COUNTS = ("outer_iters", "newton_steps", "lp_pivots",
                  "ipm_not_optimal")
 
@@ -221,19 +270,30 @@ def main(argv=None):
     parser.add_argument("--against", metavar="PREV.json",
                         help="earlier output to compare every plan with")
     args = parser.parse_args(argv)
-    prev = (json.loads(Path(args.against).read_text())["runs"]
-            if args.against else None)
+    earlier = (json.loads(Path(args.against).read_text())
+               if args.against else {})
+    prev = earlier.get("runs")
 
     jobs = []            # (key, scheme, scenario, model)
+    fits = {}
     for name, path in SCENARIOS.items():
         scenario = load_scenario(bundled_scenario(path))
-        model = fit_for_scenario(scenario)
+        model, fits[name] = run_fit(scenario.k_min, scenario.k_max,
+                                    scenario.epsilon)
         jobs += [(f"{scheme}/{name}", scheme, scenario, model)
                  for scheme in SCHEMES]
     # the last scenario (4sn) with LONG_SLOTS slots of the same length
     long = dataclasses.replace(scenario, n_slots=LONG_SLOTS,
                                duration_s=scenario.delta_s * LONG_SLOTS)
     jobs.append((f"rfb/{name}-{LONG_SLOTS}", "rfb", long, model))
+
+    for eps in FIT_EPS:
+        for kmax_db in FIT_KMAX_DB:
+            fits[f"{eps}/{kmax_db}dB"] = run_fit(1.0, 10.0 ** (kmax_db / 10),
+                                                 eps)[1]
+    for key, fit in fits.items():
+        if key in earlier.get("fits", {}):
+            fit["parity"] = fit_parity(earlier["fits"][key], fit)
 
     runs = {}
     for key, scheme, scenario, model in jobs:
@@ -254,11 +314,13 @@ def main(argv=None):
                            if v in os.environ},
         },
         "runs": runs,
+        "fits": fits,
     }
     if prev is not None:
         doc["against"] = args.against
         print(parity_table(runs), file=sys.stderr)
     print(block_table(runs), file=sys.stderr)
+    print(fit_table(fits), file=sys.stderr)
     status = report_drift(runs) if prev is not None else 0
     text = json.dumps(doc, indent=1)
     if args.out:

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass
@@ -157,6 +155,9 @@ def _components(pos):
     n, k = pos.shape
     if pos.all():
         return [(np.arange(n), np.arange(k))]
+    import scipy.sparse  # here: with csgraph it adds 4.7 MB to a CLI run
+    from scipy.sparse.csgraph import connected_components
+
     node, slot = np.nonzero(pos)
     graph = scipy.sparse.coo_array((np.ones(node.size), (node, n + slot)),
                                    shape=(n + k, n + k))

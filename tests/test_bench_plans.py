@@ -49,3 +49,18 @@ def test_exit_rule_names_sha256_and_count_changes(change, moved, drift,
     err = capsys.readouterr().err.splitlines()
     assert err == [f"sha256 differs: {moved}", f"counts differ: {drift}"]
     assert status == (0 if moved == drift == "none" else 1)
+
+
+def test_fit_parity_is_relative_and_skips_zero_values():
+    prev = {"wall_s": 0.05, "b1": -4.0, "b2": 6.0, "c1": 0.0, "rmse": 0.01}
+    fit = {"wall_s": 0.004, "b1": -4.0 * (1 + 1e-9), "b2": 6.0, "c1": 0.0,
+           "rmse": 0.0125}
+    par = bench_plans.fit_parity(prev, fit)
+    assert par["b1"] == pytest.approx(-1e-9, rel=1e-6)
+    assert par["b2"] == 0.0 and par["c1"] is None
+    assert par["rmse"] == pytest.approx(0.25)
+    assert par["wall_s"] == [0.05, 0.004]
+    fit["parity"] = par
+    table = bench_plans.fit_table({"4sn": fit, "new": dict(prev)})
+    assert "| 4sn | 50.0 -> 4.0 | -1.00e-09 | +0.00e+00 | was 0 |" in table
+    assert "| new | 50.0 | -4 | 6 | 0 | 0.01 |" in table

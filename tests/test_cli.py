@@ -477,18 +477,51 @@ class TestSweep:
         assert not out.exists()
 
 
+def _child_env():
+    # the child must import the same package as this process, which may
+    # come from the pytest path setting rather than an install
+    src = str(Path(uavrice.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_FOOTPRINT = '''
+import json, sys
+from uavrice.cli import cli
+scen, model, plan, report = sys.argv[1:]
+codes = [cli(["fit", "--grid", "60", "--out", model]),
+         cli(["plan", "--scenario", scen, "--model", model,
+              "--scheme", "rfb", "--out", plan]),
+         cli(["evaluate", "--scenario", scen, "--plan", plan,
+              "--trials", "10000", "--out", report])]
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[:2] in (["scipy", "optimize"],
+                                        ["scipy", "sparse"]))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+'''
+
+
 class TestEntryPoint:
     def test_module_runs_as_script(self, tmp_path):
-        # the child must import the same package as this process, which
-        # may come from the pytest path setting rather than an install
-        src = str(Path(uavrice.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "model.json"
         proc = subprocess.run(
             [sys.executable, "-m", "uavrice.cli", "fit", "--grid", "60",
              "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "rmse" in proc.stdout
+
+    def test_cli_runs_load_neither_scipy_optimize_nor_sparse(self, scen_path,
+                                                             tmp_path):
+        # scipy.optimize and scipy.sparse hold about 19 MB of a CLI run's
+        # peak memory, and no fit, plan or evaluate needs them; a fresh
+        # process, since this one has imported both
+        paths = [str(tmp_path / name) for name in ("m.json", "p.json",
+                                                   "e.json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, str(scen_path), *paths],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout.splitlines()[-1])
+        assert child == {"codes": [0, 0, 0], "loaded": []}
