@@ -29,6 +29,10 @@ COUNT_CHUNK = 32_768
 # 130-1000 slots (5.8-10.0 KB per slot).
 _PLAN_BYTES_PER_SLOT = 6144
 _PLAN_BYTES_PER_NODE_SLOT = 128
+# Peak memory of tabulating and fitting the surrogate, per sample point: the
+# fit's start grid holds 121 logistic values and 121 errors.  Rounded up
+# from the tracemalloc peak of fits of 2,000-100,000 points (2,087 B).
+_FIT_BYTES_PER_POINT = 2200
 
 
 def _memory_bytes():
@@ -44,6 +48,12 @@ def max_slots(n_sn):
     """The most slots whose planning arrays for n_sn nodes fit in memory."""
     per_slot = _PLAN_BYTES_PER_SLOT + _PLAN_BYTES_PER_NODE_SLOT * int(n_sn)
     return _memory_bytes() // per_slot
+
+
+def max_grid():
+    """The most regression sample points whose surrogate fit fits in
+    memory."""
+    return _memory_bytes() // _FIT_BYTES_PER_POINT
 
 
 def max_trials(n_blocks, workers):

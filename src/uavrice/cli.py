@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import DEFAULT_SEED
-from .channel import max_trials
+from .channel import max_grid, max_trials
 from .evaluation import (DEFAULT_TRIALS, MIN_TRIALS, SCHEMES, evaluate_plan,
                          fit_for_scenario, run_scheme, usable_cpus)
 from .fading import (MAX_EPSILON, MIN_GRID, fit_logistic,
@@ -125,6 +125,10 @@ def _cmd_fit(args):
     if args.grid < MIN_GRID:
         raise ValueError(f"--grid={args.grid} is below {MIN_GRID}, the "
                          f"fewest regression points a fit takes")
+    limit = max_grid()
+    if args.grid > limit:
+        raise ValueError(f"--grid={args.grid} exceeds {limit}, the most "
+                         f"regression points whose fit fits in memory")
     if args.kmin_db > args.kmax_db:
         raise ValueError("--kmin-db must not exceed --kmax-db")
     samples = generate_regression_samples(

@@ -13,6 +13,7 @@ provides three ways:
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import expit, logit, ndtri
 
 from . import kernels
-from .channel import rician_coeffs_from_bounds, rician_factor
+from .channel import max_grid, rician_coeffs_from_bounds, rician_factor
 
 __all__ = [
     "inverse_q",
@@ -37,6 +38,8 @@ __all__ = [
 MAX_EPSILON = 0.1
 #: the fewest regression sample points a fit takes
 MIN_GRID = 50
+# the largest x whose exp(x) is a finite double
+_MAX_EXP = math.log(sys.float_info.max)
 
 
 def inverse_q(p):
@@ -147,6 +150,10 @@ def generate_regression_samples(k_min, k_max, eps, grid_size=200):
     """Tabulate the exact effective power on a uniform v = sin(theta) grid."""
     if grid_size < MIN_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GRID}")
+    limit = max_grid()
+    if grid_size > limit:
+        raise ValueError(f"grid_size must be at most {limit}, the most "
+                         f"sample points whose fit fits in memory")
     a1, a2 = rician_coeffs_from_bounds(k_min, k_max)
     v = np.linspace(0.0, 1.0, int(grid_size))
     f = exact_effective_power(rician_factor(np.arcsin(v), a1, a2), eps)
@@ -181,8 +188,14 @@ class LogisticModel:
         if not (math.isfinite(self.b1) and 0.0 <= self.b2 < math.inf):
             raise ValueError("b1 must be finite, and b2 finite and nonnegative "
                              "(power grows with elevation)")
+        # with b2 >= 0, exp(-(b1 + b2 v)) is largest at v = 0
+        if self.b1 < -_MAX_EXP:
+            raise ValueError(f"b1={self.b1:g} is below {-_MAX_EXP:.6g}, where "
+                             f"exp(-b1) overflows")
 
     def predict(self, v):
+        """The surrogate at elevation indicators v; v in [0, 1] raises no
+        overflow."""
         v = np.asarray(v, dtype=float)
         out = self.c1 + self.c2 / (1.0 + np.exp(-(self.b1 + self.b2 * v)))
         return float(out) if out.ndim == 0 else out
@@ -217,11 +230,22 @@ def fit_logistic(samples):
     if v.min() > 0.05 or v.max() < 0.95:
         raise ValueError("samples must span the elevation-indicator range [0, 1]")
 
-    b1, b2, c1 = (g.reshape(-1, 1) for g in np.meshgrid(
+    # the (b1, b2) logistic once, then each c1 level on it in one buffer
+    b1, b2 = (g.reshape(-1, 1) for g in np.meshgrid(
         np.linspace(-10.0, 0.0, 11), np.linspace(0.0, 20.0, 11),
-        [0.0, 0.15, 0.30, 0.45], indexing="ij"))
-    err = c1 + (1.0 - c1) * expit(b1 + b2 * v) - f
-    x = np.hstack([b1, b2, c1])[np.argmin(np.mean(err * err, axis=1))]
+        indexing="ij"))
+    s = expit(b1 + b2 * v)
+    err = np.empty_like(s)
+    levels = (0.0, 0.15, 0.30, 0.45)
+    mse = np.empty((b1.size, len(levels)))
+    for j, c1 in enumerate(levels):
+        np.multiply(1.0 - c1, s, out=err)
+        err += c1
+        err -= f
+        err *= err
+        mse[:, j] = np.mean(err, axis=1)
+    i, j = divmod(int(np.argmin(mse)), len(levels))
+    x = np.array([b1[i, 0], b2[i, 0], levels[j]])
     (r, jac), scale, damping = _residuals(x, v, f), np.zeros(3), 1e-3
     for _ in range(200):
         normal = jac.T @ jac

@@ -14,7 +14,9 @@ for what remains of the coupling rows solve the same system a dense
 factorization would, in time linear in the number of slots.  The
 factorizations and solves call LAPACK through ``scipy.linalg.lapack``
 directly, since at these sizes the public wrappers cost more than the
-arithmetic.  The line search corrects a trial that fails slack
+arithmetic; the routines are bound on first use, so a run that factors
+no matrix (``uavrice fit``, ``uavrice evaluate``) never loads
+``scipy.linalg``.  The line search corrects a trial that fails slack
 positivity along the epigraph columns it reads off the rows' Jacobian at
 the start, and skips step lengths whose linear prediction already fails.
 Every Newton step and line search is reproducible bit-for-bit across
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
 
 
 @dataclass
@@ -234,6 +235,8 @@ def _smoothed_weights(r, w):
     n = r.shape[0]
     if n == 1:
         return w
+    # here: scipy.linalg adds 5 MB to a run that factors nothing
+    from scipy.linalg.lapack import dgesv
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
     v = np.log(w)
@@ -715,6 +718,8 @@ class _NewtonSystem:
     def direction(self, x, lam, w, gu, rhs):
         """Solve H dx = rhs, H with row weights w = lam / g; None when a
         factorization fails or the step is not finite."""
+        # here: scipy.linalg adds 5 MB to a run that factors nothing
+        from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
         nb, k = self.nb, self.k
         sl = self.lam_slices
         cv = np.concatenate([blk.curvature(x, lam[lo:hi]) for blk, lo, hi

@@ -114,6 +114,25 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refuses_a_grid_beyond_memory(self, tmp_path, capsys,
+                                          monkeypatch):
+        # 2**62 points exceed any machine; 2,200 B per point, so with
+        # memory for 1000 points 1001 are refused, each before any sample
+        # is tabulated, and 1000 fit
+        out = tmp_path / "m.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "generate_regression_samples", _never)
+            assert cli(["fit", "--grid", str(2 ** 62), "--out",
+                        str(out)]) == 1
+            assert f"--grid={2 ** 62} exceeds" in capsys.readouterr().err
+            monkeypatch.setattr(channel, "_memory_bytes", lambda: 2200 * 1000)
+            assert cli(["fit", "--grid", "1001", "--out", str(out)]) == 1
+        assert ("--grid=1001 exceeds 1000, the most regression points whose "
+                "fit fits in memory" in capsys.readouterr().err)
+        assert not out.exists()
+        assert cli(["fit", "--grid", "1000", "--out", str(out)]) == 0
+        assert load_model(out).grid == 1000
+
 
 class TestPlanAndEvaluate:
     def test_lb_gap_is_one_sided(self, scen_path, model_path, tmp_path,
@@ -488,16 +507,12 @@ def _child_env():
 _FOOTPRINT = '''
 import json, sys
 from uavrice.cli import cli
-scen, model, plan, report = sys.argv[1:]
-codes = [cli(["fit", "--grid", "60", "--out", model]),
-         cli(["plan", "--scenario", scen, "--model", model,
-              "--scheme", "rfb", "--out", plan]),
-         cli(["evaluate", "--scenario", scen, "--plan", plan,
-              "--trials", "10000", "--out", report])]
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[:2] in (["scipy", "optimize"],
-                                        ["scipy", "sparse"]))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+code = cli(sys.argv[1:])
+loaded = sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                 if m.split(".")[:2] in (["scipy", "linalg"],
+                                         ["scipy", "optimize"],
+                                         ["scipy", "sparse"])})
+print(json.dumps({"code": code, "loaded": loaded}))
 '''
 
 
@@ -512,16 +527,32 @@ class TestEntryPoint:
         assert out.exists()
         assert "rmse" in proc.stdout
 
-    def test_cli_runs_load_neither_scipy_optimize_nor_sparse(self, scen_path,
-                                                             tmp_path):
-        # scipy.optimize and scipy.sparse hold about 19 MB of a CLI run's
-        # peak memory, and no fit, plan or evaluate needs them; a fresh
-        # process, since this one has imported both
-        paths = [str(tmp_path / name) for name in ("m.json", "p.json",
-                                                   "e.json")]
+    @pytest.mark.parametrize("command, loaded", [
+        ("fit", []),
+        ("plan", ["scipy.linalg"]),
+        ("evaluate", []),
+    ], ids=["fit", "plan", "evaluate"])
+    def test_each_cli_run_loads_only_the_scipy_it_uses(self, scen_path,
+                                                       tmp_path, command,
+                                                       loaded):
+        # scipy.optimize and scipy.sparse hold about 19 MB of a run's peak
+        # memory and no command needs them; scipy.linalg about 5 MB, and
+        # only a plan factors a matrix.  Each command in a fresh process,
+        # since this one has imported all three
+        model, plan = str(tmp_path / "m.json"), str(tmp_path / "p.json")
+        argv = {"fit": ["fit", "--grid", "60", "--out", model],
+                "plan": ["plan", "--scenario", str(scen_path), "--model",
+                         model, "--scheme", "rfb", "--out", plan],
+                "evaluate": ["evaluate", "--scenario", str(scen_path),
+                             "--plan", plan, "--trials", "10000",
+                             "--out", str(tmp_path / "e.json")]}
+        # the inputs the command reads, made in this process
+        for step in {"fit": [], "plan": ["fit"],
+                     "evaluate": ["fit", "plan"]}[command]:
+            assert cli(argv[step]) == 0
         proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT, str(scen_path), *paths],
+            [sys.executable, "-c", _FOOTPRINT, *argv[command]],
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         child = json.loads(proc.stdout.splitlines()[-1])
-        assert child == {"codes": [0, 0, 0], "loaded": []}
+        assert child == {"code": 0, "loaded": loaded}

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from uavrice import fading
+from uavrice import channel, fading
 
 
 def test_inverse_q():
@@ -111,6 +111,16 @@ class TestRegressionSamples:
         with pytest.raises(ValueError):
             fading.generate_regression_samples(1.0, 1000.0, 0.01, 20)
 
+    def test_grid_bound_is_a_memory_estimate(self, monkeypatch):
+        # 2,200 B per sample point against the memory: with room for 1000
+        # points, 1001 are refused before anything is tabulated
+        monkeypatch.setattr(channel, "_memory_bytes", lambda: 2200 * 1000)
+        assert channel.max_grid() == 1000
+        with pytest.raises(ValueError, match="at most 1000"):
+            fading.generate_regression_samples(1.0, 1000.0, 0.01, 1001)
+        assert fading.generate_regression_samples(
+            1.0, 1000.0, 0.01, 1000).v.size == 1000
+
 
 class TestLogisticModel:
     def test_predict_endpoints(self):
@@ -128,6 +138,25 @@ class TestLogisticModel:
                        (0.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 fading.LogisticModel(b1=b1, b2=b2, c1=0.0, c2=1.0)
+
+    @pytest.mark.parametrize("b1", [-800.0, -710.0,
+                                    np.nextafter(-fading._MAX_EXP, -np.inf)])
+    def test_refuses_a_logistic_that_overflows(self, b1):
+        # with b2 >= 0 the largest exponential predict takes on [0, 1] is
+        # exp(-b1), which overflows here
+        with pytest.raises(ValueError, match=r"exp\(-b1\) overflows"):
+            fading.LogisticModel(b1=b1, b2=0.0, c1=0.0, c2=1.0)
+
+    @pytest.mark.parametrize("b1, b2", [(-fading._MAX_EXP, 0.0),
+                                        (-fading._MAX_EXP, 1e300),
+                                        (800.0, 0.0)])
+    def test_extreme_admissible_model_predicts_without_warning(self, b1, b2):
+        # warnings are errors in this suite; overflow and invalid raise too
+        m = fading.LogisticModel(b1=b1, b2=b2, c1=0.0, c2=1.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = m.predict(np.linspace(0.0, 1.0, 11))
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+        assert out[0] == pytest.approx(1.0 / (1.0 + math.exp(-b1)))
 
 
 class TestFit:

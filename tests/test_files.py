@@ -192,6 +192,11 @@ class TestModelDocuments:
         with pytest.raises(FileFormatError, match=r"model\.b2"):
             model_from_json({"b1": 0.0, "c1": 1.0, "c2": 0.0})
 
+    def test_overflowing_logistic_rejected(self):
+        with pytest.raises(FileFormatError,
+                           match=r"model: b1=-800 .* exp\(-b1\) overflows"):
+            model_from_json({"b1": -800.0, "b2": 0.0, "c1": 0.0, "c2": 1.0})
+
 
 class TestResultDocuments:
     def _small_result(self):
