@@ -111,11 +111,15 @@ def _resolve_model(scenario, scheme, model_path):
 
 def _linear(option, db):
     """db_to_linear, with a ValueError naming the option and the value when
-    the linear value overflows."""
+    the dB value is not finite or its linear value overflows or underflows
+    to 0."""
     try:
-        return db_to_linear(db)
+        linear = db_to_linear(db)
     except OverflowError:
-        raise ValueError(f"{option}={db:g} dB is out of range") from None
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{option}={db:g} dB is out of range")
+    return linear
 
 
 def _cmd_fit(args):

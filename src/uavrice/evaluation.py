@@ -313,6 +313,12 @@ def _level_start(scenario: Scenario, h):
     return Plan(q=plan.q, z=cruise_profile(scenario, h), a=plan.a)
 
 
+def cruise_levels(scenario: Scenario, altitudes=DEFAULT_ALTITUDES):
+    """The cruise levels the altitude scans try: those of ``altitudes`` at
+    or above the floor, or the floor alone when none is."""
+    return [h for h in altitudes if h >= scenario.h_min] or [scenario.h_min]
+
+
 def best_cruise_start(scenario: Scenario, model: LogisticModel,
                       altitudes=DEFAULT_ALTITUDES):
     """Pick the cruise-profile start whose schedule-optimized surrogate
@@ -323,12 +329,10 @@ def best_cruise_start(scenario: Scenario, model: LogisticModel,
     the schedule shifts, and the schedule has no reason to shift at the
     floor.  A one-dimensional scan over cruise levels (one scheduling LP
     each) costs little and starts the ascent on the right side of that
-    coupling.
+    coupling.  The scan runs over ``cruise_levels``.
     """
     best = None
-    for h in altitudes:
-        if h < scenario.h_min:
-            continue
+    for h in cruise_levels(scenario, altitudes):
         plan = _level_start(scenario, h)
         a, eta = solve_scheduling(
             predicted_rates(plan.q, plan.z, scenario, model))
@@ -381,7 +385,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
         sweep = []
         best = None
         not_optimal = {"horizontal": 0, "vertical": 0}
-        for h in altitudes:
+        for h in cruise_levels(scenario, altitudes):
             cand, cinfo = run_bcd(scenario, model, freeze_vertical=True,
                                   init=_level_start(scenario, h))
             for block, count in cinfo["ipm_not_optimal"].items():

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import Scenario
+from .channel import Scenario, max_slots
 from .evaluation import SCHEMES, EvalReport
 from .fading import LogisticModel
 from .planner import Plan
@@ -225,6 +225,10 @@ def _placement(val, path):
     gen = _read(_PLACEMENT, val, path)
     if gen["count"] < 1 or gen["seed"] < 0:
         raise FileFormatError(f"{path}: count must be >= 1 and seed >= 0")
+    if max_slots(gen["count"]) == 0:
+        raise FileFormatError(f"{path}.count: {gen['count']} nodes leave no "
+                              f"slot whose planning arrays fit in this "
+                              f"machine's memory")
     rng = np.random.default_rng(gen["seed"])
     return rng.uniform([0.0, 0.0], gen["area"], (gen["count"], 2))
 

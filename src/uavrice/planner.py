@@ -21,13 +21,7 @@ import numpy as np
 
 from .channel import Scenario, rate_from_gain
 from .fading import LogisticModel
-from .solvers import (
-    QuadExpRows,
-    VRatioRows,
-    _block_values,
-    maximize_concave_program,
-    solve_lp,
-)
+from .solvers import ConcaveRows, maximize_concave_program, solve_lp
 
 LOG2E = math.log2(math.e)
 
@@ -252,16 +246,18 @@ _BLEND = 1e-3
 @dataclass
 class TrajectoryStep:
     """One built tangent-bound subproblem: maximize ``objective`` @ x, which
-    is eta, over the rows of ``blocks``.  Variables run slot by slot: each
-    free waypoint 1..M-1 has its D coordinates (``x_cols``) followed by one
-    logistic argument s per active (node, slot) pair at it, node-major; eta
-    comes last.  This order keeps the move and cap rows banded for the
-    Newton step.  The stacked rows start with the N rate rows, each -eta
-    plus a concave bound; each s has one cap row, s under its elevation
-    cap, and the solver reads these epigraph columns off the rows."""
+    is eta, over ``rows``.  Variables run slot by slot: each free waypoint
+    1..M-1 has its D coordinates (``x_cols``) followed by one logistic
+    argument s per active (node, slot) pair at it, node-major; eta comes
+    last.  This order keeps the move and cap rows banded for the Newton
+    step.  The rows run: the N rate rows, each -eta plus a concave bound;
+    the horizontal caps; one move row per slot; the vertical caps; one
+    floor row per free altitude.  Each s has one cap row, s under its
+    elevation cap, horizontal or vertical by the block, and the solver
+    reads these epigraph columns off the rows."""
 
     objective: np.ndarray
-    blocks: list
+    rows: ConcaveRows
     start: np.ndarray        # strictly interior start
     path: np.ndarray         # (M+1, D) expansion path
     x_cols: np.ndarray       # (M-1, D)
@@ -279,7 +275,8 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     squared distance to ``anchors`` (N, D).  ``offset`` picks the elevation
     cap: None for the horizontal block (altitude fixed at ``plan.z``, cap
     tangent to v in the squared offset), or the fixed squared horizontal
-    offsets (N, M) of the altitude block, capped exactly by VRatioRows.
+    offsets (N, M) of the altitude block, capped exactly by the ratio
+    b2 z / sqrt(offset + z^2).
     """
     m_slots = plan.n_slots
     n_free = m_slots - 1
@@ -316,8 +313,16 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     s_cols = (first[:-1] + dim + np.cumsum(has_s, axis=0) - 1)[s_node, s_slot]
     nv = int(first[-1]) + 1
     eta_col = nv - 1
-    n_caps = s_cols.size if offset is None else 0
-    move_lo = n_sn + n_caps
+    # rows: rate, horizontal caps, moves, vertical caps, floor
+    vertical = offset is not None
+    n_caps = s_cols.size
+    move_lo = n_sn + (0 if vertical else n_caps)
+    cap_lo = n_sn + m_slots if vertical else n_sn
+    cap_rows = np.arange(cap_lo, cap_lo + n_caps)
+    floor_lo = n_sn + m_slots + n_caps
+    floor_cols = (x_cols.ravel() if np.isfinite(floor)
+                  else np.zeros(0, np.int64))
+    d = np.empty(floor_lo + floor_cols.size)
 
     def dist2_terms(row, weight, n, m):  # weight * |x_{m+1} - anchor_n|^2
         return (np.repeat(row, dim), np.repeat(weight, dim),
@@ -329,23 +334,25 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     am = np.where(active, plan.a, 0.0) / m_slots
     bound = coef.r_hat.copy()
     bound[:, :-1] += (coef.psi * p2 + coef.phi * np.exp(-coef.s_hat))[:, :-1]
-    d = [np.sum(am * bound, axis=1)]
+    d[:n_sn] = np.sum(am * bound, axis=1)
     r_node, r_slot = np.nonzero(active[:, :-1])
     anchor = [dist2_terms(r_node, (am * coef.psi)[r_node, r_slot],
                           r_node, r_slot)]
-
-    # horizontal caps:  s <= b1 + b2 * tangent bound of v
-    if n_caps:
+    ratio = ((), (), (), ())
+    if vertical:                 # s <= b1 + b2 z / sqrt(offset + z^2)
+        d[cap_rows] = model.b1
+        ratio = (cap_rows, np.full(n_caps, model.b2),
+                 np.maximum(offset[s_node, s_slot], 1e-9), x_cols[s_slot, 0])
+    else:                        # s <= b1 + b2 * tangent bound of v
         b2lam = model.b2 * coef.lam[s_node, s_slot]
-        d.append(model.b1 + model.b2 * coef.v_hat[s_node, s_slot]
-                 + b2lam * p2[s_node, s_slot])
-        anchor.append(dist2_terms(n_sn + np.arange(n_caps), b2lam,
-                                  s_node, s_slot))
+        d[cap_rows] = (model.b1 + model.b2 * coef.v_hat[s_node, s_slot]
+                       + b2lam * p2[s_node, s_slot])
+        anchor.append(dist2_terms(cap_rows, b2lam, s_node, s_slot))
 
     # move rows:  limit^2 - |x_{m+1} - x_m|^2 >= 0; the first and the last
     # move square a free waypoint's offset from a fixed endpoint, the inner
     # ones the difference of two free waypoints
-    d.append(np.full(m_slots, limit ** 2))
+    d[move_lo:move_lo + m_slots] = limit ** 2
     anchor.append((move_lo + np.repeat([0, m_slots - 1], dim),
                    np.ones(2 * dim), np.concatenate([x_cols[0], x_cols[-1]]),
                    np.asarray(ends, float).ravel()))
@@ -353,39 +360,30 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     inner_moves = (move_lo + np.repeat(np.arange(1, m_slots - 1), dim),
                    np.ones(inner.size), inner, x_cols[:-1].ravel())
 
-    # linear part: -eta in each rate row, -s in each horizontal cap
-    lin = (np.arange(move_lo),
-           np.concatenate([np.full(n_sn, eta_col), s_cols[:n_caps]]),
-           -np.ones(move_lo))
-    blocks = [QuadExpRows(
-        d=np.concatenate(d), lin=lin,
+    # floor rows:  x - floor >= 0, last
+    d[floor_lo:] = -floor
+    # linear part: -eta in each rate row, -s in each cap, +x in each floor
+    lin = (np.concatenate([np.arange(n_sn), cap_rows,
+                           np.arange(floor_lo, d.size)]),
+           np.concatenate([np.full(n_sn, eta_col), s_cols, floor_cols]),
+           np.repeat([-1.0, 1.0], [n_sn + n_caps, floor_cols.size]))
+    rows = ConcaveRows(
+        d=d, lin=lin,
         anchor=tuple(np.concatenate(part) for part in zip(*anchor)),
         diff=inner_moves,
-        exp=(s_node, (am * coef.phi)[s_node, s_slot], s_cols))]
-    if s_cols.size and offset is not None:
-        blocks.append(VRatioRows(
-            d=np.full(s_cols.size, model.b1), b2=model.b2,
-            c=np.maximum(offset[s_node, s_slot], 1e-9),
-            z_idx=x_cols[s_slot, 0], s_idx=s_cols))
-    if np.isfinite(floor):       # floor rows:  x - floor >= 0, last
-        lo = x_cols.ravel()
-        blocks.append(QuadExpRows(
-            d=np.full(lo.size, -floor),
-            lin=(np.arange(lo.size), lo, np.ones(lo.size))))
+        exp=(s_node, (am * coef.phi)[s_node, s_slot], s_cols), ratio=ratio)
     objective = np.zeros(nv)
     objective[eta_col] = 1.0
-    cap_lo = n_sn if offset is None else move_lo + m_slots
-    cap_rows = np.arange(cap_lo, cap_lo + s_cols.size)
 
     # start: each s just under its cap, eta just under the worst rate row
     start = np.zeros(nv)
     start[x_cols] = hat[1:-1]
-    start[s_cols] = _block_values(blocks, start)[cap_rows] - _SLACK_GAP
-    eta0 = float(_block_values(blocks, start)[:n_sn].min())
+    start[s_cols] = rows.values(start)[cap_rows] - _SLACK_GAP
+    eta0 = float(rows.values(start)[:n_sn].min())
     start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
-    if _block_values(blocks, start).min() <= 0.0:
+    if rows.values(start).min() <= 0.0:
         return None
-    return TrajectoryStep(objective=objective, blocks=blocks, start=start,
+    return TrajectoryStep(objective=objective, rows=rows, start=start,
                           path=hat, x_cols=x_cols)
 
 
@@ -420,7 +418,7 @@ def _improve(plan, scenario, model, data, reports):
     step = build_trajectory_step(plan, scenario, model, **data)
     if step is None:
         return None
-    rep = maximize_concave_program(step.objective, step.blocks, step.start)
+    rep = maximize_concave_program(step.objective, step.rows, step.start)
     if reports is not None:
         reports.append(rep)
     new = np.array(data["path"], dtype=float)

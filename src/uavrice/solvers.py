@@ -6,7 +6,7 @@ dual's vertices, reads each vertex's activities off one small square
 solve, and certifies the result by its duality gap.  The node weights come
 back as the report's duals.  The smooth concave trajectory subproblems use
 an in-repo primal-dual interior-point method.  Its Newton step follows the
-sparsity the blocks report: a few coupling rows (those touching an
+sparsity its rows report: a few coupling rows (those touching an
 objective column, i.e. the per-node rate rows) over local rows that join
 neighbouring variables only.  A Schur complement on the objective
 columns, a banded Cholesky factor of the local rows and a Woodbury update
@@ -403,11 +403,11 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 # ===========================================================================
 # Smooth concave maximization (log-barrier Newton)
 # ===========================================================================
-# Constraint rows are grouped into batched blocks.  Every block states its
+# A program's constraint rows are one ConcaveRows set.  It states its
 # sparsity once, at construction, as fixed COO index arrays over the whole
 # variable vector; its derivative methods return the values that go with
 # them, in the same order.  Repeated (row, col) entries add up.
-#   d                -> (m,) row constants; d.size is the block's row count
+#   d                -> (m,) row constants; d.size is the row count
 #   values(x)        -> (m,) slacks, feasible iff all > 0
 #   jac_rows, jac_cols   -> the Jacobian's entries, rows numbered 0..m-1
 #   grads(x)             -> their values
@@ -415,8 +415,7 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 #                           off-diagonal ones listed in both orders
 #   curvature(x, w)      -> their values
 # All rows are concave, so -hess g_i is positive semidefinite and the
-# barrier Hessian stays PSD by construction.  QuadExpRows carries every
-# linear row, variable bounds included; VRatioRows the altitude's ratio rows.
+# barrier Hessian stays PSD by construction.
 
 
 def _terms(name, arrays, dtypes, m):
@@ -434,19 +433,24 @@ def _terms(name, arrays, dtypes, m):
 
 
 @dataclass
-class QuadExpRows:
-    """Rows  d + L@x - sum w (x[i] - a)^2 - sum v (x[i] - x[j])^2
-                    - sum e exp(-x[u])  >= 0,  each sum over its group's terms.
+class ConcaveRows:
+    """Rows  d + sum b x[i] / sqrt(c + x[i]^2) + L@x - sum w (x[i] - a)^2
+                - sum v (x[i] - x[j])^2 - sum e exp(-x[u])  >= 0,
+    each sum over its group's terms.
 
     Each term group is a tuple of equal-length arrays led by the rows its
     terms belong to, kept in the order given: ``lin`` the entries of L as
     COO triples (rows, cols, vals), the anchor squares ``anchor`` (rows, w,
-    i, a), the difference squares ``diff`` (rows, v, i, j) and ``exp``
-    (rows, e, u).  So one block holds every per-node rate row (many terms
-    per row), the per-slot speed rows and the horizontal fading-bound rows.
-    w, v, e >= 0 keep every row concave.  An anchor square has its entries
-    on x[i] alone; a difference square on x[i] and x[j], plus the cross
-    entry (i, j) in both orders.
+    i, a), the difference squares ``diff`` (rows, v, i, j), ``exp``
+    (rows, e, u) and the elevation ratios ``ratio`` (rows, b, c, i).  So
+    one set holds every row of a trajectory step: the per-node rate rows
+    (many terms per row), the speed rows, the fading-bound caps and the
+    altitude floor.  w, v, e, b >= 0 and c > 0 keep every row concave where
+    the ratio's x[i] is nonnegative (the floor keeps altitudes there).  An
+    anchor square has its entries on x[i] alone; a difference square on
+    x[i] and x[j], plus the cross entry (i, j) in both orders; a ratio on
+    x[i] alone.  A slack sums d, the ratio terms, then the linear part, so
+    a cap row rounds as (d + ratio) - s; an empty group costs nothing.
     """
 
     d: np.ndarray
@@ -454,6 +458,7 @@ class QuadExpRows:
     anchor: tuple = ((), (), (), ())
     diff: tuple = ((), (), (), ())
     exp: tuple = ((), (), ())
+    ratio: tuple = ((), (), (), ())
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -462,18 +467,21 @@ class QuadExpRows:
         self.anchor = _terms("anchor", self.anchor, (i8, float, i8, float), m)
         self.diff = _terms("diff", self.diff, (i8, float, i8, i8), m)
         self.exp = _terms("exp", self.exp, (i8, float, i8), m)
-        if np.any(np.concatenate([self.anchor[1], self.diff[1],
-                                  self.exp[1]]) < 0):
+        self.ratio = _terms("ratio", self.ratio, (i8, float, float, i8), m)
+        if np.any(np.concatenate([self.anchor[1], self.diff[1], self.exp[1],
+                                  self.ratio[1]]) < 0):
             raise ValueError("negative term weights would break concavity")
+        if np.any(self.ratio[2] <= 0):
+            raise ValueError("ratio: the offset c must be positive")
         # both shapes square x[i] - y: y = a for the anchors, then x[j]
         self._row, self._w, self._i = (np.concatenate(pair) for pair
                                        in zip(self.anchor[:3], self.diff[:3]))
-        i, j, u = self._i, self.diff[3], self.exp[2]
+        i, j, u, r = self._i, self.diff[3], self.exp[2], self.ratio[3]
         self.jac_rows = np.concatenate([self.lin[0], self._row, self.diff[0],
-                                        self.exp[0]])
-        self.jac_cols = np.concatenate([self.lin[1], i, j, u])
-        self.curv_rows = np.concatenate([i, j, self.diff[2], j, u])
-        self.curv_cols = np.concatenate([i, j, j, self.diff[2], u])
+                                        self.exp[0], self.ratio[0]])
+        self.jac_cols = np.concatenate([self.lin[1], i, j, u, r])
+        self.curv_rows = np.concatenate([i, j, self.diff[2], j, u, r])
+        self.curv_cols = np.concatenate([i, j, j, self.diff[2], u, r])
 
     def _gap(self, x):
         """x[i] - a of each anchor square, then x[i] - x[j] of each diff."""
@@ -481,8 +489,13 @@ class QuadExpRows:
 
     def values(self, x):
         m = self.d.size
+        g = self.d
+        rows, b, c, i = self.ratio
+        if rows.size:
+            z = x[i]
+            g = g + np.bincount(rows, b * z / np.sqrt(c + z * z), minlength=m)
         rows, cols, vals = self.lin
-        g = self.d + np.bincount(rows, vals * x[cols], minlength=m)
+        g = g + np.bincount(rows, vals * x[cols], minlength=m)
         if self._row.size:
             t = self._gap(x)
             g -= np.bincount(self._row, self._w * t * t, minlength=m)
@@ -492,63 +505,36 @@ class QuadExpRows:
         return g
 
     def grads(self, x):
-        # -2 w t on x[i], +2 w t on a difference's x[j]
-        t2w = 2.0 * self._w * self._gap(x)
-        return np.concatenate([self.lin[2], -t2w, t2w[self.anchor[0].size:],
-                               self.exp[1] * np.exp(-x[self.exp[2]])])
+        parts = [self.lin[2]]
+        if self._row.size:
+            # -2 w t on x[i], +2 w t on a difference's x[j]
+            t2w = 2.0 * self._w * self._gap(x)
+            parts += [-t2w, t2w[self.anchor[0].size:]]
+        rows, e, u = self.exp
+        if rows.size:
+            parts.append(e * np.exp(-x[u]))
+        rows, b, c, i = self.ratio
+        if rows.size:
+            z = x[i]
+            parts.append(b * c / (c + z * z) ** 1.5)
+        return np.concatenate(parts)
 
     def curvature(self, x, w):
-        # 2 w on x[i], then on a difference's x[j]; -2 w on its cross entries
-        c2 = 2.0 * self._w * w[self._row]
-        cross = -c2[self.anchor[0].size:]
-        return np.concatenate([c2, -cross, cross, cross, w[self.exp[0]]
-                               * self.exp[1] * np.exp(-x[self.exp[2]])])
-
-
-@dataclass
-class VRatioRows:
-    """Rows  d + b2 * x[z] / sqrt(c + x[z]^2) - x[s]  >= 0.
-
-    The exact elevation-indicator bound of the vertical subproblem, one c,
-    z and s per row; the ratio is concave in nonnegative altitudes, so it
-    rides the barrier directly with analytic first/second derivatives.
-    """
-
-    d: np.ndarray
-    b2: float
-    c: np.ndarray
-    z_idx: np.ndarray
-    s_idx: np.ndarray
-
-    def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float)
-        m, i8 = self.d.size, np.int64
-        k, self.c, self.z_idx, self.s_idx = _terms(
-            "VRatioRows d, c, z_idx, s_idx", (np.arange(m), self.c,
-                                              self.z_idx, self.s_idx),
-            (i8, float, i8, i8), m)
-        if np.any(self.c <= 0):
-            raise ValueError("horizontal offset term must be positive")
-        self.jac_rows = np.concatenate([k, k])
-        self.jac_cols = np.concatenate([self.z_idx, self.s_idx])
-        self.curv_rows = self.curv_cols = self.z_idx
-
-    def values(self, x):
-        z = x[self.z_idx]
-        return self.d + self.b2 * z / np.sqrt(self.c + z * z) - x[self.s_idx]
-
-    def grads(self, x):
-        z = x[self.z_idx]
-        dv = self.b2 * self.c / (self.c + z * z) ** 1.5
-        return np.concatenate([dv, np.full(self.d.size, -1.0)])
-
-    def curvature(self, x, w):
-        z = x[self.z_idx]
-        return w * (3.0 * self.b2 * self.c * z / (self.c + z * z) ** 2.5)
-
-
-def _block_values(blocks, x):
-    return np.concatenate([np.zeros(0)] + [blk.values(x) for blk in blocks])
+        parts = [np.zeros(0)]
+        if self._row.size:
+            # 2 w on x[i], then on a difference's x[j]; -2 w on its cross
+            # entries
+            c2 = 2.0 * self._w * w[self._row]
+            cross = -c2[self.anchor[0].size:]
+            parts += [c2, -cross, cross, cross]
+        rows, e, u = self.exp
+        if rows.size:
+            parts.append(w[rows] * e * np.exp(-x[u]))
+        rows, b, c, i = self.ratio
+        if rows.size:
+            z = x[i]
+            parts.append(w[rows] * (3.0 * b * c * z / (c + z * z) ** 2.5))
+        return np.concatenate(parts)
 
 
 def _epigraph(system, c, gu):
@@ -570,7 +556,7 @@ def _epigraph(system, c, gu):
     return system.urow[cap], system.ucol[cap], eta_col, eta_rows
 
 
-def _epigraph_correction(epigraph, blocks, xt, gt, pred):
+def _epigraph_correction(epigraph, rows, xt, gt, pred):
     """Second-order correction of a trial point that failed positivity,
     restricted to the epigraph columns (Nocedal & Wright, *Numerical
     Optimization*, 2nd ed., section 18.3): each cap column drops by its cap
@@ -584,7 +570,7 @@ def _epigraph_correction(epigraph, blocks, xt, gt, pred):
         moved = cap + np.minimum(0.0, gt[cap_rows] - pred[cap_rows])
         if not np.array_equal(moved, cap):
             xt[cap_cols] = moved
-            gt = _block_values(blocks, xt)
+            gt = rows.values(xt)
     if eta_col is not None:
         worst = float(np.min(gt[eta_rows] - pred[eta_rows]))
         if worst < 0.0:
@@ -606,7 +592,7 @@ def _pairs_within_rows(rows):
 
 class _NewtonSystem:
     """The barrier Newton matrix  H = curvature + G' diag(W) G  of one
-    program, split by the sparsity pattern its blocks state.
+    program, split by the sparsity pattern its rows state.
 
     The dense columns d are the objective's columns; no curvature term may
     join one of them to a column outside d.  Rows with an entry in d are the
@@ -635,18 +621,14 @@ class _NewtonSystem:
     step's own right-hand side, and a few dense solves of that size.
     """
 
-    def __init__(self, blocks, c):
-        n = c.size
-        self.blocks = blocks
-        self.lam_slices = np.cumsum([0] + [blk.d.size for blk in blocks])
-        m = int(self.lam_slices[-1])
+    def __init__(self, rows, c):
+        n, m = c.size, rows.d.size
+        self.rows = rows
         self.n, self.m = n, m
-        key = np.concatenate([(blk.jac_rows + lo) * n + blk.jac_cols
-                              for blk, lo in zip(blocks, self.lam_slices)])
-        ukey, self.jac_inv = np.unique(key, return_inverse=True)
+        ukey, self.jac_inv = np.unique(rows.jac_rows * n + rows.jac_cols,
+                                       return_inverse=True)
         self.urow, self.ucol = ukey // n, ukey % n
-        cr = np.concatenate([blk.curv_rows for blk in blocks])
-        cc = np.concatenate([blk.curv_cols for blk in blocks])
+        cr, cc = rows.curv_rows, rows.curv_cols
         self.curv_diag = cr == cc
         self.curv_diag_rows = cr[self.curv_diag]
 
@@ -699,8 +681,8 @@ class _NewtonSystem:
 
     def jacobian(self, x):
         """Values of the Jacobian's distinct (row, col) entries at x."""
-        vals = np.concatenate([blk.grads(x) for blk in self.blocks])
-        return np.bincount(self.jac_inv, vals, minlength=self.urow.size)
+        return np.bincount(self.jac_inv, self.rows.grads(x),
+                           minlength=self.urow.size)
 
     def rmatvec(self, gu, v):
         """G' v."""
@@ -721,9 +703,7 @@ class _NewtonSystem:
         # here: scipy.linalg adds 5 MB to a run that factors nothing
         from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
         nb, k = self.nb, self.k
-        sl = self.lam_slices
-        cv = np.concatenate([blk.curvature(x, lam[lo:hi]) for blk, lo, hi
-                             in zip(self.blocks, sl[:-1], sl[1:])])
+        cv = self.rows.curvature(x, lam)
         wg = w[self.urow] * gu
         diag = (np.bincount(self.ucol, wg * gu, minlength=self.n)
                 + np.bincount(self.curv_diag_rows, cv[self.curv_diag],
@@ -800,10 +780,10 @@ def _trial_steps(t, t_lin):
         t *= 0.5
 
 
-def maximize_concave_program(objective, blocks, start,
+def maximize_concave_program(objective, rows, start,
                              max_iters=200) -> SolverReport:
     """Primal-dual interior-point maximization of objective @ x over the
-    concave-slack rows of ``blocks``; fixed quantities belong in the row
+    concave-slack ``rows`` (a ``ConcaveRows``); fixed quantities belong in the row
     constants, not the variable vector, and a bound on a variable is one
     more linear row.
 
@@ -843,13 +823,12 @@ def maximize_concave_program(objective, blocks, start,
     if x.shape != c.shape:
         raise ValueError(f"start of shape {x.shape} does not match the "
                          f"objective's {c.shape}")
-    if any(np.any(np.concatenate([b.jac_cols, b.curv_rows]) >= x.size)
-           for b in blocks):
-        raise ValueError(f"a block column lies beyond the {x.size} variables")
+    if np.any(np.concatenate([rows.jac_cols, rows.curv_rows]) >= x.size):
+        raise ValueError(f"a row column lies beyond the {x.size} variables")
     if not np.all(np.isfinite(x)):
         raise ValueError("start point is not strictly feasible "
                          "(non-finite entry)")
-    g = _block_values(blocks, x)
+    g = rows.values(x)
     bad = np.flatnonzero(~(np.isfinite(g) & (g > 0.0)))
     if bad.size:
         raise ValueError(f"start point is not strictly feasible "
@@ -857,11 +836,11 @@ def maximize_concave_program(objective, blocks, start,
     m = g.size
     if m == 0:
         raise ValueError("program has no constraint rows")
-    system = _NewtonSystem(blocks, c)
+    system = _NewtonSystem(rows, c)
     gu = system.jacobian(x)
     epigraph = _epigraph(system, c, gu)
     eta_rows = epigraph[3]
-    row_scale = np.abs(np.concatenate([blk.d for blk in blocks]))
+    row_scale = np.abs(rows.d)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
     best_x = x
@@ -911,9 +890,9 @@ def maximize_concave_program(objective, blocks, start,
         for t in _trial_steps(t, t_lin):
             xt = x + t * dx
             lt = lam + t * dlam
-            gt = _block_values(blocks, xt)
+            gt = rows.values(xt)
             if not gt.min() > 0.0:
-                xt, gt = _epigraph_correction(epigraph, blocks, xt, gt,
+                xt, gt = _epigraph_correction(epigraph, rows, xt, gt,
                                               g + t * gdx)
             if gt.min() > 0.0 and lt.min() > 0.0:
                 gut = system.jacobian(xt)
@@ -940,7 +919,7 @@ def maximize_concave_program(objective, blocks, start,
         best_x = x
         best_obj = obj
     else:
-        g = _block_values(blocks, best_x)
+        g = rows.values(best_x)
         gu = system.jacobian(best_x)
         rd = c + system.rmatvec(gu, lam)
 

@@ -13,27 +13,19 @@ settings.register_profile("uavrice", derandomize=True, database=None,
 settings.load_profile("uavrice")
 
 
-def _newton_step_gap(c, blocks, x):
+def _newton_step_gap(c, rows, x):
     """Relative 2-norm gap between the interior-point method's structured
-    Newton direction at x for maximizing c @ x over the rows of ``blocks``
-    and ``np.linalg.solve`` of the dense Jacobi-equilibrated matrix, with
-    the method's first multipliers and centering target."""
+    Newton direction at x for maximizing c @ x over ``rows`` and
+    ``np.linalg.solve`` of the dense Jacobi-equilibrated matrix, with the
+    method's first multipliers and centering target."""
     n = c.size
-    g = np.concatenate([blk.values(x) for blk in blocks])
+    g = rows.values(x)
     lam = ((1.0 + abs(float(c @ x))) / g.size) / g
     mu = 0.2 * float(lam @ g) / g.size
     hess = np.zeros((n, n))
-    jac = []
-    lo = 0
-    for blk in blocks:
-        hi = lo + blk.values(x).size
-        np.add.at(hess, (blk.curv_rows, blk.curv_cols),
-                  blk.curvature(x, lam[lo:hi]))
-        part = np.zeros((hi - lo, n))
-        np.add.at(part, (blk.jac_rows, blk.jac_cols), blk.grads(x))
-        jac.append(part)
-        lo = hi
-    jac = np.vstack(jac)
+    np.add.at(hess, (rows.curv_rows, rows.curv_cols), rows.curvature(x, lam))
+    jac = np.zeros((g.size, n))
+    np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
     w = lam / g
     hess += (jac * w[:, None]).T @ jac
     rhs = c + jac.T @ (mu / g)
@@ -41,7 +33,7 @@ def _newton_step_gap(c, blocks, x):
     dense = np.linalg.solve(hess * dsc[:, None] * dsc[None, :],
                             rhs * dsc) * dsc
 
-    system = _NewtonSystem(blocks, c)
+    system = _NewtonSystem(rows, c)
     step = system.direction(x, lam, w, system.jacobian(x), rhs)
     return float(np.linalg.norm(step - dense) / np.linalg.norm(dense))
 

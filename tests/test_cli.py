@@ -84,20 +84,18 @@ class TestFit:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinite_kmax_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option, db", [
+        ("--kmin-db", "4000"), ("--kmax-db", "4000"), ("--kmin-db", "nan"),
+        ("--kmax-db", "inf"), ("--kmin-db", "-4000")])
+    def test_db_out_of_range_fails_naming_the_option(self, tmp_path, capsys,
+                                                     option, db):
+        # a linear value that overflows, is not finite or underflows to 0
         out = tmp_path / "m.json"
-        assert cli(["fit", "--kmax-db", "inf", "--out", str(out)]) == 1
-        assert "k_max < inf" in capsys.readouterr().err
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("option", ["--kmin-db", "--kmax-db"])
-    def test_overflowing_db_fails_naming_the_option(self, tmp_path, capsys,
-                                                     option):
-        out = tmp_path / "m.json"
-        assert cli(["fit", "--kmin-db", "0", "--kmax-db", "4000", option,
-                    "4000", "--out", str(out)]) == 1
-        assert f"{option}=4000 dB is out of range" in capsys.readouterr().err
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_module, "generate_regression_samples", _never)
+            assert cli(["fit", "--kmin-db", "0", "--kmax-db", "4000", option,
+                        db, "--out", str(out)]) == 1
+        assert f"{option}={db} dB is out of range" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -182,6 +180,27 @@ class TestPlanAndEvaluate:
                         "--out", str(res), "--traj", str(csv)]) == 0
             outs.append((res.read_bytes(), csv.read_bytes()))
         assert outs[0] == outs[1]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("scheme", ["rffsa", "rfb"])
+    @pytest.mark.parametrize("floor", [120.0, 320.0])
+    def test_plans_above_a_raised_floor(self, scen_path, model_path,
+                                        tmp_path, capsys, scheme, floor):
+        # the cruise scans try the default levels at or above the floor
+        # (125 m up at 120 m), or the floor alone when none is (320 m)
+        doc = json.loads(scen_path.read_text())
+        doc.update(h_min_m=floor, z0_m=floor, zf_m=floor)
+        scen_path.write_text(dump_json(doc))
+        out = tmp_path / "p.json"
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model_path), "--scheme", scheme,
+                    "--out", str(out)]) == 0
+        result = load_result(out)
+        assert min(result["plan"]["z_m"]) >= floor * (1.0 - 1e-9)
+        if scheme == "rffsa":
+            levels = [h for h, _ in result["extras"]["altitude_sweep"]]
+            assert levels == ([floor] if floor > 300.0
+                              else list(evaluation.DEFAULT_ALTITUDES[1:]))
         capsys.readouterr()
 
     def test_failed_run_leaves_no_output(self, scen_path, tmp_path, capsys):

@@ -391,8 +391,8 @@ class TestRunScheme:
         failed = []
         solve = planner.maximize_concave_program
 
-        def capped(c, blocks, start, max_iters=200):
-            rep = solve(c, blocks, start, max_iters=3)
+        def capped(c, rows, start, max_iters=200):
+            rep = solve(c, rows, start, max_iters=3)
             failed.append(rep.status != "optimal")
             return rep
 

@@ -114,6 +114,20 @@ class TestScenarioDocuments:
                            match=r"scenario\.sn_placement\.shape"):
             scenario_from_config(cfg)
 
+    def test_placement_count_beyond_memory_is_refused(self, monkeypatch):
+        # 2**62 nodes leave no slot in memory; refused before any draw
+        def never(*args, **kwargs):
+            raise AssertionError("the count should have been refused first")
+
+        monkeypatch.setattr(np.random, "default_rng", never)
+        cfg = _config(sn_positions_m=None,
+                      sn_placement={"count": 2 ** 62, "area_m": [1.0, 1.0],
+                                    "seed": 0})
+        with pytest.raises(FileFormatError,
+                           match=rf"scenario\.sn_placement\.count: {2 ** 62} "
+                                 r"nodes leave no slot"):
+            scenario_from_config(cfg)
+
     def test_missing_epsilon_rejected(self):
         with pytest.raises(FileFormatError, match=r"scenario\.epsilon"):
             scenario_from_config(_config(epsilon=None))

@@ -395,16 +395,15 @@ def _built_step(block, model):
                                                      **data)
 
 
-def _caps(blocks, n_sn):
+def _caps(rows, n_sn):
     """(s columns, their cap rows) by the builder's layout: each s has one
     exponential term in its node's rate row, node-major, and its cap is row
-    n_sn + k of the first block (horizontal) or row k of the VRatioRows
-    block after it (vertical)."""
-    s_cols = blocks[0].exp[2]
-    ratio = [blk for blk in blocks if isinstance(blk, solvers.VRatioRows)]
-    if ratio:
-        assert np.array_equal(ratio[0].s_idx, s_cols)
-        return s_cols, blocks[0].d.size + np.arange(s_cols.size)
+    n_sn + k (horizontal) or the row of the k-th ratio term, after the move
+    rows (vertical)."""
+    s_cols = rows.exp[2]
+    if rows.ratio[0].size:
+        assert rows.ratio[0].size == s_cols.size
+        return s_cols, rows.ratio[0]
     return s_cols, n_sn + np.arange(s_cols.size)
 
 
@@ -454,19 +453,16 @@ class TestTrajectoryBlocks:
         # expansion point and each cap row has zero slack
         scen, plan, step = _built_step(block, model)
         assert step is not None
-        s_cols, cap_rows = _caps(step.blocks, scen.n_sn)
+        s_cols, cap_rows = _caps(step.rows, scen.n_sn)
         assert s_cols.size == (
             0 if model is LOS_MODEL
             else np.count_nonzero(plan.a[:, :-1] > planner._SPARSIFY_TOL))
 
-        def rows(x):
-            return solvers._block_values(step.blocks, x)
-
         x = step.start.copy()
         x[-1] = 0.0
         x[s_cols] = 0.0
-        x[s_cols] = rows(x)[cap_rows]
-        g = rows(x)
+        x[s_cols] = step.rows.values(x)[cap_rows]
+        g = step.rows.values(x)
         if block == "horizontal":
             q, z = step.path, plan.z
         else:
@@ -489,25 +485,24 @@ class TestTrajectoryBlocks:
         programs = []
         solve = planner.maximize_concave_program
 
-        def spy(c, blocks, start, **kw):
-            programs.append((c, blocks, start))
-            return solve(c, blocks, start, **kw)
+        def spy(c, rows, start, **kw):
+            programs.append((c, rows, start))
+            return solve(c, rows, start, **kw)
 
         monkeypatch.setattr(planner, "maximize_concave_program", spy)
         run_scheme("rfb", scen, model, simulate=False)
         vertical = set()
-        for c, blocks, start in programs:
-            system = solvers._NewtonSystem(blocks, c)
+        for c, program_rows, start in programs:
+            system = solvers._NewtonSystem(program_rows, c)
             rows, cols, eta, eta_rows = solvers._epigraph(
                 system, c, system.jacobian(start))
-            s_cols, cap_rows = _caps(blocks, scen.n_sn)
+            s_cols, cap_rows = _caps(program_rows, scen.n_sn)
             assert s_cols.size > 0
             assert (sorted(zip(cols.tolist(), rows.tolist()))
                     == sorted(zip(s_cols.tolist(), cap_rows.tolist())))
             assert np.flatnonzero(c).tolist() == [eta] == [c.size - 1]
             assert eta_rows.tolist() == list(range(scen.n_sn))
-            vertical.add(any(isinstance(blk, solvers.VRatioRows)
-                             for blk in blocks))
+            vertical.add(program_rows.ratio[0].size > 0)
         assert vertical == {False, True}
 
     def test_every_built_column_has_diagonal_curvature(self, built_steps):
@@ -517,74 +512,84 @@ class TestTrajectoryBlocks:
         # squares on a waypoint, the exponential term on an s)
         for step in built_steps:
             diag = np.zeros(step.objective.size)
-            for blk in step.blocks:
-                on = blk.curv_rows == blk.curv_cols
-                np.add.at(diag, blk.curv_rows[on],
-                          blk.curvature(step.start, np.ones(blk.d.size))[on])
+            rows = step.rows
+            on = rows.curv_rows == rows.curv_cols
+            np.add.at(diag, rows.curv_rows[on],
+                      rows.curvature(step.start, np.ones(rows.d.size))[on])
             free = step.objective == 0.0
             assert np.all(diag[free] > 0.0)
             assert np.all(diag[~free] == 0.0)
 
     def test_built_patterns_follow_the_two_square_shapes(self, built_steps):
-        # each block states its sparsity once: an anchor square has its
+        # each row set states its sparsity once: an anchor square has its
         # Jacobian and curvature entries on x[i] alone, a difference square
-        # on x[i] and x[j] plus the cross entry both ways; the derivative
-        # values line up with the pattern.  Only the inner moves are
-        # differences of two free waypoints
-        n_anchor = n_diff = 0
+        # on x[i] and x[j] plus the cross entry both ways, a ratio on x[i]
+        # alone; the derivative values line up with the pattern.  Only the
+        # inner moves are differences of two free waypoints
+        n_anchor = n_diff = n_ratio = 0
         for step in built_steps:
-            _, _, d_i, d_j = step.blocks[0].diff
+            rows, x = step.rows, step.start
+            a_row, _, a_i, _ = rows.anchor
+            d_row, _, d_i, d_j = rows.diff
+            e_row, _, e_u = rows.exp
+            r_row, _, _, r_i = rows.ratio
             np.testing.assert_array_equal(d_i, step.x_cols[1:].ravel())
             np.testing.assert_array_equal(d_j, step.x_cols[:-1].ravel())
-            for blk in step.blocks:
-                x, w = step.start, np.ones(blk.d.size)
-                if isinstance(blk, solvers.QuadExpRows):
-                    a_row, _, a_i, _ = blk.anchor
-                    d_row, _, d_i, d_j = blk.diff
-                    e_row, _, e_u = blk.exp
-                    n_anchor += a_row.size
-                    n_diff += d_row.size
-                    jac = np.concatenate([
-                        np.stack([blk.lin[0], blk.lin[1]], 1),
-                        np.stack([a_row, a_i], 1), np.stack([d_row, d_i], 1),
-                        np.stack([d_row, d_j], 1), np.stack([e_row, e_u], 1)])
-                    curv = np.concatenate([
-                        np.stack([a_i, a_i], 1), np.stack([d_i, d_i], 1),
-                        np.stack([d_j, d_j], 1), np.stack([d_i, d_j], 1),
-                        np.stack([d_j, d_i], 1), np.stack([e_u, e_u], 1)])
-                else:
-                    k = np.arange(blk.d.size)
-                    jac = np.concatenate([np.stack([k, blk.z_idx], 1),
-                                          np.stack([k, blk.s_idx], 1)])
-                    curv = np.stack([blk.z_idx, blk.z_idx], 1)
-                np.testing.assert_array_equal(
-                    np.stack([blk.jac_rows, blk.jac_cols], 1), jac)
-                np.testing.assert_array_equal(
-                    np.stack([blk.curv_rows, blk.curv_cols], 1), curv)
-                assert np.all((blk.jac_rows >= 0)
-                              & (blk.jac_rows < blk.d.size))
-                assert blk.grads(x).shape == blk.jac_rows.shape
-                assert blk.curvature(x, w).shape == blk.curv_rows.shape
-        # the rate- and cap-row distance terms and both end moves, and the
-        # inner moves
-        assert n_anchor > 0 and n_diff > 0
+            n_anchor += a_row.size
+            n_diff += d_row.size
+            n_ratio += r_row.size
+            jac = np.concatenate([
+                np.stack([rows.lin[0], rows.lin[1]], 1),
+                np.stack([a_row, a_i], 1), np.stack([d_row, d_i], 1),
+                np.stack([d_row, d_j], 1), np.stack([e_row, e_u], 1),
+                np.stack([r_row, r_i], 1)])
+            curv = np.concatenate([
+                np.stack([a_i, a_i], 1), np.stack([d_i, d_i], 1),
+                np.stack([d_j, d_j], 1), np.stack([d_i, d_j], 1),
+                np.stack([d_j, d_i], 1), np.stack([e_u, e_u], 1),
+                np.stack([r_i, r_i], 1)])
+            np.testing.assert_array_equal(
+                np.stack([rows.jac_rows, rows.jac_cols], 1), jac)
+            np.testing.assert_array_equal(
+                np.stack([rows.curv_rows, rows.curv_cols], 1), curv)
+            assert np.all((rows.jac_rows >= 0)
+                          & (rows.jac_rows < rows.d.size))
+            assert rows.grads(x).shape == rows.jac_rows.shape
+            assert rows.curvature(x, np.ones(rows.d.size)).shape == \
+                rows.curv_rows.shape
+        # the rate- and cap-row distance terms and both end moves, the inner
+        # moves and the vertical caps
+        assert n_anchor > 0 and n_diff > 0 and n_ratio > 0
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_floor_rows_come_last(self, block):
-        # the altitude floor is one linear row per free altitude, x - h_min,
-        # in the last block; the horizontal block has no floor
+        # the rows run: rate rows, horizontal caps, moves, vertical caps,
+        # and last the altitude floor, one linear row per free altitude,
+        # x - h_min; the horizontal block has no floor
         scen, _, step = _built_step(block, FIT)
-        if block == "horizontal":
-            assert len(step.blocks) == 1
-            return
-        floor = step.blocks[-1]
-        x = step.start
-        np.testing.assert_array_equal(floor.values(x),
-                                      x[step.x_cols[:, 0]] - scen.h_min)
-        np.testing.assert_array_equal(floor.jac_rows,
-                                      np.arange(scen.n_slots - 1))
-        np.testing.assert_array_equal(floor.jac_cols, step.x_cols[:, 0])
-        np.testing.assert_array_equal(floor.grads(x), 1.0)
+        rows, x = step.rows, step.start
+        n_sn, m_slots = scen.n_sn, scen.n_slots
+        s_cols, cap_rows = _caps(rows, n_sn)
+        n_floor = 0 if block == "horizontal" else m_slots - 1
+        assert rows.d.size == n_sn + s_cols.size + m_slots + n_floor
+        move_lo = n_sn + (s_cols.size if block == "horizontal" else 0)
+        np.testing.assert_array_equal(
+            cap_rows, (n_sn if block == "horizontal" else move_lo + m_slots)
+            + np.arange(s_cols.size))
+        limit = scen.sxy if block == "horizontal" else scen.sz
+        np.testing.assert_array_equal(rows.d[move_lo:move_lo + m_slots],
+                                      limit ** 2)
+        floor = rows.lin[0] >= rows.d.size - n_floor
+        assert np.count_nonzero(floor) == n_floor
+        np.testing.assert_array_equal(rows.values(x)[rows.d.size - n_floor:],
+                                      x[step.x_cols[:, 0]] - scen.h_min
+                                      if n_floor else [])
+        np.testing.assert_array_equal(rows.lin[0][floor],
+                                      rows.d.size - n_floor
+                                      + np.arange(n_floor))
+        np.testing.assert_array_equal(rows.lin[1][floor],
+                                      step.x_cols[:n_floor, 0])
+        np.testing.assert_array_equal(rows.lin[2][floor], 1.0)
 
     @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
@@ -593,10 +598,10 @@ class TestTrajectoryBlocks:
         # the banded factor, Schur complement and Woodbury update solve the
         # same system as a dense factorization of the whole matrix
         _, _, step = _built_step(block, model)
-        gap = newton_step_gap(step.objective, step.blocks, step.start)
+        gap = newton_step_gap(step.objective, step.rows, step.start)
         assert gap <= 1e-8
         # eta is the one dense column
-        assert solvers._NewtonSystem(step.blocks, step.objective).nd == 1
+        assert solvers._NewtonSystem(step.rows, step.objective).nd == 1
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_solve_evaluates_no_point_twice_in_a_row(self, block,
@@ -615,20 +620,20 @@ class TestTrajectoryBlocks:
         assert step is not None
 
         seen = {"slacks": [], "jacobian": []}
-        values = solvers._block_values
+        values = solvers.ConcaveRows.values
         jacobian = solvers._NewtonSystem.jacobian
 
-        def spy_values(blocks, x):
+        def spy_values(rows, x):
             seen["slacks"].append(x.copy())
-            return values(blocks, x)
+            return values(rows, x)
 
         def spy_jacobian(system, x):
             seen["jacobian"].append(x.copy())
             return jacobian(system, x)
 
-        monkeypatch.setattr(solvers, "_block_values", spy_values)
+        monkeypatch.setattr(solvers.ConcaveRows, "values", spy_values)
         monkeypatch.setattr(solvers._NewtonSystem, "jacobian", spy_jacobian)
-        rep = solvers.maximize_concave_program(step.objective, step.blocks,
+        rep = solvers.maximize_concave_program(step.objective, step.rows,
                                                step.start)
         assert rep.status == "optimal" and rep.iterations > 10
         for name, xs in seen.items():
@@ -712,9 +717,9 @@ class TestOuterLoop:
         real = planner.maximize_concave_program
         calls = []
 
-        def stalled(c, blocks, start, **kw):
+        def stalled(c, rows, start, **kw):
             calls.append(c.size)
-            return dataclasses.replace(real(c, blocks, start, **kw),
+            return dataclasses.replace(real(c, rows, start, **kw),
                                        status="stalled")
 
         monkeypatch.setattr(planner, "maximize_concave_program", stalled)
@@ -927,8 +932,8 @@ def test_every_bundled_1sn_solve_ends_optimal(monkeypatch):
     solve = planner.maximize_concave_program
     status = []
 
-    def spy(c, blocks, start, **kw):
-        rep = solve(c, blocks, start, **kw)
+    def spy(c, rows, start, **kw):
+        rep = solve(c, rows, start, **kw)
         status.append(rep.status)
         return rep
 

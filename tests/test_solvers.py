@@ -13,9 +13,10 @@ factorization or a non-finite step gives no direction.  Its line
 search is checked on a capped program the epigraph correction finishes,
 on the epigraph columns it reads off the rows (and those it must not
 read), and on the rfb plan of scenario_4sn, where every step the linear
-pre-screen skips is evaluated and fails.  The row blocks' derivatives are
-checked against their closed forms and central differences, and their
-index checks on rows, columns and term-group shapes.
+pre-screen skips is evaluated and fails.  The row set's derivatives are
+checked against their closed forms and central differences, with all five
+term groups at once too, and its checks on rows, columns, term-group
+shapes, weights and ratio offsets.
 Determinism is asserted bit-for-bit.
 """
 
@@ -31,8 +32,7 @@ from uavrice import planner, solvers
 from uavrice.evaluation import fit_for_scenario, run_scheme
 from uavrice.files import bundled_scenario, load_scenario
 from uavrice.solvers import (
-    QuadExpRows,
-    VRatioRows,
+    ConcaveRows,
     _NewtonSystem,
     maximize_concave_program,
     solve_lp,
@@ -374,12 +374,25 @@ def _lin(c):
     return rows, cols, c[rows, cols]
 
 
-def _quad_row_block(d, c_row, anchor=(), diff=()):
-    """Build a QuadExpRows block from a dense linear part, anchor squares
-    (row, w, i, a) and difference squares (row, v, i, j)."""
-    return QuadExpRows(d=np.asarray(d, float), lin=_lin(c_row),
+def _quad_rows(d, c_row, anchor=(), diff=()):
+    """A row set from a dense linear part, anchor squares (row, w, i, a)
+    and difference squares (row, v, i, j)."""
+    return ConcaveRows(d=np.asarray(d, float), lin=_lin(c_row),
                        anchor=tuple(zip(*anchor)) or ((),) * 4,
                        diff=tuple(zip(*diff)) or ((),) * 4)
+
+
+def _stack(*sets):
+    """One row set holding the rows of ``sets`` in order: each set's term
+    groups renumbered past the rows of the sets before it."""
+    lo = np.cumsum([0] + [rows.d.size for rows in sets])
+    groups = {}
+    for name in ("lin", "anchor", "diff", "exp", "ratio"):
+        parts = [getattr(rows, name) for rows in sets]
+        groups[name] = (
+            np.concatenate([part[0] + k for part, k in zip(parts, lo)]),
+            *map(np.concatenate, zip(*(part[1:] for part in parts))))
+    return ConcaveRows(d=np.concatenate([rows.d for rows in sets]), **groups)
 
 
 def _bounds(lb, ub):
@@ -387,7 +400,7 @@ def _bounds(lb, ub):
     x[i] - lb[i] >= 0, then ub[i] - x[i] >= 0."""
     lb, ub = np.asarray(lb, float), np.asarray(ub, float)
     lo, hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
-    return QuadExpRows(
+    return ConcaveRows(
         d=np.concatenate([-lb[lo], ub[hi]]),
         lin=(np.arange(lo.size + hi.size), np.concatenate([lo, hi]),
              np.repeat([1.0, -1.0], [lo.size, hi.size])))
@@ -397,20 +410,20 @@ def _quadratic_cap():
     """maximize eta subject to eta <= 4 - x^2, x in [-3, 3]: optimum eta=4
     at x=0.  Variables (eta, x)."""
     return (np.array([1.0, 0.0]),
-            [_quad_row_block([4.0], [[-1.0, 0.0]], anchor=[(0, 1.0, 1, 0.0)]),
-             _bounds([-np.inf, -3.0], [np.inf, 3.0])])
+            _stack(_quad_rows([4.0], [[-1.0, 0.0]], anchor=[(0, 1.0, 1, 0.0)]),
+                   _bounds([-np.inf, -3.0], [np.inf, 3.0])))
 
 
-def _epigraph_of(c, blocks, x):
+def _epigraph_of(c, rows, x):
     """The solver's epigraph columns of the program at x."""
-    system = _NewtonSystem(blocks, c)
+    system = _NewtonSystem(rows, c)
     return solvers._epigraph(system, c, system.jacobian(x))
 
 
 class TestBarrier:
     def test_box_corner(self):
         rep = maximize_concave_program(
-            np.array([1.0, 1.0]), [_bounds(np.zeros(2), [1.0, 2.0])],
+            np.array([1.0, 1.0]), _bounds(np.zeros(2), [1.0, 2.0]),
             np.array([0.5, 0.5]))
         assert rep.status == "optimal"
         np.testing.assert_allclose(rep.x, [1.0, 2.0], atol=1e-6)
@@ -425,9 +438,9 @@ class TestBarrier:
 
     def test_exponential_row(self):
         # maximize -u subject to exp(-u) <= 3: optimum u = -ln 3
-        blk = QuadExpRows(d=np.array([3.0]), exp=([0], [1.0], [0]))
+        rows = ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0]))
         rep = maximize_concave_program(
-            np.array([-1.0]), [blk, _bounds([-10.0], [10.0])],
+            np.array([-1.0]), _stack(rows, _bounds([-10.0], [10.0])),
             np.array([0.0]))
         assert rep.status == "optimal"
         assert rep.x[0] == pytest.approx(-np.log(3.0), abs=1e-6)
@@ -435,12 +448,7 @@ class TestBarrier:
     def test_altitude_ratio_row(self):
         # maximize s with s <= 0.2 + 6 z / sqrt(2500 + z^2), z in [1, 100]:
         # ratio increases with z, so z -> 100
-        blk = VRatioRows(d=np.array([0.2]), b2=6.0, c=np.array([2500.0]),
-                         z_idx=np.array([0]), s_idx=np.array([1]))
-        start = np.array([50.0, 0.0])
-        rep = maximize_concave_program(
-            np.array([0.0, 1.0]),
-            [blk, _bounds([1.0, -np.inf], [100.0, np.inf])], start)
+        rep = maximize_concave_program(*_BARRIER_PROGRAMS["altitude_ratio"]())
         assert rep.status == "optimal"
         s_best = 0.2 + 6.0 * 100.0 / np.sqrt(2500.0 + 100.0 ** 2)
         assert rep.x[0] == pytest.approx(100.0, abs=1e-4)
@@ -448,11 +456,11 @@ class TestBarrier:
 
     @pytest.mark.parametrize("seed", [11, 42, 90])
     def test_random_program_matches_slsqp(self, seed):
-        c, blocks, start = _random_program(seed)
+        c, rows, start = _random_program(seed)
         n = c.size
-        cons = [{"type": "ineq", "fun": lambda x, blk=blk: blk.values(x)[0]}
-                for blk in blocks[:-1]]
-        rep = maximize_concave_program(c, blocks, start)
+        cons = [{"type": "ineq", "fun": lambda x, k=k: rows.values(x)[k]}
+                for k in range(3)]
+        rep = maximize_concave_program(c, rows, start)
         assert rep.status == "optimal"
         assert rep.feasibility <= 1e-8
 
@@ -480,12 +488,12 @@ class TestBarrier:
         c = np.array([1.0, 1.0])
         start = np.array([1.0 - 1e-9, 2.0 - 1e-9])
         rep = maximize_concave_program(
-            c, [_bounds(np.zeros(2), [1.0, 2.0])], start)
+            c, _bounds(np.zeros(2), [1.0, 2.0]), start)
         assert rep.objective >= float(c @ start) - 1e-9
 
     def test_infeasible_start_rejected(self):
         with pytest.raises(ValueError, match="strictly feasible"):
-            maximize_concave_program(np.array([1.0]), [_bounds([0.0], [1.0])],
+            maximize_concave_program(np.array([1.0]), _bounds([0.0], [1.0]),
                                      np.array([1.5]))
 
     @pytest.mark.parametrize("program, start", [
@@ -496,21 +504,22 @@ class TestBarrier:
         # nor is a non-finite entry where there are no rows to see it
         ("free", [np.nan])])
     def test_non_finite_start_rejected(self, program, start):
-        c, blocks = {
+        c, rows = {
             "disc": (                        # maximize x0, x0^2 + x1^2 <= 1
                 np.array([1.0, 0.0]),
-                [_quad_row_block([1.0], [[0.0, 0.0]],
-                                 anchor=[(0, 1.0, 0, 0.0), (0, 1.0, 1, 0.0)])]),
+                _quad_rows([1.0], [[0.0, 0.0]],
+                           anchor=[(0, 1.0, 0, 0.0), (0, 1.0, 1, 0.0)])),
             "half_line": (                   # maximize -x0, x0 >= 0
-                np.array([-1.0]), [_bounds([0.0], [np.inf])]),
-            "free": (np.array([0.0]), []),
+                np.array([-1.0]), _bounds([0.0], [np.inf])),
+            "free": (np.array([0.0]), ConcaveRows(d=np.zeros(0))),
         }[program]
         with pytest.raises(ValueError, match="strictly feasible"):
-            maximize_concave_program(c, blocks, np.array(start))
+            maximize_concave_program(c, rows, np.array(start))
 
     def test_program_without_rows_is_refused(self):
         with pytest.raises(ValueError, match="no constraint rows"):
-            maximize_concave_program(np.array([1.0, 0.0]), [], np.zeros(2))
+            maximize_concave_program(np.array([1.0, 0.0]),
+                                     ConcaveRows(d=np.zeros(0)), np.zeros(2))
 
     @pytest.mark.parametrize("start", [np.zeros(1), np.zeros(3),
                                        np.zeros((2, 1))])
@@ -531,13 +540,9 @@ class TestBarrier:
         assert box.curvature(x, np.ones(4)).size == 0
 
     def test_determinism(self):
-        blk = _quad_row_block([4.0], [[-1.0, 0.2]], anchor=[(0, 1.0, 1, 0.0)])
-
         def run():
             return maximize_concave_program(
-                np.array([1.0, 0.1]),
-                [blk, _bounds([-np.inf, -3.0], [np.inf, 3.0])],
-                np.array([0.0, 0.5]))
+                *_BARRIER_PROGRAMS["coupled_cap"]())
 
         r1, r2 = run(), run()
         assert np.array_equal(r1.x, r2.x)
@@ -547,10 +552,18 @@ class TestBarrier:
     @pytest.mark.parametrize("group", [
         {"anchor": ([0], [-1.0], [0], [0.0])},
         {"diff": ([0], [-1.0], [0], [1])},
-        {"exp": ([0], [-1.0], [0])}], ids=["anchor", "diff", "exp"])
+        {"exp": ([0], [-1.0], [0])},
+        {"ratio": ([0], [-1.0], [1.0], [0])}],
+        ids=["anchor", "diff", "exp", "ratio"])
     def test_negative_weights_rejected(self, group):
         with pytest.raises(ValueError, match="concavity"):
-            QuadExpRows(d=np.zeros(1), **group)
+            ConcaveRows(d=np.zeros(1), **group)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_ratio_offset_must_be_positive(self, c):
+        # b x / sqrt(c + x^2) is concave in x >= 0 only for c > 0
+        with pytest.raises(ValueError, match="offset c must be positive"):
+            ConcaveRows(d=np.zeros(1), ratio=([0], [1.0], [c], [0]))
 
 
 def _random_program(seed):
@@ -560,7 +573,7 @@ def _random_program(seed):
     rng = np.random.default_rng(seed)
     n = 5
     c = rng.normal(size=n)
-    blocks = []
+    sets = []
     for _ in range(3):
         anchor = [(0, float(rng.uniform(0.2, 1.0)), int(rng.integers(0, n)),
                    float(rng.normal() * 0.3))
@@ -569,34 +582,37 @@ def _random_program(seed):
                  *map(int, rng.choice(n, 2, replace=False)))
                 for _ in range(int(rng.integers(0, 3)))]
         crow = rng.normal(size=(1, n)) * 0.3
-        d0 = float(-_quad_row_block([0.0], crow, anchor, diff).values(
+        d0 = float(-_quad_rows([0.0], crow, anchor, diff).values(
             np.zeros(n))[0]) + 2.0
-        blocks.append(_quad_row_block([d0], crow, anchor, diff))
-    blocks.append(_bounds(np.full(n, -2.0), np.full(n, 2.0)))
-    return c, blocks, np.zeros(n)
+        sets.append(_quad_rows([d0], crow, anchor, diff))
+    sets.append(_bounds(np.full(n, -2.0), np.full(n, 2.0)))
+    return c, _stack(*sets), np.zeros(n)
 
 
-# the TestBarrier programs as (objective, blocks, start)
+# the TestBarrier programs as (objective, rows, start)
 _BARRIER_PROGRAMS = {
-    "box": lambda: (np.array([1.0, 1.0]), [_bounds(np.zeros(2), [1.0, 2.0])],
+    "box": lambda: (np.array([1.0, 1.0]), _bounds(np.zeros(2), [1.0, 2.0]),
                     np.array([0.5, 0.5])),
     "quadratic_cap": lambda: (*_quadratic_cap(), np.array([2.0, 0.9])),
     "exponential": lambda: (
         np.array([-1.0]),
-        [QuadExpRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
-         _bounds([-10.0], [10.0])], np.array([0.0])),
+        _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
+               _bounds([-10.0], [10.0])), np.array([0.0])),
+    # s <= 0.2 + 6 z / sqrt(2500 + z^2) over (z, s), z in [1, 100]
     "altitude_ratio": lambda: (
         np.array([0.0, 1.0]),
-        [VRatioRows(d=np.array([0.2]), b2=6.0, c=np.array([2500.0]),
-                    z_idx=np.array([0]), s_idx=np.array([1])),
-         _bounds([1.0, -np.inf], [100.0, np.inf])], np.array([50.0, 0.0])),
+        _stack(ConcaveRows(d=np.array([0.2]), lin=([0], [1], [-1.0]),
+                           ratio=([0], [6.0], [2500.0], [0])),
+               _bounds([1.0, -np.inf], [100.0, np.inf])),
+        np.array([50.0, 0.0])),
     "coupled_cap": lambda: (
         np.array([1.0, 0.1]),
-        [_quad_row_block([4.0], [[-1.0, 0.2]], anchor=[(0, 1.0, 1, 0.0)]),
-         _bounds([-np.inf, -3.0], [np.inf, 3.0])], np.array([0.0, 0.5])),
+        _stack(_quad_rows([4.0], [[-1.0, 0.2]], anchor=[(0, 1.0, 1, 0.0)]),
+               _bounds([-np.inf, -3.0], [np.inf, 3.0])),
+        np.array([0.0, 0.5])),
     # no objective column at all: nothing to eliminate, no coupling rows
     "zero_objective": lambda: (
-        np.zeros(2), [_bounds(np.zeros(2), [1.0, 3.0])], np.array([0.2, 0.5])),
+        np.zeros(2), _bounds(np.zeros(2), [1.0, 3.0]), np.array([0.2, 0.5])),
     "random_11": lambda: _random_program(11),
     "random_42": lambda: _random_program(42),
     "random_90": lambda: _random_program(90),
@@ -611,8 +627,8 @@ def test_newton_step_matches_dense_solve(name, newton_step_gap):
 @pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS))
 def test_dual_scale_is_largest_weighted_row_entry(name):
     # dual_scale reads max_i lam_i * max_j |G_ij| straight off the entries
-    c, blocks, x = _BARRIER_PROGRAMS[name]()
-    system = _NewtonSystem(blocks, c)
+    c, rows, x = _BARRIER_PROGRAMS[name]()
+    system = _NewtonSystem(rows, c)
     # the eliminated dense columns are exactly the objective's columns
     assert system.nd == np.count_nonzero(c)
     gu = system.jacobian(x)
@@ -625,41 +641,41 @@ def test_dual_scale_is_largest_weighted_row_entry(name):
 def test_rejects_curvature_joining_an_objective_column():
     # 4 - x0 - (x0 - x1)^2 >= 0 with the objective on x0 alone: the cross
     # term would fall between the dense and the banded block
-    blocks = [_quad_row_block([4.0], [[-1.0, 0.0]], diff=[(0, 1.0, 0, 1)]),
-              _bounds([-np.inf, -3.0], [np.inf, 3.0])]
+    rows = _stack(_quad_rows([4.0], [[-1.0, 0.0]], diff=[(0, 1.0, 0, 1)]),
+                  _bounds([-np.inf, -3.0], [np.inf, 3.0]))
     with pytest.raises(ValueError, match="joins an objective column"):
-        maximize_concave_program(np.array([1.0, 0.0]), blocks,
+        maximize_concave_program(np.array([1.0, 0.0]), rows,
                                  np.array([0.0, 0.5]))
 
 
 class _SaddleRows:
-    """One constant row whose curvature term joins x[1] and x[2] by
-    w * [[1, 1 + delta], [1 + delta, 1]].  That is indefinite for
-    delta > 0, so no concave row has it; it makes the banded factor fail."""
+    """A row set of two rows: 1 - x0 >= 0, and a constant row whose
+    curvature term joins x[1] and x[2] by w * [[1, 1 + delta],
+    [1 + delta, 1]].  That is indefinite for delta > 0, so no concave row
+    has it; it makes the banded factor fail."""
 
-    jac_rows = jac_cols = np.zeros(0, np.int64)
+    jac_rows = jac_cols = np.zeros(1, np.int64)
     curv_rows, curv_cols = np.array([1, 2, 1, 2]), np.array([1, 2, 2, 1])
 
     def __init__(self, delta):
         self.delta = delta
-        self.d = np.ones(1)
+        self.d = np.ones(2)
 
     def values(self, x):
-        return self.d.copy()
+        return self.d - np.array([x[0], 0.0])
 
     def grads(self, x):
-        return np.zeros(0)
+        return np.array([-1.0])
 
     def curvature(self, x, w):
         off = 1.0 + self.delta
-        return w[0] * np.array([1.0, 1.0, off, off])
+        return w[1] * np.array([1.0, 1.0, off, off])
 
 
 def _saddle_program(delta):
     """maximize x0 subject to x0 <= 1, plus a saddle on (x1, x2), as
-    (objective, blocks)."""
-    rows = QuadExpRows(d=np.ones(1), lin=([0], [0], [-1.0]))
-    return np.array([1.0, 0.0, 0.0]), [rows, _SaddleRows(delta)]
+    (objective, rows)."""
+    return np.array([1.0, 0.0, 0.0]), _SaddleRows(delta)
 
 
 @pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS) + ["saddle"])
@@ -667,12 +683,12 @@ def test_no_direction_from_a_failed_factorization_or_nan_weights(name):
     # the saddle's banded factor fails at unit weights, with no retry;
     # every other program's NaN weights give no finite step
     if name == "saddle":
-        (c, blocks), x = _saddle_program(1e-9), np.zeros(3)
+        (c, rows), x = _saddle_program(1e-9), np.zeros(3)
         fill = 1.0
     else:
-        c, blocks, x = _BARRIER_PROGRAMS[name]()
+        c, rows, x = _BARRIER_PROGRAMS[name]()
         fill = np.nan
-    system = _NewtonSystem(blocks, c)
+    system = _NewtonSystem(rows, c)
     w = np.full(system.m, fill)
     assert system.direction(x, np.ones(system.m), w, system.jacobian(x),
                             c) is None
@@ -688,52 +704,77 @@ def test_solver_stalls_without_a_direction():
     assert np.array_equal(rep.x, start)
 
 
-def _random_rows(rng, n, m, n_anchor, n_diff, n_exp):
-    """A QuadExpRows block of m rows over n variables: a random linear part
-    and the given numbers of random anchor, difference (over two distinct
-    variables) and exponential terms."""
+def _random_rows(rng, n, m, n_anchor, n_diff, n_exp, n_ratio=0):
+    """A row set of m rows over n variables: a random linear part and the
+    given numbers of random anchor, difference (over two distinct
+    variables), exponential and ratio terms."""
     d_i = rng.integers(0, n, n_diff)
-    return QuadExpRows(
+    return ConcaveRows(
         d=np.ones(m), lin=_lin(rng.normal(size=(m, n))),
         anchor=(rng.integers(0, m, n_anchor), rng.uniform(0.1, 1.0, n_anchor),
                 rng.integers(0, n, n_anchor), rng.normal(size=n_anchor)),
         diff=(rng.integers(0, m, n_diff), rng.uniform(0.1, 1.0, n_diff), d_i,
               (d_i + rng.integers(1, n, n_diff)) % n),
         exp=(rng.integers(0, m, n_exp), rng.uniform(0.1, 1.0, n_exp),
-             rng.integers(0, n, n_exp)))
+             rng.integers(0, n, n_exp)),
+        ratio=(rng.integers(0, m, n_ratio), rng.uniform(0.1, 1.0, n_ratio),
+               rng.uniform(0.5, 2.0, n_ratio), rng.integers(0, n, n_ratio)))
 
 
-@pytest.mark.parametrize("anchor, diff, exp",
-                         list(itertools.product([True, False], repeat=3)))
+@pytest.mark.parametrize("anchor, diff, exp, ratio",
+                         list(itertools.product([True, False], repeat=4)))
 def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
-                                                              exp):
+                                                              exp, ratio):
     # grads and curvature return the formula's values over every group in
-    # the pattern's order, an empty anchor, difference or exponential group
-    # included: an anchor square has entries on x[i] alone, a difference
-    # square on x[i] and x[j] and the cross entry both ways
+    # the pattern's order, whichever groups are empty: an anchor square has
+    # entries on x[i] alone, a difference square on x[i] and x[j] and the
+    # cross entry both ways, a ratio on x[i] alone
     rng = np.random.default_rng(7)
     n = 6
-    blk = _random_rows(rng, n, 3, 5 * anchor, 4 * diff, 4 * exp)
+    rows = _random_rows(rng, n, 3, 5 * anchor, 4 * diff, 4 * exp, 3 * ratio)
     x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, 3)
-    a_row, a_w, a_i, a = blk.anchor
-    d_row, d_v, d_i, d_j = blk.diff
-    e_row, e, u = blk.exp
-    ta, td = x[a_i] - a, x[d_i] - x[d_j]
-    grads = np.concatenate([blk.lin[2], -(2.0 * a_w * ta), -(2.0 * d_v * td),
-                            2.0 * d_v * td, e * np.exp(-x[u])])
+    a_row, a_w, a_i, a = rows.anchor
+    d_row, d_v, d_i, d_j = rows.diff
+    e_row, e, u = rows.exp
+    r_row, b, c, r_i = rows.ratio
+    ta, td, z = x[a_i] - a, x[d_i] - x[d_j], x[r_i]
+    grads = np.concatenate([rows.lin[2], -(2.0 * a_w * ta), -(2.0 * d_v * td),
+                            2.0 * d_v * td, e * np.exp(-x[u]),
+                            b * c / (c + z * z) ** 1.5])
     ca, cd = 2.0 * a_w * w[a_row], 2.0 * d_v * w[d_row]
     curv = np.concatenate([ca, cd, cd, -cd, -cd,
-                           w[e_row] * e * np.exp(-x[u])])
-    assert blk.grads(x).tobytes() == grads.tobytes()
-    assert blk.curvature(x, w).tobytes() == curv.tobytes()
-    np.testing.assert_array_equal(blk.jac_rows, np.concatenate(
-        [blk.lin[0], a_row, d_row, d_row, e_row]))
-    np.testing.assert_array_equal(blk.jac_cols, np.concatenate(
-        [blk.lin[1], a_i, d_i, d_j, u]))
-    np.testing.assert_array_equal(blk.curv_rows, np.concatenate(
-        [a_i, d_i, d_j, d_i, d_j, u]))
-    np.testing.assert_array_equal(blk.curv_cols, np.concatenate(
-        [a_i, d_i, d_j, d_j, d_i, u]))
+                           w[e_row] * e * np.exp(-x[u]),
+                           w[r_row] * (3.0 * b * c * z / (c + z * z) ** 2.5)])
+    assert rows.grads(x).tobytes() == grads.tobytes()
+    assert rows.curvature(x, w).tobytes() == curv.tobytes()
+    np.testing.assert_array_equal(rows.jac_rows, np.concatenate(
+        [rows.lin[0], a_row, d_row, d_row, e_row, r_row]))
+    np.testing.assert_array_equal(rows.jac_cols, np.concatenate(
+        [rows.lin[1], a_i, d_i, d_j, u, r_i]))
+    np.testing.assert_array_equal(rows.curv_rows, np.concatenate(
+        [a_i, d_i, d_j, d_i, d_j, u, r_i]))
+    np.testing.assert_array_equal(rows.curv_cols, np.concatenate(
+        [a_i, d_i, d_j, d_j, d_i, u, r_i]))
+
+
+def _assert_central_differences(rows, x, lam, h, rtol, atol):
+    """grads and curvature, scattered onto their patterns, match the first
+    and second central differences of the slacks at x."""
+    n, eye = x.size, np.eye(x.size)
+    jac = np.zeros((rows.d.size, n))
+    np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
+    fd_jac = np.stack([(rows.values(x + h * e) - rows.values(x - h * e))
+                       / (2.0 * h) for e in eye], axis=1)
+    np.testing.assert_allclose(jac, fd_jac, rtol=rtol, atol=atol)
+    hess = np.zeros((n, n))
+    np.add.at(hess, (rows.curv_rows, rows.curv_cols), rows.curvature(x, lam))
+
+    def f(z):
+        return lam @ rows.values(z)
+    fd_hess = np.array([[-(f(x + h * (a + b)) - f(x + h * (a - b))
+                           - f(x - h * (a - b)) + f(x - h * (a + b)))
+                         / (4.0 * h * h) for b in eye] for a in eye])
+    np.testing.assert_allclose(hess, fd_hess, rtol=rtol, atol=atol)
 
 
 @pytest.mark.parametrize("shape", ["anchor", "diff"])
@@ -743,88 +784,76 @@ def test_square_derivatives_match_the_formula_and_central_differences(shape):
     # slacks: exact up to rounding, since the rows are quadratic
     rng = np.random.default_rng(3)
     n, m = 4, 2
-    blk = _random_rows(rng, n, m, 6 * (shape == "anchor"),
-                       6 * (shape == "diff"), 0)
+    rows = _random_rows(rng, n, m, 6 * (shape == "anchor"),
+                        6 * (shape == "diff"), 0)
     x, lam = rng.normal(size=n), rng.uniform(0.5, 2.0, m)
-    rows, w, i, y = getattr(blk, shape)
+    r, w, i, y = getattr(rows, shape)
     t = x[i] - (y if shape == "anchor" else x[y])
-    c2 = 2.0 * w * lam[rows]
+    c2 = 2.0 * w * lam[r]
     grads, curv = (-(2.0 * w * t), c2) if shape == "anchor" else (
         np.concatenate([-(2.0 * w * t), 2.0 * w * t]),
         np.concatenate([c2, c2, -c2, -c2]))
-    k = blk.lin[2].size
-    assert blk.grads(x)[k:].tobytes() == grads.tobytes()
-    assert blk.curvature(x, lam).tobytes() == curv.tobytes()
+    k = rows.lin[2].size
+    assert rows.grads(x)[k:].tobytes() == grads.tobytes()
+    assert rows.curvature(x, lam).tobytes() == curv.tobytes()
+    _assert_central_differences(rows, x, lam, 1e-2, rtol=1e-7, atol=1e-8)
 
-    h, eye = 1e-2, np.eye(n)
-    jac = np.zeros((m, n))
-    np.add.at(jac, (blk.jac_rows, blk.jac_cols), blk.grads(x))
-    fd_jac = np.stack([(blk.values(x + h * e) - blk.values(x - h * e))
-                       / (2.0 * h) for e in eye], axis=1)
-    np.testing.assert_allclose(jac, fd_jac, rtol=1e-9, atol=1e-10)
-    hess = np.zeros((n, n))
-    np.add.at(hess, (blk.curv_rows, blk.curv_cols), blk.curvature(x, lam))
 
-    def f(z):
-        return lam @ blk.values(z)
-    fd_hess = np.array([[-(f(x + h * (a + b)) - f(x + h * (a - b))
-                           - f(x - h * (a - b)) + f(x - h * (a + b)))
-                         / (4.0 * h * h) for b in eye] for a in eye])
-    np.testing.assert_allclose(hess, fd_hess, rtol=1e-7, atol=1e-8)
+def test_all_five_term_groups_match_central_differences():
+    # one row set with linear, anchor, difference, exponential and ratio
+    # terms, several on each row: the exponential and ratio terms are not
+    # quadratic, so the differences carry O(h^2) truncation error
+    rng = np.random.default_rng(9)
+    n, m = 5, 3
+    rows = _random_rows(rng, n, m, 4, 3, 3, 4)
+    assert all(getattr(rows, g)[0].size for g in
+               ("lin", "anchor", "diff", "exp", "ratio"))
+    x, lam = rng.uniform(0.2, 1.5, n), rng.uniform(0.5, 2.0, m)
+    _assert_central_differences(rows, x, lam, 1e-4, rtol=1e-6, atol=1e-7)
 
 
 @pytest.mark.parametrize("group", [
     {"lin": ([1], [0], [1.0])}, {"anchor": ([-1], [1.0], [0], [0.0])},
-    {"diff": ([1], [1.0], [0], [1])}, {"exp": ([2], [1.0], [0])}],
-    ids=["lin", "anchor", "diff", "exp"])
-def test_quad_rows_refuse_a_row_outside_the_block(group):
-    # a row past d.size would add a slack the block does not have, and a
+    {"diff": ([1], [1.0], [0], [1])}, {"exp": ([2], [1.0], [0])},
+    {"ratio": ([1], [1.0], [1.0], [0])}],
+    ids=["lin", "anchor", "diff", "exp", "ratio"])
+def test_rows_refuse_a_row_outside_the_set(group):
+    # a row past d.size would add a slack the set does not have, and a
     # negative one would wrap onto its last row
     with pytest.raises(ValueError, match=r"row index lies outside \[0, 1\)"):
-        QuadExpRows(d=np.ones(1), **group)
+        ConcaveRows(d=np.ones(1), **group)
 
 
 @pytest.mark.parametrize("group", [
     {"lin": ([0], [-1], [1.0])}, {"anchor": ([0], [1.0], [-1], [0.0])},
-    {"diff": ([0], [1.0], [0], [-2])}, {"exp": ([0], [1.0], [-1])}],
-    ids=["lin", "anchor", "diff", "exp"])
-def test_quad_rows_refuse_a_negative_column(group):
+    {"diff": ([0], [1.0], [0], [-2])}, {"exp": ([0], [1.0], [-1])},
+    {"ratio": ([0], [1.0], [1.0], [-1])}],
+    ids=["lin", "anchor", "diff", "exp", "ratio"])
+def test_rows_refuse_a_negative_column(group):
     with pytest.raises(ValueError, match="column index is negative"):
-        QuadExpRows(d=np.ones(1), **group)
+        ConcaveRows(d=np.ones(1), **group)
 
 
 @pytest.mark.parametrize("group", [
     {"lin": ([0, 0], [0], [1.0])}, {"anchor": ([0], [1.0], [0])},
-    {"diff": ([[0]], [1.0], [0], [1])}], ids=["ragged", "short", "2-D"])
-def test_quad_rows_refuse_a_malformed_term_group(group):
+    {"diff": ([[0]], [1.0], [0], [1])},
+    {"ratio": ([0], [1.0], [2500.0, 1.0], [0])}],
+    ids=["ragged", "short", "2-D", "ratio-ragged"])
+def test_rows_refuse_a_malformed_term_group(group):
     with pytest.raises(ValueError, match="1-D arrays of one size"):
-        QuadExpRows(d=np.ones(1), **group)
-
-
-@pytest.mark.parametrize("change, match", [
-    ({"z_idx": [0, 2]}, "1-D arrays of one size"),
-    ({"c": [2500.0, 1.0]}, "1-D arrays of one size"),
-    ({"z_idx": [-1]}, "column index is negative"),
-    ({"s_idx": [-2]}, "column index is negative")],
-    ids=["second-z", "second-c", "negative-z", "negative-s"])
-def test_ratio_rows_refuse_out_of_range_indices(change, match):
-    # one row: a second z or c would be a row past d.size
-    args = dict(d=[0.2], b2=6.0, c=[2500.0], z_idx=[0], s_idx=[1])
-    with pytest.raises(ValueError, match=match):
-        VRatioRows(**(args | change))
+        ConcaveRows(d=np.ones(1), **group)
 
 
 @pytest.mark.parametrize("extra", ["linear", "saddle"])
 def test_solver_refuses_a_column_beyond_the_start(extra):
-    # maximize x0 subject to x0 <= 1, plus a block that reaches column 2 of
+    # maximize x0 subject to x0 <= 1, plus a row that reaches column 2 of
     # a two-variable start: a linear entry, or a curvature term whose
     # values never index x.  Its Jacobian key would alias onto the next
     # row, so the solver refuses it before the first Newton step
-    rows = QuadExpRows(d=np.ones(1), lin=([0], [0], [-1.0]))
-    blk = (QuadExpRows(d=np.ones(1), lin=([0], [2], [-1.0]))
-           if extra == "linear" else _SaddleRows(0.0))
+    rows = (ConcaveRows(d=np.ones(2), lin=([0, 1], [0, 2], [-1.0, -1.0]))
+            if extra == "linear" else _SaddleRows(0.0))
     with pytest.raises(ValueError, match="beyond the 2 variables"):
-        maximize_concave_program(np.array([1.0, 0.0]), [rows, blk],
+        maximize_concave_program(np.array([1.0, 0.0]), rows,
                                  np.array([0.5, 0.0]))
 
 
@@ -840,14 +869,14 @@ def _capped_program(cap_slope=1.0, eta_slope=1.0):
     the solver reads s and eta as epigraph columns.  Started at x = 0, s and
     eta 1e-6 under their rows."""
     ke, kc = eta_slope, cap_slope
-    blk = QuadExpRows(
+    rows = ConcaveRows(
         d=np.zeros(2), lin=([0, 1], [2, 1], [-ke, -kc]),
         anchor=([0, 1], [0.1 * ke, 0.1 * kc], [0, 0], [10.0, 0.0]),
         exp=([0], [0.1 * ke], [1]))
-    blocks = [blk, _bounds([-100.0, -np.inf, -np.inf],
-                           [100.0, np.inf, np.inf])]
+    rows = _stack(rows, _bounds([-100.0, -np.inf, -np.inf],
+                                [100.0, np.inf, np.inf]))
     start = np.array([0.0, -1e-6, -0.1 - 10.0 - 1e-6])
-    return np.array([0.0, 0.0, 1.0]), blocks, start
+    return np.array([0.0, 0.0, 1.0]), rows, start
 
 
 def _capped_optimum():
@@ -890,25 +919,25 @@ def test_objective_column_off_slope_gets_no_eta_correction(slope,
     # at x = sqrt(3) - 1.  With slope 0.5, eta enters its second row off
     # -1, so it is no epigraph column and the line search never moves it
     c = np.array([1.0, 0.0])
-    blocks = [_quad_row_block([4.0, 2.0 * slope], [[-1.0, 0.0],
-                                                    [-slope, 2.0 * slope]],
-                              anchor=[(0, 1.0, 1, 0.0)]),
-              _bounds([-np.inf, -3.0], [np.inf, 3.0])]
+    rows = _stack(_quad_rows([4.0, 2.0 * slope], [[-1.0, 0.0],
+                                                  [-slope, 2.0 * slope]],
+                             anchor=[(0, 1.0, 1, 0.0)]),
+                  _bounds([-np.inf, -3.0], [np.inf, 3.0]))
     start = np.zeros(2)
-    _, _, eta, eta_rows = _epigraph_of(c, blocks, start)
+    _, _, eta, eta_rows = _epigraph_of(c, rows, start)
     assert (eta, eta_rows.tolist()) == ((0, [0, 1]) if slope == 1.0
                                         else (None, []))
     correct = solvers._epigraph_correction
     moved = []
 
-    def spy(epigraph, blocks, xt, gt, pred):
+    def spy(epigraph, rows, xt, gt, pred):
         eta_before = xt[0]
-        xt, gt = correct(epigraph, blocks, xt, gt, pred)
+        xt, gt = correct(epigraph, rows, xt, gt, pred)
         moved.append(xt[0] != eta_before)
         return xt, gt
 
     monkeypatch.setattr(solvers, "_epigraph_correction", spy)
-    rep = maximize_concave_program(c, blocks, start)
+    rep = maximize_concave_program(c, rows, start)
     assert moved and any(moved) == (slope == 1.0)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-6)
@@ -921,15 +950,15 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
     # correction, so evaluating it could not have changed the solve
     scen = load_scenario(bundled_scenario("scenario_4sn.json"))
     model = fit_for_scenario(scen)
-    # (objective, blocks, start, x, dx, first t, t_lin), one per line search
+    # (objective, rows, start, x, dx, first t, t_lin), one per line search
     steps = []
     solve, direction = planner.maximize_concave_program, _NewtonSystem.direction
     trial_steps = solvers._trial_steps
     seen = {}
 
-    def spy_solve(c, blocks, start, **kw):
-        seen["program"] = c, blocks, start
-        return solve(c, blocks, start, **kw)
+    def spy_solve(c, rows, start, **kw):
+        seen["program"] = c, rows, start
+        return solve(c, rows, start, **kw)
 
     def spy_direction(system, x, *args):
         dx = direction(system, x, *args)
@@ -947,16 +976,16 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
     monkeypatch.undo()
 
     skipped = 0
-    for c, blocks, start, x, dx, t, t_lin in steps:
-        system = _NewtonSystem(blocks, c)
+    for c, rows, start, x, dx, t, t_lin in steps:
+        system = _NewtonSystem(rows, c)
         epigraph = solvers._epigraph(system, c, system.jacobian(start))
-        g = solvers._block_values(blocks, x)
+        g = rows.values(x)
         gdx = system.matvec(system.jacobian(x), dx)
         while t > t_lin:
             xt = x + t * dx
-            gt = solvers._block_values(blocks, xt)
+            gt = rows.values(xt)
             assert not gt.min() > 0.0
-            _, gc = solvers._epigraph_correction(epigraph, blocks, xt, gt,
+            _, gc = solvers._epigraph_correction(epigraph, rows, xt, gt,
                                                  g + t * gdx)
             assert not gc.min() > 0.0
             skipped += 1
