@@ -450,7 +450,7 @@ class ConcaveRows:
     anchor square has its entries on x[i] alone; a difference square on
     x[i] and x[j], plus the cross entry (i, j) in both orders; a ratio on
     x[i] alone.  A slack sums d, the ratio terms, then the linear part, so
-    a cap row rounds as (d + ratio) - s; an empty group costs nothing.
+    a cap row rounds as (d + ratio) - s.
     """
 
     d: np.ndarray
@@ -505,36 +505,25 @@ class ConcaveRows:
         return g
 
     def grads(self, x):
-        parts = [self.lin[2]]
-        if self._row.size:
-            # -2 w t on x[i], +2 w t on a difference's x[j]
-            t2w = 2.0 * self._w * self._gap(x)
-            parts += [-t2w, t2w[self.anchor[0].size:]]
-        rows, e, u = self.exp
-        if rows.size:
-            parts.append(e * np.exp(-x[u]))
-        rows, b, c, i = self.ratio
-        if rows.size:
-            z = x[i]
-            parts.append(b * c / (c + z * z) ** 1.5)
-        return np.concatenate(parts)
+        # -2 w t on x[i], +2 w t on a difference's x[j]
+        t2w = 2.0 * self._w * self._gap(x)
+        _, e, u = self.exp
+        _, b, c, i = self.ratio
+        z = x[i]
+        return np.concatenate([self.lin[2], -t2w, t2w[self.anchor[0].size:],
+                               e * np.exp(-x[u]), b * c / (c + z * z) ** 1.5])
 
     def curvature(self, x, w):
-        parts = [np.zeros(0)]
-        if self._row.size:
-            # 2 w on x[i], then on a difference's x[j]; -2 w on its cross
-            # entries
-            c2 = 2.0 * self._w * w[self._row]
-            cross = -c2[self.anchor[0].size:]
-            parts += [c2, -cross, cross, cross]
-        rows, e, u = self.exp
-        if rows.size:
-            parts.append(w[rows] * e * np.exp(-x[u]))
-        rows, b, c, i = self.ratio
-        if rows.size:
-            z = x[i]
-            parts.append(w[rows] * (3.0 * b * c * z / (c + z * z) ** 2.5))
-        return np.concatenate(parts)
+        # 2 w on x[i], then on a difference's x[j]; -2 w on its cross entries
+        c2 = 2.0 * self._w * w[self._row]
+        cross = -c2[self.anchor[0].size:]
+        e_rows, e, u = self.exp
+        r_rows, b, c, i = self.ratio
+        z = x[i]
+        ratio = 3.0 * b * c * z / (c + z * z) ** 2.5
+        return np.concatenate([c2, -cross, cross, cross,
+                               w[e_rows] * e * np.exp(-x[u]),
+                               w[r_rows] * ratio])
 
 
 def _epigraph(system, c, gu):
@@ -783,9 +772,9 @@ def _trial_steps(t, t_lin):
 def maximize_concave_program(objective, rows, start,
                              max_iters=200) -> SolverReport:
     """Primal-dual interior-point maximization of objective @ x over the
-    concave-slack ``rows`` (a ``ConcaveRows``); fixed quantities belong in the row
-    constants, not the variable vector, and a bound on a variable is one
-    more linear row.
+    concave-slack ``rows`` (a ``ConcaveRows``); fixed quantities belong in
+    the row constants, not the variable vector, and a bound on a variable
+    is one more linear row.
 
     Newton steps on the perturbed KKT system (stationarity c + G'lam = 0,
     complementarity lam_i g_i = mu) with explicit dual iterates, equal

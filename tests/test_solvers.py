@@ -757,15 +757,16 @@ def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
         [a_i, d_i, d_j, d_j, d_i, u, r_i]))
 
 
-def _assert_central_differences(rows, x, lam, h, rtol, atol):
+def _assert_central_differences(rows, x, lam, h, jac_tol, hess_tol):
     """grads and curvature, scattered onto their patterns, match the first
-    and second central differences of the slacks at x."""
+    and second central differences of the slacks at x, each within its
+    (rtol, atol)."""
     n, eye = x.size, np.eye(x.size)
     jac = np.zeros((rows.d.size, n))
     np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
     fd_jac = np.stack([(rows.values(x + h * e) - rows.values(x - h * e))
                        / (2.0 * h) for e in eye], axis=1)
-    np.testing.assert_allclose(jac, fd_jac, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(jac, fd_jac, *jac_tol)
     hess = np.zeros((n, n))
     np.add.at(hess, (rows.curv_rows, rows.curv_cols), rows.curvature(x, lam))
 
@@ -774,7 +775,7 @@ def _assert_central_differences(rows, x, lam, h, rtol, atol):
     fd_hess = np.array([[-(f(x + h * (a + b)) - f(x + h * (a - b))
                            - f(x - h * (a - b)) + f(x - h * (a + b)))
                          / (4.0 * h * h) for b in eye] for a in eye])
-    np.testing.assert_allclose(hess, fd_hess, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(hess, fd_hess, *hess_tol)
 
 
 @pytest.mark.parametrize("shape", ["anchor", "diff"])
@@ -796,7 +797,8 @@ def test_square_derivatives_match_the_formula_and_central_differences(shape):
     k = rows.lin[2].size
     assert rows.grads(x)[k:].tobytes() == grads.tobytes()
     assert rows.curvature(x, lam).tobytes() == curv.tobytes()
-    _assert_central_differences(rows, x, lam, 1e-2, rtol=1e-7, atol=1e-8)
+    _assert_central_differences(rows, x, lam, 1e-2, jac_tol=(1e-9, 1e-10),
+                                hess_tol=(1e-7, 1e-8))
 
 
 def test_all_five_term_groups_match_central_differences():
@@ -809,7 +811,8 @@ def test_all_five_term_groups_match_central_differences():
     assert all(getattr(rows, g)[0].size for g in
                ("lin", "anchor", "diff", "exp", "ratio"))
     x, lam = rng.uniform(0.2, 1.5, n), rng.uniform(0.5, 2.0, m)
-    _assert_central_differences(rows, x, lam, 1e-4, rtol=1e-6, atol=1e-7)
+    _assert_central_differences(rows, x, lam, 1e-4, jac_tol=(1e-6, 1e-7),
+                                hess_tol=(1e-6, 1e-7))
 
 
 @pytest.mark.parametrize("group", [
