@@ -69,9 +69,6 @@ def _build_parser():
     sweep = sub.add_parser(
         "sweep", help="re-plan over a parameter range, one row per value")
     sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--model",
-                       help="fitted model JSON (default: fit internally; "
-                            "eps/kmax_db sweeps always refit per value)")
     sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sweep.add_argument("--values", required=True,
                        help="comma-separated parameter values")
@@ -194,30 +191,31 @@ def _cmd_evaluate(args):
 
 def _sweep_scenario(scenario, param, value):
     """Scenario with one parameter replaced; slot length stays fixed, so a
-    duration T must be a whole number of slots (ValueError otherwise)."""
+    duration T must be a whole number of slots.  Every ValueError names
+    the parameter and the value."""
     if param == "T":
         slots = value / scenario.delta_s
         n_slots = int(round(slots))
         if n_slots < 1 or abs(slots - n_slots) > 1e-9 * slots:
             raise ValueError(f"--values: T={value:g} s is not a whole "
                              f"number of {scenario.delta_s:g} s slots")
-        return dataclasses.replace(scenario, duration_s=float(value),
-                                   n_slots=n_slots)
-    if param == "vz":
-        return dataclasses.replace(scenario, vz=float(value))
-    if param == "eps":
-        return dataclasses.replace(scenario, epsilon=float(value))
-    return dataclasses.replace(scenario,
-                               k_max=_linear("--values: kmax_db", value))
-
-
-def _sweep_row(scen, param, value, base_model):
-    # eps and kmax_db change the fading law itself, so the surrogate must
-    # be refit for each value; T and vz leave the channel untouched.
-    if param in ("eps", "kmax_db"):
-        model = fit_for_scenario(scen)
+        change = {"duration_s": float(value), "n_slots": n_slots}
+    elif param == "vz":
+        change = {"vz": float(value)}
+    elif param == "eps":
+        change = {"epsilon": float(value)}
     else:
-        model = base_model
+        change = {"k_max": _linear("--values: kmax_db", value)}
+    try:
+        return dataclasses.replace(scenario, **change)
+    except ValueError as exc:
+        raise ValueError(f"--values: {param}={value:g}: {exc}") from None
+
+
+def _sweep_row(scen, value):
+    # each swept scenario gets its own surrogate: eps and kmax_db change
+    # the fading law, and T and vz refit to the same model
+    model = fit_for_scenario(scen)
     row = {"value": float(value), "model": model_to_json(model)}
     for scheme in ("rfb", "lb"):
         plan, report = run_scheme(scheme, scen, model, simulate=False)
@@ -242,19 +240,8 @@ def _cmd_sweep(args):
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"--values: expected finite numbers, "
                          f"got {args.values!r}")
-    # eps and kmax_db sweeps refit per value; T and vz keep the channel,
-    # so a given model must have been fitted to it
-    refit = args.param in ("eps", "kmax_db")
-    if args.model:
-        base_model = load_model(args.model)
-        if not refit:
-            _check_channel(base_model, scenario, f"--model {args.model}")
-    else:
-        base_model = None if refit else fit_for_scenario(scenario)
-
     scens = [_sweep_scenario(scenario, args.param, v) for v in values]
-    rows = [_sweep_row(scen, args.param, v, base_model)
-            for scen, v in zip(scens, values)]
+    rows = [_sweep_row(scen, v) for scen, v in zip(scens, values)]
 
     doc = {
         "kind": "sweep",

@@ -220,22 +220,26 @@ _PLACEMENT = (
 )
 
 
-def _placement(val, path):
-    """Node coordinates drawn uniformly over [0, area_m] from the seed."""
+def _placement(val, path, n_slots):
+    """Node coordinates drawn uniformly over [0, area_m] from the seed, once
+    n_slots slots (at least one) of that many nodes fit in memory."""
     gen = _read(_PLACEMENT, val, path)
     if gen["count"] < 1 or gen["seed"] < 0:
         raise FileFormatError(f"{path}: count must be >= 1 and seed >= 0")
-    if max_slots(gen["count"]) == 0:
+    room = max_slots(gen["count"])
+    if max(n_slots, 1) > room:
         raise FileFormatError(f"{path}.count: {gen['count']} nodes leave no "
-                              f"slot whose planning arrays fit in this "
-                              f"machine's memory")
+                              f"slot past {room} whose planning arrays fit "
+                              f"in this machine's memory; n_slots is "
+                              f"{n_slots}")
     rng = np.random.default_rng(gen["seed"])
     return rng.uniform([0.0, 0.0], gen["area"], (gen["count"], 2))
 
 
 _SCENARIO = (
     _Field("sn_positions_m", "sn_positions", _matrix, required=False),
-    _Field("sn_placement", "sn_positions", _placement, (_same, None), False),
+    # drawn by scenario_from_config once n_slots is read
+    _Field("sn_placement", "sn_positions", _object, (_same, None), False),
     _Field("q0_m", "q0", _pair),
     _Field("qf_m", "qf", _pair),
     _Field("z0_m", "z0", _number),
@@ -263,6 +267,9 @@ def scenario_from_config(doc, path="scenario"):
         raise FileFormatError(f"{path}: exactly one of sn_positions_m and "
                               f"sn_placement is required")
     values = _read(_SCENARIO, doc, path)
+    if "sn_placement" in doc:
+        values["sn_positions"] = _placement(
+            doc["sn_placement"], f"{path}.sn_placement", values["n_slots"])
     if values["k_min"] > values["k_max"]:
         raise FileFormatError(f"{path}.kmin_db: must not exceed kmax_db")
     return _build(Scenario, values, path)

@@ -529,13 +529,13 @@ class ConcaveRows:
 def _epigraph(system, c, gu):
     """The epigraph columns, read off the Jacobian gu at the start, as
     (cap_rows, cap_cols, eta_col, eta_rows).  eta is the objective's single
-    column when it has no curvature term and enters each of its rows, the
-    coupling rows, with slope -1; otherwise eta_col is None.  A cap pair is
-    a column with exactly one local row, which it enters with slope -1
-    (its coupling rows may hold it in monotone terms)."""
+    column when it enters each of its rows, the coupling rows, with slope
+    -1; otherwise eta_col is None.  A cap pair is a column with exactly one
+    local row, which it enters with slope -1 (its coupling rows may hold it
+    in monotone terms)."""
     obj = np.flatnonzero(c)
     eta_col, eta_rows = None, np.zeros(0, np.int64)
-    if obj.size == 1 and obj[0] not in system.curv_diag_rows:
+    if obj.size == 1:
         at = system.ucol == obj[0]
         if at.any() and np.all(gu[at] == -1.0):
             eta_col, eta_rows = int(obj[0]), system.urow[at]
@@ -583,31 +583,32 @@ class _NewtonSystem:
     """The barrier Newton matrix  H = curvature + G' diag(W) G  of one
     program, split by the sparsity pattern its rows state.
 
-    The dense columns d are the objective's columns; no curvature term may
-    join one of them to a column outside d.  Rows with an entry in d are the
-    coupling rows, every other row is local.  The remaining columns b keep
-    the program's order, so a program whose local rows only join
-    neighbouring variables (the planner numbers its variables slot by slot)
-    has a banded local part A_bb: curvature plus local rows.  A_bb must be
-    positive definite, and every program the planner builds has one: each
-    free waypoint column carries the move rows' squared terms, which chain
-    the free waypoints to the two pinned endpoints, and each s column
-    carries its exponential term and its cap row.  A program without that
-    (a column of b with neither a local row nor a curvature term, or an
-    indefinite curvature) gets no direction, and its solve ends "stalled".
-    After Jacobi equilibration, with U = W_K^(1/2) G_K the weighted coupling
-    rows,
+    The dense columns d are the objective's columns.  They enter the rows
+    linearly: a curvature term on any of them is refused.  Rows with an
+    entry in d are the coupling rows, every other row is local.  The
+    remaining columns b keep the program's order, so a program whose local
+    rows only join neighbouring variables (the planner numbers its
+    variables slot by slot) has a banded local part A_bb: curvature plus
+    local rows.  A_bb must be positive definite, and every program the
+    planner builds has one: each free waypoint column carries the move
+    rows' squared terms, which chain the free waypoints to the two pinned
+    endpoints, and each s column carries its exponential term and its cap
+    row.  A program without that (a column of b with neither a local row
+    nor a curvature term, or an indefinite curvature) gets no direction,
+    and its solve ends "stalled".  After Jacobi equilibration, with
+    U = W_K^(1/2) G_K the weighted coupling rows (k of them),
 
-        H = [[A_bb + U_b'U_b, U_b'U_d], [U_d'U_b, A_dd + U_d'U_d]].
+        H = [[A_bb + U_b'U_b, U_b'U_d], [U_d'U_b, U_d'U_d]].
 
-    The d columns are eliminated first, which leaves
-    A_bb + U_b' P U_b,  P = I - U_d H_dd^-1 U_d'  on b.  Their Schur
-    complement takes out exactly the direction that dominates near a
-    max-min optimum, so what reaches the banded Cholesky of A_bb as a
-    Woodbury update is the rank-(coupling rows - d) rest: nothing at all
-    for one node.  Each step costs one banded factorization, one banded
-    solve with one right-hand side per coupling row plus one for the
-    step's own right-hand side, and a few dense solves of that size.
+    The d columns are eliminated first, which leaves A_bb + U_b' P U_b on
+    b, where P = I - U_d (U_d'U_d)^-1 U_d' is the orthogonal projector onto
+    the complement of U_d's range.  Their Schur complement takes out
+    exactly the direction that dominates near a max-min optimum, so what
+    reaches the banded Cholesky of A_bb as a Woodbury update is the
+    rank-(k - nd) rest: nothing at all for one node.  Each step costs one
+    banded factorization, one banded solve with one right-hand side per
+    rank of the update plus one for the step's own right-hand side, one QR
+    of U_d and a few dense solves of that size.
     """
 
     def __init__(self, rows, c):
@@ -622,9 +623,9 @@ class _NewtonSystem:
         self.curv_diag_rows = cr[self.curv_diag]
 
         dense = c != 0.0
-        if np.any(dense[cr] != dense[cc]):
-            raise ValueError("a curvature term joins an objective column "
-                             "to a column outside the objective")
+        if np.any(dense[cr] | dense[cc]):
+            raise ValueError("a curvature term lies on an objective column; "
+                             "objective columns must enter the rows linearly")
         coupling = np.zeros(m, bool)
         coupling[self.urow[dense[self.ucol]]] = True
         self.local = local = ~coupling[self.urow]
@@ -636,9 +637,8 @@ class _NewtonSystem:
         nb = int(n - dense.sum())
         self.nb, self.nd = nb, n - nb
 
-        # lower-triangle entries of A: curvature terms and products of two
-        # entries of one local row, as slots of the band of A_bb followed
-        # by the lower triangle of A_dd
+        # lower-triangle entries of A_bb, curvature terms and products of
+        # two entries of one local row, as slots of its band
         self.curv_keep = pos[cr] >= pos[cc]
         loc = np.flatnonzero(local)
         a, b = _pairs_within_rows(self.urow[loc])
@@ -650,15 +650,8 @@ class _NewtonSystem:
         self.src_c = np.concatenate([cc[self.curv_keep],
                                      self.ucol[self.pair_b]])
         r, col = pos[self.src_r], pos[self.src_c]
-        in_band = r < nb
-        self.bw = int(np.max((r - col)[in_band], initial=0))
-        band = (self.bw + 1) * nb
-        self.slot = np.where(in_band, (r - col) * nb + col,
-                             band + (r - nb) * self.nd + col - nb)
-        self.store_size = band + self.nd ** 2
-        # A_dd read back symmetric from its stored lower triangle
-        i, j = np.indices((self.nd, self.nd))
-        self.dd_slot = band + np.maximum(i, j) * self.nd + np.minimum(i, j)
+        self.bw = int(np.max(r - col, initial=0))
+        self.slot = (r - col) * nb + col
 
         # the coupling rows' entries, as slots of a dense (k, n) matrix
         self.k_ent = np.flatnonzero(~local)
@@ -688,10 +681,16 @@ class _NewtonSystem:
 
     def direction(self, x, lam, w, gu, rhs):
         """Solve H dx = rhs, H with row weights w = lam / g; None when a
-        factorization fails or the step is not finite."""
+        factorization fails or the step is not finite.  The d block is
+        the Cholesky factor of U_d'U_d, and the Woodbury update's factor V
+        is Q_perp'U_b, Q_perp the last k - nd columns of a complete QR of
+        U_d (Householder, ``dgeqrf`` / ``dorgqr``)."""
         # here: scipy.linalg adds 5 MB to a run that factors nothing
-        from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dsyevd
-        nb, k = self.nb, self.k
+        from scipy.linalg.lapack import (dgeqrf, dorgqr, dpbtrf, dpbtrs,
+                                         dpotrf, dpotrs)
+        nb, nd, k = self.nb, self.nd, self.k
+        if k < nd:      # U_d has fewer rows than columns: U_d'U_d is singular
+            return None
         cv = self.rows.curvature(x, lam)
         wg = w[self.urow] * gu
         diag = (np.bincount(self.ucol, wg * gu, minlength=self.n)
@@ -703,10 +702,9 @@ class _NewtonSystem:
         vals = np.concatenate([cv[self.curv_keep],
                                wg[self.pair_a] * gu[self.pair_b]])
         # bincount of an empty index array is integer-valued
-        store = np.bincount(self.slot,
-                            vals * dsc[self.src_r] * dsc[self.src_c],
-                            minlength=self.store_size).astype(float, copy=False)
-        band = store[:(self.bw + 1) * nb].reshape(self.bw + 1, nb)
+        band = np.bincount(self.slot, vals * dsc[self.src_r] * dsc[self.src_c],
+                           minlength=(self.bw + 1) * nb)
+        band = band.astype(float, copy=False).reshape(self.bw + 1, nb)
         u = np.bincount(self.k_slot, np.sqrt(w[self.k_urow]) * gu[self.k_ent]
                         * dsc[self.k_ucol], minlength=k * self.n)
         u = u.astype(float, copy=False).reshape(k, self.n)
@@ -714,26 +712,26 @@ class _NewtonSystem:
         try:
             chol = _lapack(dpbtrf, band)
             u_b, u_d = u[:, :nb], u[:, nb:]
-            h_dd = _lapack(dpotrf, store[self.dd_slot] + u_d.T @ u_d)
-            # P = I - U_d H_dd^-1 U_d' = Q diag(e) Q' is PSD;
-            # V = e^(1/2) Q' U_b
-            p = -u_d @ _lapack(dpotrs, h_dd, u_d.T)
-            p.flat[::k + 1] += 1.0
-            e, q, info = dsyevd(p, lower=1)
-            if info:
-                return None
-            v = (q * np.sqrt(np.maximum(e, 0.0))).T @ u_b
+            h_dd = _lapack(dpotrf, u_d.T @ u_d)
+            # P = Q_perp Q_perp', so U_b' P U_b = V'V with V = Q_perp' U_b
+            q = np.empty((k, k))
+            if k:
+                qr, tau, _, _ = dgeqrf(u_d)
+                q[:, :nd] = qr
+                q = dorgqr(q, tau)[0]
+            v = q[:, nd:].T @ u_b
             # one banded solve for A^-1 V' and for A^-1 of the b part of the
             # right-hand side with the d columns eliminated
             w_d = _lapack(dpotrs, h_dd, rs[nb:])
-            both = np.empty((nb, k + 1), order="F")
-            both[:, :k] = v.T
-            both[:, k] = rs[:nb] - u_b.T @ (u_d @ w_d)
+            rank = k - nd
+            both = np.empty((nb, rank + 1), order="F")
+            both[:, :rank] = v.T
+            both[:, rank] = rs[:nb] - u_b.T @ (u_d @ w_d)
             both = _lapack(dpbtrs, chol, both)
-            z, y = both[:, :k], both[:, k]
+            z, y = both[:, :rank], both[:, rank]
             # Woodbury: (A + V'V)^-1 = A^-1 - A^-1 V' (I + V A^-1 V')^-1 V A^-1
             cap = v @ z
-            cap.flat[::k + 1] += 1.0
+            cap.flat[::rank + 1] += 1.0
             y_b = y - z @ _lapack(dpotrs, _lapack(dpotrf, cap), v @ y)
             y_d = w_d - _lapack(dpotrs, h_dd, u_d.T @ (u_b @ y_b))
         except np.linalg.LinAlgError:

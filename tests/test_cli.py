@@ -339,17 +339,14 @@ class TestBoundaryChecks:
         (["--kmax-db", "20"], "kmax_db=20 differs from the scenario's 30"),
         (["--kmin-db", "3"], "kmin_db=3 differs from the scenario's 0"),
     ])
-    @pytest.mark.parametrize("command", ["plan", "sweep"])
     def test_refuses_a_model_fitted_to_another_channel(
-            self, scen_path, tmp_path, capsys, fit_args, field, command):
+            self, scen_path, tmp_path, capsys, fit_args, field):
         model = tmp_path / "m.json"
         assert cli(["fit", *fit_args, "--grid", "60",
                     "--out", str(model)]) == 0
-        extra = (["--scheme", "rfla"] if command == "plan" else
-                 ["--param", "vz", "--values", "20"])
         out = tmp_path / "x.json"
-        assert cli([command, "--scenario", str(scen_path), "--model",
-                    str(model), *extra, "--out", str(out)]) == 1
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model), "--scheme", "rfla", "--out", str(out)]) == 1
         assert f"--model {model}: {field}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -433,11 +430,9 @@ class TestBoundaryChecks:
 
 class TestSweep:
     def test_one_row_per_value_with_embedded_config(self, scen_path,
-                                                    model_path, tmp_path,
-                                                    capsys):
+                                                    tmp_path, capsys):
         out = tmp_path / "sweep.json"
-        assert cli(["sweep", "--scenario", str(scen_path), "--model",
-                    str(model_path), "--param", "vz",
+        assert cli(["sweep", "--scenario", str(scen_path), "--param", "vz",
                     "--values", "0,20", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["kind"] == "sweep" and doc["param"] == "vz"
@@ -473,6 +468,13 @@ class TestSweep:
             rows[0]["rfb"]["eta_achieved"] * 0.98)
         capsys.readouterr()
 
+    def test_takes_no_model(self, scen_path, model_path, tmp_path, capsys):
+        # each swept scenario is fitted by the sweep itself
+        assert cli(["sweep", "--scenario", str(scen_path), "--model",
+                    str(model_path), "--param", "vz", "--values", "20",
+                    "--out", str(tmp_path / "s.json")]) == 2
+        assert "--model" in capsys.readouterr().err
+
     def test_bad_values_fail_cleanly(self, scen_path, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert cli(["sweep", "--scenario", str(scen_path), "--param", "vz",
@@ -500,18 +502,24 @@ class TestSweep:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("values, bad", [("8,8.5", "8.5"),
-                                             ("0.4", "0.4")])
-    def test_duration_off_the_slot_grid_fails_cleanly(self, scen_path,
-                                                      tmp_path, capsys,
-                                                      values, bad):
+    @pytest.mark.parametrize("param, values, message", [
         # the slot length (1 s here) stays fixed, so T must be a whole
-        # number of slots; nothing is planned or written otherwise
+        # number of slots
+        ("T", "8,8.5", "--values: T=8.5 s is not a whole number of 1 s slots"),
+        ("T", "0.4", "--values: T=0.4 s is not a whole number of 1 s slots"),
+        # a value the scenario refuses is named before the scenario's reason
+        ("kmax_db", "-5", "--values: kmax_db=-5: need 0 < k_min <= k_max"),
+        ("vz", "-1", "--values: vz=-1: speed limits must be nonnegative"),
+        ("T", "1e300", "--values: T=1e+300: n_slots="),
+    ], ids=["T-8,8.5", "T-0.4", "kmax_db--5", "vz--1", "T-1e300"])
+    def test_bad_value_fails_naming_it(self, scen_path, tmp_path, capsys,
+                                       monkeypatch, param, values, message):
+        # nothing is planned or written
+        monkeypatch.setattr(cli_module, "run_scheme", _never)
         out = tmp_path / "t.json"
-        assert cli(["sweep", "--scenario", str(scen_path), "--param", "T",
+        assert cli(["sweep", "--scenario", str(scen_path), "--param", param,
                     "--values", values, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"T={bad} s" in err and "1 s slots" in err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavrice import files
+from uavrice import channel, files
 from uavrice.cli import cli
 from uavrice.evaluation import EvalReport, evaluate_plan
 from uavrice.fading import LogisticModel
@@ -126,6 +126,25 @@ class TestScenarioDocuments:
         with pytest.raises(FileFormatError,
                            match=rf"scenario\.sn_placement\.count: {2 ** 62} "
                                  r"nodes leave no slot"):
+            scenario_from_config(cfg)
+
+    def test_placement_short_of_n_slots_is_refused_before_drawing(
+            self, monkeypatch):
+        # memory for one slot of 1000 nodes: 8 slots are refused by the
+        # placement itself, before the generator draws 1000 coordinates
+        def never(*args, **kwargs):
+            raise AssertionError("n_slots should have been refused first")
+
+        per_slot = (channel._PLAN_BYTES_PER_SLOT
+                    + channel._PLAN_BYTES_PER_NODE_SLOT * 1000)
+        monkeypatch.setattr(channel, "_memory_bytes", lambda: per_slot)
+        monkeypatch.setattr(np.random, "default_rng", never)
+        cfg = _config(sn_positions_m=None, n_slots=8,
+                      sn_placement={"count": 1000, "area_m": [1.0, 1.0],
+                                    "seed": 0})
+        with pytest.raises(FileFormatError,
+                           match=r"scenario\.sn_placement\.count: 1000 nodes "
+                                 r"leave no slot past 1 .*n_slots is 8"):
             scenario_from_config(cfg)
 
     def test_missing_epsilon_rejected(self):

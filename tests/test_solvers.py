@@ -24,6 +24,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.optimize
 import scipy.sparse
 from hypothesis import given, strategies as st
@@ -414,6 +415,21 @@ def _quadratic_cap():
                    _bounds([-np.inf, -3.0], [np.inf, 3.0])))
 
 
+def _epigraph_form(c, rows, start):
+    """maximize c @ x over ``rows`` restated as: maximize t subject to
+    c @ x - t >= 0 and ``rows``, t a new last column started with slack 1
+    in its row.  The solver refuses curvature on an objective column, and
+    this form keeps every curvature term on the x columns.  Returns
+    (objective, rows, start)."""
+    c, start = np.asarray(c, float), np.asarray(start, float)
+    n, cols = c.size, np.flatnonzero(c)
+    epi = ConcaveRows(d=np.zeros(1), lin=(np.zeros(cols.size + 1, np.int64),
+                                          np.append(cols, n),
+                                          np.append(c[cols], -1.0)))
+    return (np.eye(n + 1)[n], _stack(rows, epi),
+            np.append(start, c @ start - 1.0))
+
+
 def _epigraph_of(c, rows, x):
     """The solver's epigraph columns of the program at x."""
     system = _NewtonSystem(rows, c)
@@ -438,10 +454,7 @@ class TestBarrier:
 
     def test_exponential_row(self):
         # maximize -u subject to exp(-u) <= 3: optimum u = -ln 3
-        rows = ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0]))
-        rep = maximize_concave_program(
-            np.array([-1.0]), _stack(rows, _bounds([-10.0], [10.0])),
-            np.array([0.0]))
+        rep = maximize_concave_program(*_BARRIER_PROGRAMS["exponential"]())
         assert rep.status == "optimal"
         assert rep.x[0] == pytest.approx(-np.log(3.0), abs=1e-6)
 
@@ -460,7 +473,7 @@ class TestBarrier:
         n = c.size
         cons = [{"type": "ineq", "fun": lambda x, k=k: rows.values(x)[k]}
                 for k in range(3)]
-        rep = maximize_concave_program(c, rows, start)
+        rep = maximize_concave_program(*_epigraph_form(c, rows, start))
         assert rep.status == "optimal"
         assert rep.feasibility <= 1e-8
 
@@ -589,15 +602,36 @@ def _random_program(seed):
     return c, _stack(*sets), np.zeros(n)
 
 
+def _tie_break_program(delta=0.05):
+    """A max-min program with a tie-break over x (6 chained columns), t
+    (3 per-node columns) and eta: maximize (1 - 3 delta) eta + delta sum t
+    subject to per-node rows 4 - sum (x_i - a)^2 - t_n >= 0 over two x
+    columns each, tie rows t_n - eta >= 0, move rows
+    1 - (x_i - x_i+1)^2 >= 0 and end rows 1 - x_0^2, 1 - x_5^2 >= 0.
+    Six coupling rows on four objective columns leave a rank-2 update."""
+    a = np.random.default_rng(4).uniform(-0.5, 0.5, 6)
+    rates = _quad_rows([4.0] * 3, np.hstack([np.zeros((3, 6)), -np.eye(3),
+                                              np.zeros((3, 1))]),
+                       anchor=[(i // 2, 1.0, i, a[i]) for i in range(6)])
+    ties = ConcaveRows(d=np.zeros(3), lin=([0, 1, 2, 0, 1, 2],
+                                           [6, 7, 8, 9, 9, 9],
+                                           [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
+    moves = _quad_rows([1.0] * 7, np.zeros((7, 10)),
+                       anchor=[(5, 1.0, 0, 0.0), (6, 1.0, 5, 0.0)],
+                       diff=[(i, 1.0, i, i + 1) for i in range(5)])
+    c = np.concatenate([np.zeros(6), np.full(3, delta), [1.0 - 3.0 * delta]])
+    start = np.concatenate([np.zeros(6), np.zeros(3), [-1.0]])
+    return c, _stack(rates, ties, moves), start
+
+
 # the TestBarrier programs as (objective, rows, start)
 _BARRIER_PROGRAMS = {
     "box": lambda: (np.array([1.0, 1.0]), _bounds(np.zeros(2), [1.0, 2.0]),
                     np.array([0.5, 0.5])),
     "quadratic_cap": lambda: (*_quadratic_cap(), np.array([2.0, 0.9])),
-    "exponential": lambda: (
-        np.array([-1.0]),
-        _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
-               _bounds([-10.0], [10.0])), np.array([0.0])),
+    "exponential": lambda: _epigraph_form(
+        [-1.0], _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
+                       _bounds([-10.0], [10.0])), [0.0]),
     # s <= 0.2 + 6 z / sqrt(2500 + z^2) over (z, s), z in [1, 100]
     "altitude_ratio": lambda: (
         np.array([0.0, 1.0]),
@@ -605,17 +639,17 @@ _BARRIER_PROGRAMS = {
                            ratio=([0], [6.0], [2500.0], [0])),
                _bounds([1.0, -np.inf], [100.0, np.inf])),
         np.array([50.0, 0.0])),
-    "coupled_cap": lambda: (
-        np.array([1.0, 0.1]),
+    "coupled_cap": lambda: _epigraph_form(
+        [1.0, 0.1],
         _stack(_quad_rows([4.0], [[-1.0, 0.2]], anchor=[(0, 1.0, 1, 0.0)]),
-               _bounds([-np.inf, -3.0], [np.inf, 3.0])),
-        np.array([0.0, 0.5])),
+               _bounds([-np.inf, -3.0], [np.inf, 3.0])), [0.0, 0.5]),
     # no objective column at all: nothing to eliminate, no coupling rows
     "zero_objective": lambda: (
         np.zeros(2), _bounds(np.zeros(2), [1.0, 3.0]), np.array([0.2, 0.5])),
-    "random_11": lambda: _random_program(11),
-    "random_42": lambda: _random_program(42),
-    "random_90": lambda: _random_program(90),
+    "random_11": lambda: _epigraph_form(*_random_program(11)),
+    "random_42": lambda: _epigraph_form(*_random_program(42)),
+    "random_90": lambda: _epigraph_form(*_random_program(90)),
+    "tie_break": lambda: _tie_break_program(),
 }
 
 
@@ -638,14 +672,60 @@ def test_dual_scale_is_largest_weighted_row_entry(name):
     assert system.dual_scale(gu, lam) == float(np.max(lam * row_max))
 
 
-def test_rejects_curvature_joining_an_objective_column():
-    # 4 - x0 - (x0 - x1)^2 >= 0 with the objective on x0 alone: the cross
-    # term would fall between the dense and the banded block
-    rows = _stack(_quad_rows([4.0], [[-1.0, 0.0]], diff=[(0, 1.0, 0, 1)]),
-                  _bounds([-np.inf, -3.0], [np.inf, 3.0]))
-    with pytest.raises(ValueError, match="joins an objective column"):
-        maximize_concave_program(np.array([1.0, 0.0]), rows,
-                                 np.array([0.0, 0.5]))
+@pytest.mark.parametrize("term", ["cross", "diagonal"])
+def test_rejects_curvature_on_an_objective_column(term):
+    # cross: 4 - x0 - (x0 - x1)^2 >= 0 with the objective on x0 alone, whose
+    # cross term would fall between the dense and the banded block;
+    # diagonal: the exponential program unrestated, maximize -u subject to
+    # exp(-u) <= 3, whose exponential term lies on its objective column
+    if term == "cross":
+        c, rows, start = (
+            np.array([1.0, 0.0]),
+            _stack(_quad_rows([4.0], [[-1.0, 0.0]], diff=[(0, 1.0, 0, 1)]),
+                   _bounds([-np.inf, -3.0], [np.inf, 3.0])),
+            np.array([0.0, 0.5]))
+    else:
+        c, rows, start = (
+            np.array([-1.0]),
+            _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
+                   _bounds([-10.0], [10.0])), np.array([0.0]))
+    with pytest.raises(ValueError, match="curvature term lies on an "
+                                         "objective column"):
+        maximize_concave_program(c, rows, start)
+
+
+@pytest.mark.parametrize("name", sorted(_BARRIER_PROGRAMS))
+def test_woodbury_rank_is_coupling_rows_less_objective_columns(name,
+                                                               monkeypatch):
+    # the banded solve takes one right-hand side per rank of the update
+    # plus the step's own: k - nd + 1 columns
+    c, rows, x = _BARRIER_PROGRAMS[name]()
+    system = _NewtonSystem(rows, c)
+    widths = []
+    lapack = solvers._lapack
+
+    def spy(routine, *arrays):
+        if routine is scipy.linalg.lapack.dpbtrs:
+            widths.append(arrays[-1].shape[1])
+        return lapack(routine, *arrays)
+
+    monkeypatch.setattr(solvers, "_lapack", spy)
+    lam = 1.0 / rows.values(x)
+    assert system.direction(x, lam, lam * lam, system.jacobian(x),
+                            c) is not None
+    assert widths == [system.k - system.nd + 1]
+    assert name != "tie_break" or (system.k, system.nd) == (6, 4)
+
+
+def test_objective_columns_beyond_their_rows_get_no_direction():
+    # maximize x0 + x1 subject to x0 + x1 <= 1: one coupling row on two
+    # objective columns, so U_d'U_d is singular
+    rows = ConcaveRows(d=np.ones(1), lin=([0, 0], [0, 1], [-1.0, -1.0]))
+    c, x = np.ones(2), np.zeros(2)
+    system = _NewtonSystem(rows, c)
+    assert (system.k, system.nd) == (1, 2)
+    assert system.direction(x, np.ones(1), np.ones(1), system.jacobian(x),
+                            c) is None
 
 
 class _SaddleRows:
