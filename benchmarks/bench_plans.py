@@ -97,12 +97,11 @@ class Counter:
         lp = self._saved[2]
 
         def counted_block(name, solve):
-            def counted(*args, reports=None, **kwargs):
+            def counted(*args, reports, **kwargs):
                 mine = []
                 out = solve(*args, reports=mine, **kwargs)
                 self.reports[name] += mine
-                if reports is not None:
-                    reports += mine
+                reports += mine
                 return out
             return counted
 

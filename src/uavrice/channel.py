@@ -98,9 +98,11 @@ class Scenario:
         self.sn_positions = np.atleast_2d(np.asarray(self.sn_positions, dtype=float))
         self.q0 = np.asarray(self.q0, dtype=float).reshape(2)
         self.qf = np.asarray(self.qf, dtype=float).reshape(2)
-        self.p_tx = np.broadcast_to(
-            np.asarray(self.p_tx, dtype=float), (self.n_sn,)
-        ).copy()
+        p_tx = np.asarray(self.p_tx, dtype=float)
+        if p_tx.size not in (1, self.n_sn):
+            raise ValueError(f"p_tx has {p_tx.size} values for {self.n_sn} "
+                             f"nodes; give one value or one per node")
+        self.p_tx = np.broadcast_to(p_tx, (self.n_sn,)).copy()
         self.validate()
 
     # -- derived quantities -------------------------------------------------

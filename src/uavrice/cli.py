@@ -97,13 +97,15 @@ def _check_channel(model, scenario, source):
 
 
 def _resolve_model(scenario, scheme, model_path):
-    if scheme == "lb":
-        return LOS_MODEL
-    if model_path is None:
-        return fit_for_scenario(scenario)
-    model = load_model(model_path)
-    _check_channel(model, scenario, f"--model {model_path}")
-    return model
+    """The surrogate a scheme plans with.  A --model file is loaded and
+    checked against the scenario for every scheme, though ``lb`` plans
+    with ``LOS_MODEL``; without one the fading-aware schemes fit."""
+    if model_path is not None:
+        model = load_model(model_path)
+        _check_channel(model, scenario, f"--model {model_path}")
+    elif scheme != "lb":
+        model = fit_for_scenario(scenario)
+    return LOS_MODEL if scheme == "lb" else model
 
 
 def _linear(option, db):

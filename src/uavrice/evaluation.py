@@ -46,7 +46,7 @@ MIN_TRIALS = 10_000
 #: sample points of ks_upper_bound's quantile-spaced grid
 KS_GRID = 200_000
 
-# candidate fixed altitudes swept by the best-fixed-altitude benchmark [m]
+#: cruise levels the altitude scans try, read at call time [m]
 DEFAULT_ALTITUDES = tuple(float(h) for h in range(100, 301, 25))
 
 
@@ -127,7 +127,7 @@ def usable_cpus():
 
 
 def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
-                       rates=None, owners=None):
+                       rates, owners):
     """Empirical outage frequency per slot from brute-force link simulation.
 
     For each scheduled slot the owner's committed rate is tested against
@@ -141,13 +141,11 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
     drawn for slot m (0 when unscheduled, in which case ``freq[m]`` is 0 by
     convention).
 
-    ``rates`` defaults to the exact outage rates for the plan's geometry, in
-    which case every frequency estimates the scenario's outage target.
-    Passing planner-model rates instead measures how far the surrogate's
-    rate commitments miss that target.  ``owners`` defaults to rounding the
-    plan's activities against ``rates``.  ``rates`` must be (N, M), finite
-    and nonnegative; ``owners`` must be (M,) integers in [-1, N), -1 marking
-    an idle slot.
+    With the exact outage rates of the plan's geometry (``exact_rates``)
+    every frequency estimates the scenario's outage target; planner-model
+    rates instead measure how far the surrogate's rate commitments miss
+    that target.  ``rates`` must be (N, M), finite and nonnegative;
+    ``owners`` must be (M,) integers in [-1, N), -1 marking an idle slot.
 
     Scheduled slots run concurrently on a thread pool with one worker per
     CPU the process may use.  Each slot draws from its own counter-based
@@ -159,16 +157,12 @@ def monte_carlo_outage(plan: Plan, scenario: Scenario, trials, seed, *,
         raise ValueError(f"need at least {MIN_TRIALS} trials per slot for a "
                          f"meaningful frequency")
     n_sn, m_slots = scenario.n_sn, scenario.n_slots
-    if rates is None:
-        rates = exact_rates(plan.q, plan.z, scenario)
     rates = np.asarray(rates, dtype=float)
     if rates.shape != (n_sn, m_slots):
         raise ValueError(f"rates must have shape ({n_sn}, {m_slots}), "
                          f"got {rates.shape}")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
         raise ValueError("rates must be finite and nonnegative")
-    if owners is None:
-        owners = round_schedule(plan.a, rates)
     owners = np.asarray(owners)
     if owners.shape != (m_slots,):
         raise ValueError(f"owners must have shape ({m_slots},), "
@@ -313,14 +307,15 @@ def _level_start(scenario: Scenario, h):
     return Plan(q=plan.q, z=cruise_profile(scenario, h), a=plan.a)
 
 
-def cruise_levels(scenario: Scenario, altitudes=DEFAULT_ALTITUDES):
-    """The cruise levels the altitude scans try: those of ``altitudes`` at
-    or above the floor, or the floor alone when none is."""
-    return [h for h in altitudes if h >= scenario.h_min] or [scenario.h_min]
+def cruise_levels(scenario: Scenario):
+    """The cruise levels the altitude scans try: those of
+    ``DEFAULT_ALTITUDES`` at or above the floor, or the floor alone when
+    none is."""
+    return ([h for h in DEFAULT_ALTITUDES if h >= scenario.h_min]
+            or [scenario.h_min])
 
 
-def best_cruise_start(scenario: Scenario, model: LogisticModel,
-                      altitudes=DEFAULT_ALTITUDES):
+def best_cruise_start(scenario: Scenario, model: LogisticModel):
     """Pick the cruise-profile start whose schedule-optimized surrogate
     objective is largest.
 
@@ -332,7 +327,7 @@ def best_cruise_start(scenario: Scenario, model: LogisticModel,
     coupling.  The scan runs over ``cruise_levels``.
     """
     best = None
-    for h in cruise_levels(scenario, altitudes):
+    for h in cruise_levels(scenario):
         plan = _level_start(scenario, h)
         a, eta = solve_scheduling(
             predicted_rates(plan.q, plan.z, scenario, model))
@@ -349,16 +344,15 @@ def fit_for_scenario(scenario: Scenario):
 
 
 def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None,
-               *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS,
-               altitudes=None, simulate=True):
+               *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS, simulate=True):
     """Plan and score one benchmark mission design.  Returns (plan, report).
 
     lb     planner that pretends fading never bites (surrogate = 1) and
            stays at the altitude floor,
     rfla   fading-aware planner pinned to the altitude floor,
     rffsa  fading-aware planner on a full-speed climb/hold/descend profile,
-           cruising at the best of several candidate altitudes (selected on
-           the achieved, exact-rate objective),
+           cruising at the best of the ``cruise_levels`` (selected on the
+           achieved, exact-rate objective),
     rfb    the full design with free altitude, started from the best
            cruise level so the ascent does not stall at the floor.
 
@@ -375,8 +369,6 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
         model = LOS_MODEL
     elif model is None:
         model = fit_for_scenario(scenario)
-    if altitudes is None:
-        altitudes = DEFAULT_ALTITUDES
 
     if scheme in ("lb", "rfla"):
         plan, info = run_bcd(scenario, model, freeze_vertical=True,
@@ -385,7 +377,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
         sweep = []
         best = None
         not_optimal = {"horizontal": 0, "vertical": 0}
-        for h in cruise_levels(scenario, altitudes):
+        for h in cruise_levels(scenario):
             cand, cinfo = run_bcd(scenario, model, freeze_vertical=True,
                                   init=_level_start(scenario, h))
             for block, count in cinfo["ipm_not_optimal"].items():
@@ -400,8 +392,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
         info = {**info, "ipm_not_optimal": not_optimal}
     else:
         plan, info = run_bcd(scenario, model,
-                             init=best_cruise_start(scenario, model,
-                                                    altitudes))
+                             init=best_cruise_start(scenario, model))
 
     extras = {"trace": [float(t) for t in info["trace"]],
               "iterations": info["iterations"],

@@ -226,6 +226,9 @@ def _placement(val, path, n_slots):
     gen = _read(_PLACEMENT, val, path)
     if gen["count"] < 1 or gen["seed"] < 0:
         raise FileFormatError(f"{path}: count must be >= 1 and seed >= 0")
+    if gen["area"].min() < 0.0:
+        raise FileFormatError(f"{path}.area_m: extent "
+                              f"{gen['area'].tolist()} is negative")
     room = max_slots(gen["count"])
     if max(n_slots, 1) > room:
         raise FileFormatError(f"{path}.count: {gen['count']} nodes leave no "

@@ -414,33 +414,31 @@ def _vertical_block(plan: Plan, scenario: Scenario):
 
 def _improve(plan, scenario, model, data, reports):
     """Build and solve one step; the new (M+1, D) path, or None.  The
-    solver's report is appended to ``reports`` unless that is None."""
+    solver's report is appended to ``reports``."""
     step = build_trajectory_step(plan, scenario, model, **data)
     if step is None:
         return None
     rep = maximize_concave_program(step.objective, step.rows, step.start)
-    if reports is not None:
-        reports.append(rep)
+    reports.append(rep)
     new = np.array(data["path"], dtype=float)
     new[1:-1] = rep.x[step.x_cols]
     return new
 
 
 def solve_horizontal(plan: Plan, scenario: Scenario, model: LogisticModel,
-                     *, reports=None):
+                     *, reports):
     """One tangent-bound improvement of the horizontal waypoints.
 
     Returns updated waypoints or None when the subproblem has no strict
     interior (e.g. a maximally taut path), in which case the caller keeps
-    the incumbent.  The interior-point report goes to the ``reports`` list
-    when one is given.
+    the incumbent.  The interior-point report goes to the ``reports`` list.
     """
     return _improve(plan, scenario, model, _horizontal_block(plan, scenario),
                     reports)
 
 
 def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
-                   *, reports=None):
+                   *, reports):
     """One tangent-bound improvement of the altitude profile (waypoints
     fixed horizontally).  Returns new altitudes or None when skipped; the
     interior-point report goes to ``reports`` as in solve_horizontal."""
@@ -453,6 +451,10 @@ def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
 # outer loop
 # ---------------------------------------------------------------------------
 
+BCD_TOL = 1e-4          # relative gain that ends the ascent
+BCD_MAX_ITERS = 50      # outer iterations before it stops unconverged
+
+
 def _require_feasible(trial: Plan, scenario: Scenario, block):
     """Raise RuntimeError naming the block when its trial plan breaks a
     constraint of check_plan."""
@@ -462,25 +464,22 @@ def _require_feasible(trial: Plan, scenario: Scenario, block):
                            + "; ".join(problems))
 
 
-def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
-            freeze_vertical=False, tol=1e-4, max_iters=50,
-            init: Optional[Plan] = None):
+def run_bcd(scenario: Scenario, model: LogisticModel, *,
+            freeze_vertical=False, init: Optional[Plan] = None):
     """Block-coordinate ascent on (schedule, path, altitude).
 
     Each outer iteration runs the scheduling LP and one tangent-bound step
     per trajectory block, accepting a block's move only if the model-based
     objective does not fall.  The ascent stops, converged, when an
-    iteration gains less than ``tol`` relative or accepts no trajectory
-    move, a fixed point.  Every trial plan must pass check_plan, or
-    RuntimeError names the block and the violations.  ``model=None`` plans
-    for pure line-of-sight (``LOS_MODEL``).  Returns (plan, info) where
+    iteration gains less than ``BCD_TOL`` relative or accepts no trajectory
+    move, a fixed point, and unconverged after ``BCD_MAX_ITERS``
+    iterations.  Every trial plan must pass check_plan, or RuntimeError
+    names the block and the violations.  Returns (plan, info) where
     info carries the per-iteration objective trace, iteration count,
     convergence flag, and ``ipm_not_optimal``: per trajectory block, how
     many interior-point solves did not end "optimal" (their moves still
     face the same test).
     """
-    if model is None:
-        model = LOS_MODEL
     plan = init.copy() if init is not None else initialize_plan(scenario)
     rates = predicted_rates(plan.q, plan.z, scenario, model)
     eta = max_min_rate(plan.a, rates)
@@ -489,7 +488,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
     iterations = 0
     not_optimal = {"horizontal": 0, "vertical": 0}
 
-    for _ in range(max_iters):
+    for _ in range(BCD_MAX_ITERS):
         iterations += 1
         a_new, eta_lp = solve_scheduling(rates)
         _require_feasible(replace(plan, a=a_new), scenario, "scheduling")
@@ -520,7 +519,7 @@ def run_bcd(scenario: Scenario, model: Optional[LogisticModel] = None, *,
         trace.append(eta)
         # with no trajectory move the next iteration would replay this one:
         # the same LP rates, the same programs from the same plan
-        if not moved or 0.0 <= rel < tol:
+        if not moved or 0.0 <= rel < BCD_TOL:
             converged = True
             break
 

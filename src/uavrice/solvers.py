@@ -757,6 +757,9 @@ def _lapack(routine, *arrays):
     return out
 
 
+MAX_NEWTON_STEPS = 200      # an interior-point solve's step cap
+
+
 def _trial_steps(t, t_lin):
     """The step lengths the backtracking tries: t, t/2, ..., 50 in all,
     without those above t_lin, the longest step at which every screened
@@ -767,8 +770,7 @@ def _trial_steps(t, t_lin):
         t *= 0.5
 
 
-def maximize_concave_program(objective, rows, start,
-                             max_iters=200) -> SolverReport:
+def maximize_concave_program(objective, rows, start) -> SolverReport:
     """Primal-dual interior-point maximization of objective @ x over the
     concave-slack ``rows`` (a ``ConcaveRows``); fixed quantities belong in
     the row constants, not the variable vector, and a bound on a variable
@@ -841,7 +843,7 @@ def maximize_concave_program(objective, rows, start,
     # an accepted trial point hands over the ones its test computed
     rd = c + system.rmatvec(gu, lam)
 
-    for _ in range(max_iters):
+    for _ in range(MAX_NEWTON_STEPS):
         gap = float(lam @ g)
         denom = c_scale + system.dual_scale(gu, lam)
         if np.max(np.abs(rd)) <= 1e-7 * denom and gap <= 3e-7 * (1.0 + abs(obj)):

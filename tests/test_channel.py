@@ -45,6 +45,12 @@ class TestScenario:
         s2 = make_scenario(sn_positions=[[0, 0], [1, 1]], p_tx=[0.1, 0.2])
         assert s2.snr_gamma_per_sn[1] == pytest.approx(2 * s2.snr_gamma_per_sn[0])
 
+    @pytest.mark.parametrize("p_tx", [[0.1, 0.2], [0.1] * 4])
+    def test_p_tx_of_another_length_is_refused(self, p_tx):
+        with pytest.raises(ValueError,
+                           match=rf"p_tx has {len(p_tx)} values for 3 nodes"):
+            make_scenario(sn_positions=[[0, 0], [1, 1], [2, 2]], p_tx=p_tx)
+
     @pytest.mark.parametrize("bad", [
         dict(epsilon=0.0), dict(epsilon=0.2), dict(alpha=1.5), dict(alpha=7.0),
         dict(h_min=0.0), dict(h_min=0.5), dict(z0=50.0), dict(n_slots=0), dict(duration_s=-1.0),

@@ -19,7 +19,8 @@ import uavrice
 from uavrice import DEFAULT_SEED, channel, evaluation
 from uavrice import cli as cli_module
 from uavrice.cli import cli
-from uavrice.files import dump_json, load_model, load_result
+from uavrice.files import dump_json, load_model, load_result, model_to_json
+from uavrice.planner import LOS_MODEL
 
 
 @pytest.fixture()
@@ -352,19 +353,42 @@ class TestBoundaryChecks:
 
     def test_model_without_channel_fields_still_plans(self, scen_path,
                                                       tmp_path, capsys):
-        # the channel fields are optional; lb ignores the model altogether
+        # the channel fields are optional, for lb as for the others
         model = tmp_path / "m.json"
         assert cli(["fit", "--eps", "0.05", "--grid", "60",
                     "--out", str(model)]) == 0
-        out = tmp_path / "x.json"
-        assert cli(["plan", "--scenario", str(scen_path), "--model",
-                    str(model), "--scheme", "lb", "--out", str(out)]) == 0
         doc = json.loads(model.read_text())
         for key in ("kmin_db", "kmax_db", "epsilon"):
             del doc[key]
         model.write_text(dump_json(doc))
+        out = tmp_path / "x.json"
+        for scheme in ("lb", "rfla"):
+            assert cli(["plan", "--scenario", str(scen_path), "--model",
+                        str(model), "--scheme", scheme,
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+
+    def test_lb_reads_and_checks_its_model(self, scen_path, model_path,
+                                           tmp_path, capsys):
+        # lb plans with the clear-channel model, but a --model it is given
+        # must still load and fit the scenario
+        out = tmp_path / "x.json"
+        missing = tmp_path / "none.json"
         assert cli(["plan", "--scenario", str(scen_path), "--model",
-                    str(model), "--scheme", "rfla", "--out", str(out)]) == 0
+                    str(missing), "--scheme", "lb", "--out", str(out)]) == 1
+        assert str(missing) in capsys.readouterr().err
+        other = tmp_path / "m.json"
+        assert cli(["fit", "--eps", "0.05", "--grid", "60",
+                    "--out", str(other)]) == 0
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(other), "--scheme", "lb", "--out", str(out)]) == 1
+        assert (f"--model {other}: epsilon=0.05 differs from the scenario's "
+                f"0.01" in capsys.readouterr().err)
+        assert not out.exists()
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model_path), "--scheme", "lb",
+                    "--out", str(out)]) == 0
+        assert load_result(out)["model"] == model_to_json(LOS_MODEL)
         capsys.readouterr()
 
     def test_largest_seed_reloads(self, scen_path, tmp_path, capsys):

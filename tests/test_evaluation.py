@@ -15,7 +15,7 @@ import pytest
 from uavrice.channel import (Scenario, rate_from_gain, sample_rician,
                              substream)
 from uavrice import evaluation as ev
-from uavrice import planner
+from uavrice import planner, solvers
 from uavrice.evaluation import (
     EvalReport,
     best_cruise_start,
@@ -27,7 +27,8 @@ from uavrice.evaluation import (
     run_scheme,
 )
 from uavrice.planner import (LOS_MODEL, Plan, initialize_plan,
-                             max_min_rate, predicted_rates, run_bcd)
+                             max_min_rate, predicted_rates, round_schedule,
+                             run_bcd)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,13 @@ def _scenario(sn, m_slots=8, duration_s=8.0, q0=(0.0, 0.0),
         vxy=50.0, vz=vz, h_min=100.0, p_tx=0.1, beta0=1e-6, alpha=2.0,
         sigma2=1.2589254117941663e-14, snr_gap=6.606934480075964,
         k_min=k_min, k_max=k_max, epsilon=epsilon)
+
+
+def _exact_commitments(plan, scen):
+    """Monte-Carlo keywords committing the exact outage rates on the
+    plan's schedule rounded against them."""
+    rates = exact_rates(plan.q, plan.z, scen)
+    return {"rates": rates, "owners": round_schedule(plan.a, rates)}
 
 
 def _hover(scen):
@@ -118,7 +126,8 @@ class TestMonteCarlo:
         f = -math.log1p(-scen.epsilon)
         r = rate_from_gain(f, scen.snr_gamma_per_sn[0], 100.0 ** 2, 2.0)
         freq, samples = monte_carlo_outage(plan, scen, 100_000, 20240613,
-                                           rates=np.full((1, 4), r))
+                                           rates=np.full((1, 4), r),
+                                           owners=np.zeros(4, dtype=int))
         assert np.all(samples == 200_000)
         assert freq == pytest.approx(0.01, abs=1e-3)
 
@@ -126,7 +135,8 @@ class TestMonteCarlo:
         scen = _scenario([[200.0, 0.0]], m_slots=4, duration_s=4.0,
                          q0=(200.0, 0.0), qf=(200.0, 0.0))
         freq, _ = monte_carlo_outage(_hover(scen), scen, 10_000, 3,
-                                     rates=np.zeros((1, 4)))
+                                     rates=np.zeros((1, 4)),
+                                     owners=np.zeros(4, dtype=int))
         assert np.all(freq == 0.0)
 
     def test_unreachable_rate_always_fails(self):
@@ -136,7 +146,8 @@ class TestMonteCarlo:
                          q0=(200.0, 0.0), qf=(200.0, 0.0))
         freq, _ = monte_carlo_outage(_hover(scen), scen, 10_000, 3,
                                      rates=np.array([[0.0, 2000.0, 0.0,
-                                                      2000.0]]))
+                                                      2000.0]]),
+                                     owners=np.zeros(4, dtype=int))
         assert np.array_equal(freq, [0.0, 1.0, 0.0, 1.0])
 
     def test_capacity_equal_to_rate_is_no_outage(self, monkeypatch):
@@ -159,18 +170,20 @@ class TestMonteCarlo:
         plan = _hover(scen)
         assert np.all(line_of_sight(plan.q, plan.z, scen)[0] == 1.0)
         rates = np.array([[1.99, 2.0, 2.0, 2.01]])
-        freq, _ = monte_carlo_outage(plan, scen, 10_000, 0, rates=rates)
+        freq, _ = monte_carlo_outage(plan, scen, 10_000, 0, rates=rates,
+                                     owners=np.zeros(4, dtype=int))
         assert np.array_equal(freq, [0.0, 0.0, 0.0, 1.0])
         cap = rate_from_gain(1.0, scen.snr_gamma_per_sn[0], 1.0, 2.0)
         assert cap == 2.0
         assert np.array_equal(cap < rates[0], freq == 1.0)
 
     def test_exact_rates_calibrate_per_slot(self):
-        # default rates are the exact quantile rates, so every slot is a
-        # Bernoulli(eps) counter; 16 slots x 40k blocks stays within 3 sigma
+        # at the exact quantile rates every slot is a Bernoulli(eps)
+        # counter; 16 slots x 40k blocks stays within 3 sigma
         scen = _scenario([[150.0, 0.0]], m_slots=16, duration_s=16.0)
         plan = initialize_plan(scen)
-        freq, samples = monte_carlo_outage(plan, scen, 20_000, 20240613)
+        freq, samples = monte_carlo_outage(plan, scen, 20_000, 20240613,
+                                           **_exact_commitments(plan, scen))
         sigma = np.sqrt(scen.epsilon * (1 - scen.epsilon) / samples)
         z = np.abs(freq - scen.epsilon) / sigma
         assert z.max() < 3.0     # observed 2.46 for this seed
@@ -178,7 +191,9 @@ class TestMonteCarlo:
     def test_needs_enough_trials(self):
         scen = _scenario([[150.0, 0.0]])
         with pytest.raises(ValueError, match="trials"):
-            monte_carlo_outage(initialize_plan(scen), scen, 5_000, 0)
+            plan = initialize_plan(scen)
+            monte_carlo_outage(plan, scen, 5_000, 0,
+                               **_exact_commitments(plan, scen))
 
     @staticmethod
     def _three_node_check():
@@ -279,9 +294,10 @@ class TestMonteCarlo:
         scen = _scenario([[150.0, 0.0]], m_slots=4)
         plan = initialize_plan(scen)
         lo, hi = [], []
+        commit = _exact_commitments(plan, scen)
         for seed in range(20):
-            f1, _ = monte_carlo_outage(plan, scen, 10_000, seed)
-            f4, _ = monte_carlo_outage(plan, scen, 40_000, seed)
+            f1, _ = monte_carlo_outage(plan, scen, 10_000, seed, **commit)
+            f4, _ = monte_carlo_outage(plan, scen, 40_000, seed, **commit)
             lo.append(f1[2])
             hi.append(f4[2])
         ratio = np.std(lo, ddof=1) / np.std(hi, ddof=1)
@@ -289,9 +305,10 @@ class TestMonteCarlo:
 
 
 class TestEvalReport:
-    def test_committed_schedule_and_objectives(self):
+    def test_committed_schedule_and_objectives(self, monkeypatch):
         scen = _scenario([[100.0, 0.0], [250.0, 0.0]])
-        plan, _ = run_bcd(scen, LOS_MODEL, max_iters=5)
+        monkeypatch.setattr(planner, "BCD_MAX_ITERS", 5)
+        plan, _ = run_bcd(scen, LOS_MODEL)
         rep = evaluate_plan(plan, scen, LOS_MODEL, scheme="lb",
                             trials=10_000, simulate=False)
         m = scen.n_slots
@@ -374,11 +391,12 @@ class TestRunScheme:
         # the clear-channel promise always overshoots the exact rate
         assert rep.eta_achieved < rep.eta_estimated
 
-    def test_fixed_altitude_sweep_picks_best_achieved(self, fitted):
+    def test_fixed_altitude_sweep_picks_best_achieved(self, fitted,
+                                                      monkeypatch):
         scen = _scenario([[150.0, 0.0]], m_slots=10, duration_s=10.0)
+        monkeypatch.setattr(ev, "DEFAULT_ALTITUDES", (100.0, 150.0, 200.0))
         plan, rep = run_scheme("rffsa", scen, fitted, trials=10_000,
-                               simulate=False,
-                               altitudes=(100.0, 150.0, 200.0))
+                               simulate=False)
         sweep = rep.extras["altitude_sweep"]
         assert [h for h, _ in sweep] == [100.0, 150.0, 200.0]
         assert rep.eta_achieved == pytest.approx(max(e for _, e in sweep))
@@ -391,24 +409,25 @@ class TestRunScheme:
         failed = []
         solve = planner.maximize_concave_program
 
-        def capped(c, rows, start, max_iters=200):
-            rep = solve(c, rows, start, max_iters=3)
+        def capped(c, rows, start):
+            rep = solve(c, rows, start)
             failed.append(rep.status != "optimal")
             return rep
 
+        monkeypatch.setattr(solvers, "MAX_NEWTON_STEPS", 3)
         monkeypatch.setattr(planner, "maximize_concave_program", capped)
+        monkeypatch.setattr(ev, "DEFAULT_ALTITUDES", (100.0, 150.0, 200.0))
         scen = _scenario([[150.0, 0.0]], m_slots=10, duration_s=10.0)
-        _, rep = run_scheme("rffsa", scen, fitted, simulate=False,
-                            altitudes=(100.0, 150.0, 200.0))
+        _, rep = run_scheme("rffsa", scen, fitted, simulate=False)
         counts = rep.extras["ipm_not_optimal"]
         assert sum(failed) > 0
         assert counts == {"horizontal": sum(failed), "vertical": 0}
 
-    def test_sweep_dominates_floor_variant(self, fitted):
+    def test_sweep_dominates_floor_variant(self, fitted, monkeypatch):
         scen = _scenario([[150.0, 0.0]], m_slots=10, duration_s=10.0)
+        monkeypatch.setattr(ev, "DEFAULT_ALTITUDES", (100.0, 150.0, 200.0))
         _, fixed = run_scheme("rffsa", scen, fitted, trials=10_000,
-                              simulate=False,
-                              altitudes=(100.0, 150.0, 200.0))
+                              simulate=False)
         _, floor = run_scheme("rfla", scen, fitted, trials=10_000,
                               simulate=False)
         assert fixed.eta_achieved >= floor.eta_achieved - 1e-9
@@ -431,10 +450,11 @@ class TestRunScheme:
         with pytest.raises(ValueError, match="scheme"):
             run_scheme("greedy", scen)
 
-    def test_cruise_scan_prefers_altitude_when_model_does(self, fitted):
+    def test_cruise_scan_prefers_altitude_when_model_does(self, fitted,
+                                                          monkeypatch):
         # far-off node: the surrogate gains far more from elevation than it
         # loses to pathloss, so the scan must not pick the floor
         scen = _scenario([[150.0, 400.0]], m_slots=10, duration_s=10.0)
-        start = best_cruise_start(scen, fitted,
-                                  altitudes=(100.0, 200.0, 300.0))
+        monkeypatch.setattr(ev, "DEFAULT_ALTITUDES", (100.0, 200.0, 300.0))
+        start = best_cruise_start(scen, fitted)
         assert start.z.max() > 100.0

@@ -147,6 +147,22 @@ class TestScenarioDocuments:
                                  r"leave no slot past 1 .*n_slots is 8"):
             scenario_from_config(cfg)
 
+    def test_negative_placement_area_is_named(self):
+        cfg = _config(sn_positions_m=None,
+                      sn_placement={"count": 2, "area_m": [100.0, -1.0],
+                                    "seed": 0})
+        with pytest.raises(FileFormatError,
+                           match=r"scenario\.sn_placement\.area_m: extent "
+                                 r"\[100\.0, -1\.0\] is negative"):
+            scenario_from_config(cfg)
+
+    def test_wrong_length_power_list_is_refused(self):
+        cfg = _config(sn_positions_m=[[150.0, 0.0], [200.0, 50.0]],
+                      p_tx_w=[0.1, 0.1, 0.1])
+        with pytest.raises(FileFormatError,
+                           match=r"scenario: p_tx has 3 values for 2 nodes"):
+            scenario_from_config(cfg)
+
     def test_missing_epsilon_rejected(self):
         with pytest.raises(FileFormatError, match=r"scenario\.epsilon"):
             scenario_from_config(_config(epsilon=None))

@@ -229,7 +229,8 @@ class TestScheduling:
         monkeypatch.setattr(planner, "solve_scheduling", recording)
         scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
                          m_slots=10, duration_s=10.0)
-        run_bcd(scen, FIT, max_iters=4)
+        monkeypatch.setattr(planner, "BCD_MAX_ITERS", 4)
+        run_bcd(scen, FIT)
         assert schedules
         for a in schedules:
             np.testing.assert_allclose(a.sum(axis=0), 1.0, rtol=0.0,
@@ -437,8 +438,10 @@ class TestTrajectoryBlocks:
             predicted_rates(plan.q, plan.z, scen, FIT))
         before = max_min_rate(plan.a,
                               predicted_rates(plan.q, plan.z, scen, FIT))
-        q_new = solve_horizontal(plan, scen, FIT)
+        reports = []
+        q_new = solve_horizontal(plan, scen, FIT, reports=reports)
         assert q_new is not None
+        assert len(reports) == 1
         after = max_min_rate(plan.a,
                              predicted_rates(q_new, plan.z, scen, FIT))
         assert after > before
@@ -648,7 +651,7 @@ class TestTrajectoryBlocks:
         scen = _scenario([[500.0, 400.0]], m_slots=20, duration_s=20.0,
                          q0=(0.0, 0.0), qf=(1000.0, 0.0))
         plan = initialize_plan(scen)
-        assert solve_horizontal(plan, scen, FIT) is None
+        assert solve_horizontal(plan, scen, FIT, reports=[]) is None
         plan2, info = run_bcd(scen, FIT, freeze_vertical=True)
         assert np.allclose(plan2.q, plan.q)
         assert info["converged"]
@@ -656,7 +659,7 @@ class TestTrajectoryBlocks:
     def test_vertical_skipped_when_no_climb_speed(self):
         scen = _scenario([[300.0, 200.0]], vz=0.0)
         plan = initialize_plan(scen)
-        assert solve_vertical(plan, scen, FIT) is None
+        assert solve_vertical(plan, scen, FIT, reports=[]) is None
         plan2, _ = run_bcd(scen, FIT)
         assert np.allclose(plan2.z, 100.0)
 
@@ -695,14 +698,14 @@ class TestOuterLoop:
             assert info["eta_model"] == pytest.approx(tr[-1])
             _assert_feasible(plan, scen)
 
-    def test_default_model_is_line_of_sight(self):
+    def test_line_of_sight_model_has_unit_gain(self):
         scen = _scenario([[400.0, 300.0]])
-        p1, i1 = run_bcd(scen)
-        p2, i2 = run_bcd(scen, LOS_MODEL)
-        assert np.array_equal(p1.q, p2.q)
-        assert np.array_equal(p1.z, p2.z)
-        assert np.array_equal(p1.a, p2.a)
-        assert i1["eta_model"] == i2["eta_model"]
+        plan, info = run_bcd(scen, LOS_MODEL)
+        d2, _ = planner.slot_geometry(plan.q, plan.z, scen)
+        clear = rate_from_gain(1.0, scen.snr_gamma_per_sn[:, None], d2,
+                               scen.alpha)
+        assert info["eta_model"] == pytest.approx(
+            max_min_rate(plan.a, clear), rel=1e-12)
         # the LOS gain is pinned at one everywhere
         assert LOS_MODEL.predict(np.linspace(0, 1, 5)) == pytest.approx(1.0)
 
@@ -742,7 +745,7 @@ class TestOuterLoop:
         scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
                          duration_s=10.0)
 
-        def too_far(plan, scenario, model, *, reports=None):
+        def too_far(plan, scenario, model, *, reports):
             q = plan.q.copy()
             q[3, 1] += 3.0 * scenario.sxy
             return q
@@ -775,7 +778,7 @@ class TestOuterLoop:
         assert replays == 0
         assert rep.extras["converged"] is True
 
-    def test_matches_brute_force_grid_tiny_case(self):
+    def test_matches_brute_force_grid_tiny_case(self, monkeypatch):
         # two slots, one free waypoint, frozen altitude: sweep the free
         # waypoint over a fine grid of the reachable lens and compare
         scen = _scenario([[50.0, 80.0]], m_slots=2, duration_s=2.4,
@@ -797,8 +800,9 @@ class TestOuterLoop:
         eta_grid = 0.5 * (true_rate(gx, gy) + r_end)
         best = eta_grid[ok].max()
 
-        plan, info = run_bcd(scen, FIT, freeze_vertical=True, tol=1e-9,
-                             max_iters=100)
+        monkeypatch.setattr(planner, "BCD_TOL", 1e-9)
+        monkeypatch.setattr(planner, "BCD_MAX_ITERS", 100)
+        plan, info = run_bcd(scen, FIT, freeze_vertical=True)
         # two-sided: must essentially reach the grid optimum, and must not
         # exceed it by more than the grid resolution allows
         assert info["eta_model"] >= 0.999 * best
