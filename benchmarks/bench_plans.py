@@ -17,12 +17,17 @@ dual-simplex pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sh
 the plan's ``q``, ``z`` and ``a`` bytes.  Under ``blocks`` it splits the
 interior-point solves by trajectory block, horizontal and vertical: calls,
 Newton steps, the most steps in one solve, and solves that did not end
-"optimal".  The solver counts come from wrapping
+"optimal".  Under ``grid`` it records ``eta_achieved`` of every scheme on
+each bundled scenario at each ``GRID`` setting (the bundled one, then
+k_max, the outage target and the climb speed varied one at a time), each
+setting with its own fitted surrogate, and whether the order
+rfb >= rffsa >= rfla >= lb holds there; the order is reported, not
+gated.  The solver counts come from wrapping
 ``planner.solve_horizontal``, ``planner.solve_vertical`` (whose reports
 hold each interior-point solve) and ``planner.solve_lp``.  The BLAS thread
 count changes the interior-point time, so the run records the thread
 variables it saw; set them before starting the script.  Markdown tables of
-the per-block counts and of the fits go to stderr.
+the per-block counts, of the grid and of the fits go to stderr.
 
 ``--against PREV.json`` compares each plan with the same plan in an earlier
 output: whether the sha256 is equal, the relative change in
@@ -57,7 +62,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from uavrice import planner  # noqa: E402
-from uavrice.evaluation import run_scheme  # noqa: E402
+from uavrice.evaluation import fit_for_scenario, run_scheme  # noqa: E402
 from uavrice.fading import (fit_logistic,  # noqa: E402
                             generate_regression_samples)
 from uavrice.files import bundled_scenario, load_scenario  # noqa: E402
@@ -69,6 +74,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIT_EPS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1)
 FIT_KMAX_DB = tuple(range(0, 45, 5))
 FIT_FIELDS = ("b1", "b2", "c1", "rmse")
+#: scenario fields of each grid setting: k_max 10, 20 and 40 dB (30 dB is
+#: bundled), outage targets 0.001 and 0.05 (0.01), climb 5 m/s (20 m/s)
+GRID = {"bundled": {}, "kmax=10dB": {"k_max": 10.0},
+        "kmax=20dB": {"k_max": 100.0}, "kmax=40dB": {"k_max": 1e4},
+        "eps=0.001": {"epsilon": 0.001}, "eps=0.05": {"epsilon": 0.05},
+        "vz=5": {"vz": 5.0}}
 
 
 def plan_sha256(plan):
@@ -154,6 +165,41 @@ def run_plan(scheme, scenario, model):
         "sha256": plan_sha256(plan),
         "blocks": blocks,
     }
+
+
+def order_holds(etas):
+    """Whether ``eta_achieved`` of the schemes, by name, falls in the order
+    rfb >= rffsa >= rfla >= lb."""
+    ranked = [etas[scheme] for scheme in reversed(SCHEMES)]
+    return all(a >= b for a, b in zip(ranked, ranked[1:]))
+
+
+def run_grid(scenarios):
+    """``eta_achieved`` of every scheme at each GRID setting of each named
+    scenario, with the order's verdict: {scenario: {setting: record}}."""
+    grid = {}
+    for name, base in scenarios.items():
+        for setting, change in GRID.items():
+            scenario = dataclasses.replace(base, **change)
+            model = fit_for_scenario(scenario)
+            etas = {scheme: run_scheme(scheme, scenario, model,
+                                       simulate=False)[1].eta_achieved
+                    for scheme in SCHEMES}
+            grid.setdefault(name, {})[setting] = dict(
+                etas, order_holds=order_holds(etas))
+    return grid
+
+
+def grid_table(grid):
+    """Markdown table of the grid."""
+    lines = ["| scenario | setting | " + " | ".join(SCHEMES)
+             + " | rfb >= rffsa >= rfla >= lb |", "|---" * 7 + "|"]
+    for name, settings in grid.items():
+        for setting, rec in settings.items():
+            etas = " | ".join(f"{rec[scheme]:.4f}" for scheme in SCHEMES)
+            lines.append(f"| {name} | {setting} | {etas} "
+                         f"| {'yes' if rec['order_holds'] else 'no'} |")
+    return "\n".join(lines)
 
 
 def run_fit(k_min, k_max, eps):
@@ -274,9 +320,9 @@ def main(argv=None):
     prev = earlier.get("runs")
 
     jobs = []            # (key, scheme, scenario, model)
-    fits = {}
+    fits, bundled = {}, {}
     for name, path in SCENARIOS.items():
-        scenario = load_scenario(bundled_scenario(path))
+        scenario = bundled[name] = load_scenario(bundled_scenario(path))
         model, fits[name] = run_fit(scenario.k_min, scenario.k_max,
                                     scenario.epsilon)
         jobs += [(f"{scheme}/{name}", scheme, scenario, model)
@@ -313,12 +359,14 @@ def main(argv=None):
                            if v in os.environ},
         },
         "runs": runs,
+        "grid": run_grid(bundled),
         "fits": fits,
     }
     if prev is not None:
         doc["against"] = args.against
         print(parity_table(runs), file=sys.stderr)
     print(block_table(runs), file=sys.stderr)
+    print(grid_table(doc["grid"]), file=sys.stderr)
     print(fit_table(fits), file=sys.stderr)
     status = report_drift(runs) if prev is not None else 0
     text = json.dumps(doc, indent=1)

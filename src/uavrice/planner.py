@@ -241,20 +241,21 @@ _SPARSIFY_TOL = 1e-6
 _SLACK_GAP = 1e-6
 #: weight of the target in the blend that gives the expansion point
 _BLEND = 1e-3
+#: share of a multi-node step's objective on the mean per-node bound, the
+#: max-min's tie-break (each t_n weighs 0.05 at four nodes)
+TIE_BREAK = 0.2
 
 
 @dataclass
 class TrajectoryStep:
-    """One built tangent-bound subproblem: maximize ``objective`` @ x, which
-    is eta, over ``rows``.  Variables run slot by slot: each free waypoint
-    1..M-1 has its D coordinates (``x_cols``) followed by one logistic
-    argument s per active (node, slot) pair at it, node-major; eta comes
-    last.  This order keeps the move and cap rows banded for the Newton
-    step.  The rows run: the N rate rows, each -eta plus a concave bound;
-    the horizontal caps; one move row per slot; the vertical caps; one
-    floor row per free altitude.  Each s has one cap row, s under its
-    elevation cap, horizontal or vertical by the block, and the solver
-    reads these epigraph columns off the rows."""
+    """One built tangent-bound subproblem: maximize ``objective`` @ x over
+    ``rows``.  Variables: the free waypoints' D coordinates slot by slot
+    (``x_cols``, which keeps the move rows banded), one t_n per node when
+    N >= 2, then eta.  Rows: the N rate rows, each node's concave bound
+    (each term's exponent its elevation cap, an inner row) less its t_n,
+    or less eta for one node; the N tie rows t_n - eta; one move row per
+    slot; one floor row per free altitude.  The objective (1 - TIE_BREAK)
+    eta + TIE_BREAK mean(t_n), or eta for one node, breaks max-min ties."""
 
     objective: np.ndarray
     rows: ConcaveRows
@@ -273,10 +274,10 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     two fixed endpoints, ``limit`` the per-slot move limit and ``floor`` a
     lower bound on every free coordinate.  Rates see the block through the
     squared distance to ``anchors`` (N, D).  ``offset`` picks the elevation
-    cap: None for the horizontal block (altitude fixed at ``plan.z``, cap
-    tangent to v in the squared offset), or the fixed squared horizontal
-    offsets (N, M) of the altitude block, capped exactly by the ratio
-    b2 z / sqrt(offset + z^2).
+    cap of each logistic argument: None for the horizontal block (altitude
+    fixed at ``plan.z``, cap tangent to v in the squared offset), or the
+    fixed squared horizontal offsets (N, M) of the altitude block, capped
+    exactly by b1 + b2 z / sqrt(offset + z^2).
     """
     m_slots = plan.n_slots
     n_free = m_slots - 1
@@ -284,7 +285,6 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
         return None
     dim = path.shape[1]
     n_sn = scenario.n_sn
-    with_s = model.c2 > 0.0
 
     # expansion point and start: blend a touch toward the target so every
     # move row (and the floor) has positive slack
@@ -304,83 +304,82 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     coef = tangent_coefficients(d2q, z, scenario.snr_gamma_per_sn[:, None],
                                 model, scenario.alpha)
 
-    active = plan.a > _SPARSIFY_TOL
-    has_s = active[:, :-1] & with_s          # (node, slot) pairs with an s
-    s_node, s_slot = np.nonzero(has_s)       # node-major
-    # waypoint m+1's group: its D coordinates, then the s of slot m+1
-    first = np.concatenate([[0], np.cumsum(dim + has_s.sum(axis=0))])
-    x_cols = first[:-1, None] + np.arange(dim)              # (M-1, D)
-    s_cols = (first[:-1] + dim + np.cumsum(has_s, axis=0) - 1)[s_node, s_slot]
-    nv = int(first[-1]) + 1
-    eta_col = nv - 1
-    # rows: rate, horizontal caps, moves, vertical caps, floor
-    vertical = offset is not None
-    n_caps = s_cols.size
-    move_lo = n_sn + (0 if vertical else n_caps)
-    cap_lo = n_sn + m_slots if vertical else n_sn
-    cap_rows = np.arange(cap_lo, cap_lo + n_caps)
-    floor_lo = n_sn + m_slots + n_caps
+    # own: the column each rate row subtracts, t_n (or eta for one node)
+    x_cols = np.arange(n_free * dim).reshape(n_free, dim)
+    n_t = n_sn if n_sn > 1 else 0
+    eta_col = x_cols.size + n_t
+    own = x_cols.size + np.arange(n_sn)
+    move_lo = n_sn + n_t
     floor_cols = (x_cols.ravel() if np.isfinite(floor)
                   else np.zeros(0, np.int64))
-    d = np.empty(floor_lo + floor_cols.size)
 
     def dist2_terms(row, weight, n, m):  # weight * |x_{m+1} - anchor_n|^2
         return (np.repeat(row, dim), np.repeat(weight, dim),
                 x_cols[m].ravel(), anchors[n].ravel())
 
-    # per-node rate rows:  sum_m (a/M) * bound_rate  -  eta  >=  0
+    # per-node rate rows:  sum_m (a/M) * bound_rate  -  t_n  >=  0
     # the constant of each slot's bound: r_hat, plus for a free waypoint
     # the constants of its tangent terms (slot M sits on the endpoint)
+    active = plan.a > _SPARSIFY_TOL
     am = np.where(active, plan.a, 0.0) / m_slots
     bound = coef.r_hat.copy()
     bound[:, :-1] += (coef.psi * p2 + coef.phi * np.exp(-coef.s_hat))[:, :-1]
-    d[:n_sn] = np.sum(am * bound, axis=1)
     r_node, r_slot = np.nonzero(active[:, :-1])
-    anchor = [dist2_terms(r_node, (am * coef.psi)[r_node, r_slot],
-                          r_node, r_slot)]
-    ratio = ((), (), (), ())
-    if vertical:                 # s <= b1 + b2 z / sqrt(offset + z^2)
-        d[cap_rows] = model.b1
-        ratio = (cap_rows, np.full(n_caps, model.b2),
-                 np.maximum(offset[s_node, s_slot], 1e-9), x_cols[s_slot, 0])
-    else:                        # s <= b1 + b2 * tangent bound of v
-        b2lam = model.b2 * coef.lam[s_node, s_slot]
-        d[cap_rows] = (model.b1 + model.b2 * coef.v_hat[s_node, s_slot]
-                       + b2lam * p2[s_node, s_slot])
-        anchor.append(dist2_terms(cap_rows, b2lam, s_node, s_slot))
+    # each rate term's exponent, one inner row per term: its elevation cap
+    term = np.arange(r_node.size)
+    if offset is None:           # b1 + b2 (v_hat - lam (|x - w|^2 - p2))
+        b2lam = model.b2 * coef.lam[r_node, r_slot]
+        inner = ConcaveRows(
+            d=coef.s_hat[r_node, r_slot] + b2lam * p2[r_node, r_slot],
+            anchor=dist2_terms(term, b2lam, r_node, r_slot))
+    else:                        # b1 + b2 z / sqrt(offset + z^2)
+        inner = ConcaveRows(
+            d=np.full(term.size, model.b1),
+            ratio=(term, np.full(term.size, model.b2),
+                   np.maximum(offset[r_node, r_slot], 1e-9),
+                   x_cols[r_slot, 0]))
 
     # move rows:  limit^2 - |x_{m+1} - x_m|^2 >= 0; the first and the last
     # move square a free waypoint's offset from a fixed endpoint, the inner
     # ones the difference of two free waypoints
-    d[move_lo:move_lo + m_slots] = limit ** 2
-    anchor.append((move_lo + np.repeat([0, m_slots - 1], dim),
-                   np.ones(2 * dim), np.concatenate([x_cols[0], x_cols[-1]]),
-                   np.asarray(ends, float).ravel()))
-    inner = x_cols[1:].ravel()
+    end_moves = (move_lo + np.repeat([0, m_slots - 1], dim),
+                 np.ones(2 * dim), np.concatenate([x_cols[0], x_cols[-1]]),
+                 np.asarray(ends, float).ravel())
     inner_moves = (move_lo + np.repeat(np.arange(1, m_slots - 1), dim),
-                   np.ones(inner.size), inner, x_cols[:-1].ravel())
+                   np.ones(x_cols[1:].size), x_cols[1:].ravel(),
+                   x_cols[:-1].ravel())
 
-    # floor rows:  x - floor >= 0, last
-    d[floor_lo:] = -floor
-    # linear part: -eta in each rate row, -s in each cap, +x in each floor
-    lin = (np.concatenate([np.arange(n_sn), cap_rows,
-                           np.arange(floor_lo, d.size)]),
-           np.concatenate([np.full(n_sn, eta_col), s_cols, floor_cols]),
-           np.repeat([-1.0, 1.0], [n_sn + n_caps, floor_cols.size]))
+    # row constants: the rate bounds, 0 per tie, limit^2 per move, and
+    # -floor per floor row  x - floor >= 0
+    d = np.concatenate([np.sum(am * bound, axis=1), np.zeros(n_t),
+                        np.full(m_slots, limit ** 2),
+                        np.full(floor_cols.size, -floor)])
+    # linear part: -t_n in each rate row, t_n - eta in each tie, +x in floors
+    tie = n_sn + np.arange(n_t)
+    lin = (np.concatenate([np.arange(n_sn), tie, tie,
+                           np.arange(move_lo + m_slots, d.size)]),
+           np.concatenate([own, own[:n_t], np.full(n_t, eta_col),
+                           floor_cols]),
+           np.repeat([-1.0, 1.0, -1.0, 1.0],
+                     [n_sn, n_t, n_t, floor_cols.size]))
     rows = ConcaveRows(
         d=d, lin=lin,
-        anchor=tuple(np.concatenate(part) for part in zip(*anchor)),
-        diff=inner_moves,
-        exp=(s_node, (am * coef.phi)[s_node, s_slot], s_cols), ratio=ratio)
-    objective = np.zeros(nv)
-    objective[eta_col] = 1.0
-
-    # start: each s just under its cap, eta just under the worst rate row
-    start = np.zeros(nv)
+        anchor=tuple(np.concatenate(part) for part in zip(
+            dist2_terms(r_node, (am * coef.psi)[r_node, r_slot],
+                        r_node, r_slot), end_moves)),
+        diff=inner_moves, exp=(r_node, (am * coef.phi)[r_node, r_slot]),
+        inner=inner)
+    objective = np.zeros(eta_col + 1)
+    objective[own] = TIE_BREAK / n_sn
+    objective[eta_col] = 1.0 - TIE_BREAK if n_t else 1.0
+    # start: each rate row's column just under it, eta under the least t_n
+    start = np.zeros(eta_col + 1)
     start[x_cols] = hat[1:-1]
-    start[s_cols] = rows.values(start)[cap_rows] - _SLACK_GAP
-    eta0 = float(rows.values(start)[:n_sn].min())
-    start[eta_col] = eta0 - _SLACK_GAP * max(1.0, abs(eta0))
+    rate = rows.values(start)[:n_sn]
+    start[own] = rate - _SLACK_GAP * np.maximum(1.0, np.abs(rate))
+    if n_t:
+        low = float(start[own].min())
+        start[eta_col] = low - _SLACK_GAP * max(1.0, abs(low))
     if rows.values(start).min() <= 0.0:
         return None
     return TrajectoryStep(objective=objective, rows=rows, start=start,

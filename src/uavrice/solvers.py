@@ -5,23 +5,13 @@ which has one weight per node: an in-repo dual simplex moves between the
 dual's vertices, reads each vertex's activities off one small square
 solve, and certifies the result by its duality gap.  The node weights come
 back as the report's duals.  The smooth concave trajectory subproblems use
-an in-repo primal-dual interior-point method.  Its Newton step follows the
-sparsity its rows report: a few coupling rows (those touching an
-objective column, i.e. the per-node rate rows) over local rows that join
-neighbouring variables only.  A Schur complement on the objective
-columns, a banded Cholesky factor of the local rows and a Woodbury update
-for what remains of the coupling rows solve the same system a dense
-factorization would, in time linear in the number of slots.  The
-factorizations and solves call LAPACK through ``scipy.linalg.lapack``
-directly, since at these sizes the public wrappers cost more than the
-arithmetic; the routines are bound on first use, so a run that factors
-no matrix (``uavrice fit``, ``uavrice evaluate``) never loads
-``scipy.linalg``.  The line search corrects a trial that fails slack
-positivity along the epigraph columns it reads off the rows' Jacobian at
-the start, and skips step lengths whose linear prediction already fails.
-Every Newton step and line search is reproducible bit-for-bit across
-runs.  Fixed quantities (path endpoints) stay out of the variable vector,
-as the anchors of squares, so each Newton step works on every variable.
+an in-repo primal-dual interior-point method whose Newton step takes time
+linear in the number of slots (``_NewtonSystem``) and whose line search
+corrects a trial along the program's epigraph columns (``_epigraph``).
+The factorizations call LAPACK through ``scipy.linalg.lapack``, bound on
+first use, so a run that factors no matrix (``uavrice fit``, ``uavrice
+evaluate``) never loads ``scipy.linalg``.  Every Newton step and line
+search is reproducible bit-for-bit across runs.
 """
 
 from dataclasses import dataclass
@@ -423,7 +413,8 @@ def _terms(name, arrays, dtypes, m):
     unless its arrays are 1-D and of one length, its rows lie in [0, m) and
     its other integer arrays, column indices, are nonnegative."""
     out = tuple(np.asarray(a, dtype=t) for a, t in zip(arrays, dtypes))
-    if len(out) != len(dtypes) or any(a.shape != (out[0].size,) for a in out):
+    if (len(arrays) != len(dtypes)
+            or any(a.shape != (out[0].size,) for a in out)):
         raise ValueError(f"{name}: want {len(dtypes)} 1-D arrays of one size")
     if np.any((out[0] < 0) | (out[0] >= m)):
         raise ValueError(f"{name}: a row index lies outside [0, {m})")
@@ -435,30 +426,32 @@ def _terms(name, arrays, dtypes, m):
 @dataclass
 class ConcaveRows:
     """Rows  d + sum b x[i] / sqrt(c + x[i]^2) + L@x - sum w (x[i] - a)^2
-                - sum v (x[i] - x[j])^2 - sum e exp(-x[u])  >= 0,
-    each sum over its group's terms.
+                - sum v (x[i] - x[j])^2 - sum e exp(-s_k(x))  >= 0,
+    each sum over its group's terms, s_k the slack of row k of ``inner``.
 
     Each term group is a tuple of equal-length arrays led by the rows its
     terms belong to, kept in the order given: ``lin`` the entries of L as
     COO triples (rows, cols, vals), the anchor squares ``anchor`` (rows, w,
     i, a), the difference squares ``diff`` (rows, v, i, j), ``exp``
-    (rows, e, u) and the elevation ratios ``ratio`` (rows, b, c, i).  So
-    one set holds every row of a trajectory step: the per-node rate rows
-    (many terms per row), the speed rows, the fading-bound caps and the
-    altitude floor.  w, v, e, b >= 0 and c > 0 keep every row concave where
-    the ratio's x[i] is nonnegative (the floor keeps altitudes there).  An
-    anchor square has its entries on x[i] alone; a difference square on
-    x[i] and x[j], plus the cross entry (i, j) in both orders; a ratio on
-    x[i] alone.  A slack sums d, the ratio terms, then the linear part, so
-    a cap row rounds as (d + ratio) - s.
+    (rows, e) and the elevation ratios ``ratio`` (rows, b, c, i).  So one
+    set holds every row of a trajectory step, its inner rows the elevation
+    caps.  w, v, e, b >= 0 and c > 0 keep every row concave where the
+    ratio's x[i] is nonnegative (the floor keeps altitudes there), and
+    -exp(-s) of a concave s is concave.  An anchor square has its entries
+    on x[i] alone; a difference square on x[i] and x[j], plus the cross
+    entry (i, j) in both orders; a ratio on x[i] alone; an exponential
+    term on its inner row's Jacobian entries, with its curvature
+    e exp(-s) (grad s grad s' - hess s) on that row's curvature entries
+    and on every pair of its Jacobian entries.
     """
 
     d: np.ndarray
     lin: tuple = ((), (), ())
     anchor: tuple = ((), (), (), ())
     diff: tuple = ((), (), (), ())
-    exp: tuple = ((), (), ())
+    exp: tuple = ((), ())
     ratio: tuple = ((), (), (), ())
+    inner: Optional["ConcaveRows"] = None
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -466,28 +459,43 @@ class ConcaveRows:
         self.lin = _terms("lin", self.lin, (i8, i8, float), m)
         self.anchor = _terms("anchor", self.anchor, (i8, float, i8, float), m)
         self.diff = _terms("diff", self.diff, (i8, float, i8, i8), m)
-        self.exp = _terms("exp", self.exp, (i8, float, i8), m)
+        self.exp = _terms("exp", self.exp, (i8, float), m)
         self.ratio = _terms("ratio", self.ratio, (i8, float, float, i8), m)
         if np.any(np.concatenate([self.anchor[1], self.diff[1], self.exp[1],
                                   self.ratio[1]]) < 0):
             raise ValueError("negative term weights would break concavity")
         if np.any(self.ratio[2] <= 0):
             raise ValueError("ratio: the offset c must be positive")
+        if (self.inner.d.size if self.inner else 0) != self.exp[0].size:
+            raise ValueError("exp: want one inner row per term")
+        # the inner rows' Jacobian and curvature entries (none without them)
+        ir, ic, cr, cc = ((self.inner.jac_rows, self.inner.jac_cols,
+                           self.inner.curv_rows, self.inner.curv_cols)
+                          if self.inner else (self.exp[0],) * 4)
         # both shapes square x[i] - y: y = a for the anchors, then x[j]
         self._row, self._w, self._i = (np.concatenate(pair) for pair
                                        in zip(self.anchor[:3], self.diff[:3]))
-        i, j, u, r = self._i, self.diff[3], self.exp[2], self.ratio[3]
+        # every pair (a, b) of entries of one inner row, and that row
+        by_row = np.argsort(ir, kind="stable")
+        a, b = _pairs_within_rows(ir[by_row])
+        self._pair = ir[by_row[a]], by_row[a], by_row[b]
+        i, j, r = self._i, self.diff[3], self.ratio[3]
         self.jac_rows = np.concatenate([self.lin[0], self._row, self.diff[0],
-                                        self.exp[0], self.ratio[0]])
-        self.jac_cols = np.concatenate([self.lin[1], i, j, u, r])
-        self.curv_rows = np.concatenate([i, j, self.diff[2], j, u, r])
-        self.curv_cols = np.concatenate([i, j, j, self.diff[2], u, r])
+                                        self.exp[0][ir], self.ratio[0]])
+        self.jac_cols = np.concatenate([self.lin[1], i, j, ic, r])
+        pa, pb = ic[self._pair[1]], ic[self._pair[2]]
+        self.curv_rows = np.concatenate([i, j, self.diff[2], j, cr, pa, r])
+        self.curv_cols = np.concatenate([i, j, j, self.diff[2], cc, pb, r])
 
     def _gap(self, x):
         """x[i] - a of each anchor square, then x[i] - x[j] of each diff."""
         return x[self._i] - np.concatenate([self.anchor[3], x[self.diff[3]]])
 
-    def values(self, x):
+    def _exp_terms(self, x):
+        """e exp(-s) of each exponential term."""
+        return self.exp[1] * np.exp(-self.inner._slacks(x))
+
+    def _slacks(self, x):
         m = self.d.size
         g = self.d
         rows, b, c, i = self.ratio
@@ -499,73 +507,68 @@ class ConcaveRows:
         if self._row.size:
             t = self._gap(x)
             g -= np.bincount(self._row, self._w * t * t, minlength=m)
-        rows, e, u = self.exp
-        if rows.size:
-            g -= np.bincount(rows, e * np.exp(-x[u]), minlength=m)
+        if self.inner:
+            g -= np.bincount(self.exp[0], self._exp_terms(x), minlength=m)
         return g
+
+    values = _slacks    # inner rows are read through _slacks, not values
 
     def grads(self, x):
         # -2 w t on x[i], +2 w t on a difference's x[j]
         t2w = 2.0 * self._w * self._gap(x)
-        _, e, u = self.exp
         _, b, c, i = self.ratio
         z = x[i]
-        return np.concatenate([self.lin[2], -t2w, t2w[self.anchor[0].size:],
-                               e * np.exp(-x[u]), b * c / (c + z * z) ** 1.5])
+        parts = [self.lin[2], -t2w, t2w[self.anchor[0].size:]]
+        if self.inner:      # e exp(-s) grad s
+            inner = self.inner
+            parts.append(self._exp_terms(x)[inner.jac_rows] * inner.grads(x))
+        return np.concatenate(parts + [b * c / (c + z * z) ** 1.5])
 
     def curvature(self, x, w):
         # 2 w on x[i], then on a difference's x[j]; -2 w on its cross entries
         c2 = 2.0 * self._w * w[self._row]
         cross = -c2[self.anchor[0].size:]
-        e_rows, e, u = self.exp
         r_rows, b, c, i = self.ratio
         z = x[i]
-        ratio = 3.0 * b * c * z / (c + z * z) ** 2.5
-        return np.concatenate([c2, -cross, cross, cross,
-                               w[e_rows] * e * np.exp(-x[u]),
-                               w[r_rows] * ratio])
+        parts = [c2, -cross, cross, cross]
+        if self.inner:      # w e exp(-s) (-hess s), then (grad s grad s')
+            k, a, b_ = self._pair
+            we = w[self.exp[0]] * self._exp_terms(x)
+            ds = self.inner.grads(x)
+            parts += [self.inner.curvature(x, we), we[k] * ds[a] * ds[b_]]
+        return np.concatenate(
+            parts + [w[r_rows] * (3.0 * b * c * z / (c + z * z) ** 2.5)])
 
 
 def _epigraph(system, c, gu):
-    """The epigraph columns, read off the Jacobian gu at the start, as
-    (cap_rows, cap_cols, eta_col, eta_rows).  eta is the objective's single
-    column when it enters each of its rows, the coupling rows, with slope
-    -1; otherwise eta_col is None.  A cap pair is a column with exactly one
-    local row, which it enters with slope -1 (its coupling rows may hold it
-    in monotone terms)."""
-    obj = np.flatnonzero(c)
-    eta_col, eta_rows = None, np.zeros(0, np.int64)
-    if obj.size == 1:
-        at = system.ucol == obj[0]
-        if at.any() and np.all(gu[at] == -1.0):
-            eta_col, eta_rows = int(obj[0]), system.urow[at]
-    local = system.local
-    count = np.bincount(system.ucol[local], minlength=system.n)
-    cap = local & (count[system.ucol] == 1) & (gu == -1.0)
-    return system.urow[cap], system.ucol[cap], eta_col, eta_rows
+    """The epigraph columns, read off the start's Jacobian gu, as two
+    levels of (rows, cols) entries.  An epigraph column is an objective
+    column whose negative entries all have slope -1: lowering it lifts
+    those rows.  Those that also enter a row with positive slope (each t_n,
+    in its tie row t_n - eta) make the first level, the rest (eta) the
+    second."""
+    col = system.ucol
+    on = (c != 0.0)[col]          # the entries on objective columns
+    off = np.bincount(col[on & (gu < 0.0) & (gu != -1.0)], minlength=system.n)
+    up = np.bincount(col[on & (gu > 0.0)], minlength=system.n)[col] > 0
+    own = on & (gu == -1.0) & (off[col] == 0)
+    return [(system.urow[own & up], col[own & up]),
+            (system.urow[own & ~up], col[own & ~up])]
 
 
 def _epigraph_correction(epigraph, rows, xt, gt, pred):
-    """Second-order correction of a trial point that failed positivity,
-    restricted to the epigraph columns (Nocedal & Wright, *Numerical
-    Optimization*, 2nd ed., section 18.3): each cap column drops by its cap
-    row's curvature residual min(0, g(xt) - pred), which restores that
-    row's linear prediction pred; then the eta column drops by the worst
-    residual over its rows.  It enters them linearly, so their slacks are
-    updated in place.  Returns the corrected (xt, gt)."""
-    cap_rows, cap_cols, eta_col, eta_rows = epigraph
-    if cap_cols.size:
-        cap = xt[cap_cols]
-        moved = cap + np.minimum(0.0, gt[cap_rows] - pred[cap_rows])
-        if not np.array_equal(moved, cap):
-            xt[cap_cols] = moved
+    """Second-order correction (Nocedal & Wright, *Numerical Optimization*,
+    2nd ed., section 18.3) of a trial point that failed positivity, on the
+    epigraph columns: level by level, each column drops by the worst
+    curvature residual min(0, g(xt) - pred) over its rows, restoring their
+    linear prediction pred (each t_n its rate row, then eta the tie rows).
+    Returns the corrected (xt, gt)."""
+    for own_rows, own_cols in epigraph:
+        drop = np.zeros(xt.size)
+        np.minimum.at(drop, own_cols, gt[own_rows] - pred[own_rows])
+        if drop.any():
+            xt = xt + drop
             gt = rows.values(xt)
-    if eta_col is not None:
-        worst = float(np.min(gt[eta_rows] - pred[eta_rows]))
-        if worst < 0.0:
-            eta = xt[eta_col]
-            xt[eta_col] = eta + worst
-            gt[eta_rows] += eta - xt[eta_col]
     return xt, gt
 
 
@@ -592,11 +595,10 @@ class _NewtonSystem:
     local rows.  A_bb must be positive definite, and every program the
     planner builds has one: each free waypoint column carries the move
     rows' squared terms, which chain the free waypoints to the two pinned
-    endpoints, and each s column carries its exponential term and its cap
-    row.  A program without that (a column of b with neither a local row
-    nor a curvature term, or an indefinite curvature) gets no direction,
-    and its solve ends "stalled".  After Jacobi equilibration, with
-    U = W_K^(1/2) G_K the weighted coupling rows (k of them),
+    endpoints.  A program without that (a column of b with neither a local
+    row nor a curvature term, or an indefinite curvature) gets no
+    direction, and its solve ends "stalled".  After Jacobi equilibration,
+    with U = W_K^(1/2) G_K the weighted coupling rows (k of them),
 
         H = [[A_bb + U_b'U_b, U_b'U_d], [U_d'U_b, U_d'U_d]].
 
@@ -628,7 +630,7 @@ class _NewtonSystem:
                              "objective columns must enter the rows linearly")
         coupling = np.zeros(m, bool)
         coupling[self.urow[dense[self.ucol]]] = True
-        self.local = local = ~coupling[self.urow]
+        local = ~coupling[self.urow]
         self.order = np.concatenate([np.flatnonzero(~dense),
                                      np.flatnonzero(dense)])
         pos = np.empty(n, np.int64)
@@ -758,6 +760,7 @@ def _lapack(routine, *arrays):
 
 
 MAX_NEWTON_STEPS = 200      # an interior-point solve's step cap
+STOP_TOL = 1e-7             # its relative stop; the duality gap's is 3x
 
 
 def _trial_steps(t, t_lin):
@@ -791,16 +794,12 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     so the metric stays bounded and the step count stays flat as the gap
     shrinks.
 
-    The backtracking halves t at most 50 times.  It skips, unevaluated,
-    every t at which a row other than the eta rows has a linear
-    prediction g + t G dx below zero beyond rounding, since such a trial
-    fails positivity anyway.  A trial that fails positivity gets the
-    epigraph correction (``_epigraph_correction``) on the epigraph columns
-    ``_epigraph`` reads off the start's Jacobian, then the positivity and
-    merit tests; the dual trial is not corrected.  Without the correction,
-    the curvature of a rate row whose slack eta has pushed to 1e-10 turns
-    long waypoint steps negative and the step length crawls; with it, the
-    cap and rate rows keep the slack their linear model promises.
+    A trial step (``_trial_steps``) that fails positivity gets the
+    epigraph correction (``_epigraph_correction``) on the columns
+    ``_epigraph`` reads off the start's Jacobian before the positivity and
+    merit tests; the dual trial is not corrected.  Without it, a rate row
+    whose slack its t_n has pushed to 1e-10 turns long waypoint steps
+    negative through its curvature, and the step length crawls.
 
     A program needs rows and a strictly feasible start of the objective's
     shape.  The trace records the true objective after each accepted step
@@ -828,7 +827,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     system = _NewtonSystem(rows, c)
     gu = system.jacobian(x)
     epigraph = _epigraph(system, c, gu)
-    eta_rows = epigraph[3]
+    eta_rows = epigraph[-1][0]
     row_scale = np.abs(rows.d)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
@@ -846,7 +845,8 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     for _ in range(MAX_NEWTON_STEPS):
         gap = float(lam @ g)
         denom = c_scale + system.dual_scale(gu, lam)
-        if np.max(np.abs(rd)) <= 1e-7 * denom and gap <= 3e-7 * (1.0 + abs(obj)):
+        if (np.max(np.abs(rd)) <= STOP_TOL * denom
+                and gap <= 3.0 * STOP_TOL * (1.0 + abs(obj))):
             break
 
         mu_t = max(sigma * gap / m, 1e-18 * (1.0 + abs(obj)))

@@ -64,3 +64,16 @@ def test_fit_parity_is_relative_and_skips_zero_values():
     table = bench_plans.fit_table({"4sn": fit, "new": dict(prev)})
     assert "| 4sn | 50.0 -> 4.0 | -1.00e-09 | +0.00e+00 | was 0 |" in table
     assert "| new | 50.0 | -4 | 6 | 0 | 0.01 |" in table
+
+
+def test_grid_reports_the_order_per_point():
+    rec = {"lb": 0.1, "rfla": 0.2, "rffsa": 0.3, "rfb": 0.3}
+    assert bench_plans.order_holds(rec)
+    assert not bench_plans.order_holds(dict(rec, rfb=0.29))
+    assert not bench_plans.order_holds(dict(rec, lb=0.25))
+    table = bench_plans.grid_table(
+        {"4sn": {"vz=5": dict(rec, order_holds=True),
+                 "eps=0.05": dict(rec, rfb=0.29, order_holds=False)}})
+    assert "| 4sn | vz=5 | 0.1000 | 0.2000 | 0.3000 | 0.3000 | yes |" in table
+    assert "| 4sn | eps=0.05 | 0.1000 | 0.2000 | 0.3000 | 0.2900 | no |" \
+        in table

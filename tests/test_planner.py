@@ -396,38 +396,43 @@ def _built_step(block, model):
                                                      **data)
 
 
-def _caps(rows, n_sn):
-    """(s columns, their cap rows) by the builder's layout: each s has one
-    exponential term in its node's rate row, node-major, and its cap is row
-    n_sn + k (horizontal) or the row of the k-th ratio term, after the move
-    rows (vertical)."""
-    s_cols = rows.exp[2]
-    if rows.ratio[0].size:
-        assert rows.ratio[0].size == s_cols.size
-        return s_cols, rows.ratio[0]
-    return s_cols, n_sn + np.arange(s_cols.size)
+def _tie_layout(objective, n_sn):
+    """(t columns, eta column, tie rows) of a built step's ``objective`` by
+    the builder's layout: the waypoint columns, then one t_n per node when
+    N >= 2, and eta last; the rows run rate, tie (N >= 2), moves, floor."""
+    eta = objective.size - 1
+    n_t = n_sn if n_sn > 1 else 0
+    return eta - n_t + np.arange(n_t), eta, n_sn + np.arange(n_t)
 
 
 @pytest.fixture(scope="module", params=["scenario_1sn.json",
                                         "scenario_4sn.json"])
 def built_steps(request):
-    """Every trajectory step the four schemes build on a bundled
-    scenario."""
+    """Every trajectory step the four schemes build on a bundled scenario,
+    the report of each step's solve, and each scheme's per-block count of
+    solves that did not end "optimal"."""
     scen = load_scenario(bundled_scenario(request.param))
     model = fit_for_scenario(scen)
-    steps = []
+    out = {"steps": [], "reports": [], "not_optimal": {}}
     build = planner.build_trajectory_step
+    solve = planner.maximize_concave_program
 
-    def spy(*args, **kw):
-        steps.append(build(*args, **kw))
-        return steps[-1]
+    def spy_build(*args, **kw):
+        out["steps"].append(build(*args, **kw))
+        return out["steps"][-1]
+
+    def spy_solve(*args, **kw):
+        out["reports"].append(solve(*args, **kw))
+        return out["reports"][-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(planner, "build_trajectory_step", spy)
+        patch.setattr(planner, "build_trajectory_step", spy_build)
+        patch.setattr(planner, "maximize_concave_program", spy_solve)
         for scheme in ("lb", "rfla", "rffsa", "rfb"):
-            run_scheme(scheme, scen, model, simulate=False)
-    assert steps and None not in steps
-    return steps
+            _, rep = run_scheme(scheme, scen, model, simulate=False)
+            out["not_optimal"][scheme] = rep.extras["ipm_not_optimal"]
+    assert out["steps"] and None not in out["steps"]
+    return out
 
 
 class TestTrajectoryBlocks:
@@ -441,7 +446,10 @@ class TestTrajectoryBlocks:
         reports = []
         q_new = solve_horizontal(plan, scen, FIT, reports=reports)
         assert q_new is not None
-        assert len(reports) == 1
+        # the first solve from the straight line ends optimal, well inside
+        # the step cap
+        (rep,) = reports
+        assert rep.status == "optimal"
         after = max_min_rate(plan.a,
                              predicted_rates(q_new, plan.z, scen, FIT))
         assert after > before
@@ -451,20 +459,19 @@ class TestTrajectoryBlocks:
     @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_built_bound_is_tight_at_expansion_point(self, block, model):
-        # the SCA property the monotone trace rests on: with every s at its
-        # cap and eta = 0, each rate row equals the true average rate at the
-        # expansion point and each cap row has zero slack
+        # the SCA property the monotone trace rests on: with every t_n and
+        # eta at 0, each composed rate row equals the true average rate at
+        # the expansion point, each exponent equals its logistic argument
+        # there, and each tie row has zero slack
         scen, plan, step = _built_step(block, model)
         assert step is not None
-        s_cols, cap_rows = _caps(step.rows, scen.n_sn)
-        assert s_cols.size == (
-            0 if model is LOS_MODEL
-            else np.count_nonzero(plan.a[:, :-1] > planner._SPARSIFY_TOL))
+        t_cols, eta, tie_rows = _tie_layout(step.objective, scen.n_sn)
+        assert step.objective.size == step.x_cols.size + scen.n_sn + 1
+        assert step.rows.exp[0].size == np.count_nonzero(
+            plan.a[:, :-1] > planner._SPARSIFY_TOL)
 
         x = step.start.copy()
-        x[-1] = 0.0
-        x[s_cols] = 0.0
-        x[s_cols] = step.rows.values(x)[cap_rows]
+        x[t_cols] = x[eta] = 0.0
         g = step.rows.values(x)
         if block == "horizontal":
             q, z = step.path, plan.z
@@ -475,14 +482,41 @@ class TestTrajectoryBlocks:
         want = (np.where(active, plan.a, 0.0) * rates).sum(axis=1) \
             / scen.n_slots
         assert g[:scen.n_sn] == pytest.approx(want, rel=1e-9)
-        assert g[cap_rows] == pytest.approx(0.0, abs=1e-12)
+        _, v = planner.slot_geometry(q, z, scen)
+        node, slot = np.nonzero(active[:, :-1])
+        assert step.rows.inner.values(x) == pytest.approx(
+            model.b1 + model.b2 * v[node, slot], rel=1e-12, abs=1e-12)
+        assert g[tie_rows] == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_node_builds_no_tie_break(self):
+        # one node: the rate row subtracts eta itself, the objective is eta
+        # alone, and there is no t column and no tie row
+        scen = _scenario([[300.0, 200.0]])
+        plan = initialize_plan(scen)
+        plan.a, _ = solve_scheduling(
+            predicted_rates(plan.q, plan.z, scen, FIT))
+        for data in (planner._horizontal_block(plan, scen),
+                     planner._vertical_block(plan, scen)):
+            step = planner.build_trajectory_step(plan, scen, FIT, **data)
+            eta = step.objective.size - 1
+            assert eta == step.x_cols.size
+            assert np.flatnonzero(step.objective).tolist() == [eta]
+            assert step.objective[eta] == 1.0
+            lin_rows, lin_cols, lin_vals = step.rows.lin
+            at = lin_cols == eta
+            assert (lin_rows[at].tolist(), lin_vals[at].tolist()) == (
+                [0], [-1.0])
+            n_floor = 0 if np.isinf(data.get("floor", -np.inf)) \
+                else scen.n_slots - 1
+            assert step.rows.d.size == 1 + scen.n_slots + n_floor
 
     @pytest.mark.parametrize("name", ["scenario_1sn.json",
                                       "scenario_4sn.json"])
     def test_solver_reads_the_built_epigraph(self, name, monkeypatch):
         # on every program run_scheme builds, the epigraph the solver reads
-        # off the rows is the builder's: each s over its cap row, and eta,
-        # the objective's one column, over the N rate rows
+        # off the rows is the builder's: first each t_n over its rate row,
+        # then eta, the last column, over the tie rows; with one node there
+        # is no t_n, and eta is over the one rate row
         scen = load_scenario(bundled_scenario(name))
         model = fit_for_scenario(scen)
         programs = []
@@ -495,25 +529,35 @@ class TestTrajectoryBlocks:
         monkeypatch.setattr(planner, "maximize_concave_program", spy)
         run_scheme("rfb", scen, model, simulate=False)
         vertical = set()
+        n_sn = scen.n_sn
         for c, program_rows, start in programs:
             system = solvers._NewtonSystem(program_rows, c)
-            rows, cols, eta, eta_rows = solvers._epigraph(
-                system, c, system.jacobian(start))
-            s_cols, cap_rows = _caps(program_rows, scen.n_sn)
-            assert s_cols.size > 0
-            assert (sorted(zip(cols.tolist(), rows.tolist()))
-                    == sorted(zip(s_cols.tolist(), cap_rows.tolist())))
-            assert np.flatnonzero(c).tolist() == [eta] == [c.size - 1]
-            assert eta_rows.tolist() == list(range(scen.n_sn))
-            vertical.add(program_rows.ratio[0].size > 0)
+            first, second = solvers._epigraph(system, c,
+                                              system.jacobian(start))
+            t_cols, eta, tie_rows = _tie_layout(c, n_sn)
+            assert np.flatnonzero(c).tolist() == t_cols.tolist() + [eta]
+            assert (first[0].tolist(), first[1].tolist()) == (
+                list(range(t_cols.size)), t_cols.tolist())
+            eta_rows = tie_rows.tolist() if n_sn > 1 else [0]
+            assert (second[0].tolist(), second[1].tolist()) == (
+                eta_rows, [eta] * len(eta_rows))
+            vertical.add(program_rows.inner.ratio[0].size > 0)
         assert vertical == {False, True}
+
+    def test_every_bundled_solve_ends_optimal(self, built_steps):
+        # every interior-point solve of the four schemes ends "optimal",
+        # well inside the step cap, and the counts in the result say so
+        assert built_steps["reports"]
+        assert {rep.status for rep in built_steps["reports"]} == {"optimal"}
+        for scheme, counts in built_steps["not_optimal"].items():
+            assert counts == {"horizontal": 0, "vertical": 0}, scheme
 
     def test_every_built_column_has_diagonal_curvature(self, built_steps):
         # what keeps the Newton step's banded block positive definite with
-        # no ridge: on every program the four schemes build, each column
-        # but eta has a positive diagonal curvature term (the move rows'
-        # squares on a waypoint, the exponential term on an s)
-        for step in built_steps:
+        # no ridge: on every program the four schemes build, every waypoint
+        # column has a positive diagonal curvature term from the move rows'
+        # squares, and the objective columns (each t_n, eta) have none
+        for step in built_steps["steps"]:
             diag = np.zeros(step.objective.size)
             rows = step.rows
             on = rows.curv_rows == rows.curv_cols
@@ -527,29 +571,43 @@ class TestTrajectoryBlocks:
         # each row set states its sparsity once: an anchor square has its
         # Jacobian and curvature entries on x[i] alone, a difference square
         # on x[i] and x[j] plus the cross entry both ways, a ratio on x[i]
-        # alone; the derivative values line up with the pattern.  Only the
-        # inner moves are differences of two free waypoints
-        n_anchor = n_diff = n_ratio = 0
-        for step in built_steps:
+        # alone, an exponential term its inner row's entries, curvature
+        # entries and every pair of its inner row's entries; the derivative
+        # values line up with the pattern.  Only the inner moves are
+        # differences of two free waypoints
+        n_anchor = n_diff = n_inner = 0
+        for step in built_steps["steps"]:
             rows, x = step.rows, step.start
+            inner = rows.inner
             a_row, _, a_i, _ = rows.anchor
             d_row, _, d_i, d_j = rows.diff
-            e_row, _, e_u = rows.exp
+            e_row, _ = rows.exp
             r_row, _, _, r_i = rows.ratio
             np.testing.assert_array_equal(d_i, step.x_cols[1:].ravel())
             np.testing.assert_array_equal(d_j, step.x_cols[:-1].ravel())
             n_anchor += a_row.size
             n_diff += d_row.size
-            n_ratio += r_row.size
+            n_inner += inner.jac_rows.size
+            # the exponents are the horizontal caps' anchor squares or the
+            # vertical caps' ratios, one inner row per exponential term
+            assert inner.d.size == e_row.size
+            assert inner.lin[0].size == inner.diff[0].size == 0
+            assert inner.anchor[0].size + inner.ratio[0].size > 0
+            cols = [inner.jac_cols[inner.jac_rows == k]
+                    for k in range(inner.d.size)]
+            pairs = np.array([(a, b) for c in cols for a in c for b in c],
+                             np.int64).reshape(-1, 2)
             jac = np.concatenate([
                 np.stack([rows.lin[0], rows.lin[1]], 1),
                 np.stack([a_row, a_i], 1), np.stack([d_row, d_i], 1),
-                np.stack([d_row, d_j], 1), np.stack([e_row, e_u], 1),
+                np.stack([d_row, d_j], 1),
+                np.stack([e_row[inner.jac_rows], inner.jac_cols], 1),
                 np.stack([r_row, r_i], 1)])
             curv = np.concatenate([
                 np.stack([a_i, a_i], 1), np.stack([d_i, d_i], 1),
                 np.stack([d_j, d_j], 1), np.stack([d_i, d_j], 1),
-                np.stack([d_j, d_i], 1), np.stack([e_u, e_u], 1),
+                np.stack([d_j, d_i], 1),
+                np.stack([inner.curv_rows, inner.curv_cols], 1), pairs,
                 np.stack([r_i, r_i], 1)])
             np.testing.assert_array_equal(
                 np.stack([rows.jac_rows, rows.jac_cols], 1), jac)
@@ -560,25 +618,24 @@ class TestTrajectoryBlocks:
             assert rows.grads(x).shape == rows.jac_rows.shape
             assert rows.curvature(x, np.ones(rows.d.size)).shape == \
                 rows.curv_rows.shape
-        # the rate- and cap-row distance terms and both end moves, the inner
-        # moves and the vertical caps
-        assert n_anchor > 0 and n_diff > 0 and n_ratio > 0
+        # the rate-row distance terms and both end moves, the inner moves
+        # and the exponents
+        assert n_anchor > 0 and n_diff > 0 and n_inner > 0
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_floor_rows_come_last(self, block):
-        # the rows run: rate rows, horizontal caps, moves, vertical caps,
-        # and last the altitude floor, one linear row per free altitude,
-        # x - h_min; the horizontal block has no floor
+        # the rows run: rate rows, tie rows t_n - eta, moves, and last the
+        # altitude floor, one linear row per free altitude, x - h_min; the
+        # horizontal block has no floor
         scen, _, step = _built_step(block, FIT)
         rows, x = step.rows, step.start
         n_sn, m_slots = scen.n_sn, scen.n_slots
-        s_cols, cap_rows = _caps(rows, n_sn)
+        t_cols, eta, tie_rows = _tie_layout(step.objective, n_sn)
         n_floor = 0 if block == "horizontal" else m_slots - 1
-        assert rows.d.size == n_sn + s_cols.size + m_slots + n_floor
-        move_lo = n_sn + (s_cols.size if block == "horizontal" else 0)
-        np.testing.assert_array_equal(
-            cap_rows, (n_sn if block == "horizontal" else move_lo + m_slots)
-            + np.arange(s_cols.size))
+        assert rows.d.size == 2 * n_sn + m_slots + n_floor
+        np.testing.assert_array_equal(rows.values(x)[tie_rows],
+                                      x[t_cols] - x[eta])
+        move_lo = 2 * n_sn
         limit = scen.sxy if block == "horizontal" else scen.sz
         np.testing.assert_array_equal(rows.d[move_lo:move_lo + m_slots],
                                       limit ** 2)
@@ -600,11 +657,12 @@ class TestTrajectoryBlocks:
                                              newton_step_gap):
         # the banded factor, Schur complement and Woodbury update solve the
         # same system as a dense factorization of the whole matrix
-        _, _, step = _built_step(block, model)
+        scen, _, step = _built_step(block, model)
         gap = newton_step_gap(step.objective, step.rows, step.start)
         assert gap <= 1e-8
-        # eta is the one dense column
-        assert solvers._NewtonSystem(step.rows, step.objective).nd == 1
+        # the t_n and eta are the dense columns
+        assert solvers._NewtonSystem(step.rows,
+                                     step.objective).nd == scen.n_sn + 1
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
     def test_solve_evaluates_no_point_twice_in_a_row(self, block,
@@ -925,28 +983,6 @@ class TestDegenerateScenarios:
                                                              attr).tobytes()
         assert rep2.eta_achieved == rep.eta_achieved
         assert rep2.extras == rep.extras
-
-
-def test_every_bundled_1sn_solve_ends_optimal(monkeypatch):
-    # the line search's epigraph correction finishes every interior-point
-    # solve of the four schemes on scenario_1sn, which used to crawl into
-    # the step cap, and the counts in the result say so
-    scen = load_scenario(bundled_scenario("scenario_1sn.json"))
-    model = fit_for_scenario(scen)
-    solve = planner.maximize_concave_program
-    status = []
-
-    def spy(c, rows, start, **kw):
-        rep = solve(c, rows, start, **kw)
-        status.append(rep.status)
-        return rep
-
-    monkeypatch.setattr(planner, "maximize_concave_program", spy)
-    for scheme in ("lb", "rfla", "rffsa", "rfb"):
-        _, rep = run_scheme(scheme, scen, model, simulate=False)
-        assert rep.extras["ipm_not_optimal"] == {"horizontal": 0,
-                                                 "vertical": 0}, scheme
-    assert status and set(status) == {"optimal"}
 
 
 @st.composite

@@ -10,7 +10,7 @@ against a walk over the tie sets.  The barrier path is checked against
 analytic optima and a multi-start SLSQP oracle on random concave programs,
 and its structured Newton step against a dense solve; a failed
 factorization or a non-finite step gives no direction.  Its line
-search is checked on a capped program the epigraph correction finishes,
+search is checked on a tie-break program the epigraph correction finishes,
 on the epigraph columns it reads off the rows (and those it must not
 read), and on the rfb plan of scenario_4sn, where every step the linear
 pre-screen skips is evaluated and fails.  The row set's derivatives are
@@ -385,7 +385,8 @@ def _quad_rows(d, c_row, anchor=(), diff=()):
 
 def _stack(*sets):
     """One row set holding the rows of ``sets`` in order: each set's term
-    groups renumbered past the rows of the sets before it."""
+    groups renumbered past the rows of the sets before it, and their inner
+    rows stacked the same way, in the order of their exponential terms."""
     lo = np.cumsum([0] + [rows.d.size for rows in sets])
     groups = {}
     for name in ("lin", "anchor", "diff", "exp", "ratio"):
@@ -393,7 +394,17 @@ def _stack(*sets):
         groups[name] = (
             np.concatenate([part[0] + k for part, k in zip(parts, lo)]),
             *map(np.concatenate, zip(*(part[1:] for part in parts))))
-    return ConcaveRows(d=np.concatenate([rows.d for rows in sets]), **groups)
+    inner = [rows.inner for rows in sets if rows.inner is not None]
+    return ConcaveRows(d=np.concatenate([rows.d for rows in sets]),
+                       inner=_stack(*inner) if inner else None, **groups)
+
+
+def _columns(cols):
+    """Inner rows that are the columns ``cols`` themselves, one row each:
+    exponential terms exp(-x[u])."""
+    cols = np.asarray(cols, np.int64)
+    return ConcaveRows(d=np.zeros(cols.size),
+                       lin=(np.arange(cols.size), cols, np.ones(cols.size)))
 
 
 def _bounds(lb, ub):
@@ -431,9 +442,11 @@ def _epigraph_form(c, rows, start):
 
 
 def _epigraph_of(c, rows, x):
-    """The solver's epigraph columns of the program at x."""
+    """The solver's epigraph columns of the program at x, as lists of
+    [rows, cols] by level."""
     system = _NewtonSystem(rows, c)
-    return solvers._epigraph(system, c, system.jacobian(x))
+    return [[part.tolist() for part in level]
+            for level in solvers._epigraph(system, c, system.jacobian(x))]
 
 
 class TestBarrier:
@@ -565,7 +578,7 @@ class TestBarrier:
     @pytest.mark.parametrize("group", [
         {"anchor": ([0], [-1.0], [0], [0.0])},
         {"diff": ([0], [-1.0], [0], [1])},
-        {"exp": ([0], [-1.0], [0])},
+        {"exp": ([0], [-1.0])},
         {"ratio": ([0], [-1.0], [1.0], [0])}],
         ids=["anchor", "diff", "exp", "ratio"])
     def test_negative_weights_rejected(self, group):
@@ -630,7 +643,8 @@ _BARRIER_PROGRAMS = {
                     np.array([0.5, 0.5])),
     "quadratic_cap": lambda: (*_quadratic_cap(), np.array([2.0, 0.9])),
     "exponential": lambda: _epigraph_form(
-        [-1.0], _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
+        [-1.0], _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0]),
+                                   inner=_columns([0])),
                        _bounds([-10.0], [10.0])), [0.0]),
     # s <= 0.2 + 6 z / sqrt(2500 + z^2) over (z, s), z in [1, 100]
     "altitude_ratio": lambda: (
@@ -687,7 +701,8 @@ def test_rejects_curvature_on_an_objective_column(term):
     else:
         c, rows, start = (
             np.array([-1.0]),
-            _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0], [0])),
+            _stack(ConcaveRows(d=np.array([3.0]), exp=([0], [1.0]),
+                               inner=_columns([0])),
                    _bounds([-10.0], [10.0])), np.array([0.0]))
     with pytest.raises(ValueError, match="curvature term lies on an "
                                          "objective column"):
@@ -784,10 +799,12 @@ def test_solver_stalls_without_a_direction():
     assert np.array_equal(rep.x, start)
 
 
-def _random_rows(rng, n, m, n_anchor, n_diff, n_exp, n_ratio=0):
+def _random_rows(rng, n, m, n_anchor, n_diff, n_exp, n_ratio=0,
+                 inner=None):
     """A row set of m rows over n variables: a random linear part and the
     given numbers of random anchor, difference (over two distinct
-    variables), exponential and ratio terms."""
+    variables), exponential and ratio terms.  The exponents are the rows
+    of ``inner``, or else random columns (``_columns``)."""
     d_i = rng.integers(0, n, n_diff)
     return ConcaveRows(
         d=np.ones(m), lin=_lin(rng.normal(size=(m, n))),
@@ -795,10 +812,11 @@ def _random_rows(rng, n, m, n_anchor, n_diff, n_exp, n_ratio=0):
                 rng.integers(0, n, n_anchor), rng.normal(size=n_anchor)),
         diff=(rng.integers(0, m, n_diff), rng.uniform(0.1, 1.0, n_diff), d_i,
               (d_i + rng.integers(1, n, n_diff)) % n),
-        exp=(rng.integers(0, m, n_exp), rng.uniform(0.1, 1.0, n_exp),
-             rng.integers(0, n, n_exp)),
+        exp=(rng.integers(0, m, n_exp), rng.uniform(0.1, 1.0, n_exp)),
         ratio=(rng.integers(0, m, n_ratio), rng.uniform(0.1, 1.0, n_ratio),
-               rng.uniform(0.5, 2.0, n_ratio), rng.integers(0, n, n_ratio)))
+               rng.uniform(0.5, 2.0, n_ratio), rng.integers(0, n, n_ratio)),
+        inner=(inner if inner is not None or not n_exp
+               else _columns(rng.integers(0, n, n_exp))))
 
 
 @pytest.mark.parametrize("anchor, diff, exp, ratio",
@@ -815,7 +833,9 @@ def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
     x, w = rng.normal(size=n), rng.uniform(0.5, 2.0, 3)
     a_row, a_w, a_i, a = rows.anchor
     d_row, d_v, d_i, d_j = rows.diff
-    e_row, e, u = rows.exp
+    e_row, e = rows.exp
+    # each exponent is a column: the one entry of its inner row
+    u = rows.inner.lin[1] if exp else np.zeros(0, np.int64)
     r_row, b, c, r_i = rows.ratio
     ta, td, z = x[a_i] - a, x[d_i] - x[d_j], x[r_i]
     grads = np.concatenate([rows.lin[2], -(2.0 * a_w * ta), -(2.0 * d_v * td),
@@ -823,7 +843,7 @@ def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
                             b * c / (c + z * z) ** 1.5])
     ca, cd = 2.0 * a_w * w[a_row], 2.0 * d_v * w[d_row]
     curv = np.concatenate([ca, cd, cd, -cd, -cd,
-                           w[e_row] * e * np.exp(-x[u]),
+                           w[e_row] * (e * np.exp(-x[u])),
                            w[r_row] * (3.0 * b * c * z / (c + z * z) ** 2.5)])
     assert rows.grads(x).tobytes() == grads.tobytes()
     assert rows.curvature(x, w).tobytes() == curv.tobytes()
@@ -883,11 +903,14 @@ def test_square_derivatives_match_the_formula_and_central_differences(shape):
 
 def test_all_five_term_groups_match_central_differences():
     # one row set with linear, anchor, difference, exponential and ratio
-    # terms, several on each row: the exponential and ratio terms are not
-    # quadratic, so the differences carry O(h^2) truncation error
+    # terms, several on each row, whose exponents are inner rows with
+    # linear, anchor, difference and ratio terms: the exponential and ratio
+    # terms are not quadratic, so the differences carry O(h^2) truncation
+    # error
     rng = np.random.default_rng(9)
     n, m = 5, 3
-    rows = _random_rows(rng, n, m, 4, 3, 3, 4)
+    rows = _random_rows(rng, n, m, 4, 3, 3, 4,
+                        inner=_random_rows(rng, n, 3, 2, 1, 0, 2))
     assert all(getattr(rows, g)[0].size for g in
                ("lin", "anchor", "diff", "exp", "ratio"))
     x, lam = rng.uniform(0.2, 1.5, n), rng.uniform(0.5, 2.0, m)
@@ -897,7 +920,7 @@ def test_all_five_term_groups_match_central_differences():
 
 @pytest.mark.parametrize("group", [
     {"lin": ([1], [0], [1.0])}, {"anchor": ([-1], [1.0], [0], [0.0])},
-    {"diff": ([1], [1.0], [0], [1])}, {"exp": ([2], [1.0], [0])},
+    {"diff": ([1], [1.0], [0], [1])}, {"exp": ([2], [1.0])},
     {"ratio": ([1], [1.0], [1.0], [0])}],
     ids=["lin", "anchor", "diff", "exp", "ratio"])
 def test_rows_refuse_a_row_outside_the_set(group):
@@ -909,9 +932,9 @@ def test_rows_refuse_a_row_outside_the_set(group):
 
 @pytest.mark.parametrize("group", [
     {"lin": ([0], [-1], [1.0])}, {"anchor": ([0], [1.0], [-1], [0.0])},
-    {"diff": ([0], [1.0], [0], [-2])}, {"exp": ([0], [1.0], [-1])},
+    {"diff": ([0], [1.0], [0], [-2])},
     {"ratio": ([0], [1.0], [1.0], [-1])}],
-    ids=["lin", "anchor", "diff", "exp", "ratio"])
+    ids=["lin", "anchor", "diff", "ratio"])
 def test_rows_refuse_a_negative_column(group):
     with pytest.raises(ValueError, match="column index is negative"):
         ConcaveRows(d=np.ones(1), **group)
@@ -920,11 +943,21 @@ def test_rows_refuse_a_negative_column(group):
 @pytest.mark.parametrize("group", [
     {"lin": ([0, 0], [0], [1.0])}, {"anchor": ([0], [1.0], [0])},
     {"diff": ([[0]], [1.0], [0], [1])},
-    {"ratio": ([0], [1.0], [2500.0, 1.0], [0])}],
-    ids=["ragged", "short", "2-D", "ratio-ragged"])
+    {"ratio": ([0], [1.0], [2500.0, 1.0], [0])},
+    {"exp": ([0], [1.0], [0])}],
+    ids=["ragged", "short", "2-D", "ratio-ragged", "exp-column"])
 def test_rows_refuse_a_malformed_term_group(group):
+    # exp-column: an exponential term takes its exponent from an inner
+    # row, not from a column
     with pytest.raises(ValueError, match="1-D arrays of one size"):
         ConcaveRows(d=np.ones(1), **group)
+
+
+@pytest.mark.parametrize("n_inner", [0, 2])
+def test_exp_terms_want_one_inner_row_each(n_inner):
+    inner = _columns(np.zeros(n_inner, np.int64)) if n_inner else None
+    with pytest.raises(ValueError, match="exp: want one inner row per term"):
+        ConcaveRows(d=np.ones(1), exp=([0], [1.0]), inner=inner)
 
 
 @pytest.mark.parametrize("extra", ["linear", "saddle"])
@@ -944,51 +977,58 @@ def test_solver_refuses_a_column_beyond_the_start(extra):
 # line search: linear pre-screen and epigraph correction
 # ---------------------------------------------------------------------------
 
-def _capped_program(cap_slope=1.0, eta_slope=1.0):
-    """maximize eta over (x, s, eta), x in [-100, 100], subject to
-    eta <= -0.1 (x - 10)^2 - 0.1 exp(-s)  (row 0, the rate row) and
-    s <= -0.1 x^2  (row 1, the cap).  Row 0 is written with -eta_slope * eta
-    and row 1 with -cap_slope * s, both scaled through; with both slopes 1
-    the solver reads s and eta as epigraph columns.  Started at x = 0, s and
-    eta 1e-6 under their rows."""
-    ke, kc = eta_slope, cap_slope
-    rows = ConcaveRows(
-        d=np.zeros(2), lin=([0, 1], [2, 1], [-ke, -kc]),
-        anchor=([0, 1], [0.1 * ke, 0.1 * kc], [0, 0], [10.0, 0.0]),
-        exp=([0], [0.1 * ke], [1]))
-    rows = _stack(rows, _bounds([-100.0, -np.inf, -np.inf],
-                                [100.0, np.inf, np.inf]))
-    start = np.array([0.0, -1e-6, -0.1 - 10.0 - 1e-6])
-    return np.array([0.0, 0.0, 1.0]), rows, start
+def _tie_program(t_slope=1.0):
+    """maximize 0.9 eta + 0.05 (t0 + t1) over (x, t0, t1, eta), x in
+    [-100, 100], subject to the rate rows
+    t0 <= -0.1 (x - 10)^2 - 0.1 exp(-s(x))  (row 0, s(x) = -0.1 x^2 its
+    inner row) and t1 <= 1 - 0.1 x  (row 1), and the tie rows
+    eta <= t0, eta <= t1  (rows 2 and 3).  Row 0 is written with
+    -t_slope * t0, scaled through; with slope 1 the solver reads t0 and t1
+    over their rate rows and eta over the tie rows.  Started at x = 0,
+    each t_n 1e-6 under its rate row and eta 1e-6 under t0."""
+    k = t_slope
+    rates = ConcaveRows(
+        d=[0.0, 1.0], lin=([0, 1, 1], [1, 0, 2], [-k, -0.1, -1.0]),
+        anchor=([0], [0.1 * k], [0], [10.0]), exp=([0], [0.1 * k]),
+        inner=ConcaveRows(d=[0.0], anchor=([0], [0.1], [0], [0.0])))
+    ties = ConcaveRows(d=np.zeros(2), lin=([0, 0, 1, 1], [1, 3, 2, 3],
+                                           [1.0, -1.0, 1.0, -1.0]))
+    free = np.full(3, np.inf)
+    rows = _stack(rates, ties, _bounds(np.append(-100.0, -free),
+                                       np.append(100.0, free)))
+    start = np.array([0.0, -10.1 - 1e-6, 1.0 - 1e-6, -10.1 - 2e-6])
+    return np.array([0.0, 0.05, 0.05, 0.9]), rows, start
 
 
-def _capped_optimum():
-    """The optimum of the capped program's one-variable reduction eta(x),
-    with s at its cap."""
+def _tie_optimum():
+    """The optimum of the tie program's one-variable reduction, with each
+    t_n on its rate row and eta = t0, the smaller."""
     return scipy.optimize.minimize_scalar(
-        lambda x: 0.1 * (x - 10.0) ** 2 + 0.1 * np.exp(0.1 * x * x),
+        lambda x: (0.95 * (0.1 * (x - 10.0) ** 2 + 0.1 * np.exp(0.1 * x * x))
+                   - 0.05 * (1.0 - 0.1 * x)),
         bounds=(-100.0, 100.0), method="bounded", options={"xatol": 1e-10})
 
 
-def test_epigraph_is_read_off_the_capped_program():
-    rows, cols, eta, eta_rows = _epigraph_of(*_capped_program())
-    assert (rows.tolist(), cols.tolist(), eta, eta_rows.tolist()) == (
-        [1], [1], 2, [0])
-    # a cap written as -2 s is not an epigraph row; eta still is
-    rows, cols, eta, eta_rows = _epigraph_of(*_capped_program(cap_slope=2.0))
-    assert (rows.size, eta, eta_rows.tolist()) == (0, 2, [0])
+def test_epigraph_is_read_off_the_tie_program():
+    # two levels: each t_n over its rate row, then eta over the tie rows
+    assert _epigraph_of(*_tie_program()) == [[[0, 1], [1, 2]],
+                                             [[2, 3], [3, 3]]]
+    # a rate row written with -2 t0 leaves t0 no epigraph column; t1 and
+    # eta still are
+    assert _epigraph_of(*_tie_program(t_slope=2.0)) == [[[1], [2]],
+                                                        [[2, 3], [3, 3]]]
 
 
-def test_epigraph_correction_finishes_a_capped_crawl():
-    # with the cap written as -2 s the solver reads no cap column, so every
-    # long step bends the cap row negative and the solve crawls into the
-    # 200-step cap; with -s the correction restores the rows' linear
-    # predictions and the solve ends optimal
-    crawl = maximize_concave_program(*_capped_program(cap_slope=2.0))
+def test_epigraph_correction_finishes_a_tie_program_crawl():
+    # with row 0 written with -2 t0 the solver reads no epigraph column
+    # over it, so every long step bends that rate row negative and the
+    # solve crawls into the 200-step cap; with -t0 the correction restores
+    # the rows' linear predictions and the solve ends optimal
+    crawl = maximize_concave_program(*_tie_program(t_slope=2.0))
     assert crawl.status == "stalled" and crawl.iterations == 200
-    rep = maximize_concave_program(*_capped_program())
+    rep = maximize_concave_program(*_tie_program())
     assert rep.status == "optimal" and rep.iterations <= 20
-    best = _capped_optimum()
+    best = _tie_optimum()
     assert rep.x[0] == pytest.approx(best.x, abs=1e-5)
     assert rep.objective == pytest.approx(-best.fun, abs=2e-6)
     assert rep.objective > crawl.objective
@@ -1007,9 +1047,8 @@ def test_objective_column_off_slope_gets_no_eta_correction(slope,
                              anchor=[(0, 1.0, 1, 0.0)]),
                   _bounds([-np.inf, -3.0], [np.inf, 3.0]))
     start = np.zeros(2)
-    _, _, eta, eta_rows = _epigraph_of(c, rows, start)
-    assert (eta, eta_rows.tolist()) == ((0, [0, 1]) if slope == 1.0
-                                        else (None, []))
+    eta = [[0, 1], [0, 0]] if slope == 1.0 else [[], []]
+    assert _epigraph_of(c, rows, start) == [[[], []], eta]
     correct = solvers._epigraph_correction
     moved = []
 
@@ -1028,11 +1067,10 @@ def test_objective_column_off_slope_gets_no_eta_correction(slope,
 
 
 def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
-    # every trial step the linear pre-screen skips on the rfb plan of
-    # scenario_4sn fails strict positivity, before and after the epigraph
-    # correction, so evaluating it could not have changed the solve
-    scen = load_scenario(bundled_scenario("scenario_4sn.json"))
-    model = fit_for_scenario(scen)
+    # every trial step the linear pre-screen skips on the eight bundled
+    # plans (four schemes on each bundled scenario) fails strict
+    # positivity, before and after the epigraph correction, so evaluating
+    # it could not have changed the solve
     # (objective, rows, start, x, dx, first t, t_lin), one per line search
     steps = []
     solve, direction = planner.maximize_concave_program, _NewtonSystem.direction
@@ -1055,11 +1093,17 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
     monkeypatch.setattr(planner, "maximize_concave_program", spy_solve)
     monkeypatch.setattr(_NewtonSystem, "direction", spy_direction)
     monkeypatch.setattr(solvers, "_trial_steps", spy_trial_steps)
-    run_scheme("rfb", scen, model, simulate=False)
+    for name in ("scenario_1sn.json", "scenario_4sn.json"):
+        scen = load_scenario(bundled_scenario(name))
+        model = fit_for_scenario(scen)
+        for scheme in ("lb", "rfla", "rffsa", "rfb"):
+            run_scheme(scheme, scen, model, simulate=False)
     monkeypatch.undo()
 
     skipped = 0
     for c, rows, start, x, dx, t, t_lin in steps:
+        if t <= t_lin:
+            continue
         system = _NewtonSystem(rows, c)
         epigraph = solvers._epigraph(system, c, system.jacobian(start))
         g = rows.values(x)
