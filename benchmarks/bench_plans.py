@@ -17,28 +17,35 @@ dual-simplex pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sh
 the plan's ``q``, ``z`` and ``a`` bytes.  Under ``blocks`` it splits the
 interior-point solves by trajectory block, horizontal and vertical: calls,
 Newton steps, the most steps in one solve, and solves that did not end
-"optimal".  Under ``grid`` it records ``eta_achieved`` of every scheme on
+"optimal"; each block, and the plan as a whole, also records the line-search
+trials the solves evaluated (the step lengths ``solvers._trial_steps``
+yielded) and their epigraph corrections (``solvers._epigraph_correction``
+calls).  Under ``grid`` it records ``eta_achieved`` of every scheme on
 each bundled scenario at each ``GRID`` setting (the bundled one, then
 k_max, the outage target and the climb speed varied one at a time), each
 setting with its own fitted surrogate, and whether the order
 rfb >= rffsa >= rfla >= lb holds there; the order is reported, not
 gated.  The solver counts come from wrapping
 ``planner.solve_horizontal``, ``planner.solve_vertical`` (whose reports
-hold each interior-point solve) and ``planner.solve_lp``.  The BLAS thread
-count changes the interior-point time, so the run records the thread
-variables it saw; set them before starting the script.  Markdown tables of
+hold each interior-point solve), ``planner.solve_lp`` and the two
+line-search helpers.  The BLAS thread count changes the interior-point
+time, so the run records the thread variables it saw; set them before
+starting the script.  Markdown tables of
 the per-block counts, of the grid and of the fits go to stderr.
 
 ``--against PREV.json`` compares each plan with the same plan in an earlier
 output: whether the sha256 is equal, the relative change in
 ``eta_achieved``, and the outer iterations, Newton steps, LP pivots and
 non-optimal interior-point solves as [previous, this run], and each
-block's counts the same way when the earlier output has them.  The
-comparison goes into each run's ``parity`` entry and, as Markdown tables,
+block's counts the same way when the earlier output has them.  The trials
+and corrections are paired the same way (None where the earlier output
+lacks them), but they are reported, not gated: a change to the line
+search may move them while every plan and count stays.  The comparison
+goes into each run's ``parity`` entry and, as Markdown tables,
 to stderr; a run the earlier output lacks gets none.  The stderr report
 then ends with one line naming the plans whose sha256 differ and one
-naming those whose counts differ (any of the four above, or a per-block
-count), and the script exits 1 if any plan is named, so one command checks
+naming those whose counts differ (any of the four above, or one of a
+block's first four counts), and the script exits 1 if any plan is named, so one command checks
 that a change keeps every plan and every count.  Each fit the earlier
 output also holds gets a ``parity`` entry beside it: the relative change of
 b1, b2, c1 and rmse (None where the earlier value is 0) and both wall
@@ -61,7 +68,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from uavrice import planner  # noqa: E402
+from uavrice import planner, solvers  # noqa: E402
 from uavrice.evaluation import fit_for_scenario, run_scheme  # noqa: E402
 from uavrice.fading import (fit_logistic,  # noqa: E402
                             generate_regression_samples)
@@ -92,24 +99,32 @@ def plan_sha256(plan):
 
 BLOCKS = ("horizontal", "vertical")
 BLOCK_COUNTS = ("calls", "newton_steps", "max_steps", "not_optimal")
+#: line-search counts, per block and per plan: reported, not gated
+TRIAL_COUNTS = ("trials", "corrections")
 
 
 class Counter:
-    """Collects the interior-point reports of each trajectory block and
-    counts the scheduling LPs while installed."""
+    """Collects the interior-point reports of each trajectory block, counts
+    each block's line-search trials and epigraph corrections, and counts
+    the scheduling LPs while installed."""
 
     def __init__(self):
         self.reports = {name: [] for name in BLOCKS}
+        self.line_search = {name: dict.fromkeys(TRIAL_COUNTS, 0)
+                            for name in BLOCKS}
         self.lp = self.pivots = 0
+        self.block = None
 
     def __enter__(self):
         self._saved = (planner.solve_horizontal, planner.solve_vertical,
-                       planner.solve_lp)
-        lp = self._saved[2]
+                       planner.solve_lp, solvers._trial_steps,
+                       solvers._epigraph_correction)
+        lp, trial_steps, correction = self._saved[2:]
 
         def counted_block(name, solve):
             def counted(*args, reports, **kwargs):
                 mine = []
+                self.block = name
                 out = solve(*args, reports=mine, **kwargs)
                 self.reports[name] += mine
                 reports += mine
@@ -122,18 +137,30 @@ class Counter:
             self.pivots += rep.iterations
             return rep
 
+        def counted_trial_steps(*args):
+            for t in trial_steps(*args):
+                self.line_search[self.block]["trials"] += 1
+                yield t
+
+        def counted_correction(*args):
+            self.line_search[self.block]["corrections"] += 1
+            return correction(*args)
+
         planner.solve_horizontal, planner.solve_vertical = (
             counted_block(name, solve)
             for name, solve in zip(BLOCKS, self._saved))
         planner.solve_lp = counted_lp
+        solvers._trial_steps = counted_trial_steps
+        solvers._epigraph_correction = counted_correction
         return self
 
     def __exit__(self, *exc):
-        (planner.solve_horizontal, planner.solve_vertical,
-         planner.solve_lp) = self._saved
+        (planner.solve_horizontal, planner.solve_vertical, planner.solve_lp,
+         solvers._trial_steps, solvers._epigraph_correction) = self._saved
 
     def blocks(self):
-        """BLOCK_COUNTS of each block's interior-point solves."""
+        """BLOCK_COUNTS and TRIAL_COUNTS of each block's interior-point
+        solves."""
         out = {}
         for name, reps in self.reports.items():
             steps = [rep.iterations for rep in reps]
@@ -142,6 +169,7 @@ class Counter:
                 "newton_steps": sum(steps),
                 "max_steps": max(steps, default=0),
                 "not_optimal": sum(rep.status != "optimal" for rep in reps),
+                **self.line_search[name],
             }
         return out
 
@@ -158,6 +186,7 @@ def run_plan(scheme, scenario, model):
         "ipm_calls": sum(b["calls"] for b in blocks.values()),
         "newton_steps": sum(b["newton_steps"] for b in blocks.values()),
         "ipm_not_optimal": sum(b["not_optimal"] for b in blocks.values()),
+        **{key: sum(b[key] for b in blocks.values()) for key in TRIAL_COUNTS},
         "lp_calls": count.lp,
         "lp_pivots": count.pivots,
         "eta_achieved": rep.eta_achieved,
@@ -250,19 +279,22 @@ def parity(prev, run):
     out = {"sha256_equal": prev["sha256"] == run["sha256"],
            "eta_rel_change": (run["eta_achieved"] - eta0) / abs(eta0)}
     out.update({key: [prev[key], run[key]] for key in PARITY_COUNTS})
+    out.update({key: [prev.get(key), run[key]] for key in TRIAL_COUNTS})
     if "blocks" in prev:
         out["blocks"] = {
-            name: {key: [prev["blocks"][name][key], run["blocks"][name][key]]
-                   for key in BLOCK_COUNTS}
+            name: {key: [prev["blocks"][name].get(key),
+                         run["blocks"][name][key]]
+                   for key in BLOCK_COUNTS + TRIAL_COUNTS}
             for name in BLOCKS}
     return out
 
 
 def _count_pairs(par):
-    """Every [previous, this run] count pair of a ``parity`` entry."""
+    """Every gated [previous, this run] count pair of a ``parity`` entry:
+    the trial counts are left out."""
     pairs = [par[key] for key in PARITY_COUNTS]
     for block in par.get("blocks", {}).values():
-        pairs += block.values()
+        pairs += [block[key] for key in BLOCK_COUNTS]
     return pairs
 
 
@@ -283,13 +315,14 @@ def report_drift(runs):
 def parity_table(runs):
     """Markdown table of the runs' ``parity`` entries."""
     lines = ["| plan | sha256 equal | eta rel. change | outer iters "
-             "| Newton steps | LP pivots | IPM not optimal |",
-             "|---" * 7 + "|"]
+             "| Newton steps | LP pivots | IPM not optimal | trials "
+             "| corrections |", "|---" * 9 + "|"]
     for key, run in runs.items():
         if "parity" not in run:
             continue
         par = run["parity"]
-        counts = " | ".join("{} -> {}".format(*par[c]) for c in PARITY_COUNTS)
+        counts = " | ".join("{} -> {}".format(*par[c])
+                            for c in PARITY_COUNTS + TRIAL_COUNTS)
         lines.append(f"| {key} | {'yes' if par['sha256_equal'] else 'no'} "
                      f"| {par['eta_rel_change']:.2e} | {counts} |")
     return "\n".join(lines)
@@ -299,12 +332,13 @@ def block_table(runs):
     """Markdown table of each run's per-block counts, as previous -> this
     run where its ``parity`` entry has them."""
     lines = ["| plan | block | IPM calls | Newton steps | most steps "
-             "| not optimal |", "|---" * 6 + "|"]
+             "| not optimal | trials | corrections |", "|---" * 8 + "|"]
     for key, run in runs.items():
         prev = run.get("parity", {}).get("blocks")
         for name in BLOCKS:
             cells = ("{} -> {}".format(*prev[name][c]) if prev
-                     else str(run["blocks"][name][c]) for c in BLOCK_COUNTS)
+                     else str(run["blocks"][name][c])
+                     for c in BLOCK_COUNTS + TRIAL_COUNTS)
             lines.append(f"| {key} | {name} | {' | '.join(cells)} |")
     return "\n".join(lines)
 

@@ -404,6 +404,8 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 #   curv_rows, curv_cols -> the entries of sum_i w[i] * (-hess g_i),
 #                           off-diagonal ones listed in both orders
 #   curvature(x, w)      -> their values
+#   squares(dx)          -> (m,) t^2 coefficients of the square terms
+#                           along a step dx
 # All rows are concave, so -hess g_i is positive semidefinite and the
 # barrier Hessian stays PSD by construction.
 
@@ -512,6 +514,15 @@ class ConcaveRows:
         return g
 
     values = _slacks    # inner rows are read through _slacks, not values
+
+    def squares(self, dx):
+        """Each row's t^2 coefficient of its square terms along x + t dx:
+        sum w (dx[i] - dx[j])^2, dx[j] = 0 for an anchor square.  Every
+        other term is linear or concave along the step, so a row never
+        rises above g + t gdx - t^2 squares(dx)."""
+        u = dx[self._i]
+        u[self.anchor[0].size:] -= dx[self.diff[3]]
+        return np.bincount(self._row, self._w * u * u, minlength=self.d.size)
 
     def grads(self, x):
         # -2 w t on x[i], +2 w t on a difference's x[j]
@@ -763,12 +774,12 @@ MAX_NEWTON_STEPS = 200      # an interior-point solve's step cap
 STOP_TOL = 1e-7             # its relative stop; the duality gap's is 3x
 
 
-def _trial_steps(t, t_lin):
+def _trial_steps(t, t_max):
     """The step lengths the backtracking tries: t, t/2, ..., 50 in all,
-    without those above t_lin, the longest step at which every screened
-    row's linear prediction stays nonnegative."""
+    without those above t_max, the longest step at which every screened
+    row's bound stays nonnegative."""
     for _ in range(50):
-        if t <= t_lin:
+        if t <= t_max:
             yield t
         t *= 0.5
 
@@ -827,7 +838,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     system = _NewtonSystem(rows, c)
     gu = system.jacobian(x)
     epigraph = _epigraph(system, c, gu)
-    eta_rows = epigraph[-1][0]
+    rate_rows, eta_rows = epigraph[0][0], epigraph[-1][0]
     row_scale = np.abs(rows.d)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
@@ -861,22 +872,34 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
 
         # equal step length, fraction-to-boundary on the multipliers,
         # then backtrack on strict slack positivity and the KKT merit.
-        # A concave row never rises above its linear prediction g + t gdx,
-        # and the epigraph correction lifts only the eta rows above theirs,
-        # so a t at which another row's prediction falls below zero by
-        # more than rounding fails positivity; it is never evaluated.
+        # A row never rises above g + t gdx - t^2 q, q its squares(dx).
+        # The epigraph correction lifts each t_n's rate row to at most its
+        # linear prediction (so q is taken as 0 there) and eta's rows above
+        # theirs (unscreened), and lifts no other row.  So a t at which a
+        # screened row's bound falls below zero by more than rounding fails
+        # positivity; it is never evaluated.
         neg = dlam < 0.0
         t = 1.0
         if np.any(neg):
             t = min(1.0, 0.995 * float(np.min(-lam[neg] / dlam[neg])))
         lo = g + 1e-12 * (1.0 + row_scale + np.abs(g))
         hi = gdx + 1e-12 * np.abs(gdx)
-        down = hi < 0.0
+        q = rows.squares(dx) * (1.0 - 1e-12)
+        q[rate_rows] = 0.0
+        down = (hi < 0.0) | (q > 0.0)
         down[eta_rows] = False
-        t_lin = float(np.min(lo[down] / -hi[down], initial=np.inf))
+        lo, hi, q = lo[down], hi[down], q[down]
+        # the root of lo + hi t - q t^2 = 0 in t > 0, in the form without
+        # cancellation for each sign of hi; lo / -hi at q = 0
+        root = np.sqrt(hi * hi + 4.0 * q * lo)
+        fall = hi < 0.0
+        t_max = float(min(np.min(2.0 * lo[fall] / (root[fall] - hi[fall]),
+                                 initial=np.inf),
+                          np.min((hi[~fall] + root[~fall]) / (2.0 * q[~fall]),
+                                 initial=np.inf)))
         merit0 = float(rd @ rd) + float(np.sum((lam * g - mu_t) ** 2))
         ok = False
-        for t in _trial_steps(t, t_lin):
+        for t in _trial_steps(t, t_max):
             xt = x + t * dx
             lt = lam + t * dlam
             gt = rows.values(xt)

@@ -1,5 +1,6 @@
 """``benchmarks/bench_plans.py --against``: the parity record and the exit
-rule, on hand-made run records with no planning."""
+rule, on hand-made run records with no planning, and the line-search
+counts on one small plan."""
 
 import importlib.util
 from pathlib import Path
@@ -12,13 +13,17 @@ bench_plans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_plans)
 
 
-def _run(sha="aa", outer_iters=17, vertical_max_steps=20):
+def _run(sha="aa", outer_iters=17, vertical_max_steps=20,
+         vertical_trials=500):
     """One plan's record as ``run_plan`` writes it, without timings."""
     blocks = {name: {"calls": 17, "newton_steps": 219, "max_steps": 20,
-                     "not_optimal": 0} for name in bench_plans.BLOCKS}
+                     "not_optimal": 0, "trials": 500, "corrections": 400}
+              for name in bench_plans.BLOCKS}
     blocks["vertical"]["max_steps"] = vertical_max_steps
+    blocks["vertical"]["trials"] = vertical_trials
     return {"eta_achieved": 0.25, "sha256": sha, "outer_iters": outer_iters,
             "newton_steps": 438, "lp_pivots": 8, "ipm_not_optimal": 0,
+            "trials": 500 + vertical_trials, "corrections": 800,
             "blocks": blocks}
 
 
@@ -27,10 +32,21 @@ def test_parity_pairs_every_count():
     assert par["sha256_equal"] is False and par["eta_rel_change"] == 0.0
     assert par["outer_iters"] == [17, 18] and par["newton_steps"] == [438, 438]
     assert par["blocks"]["vertical"]["max_steps"] == [20, 20]
+    assert par["trials"] == [1000, 1000] and par["corrections"] == [800, 800]
+    assert par["blocks"]["horizontal"]["corrections"] == [400, 400]
     # an earlier output without per-block counts gets no block comparison
     old = _run()
     del old["blocks"]
     assert "blocks" not in bench_plans.parity(old, _run())
+    # nor trial counts where it lacks them
+    old = _run()
+    for rec in [old, *old["blocks"].values()]:
+        del rec["trials"], rec["corrections"]
+    par = bench_plans.parity(old, _run(vertical_trials=60))
+    assert par["trials"] == [None, 560]
+    assert par["blocks"]["vertical"]["trials"] == [None, 60]
+    assert "| None -> 560 | None -> 800 |" in bench_plans.parity_table(
+        {"p": {"parity": par}})
 
 
 @pytest.mark.parametrize("change, moved, drift", [
@@ -39,7 +55,8 @@ def test_parity_pairs_every_count():
     ({"outer_iters": 18}, "none", "p"),
     ({"vertical_max_steps": 21}, "none", "p"),
     ({"sha": "bb", "outer_iters": 18}, "p", "p"),
-], ids=["equal", "sha256", "outer-iters", "block-count", "both"])
+    ({"vertical_trials": 60}, "none", "none"),
+], ids=["equal", "sha256", "outer-iters", "block-count", "both", "trials"])
 def test_exit_rule_names_sha256_and_count_changes(change, moved, drift,
                                                   capsys):
     runs = {"p": _run(**change), "q": _run(sha="new")}
@@ -77,3 +94,24 @@ def test_grid_reports_the_order_per_point():
     assert "| 4sn | vz=5 | 0.1000 | 0.2000 | 0.3000 | 0.3000 | yes |" in table
     assert "| 4sn | eps=0.05 | 0.1000 | 0.2000 | 0.3000 | 0.2900 | no |" \
         in table
+
+
+def test_counter_counts_each_blocks_trials_and_corrections():
+    # every accepted Newton step is one evaluated trial, and a correction
+    # follows a trial; the plan's counts are its blocks' sums
+    scenario = bench_plans.load_scenario(
+        bench_plans.bundled_scenario("scenario_1sn.json"))
+    model = bench_plans.fit_for_scenario(scenario)
+    run = bench_plans.run_plan("rfb", scenario, model)
+    blocks = run["blocks"].values()
+    for block in blocks:
+        assert block["calls"] > 0
+        assert block["trials"] >= block["newton_steps"]
+        assert block["trials"] >= block["corrections"]
+    for key in bench_plans.TRIAL_COUNTS:
+        assert run[key] == sum(block[key] for block in blocks)
+    assert run["corrections"] > 0
+    # the wrapped helpers are restored
+    assert bench_plans.solvers._trial_steps.__name__ == "_trial_steps"
+    assert (bench_plans.solvers._epigraph_correction.__name__
+            == "_epigraph_correction")

@@ -12,11 +12,12 @@ and its structured Newton step against a dense solve; a failed
 factorization or a non-finite step gives no direction.  Its line
 search is checked on a tie-break program the epigraph correction finishes,
 on the epigraph columns it reads off the rows (and those it must not
-read), and on the rfb plan of scenario_4sn, where every step the linear
-pre-screen skips is evaluated and fails.  The row set's derivatives are
-checked against their closed forms and central differences, with all five
-term groups at once too, and its checks on rows, columns, term-group
-shapes, weights and ratio offsets.
+read), and on the eight bundled plans (four schemes on each bundled
+scenario), where every step the pre-screen skips is evaluated and fails.
+The row set's derivatives are checked against their closed forms and
+central differences, with all five term groups at once too, its squares
+against the rows along a step, which they bound, and its checks on rows,
+columns, term-group shapes, weights and ratio offsets.
 Determinism is asserted bit-for-bit.
 """
 
@@ -918,6 +919,38 @@ def test_all_five_term_groups_match_central_differences():
                                 hess_tol=(1e-6, 1e-7))
 
 
+def test_squares_bound_every_row_along_a_step():
+    # along x + t dx a row never rises above g + t gdx - t^2 squares(dx):
+    # rows of linear, anchor and difference terms alone equal it, and a
+    # row with an exponential or ratio term lies strictly below (those
+    # terms are concave along the step, the ratios while their columns
+    # stay nonnegative)
+    rng = np.random.default_rng(12)
+    n, m = 5, 4
+    five = _random_rows(rng, n, m, 4, 3, 3, 4,
+                        inner=_random_rows(rng, n, 3, 2, 1, 0, 2))
+    quad = _random_rows(rng, n, m, 5, 4, 0)
+    x, dx = rng.uniform(0.2, 1.5, n), rng.normal(size=n)
+    ratio_cols = np.concatenate([five.ratio[3], five.inner.ratio[3]])
+    dx[ratio_cols] = np.abs(dx[ratio_cols])
+    curved = np.union1d(five.exp[0], five.ratio[0])
+    assert 0 < curved.size < m
+    for rows in (five, quad):
+        jac = np.zeros((m, n))
+        np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
+        g, gdx, q = rows.values(x), jac @ dx, rows.squares(dx)
+        assert q.shape == (m,) and np.all(q > 0.0)
+        for t in (0.1, 0.5, 1.0, 3.0):
+            bound = g + t * gdx - t * t * q
+            gt = rows.values(x + t * dx)
+            flat = (np.arange(m) if rows is quad
+                    else np.setdiff1d(np.arange(m), curved))
+            np.testing.assert_allclose(gt[flat], bound[flat], rtol=1e-12,
+                                       atol=1e-12 * (1.0 + t * t))
+            if rows is five:
+                assert np.all(gt[curved] < bound[curved])
+
+
 @pytest.mark.parametrize("group", [
     {"lin": ([1], [0], [1.0])}, {"anchor": ([-1], [1.0], [0], [0.0])},
     {"diff": ([1], [1.0], [0], [1])}, {"exp": ([2], [1.0])},
@@ -974,7 +1007,7 @@ def test_solver_refuses_a_column_beyond_the_start(extra):
 
 
 # ---------------------------------------------------------------------------
-# line search: linear pre-screen and epigraph correction
+# line search: pre-screen and epigraph correction
 # ---------------------------------------------------------------------------
 
 def _tie_program(t_slope=1.0):
@@ -1037,14 +1070,19 @@ def test_epigraph_correction_finishes_a_tie_program_crawl():
 @pytest.mark.parametrize("slope", [1.0, 0.5])
 def test_objective_column_off_slope_gets_no_eta_correction(slope,
                                                            monkeypatch):
-    # maximize eta over (eta, x), x in [-3, 3], subject to eta <= 4 - x^2
-    # and slope * eta <= slope * (2 + 2 x): the optimum is eta = 2 sqrt(3)
-    # at x = sqrt(3) - 1.  With slope 0.5, eta enters its second row off
-    # -1, so it is no epigraph column and the line search never moves it
+    # maximize eta over (eta, x), x in [-3, 3], subject to
+    # eta <= 5 - exp(x^2) and slope * eta <= slope * (2 + 2 x): the optimum
+    # is eta = 2 + 2 x at the root of 5 - exp(x^2) = 2 + 2 x.  The
+    # exponential's curvature is hidden from the pre-screen, so some trials
+    # fail and reach the correction.  With slope 0.5, eta enters its second
+    # row off -1, so it is no epigraph column and the correction never
+    # moves it
     c = np.array([1.0, 0.0])
-    rows = _stack(_quad_rows([4.0, 2.0 * slope], [[-1.0, 0.0],
-                                                  [-slope, 2.0 * slope]],
-                             anchor=[(0, 1.0, 1, 0.0)]),
+    rows = _stack(ConcaveRows(d=[5.0, 2.0 * slope],
+                              lin=_lin([[-1.0, 0.0], [-slope, 2.0 * slope]]),
+                              exp=([0], [1.0]),
+                              inner=ConcaveRows(d=[0.0], anchor=([0], [1.0],
+                                                                 [1], [0.0]))),
                   _bounds([-np.inf, -3.0], [np.inf, 3.0]))
     start = np.zeros(2)
     eta = [[0, 1], [0, 0]] if slope == 1.0 else [[], []]
@@ -1062,16 +1100,18 @@ def test_objective_column_off_slope_gets_no_eta_correction(slope,
     rep = maximize_concave_program(c, rows, start)
     assert moved and any(moved) == (slope == 1.0)
     assert rep.status == "optimal"
-    assert rep.objective == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-6)
-    assert rep.x[1] == pytest.approx(np.sqrt(3.0) - 1.0, abs=1e-6)
+    best = scipy.optimize.brentq(
+        lambda x: 3.0 - np.exp(x * x) - 2.0 * x, 0.0, 1.0, xtol=1e-14)
+    assert rep.objective == pytest.approx(2.0 + 2.0 * best, abs=1e-6)
+    assert rep.x[1] == pytest.approx(best, abs=1e-6)
 
 
 def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
-    # every trial step the linear pre-screen skips on the eight bundled
+    # every trial step the pre-screen skips on the eight bundled
     # plans (four schemes on each bundled scenario) fails strict
     # positivity, before and after the epigraph correction, so evaluating
     # it could not have changed the solve
-    # (objective, rows, start, x, dx, first t, t_lin), one per line search
+    # (objective, rows, start, x, dx, first t, t_max), one per line search
     steps = []
     solve, direction = planner.maximize_concave_program, _NewtonSystem.direction
     trial_steps = solvers._trial_steps
@@ -1086,9 +1126,9 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
         seen["x"], seen["dx"] = x, dx
         return dx
 
-    def spy_trial_steps(t, t_lin):
-        steps.append((*seen["program"], seen["x"], seen["dx"], t, t_lin))
-        return trial_steps(t, t_lin)
+    def spy_trial_steps(t, t_max):
+        steps.append((*seen["program"], seen["x"], seen["dx"], t, t_max))
+        return trial_steps(t, t_max)
 
     monkeypatch.setattr(planner, "maximize_concave_program", spy_solve)
     monkeypatch.setattr(_NewtonSystem, "direction", spy_direction)
@@ -1101,14 +1141,14 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
     monkeypatch.undo()
 
     skipped = 0
-    for c, rows, start, x, dx, t, t_lin in steps:
-        if t <= t_lin:
+    for c, rows, start, x, dx, t, t_max in steps:
+        if t <= t_max:
             continue
         system = _NewtonSystem(rows, c)
         epigraph = solvers._epigraph(system, c, system.jacobian(start))
         g = rows.values(x)
         gdx = system.matvec(system.jacobian(x), dx)
-        while t > t_lin:
+        while t > t_max:
             xt = x + t * dx
             gt = rows.values(xt)
             assert not gt.min() > 0.0
