@@ -43,13 +43,15 @@ lacks them), but they are reported, not gated: a change to the line
 search may move them while every plan and count stays.  The comparison
 goes into each run's ``parity`` entry and, as Markdown tables,
 to stderr; a run the earlier output lacks gets none.  The stderr report
-then ends with one line naming the plans whose sha256 differ and one
+then has one line naming the plans whose sha256 differ and one
 naming those whose counts differ (any of the four above, or one of a
 block's first four counts), and the script exits 1 if any plan is named, so one command checks
 that a change keeps every plan and every count.  Each fit the earlier
 output also holds gets a ``parity`` entry beside it: the relative change of
 b1, b2, c1 and rmse (None where the earlier value is 0) and both wall
-times.  Fits are reported, not gated.
+times.  The closing stderr line names the fits whose rmse rose by more
+than ``RMSE_RISE`` relative (rounding moves it by about 4e-16), or from 0,
+and the script exits 1 if it names one: a fit may move, but not get worse.
 """
 
 import argparse
@@ -81,6 +83,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FIT_EPS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1)
 FIT_KMAX_DB = tuple(range(0, 45, 5))
 FIT_FIELDS = ("b1", "b2", "c1", "rmse")
+#: the largest relative rise of a fit's rmse that the exit rule forgives
+RMSE_RISE = 1e-12
 #: scenario fields of each grid setting: k_max 10, 20 and 40 dB (30 dB is
 #: bundled), outage targets 0.001 and 0.05 (0.01), climb 5 m/s (20 m/s)
 GRID = {"bundled": {}, "kmax=10dB": {"k_max": 10.0},
@@ -312,6 +316,17 @@ def report_drift(runs):
     return 1 if moved or drift else 0
 
 
+def report_fit_rise(fits):
+    """Print to stderr one line naming the compared fits whose rmse rose by
+    more than RMSE_RISE relative, or from 0; the exit status, 1 when it
+    names a fit."""
+    risen = [key for key, fit in fits.items() if "parity" in fit
+             and (fit["rmse"] > 0.0 if fit["parity"]["rmse"] is None
+                  else fit["parity"]["rmse"] > RMSE_RISE)]
+    print(f"rmse rises: {', '.join(risen) or 'none'}", file=sys.stderr)
+    return 1 if risen else 0
+
+
 def parity_table(runs):
     """Markdown table of the runs' ``parity`` entries."""
     lines = ["| plan | sha256 equal | eta rel. change | outer iters "
@@ -402,7 +417,8 @@ def main(argv=None):
     print(block_table(runs), file=sys.stderr)
     print(grid_table(doc["grid"]), file=sys.stderr)
     print(fit_table(fits), file=sys.stderr)
-    status = report_drift(runs) if prev is not None else 0
+    status = (max(report_drift(runs), report_fit_rise(fits))
+              if args.against else 0)
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -18,6 +18,9 @@ import numpy as np
 
 _HALF_PI = math.pi / 2.0
 
+#: the largest outage target the closed forms and the fit cover
+MAX_EPSILON = 0.1
+
 # Draws per buffer of the count form of sample_rician, 256 KB of float64.
 # On the stored 4-node plan (1e5 trials, 2 workers) 16,384 draws took 8%
 # more Monte-Carlo time, and 65,536 no less time but 1.3 MB more memory.
@@ -30,8 +33,9 @@ COUNT_CHUNK = 32_768
 _PLAN_BYTES_PER_SLOT = 6144
 _PLAN_BYTES_PER_NODE_SLOT = 128
 # Peak memory of tabulating and fitting the surrogate, per sample point: the
-# fit's start grid holds 121 logistic values and 121 errors.  Rounded up
-# from the tracemalloc peak of fits of 2,000-100,000 points (2,087 B).
+# fit's start grid holds 121 logistic arguments and the 121 logistic values
+# they give, whose squared errors are taken in place.  Rounded up from the
+# tracemalloc peak of tabulating and fitting 2,000-100,000 points (1,986 B).
 _FIT_BYTES_PER_POINT = 2200
 
 
@@ -157,8 +161,8 @@ class Scenario:
             raise ValueError("duration_s must be positive")
         if not (2.0 <= self.alpha <= 6.0):
             raise ValueError(f"alpha={self.alpha} outside the supported [2, 6]")
-        if not (0.0 < self.epsilon <= 0.1):
-            raise ValueError(f"epsilon={self.epsilon} outside (0, 0.1]")
+        if not (0.0 < self.epsilon <= MAX_EPSILON):
+            raise ValueError(f"epsilon={self.epsilon} outside (0, {MAX_EPSILON}]")
         if self.h_min < 1.0:
             raise ValueError(f"h_min={self.h_min:g} m is below the path-loss "
                              f"model's 1 m reference distance")

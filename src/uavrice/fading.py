@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import expit, logit, ndtri
 
 from . import kernels
-from .channel import max_grid, rician_coeffs_from_bounds, rician_factor
+from .channel import (MAX_EPSILON, max_grid, rician_coeffs_from_bounds,
+                      rician_factor)
 
 __all__ = [
     "inverse_q",
@@ -34,8 +35,6 @@ __all__ = [
     "fit_logistic",
 ]
 
-#: the largest outage target the closed forms and the fit cover
-MAX_EPSILON = 0.1
 #: the fewest regression sample points a fit takes
 MIN_GRID = 50
 # the largest x whose exp(x) is a finite double
@@ -202,27 +201,27 @@ class LogisticModel:
 
 
 def _residuals(x, v, f):
-    """Residuals whose squared sum is the fit objective, the mean squared
-    error plus 10 (min(c1, 0)^2 + max(c1 - 1, 0)^2 + min(b2, 0)^2), and
-    their Jacobian in x = (b1, b2, c1)."""
+    """Residuals whose squared sum is the mean squared error of the
+    logistic at x = (b1, b2, c1), and their Jacobian in x."""
     b1, b2, c1 = x
     s = expit(b1 + b2 * v)
     w = 1.0 / math.sqrt(v.size)
-    pen = math.sqrt(10.0) * np.array([min(c1, 0.0), max(c1 - 1.0, 0.0),
-                                      min(b2, 0.0)])
     ds = (1.0 - c1) * s * (1.0 - s) * w
-    jac = np.vstack([np.column_stack([ds, ds * v, (1.0 - s) * w]),
-                     math.sqrt(10.0) * np.eye(3)[[2, 2, 1]] * (pen != 0.0)[:, None]])
-    return np.concatenate([(c1 + (1.0 - c1) * s - f) * w, pen]), jac
+    return ((c1 + (1.0 - c1) * s - f) * w,
+            np.column_stack([ds, ds * v, (1.0 - s) * w]))
 
 
 def fit_logistic(samples):
     """Least-squares logistic fit of effective power against the elevation
-    indicator.  Levenberg-Marquardt (Moré, LNM 630, 1978) on ``_residuals``
-    runs from the best point of an 11 x 11 x 4 (b1, b2, c1) grid until no
-    parameter moves by more than 1e-12 of its size; c1 is then clamped to
-    [0, 1] and b2 to >= 0.  The flat model (b2 = c1 = 0 at the samples'
-    mean) wins within 1e-12 in squared error, so constant data gives b2 = 0."""
+    indicator under the bounds b2 >= 0 and 0 <= c1 <= 1.
+    Levenberg-Marquardt (Moré, LNM 630, 1978) on ``_residuals`` runs from
+    the best point of an 11 x 11 (b1, b2) grid at c1 = 0 as a projected
+    Newton iteration (Bertsekas, SIAM J. Control Optim. 20(2), 1982): a
+    parameter on a bound whose descent direction leaves the box is held,
+    the damped step of the others is clipped into the box, and the
+    iteration stops once no parameter moves by more than 1e-12 of its size.
+    The flat model (b2 = c1 = 0 at the samples' mean) wins within 1e-12 in
+    squared error, so constant data gives b2 = 0."""
     v = np.asarray(samples.v, dtype=float)
     f = np.asarray(samples.f, dtype=float)
     if v.size < MIN_GRID:
@@ -230,37 +229,35 @@ def fit_logistic(samples):
     if v.min() > 0.05 or v.max() < 0.95:
         raise ValueError("samples must span the elevation-indicator range [0, 1]")
 
-    # the (b1, b2) logistic once, then each c1 level on it in one buffer
     b1, b2 = (g.reshape(-1, 1) for g in np.meshgrid(
         np.linspace(-10.0, 0.0, 11), np.linspace(0.0, 20.0, 11),
         indexing="ij"))
-    s = expit(b1 + b2 * v)
-    err = np.empty_like(s)
-    levels = (0.0, 0.15, 0.30, 0.45)
-    mse = np.empty((b1.size, len(levels)))
-    for j, c1 in enumerate(levels):
-        np.multiply(1.0 - c1, s, out=err)
-        err += c1
-        err -= f
-        err *= err
-        mse[:, j] = np.mean(err, axis=1)
-    i, j = divmod(int(np.argmin(mse)), len(levels))
-    x = np.array([b1[i, 0], b2[i, 0], levels[j]])
+    err = expit(b1 + b2 * v)
+    err -= f
+    err *= err
+    i = int(np.argmin(np.mean(err, axis=1)))
+    lo, hi = np.array([-np.inf, 0.0, 0.0]), np.array([np.inf, np.inf, 1.0])
+    x = np.array([b1[i, 0], b2[i, 0], 0.0])
     (r, jac), scale, damping = _residuals(x, v, f), np.zeros(3), 1e-3
     for _ in range(200):
+        grad = jac.T @ r
+        free = ~((x <= lo) & (grad > 0.0) | (x >= hi) & (grad < 0.0))
         normal = jac.T @ jac
         scale = np.maximum(scale, np.diag(normal))
-        step = np.linalg.solve(normal + damping * np.diag(scale), -(jac.T @ r))
-        trial = _residuals(x + step, v, f)
+        step = np.zeros(3)
+        step[free] = np.linalg.solve(
+            normal[np.ix_(free, free)] + damping * np.diag(scale[free]),
+            -grad[free])
+        clipped = np.clip(x + step, lo, hi)
+        step, trial = clipped - x, _residuals(clipped, v, f)
         if trial[0] @ trial[0] < r @ r:
-            x, (r, jac), damping = x + step, trial, damping / 10.0
+            x, (r, jac), damping = clipped, trial, damping / 10.0
         else:
             damping *= 10.0
         if np.all(np.abs(step) <= 1e-12 * (1.0 + np.abs(x))):
             break
 
-    b1, b2, c1 = float(x[0]), max(float(x[1]), 0.0), min(max(float(x[2]), 0.0), 1.0)
-    mse = float(np.sum(_residuals((b1, b2, c1), v, f)[0] ** 2))
+    (b1, b2, c1), mse = x.tolist(), float(r @ r)
     if not math.isfinite(mse):
         raise RuntimeError("logistic fit failed to converge to finite error")
     flat = (float(logit(np.mean(f))), 0.0, 0.0)

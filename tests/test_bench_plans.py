@@ -83,6 +83,32 @@ def test_fit_parity_is_relative_and_skips_zero_values():
     assert "| new | 50.0 | -4 | 6 | 0 | 0.01 |" in table
 
 
+@pytest.mark.parametrize("rmse, risen", [
+    (0.01, "none"),
+    (0.01 * (1 - 1e-6), "none"),
+    (0.01 * (1 + 4e-16), "none"),
+    (0.01 * (1 + 2e-12), "f"),
+    (0.0125, "f"),
+], ids=["equal", "fell", "rounding", "rose", "rose-far"])
+def test_exit_rule_names_fits_whose_rmse_rose(rmse, risen, capsys):
+    prev = {"wall_s": 0.05, "b1": -4.0, "b2": 6.0, "c1": 0.0, "rmse": 0.01}
+    fits = {"f": dict(prev, rmse=rmse), "new": dict(prev)}
+    fits["f"]["parity"] = bench_plans.fit_parity(prev, fits["f"])
+    # "new" is missing from the earlier output: it is compared with nothing
+    status = bench_plans.report_fit_rise(fits)
+    assert capsys.readouterr().err.splitlines() == [f"rmse rises: {risen}"]
+    assert status == (0 if risen == "none" else 1)
+
+
+def test_exit_rule_names_a_fit_whose_rmse_rose_from_zero(capsys):
+    prev = {"wall_s": 0.05, "b1": -4.0, "b2": 0.0, "c1": 0.0, "rmse": 0.0}
+    fits = {"flat": dict(prev), "worse": dict(prev, rmse=1e-18)}
+    for fit in fits.values():
+        fit["parity"] = bench_plans.fit_parity(prev, fit)
+    assert bench_plans.report_fit_rise(fits) == 1
+    assert capsys.readouterr().err == "rmse rises: worse\n"
+
+
 def test_grid_reports_the_order_per_point():
     rec = {"lb": 0.1, "rfla": 0.2, "rffsa": 0.3, "rfb": 0.3}
     assert bench_plans.order_holds(rec)

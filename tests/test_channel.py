@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uavrice import channel
+from uavrice import channel, fading
 from uavrice.evaluation import exact_rates, monte_carlo_outage
 from uavrice.planner import LOS_MODEL, Plan, predicted_rates, slot_geometry
 
@@ -61,6 +61,13 @@ class TestScenario:
     def test_rejects_bad_instances(self, bad):
         with pytest.raises(ValueError):
             make_scenario(**bad)
+
+    def test_outage_target_bound_is_the_fits(self):
+        # one named bound for the scenario, the closed forms and the fit
+        assert fading.MAX_EPSILON is channel.MAX_EPSILON == 0.1
+        assert make_scenario(epsilon=channel.MAX_EPSILON).epsilon == 0.1
+        with pytest.raises(ValueError, match=r"outside \(0, 0\.1\]"):
+            make_scenario(epsilon=np.nextafter(channel.MAX_EPSILON, 1.0))
 
     @pytest.mark.parametrize("name", ["vxy", "vz", "duration_s", "beta0",
                                       "sigma2", "snr_gap", "p_tx"])

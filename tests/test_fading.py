@@ -5,6 +5,7 @@ Monte-Carlo quantile (Philox, seed 987654321).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,23 +184,33 @@ class TestFit:
 
     def test_reference_configuration(self):
         # 0 dB..30 dB at a 1% outage target: a steep saturating curve whose
-        # penalized optimum has c1 < 0, clamped to 0.  Pinned so that a
-        # change of the fit's objective moves these numbers on purpose.
+        # bounded optimum has c1 on its bound 0.  Pinned so that a change
+        # of the fit's objective moves these numbers on purpose, and checked
+        # against SciPy's bounded least squares from another start.
+        from scipy.optimize import least_squares
         s = fading.generate_regression_samples(1.0, 1000.0, 0.01, 200)
         m = fading.fit_logistic(s)
-        assert m.b1 == pytest.approx(-4.135711341, rel=1e-8)
-        assert m.b2 == pytest.approx(5.824607502, rel=1e-8)
+        assert m.b1 == pytest.approx(-4.139415896, rel=1e-8)
+        assert m.b2 == pytest.approx(5.828693194, rel=1e-8)
         assert m.c1 == 0.0 and m.c2 == 1.0
-        assert m.rmse == pytest.approx(0.01382575632, rel=1e-9)
+        assert m.rmse == pytest.approx(0.01382445881, rel=1e-9)
         assert m.grid == 200 and m.epsilon == 0.01
+        ref = least_squares(lambda x: fading._residuals(x, s.v, s.f)[0],
+                            [-4.0, 6.0, 0.1],
+                            jac=lambda x: fading._residuals(x, s.v, s.f)[1],
+                            bounds=([-np.inf, 0.0, 0.0], [np.inf, np.inf, 1.0]),
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert m.b1 == pytest.approx(ref.x[0], rel=1e-8)
+        assert m.b2 == pytest.approx(ref.x[1], rel=1e-8)
+        assert m.rmse <= math.sqrt(2.0 * ref.cost) * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("x", [(-4.0, 6.0, 0.1), (-4.0, 6.0, -0.2),
-                                   (-1.0, -0.5, 1.3)])
+    @pytest.mark.parametrize("x", [(-4.0, 6.0, 0.1), (-4.0, 0.0, 0.0),
+                                   (-1.0, 0.5, 1.0)])
     def test_residual_jacobian_matches_central_differences(self, x):
-        # inside the box, and with each soft penalty active
+        # inside the box, and on each bound
         s = fading.generate_regression_samples(1.0, 1000.0, 0.01, 60)
         r, jac = fading._residuals(np.array(x), s.v, s.f)
-        assert r.shape == (63,) and jac.shape == (63, 3)
+        assert r.shape == (60,) and jac.shape == (60, 3)
         for j in range(3):
             h = np.zeros(3)
             h[j] = 1e-6
@@ -207,13 +218,43 @@ class TestFit:
                   - fading._residuals(np.array(x) - h, s.v, s.f)[0]) / 2e-6
             np.testing.assert_allclose(jac[:, j], fd, atol=1e-8)
 
-    def test_objective_is_squared_error_plus_penalties(self):
+    def test_objective_is_the_mean_squared_error(self):
         s = fading.generate_regression_samples(1.0, 1000.0, 0.01, 60)
-        x = (-1.0, -0.5, 1.3)
+        x = (-1.0, 0.5, 0.3)
         r, _ = fading._residuals(np.array(x), s.v, s.f)
-        pred = 1.3 - 0.3 / (1.0 + np.exp(-(-1.0 - 0.5 * s.v)))
-        want = np.mean((pred - s.f) ** 2) + 10.0 * (0.3 ** 2 + 0.5 ** 2)
-        assert r @ r == pytest.approx(want, rel=1e-12)
+        pred = 0.3 + 0.7 / (1.0 + np.exp(-(-1.0 + 0.5 * s.v)))
+        assert r @ r == pytest.approx(np.mean((pred - s.f) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("eps, k_max, on_bound", [
+        (0.01, 1000.0, True), (0.001, 100.0, True), (0.1, 1e4, True),
+        (0.1, 10 ** 0.5, False), (0.05, 100.0, False)])
+    def test_fit_satisfies_the_bounded_optimality_conditions(self, eps, k_max,
+                                                             on_bound):
+        # a free parameter's gradient vanishes, and a parameter on a bound
+        # has its gradient pointing out of the box
+        s = fading.generate_regression_samples(1.0, k_max, eps)
+        m = fading.fit_logistic(s)
+        x = np.array([m.b1, m.b2, m.c1])
+        r, jac = fading._residuals(x, s.v, s.f)
+        grad = 2.0 * jac.T @ r
+        size = 2.0 * np.linalg.norm(jac, axis=0) * np.linalg.norm(r)
+        assert m.b2 > 0.0
+        assert np.all(np.abs(grad[:2]) <= 1e-8 * size[:2])
+        if on_bound:
+            assert m.c1 == 0.0 and grad[2] > 1e-6 * size[2]
+        else:
+            assert 0.0 < m.c1 < 1.0 and abs(grad[2]) <= 1e-8 * size[2]
+
+    def test_fit_memory_stays_under_the_grid_bound(self):
+        # max_grid() and `fit --grid` size the sample grid by this figure
+        s = fading.generate_regression_samples(1.0, 1000.0, 0.01, 20_000)
+        tracemalloc.start()
+        try:
+            fading.fit_logistic(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < channel._FIT_BYTES_PER_POINT * s.v.size
 
     def test_fit_input_validation(self):
         v = np.linspace(0, 1, 30)
