@@ -239,8 +239,9 @@ def tangent_coefficients(d2q, z, gamma, model: LogisticModel,
 
 _SPARSIFY_TOL = 1e-6
 _SLACK_GAP = 1e-6
-#: weight of the target in the blend that gives the expansion point
-_BLEND = 1e-3
+#: weight of the target in the blend that gives the interior-point start
+#: (the bound itself is expanded at the incumbent)
+_BLEND = 1e-2
 #: share of a multi-node step's objective on the mean per-node bound, the
 #: max-min's tie-break (each t_n weighs 0.05 at four nodes)
 TIE_BREAK = 0.2
@@ -259,8 +260,8 @@ class TrajectoryStep:
 
     objective: np.ndarray
     rows: ConcaveRows
-    start: np.ndarray        # strictly interior start
-    path: np.ndarray         # (M+1, D) expansion path
+    start: np.ndarray        # strictly interior start, at the blended path
+    path: np.ndarray         # (M+1, D) expansion path: the incumbent
     x_cols: np.ndarray       # (M-1, D)
 
 
@@ -270,14 +271,16 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     """Tangent-bound subproblem for one trajectory block, or None when it
     has no strict interior (e.g. a maximally taut path).
 
-    ``path`` holds the incumbent (M+1, D) block coordinates, ``ends`` the
-    two fixed endpoints, ``limit`` the per-slot move limit and ``floor`` a
-    lower bound on every free coordinate.  Rates see the block through the
-    squared distance to ``anchors`` (N, D).  ``offset`` picks the elevation
-    cap of each logistic argument: None for the horizontal block (altitude
-    fixed at ``plan.z``, cap tangent to v in the squared offset), or the
-    fixed squared horizontal offsets (N, M) of the altitude block, capped
-    exactly by b1 + b2 z / sqrt(offset + z^2).
+    ``path`` holds the incumbent (M+1, D) block coordinates, where every
+    bound is expanded and so tight; the start is the incumbent blended
+    ``_BLEND`` toward ``target``.  ``ends`` holds the two fixed endpoints,
+    ``limit`` the per-slot move limit and ``floor`` a lower bound on every
+    free coordinate.  Rates see the block through the squared distance to
+    ``anchors`` (N, D).  ``offset`` picks the elevation cap of each
+    logistic argument: None for the horizontal block (altitude fixed at
+    ``plan.z``, cap tangent to v in the squared offset), or the fixed
+    squared horizontal offsets (N, M) of the altitude block, capped exactly
+    by b1 + b2 z / sqrt(offset + z^2).
     """
     m_slots = plan.n_slots
     n_free = m_slots - 1
@@ -286,21 +289,22 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     dim = path.shape[1]
     n_sn = scenario.n_sn
 
-    # expansion point and start: blend a touch toward the target so every
-    # move row (and the floor) has positive slack
-    hat = path.copy()
-    hat[1:-1] = (1.0 - _BLEND) * path[1:-1] + _BLEND * target[1:-1]
-    seg = np.diff(hat, axis=0)
+    # the bound is expanded at the incumbent, so it is tight there; the
+    # start blends a touch toward the target so every move row (and the
+    # floor) has positive slack
+    blend = path.copy()
+    blend[1:-1] = (1.0 - _BLEND) * path[1:-1] + _BLEND * target[1:-1]
+    seg = np.diff(blend, axis=0)
     if not (np.max(np.einsum("mk,mk->m", seg, seg)) < limit ** 2 - 1e-12
-            and hat[1:-1].min() > floor + 1e-12):
+            and blend[1:-1].min() > floor + 1e-12):
         return None
 
-    diff = hat[None, 1:, :] - anchors[:, None, :]            # (N, M, D)
+    diff = path[None, 1:, :] - anchors[:, None, :]           # (N, M, D)
     p2 = np.einsum("nmk,nmk->nm", diff, diff)
     if offset is None:           # horizontal block: altitude held fixed
         d2q, z = p2, plan.z[None, 1:]
     else:                        # altitude block: offsets held fixed
-        d2q, z = offset, hat[None, 1:, 0]
+        d2q, z = offset, path[None, 1:, 0]
     coef = tangent_coefficients(d2q, z, scenario.snr_gamma_per_sn[:, None],
                                 model, scenario.alpha)
 
@@ -374,7 +378,7 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     objective[eta_col] = 1.0 - TIE_BREAK if n_t else 1.0
     # start: each rate row's column just under it, eta under the least t_n
     start = np.zeros(eta_col + 1)
-    start[x_cols] = hat[1:-1]
+    start[x_cols] = blend[1:-1]
     rate = rows.values(start)[:n_sn]
     start[own] = rate - _SLACK_GAP * np.maximum(1.0, np.abs(rate))
     if n_t:
@@ -383,12 +387,12 @@ def build_trajectory_step(plan: Plan, scenario: Scenario,
     if rows.values(start).min() <= 0.0:
         return None
     return TrajectoryStep(objective=objective, rows=rows, start=start,
-                          path=hat, x_cols=x_cols)
+                          path=path, x_cols=x_cols)
 
 
 def _horizontal_block(plan: Plan, scenario: Scenario):
     """Builder data of the horizontal step: 2-D waypoints under the speed
-    limit, blended toward the straight line."""
+    limit, the start blended toward the straight line."""
     return dict(path=plan.q, target=initialize_plan(scenario).q,
                 limit=scenario.sxy, ends=(scenario.q0, scenario.qf),
                 anchors=scenario.sn_positions)
@@ -396,8 +400,8 @@ def _horizontal_block(plan: Plan, scenario: Scenario):
 
 def _vertical_block(plan: Plan, scenario: Scenario):
     """Builder data of the altitude step: 1-D altitudes under the climb
-    limit and above the floor, blended toward a gentle ridge lifted off the
-    floor, with the horizontal offsets held fixed."""
+    limit and above the floor, the start blended toward a gentle ridge
+    lifted off the floor, with the horizontal offsets held fixed."""
     m_slots = plan.n_slots
     line = initialize_plan(scenario).z
     climb = np.abs(scenario.zf - scenario.z0) / m_slots

@@ -383,13 +383,18 @@ class TestRounding:
             assert min_avg(sn) <= eta_frac + 1e-9
 
 
-def _built_step(block, model):
+def _built_step(block, model, bent=False):
     """A built (not solved) three-node trajectory step on the straight
-    initial path with its scheduled activities: (scenario, plan, step)."""
+    initial path with its scheduled activities: (scenario, plan, step).
+    ``bent`` first moves the path off the straight line by one horizontal
+    and one vertical solve, so neither block's incumbent is its target."""
     scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
                      m_slots=10, duration_s=10.0)
     plan = initialize_plan(scen)
     plan.a, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen, model))
+    if bent:
+        plan.q = solve_horizontal(plan, scen, model, reports=[])
+        plan.z = solve_vertical(plan, scen, model, reports=[])
     data = (planner._horizontal_block if block == "horizontal"
             else planner._vertical_block)(plan, scen)
     return scen, plan, planner.build_trajectory_step(plan, scen, model,
@@ -457,26 +462,34 @@ class TestTrajectoryBlocks:
         assert q_new[:, 1].max() > plan.q[:, 1].max() + 1.0
 
     @pytest.mark.parametrize("model", [FIT, LOS_MODEL], ids=["fit", "los"])
-    @pytest.mark.parametrize("block", ["horizontal", "vertical"])
-    def test_built_bound_is_tight_at_expansion_point(self, block, model):
-        # the SCA property the monotone trace rests on: with every t_n and
-        # eta at 0, each composed rate row equals the true average rate at
-        # the expansion point, each exponent equals its logistic argument
-        # there, and each tie row has zero slack
-        scen, plan, step = _built_step(block, model)
+    @pytest.mark.parametrize("block, bent", [
+        pytest.param("horizontal", False, id="horizontal"),
+        pytest.param("vertical", False, id="vertical"),
+        pytest.param("horizontal", True, id="bent-horizontal"),
+        pytest.param("vertical", True, id="bent-vertical")])
+    def test_built_bound_is_tight_at_expansion_point(self, block, bent,
+                                                     model):
+        # the SCA property the monotone trace rests on: with the waypoint
+        # columns at the incumbent and every t_n and eta at 0, each
+        # composed rate row equals the true average rate there, each
+        # exponent equals its logistic argument there, and each tie row
+        # has zero slack; off the straight line (bent) neither block's
+        # incumbent is its target, so this holds only if the bound is
+        # expanded at the incumbent
+        scen, plan, step = _built_step(block, model, bent)
         assert step is not None
         t_cols, eta, tie_rows = _tie_layout(step.objective, scen.n_sn)
         assert step.objective.size == step.x_cols.size + scen.n_sn + 1
         assert step.rows.exp[0].size == np.count_nonzero(
             plan.a[:, :-1] > planner._SPARSIFY_TOL)
 
+        q, z = plan.q, plan.z
+        incumbent = q if block == "horizontal" else z[:, None]
+        np.testing.assert_array_equal(step.path, incumbent)
         x = step.start.copy()
+        x[step.x_cols] = incumbent[1:-1]
         x[t_cols] = x[eta] = 0.0
         g = step.rows.values(x)
-        if block == "horizontal":
-            q, z = step.path, plan.z
-        else:
-            q, z = plan.q, step.path[:, 0]
         rates = predicted_rates(q, z, scen, model)
         active = plan.a > planner._SPARSIFY_TOL
         want = (np.where(active, plan.a, 0.0) * rates).sum(axis=1) \
@@ -551,6 +564,13 @@ class TestTrajectoryBlocks:
         assert {rep.status for rep in built_steps["reports"]} == {"optimal"}
         for scheme, counts in built_steps["not_optimal"].items():
             assert counts == {"horizontal": 0, "vertical": 0}, scheme
+
+    def test_no_bundled_solve_crawls(self, built_steps):
+        # each bound is tight at the incumbent while the start sits 1e-2
+        # toward the target, so no taut move row starts with almost no
+        # slack: no interior-point solve of the four schemes crawls past
+        # 40 Newton steps
+        assert max(rep.iterations for rep in built_steps["reports"]) <= 40
 
     def test_every_built_column_has_diagonal_curvature(self, built_steps):
         # what keeps the Newton step's banded block positive definite with
