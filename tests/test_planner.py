@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavrice.channel import Scenario, rate_from_gain
-from uavrice.evaluation import fit_for_scenario, run_scheme
+from uavrice.evaluation import best_cruise_start, fit_for_scenario, run_scheme
 from uavrice.fading import LogisticModel
 from uavrice.files import bundled_scenario, load_scenario
 from uavrice import planner, solvers
@@ -776,6 +776,23 @@ class TestOuterLoop:
             assert info["eta_model"] == pytest.approx(tr[-1])
             _assert_feasible(plan, scen)
 
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "free"])
+    @pytest.mark.parametrize("name", ["scenario_1sn.json",
+                                      "scenario_4sn.json"])
+    def test_plan_carries_its_own_lp_schedule(self, name, frozen):
+        # every plan the ascent holds is scheduled by the LP on its own
+        # trajectory, so the returned schedule and objective are that LP's,
+        # and a move is accepted only if the LP's max-min does not fall
+        scen = load_scenario(bundled_scenario(name))
+        model = fit_for_scenario(scen)
+        plan, info = run_bcd(scen, model, freeze_vertical=frozen,
+                             init=best_cruise_start(scen, model))
+        a, eta = solve_scheduling(predicted_rates(plan.q, plan.z, scen,
+                                                  model))
+        assert np.array_equal(plan.a, a)
+        assert info["eta_model"] == eta
+        assert np.all(np.diff(info["trace"]) >= 0.0)
+
     def test_line_of_sight_model_has_unit_gain(self):
         scen = _scenario([[400.0, 300.0]])
         plan, info = run_bcd(scen, LOS_MODEL)
@@ -1027,11 +1044,14 @@ def _small_scenarios(draw):
 @settings(max_examples=25)
 @given(scen=_small_scenarios())
 def test_random_small_scenarios_plan_cleanly(scen):
-    # lb and rfb on drawn scenarios: a plan that fits, an outer trace that
-    # never falls, and a byte-identical rerun
+    # lb and rfb on drawn scenarios: a plan that fits and carries its own
+    # LP schedule, an outer trace that never falls, and a byte-identical
+    # rerun
     for scheme, model in (("lb", LOS_MODEL), ("rfb", FIT)):
         plan, rep = run_scheme(scheme, scen, model, simulate=False)
         assert check_plan(plan, scen) == [], scheme
+        lp, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen, model))
+        assert np.array_equal(plan.a, lp), scheme
         trace = rep.extras["trace"]
         assert all(b >= a for a, b in zip(trace, trace[1:])), scheme
         again, rep2 = run_scheme(scheme, scen, model, simulate=False)
