@@ -45,6 +45,8 @@ class Plan:
             raise ValueError("waypoints must have shape (M+1, 2)")
         if self.z.shape != (self.q.shape[0],):
             raise ValueError("altitude count must match waypoint count")
+        if self.a.ndim != 2:
+            raise ValueError("activities must have shape (N, M)")
         if self.a.shape[1] != self.q.shape[0] - 1:
             raise ValueError("activity columns must equal the slot count")
 

@@ -793,22 +793,24 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     Newton steps on the perturbed KKT system (stationarity c + G'lam = 0,
     complementarity lam_i g_i = mu) with explicit dual iterates, equal
     primal/dual step length, a fraction-to-boundary rule on both slacks
-    and multipliers, and a residual-norm backtracking test.  Eliminating
-    dlam gives an SPD system in dx whose metric weights each row by
-    lam_i / g_i; ``_NewtonSystem`` solves it through the program's
-    banded-plus-low-rank structure.  Carrying the duals is what makes this
-    problem family tractable: a slack-only barrier weights tight rows by
-    mu / g_i**2, and when the objective variable of a max-min program leans
-    on several nearly-active rows at once that weight crushes exactly the
-    direction the objective needs, freezing progress at a crawl no mu
-    schedule can fix.  Here lam_i approaches the true multiplier instead,
-    so the metric stays bounded and the step count stays flat as the gap
-    shrinks.
+    and multipliers, and Armijo backtracking on the barrier function
+    c x + mu sum log g(x) at the step's mu (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., section 19.4).  Eliminating dlam gives an SPD
+    system H dx = c + G'(mu / g) in dx whose metric weights each row by
+    lam_i / g_i, so dx ascends that barrier function; ``_NewtonSystem``
+    solves it through the program's banded-plus-low-rank structure.
+    Carrying the duals is what makes this problem family tractable: a
+    slack-only barrier weights tight rows by mu / g_i**2, and when the
+    objective variable of a max-min program leans on several nearly-active
+    rows at once that weight crushes exactly the direction the objective
+    needs, freezing progress at a crawl no mu schedule can fix.  Here lam_i
+    approaches the true multiplier instead, so the metric stays bounded and
+    the step count stays flat as the gap shrinks.
 
     A trial step (``_trial_steps``) that fails positivity gets the
     epigraph correction (``_epigraph_correction``) on the columns
     ``_epigraph`` reads off the start's Jacobian before the positivity and
-    merit tests; the dual trial is not corrected.  Without it, a rate row
+    barrier tests; the dual step is not corrected.  Without it, a rate row
     whose slack its t_n has pushed to 1e-10 turns long waypoint steps
     negative through its curvature, and the step length crawls.
 
@@ -849,8 +851,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     it_total = 0
     stall = ""             # why the loop stopped short, if it did
     sigma = 0.2
-    # slacks g, Jacobian gu and dual residual rd always belong to (x, lam):
-    # an accepted trial point hands over the ones its test computed
+    # slacks g, Jacobian gu and dual residual rd always belong to (x, lam)
     rd = c + system.rmatvec(gu, lam)
 
     for _ in range(MAX_NEWTON_STEPS):
@@ -871,7 +872,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
         dlam = mu_g - lam - W * gdx
 
         # equal step length, fraction-to-boundary on the multipliers,
-        # then backtrack on strict slack positivity and the KKT merit.
+        # then backtrack on strict slack positivity and the barrier test.
         # A row never rises above g + t gdx - t^2 q, q its squares(dx).
         # The epigraph correction lifts each t_n's rate row to at most its
         # linear prediction (so q is taken as 0 there) and eta's rows above
@@ -897,26 +898,25 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
                                  initial=np.inf),
                           np.min((hi[~fall] + root[~fall]) / (2.0 * q[~fall]),
                                  initial=np.inf)))
-        merit0 = float(rd @ rd) + float(np.sum((lam * g - mu_t) ** 2))
-        ok = False
+        # Armijo on the barrier function c x + mu sum log g(x): its slope
+        # along dx is (c + G'(mu / g)) dx = dx' H dx > 0
+        phi = float(c @ x) + mu_t * float(np.sum(np.log(g)))
+        slope = float(c @ dx) + float(mu_g @ gdx)
         for t in _trial_steps(t, t_max):
             xt = x + t * dx
-            lt = lam + t * dlam
             gt = rows.values(xt)
             if not gt.min() > 0.0:
                 xt, gt = _epigraph_correction(epigraph, rows, xt, gt,
                                               g + t * gdx)
-            if gt.min() > 0.0 and lt.min() > 0.0:
-                gut = system.jacobian(xt)
-                rdt = c + system.rmatvec(gut, lt)
-                meritt = float(rdt @ rdt) + float(np.sum((lt * gt - mu_t) ** 2))
-                if meritt <= (1.0 - 1e-4 * t) * merit0 + 1e-30:
-                    ok = True
-                    break
-        if not ok:
-            stall = "step rejected by merit backtracking"
+            if gt.min() > 0.0 and (float(c @ xt) + mu_t * float(
+                    np.sum(np.log(gt))) >= phi + 1e-4 * t * slope):
+                break
+        else:
+            stall = "step rejected by barrier backtracking"
             break
-        x, lam, g, gu, rd = xt, lt, gt, gut, rdt
+        x, lam, g = xt, lam + t * dlam, gt
+        gu = system.jacobian(x)
+        rd = c + system.rmatvec(gu, lam)
         it_total += 1
         sigma = 0.8 if t < 0.2 else (0.1 if t > 0.8 else 0.3)
         obj = float(c @ x)

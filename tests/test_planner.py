@@ -572,6 +572,38 @@ class TestTrajectoryBlocks:
         # 40 Newton steps
         assert max(rep.iterations for rep in built_steps["reports"]) <= 40
 
+    def test_long_mission_solves_end_optimal(self):
+        # rfb on scenario_4sn stretched to 1000 slots of the same length:
+        # the line search tests a trial by the barrier function alone, so
+        # no solve stalls in a crawl of rejected feasible steps, and the
+        # Jacobian is formed once per solve and once per accepted step,
+        # never for a rejected trial
+        base = load_scenario(bundled_scenario("scenario_4sn.json"))
+        scen = dataclasses.replace(base, n_slots=1000,
+                                   duration_s=base.delta_s * 1000)
+        reports, calls = [], [0]
+        solve = planner.maximize_concave_program
+        jacobian = solvers._NewtonSystem.jacobian
+
+        def spy_solve(*args, **kw):
+            reports.append(solve(*args, **kw))
+            return reports[-1]
+
+        def spy_jacobian(self, x):
+            calls[0] += 1
+            return jacobian(self, x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "maximize_concave_program", spy_solve)
+            patch.setattr(solvers._NewtonSystem, "jacobian", spy_jacobian)
+            _, rep = run_scheme("rfb", scen, fit_for_scenario(base),
+                                simulate=False)
+        assert reports
+        assert {r.status for r in reports} == {"optimal"}
+        assert rep.extras["ipm_not_optimal"] == {"horizontal": 0,
+                                                 "vertical": 0}
+        assert calls[0] == sum(r.iterations for r in reports) + len(reports)
+
     def test_every_built_column_has_diagonal_curvature(self, built_steps):
         # what keeps the Newton step's banded block positive definite with
         # no ridge: on every program the four schemes build, every waypoint
@@ -930,6 +962,12 @@ class TestOuterLoop:
         assert max_min_rate(plan.a, rates) == pytest.approx(want, rel=1e-12)
         with pytest.raises(ValueError):
             Plan(q=plan.q, z=plan.z[:-1], a=plan.a)
+        with pytest.raises(ValueError, match="shape"):
+            Plan(q=plan.q, z=plan.z, a=plan.a[0])
+        with pytest.raises(ValueError, match="shape"):
+            Plan(q=plan.q, z=plan.z, a=plan.a[:, :, None])
+        with pytest.raises(ValueError, match="shape"):
+            Plan(q=plan.q, z=plan.z, a=np.stack([plan.a] * 3, axis=-1))
 
 
 class TestCheckPlan:
