@@ -48,10 +48,11 @@ WAYPOINT_M = 0.1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def highs_ipm_lp(rates):
+def highs_ipm_lp(rates, start=None):
     """The max-min scheduling LP through ``linprog(method="highs-ipm")``,
     as the ``solve_lp`` report the planner reads: activities clipped to
-    [0, 1] per slot, eta their max-min."""
+    [0, 1] per slot, eta their max-min.  HiGHS takes no warm start, so
+    ``start`` is ignored and the report carries no smoothed weights."""
     r = np.asarray(rates, dtype=float)
     n, m = r.shape
     nv = n * m + 1

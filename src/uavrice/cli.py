@@ -19,9 +19,11 @@ from .evaluation import (DEFAULT_TRIALS, MIN_TRIALS, SCHEMES, evaluate_plan,
 from .fading import (MAX_EPSILON, MIN_GRID, fit_logistic,
                      generate_regression_samples)
 from .files import (db_to_linear, linear_to_db, load_model, load_result,
-                    load_scenario, model_from_json, model_to_json,
-                    plan_from_json, save_json, save_model, scenario_to_config,
-                    write_outputs)
+                    load_scenario, model_to_json, save_json, save_model,
+                    scenario_to_config, write_outputs)
+# unused here since load_result returns what it parsed, but perfbench traces
+# the result parsers by these names
+from .files import model_from_json, plan_from_json  # noqa: F401
 from .planner import LOS_MODEL, check_plan
 
 SWEEP_PARAMS = ("T", "vz", "eps", "kmax_db")
@@ -170,8 +172,7 @@ def _cmd_evaluate(args):
                          f"whose {scenario.n_blocks} fading blocks per trial "
                          f"fit in memory on {workers} workers")
     doc = load_result(args.plan)
-    plan = plan_from_json(doc["plan"])
-    model = model_from_json(doc["model"])
+    plan, model = doc.plan, doc.model
     # eta_estimated comes from this model's surrogate, so it must fit too
     _check_channel(model, scenario, f"--plan {args.plan} model")
     problems = check_plan(plan, scenario)

@@ -35,7 +35,7 @@ from .planner import (
     round_schedule,
     run_bcd,
     slot_geometry,
-    solve_scheduling,
+    solve_scheduling,  # noqa: F401  perfbench traces the LP by this name too
 )
 
 SCHEMES = ("lb", "rfla", "rffsa", "rfb")
@@ -92,16 +92,26 @@ def _slot_channel(q, z, scenario: Scenario):
     return d2, rician_factor(np.arcsin(np.clip(v, 0.0, 1.0)), a1, a2)
 
 
-def exact_rates(q, z, scenario: Scenario):
+def exact_rates(q, z, scenario: Scenario, owners=None):
     """Outage rates under the exact fading quantile, shape (N, M).
 
     The effective power is the noncentral chi-square quantile at each
-    slot's Rician factor; the rate comes from the shared kernel.
+    slot's Rician factor; the rate comes from the shared kernel.  Given
+    ``owners`` (M,), -1 marking an idle slot, only each slot's owner gets
+    its rate, the same to the bit, and every other entry is 0.
     """
     d2, k = _slot_channel(q, z, scenario)
-    f = exact_effective_power(k, scenario.epsilon)
-    return rate_from_gain(f, scenario.snr_gamma_per_sn[:, None], d2,
-                          scenario.alpha)
+    gamma, eps = scenario.snr_gamma_per_sn, scenario.epsilon
+    if owners is None:
+        return rate_from_gain(exact_effective_power(k, eps), gamma[:, None],
+                              d2, scenario.alpha)
+    owners = np.asarray(owners)
+    slots = np.flatnonzero(owners >= 0)
+    at = owners[slots], slots
+    out = np.zeros_like(d2)
+    out[at] = rate_from_gain(exact_effective_power(k[at], eps), gamma[at[0]],
+                             d2[at], scenario.alpha)
+    return out
 
 
 def owners_to_activity(owners, n_sn):
@@ -259,8 +269,10 @@ def evaluate_plan(plan: Plan, scenario: Scenario, model: LogisticModel, *,
     schedule so their gap isolates the channel model.
     """
     rates_model = predicted_rates(plan.q, plan.z, scenario, model)
-    rates_true = exact_rates(plan.q, plan.z, scenario)
     owners = round_schedule(plan.a, rates_model)
+    # the exact quantile only where a slot is scheduled: nothing reads it
+    # elsewhere
+    rates_true = exact_rates(plan.q, plan.z, scenario, owners)
     a_int = owners_to_activity(owners, scenario.n_sn)
     est = (a_int * rates_model).sum(axis=0)
     exact = (a_int * rates_true).sum(axis=0)
@@ -316,23 +328,19 @@ def cruise_levels(scenario: Scenario):
 
 
 def best_cruise_start(scenario: Scenario, model: LogisticModel):
-    """The level start of the cruise level whose scheduled surrogate
-    objective is largest.
+    """The free-altitude ascent from the best cruise start: ``run_bcd``
+    from the level starts of the ``cruise_levels``, of which it picks the
+    one whose scheduled surrogate objective is largest.  Returns
+    ``run_bcd``'s (plan, info).
 
     Each tangent step is local, so the ascent from a floor-level line can
     settle at a poor fixed point when nodes near the corridor pin the
-    max-min (on ``scenario_4sn``: 0.311 from the floor, 0.382 from this
-    pick).  A scan of the ``cruise_levels``, one LP each used only to rank
-    them, costs little; ``run_bcd`` schedules the start it returns.
+    max-min (on ``scenario_4sn``: 0.311 from the floor, 0.382 from the
+    pick).  The scan costs one LP per level, and the winner's LP schedule
+    is the ascent's first.
     """
-    best = None
-    for h in cruise_levels(scenario):
-        plan = _level_start(scenario, h)
-        _, eta = solve_scheduling(
-            predicted_rates(plan.q, plan.z, scenario, model))
-        if best is None or eta > best[0]:
-            best = (eta, plan)
-    return best[1]
+    return run_bcd(scenario, model, starts=[_level_start(scenario, h)
+                                            for h in cruise_levels(scenario)])
 
 
 def fit_for_scenario(scenario: Scenario):
@@ -371,14 +379,14 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
 
     if scheme in ("lb", "rfla"):
         plan, info = run_bcd(scenario, model, freeze_vertical=True,
-                             init=_level_start(scenario, scenario.h_min))
+                             starts=[_level_start(scenario, scenario.h_min)])
     elif scheme == "rffsa":
         sweep = []
         best = None
         not_optimal = {"horizontal": 0, "vertical": 0}
         for h in cruise_levels(scenario):
             cand, cinfo = run_bcd(scenario, model, freeze_vertical=True,
-                                  init=_level_start(scenario, h))
+                                  starts=[_level_start(scenario, h)])
             for block, count in cinfo["ipm_not_optimal"].items():
                 not_optimal[block] += count
             rep = evaluate_plan(cand, scenario, model, scheme=scheme,
@@ -390,8 +398,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
         # every altitude's solves count, not only the winner's
         info = {**info, "ipm_not_optimal": not_optimal}
     else:
-        plan, info = run_bcd(scenario, model,
-                             init=best_cruise_start(scenario, model))
+        plan, info = best_cruise_start(scenario, model)
 
     extras = {"trace": [float(t) for t in info["trace"]],
               "iterations": info["iterations"],

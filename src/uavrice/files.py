@@ -376,9 +376,18 @@ _RESULT_MIN = {"seed": 0, "trials": 0, "n_blocks": 1, "eta_estimated": 0.0,
                "rates_exact_bpshz": 0.0, "outage_samples": 0}
 
 
+class ResultDocument(dict):
+    """A checked result document: the JSON object itself, plus the
+    ``plan`` and ``model`` its check built."""
+
+    def __init__(self, doc, plan, model):
+        super().__init__(doc)
+        self.plan, self.model = plan, model
+
+
 def load_result(path):
     """Check every field of a result document and its range; returns the
-    document."""
+    document as a ``ResultDocument``."""
     doc = _load_json(path, "result")
     values = _read(_RESULT, doc, "result")
     report = _build(EvalReport, {f.name: values[f.name]
@@ -394,7 +403,7 @@ def load_result(path):
         raise FileFormatError(f"result.owners: node {report.owners.max()} "
                               f"outside [-1, {n_sn})")
     _check_outage_counts(report)
-    return doc
+    return ResultDocument(doc, values["plan"], values["model"])
 
 
 def _check_outage_counts(report):

@@ -7,17 +7,22 @@ unit-power Rician gain has |g|² = X / (2(K+1)) with X ~ ncx2(2, 2K), so
     f(K, eps) = min(chndtrix(eps, 2, 2K) / (2(K+1)), 1),
     Q1(a, b) = P(X > b²) for X ~ ncx2(2, a²) = 1 - F(b² / (a² + 2); a² / 2).
 
-SciPy's routines return nan for very large factors (K above about 1e10);
-those points take the normal-tail (Sankaran) approximation instead, and
-K = inf is the deterministic unit gain.  Being one minus a cdf, Q1 has
-absolute accuracy (about 2e-15 against quadrature for a, b <= 50), and
-values below that round to 0.
+Large factors take the normal-tail (Sankaran) approximation instead:
+every quantile with noncentrality 2K >= 1e8 (``_NORMAL_NC``), where
+``chndtrix``'s time grows with 2K (3.7 ms at 1e8, seconds at 1e16) and
+the approximation matches it to a few 1e-16 relative, and any value
+SciPy returns as nan.  K = inf is the deterministic unit gain.  Being
+one minus a cdf, Q1 has absolute accuracy (about 2e-15 against
+quadrature for a, b <= 50), and values below that round to 0.
 """
 
 import math
 
 import numpy as np
 from scipy.special import chndtr, chndtrix, ndtri
+
+#: the noncentrality from which quantiles skip chndtrix for the normal tail
+_NORMAL_NC = 1e8
 
 
 def _sankaran(k, lam):
@@ -92,9 +97,11 @@ def effective_power(k, eps):
     kk = np.asarray(k, dtype=np.float64)
     infinite = np.isinf(kk)
     kf = np.where(infinite, 0.0, kk)
-    x = np.asarray(chndtrix(eps, 2.0, 2.0 * kf), dtype=float)
-    for i in np.flatnonzero(np.isnan(x)):
-        x.flat[i] = _ncx2_ppf_normal(eps, 2.0, 2.0 * kf.flat[i])
+    nc = 2.0 * kf
+    normal = nc >= _NORMAL_NC
+    x = np.asarray(chndtrix(eps, 2.0, np.where(normal, 0.0, nc)), dtype=float)
+    for i in np.flatnonzero(normal | np.isnan(x)):
+        x.flat[i] = _ncx2_ppf_normal(eps, 2.0, nc.flat[i])
     out = np.where(infinite, 1.0, np.minimum(x / (2.0 * (kf + 1.0)), 1.0))
     if np.isscalar(k):
         return float(out)

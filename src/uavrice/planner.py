@@ -15,7 +15,6 @@ k corresponds to slot k+1 at waypoint k+1.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -142,21 +141,23 @@ def initialize_plan(scenario: Scenario) -> Plan:
 # scheduling block
 # ---------------------------------------------------------------------------
 
-def solve_scheduling(rates):
+def solve_scheduling(rates, start=None):
     """Max-min slot assignment LP for fixed per-slot rates (N, M).
 
-    Returns the activities and their max-min objective, solved exactly by
-    ``solve_lp``'s dual simplex over the node weights.  Every slot where
-    some node has a positive rate (every planner slot) is filled; a slot
-    where all rates are exactly zero stays idle.  Raises ValueError for
-    rates that are not a nonempty 2-D array of finite nonnegative numbers,
-    and RuntimeError when the schedule's optimality certificate fails.
+    Returns the activities, their max-min objective and the LP's smoothed
+    start weights, solved exactly by ``solve_lp``'s dual simplex over the
+    node weights; ``start``, such weights of a related LP, warm-starts it.
+    Every slot where some node has a positive rate (every planner slot) is
+    filled; a slot where all rates are exactly zero stays idle.  Raises
+    ValueError for rates that are not a nonempty 2-D array of finite
+    nonnegative numbers, and RuntimeError when the schedule's optimality
+    certificate fails.
     """
-    rep = solve_lp(rates)
+    rep = solve_lp(rates, start)
     if rep.status != "optimal":
         raise RuntimeError(f"scheduling LP came back {rep.status}: "
                            f"{rep.message}")
-    return rep.x, rep.objective
+    return rep.x, rep.objective, rep.smoothed
 
 
 def round_schedule(a, rates):
@@ -470,32 +471,40 @@ def _require_feasible(trial: Plan, scenario: Scenario, block):
 
 
 def run_bcd(scenario: Scenario, model: LogisticModel, *,
-            freeze_vertical=False, init: Optional[Plan] = None):
+            freeze_vertical=False, starts=None):
     """Block-coordinate ascent on (schedule, path, altitude).
 
     Every plan the ascent holds carries the scheduling LP's schedule for
-    its own trajectory: ``init``'s schedule is replaced by its LP's, and
-    each trajectory block's trial is scheduled by one LP.  A block's move
-    is accepted iff the trial's LP max-min is at least the incumbent's,
-    and each outer iteration tries each block once.  The ascent stops,
-    converged, when an iteration gains less than ``BCD_TOL`` relative or
-    accepts no trajectory move, a fixed point, and unconverged after
-    ``BCD_MAX_ITERS`` iterations.  Every scheduled plan must pass
-    check_plan, or RuntimeError names the block and the violations.
+    its own trajectory, and no LP is solved twice.  Each of ``starts``
+    (by default the straight line of ``initialize_plan``) is scheduled by
+    one LP, whose schedule replaces its own, and the ascent starts from
+    the first whose LP max-min is largest.  Each trajectory block's trial
+    is scheduled by one LP, warm-started from the incumbent's LP (each
+    start's from the previous start's).  A block's move is accepted iff
+    the trial's LP max-min is at least the incumbent's, and each outer
+    iteration tries each block once.  The ascent stops, converged, when
+    an iteration gains less than ``BCD_TOL`` relative or accepts no
+    trajectory move, a fixed point, and unconverged after
+    ``BCD_MAX_ITERS`` iterations.  The chosen start and every trial must
+    pass check_plan, or RuntimeError names the block and the violations.
     Returns (plan, info) where info carries the per-iteration objective
     trace, iteration count, convergence flag, and ``ipm_not_optimal``:
     per trajectory block, how many interior-point solves did not end
     "optimal" (their moves face the same test).
     """
-    def scheduled(trial, block):
-        a, eta_lp = solve_scheduling(
-            predicted_rates(trial.q, trial.z, scenario, model))
-        trial = replace(trial, a=a)
-        _require_feasible(trial, scenario, block)
-        return trial, eta_lp
+    def scheduled(trial, weights):
+        a, eta_lp, weights = solve_scheduling(
+            predicted_rates(trial.q, trial.z, scenario, model), weights)
+        return replace(trial, a=a), eta_lp, weights
 
-    plan, eta = scheduled(init.copy() if init is not None
-                          else initialize_plan(scenario), "scheduling")
+    best = weights = None
+    for start in starts or [initialize_plan(scenario)]:
+        cand = scheduled(start.copy(), weights)
+        weights = cand[2]
+        if best is None or cand[1] > best[1]:
+            best = cand
+    plan, eta, weights = best
+    _require_feasible(plan, scenario, "scheduling")
     trace = [eta]
     converged = False
     iterations = 0
@@ -514,9 +523,10 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
             not_optimal[name] += sum(r.status != "optimal" for r in reports)
             if new is None:
                 continue
-            trial, trial_eta = scheduled(replace(plan, **{attr: new}), name)
-            if trial_eta >= eta:
-                plan, eta = trial, trial_eta
+            trial = scheduled(replace(plan, **{attr: new}), weights)
+            _require_feasible(trial[0], scenario, name)
+            if trial[1] >= eta:
+                plan, eta, weights = trial
                 moved = True
 
         rel = (eta - trace[-1]) / max(abs(trace[-1]), 1e-12)

@@ -15,6 +15,7 @@ search is reproducible bit-for-bit across runs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,9 @@ class SolverReport:
     and stationarity <= 1e-6 for the interior-point method, and for the
     scheduling LP nonnegative activities, slot sums at most one and a
     duality gap at most 1e-12 (1 + eta); anything weaker is 'stalled'
-    (best iterate is still returned)."""
+    (best iterate is still returned).  An LP's ``smoothed`` weights, one
+    positive weight per node, are the start of its dual simplex and a warm
+    start for a related LP."""
 
     x: np.ndarray
     objective: float
@@ -37,6 +40,7 @@ class SolverReport:
     message: str = ""
     trace: tuple = ()
     duals: Optional[np.ndarray] = None
+    smoothed: Optional[np.ndarray] = None
 
 
 # ===========================================================================
@@ -62,6 +66,9 @@ class SolverReport:
 _SHARE_TOL = 1e-12     # a share above -_SHARE_TOL counts as nonnegative
 _CERT_TOL = 1e-12      # certificate: relative gap and slot-sum allowance
 _JOIN_RTOL = 1e-13     # dropped nodes this close to the active total stay out
+#: the softmax temperatures of a cold start's smoothing, coarse to fine; a
+#: warm start, from a related LP's smoothed weights, takes the last two
+_TAUS = (0.3, 0.1, 0.03, 0.01)
 
 
 @dataclass
@@ -71,24 +78,31 @@ class _Schedule:
     a: np.ndarray        # (n, k) activities
     total: float         # bottleneck total
     w: np.ndarray        # (n,) weights, zero off the bottleneck's active nodes
+    smoothed: np.ndarray  # (n,) positive weights the start basis came from
     owner: np.ndarray    # (k,) node holding each slot, -1 for an idle slot
     ties: dict           # tie slot -> sorted tuple of its active nodes
     pivots: int
 
 
-def solve_lp(rates) -> SolverReport:
+def solve_lp(rates, start=None) -> SolverReport:
     """Max-min slot assignment for per-slot rates (N, M): maximize
     eta = min_n sum_m r_nm a_nm / M over activities a >= 0 with each slot's
     column sum at most one.
 
+    The dual simplex starts from weights smoothed (``_smoothed_weights``)
+    from ``start``: by default 1 / (each node's rate total), over every
+    temperature of ``_TAUS``; given, a related LP's ``smoothed`` weights
+    (N positive weights), over the last two only.
+
     Each connected component of the positive rates is solved on its own and
     eta is the smallest component value; a slot where every rate is zero
     stays idle.  ``x`` holds the (N, M) activities, ``objective`` eta,
-    ``iterations`` the dual-simplex pivots and ``duals`` the node weights
-    of the bottleneck component (zero elsewhere).  The report is 'optimal'
-    only when the activities are nonnegative, every slot sums to at most
-    one (to 1e-12 of rounding) and the duality gap
-    sum_m max_n w_n r_nm / M - eta is at most 1e-12 (1 + eta).
+    ``iterations`` the dual-simplex pivots, ``duals`` the node weights
+    of the bottleneck component (zero elsewhere) and ``smoothed`` the
+    weights the start came from.  The report is 'optimal' only when the
+    activities are nonnegative, every slot sums to at most one (to 1e-12
+    of rounding) and the duality gap sum_m max_n w_n r_nm / M - eta is at
+    most 1e-12 (1 + eta).
     """
     r = np.asarray(rates, dtype=float)
     if r.ndim != 2:
@@ -100,10 +114,17 @@ def solve_lp(rates) -> SolverReport:
         raise ValueError("rates hold non-finite entries")
     if np.any(r < 0.0):
         raise ValueError("rates hold negative entries")
+    if start is None:
+        totals = r.sum(axis=1)
+        start, taus = 1.0 / np.where(totals > 0.0, totals, 1.0), _TAUS
+    else:
+        start, taus = np.asarray(start, dtype=float), _TAUS[-2:]
+        if start.shape != r.shape[:1] or not np.all(
+                np.isfinite(start) & (start > 0.0)):
+            raise ValueError(f"start must be {r.shape[0]} finite positive "
+                             f"weights")
     m_slots = r.shape[1]
-    totals = r.sum(axis=1)
-    start = 1.0 / np.where(totals > 0.0, totals, 1.0)
-    sched = _max_min(r, start)
+    sched = _max_min(r, start, taus)
     a, w = sched.a, sched.w
     eta = float(np.einsum("nm,nm->n", a, r).min()) / m_slots
     bound = float(np.max(w[:, None] * r, axis=0).sum()) / (m_slots * w.sum())
@@ -116,18 +137,20 @@ def solve_lp(rates) -> SolverReport:
         status="optimal" if ok else "stalled",
         message="" if ok else (f"certificate failed: relative gap {gap:.3e}, "
                                f"slot sum over one by {over:.3e}"),
-        duals=w)
+        duals=w, smoothed=sched.smoothed)
 
 
-def _max_min(r, start):
+def _max_min(r, start, taus):
     """Each connected component of the block's positive rates on its own;
     the bottleneck component's weights are the block's."""
     n, k = r.shape
     out = _Schedule(a=np.zeros((n, k)), total=np.inf, w=np.zeros(n),
-                    owner=np.full(k, -1), ties={}, pivots=0)
+                    smoothed=np.empty(n), owner=np.full(k, -1), ties={},
+                    pivots=0)
     for nodes, slots in _components(r > 0.0):
-        sub = _component(r[np.ix_(nodes, slots)], start[nodes])
+        sub = _component(r[np.ix_(nodes, slots)], start[nodes], taus)
         out.a[np.ix_(nodes, slots)] = sub.a
+        out.smoothed[nodes] = sub.smoothed
         out.owner[slots] = nodes[sub.owner]
         out.ties.update({slots[s]: tuple(nodes[list(t)])
                          for s, t in sub.ties.items()})
@@ -157,7 +180,7 @@ def _components(pos):
             for c in np.unique(label[:n])]
 
 
-def _component(r, start):
+def _component(r, start, taus):
     """Max-min schedule of a connected block r (n, k).
 
     The dual simplex runs on the active nodes, at first all of them.  Each
@@ -173,7 +196,8 @@ def _component(r, start):
     """
     n, k = r.shape
     active = np.ones(n, bool)
-    owner, ties = _start_basis(r, _smoothed_weights(r, start))
+    smoothed = _smoothed_weights(r, start, taus)
+    owner, ties = _start_basis(r, smoothed)
     pivots, bland, rest = 0, False, None
     limit = 50 * (n + k)
     while True:
@@ -193,7 +217,7 @@ def _component(r, start):
         if active.all():
             break
         rest, free = np.flatnonzero(~active), np.flatnonzero(owner < 0)
-        sub = _max_min(r[np.ix_(rest, free)], start[rest])
+        sub = _max_min(r[np.ix_(rest, free)], start[rest], taus)
         pivots += sub.pivots
         if sub.total >= total * (1.0 - _JOIN_RTOL):
             total = min(total, sub.total)
@@ -212,15 +236,15 @@ def _component(r, start):
     if rest is not None:
         a[np.ix_(rest, free)] = sub.a
         owner[free] = rest[sub.owner]
-    return _Schedule(a=a, total=total, w=w, owner=owner, ties=ties,
-                     pivots=pivots)
+    return _Schedule(a=a, total=total, w=w, smoothed=smoothed, owner=owner,
+                     ties=ties, pivots=pivots)
 
 
-def _smoothed_weights(r, w):
+def _smoothed_weights(r, w, taus):
     """Weights at which the softmax-smoothed schedule, slot m shared in
     proportion to (w_n r_nm)^(1/tau), gives every node the same total:
-    damped Newton on the log totals in log w, a few steps at each tau from
-    0.3 down to 0.01.  Only a start: returns w instead when a step leaves
+    damped Newton on the log totals in log w, a few steps at each tau of
+    ``taus``, from w.  Only a start: returns w instead when a step leaves
     the finite numbers or a weight underflows."""
     n = r.shape[0]
     if n == 1:
@@ -240,7 +264,7 @@ def _smoothed_weights(r, w):
         log_t = np.log(np.maximum(total, 1e-300))
         return log_t[1:] - log_t[0], q, rq, total
 
-    for tau in (0.3, 0.1, 0.03, 0.01):
+    for tau in taus:
         with np.errstate(over="ignore", invalid="ignore"):
             f, q, rq, total = residual(v, tau)
         for _ in range(3):
@@ -395,15 +419,16 @@ def _rejoin(r, w, active, owner, ties, rest, free, sub):
 # ===========================================================================
 # A program's constraint rows are one ConcaveRows set.  It states its
 # sparsity once, at construction, as fixed COO index arrays over the whole
-# variable vector; its derivative methods return the values that go with
-# them, in the same order.  Repeated (row, col) entries add up.
+# variable vector; a Point, the rows evaluated at one x, gives the values
+# that go with them, in the same order.  Repeated (row, col) entries add up.
 #   d                -> (m,) row constants; d.size is the row count
-#   values(x)        -> (m,) slacks, feasible iff all > 0
+#   at(x)            -> the Point p at x
+#   p.g, values(x)   -> (m,) slacks, feasible iff all > 0
 #   jac_rows, jac_cols   -> the Jacobian's entries, rows numbered 0..m-1
-#   grads(x)             -> their values
+#   p.grads              -> their values
 #   curv_rows, curv_cols -> the entries of sum_i w[i] * (-hess g_i),
 #                           off-diagonal ones listed in both orders
-#   curvature(x, w)      -> their values
+#   p.curvature(w)       -> their values
 #   squares(dx)          -> (m,) t^2 coefficients of the square terms
 #                           along a step dx
 # All rows are concave, so -hess g_i is positive semidefinite and the
@@ -489,31 +514,13 @@ class ConcaveRows:
         self.curv_rows = np.concatenate([i, j, self.diff[2], j, cr, pa, r])
         self.curv_cols = np.concatenate([i, j, j, self.diff[2], cc, pb, r])
 
-    def _gap(self, x):
-        """x[i] - a of each anchor square, then x[i] - x[j] of each diff."""
-        return x[self._i] - np.concatenate([self.anchor[3], x[self.diff[3]]])
+    def at(self, x):
+        """The rows evaluated at x (a ``Point``)."""
+        return Point(self, x)
 
-    def _exp_terms(self, x):
-        """e exp(-s) of each exponential term."""
-        return self.exp[1] * np.exp(-self.inner._slacks(x))
-
-    def _slacks(self, x):
-        m = self.d.size
-        g = self.d
-        rows, b, c, i = self.ratio
-        if rows.size:
-            z = x[i]
-            g = g + np.bincount(rows, b * z / np.sqrt(c + z * z), minlength=m)
-        rows, cols, vals = self.lin
-        g = g + np.bincount(rows, vals * x[cols], minlength=m)
-        if self._row.size:
-            t = self._gap(x)
-            g -= np.bincount(self._row, self._w * t * t, minlength=m)
-        if self.inner:
-            g -= np.bincount(self.exp[0], self._exp_terms(x), minlength=m)
-        return g
-
-    values = _slacks    # inner rows are read through _slacks, not values
+    def values(self, x):
+        """(m,) slacks at x."""
+        return self.at(x).g
 
     def squares(self, dx):
         """Each row's t^2 coefficient of its square terms along x + t dx:
@@ -524,29 +531,66 @@ class ConcaveRows:
         u[self.anchor[0].size:] -= dx[self.diff[3]]
         return np.bincount(self._row, self._w * u * u, minlength=self.d.size)
 
-    def grads(self, x):
+
+class Point:
+    """A ``ConcaveRows`` set evaluated once at one point x: the slacks
+    ``g``, and what its Jacobian values ``grads`` and its ``curvature``
+    share with them there, each square's gap, each ratio's x[i] and, for
+    the exponential terms, the inner rows' point and e exp(-s).  Those are
+    read off x when the point is made; ``x`` is kept, not copied."""
+
+    def __init__(self, rows, x):
+        self.rows, self.x = rows, x
+        # x[i] - a of each anchor square, then x[i] - x[j] of each diff
+        self.gap = x[rows._i] - np.concatenate([rows.anchor[3],
+                                                x[rows.diff[3]]])
+        self.z = x[rows.ratio[3]]
+        m = rows.d.size
+        g = rows.d
+        r_rows, b, c, _ = rows.ratio
+        if r_rows.size:
+            z = self.z
+            g = g + np.bincount(r_rows, b * z / np.sqrt(c + z * z),
+                                minlength=m)
+        l_rows, l_cols, l_vals = rows.lin
+        g = g + np.bincount(l_rows, l_vals * x[l_cols], minlength=m)
+        if rows._row.size:
+            t = self.gap
+            g -= np.bincount(rows._row, rows._w * t * t, minlength=m)
+        self.inner = Point(rows.inner, x) if rows.inner else None
+        if self.inner:      # e exp(-s) of each exponential term
+            self.e = rows.exp[1] * np.exp(-self.inner.g)
+            g -= np.bincount(rows.exp[0], self.e, minlength=m)
+        self.g = g
+
+    @cached_property
+    def grads(self):
+        """Values of the Jacobian entries (jac_rows, jac_cols)."""
+        rows = self.rows
         # -2 w t on x[i], +2 w t on a difference's x[j]
-        t2w = 2.0 * self._w * self._gap(x)
-        _, b, c, i = self.ratio
-        z = x[i]
-        parts = [self.lin[2], -t2w, t2w[self.anchor[0].size:]]
+        t2w = 2.0 * rows._w * self.gap
+        _, b, c, _ = rows.ratio
+        z = self.z
+        parts = [rows.lin[2], -t2w, t2w[rows.anchor[0].size:]]
         if self.inner:      # e exp(-s) grad s
-            inner = self.inner
-            parts.append(self._exp_terms(x)[inner.jac_rows] * inner.grads(x))
+            parts.append(self.e[rows.inner.jac_rows] * self.inner.grads)
         return np.concatenate(parts + [b * c / (c + z * z) ** 1.5])
 
-    def curvature(self, x, w):
+    def curvature(self, w):
+        """Values of the entries (curv_rows, curv_cols) of
+        sum_i w[i] * (-hess g_i)."""
+        rows = self.rows
         # 2 w on x[i], then on a difference's x[j]; -2 w on its cross entries
-        c2 = 2.0 * self._w * w[self._row]
-        cross = -c2[self.anchor[0].size:]
-        r_rows, b, c, i = self.ratio
-        z = x[i]
+        c2 = 2.0 * rows._w * w[rows._row]
+        cross = -c2[rows.anchor[0].size:]
+        r_rows, b, c, _ = rows.ratio
+        z = self.z
         parts = [c2, -cross, cross, cross]
         if self.inner:      # w e exp(-s) (-hess s), then (grad s grad s')
-            k, a, b_ = self._pair
-            we = w[self.exp[0]] * self._exp_terms(x)
-            ds = self.inner.grads(x)
-            parts += [self.inner.curvature(x, we), we[k] * ds[a] * ds[b_]]
+            k, a, b_ = rows._pair
+            we = w[rows.exp[0]] * self.e
+            ds = self.inner.grads
+            parts += [self.inner.curvature(we), we[k] * ds[a] * ds[b_]]
         return np.concatenate(
             parts + [w[r_rows] * (3.0 * b * c * z / (c + z * z) ** 2.5)])
 
@@ -567,20 +611,19 @@ def _epigraph(system, c, gu):
             (system.urow[own & ~up], col[own & ~up])]
 
 
-def _epigraph_correction(epigraph, rows, xt, gt, pred):
+def _epigraph_correction(epigraph, rows, pt, pred):
     """Second-order correction (Nocedal & Wright, *Numerical Optimization*,
-    2nd ed., section 18.3) of a trial point that failed positivity, on the
-    epigraph columns: level by level, each column drops by the worst
+    2nd ed., section 18.3) of a trial point pt that failed positivity, on
+    the epigraph columns: level by level, each column drops by the worst
     curvature residual min(0, g(xt) - pred) over its rows, restoring their
     linear prediction pred (each t_n its rate row, then eta the tie rows).
-    Returns the corrected (xt, gt)."""
+    Returns the corrected point."""
     for own_rows, own_cols in epigraph:
-        drop = np.zeros(xt.size)
-        np.minimum.at(drop, own_cols, gt[own_rows] - pred[own_rows])
+        drop = np.zeros(pt.x.size)
+        np.minimum.at(drop, own_cols, pt.g[own_rows] - pred[own_rows])
         if drop.any():
-            xt = xt + drop
-            gt = rows.values(xt)
-    return xt, gt
+            pt = rows.at(pt.x + drop)
+    return pt
 
 
 def _pairs_within_rows(rows):
@@ -626,7 +669,6 @@ class _NewtonSystem:
 
     def __init__(self, rows, c):
         n, m = c.size, rows.d.size
-        self.rows = rows
         self.n, self.m = n, m
         ukey, self.jac_inv = np.unique(rows.jac_rows * n + rows.jac_cols,
                                        return_inverse=True)
@@ -674,10 +716,10 @@ class _NewtonSystem:
         self.k_slot = (np.searchsorted(k_rows, self.k_urow) * n
                        + pos[self.k_ucol])
 
-    def jacobian(self, x):
-        """Values of the Jacobian's distinct (row, col) entries at x."""
-        return np.bincount(self.jac_inv, self.rows.grads(x),
-                           minlength=self.urow.size)
+    def jacobian(self, p):
+        """Values of the Jacobian's distinct (row, col) entries at the
+        point p."""
+        return np.bincount(self.jac_inv, p.grads, minlength=self.urow.size)
 
     def rmatvec(self, gu, v):
         """G' v."""
@@ -692,19 +734,19 @@ class _NewtonSystem:
         lam > 0 and rounding monotone, that is the largest |lam_i G_ij|."""
         return float(np.max(lam[self.urow] * np.abs(gu), initial=0.0))
 
-    def direction(self, x, lam, w, gu, rhs):
-        """Solve H dx = rhs, H with row weights w = lam / g; None when a
-        factorization fails or the step is not finite.  The d block is
-        the Cholesky factor of U_d'U_d, and the Woodbury update's factor V
-        is Q_perp'U_b, Q_perp the last k - nd columns of a complete QR of
-        U_d (Householder, ``dgeqrf`` / ``dorgqr``)."""
+    def direction(self, p, lam, w, gu, rhs):
+        """Solve H dx = rhs at the point p, H with row weights w = lam / g;
+        None when a factorization fails or the step is not finite.  The d
+        block is the Cholesky factor of U_d'U_d, and the Woodbury update's
+        factor V is Q_perp'U_b, Q_perp the last k - nd columns of a
+        complete QR of U_d (Householder, ``dgeqrf`` / ``dorgqr``)."""
         # here: scipy.linalg adds 5 MB to a run that factors nothing
         from scipy.linalg.lapack import (dgeqrf, dorgqr, dpbtrf, dpbtrs,
                                          dpotrf, dpotrs)
         nb, nd, k = self.nb, self.nd, self.k
         if k < nd:      # U_d has fewer rows than columns: U_d'U_d is singular
             return None
-        cv = self.rows.curvature(x, lam)
+        cv = p.curvature(lam)
         wg = w[self.urow] * gu
         diag = (np.bincount(self.ucol, wg * gu, minlength=self.n)
                 + np.bincount(self.curv_diag_rows, cv[self.curv_diag],
@@ -829,7 +871,10 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     if not np.all(np.isfinite(x)):
         raise ValueError("start point is not strictly feasible "
                          "(non-finite entry)")
-    g = rows.values(x)
+    # each point the loop visits is evaluated once: its slacks, Jacobian
+    # and curvature come from one Point
+    p = rows.at(x)
+    g = p.g
     bad = np.flatnonzero(~(np.isfinite(g) & (g > 0.0)))
     if bad.size:
         raise ValueError(f"start point is not strictly feasible "
@@ -838,20 +883,21 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     if m == 0:
         raise ValueError("program has no constraint rows")
     system = _NewtonSystem(rows, c)
-    gu = system.jacobian(x)
+    gu = system.jacobian(p)
     epigraph = _epigraph(system, c, gu)
     rate_rows, eta_rows = epigraph[0][0], epigraph[-1][0]
     row_scale = np.abs(rows.d)
 
     lam = ((1.0 + abs(float(c @ x))) / m) / g
-    best_x = x
+    best = p
     best_obj = obj = float(c @ x)
     c_scale = 1.0 + float(np.max(np.abs(c)))
     trace = []
     it_total = 0
     stall = ""             # why the loop stopped short, if it did
     sigma = 0.2
-    # slacks g, Jacobian gu and dual residual rd always belong to (x, lam)
+    # point p = (x, g), Jacobian gu and dual residual rd always belong to
+    # (x, lam)
     rd = c + system.rmatvec(gu, lam)
 
     for _ in range(MAX_NEWTON_STEPS):
@@ -864,7 +910,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
         mu_t = max(sigma * gap / m, 1e-18 * (1.0 + abs(obj)))
         W = lam / g
         mu_g = mu_t / g
-        dx = system.direction(x, lam, W, gu, c + system.rmatvec(gu, mu_g))
+        dx = system.direction(p, lam, W, gu, c + system.rmatvec(gu, mu_g))
         if dx is None:
             stall = "no Newton direction"
             break
@@ -903,19 +949,18 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
         phi = float(c @ x) + mu_t * float(np.sum(np.log(g)))
         slope = float(c @ dx) + float(mu_g @ gdx)
         for t in _trial_steps(t, t_max):
-            xt = x + t * dx
-            gt = rows.values(xt)
-            if not gt.min() > 0.0:
-                xt, gt = _epigraph_correction(epigraph, rows, xt, gt,
-                                              g + t * gdx)
-            if gt.min() > 0.0 and (float(c @ xt) + mu_t * float(
-                    np.sum(np.log(gt))) >= phi + 1e-4 * t * slope):
+            pt = rows.at(x + t * dx)
+            if not pt.g.min() > 0.0:
+                pt = _epigraph_correction(epigraph, rows, pt, g + t * gdx)
+            if pt.g.min() > 0.0 and (float(c @ pt.x) + mu_t * float(
+                    np.sum(np.log(pt.g))) >= phi + 1e-4 * t * slope):
                 break
         else:
             stall = "step rejected by barrier backtracking"
             break
-        x, lam, g = xt, lam + t * dlam, gt
-        gu = system.jacobian(x)
+        p, lam = pt, lam + t * dlam
+        x, g = p.x, p.g
+        gu = system.jacobian(p)
         rd = c + system.rmatvec(gu, lam)
         it_total += 1
         sigma = 0.8 if t < 0.2 else (0.1 if t > 0.8 else 0.3)
@@ -923,16 +968,16 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
         trace.append(obj)
         if obj > best_obj:
             best_obj = obj
-            best_x = x
+            best = p
 
     # prefer the final iterate (consistent multipliers) unless an earlier
     # point genuinely beat it on the true objective
     if obj >= best_obj - 1e-9 * max(1.0, abs(best_obj)):
-        best_x = x
+        best = p
         best_obj = obj
     else:
-        g = rows.values(best_x)
-        gu = system.jacobian(best_x)
+        g = best.g
+        gu = system.jacobian(best)
         rd = c + system.rmatvec(gu, lam)
 
     feas = max(0.0, float(-g.min()))
@@ -942,7 +987,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     stat = max(resid / denom, gap / (1.0 + abs(best_obj)))
     ok = not stall and feas <= 1e-8 and stat <= 1e-6
     return SolverReport(
-        x=best_x, objective=best_obj, feasibility=feas, stationarity=stat,
+        x=best.x, objective=best_obj, feasibility=feas, stationarity=stat,
         iterations=it_total, status="optimal" if ok else "stalled",
         message="" if ok else (stall or "tolerances not met"),
         trace=tuple(trace))

@@ -23,9 +23,10 @@ def _newton_step_gap(c, rows, x):
     lam = ((1.0 + abs(float(c @ x))) / g.size) / g
     mu = 0.2 * float(lam @ g) / g.size
     hess = np.zeros((n, n))
-    np.add.at(hess, (rows.curv_rows, rows.curv_cols), rows.curvature(x, lam))
+    p = rows.at(x)
+    np.add.at(hess, (rows.curv_rows, rows.curv_cols), p.curvature(lam))
     jac = np.zeros((g.size, n))
-    np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
+    np.add.at(jac, (rows.jac_rows, rows.jac_cols), p.grads)
     w = lam / g
     hess += (jac * w[:, None]).T @ jac
     rhs = c + jac.T @ (mu / g)
@@ -34,7 +35,7 @@ def _newton_step_gap(c, rows, x):
                             rhs * dsc) * dsc
 
     system = _NewtonSystem(rows, c)
-    step = system.direction(x, lam, w, system.jacobian(x), rhs)
+    step = system.direction(p, lam, w, system.jacobian(p), rhs)
     return float(np.linalg.norm(step - dense) / np.linalg.norm(dense))
 
 

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,25 @@ class TestFit:
         assert model.grid == 120
         capsys.readouterr()
 
+    def test_huge_rician_factor_fits_and_plans_in_seconds(self, scen_path,
+                                                          tmp_path, capsys):
+        # k_max = 200 dB: 2K = 2e20 took SciPy's chndtrix past 10 s a
+        # quantile, so fit and plan never ended; the normal tail answers
+        # those quantiles at once
+        doc = json.loads(scen_path.read_text())
+        doc["kmax_db"] = 200.0
+        scen_path.write_text(dump_json(doc))
+        model, out = tmp_path / "model.json", tmp_path / "plan.json"
+        start = time.perf_counter()
+        assert cli(["fit", "--kmin-db", "0", "--kmax-db", "200",
+                    "--out", str(model)]) == 0
+        assert cli(["plan", "--scenario", str(scen_path), "--model",
+                    str(model), "--scheme", "rfb", "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 20.0
+        assert load_model(model).rmse < 0.03
+        assert load_result(out)["eta_achieved"] > 0.0
+        capsys.readouterr()
+
     def test_inverted_bounds_fail_cleanly(self, tmp_path, capsys):
         out = tmp_path / "model.json"
         assert cli(["fit", "--kmin-db", "30", "--kmax-db", "0",
@@ -141,9 +161,13 @@ class TestPlanAndEvaluate:
                     str(model_path), "--scheme", "lb",
                     "--out", str(planned)]) == 0
         evaluated = tmp_path / "lb_eval.json"
-        assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
-                    str(planned), "--trials", "10000",
-                    "--out", str(evaluated)]) == 0
+        with pytest.MonkeyPatch.context() as patch:
+            # the stored plan and model are parsed once, by load_result
+            patch.setattr(cli_module, "plan_from_json", _never)
+            patch.setattr(cli_module, "model_from_json", _never)
+            assert cli(["evaluate", "--scenario", str(scen_path), "--plan",
+                        str(planned), "--trials", "10000",
+                        "--out", str(evaluated)]) == 0
         doc = load_result(evaluated)
         assert doc["kind"] == "evaluation"
         assert doc["scheme"] == "lb"

@@ -26,9 +26,10 @@ from uavrice.evaluation import (
     owners_to_activity,
     run_scheme,
 )
+from uavrice.files import bundled_scenario, load_scenario
 from uavrice.planner import (LOS_MODEL, Plan, initialize_plan,
                              max_min_rate, predicted_rates, round_schedule,
-                             run_bcd)
+                             run_bcd, solve_scheduling)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,24 @@ class TestMonteCarlo:
         owners = np.array([0, -1, 0, 1, -1, 2, -1, 2])
         return scen, plan, owners, exact_rates(plan.q, plan.z, scen)
 
+    def test_scheduled_exact_rates_are_the_full_matrix_entries(self):
+        # exact quantiles only where a slot is scheduled: each owner's rate
+        # equals the full matrix's to the bit, every other entry is 0, and
+        # the Monte-Carlo counts do not change
+        scen, plan, owners, full = self._three_node_check()
+        part = exact_rates(plan.q, plan.z, scen, owners)
+        slots = np.flatnonzero(owners >= 0)
+        at = owners[slots], slots
+        assert part[at].tobytes() == full[at].tobytes()
+        assert np.count_nonzero(part) == slots.size
+        for seed in (0, 1):
+            want = monte_carlo_outage(plan, scen, 10_000, seed, rates=full,
+                                      owners=owners)
+            got = monte_carlo_outage(plan, scen, 10_000, seed, rates=part,
+                                     owners=owners)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+
     @staticmethod
     def _reference(plan, scen, owners, rates, trials, seed):
         """Frequencies and sample counts slot by slot, each block's capacity
@@ -342,6 +361,30 @@ class TestEvalReport:
                        outage_samples=np.zeros(2, dtype=int))
 
 
+    def test_bundled_plan_scores_as_with_the_full_matrix(self, monkeypatch):
+        # rfb on scenario_4sn: the exact quantile is inverted at the 130
+        # scheduled (owner, slot) pairs only, not at all 520, and the
+        # report is the one the full matrix gives, to the bit
+        scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+        model = ev.fit_for_scenario(scen)
+        plan, _ = run_scheme("rfb", scen, model, simulate=False)
+        inverted = []
+        quantile = ev.exact_effective_power
+
+        def spy(k, eps):
+            inverted.append(np.size(k))
+            return quantile(k, eps)
+
+        monkeypatch.setattr(ev, "exact_effective_power", spy)
+        rep = evaluate_plan(plan, scen, model, trials=10_000, simulate=False)
+        assert inverted == [np.count_nonzero(rep.owners >= 0)]
+        assert inverted[0] < scen.n_sn * scen.n_slots
+        full = exact_rates(plan.q, plan.z, scen)
+        a = owners_to_activity(rep.owners, scen.n_sn)
+        assert rep.rates_exact.tobytes() == (a * full).sum(axis=0).tobytes()
+        assert rep.eta_achieved == max_min_rate(a, full)
+
+
 class TestCruiseProfile:
     def test_holds_level_and_pins_endpoints(self):
         scen = _scenario([[150.0, 0.0]], m_slots=8, vz=20.0)
@@ -454,7 +497,12 @@ class TestRunScheme:
                                                           monkeypatch):
         # far-off node: the surrogate gains far more from elevation than it
         # loses to pathloss, so the scan must not pick the floor
+        # (the ascent starts from the level whose LP max-min is largest)
         scen = _scenario([[150.0, 400.0]], m_slots=10, duration_s=10.0)
         monkeypatch.setattr(ev, "DEFAULT_ALTITUDES", (100.0, 200.0, 300.0))
-        start = best_cruise_start(scen, fitted)
-        assert start.z.max() > 100.0
+        levels = [solve_scheduling(predicted_rates(start.q, start.z, scen,
+                                                   fitted))[1]
+                  for start in (ev._level_start(scen, h)
+                                for h in ev.DEFAULT_ALTITUDES)]
+        _, info = best_cruise_start(scen, fitted)
+        assert info["trace"][0] == max(levels) > levels[0]

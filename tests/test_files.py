@@ -326,6 +326,17 @@ class TestResultDocuments:
         doc = load_result(_STORED_PLAN)
         assert len(doc["plan"]["a"]) == 4 and max(doc["owners"]) == 3
 
+    def test_loaded_result_carries_the_plan_and_model_it_checked(self):
+        # the document is the JSON object itself, and beside it the plan
+        # and model its check built, equal to a second parse of the same
+        doc = load_result(_STORED_PLAN)
+        assert doc == json.loads(_STORED_PLAN.read_text())
+        again = plan_from_json(doc["plan"])
+        for attr in ("q", "z", "a"):
+            assert getattr(doc.plan, attr).tobytes() == \
+                getattr(again, attr).tobytes()
+        assert doc.model == model_from_json(doc["model"])
+
     @pytest.mark.parametrize("samples, freq, owner, where", [
         (7, 0.9, None, r"outage_samples\[0\]: 7 is neither 0 nor "
                        r"trials \* n_blocks = 200000"),

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import chndtrix
+
 from uavrice import kernels
 
 # quadrature of the Rician density, error < 1.1e-8 each
@@ -133,8 +135,8 @@ def test_effective_power_clamp_branch():
 
 
 def test_large_and_infinite_factor_guard():
-    # SciPy's chndtrix returns nan at K = 1e12 and chndtr does on part of
-    # this grid; the kernels must fall back rather than pass nan on
+    # K = 1e12 takes the normal tail, and SciPy's chndtr returns nan on part
+    # of this grid; the kernels must fall back rather than pass nan on
     u = np.linspace(0.99, 1.01, 2001)
     F = kernels.fading_cdf(u, 1e12)
     assert not np.any(np.isnan(F))
@@ -150,6 +152,34 @@ def test_large_and_infinite_factor_guard():
     assert kernels.effective_power(np.inf, 0.01) == 1.0
     F = kernels.fading_cdf(u, np.inf)
     assert np.array_equal(F, (u >= 1.0).astype(float))
+
+
+def test_huge_factors_skip_chndtrix(monkeypatch):
+    # chndtrix's time grows with the noncentrality 2K (3.7 ms at 1e8,
+    # seconds at 1e16): from 2K = 1e8 the quantile is the normal tail,
+    # which matches chndtrix there to a few 1e-16, and below it chndtrix
+    # alone, to the bit
+    k = np.array([0.0, 3.0, 5e3, 5e7 * (1.0 - 1e-15), 5e7, 5e9, 1e18, 1e20])
+    for eps in (0.001, 0.01, 0.1):
+        got = kernels.effective_power(k, eps)
+        low = 2.0 * k[:4]
+        want = np.minimum(chndtrix(eps, 2.0, low) / (2.0 * (k[:4] + 1.0)),
+                          1.0)
+        assert got[:4].tobytes() == want.tobytes()
+        for i in range(4, k.size):
+            assert got[i] == kernels._ncx2_ppf_normal(
+                eps, 2.0, 2.0 * k[i]) / (2.0 * (k[i] + 1.0))
+        assert kernels.effective_power(5e7, eps) == pytest.approx(
+            chndtrix(eps, 2.0, 1e8) / (2.0 * (5e7 + 1.0)), rel=1e-15)
+    seen = []
+
+    def spy(eps, df, nc):
+        seen.append(np.max(nc))
+        return chndtrix(eps, df, nc)
+
+    monkeypatch.setattr(kernels, "chndtrix", spy)
+    kernels.effective_power(k, 0.01)
+    assert seen and max(seen) < kernels._NORMAL_NC
 
 
 def test_ks_statistic_small_sample():

@@ -7,6 +7,7 @@ alternating scheme leans on.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavrice.channel import Scenario, rate_from_gain
-from uavrice.evaluation import best_cruise_start, fit_for_scenario, run_scheme
+from uavrice import evaluation
+from uavrice.evaluation import fit_for_scenario, run_scheme
 from uavrice.fading import LogisticModel
 from uavrice.files import bundled_scenario, load_scenario
 from uavrice import planner, solvers
@@ -202,7 +204,7 @@ class TestScheduling:
         # node 0 only earns in slot 1, node 1 only in slot 2; giving each
         # node its own slot yields averages (1.0, 0.5), so eta* = 0.5
         rates = np.array([[2.0, 0.0], [0.0, 1.0]])
-        a, eta = solve_scheduling(rates)
+        a, eta, _ = solve_scheduling(rates)
         assert eta == pytest.approx(0.5, abs=1e-9)
         assert a[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert a[1, 1] == pytest.approx(1.0, abs=1e-8)
@@ -211,7 +213,7 @@ class TestScheduling:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rates = rng.uniform(0.1, 5.0, size=(4, 12))
-            a, eta = solve_scheduling(rates)
+            a, eta, _ = solve_scheduling(rates)
             assert np.allclose(a.sum(axis=0), 1.0, atol=1e-9)
             totals = np.einsum("nm,nm->n", a, rates)
             assert eta == pytest.approx(totals.min() / 12, abs=1e-12)
@@ -221,10 +223,10 @@ class TestScheduling:
         # fill every slot of every schedule the outer loop sees
         schedules = []
 
-        def recording(rates):
-            a, eta = solve_scheduling(rates)
-            schedules.append(a)
-            return a, eta
+        def recording(rates, start=None):
+            out = solve_scheduling(rates, start)
+            schedules.append(out[0])
+            return out
 
         monkeypatch.setattr(planner, "solve_scheduling", recording)
         scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
@@ -241,7 +243,7 @@ class TestScheduling:
         # leaves it empty and rounding marks it idle (-1); the other slots
         # still fill and eta is the hand-solved 0.75 (slot 3 split 1:3)
         rates = np.array([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0]])
-        a, eta = solve_scheduling(rates)
+        a, eta, _ = solve_scheduling(rates)
         assert eta == pytest.approx(0.75, abs=1e-9)
         np.testing.assert_allclose(a[:, [0, 2]].sum(axis=0), 1.0, atol=1e-9)
         assert np.all(a[:, 1] == 0.0)
@@ -250,12 +252,12 @@ class TestScheduling:
     def test_unreachable_node_leaves_the_others_scheduled(self):
         # node 1 earns nothing anywhere, so eta is 0; node 0 still gets
         # slot 0, and slot 1 (no rate at all) stays idle
-        a, eta = solve_scheduling([[1.0, 0.0], [0.0, 0.0]])
+        a, eta, _ = solve_scheduling([[1.0, 0.0], [0.0, 0.0]])
         assert eta == 0.0
         np.testing.assert_array_equal(a, [[1.0, 0.0], [0.0, 0.0]])
         # with a third node the reachable pair keeps its own max-min split
         # (the hand-solved 1:3 share of slot 2 above)
-        a, eta = solve_scheduling([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0],
+        a, eta, _ = solve_scheduling([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0],
                                    [0.0, 0.0, 0.0]])
         assert eta == 0.0
         np.testing.assert_allclose(a, [[1.0, 0.0, 0.25], [0.0, 0.0, 0.75],
@@ -272,8 +274,8 @@ class TestScheduling:
         # a schedule whose certificate fails never reaches the outer loop
         honest = solvers._max_min
 
-        def idle(r, start):
-            sched = honest(r, start)
+        def idle(r, start, taus):
+            sched = honest(r, start, taus)
             sched.a = sched.a * 0.5
             return sched
 
@@ -285,7 +287,7 @@ class TestScheduling:
         rng = np.random.default_rng(4)
         for _ in range(10):
             rates = rng.uniform(0.0, 3.0, size=(3, 9))
-            _, eta = solve_scheduling(rates)
+            _, eta, _ = solve_scheduling(rates)
             uniform = (rates.mean(axis=1) / 3).min()
             assert eta >= uniform - 1e-9
 
@@ -370,7 +372,7 @@ class TestRounding:
         rng = np.random.default_rng(5)
         for _ in range(20):
             rates = rng.uniform(0.0, 4.0, size=(3, 15))
-            a, _ = solve_scheduling(rates)
+            a, _, _ = solve_scheduling(rates)
             sn = round_schedule(a, rates)
             raw = np.argmax(a, axis=0)
 
@@ -379,7 +381,7 @@ class TestRounding:
 
             assert min_avg(sn) >= min_avg(raw) - 1e-12
             # and rounding can never beat the fractional relaxation
-            _, eta_frac = solve_scheduling(rates)
+            _, eta_frac, _ = solve_scheduling(rates)
             assert min_avg(sn) <= eta_frac + 1e-9
 
 
@@ -391,7 +393,8 @@ def _built_step(block, model, bent=False):
     scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
                      m_slots=10, duration_s=10.0)
     plan = initialize_plan(scen)
-    plan.a, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen, model))
+    plan.a, _, _ = solve_scheduling(
+        predicted_rates(plan.q, plan.z, scen, model))
     if bent:
         plan.q = solve_horizontal(plan, scen, model, reports=[])
         plan.z = solve_vertical(plan, scen, model, reports=[])
@@ -444,7 +447,7 @@ class TestTrajectoryBlocks:
     def test_horizontal_block_improves_single_node(self):
         scen = _scenario([[300.0, 200.0]])
         plan = initialize_plan(scen)
-        plan.a, _ = solve_scheduling(
+        plan.a, _, _ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, FIT))
         before = max_min_rate(plan.a,
                               predicted_rates(plan.q, plan.z, scen, FIT))
@@ -506,7 +509,7 @@ class TestTrajectoryBlocks:
         # alone, and there is no t column and no tie row
         scen = _scenario([[300.0, 200.0]])
         plan = initialize_plan(scen)
-        plan.a, _ = solve_scheduling(
+        plan.a, _, _ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, FIT))
         for data in (planner._horizontal_block(plan, scen),
                      planner._vertical_block(plan, scen)):
@@ -545,8 +548,8 @@ class TestTrajectoryBlocks:
         n_sn = scen.n_sn
         for c, program_rows, start in programs:
             system = solvers._NewtonSystem(program_rows, c)
-            first, second = solvers._epigraph(system, c,
-                                              system.jacobian(start))
+            first, second = solvers._epigraph(
+                system, c, system.jacobian(program_rows.at(start)))
             t_cols, eta, tie_rows = _tie_layout(c, n_sn)
             assert np.flatnonzero(c).tolist() == t_cols.tolist() + [eta]
             assert (first[0].tolist(), first[1].tolist()) == (
@@ -589,9 +592,9 @@ class TestTrajectoryBlocks:
             reports.append(solve(*args, **kw))
             return reports[-1]
 
-        def spy_jacobian(self, x):
+        def spy_jacobian(self, p):
             calls[0] += 1
-            return jacobian(self, x)
+            return jacobian(self, p)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(planner, "maximize_concave_program", spy_solve)
@@ -614,7 +617,7 @@ class TestTrajectoryBlocks:
             rows = step.rows
             on = rows.curv_rows == rows.curv_cols
             np.add.at(diag, rows.curv_rows[on],
-                      rows.curvature(step.start, np.ones(rows.d.size))[on])
+                      rows.at(step.start).curvature(np.ones(rows.d.size))[on])
             free = step.objective == 0.0
             assert np.all(diag[free] > 0.0)
             assert np.all(diag[~free] == 0.0)
@@ -667,8 +670,8 @@ class TestTrajectoryBlocks:
                 np.stack([rows.curv_rows, rows.curv_cols], 1), curv)
             assert np.all((rows.jac_rows >= 0)
                           & (rows.jac_rows < rows.d.size))
-            assert rows.grads(x).shape == rows.jac_rows.shape
-            assert rows.curvature(x, np.ones(rows.d.size)).shape == \
+            assert rows.at(x).grads.shape == rows.jac_rows.shape
+            assert rows.at(x).curvature(np.ones(rows.d.size)).shape == \
                 rows.curv_rows.shape
         # the rate-row distance terms and both end moves, the inner moves
         # and the exponents
@@ -717,40 +720,53 @@ class TestTrajectoryBlocks:
                                      step.objective).nd == scen.n_sn + 1
 
     @pytest.mark.parametrize("block", ["horizontal", "vertical"])
-    def test_solve_evaluates_no_point_twice_in_a_row(self, block,
-                                                     monkeypatch):
-        # an accepted trial point's slacks and Jacobian carry over into the
-        # next Newton step and the final report instead of being evaluated
-        # again at the same x
+    def test_solve_evaluates_each_point_once(self, block, monkeypatch):
+        # each point the solver visits is evaluated once: its inner rows
+        # (the elevation caps) once with it, their Jacobian values once per
+        # accepted point, and an accepted trial's point carries over into
+        # its Jacobian, the next Newton step and the final report
         scen = load_scenario(bundled_scenario("scenario_4sn.json"))
         model = fit_for_scenario(scen)
         plan = initialize_plan(scen)
-        plan.a, _ = solve_scheduling(
+        plan.a, _, _ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, model))
         data = (planner._horizontal_block if block == "horizontal"
                 else planner._vertical_block)(plan, scen)
         step = planner.build_trajectory_step(plan, scen, model, **data)
         assert step is not None
 
-        seen = {"slacks": [], "jacobian": []}
-        values = solvers.ConcaveRows.values
+        seen = {"points": [], "jacobian": [], "inner": 0, "inner_grads": 0}
+        init = solvers.Point.__init__
+        grads = solvers.Point.grads.func
         jacobian = solvers._NewtonSystem.jacobian
 
-        def spy_values(rows, x):
-            seen["slacks"].append(x.copy())
-            return values(rows, x)
+        def spy_init(point, rows, x):
+            if rows is step.rows:
+                seen["points"].append(x.copy())
+            seen["inner"] += rows is step.rows.inner
+            init(point, rows, x)
 
-        def spy_jacobian(system, x):
-            seen["jacobian"].append(x.copy())
-            return jacobian(system, x)
+        def spy_grads(point):
+            seen["inner_grads"] += point.rows is step.rows.inner
+            return grads(point)
 
-        monkeypatch.setattr(solvers.ConcaveRows, "values", spy_values)
+        def spy_jacobian(system, p):
+            seen["jacobian"].append(p.x.copy())
+            return jacobian(system, p)
+
+        counted = functools.cached_property(spy_grads)
+        counted.__set_name__(solvers.Point, "grads")
+        monkeypatch.setattr(solvers.Point, "__init__", spy_init)
+        monkeypatch.setattr(solvers.Point, "grads", counted)
         monkeypatch.setattr(solvers._NewtonSystem, "jacobian", spy_jacobian)
         rep = solvers.maximize_concave_program(step.objective, step.rows,
                                                step.start)
         assert rep.status == "optimal" and rep.iterations > 10
-        for name, xs in seen.items():
-            assert len(xs) > rep.iterations, name
+        assert seen["inner"] == len(seen["points"]) > rep.iterations
+        assert (seen["inner_grads"] == len(seen["jacobian"])
+                == rep.iterations + 1)
+        for name in ("points", "jacobian"):
+            xs = seen[name]
             again = [i for i in range(1, len(xs))
                      if np.array_equal(xs[i - 1], xs[i])]
             assert not again, (name, again)
@@ -817,13 +833,48 @@ class TestOuterLoop:
         # and a move is accepted only if the LP's max-min does not fall
         scen = load_scenario(bundled_scenario(name))
         model = fit_for_scenario(scen)
+        starts = [evaluation._level_start(scen, h)
+                  for h in evaluation.cruise_levels(scen)]
         plan, info = run_bcd(scen, model, freeze_vertical=frozen,
-                             init=best_cruise_start(scen, model))
-        a, eta = solve_scheduling(predicted_rates(plan.q, plan.z, scen,
-                                                  model))
+                             starts=starts)
+        a, eta, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen,
+                                                     model))
         assert np.array_equal(plan.a, a)
         assert info["eta_model"] == eta
         assert np.all(np.diff(info["trace"]) >= 0.0)
+
+    def test_rfb_solves_one_lp_per_start_and_per_trial(self, monkeypatch):
+        # rfb on scenario_4sn: one LP per cruise level and one per
+        # trajectory trial, 9 + 6, and none twice on equal rates.  The
+        # first level's LP is cold; every other starts from the smoothed
+        # weights of the previous level's or of the incumbent's LP, and
+        # gives the cold LP's answer to the bit
+        scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+        model = fit_for_scenario(scen)
+        calls = []
+        lp = planner.solve_lp
+
+        def spy(rates, start=None):
+            calls.append((np.array(rates), start, lp(rates, start)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(planner, "solve_lp", spy)
+        _, rep = run_scheme("rfb", scen, model, simulate=False)
+        monkeypatch.undo()
+        levels = len(evaluation.cruise_levels(scen))
+        assert (levels, rep.extras["iterations"]) == (9, 3)
+        assert len(calls) == levels + 2 * rep.extras["iterations"] == 15
+        assert len({rates.tobytes() for rates, _, _ in calls}) == len(calls)
+        assert calls[0][1] is None
+        for i, (rates, start, warm) in enumerate(calls[1:], 1):
+            if i < levels:
+                assert start is calls[i - 1][2].smoothed
+            else:
+                assert any(start is c[2].smoothed for c in calls[:i])
+            cold = lp(rates)
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert (warm.objective, warm.status, warm.stationarity) == (
+                cold.objective, cold.status, cold.stationarity)
 
     def test_line_of_sight_model_has_unit_gain(self):
         scen = _scenario([[400.0, 300.0]])
@@ -1088,7 +1139,8 @@ def test_random_small_scenarios_plan_cleanly(scen):
     for scheme, model in (("lb", LOS_MODEL), ("rfb", FIT)):
         plan, rep = run_scheme(scheme, scen, model, simulate=False)
         assert check_plan(plan, scen) == [], scheme
-        lp, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen, model))
+        lp, _, _ = solve_scheduling(
+            predicted_rates(plan.q, plan.z, scen, model))
         assert np.array_equal(plan.a, lp), scheme
         trace = rep.extras["trace"]
         assert all(b >= a for a, b in zip(trace, trace[1:])), scheme

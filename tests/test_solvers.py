@@ -22,6 +22,7 @@ Determinism is asserted bit-for-bit.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -146,6 +147,58 @@ class TestSolveLP:
         assert r1.objective == r2.objective
         assert r1.iterations == r2.iterations
 
+    @pytest.mark.parametrize("zeros", [0.0, 0.3, 0.8])
+    def test_warm_start_gives_the_cold_solution(self, zeros):
+        # from a related LP's smoothed weights, or any positive weights, the
+        # warm start smooths at the last two temperatures only and pivots
+        # another way to the same vertex: activities, eta, node weights and
+        # certificate to the bit, on 3 x 40 seeded rate matrices, the
+        # zero rates splitting some into components
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(2, 8)), int(rng.integers(5, 200))
+            rates = rng.uniform(0.05, 5.0, (n, m)) * 10.0 ** rng.uniform(
+                -3.0, 3.0, (n, 1))
+            rates[rng.random((n, m)) < zeros] = 0.0
+            cold = solve_lp(rates)
+            related = solve_lp(rates * rng.uniform(0.8, 1.25, rates.shape))
+            for start in (related.smoothed, rng.uniform(0.01, 100.0, n)):
+                warm = solve_lp(rates, start)
+                assert warm.x.tobytes() == cold.x.tobytes()
+                assert warm.duals.tobytes() == cold.duals.tobytes()
+                assert (warm.objective, warm.status, warm.feasibility,
+                        warm.stationarity) == (
+                    cold.objective, cold.status, cold.feasibility,
+                    cold.stationarity)
+                assert np.all(warm.smoothed > 0.0)
+
+    def test_smoothing_runs_the_short_ladder_from_a_warm_start(self,
+                                                               monkeypatch):
+        # a cold LP smooths from 1 / totals over every temperature, a warm
+        # one from its start over the last two
+        seen = []
+        smoothed = solvers._smoothed_weights
+
+        def spy(r, w, taus):
+            seen.append((w.copy(), taus))
+            return smoothed(r, w, taus)
+
+        monkeypatch.setattr(solvers, "_smoothed_weights", spy)
+        rates = np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 2.0]])
+        cold = solve_lp(rates)
+        warm = solve_lp(rates, [2.0, 5.0])
+        assert [taus for _, taus in seen] == [solvers._TAUS,
+                                              solvers._TAUS[-2:]]
+        np.testing.assert_array_equal(seen[0][0], 1.0 / rates.sum(axis=1))
+        np.testing.assert_array_equal(seen[1][0], [2.0, 5.0])
+        assert warm.x.tobytes() == cold.x.tobytes()
+
+    @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0], [1.0, -2.0],
+                                       [1.0, np.nan], [[1.0, 1.0]]])
+    def test_rejects_a_bad_start(self, start):
+        with pytest.raises(ValueError, match="start"):
+            solve_lp([[3.0, 1.0], [1.0, 2.0]], start)
+
     def test_rejects_mismatched_shapes(self):
         for rates, text in (([1.0, 2.0], "2-D"), ([[[1.0]]], "2-D"),
                             (np.zeros((0, 3)), "empty"),
@@ -226,8 +279,8 @@ class TestSolveLP:
     def test_failed_certificate_is_reported(self, monkeypatch):
         honest = solvers._max_min
 
-        def shifted(r, start):
-            sched = honest(r, start)
+        def shifted(r, start, taus):
+            sched = honest(r, start, taus)
             sched.w = sched.w[::-1].copy()
             return sched
 
@@ -315,7 +368,8 @@ def test_pivot_side_is_the_part_cut_off(zeros, monkeypatch):
 
     monkeypatch.setattr(solvers, "_pivot", recording)
     monkeypatch.setattr(solvers, "_rejoin", counted)
-    monkeypatch.setattr(solvers, "_smoothed_weights", lambda r, w: w)
+    monkeypatch.setattr(solvers, "_smoothed_weights",
+                        lambda r, w, taus: w)
     for seed in range(150):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(2, 8)), int(rng.integers(5, 200))
@@ -447,7 +501,8 @@ def _epigraph_of(c, rows, x):
     [rows, cols] by level."""
     system = _NewtonSystem(rows, c)
     return [[part.tolist() for part in level]
-            for level in solvers._epigraph(system, c, system.jacobian(x))]
+            for level in solvers._epigraph(system, c,
+                                           system.jacobian(rows.at(x)))]
 
 
 class TestBarrier:
@@ -562,9 +617,9 @@ class TestBarrier:
         np.testing.assert_array_equal(box.values(x), [0.5, 4.0, 1.5, 4.0])
         np.testing.assert_array_equal(box.jac_rows, [0, 1, 2, 3])
         np.testing.assert_array_equal(box.jac_cols, [0, 2, 0, 1])
-        np.testing.assert_array_equal(box.grads(x), [1.0, 1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(box.at(x).grads, [1.0, 1.0, -1.0, -1.0])
         assert box.curv_rows.size == box.curv_cols.size == 0
-        assert box.curvature(x, np.ones(4)).size == 0
+        assert box.at(x).curvature(np.ones(4)).size == 0
 
     def test_determinism(self):
         def run():
@@ -680,7 +735,7 @@ def test_dual_scale_is_largest_weighted_row_entry(name):
     system = _NewtonSystem(rows, c)
     # the eliminated dense columns are exactly the objective's columns
     assert system.nd == np.count_nonzero(c)
-    gu = system.jacobian(x)
+    gu = system.jacobian(rows.at(x))
     lam = np.random.default_rng(5).uniform(0.1, 10.0, system.m)
     row_max = np.zeros(system.m)
     np.maximum.at(row_max, system.urow, np.abs(gu))
@@ -726,8 +781,9 @@ def test_woodbury_rank_is_coupling_rows_less_objective_columns(name,
         return lapack(routine, *arrays)
 
     monkeypatch.setattr(solvers, "_lapack", spy)
-    lam = 1.0 / rows.values(x)
-    assert system.direction(x, lam, lam * lam, system.jacobian(x),
+    p = rows.at(x)
+    lam = 1.0 / p.g
+    assert system.direction(p, lam, lam * lam, system.jacobian(p),
                             c) is not None
     assert widths == [system.k - system.nd + 1]
     assert name != "tie_break" or (system.k, system.nd) == (6, 4)
@@ -740,7 +796,8 @@ def test_objective_columns_beyond_their_rows_get_no_direction():
     c, x = np.ones(2), np.zeros(2)
     system = _NewtonSystem(rows, c)
     assert (system.k, system.nd) == (1, 2)
-    assert system.direction(x, np.ones(1), np.ones(1), system.jacobian(x),
+    p = rows.at(x)
+    assert system.direction(p, np.ones(1), np.ones(1), system.jacobian(p),
                             c) is None
 
 
@@ -757,15 +814,11 @@ class _SaddleRows:
         self.delta = delta
         self.d = np.ones(2)
 
-    def values(self, x):
-        return self.d - np.array([x[0], 0.0])
-
-    def grads(self, x):
-        return np.array([-1.0])
-
-    def curvature(self, x, w):
+    def at(self, x):
         off = 1.0 + self.delta
-        return w[1] * np.array([1.0, 1.0, off, off])
+        return types.SimpleNamespace(
+            x=x, g=self.d - np.array([x[0], 0.0]), grads=np.array([-1.0]),
+            curvature=lambda w: w[1] * np.array([1.0, 1.0, off, off]))
 
 
 def _saddle_program(delta):
@@ -786,7 +839,8 @@ def test_no_direction_from_a_failed_factorization_or_nan_weights(name):
         fill = np.nan
     system = _NewtonSystem(rows, c)
     w = np.full(system.m, fill)
-    assert system.direction(x, np.ones(system.m), w, system.jacobian(x),
+    p = rows.at(x)
+    assert system.direction(p, np.ones(system.m), w, system.jacobian(p),
                             c) is None
 
 
@@ -820,6 +874,21 @@ def _random_rows(rng, n, m, n_anchor, n_diff, n_exp, n_ratio=0,
                else _columns(rng.integers(0, n, n_exp))))
 
 
+def test_values_read_the_array_as_it_is_now():
+    # nothing is remembered between calls: the slacks of an array changed
+    # in place (as the trajectory builder changes its start) are the new
+    # ones, and a point keeps the slacks of the x it was made at
+    rng = np.random.default_rng(11)
+    rows = _random_rows(rng, 5, 4, 3, 3, 3, 2)
+    x = rng.uniform(0.5, 1.5, 5)
+    before, p = rows.values(x), rows.at(x.copy())
+    x[2] += 0.5
+    after = rows.values(x)
+    assert not np.array_equal(before, after)
+    assert after.tobytes() == rows.values(x.copy()).tobytes()
+    assert p.g.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("anchor, diff, exp, ratio",
                          list(itertools.product([True, False], repeat=4)))
 def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
@@ -846,8 +915,8 @@ def test_empty_term_groups_leave_the_derivatives_as_they_were(anchor, diff,
     curv = np.concatenate([ca, cd, cd, -cd, -cd,
                            w[e_row] * (e * np.exp(-x[u])),
                            w[r_row] * (3.0 * b * c * z / (c + z * z) ** 2.5)])
-    assert rows.grads(x).tobytes() == grads.tobytes()
-    assert rows.curvature(x, w).tobytes() == curv.tobytes()
+    assert rows.at(x).grads.tobytes() == grads.tobytes()
+    assert rows.at(x).curvature(w).tobytes() == curv.tobytes()
     np.testing.assert_array_equal(rows.jac_rows, np.concatenate(
         [rows.lin[0], a_row, d_row, d_row, e_row, r_row]))
     np.testing.assert_array_equal(rows.jac_cols, np.concatenate(
@@ -864,12 +933,13 @@ def _assert_central_differences(rows, x, lam, h, jac_tol, hess_tol):
     (rtol, atol)."""
     n, eye = x.size, np.eye(x.size)
     jac = np.zeros((rows.d.size, n))
-    np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
+    np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.at(x).grads)
     fd_jac = np.stack([(rows.values(x + h * e) - rows.values(x - h * e))
                        / (2.0 * h) for e in eye], axis=1)
     np.testing.assert_allclose(jac, fd_jac, *jac_tol)
     hess = np.zeros((n, n))
-    np.add.at(hess, (rows.curv_rows, rows.curv_cols), rows.curvature(x, lam))
+    np.add.at(hess, (rows.curv_rows, rows.curv_cols),
+              rows.at(x).curvature(lam))
 
     def f(z):
         return lam @ rows.values(z)
@@ -896,8 +966,8 @@ def test_square_derivatives_match_the_formula_and_central_differences(shape):
         np.concatenate([-(2.0 * w * t), 2.0 * w * t]),
         np.concatenate([c2, c2, -c2, -c2]))
     k = rows.lin[2].size
-    assert rows.grads(x)[k:].tobytes() == grads.tobytes()
-    assert rows.curvature(x, lam).tobytes() == curv.tobytes()
+    assert rows.at(x).grads[k:].tobytes() == grads.tobytes()
+    assert rows.at(x).curvature(lam).tobytes() == curv.tobytes()
     _assert_central_differences(rows, x, lam, 1e-2, jac_tol=(1e-9, 1e-10),
                                 hess_tol=(1e-7, 1e-8))
 
@@ -937,7 +1007,7 @@ def test_squares_bound_every_row_along_a_step():
     assert 0 < curved.size < m
     for rows in (five, quad):
         jac = np.zeros((m, n))
-        np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.grads(x))
+        np.add.at(jac, (rows.jac_rows, rows.jac_cols), rows.at(x).grads)
         g, gdx, q = rows.values(x), jac @ dx, rows.squares(dx)
         assert q.shape == (m,) and np.all(q > 0.0)
         for t in (0.1, 0.5, 1.0, 3.0):
@@ -1090,11 +1160,10 @@ def test_objective_column_off_slope_gets_no_eta_correction(slope,
     correct = solvers._epigraph_correction
     moved = []
 
-    def spy(epigraph, rows, xt, gt, pred):
-        eta_before = xt[0]
-        xt, gt = correct(epigraph, rows, xt, gt, pred)
-        moved.append(xt[0] != eta_before)
-        return xt, gt
+    def spy(epigraph, rows, pt, pred):
+        corrected = correct(epigraph, rows, pt, pred)
+        moved.append(corrected.x[0] != pt.x[0])
+        return corrected
 
     monkeypatch.setattr(solvers, "_epigraph_correction", spy)
     rep = maximize_concave_program(c, rows, start)
@@ -1121,9 +1190,9 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
         seen["program"] = c, rows, start
         return solve(c, rows, start, **kw)
 
-    def spy_direction(system, x, *args):
-        dx = direction(system, x, *args)
-        seen["x"], seen["dx"] = x, dx
+    def spy_direction(system, p, *args):
+        dx = direction(system, p, *args)
+        seen["x"], seen["dx"] = p.x, dx
         return dx
 
     def spy_trial_steps(t, t_max):
@@ -1145,16 +1214,16 @@ def test_pre_screen_skips_only_trials_that_fail(monkeypatch):
         if t <= t_max:
             continue
         system = _NewtonSystem(rows, c)
-        epigraph = solvers._epigraph(system, c, system.jacobian(start))
-        g = rows.values(x)
-        gdx = system.matvec(system.jacobian(x), dx)
+        epigraph = solvers._epigraph(system, c,
+                                     system.jacobian(rows.at(start)))
+        p = rows.at(x)
+        gdx = system.matvec(system.jacobian(p), dx)
         while t > t_max:
-            xt = x + t * dx
-            gt = rows.values(xt)
-            assert not gt.min() > 0.0
-            _, gc = solvers._epigraph_correction(epigraph, rows, xt, gt,
-                                                 g + t * gdx)
-            assert not gc.min() > 0.0
+            pt = rows.at(x + t * dx)
+            assert not pt.g.min() > 0.0
+            corrected = solvers._epigraph_correction(epigraph, rows, pt,
+                                                     p.g + t * gdx)
+            assert not corrected.g.min() > 0.0
             skipped += 1
             t *= 0.5
     assert len(steps) > 400 and skipped > 100
