@@ -51,8 +51,10 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def highs_ipm_lp(rates, start=None):
     """The max-min scheduling LP through ``linprog(method="highs-ipm")``,
     as the ``solve_lp`` report the planner reads: activities clipped to
-    [0, 1] per slot, eta their max-min.  HiGHS takes no warm start, so
-    ``start`` is ignored and the report carries no smoothed weights."""
+    [0, 1] per slot, eta their max-min, and the node rows' marginals as
+    the duals the planner's dual bound reads (any weights >= 0 bound eta
+    from above).  HiGHS takes no warm start, so ``start`` is ignored and
+    the report carries no smoothed weights."""
     r = np.asarray(rates, dtype=float)
     n, m = r.shape
     nv = n * m + 1
@@ -73,7 +75,8 @@ def highs_ipm_lp(rates, start=None):
         x=a, objective=planner.max_min_rate(a, r), feasibility=0.0,
         stationarity=0.0, iterations=int(res.nit),
         status="optimal" if res.status == 0 else "stalled",
-        message=res.message)
+        message=res.message,
+        duals=np.maximum(-res.ineqlin.marginals[m:], 0.0))
 
 
 #: (module, attribute, value) of each variant

@@ -38,10 +38,11 @@ the per-block counts, of the grid and of the fits go to stderr.
 output: whether the sha256 is equal, the relative change in
 ``eta_achieved``, and the outer iterations, Newton steps, LP pivots and
 non-optimal interior-point solves as [previous, this run], and each
-block's counts the same way when the earlier output has them.  The trials
-and corrections are paired the same way (None where the earlier output
-lacks them), but they are reported, not gated: a change to the line
-search may move them while every plan and count stays.  The comparison
+block's counts the same way when the earlier output has them.  The LP
+calls, the trials and the corrections are paired the same way (None where
+the earlier output lacks them), but they are reported, not gated: a
+change to which LPs run or to the line search may move them while every
+plan stays.  The comparison
 goes into each run's ``parity`` entry and, as Markdown tables,
 to stderr; a run the earlier output lacks gets none.  The stderr report
 then has one line naming the plans whose sha256 differ and one
@@ -110,6 +111,9 @@ BLOCKS = ("horizontal", "vertical")
 BLOCK_COUNTS = ("calls", "newton_steps", "max_steps", "not_optimal")
 #: line-search counts, per block and per plan: reported, not gated
 TRIAL_COUNTS = ("trials", "corrections")
+#: plan counts paired by ``--against`` but not gated: a change to which
+#: LPs run may move them while every plan and gated count stays
+REPORTED_COUNTS = ("lp_calls",) + TRIAL_COUNTS
 
 
 class Counter:
@@ -298,7 +302,7 @@ def parity(prev, run):
     out = {"sha256_equal": prev["sha256"] == run["sha256"],
            "eta_rel_change": (run["eta_achieved"] - eta0) / abs(eta0)}
     out.update({key: [prev[key], run[key]] for key in PARITY_COUNTS})
-    out.update({key: [prev.get(key), run[key]] for key in TRIAL_COUNTS})
+    out.update({key: [prev.get(key), run[key]] for key in REPORTED_COUNTS})
     if "blocks" in prev:
         out["blocks"] = {
             name: {key: [prev["blocks"][name].get(key),
@@ -310,7 +314,7 @@ def parity(prev, run):
 
 def _count_pairs(par):
     """Every gated [previous, this run] count pair of a ``parity`` entry:
-    the trial counts are left out."""
+    the REPORTED_COUNTS are left out."""
     pairs = [par[key] for key in PARITY_COUNTS]
     for block in par.get("blocks", {}).values():
         pairs += [block[key] for key in BLOCK_COUNTS]
@@ -345,14 +349,14 @@ def report_fit_rise(fits):
 def parity_table(runs):
     """Markdown table of the runs' ``parity`` entries."""
     lines = ["| plan | sha256 equal | eta rel. change | outer iters "
-             "| Newton steps | LP pivots | IPM not optimal | trials "
-             "| corrections |", "|---" * 9 + "|"]
+             "| Newton steps | LP pivots | IPM not optimal | LP calls "
+             "| trials | corrections |", "|---" * 10 + "|"]
     for key, run in runs.items():
         if "parity" not in run:
             continue
         par = run["parity"]
         counts = " | ".join("{} -> {}".format(*par[c])
-                            for c in PARITY_COUNTS + TRIAL_COUNTS)
+                            for c in PARITY_COUNTS + REPORTED_COUNTS)
         lines.append(f"| {key} | {'yes' if par['sha256_equal'] else 'no'} "
                      f"| {par['eta_rel_change']:.2e} | {counts} |")
     return "\n".join(lines)

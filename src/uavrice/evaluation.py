@@ -336,8 +336,10 @@ def best_cruise_start(scenario: Scenario, model: LogisticModel):
     Each tangent step is local, so the ascent from a floor-level line can
     settle at a poor fixed point when nodes near the corridor pin the
     max-min (on ``scenario_4sn``: 0.311 from the floor, 0.382 from the
-    pick).  The scan costs one LP per level, and the winner's LP schedule
-    is the ascent's first.
+    pick).  The scan solves the LP of the level with the largest
+    own-total bound first and then only the LPs of levels whose dual bound
+    under the incumbent's LP duals could still beat it (``run_bcd``), and
+    the winner's LP schedule is the ascent's first.
     """
     return run_bcd(scenario, model, starts=[_level_start(scenario, h)
                                             for h in cruise_levels(scenario)])

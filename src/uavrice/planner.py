@@ -20,7 +20,8 @@ import numpy as np
 
 from .channel import Scenario, rate_from_gain
 from .fading import LogisticModel
-from .solvers import ConcaveRows, maximize_concave_program, solve_lp
+from .solvers import (ConcaveRows, dual_bound, maximize_concave_program,
+                      solve_lp)
 
 LOG2E = math.log2(math.e)
 
@@ -144,9 +145,10 @@ def initialize_plan(scenario: Scenario) -> Plan:
 def solve_scheduling(rates, start=None):
     """Max-min slot assignment LP for fixed per-slot rates (N, M).
 
-    Returns the activities, their max-min objective and the LP's smoothed
-    start weights, solved exactly by ``solve_lp``'s dual simplex over the
-    node weights; ``start``, such weights of a related LP, warm-starts it.
+    Returns the activities, their max-min objective, the LP's node weights
+    (its duals, for ``dual_bound``) and its smoothed start weights, solved
+    exactly by ``solve_lp``'s dual simplex over the node weights;
+    ``start``, smoothed weights of a related LP, warm-starts it.
     Every slot where some node has a positive rate (every planner slot) is
     filled; a slot where all rates are exactly zero stays idle.  Raises
     ValueError for rates that are not a nonempty 2-D array of finite
@@ -157,7 +159,7 @@ def solve_scheduling(rates, start=None):
     if rep.status != "optimal":
         raise RuntimeError(f"scheduling LP came back {rep.status}: "
                            f"{rep.message}")
-    return rep.x, rep.objective, rep.smoothed
+    return rep.x, rep.objective, rep.duals, rep.smoothed
 
 
 def round_schedule(a, rates):
@@ -459,6 +461,15 @@ def solve_vertical(plan: Plan, scenario: Scenario, model: LogisticModel,
 
 BCD_TOL = 1e-4          # relative gain that ends the ascent
 BCD_MAX_ITERS = 50      # outer iterations before it stops unconverged
+#: relative margin by which a candidate's dual bound must fall below the
+#: incumbent's eta before its LP is skipped.  A certified LP's eta can
+#: exceed its true value by the certificate's 1e-12 slot-sum allowance plus
+#: the rounding of an M-term sum, and the bound's own M-term sum rounds by
+#: at most about M * 1.1e-16 (1.1e-13 at 1000 slots); 1e-9 covers both up
+#: to about a million slots, so a skipped LP would have lost to the bit,
+#: and it lies far below the shortfalls a skip meets on the bundled plans
+#: (2e-7 and more)
+_SKIP_RTOL = 1e-9
 
 
 def _require_feasible(trial: Plan, scenario: Scenario, block):
@@ -475,35 +486,56 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
     """Block-coordinate ascent on (schedule, path, altitude).
 
     Every plan the ascent holds carries the scheduling LP's schedule for
-    its own trajectory, and no LP is solved twice.  Each of ``starts``
-    (by default the straight line of ``initialize_plan``) is scheduled by
-    one LP, whose schedule replaces its own, and the ascent starts from
-    the first whose LP max-min is largest.  Each trajectory block's trial
-    is scheduled by one LP, warm-started from the incumbent's LP (each
-    start's from the previous start's).  A block's move is accepted iff
-    the trial's LP max-min is at least the incumbent's, and each outer
-    iteration tries each block once.  The ascent stops, converged, when
-    an iteration gains less than ``BCD_TOL`` relative or accepts no
-    trajectory move, a fixed point, and unconverged after
-    ``BCD_MAX_ITERS`` iterations.  The chosen start and every trial must
-    pass check_plan, or RuntimeError names the block and the violations.
+    its own trajectory, and no LP is solved twice.  A candidate is one of
+    ``starts`` (by default the straight line of ``initialize_plan``; an
+    empty list raises ValueError) or a trajectory block's trial.  Its LP
+    is solved only if it could change the ascent: the candidate's
+    ``dual_bound`` under the incumbent's LP duals is an upper bound on its
+    LP max-min, and when that falls short of the incumbent's by more than
+    ``_SKIP_RTOL`` the LP is skipped and the candidate loses, as its LP
+    would have lost.  The starts are scanned best-first by min_n sum_m
+    r_nm / M, a bound no schedule's max-min exceeds, so the first LP
+    (cold) usually finds the leader and rules the rest out; the ascent
+    starts from the first start whose LP max-min is largest, and its LP
+    schedule replaces the start's own.  Every later LP is warm-started from the incumbent's
+    smoothed weights.  A block's move is accepted iff the trial's LP
+    max-min is at least the incumbent's, and each outer iteration tries
+    each block once.  The ascent stops, converged, when an iteration gains
+    less than ``BCD_TOL`` relative or accepts no trajectory move, a fixed
+    point, and unconverged after ``BCD_MAX_ITERS`` iterations.  The chosen
+    start and every trial (under the incumbent's schedule) must pass
+    check_plan, or RuntimeError names the block and the violations.
     Returns (plan, info) where info carries the per-iteration objective
     trace, iteration count, convergence flag, and ``ipm_not_optimal``:
     per trajectory block, how many interior-point solves did not end
     "optimal" (their moves face the same test).
     """
-    def scheduled(trial, weights):
-        a, eta_lp, weights = solve_scheduling(
-            predicted_rates(trial.q, trial.z, scenario, model), weights)
-        return replace(trial, a=a), eta_lp, weights
+    if starts is None:
+        starts = [initialize_plan(scenario)]
+    if not starts:
+        raise ValueError("run_bcd needs at least one start")
+    inc = None      # incumbent: (plan, LP max-min, LP duals, smoothed weights)
 
-    best = weights = None
-    for start in starts or [initialize_plan(scenario)]:
-        cand = scheduled(start.copy(), weights)
-        weights = cand[2]
-        if best is None or cand[1] > best[1]:
-            best = cand
-    plan, eta, weights = best
+    def scheduled(cand, rates):
+        """The incumbent-shaped tuple of the candidate scheduled by its LP,
+        or None when the incumbent's duals rule that LP out."""
+        if inc is not None and (dual_bound(inc[2], rates)
+                                < inc[1] * (1.0 - _SKIP_RTOL)):
+            return None
+        a, eta_lp, duals, weights = solve_scheduling(
+            rates, None if inc is None else inc[3])
+        return replace(cand, a=a), eta_lp, duals, weights
+
+    rates = [predicted_rates(s.q, s.z, scenario, model) for s in starts]
+    pick = None
+    for i in sorted(range(len(starts)),
+                    key=lambda i: -float(rates[i].sum(axis=1).min())):
+        cand = scheduled(starts[i].copy(), rates[i])
+        # the first of the starts whose LP max-min is largest
+        if cand and (inc is None or cand[1] > inc[1]
+                     or (cand[1] == inc[1] and i < pick)):
+            inc, pick = cand, i
+    plan, eta = inc[:2]
     _require_feasible(plan, scenario, "scheduling")
     trace = [eta]
     converged = False
@@ -523,10 +555,13 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
             not_optimal[name] += sum(r.status != "optimal" for r in reports)
             if new is None:
                 continue
-            trial = scheduled(replace(plan, **{attr: new}), weights)
-            _require_feasible(trial[0], scenario, name)
-            if trial[1] >= eta:
-                plan, eta, weights = trial
+            trial = replace(plan, **{attr: new})
+            _require_feasible(trial, scenario, name)
+            trial = scheduled(trial, predicted_rates(trial.q, trial.z,
+                                                     scenario, model))
+            if trial and trial[1] >= eta:
+                inc = trial
+                plan, eta = inc[:2]
                 moved = True
 
         rel = (eta - trace[-1]) / max(abs(trace[-1]), 1e-12)

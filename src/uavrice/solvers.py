@@ -127,8 +127,7 @@ def solve_lp(rates, start=None) -> SolverReport:
     sched = _max_min(r, start, taus)
     a, w = sched.a, sched.w
     eta = float(np.einsum("nm,nm->n", a, r).min()) / m_slots
-    bound = float(np.max(w[:, None] * r, axis=0).sum()) / (m_slots * w.sum())
-    gap = (bound - eta) / (1.0 + eta)
+    gap = (dual_bound(w, r) - eta) / (1.0 + eta)
     over = float(a.sum(axis=0).max()) - 1.0
     ok = a.min() >= 0.0 and over <= _CERT_TOL and gap <= _CERT_TOL
     return SolverReport(
@@ -138,6 +137,18 @@ def solve_lp(rates, start=None) -> SolverReport:
         message="" if ok else (f"certificate failed: relative gap {gap:.3e}, "
                                f"slot sum over one by {over:.3e}"),
         duals=w, smoothed=sched.smoothed)
+
+
+def dual_bound(weights, rates):
+    """Upper bound on the max-min LP's eta for rates (N, M) from node
+    weights w >= 0, not all zero: sum_m max_n w_n r_nm / (M sum w), the
+    LP dual's objective at w normalized to sum one.  Weak duality (Boyd &
+    Vandenberghe, *Convex Optimization*, section 5.2.2) makes it hold for
+    any such w; at the LP's own duals it is the certificate's bound."""
+    w = np.asarray(weights, dtype=float)
+    r = np.asarray(rates, dtype=float)
+    return float(np.max(w[:, None] * r, axis=0).sum()) / (r.shape[1]
+                                                           * w.sum())
 
 
 def _max_min(r, start, taus):
@@ -888,23 +899,24 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
     rate_rows, eta_rows = epigraph[0][0], epigraph[-1][0]
     row_scale = np.abs(rows.d)
 
-    lam = ((1.0 + abs(float(c @ x))) / m) / g
-    best = p
     best_obj = obj = float(c @ x)
+    log_g = float(np.sum(np.log(g)))
+    lam = ((1.0 + abs(obj)) / m) / g
+    best = p
     c_scale = 1.0 + float(np.max(np.abs(c)))
     trace = []
     it_total = 0
     stall = ""             # why the loop stopped short, if it did
     sigma = 0.2
-    # point p = (x, g), Jacobian gu and dual residual rd always belong to
-    # (x, lam)
+    # point p = (x, g), its c x and sum log g, Jacobian gu and dual
+    # residual rd always belong to (x, lam)
     rd = c + system.rmatvec(gu, lam)
 
     for _ in range(MAX_NEWTON_STEPS):
         gap = float(lam @ g)
-        denom = c_scale + system.dual_scale(gu, lam)
-        if (np.max(np.abs(rd)) <= STOP_TOL * denom
-                and gap <= 3.0 * STOP_TOL * (1.0 + abs(obj))):
+        if (gap <= 3.0 * STOP_TOL * (1.0 + abs(obj))
+                and np.max(np.abs(rd)) <= STOP_TOL * (
+                    c_scale + system.dual_scale(gu, lam))):
             break
 
         mu_t = max(sigma * gap / m, 1e-18 * (1.0 + abs(obj)))
@@ -946,15 +958,17 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
                                  initial=np.inf)))
         # Armijo on the barrier function c x + mu sum log g(x): its slope
         # along dx is (c + G'(mu / g)) dx = dx' H dx > 0
-        phi = float(c @ x) + mu_t * float(np.sum(np.log(g)))
+        phi = obj + mu_t * log_g
         slope = float(c @ dx) + float(mu_g @ gdx)
         for t in _trial_steps(t, t_max):
             pt = rows.at(x + t * dx)
             if not pt.g.min() > 0.0:
                 pt = _epigraph_correction(epigraph, rows, pt, g + t * gdx)
-            if pt.g.min() > 0.0 and (float(c @ pt.x) + mu_t * float(
-                    np.sum(np.log(pt.g))) >= phi + 1e-4 * t * slope):
-                break
+            if pt.g.min() > 0.0:
+                pt_obj = float(c @ pt.x)
+                pt_log_g = float(np.sum(np.log(pt.g)))
+                if pt_obj + mu_t * pt_log_g >= phi + 1e-4 * t * slope:
+                    break
         else:
             stall = "step rejected by barrier backtracking"
             break
@@ -964,7 +978,7 @@ def maximize_concave_program(objective, rows, start) -> SolverReport:
         rd = c + system.rmatvec(gu, lam)
         it_total += 1
         sigma = 0.8 if t < 0.2 else (0.1 if t > 0.8 else 0.3)
-        obj = float(c @ x)
+        obj, log_g = pt_obj, pt_log_g
         trace.append(obj)
         if obj > best_obj:
             best_obj = obj

@@ -1,5 +1,5 @@
 """``benchmarks/bench_determinacy.py``: the spread record on hand-made
-runs, and its HiGHS interior-point LP against ``solve_lp``."""
+runs, and its HiGHS interior-point LP, duals too, against ``solve_lp``."""
 
 import importlib.util
 from pathlib import Path
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavrice.solvers import solve_lp
+from uavrice.solvers import dual_bound, solve_lp
 
 _PATH = (Path(__file__).resolve().parent.parent / "benchmarks"
          / "bench_determinacy.py")
@@ -38,5 +38,8 @@ def test_highs_ipm_lp_matches_solve_lp(seed):
     rep = bench_determinacy.highs_ipm_lp(rates)
     assert rep.status == "optimal" and rep.x.shape == rates.shape
     assert np.all(rep.x >= 0.0) and np.all(rep.x.sum(axis=0) <= 1.0)
-    assert rep.objective == pytest.approx(solve_lp(rates).objective,
-                                          rel=1e-7)
+    exact = solve_lp(rates)
+    assert rep.objective == pytest.approx(exact.objective, rel=1e-7)
+    # its node weights are the LP's duals, so the planner's bound holds
+    np.testing.assert_allclose(rep.duals, exact.duals, atol=1e-7)
+    assert dual_bound(rep.duals, rates) >= exact.objective

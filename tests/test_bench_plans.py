@@ -14,7 +14,7 @@ _spec.loader.exec_module(bench_plans)
 
 
 def _run(sha="aa", outer_iters=17, vertical_max_steps=20,
-         vertical_trials=500):
+         vertical_trials=500, lp_calls=15):
     """One plan's record as ``run_plan`` writes it, without timings."""
     blocks = {name: {"calls": 17, "newton_steps": 219, "max_steps": 20,
                      "not_optimal": 0, "trials": 500, "corrections": 400}
@@ -22,14 +22,17 @@ def _run(sha="aa", outer_iters=17, vertical_max_steps=20,
     blocks["vertical"]["max_steps"] = vertical_max_steps
     blocks["vertical"]["trials"] = vertical_trials
     return {"eta_achieved": 0.25, "sha256": sha, "outer_iters": outer_iters,
-            "newton_steps": 438, "lp_pivots": 8, "ipm_not_optimal": 0,
+            "newton_steps": 438, "lp_calls": lp_calls, "lp_pivots": 8,
+            "ipm_not_optimal": 0,
             "trials": 500 + vertical_trials, "corrections": 800,
             "blocks": blocks}
 
 
 def test_parity_pairs_every_count():
-    par = bench_plans.parity(_run(), _run(sha="bb", outer_iters=18))
+    par = bench_plans.parity(_run(), _run(sha="bb", outer_iters=18,
+                                          lp_calls=5))
     assert par["sha256_equal"] is False and par["eta_rel_change"] == 0.0
+    assert par["lp_calls"] == [15, 5] and par["lp_pivots"] == [8, 8]
     assert par["outer_iters"] == [17, 18] and par["newton_steps"] == [438, 438]
     assert par["blocks"]["vertical"]["max_steps"] == [20, 20]
     assert par["trials"] == [1000, 1000] and par["corrections"] == [800, 800]
@@ -38,15 +41,16 @@ def test_parity_pairs_every_count():
     old = _run()
     del old["blocks"]
     assert "blocks" not in bench_plans.parity(old, _run())
-    # nor trial counts where it lacks them
+    # nor LP calls and trial counts where it lacks them
     old = _run()
+    del old["lp_calls"]
     for rec in [old, *old["blocks"].values()]:
         del rec["trials"], rec["corrections"]
     par = bench_plans.parity(old, _run(vertical_trials=60))
-    assert par["trials"] == [None, 560]
+    assert par["lp_calls"] == [None, 15] and par["trials"] == [None, 560]
     assert par["blocks"]["vertical"]["trials"] == [None, 60]
-    assert "| None -> 560 | None -> 800 |" in bench_plans.parity_table(
-        {"p": {"parity": par}})
+    assert ("| 8 -> 8 | 0 -> 0 | None -> 15 | None -> 560 | None -> 800 |"
+            in bench_plans.parity_table({"p": {"parity": par}}))
 
 
 @pytest.mark.parametrize("change, moved, drift", [
@@ -56,7 +60,9 @@ def test_parity_pairs_every_count():
     ({"vertical_max_steps": 21}, "none", "p"),
     ({"sha": "bb", "outer_iters": 18}, "p", "p"),
     ({"vertical_trials": 60}, "none", "none"),
-], ids=["equal", "sha256", "outer-iters", "block-count", "both", "trials"])
+    ({"lp_calls": 5}, "none", "none"),
+], ids=["equal", "sha256", "outer-iters", "block-count", "both", "trials",
+        "lp-calls"])
 def test_exit_rule_names_sha256_and_count_changes(change, moved, drift,
                                                   capsys):
     runs = {"p": _run(**change), "q": _run(sha="new")}

@@ -204,7 +204,7 @@ class TestScheduling:
         # node 0 only earns in slot 1, node 1 only in slot 2; giving each
         # node its own slot yields averages (1.0, 0.5), so eta* = 0.5
         rates = np.array([[2.0, 0.0], [0.0, 1.0]])
-        a, eta, _ = solve_scheduling(rates)
+        a, eta, *_ = solve_scheduling(rates)
         assert eta == pytest.approx(0.5, abs=1e-9)
         assert a[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert a[1, 1] == pytest.approx(1.0, abs=1e-8)
@@ -213,7 +213,7 @@ class TestScheduling:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rates = rng.uniform(0.1, 5.0, size=(4, 12))
-            a, eta, _ = solve_scheduling(rates)
+            a, eta, *_ = solve_scheduling(rates)
             assert np.allclose(a.sum(axis=0), 1.0, atol=1e-9)
             totals = np.einsum("nm,nm->n", a, rates)
             assert eta == pytest.approx(totals.min() / 12, abs=1e-12)
@@ -243,7 +243,7 @@ class TestScheduling:
         # leaves it empty and rounding marks it idle (-1); the other slots
         # still fill and eta is the hand-solved 0.75 (slot 3 split 1:3)
         rates = np.array([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0]])
-        a, eta, _ = solve_scheduling(rates)
+        a, eta, *_ = solve_scheduling(rates)
         assert eta == pytest.approx(0.75, abs=1e-9)
         np.testing.assert_allclose(a[:, [0, 2]].sum(axis=0), 1.0, atol=1e-9)
         assert np.all(a[:, 1] == 0.0)
@@ -252,12 +252,12 @@ class TestScheduling:
     def test_unreachable_node_leaves_the_others_scheduled(self):
         # node 1 earns nothing anywhere, so eta is 0; node 0 still gets
         # slot 0, and slot 1 (no rate at all) stays idle
-        a, eta, _ = solve_scheduling([[1.0, 0.0], [0.0, 0.0]])
+        a, eta, *_ = solve_scheduling([[1.0, 0.0], [0.0, 0.0]])
         assert eta == 0.0
         np.testing.assert_array_equal(a, [[1.0, 0.0], [0.0, 0.0]])
         # with a third node the reachable pair keeps its own max-min split
         # (the hand-solved 1:3 share of slot 2 above)
-        a, eta, _ = solve_scheduling([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0],
+        a, eta, *_ = solve_scheduling([[2.0, 0.0, 1.0], [1.0, 0.0, 3.0],
                                    [0.0, 0.0, 0.0]])
         assert eta == 0.0
         np.testing.assert_allclose(a, [[1.0, 0.0, 0.25], [0.0, 0.0, 0.75],
@@ -287,7 +287,7 @@ class TestScheduling:
         rng = np.random.default_rng(4)
         for _ in range(10):
             rates = rng.uniform(0.0, 3.0, size=(3, 9))
-            _, eta, _ = solve_scheduling(rates)
+            _, eta, *_ = solve_scheduling(rates)
             uniform = (rates.mean(axis=1) / 3).min()
             assert eta >= uniform - 1e-9
 
@@ -372,7 +372,7 @@ class TestRounding:
         rng = np.random.default_rng(5)
         for _ in range(20):
             rates = rng.uniform(0.0, 4.0, size=(3, 15))
-            a, _, _ = solve_scheduling(rates)
+            a, *_ = solve_scheduling(rates)
             sn = round_schedule(a, rates)
             raw = np.argmax(a, axis=0)
 
@@ -381,7 +381,7 @@ class TestRounding:
 
             assert min_avg(sn) >= min_avg(raw) - 1e-12
             # and rounding can never beat the fractional relaxation
-            _, eta_frac, _ = solve_scheduling(rates)
+            _, eta_frac, *_ = solve_scheduling(rates)
             assert min_avg(sn) <= eta_frac + 1e-9
 
 
@@ -393,7 +393,7 @@ def _built_step(block, model, bent=False):
     scen = _scenario([[260.0, 310.0], [700.0, 620.0], [150.0, -40.0]],
                      m_slots=10, duration_s=10.0)
     plan = initialize_plan(scen)
-    plan.a, _, _ = solve_scheduling(
+    plan.a, *_ = solve_scheduling(
         predicted_rates(plan.q, plan.z, scen, model))
     if bent:
         plan.q = solve_horizontal(plan, scen, model, reports=[])
@@ -447,7 +447,7 @@ class TestTrajectoryBlocks:
     def test_horizontal_block_improves_single_node(self):
         scen = _scenario([[300.0, 200.0]])
         plan = initialize_plan(scen)
-        plan.a, _, _ = solve_scheduling(
+        plan.a, *_ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, FIT))
         before = max_min_rate(plan.a,
                               predicted_rates(plan.q, plan.z, scen, FIT))
@@ -509,7 +509,7 @@ class TestTrajectoryBlocks:
         # alone, and there is no t column and no tie row
         scen = _scenario([[300.0, 200.0]])
         plan = initialize_plan(scen)
-        plan.a, _, _ = solve_scheduling(
+        plan.a, *_ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, FIT))
         for data in (planner._horizontal_block(plan, scen),
                      planner._vertical_block(plan, scen)):
@@ -728,7 +728,7 @@ class TestTrajectoryBlocks:
         scen = load_scenario(bundled_scenario("scenario_4sn.json"))
         model = fit_for_scenario(scen)
         plan = initialize_plan(scen)
-        plan.a, _, _ = solve_scheduling(
+        plan.a, *_ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, model))
         data = (planner._horizontal_block if block == "horizontal"
                 else planner._vertical_block)(plan, scen)
@@ -837,44 +837,171 @@ class TestOuterLoop:
                   for h in evaluation.cruise_levels(scen)]
         plan, info = run_bcd(scen, model, freeze_vertical=frozen,
                              starts=starts)
-        a, eta, _ = solve_scheduling(predicted_rates(plan.q, plan.z, scen,
+        a, eta, *_ = solve_scheduling(predicted_rates(plan.q, plan.z, scen,
                                                      model))
         assert np.array_equal(plan.a, a)
         assert info["eta_model"] == eta
         assert np.all(np.diff(info["trace"]) >= 0.0)
 
-    def test_rfb_solves_one_lp_per_start_and_per_trial(self, monkeypatch):
-        # rfb on scenario_4sn: one LP per cruise level and one per
-        # trajectory trial, 9 + 6, and none twice on equal rates.  The
-        # first level's LP is cold; every other starts from the smoothed
-        # weights of the previous level's or of the incumbent's LP, and
-        # gives the cold LP's answer to the bit
+    def test_rfb_solves_only_the_lps_duality_leaves_open(self,
+                                                         monkeypatch):
+        # rfb on scenario_4sn has 9 + 6 candidates, one start per cruise
+        # level and one trial per block per outer iteration, and solves
+        # 1 + 4 LPs: the first start scanned leads, and the incumbent's LP
+        # duals bound the other 10 below its max-min.  Each skipped
+        # candidate's cold LP is indeed below the incumbent's, so no skip
+        # changed a decision; no LP runs twice on equal rates; the first
+        # LP is cold, and every other starts from the smoothed weights of
+        # an earlier one and gives the cold LP's answer to the bit
         scen = load_scenario(bundled_scenario("scenario_4sn.json"))
         model = fit_for_scenario(scen)
-        calls = []
-        lp = planner.solve_lp
+        events = []      # ("rates", r) per candidate, ("lp", r, start, rep)
+        rates_of, lp = planner.predicted_rates, planner.solve_lp
 
-        def spy(rates, start=None):
-            calls.append((np.array(rates), start, lp(rates, start)))
-            return calls[-1][2]
+        def rates_spy(*args):
+            events.append(("rates", rates_of(*args)))
+            return events[-1][1]
 
-        monkeypatch.setattr(planner, "solve_lp", spy)
+        def lp_spy(rates, start=None):
+            events.append(("lp", np.array(rates), start, lp(rates, start)))
+            return events[-1][3]
+
+        monkeypatch.setattr(planner, "predicted_rates", rates_spy)
+        monkeypatch.setattr(planner, "solve_lp", lp_spy)
         _, rep = run_scheme("rfb", scen, model, simulate=False)
         monkeypatch.undo()
         levels = len(evaluation.cruise_levels(scen))
         assert (levels, rep.extras["iterations"]) == (9, 3)
-        assert len(calls) == levels + 2 * rep.extras["iterations"] == 15
-        assert len({rates.tobytes() for rates, _, _ in calls}) == len(calls)
+        calls = [e[1:] for e in events if e[0] == "lp"]
+        assert len(calls) == 5
+        solved = {rates.tobytes() for rates, _, _ in calls}
+        assert len(solved) == len(calls)
+        assert rep.extras["trace"][0] == calls[0][2].objective
+
+        # the incumbent's max-min at a candidate is the largest LP max-min
+        # before it; every start's rates come before the first LP
+        skipped, top, n_cand = 0, -np.inf, 0
+        first_lp = next(i for i, e in enumerate(events) if e[0] == "lp")
+        lead = max(e[3].objective for e in events[:first_lp + 1]
+                   if e[0] == "lp")
+        for event in events:
+            if event[0] == "lp":
+                top = max(top, event[3].objective)
+                continue
+            n_cand += 1
+            rates = event[1]
+            if rates.tobytes() not in solved:
+                skipped += 1
+                incumbent = lead if n_cand <= levels else top
+                assert lp(rates).objective < incumbent
+        assert n_cand == levels + 2 * rep.extras["iterations"] == 15
+        assert skipped == 10
+
         assert calls[0][1] is None
         for i, (rates, start, warm) in enumerate(calls[1:], 1):
-            if i < levels:
-                assert start is calls[i - 1][2].smoothed
-            else:
-                assert any(start is c[2].smoothed for c in calls[:i])
+            assert any(start is c[2].smoothed for c in calls[:i])
             cold = lp(rates)
             assert warm.x.tobytes() == cold.x.tobytes()
             assert (warm.objective, warm.status, warm.stationarity) == (
                 cold.objective, cold.status, cold.stationarity)
+
+    def test_equal_best_starts_pick_the_first(self, monkeypatch):
+        # two starts with equal rates, the best level's straight line with
+        # its free waypoints' y at +0.0 and at -0.0, tie on the LP max-min:
+        # as a full scan of cold LPs does, the ascent starts from the first
+        # of them, which the sign of zero in the first horizontal step's
+        # plan names
+        scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
+                         duration_s=10.0)
+        levels = [evaluation._level_start(scen, h)
+                  for h in (100.0, 150.0, 200.0)]
+
+        def cold_eta(plan):
+            return solvers.solve_lp(predicted_rates(plan.q, plan.z, scen,
+                                                    FIT)).objective
+
+        etas = [cold_eta(p) for p in levels]
+        top = levels[etas.index(max(etas))]
+        neg = top.copy()
+        neg.q[1:-1, 1] = -0.0
+        assert neg.q.tobytes() != top.q.tobytes()
+        seen = []
+        real = planner.solve_horizontal
+
+        def spy(plan, *args, **kw):
+            seen.append(plan.q.tobytes())
+            return real(plan, *args, **kw)
+
+        monkeypatch.setattr(planner, "solve_horizontal", spy)
+        monkeypatch.setattr(planner, "BCD_MAX_ITERS", 1)
+        others = [p for p in levels if p is not top]
+        for pair in ((top, neg), (neg, top)):
+            starts = [*others, *pair, top]
+            full = [cold_eta(p) for p in starts]
+            assert starts[full.index(max(full))] is pair[0]
+            seen.clear()
+            run_bcd(scen, FIT, freeze_vertical=True, starts=starts)
+            assert seen[0] == pair[0].q.tobytes()
+
+    def test_tie_scanned_later_with_a_lower_index_wins(self, monkeypatch):
+        # start 1's rates [[2, 1], [1, 2]] have the larger own-total bound
+        # (1.5 against 1), so its LP runs first, but both LPs give each
+        # node its own slot at eta 1: the pick is start 0, as in a full
+        # scan, and the first horizontal step sees its altitudes
+        scen = _scenario([[40.0, 50.0], [60.0, -50.0]], m_slots=2,
+                         duration_s=2.0, qf=(80.0, 0.0))
+        starts = [evaluation._level_start(scen, h) for h in (100.0, 110.0)]
+        fake = {starts[0].z.tobytes(): np.array([[2.0, 0.0], [0.0, 2.0]]),
+                starts[1].z.tobytes(): np.array([[2.0, 1.0], [1.0, 2.0]])}
+        real_rates = planner.predicted_rates
+        real_step = planner.solve_horizontal
+        seen = []
+
+        def rates(q, z, *args):
+            key = np.asarray(z).tobytes()
+            return fake[key] if key in fake else real_rates(q, z, *args)
+
+        def step(plan, *args, **kw):
+            seen.append(plan.z.tobytes())
+            return real_step(plan, *args, **kw)
+
+        monkeypatch.setattr(planner, "predicted_rates", rates)
+        monkeypatch.setattr(planner, "solve_horizontal", step)
+        monkeypatch.setattr(planner, "BCD_MAX_ITERS", 1)
+        _, info = run_bcd(scen, FIT, freeze_vertical=True, starts=starts)
+        assert info["trace"][0] == 1.0
+        assert seen[0] == starts[0].z.tobytes()
+
+    def test_single_node_bound_is_the_lp_value(self, monkeypatch):
+        # with one node the LP gives it every slot at weight 1, so a
+        # candidate's bound is its own LP max-min: a candidate is skipped
+        # exactly when its LP would fall short.  The ascent still keeps
+        # its own LP schedule and a trace that never falls
+        scen = _scenario([[150.0, 120.0]])
+        pairs = []
+        real = planner.dual_bound
+
+        def spy(weights, rates):
+            pairs.append((real(weights, rates),
+                          solvers.solve_lp(rates).objective))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(planner, "dual_bound", spy)
+        starts = [evaluation._level_start(scen, h)
+                  for h in (100.0, 150.0, 200.0)]
+        plan, info = run_bcd(scen, FIT, starts=starts)
+        assert len(pairs) >= len(starts) - 1
+        for bound, eta in pairs:
+            assert bound == pytest.approx(eta, rel=1e-14)
+        a, eta, *_ = solve_scheduling(predicted_rates(plan.q, plan.z, scen,
+                                                      FIT))
+        assert np.array_equal(plan.a, a) and info["eta_model"] == eta
+        assert np.all(np.diff(info["trace"]) >= 0.0)
+        _assert_feasible(plan, scen)
+
+    def test_no_start_is_refused(self):
+        with pytest.raises(ValueError, match="at least one start"):
+            run_bcd(_scenario([[150.0, 120.0]]), FIT, starts=[])
 
     def test_line_of_sight_model_has_unit_gain(self):
         scen = _scenario([[400.0, 300.0]])
@@ -1139,7 +1266,7 @@ def test_random_small_scenarios_plan_cleanly(scen):
     for scheme, model in (("lb", LOS_MODEL), ("rfb", FIT)):
         plan, rep = run_scheme(scheme, scen, model, simulate=False)
         assert check_plan(plan, scen) == [], scheme
-        lp, _, _ = solve_scheduling(
+        lp, *_ = solve_scheduling(
             predicted_rates(plan.q, plan.z, scen, model))
         assert np.array_equal(plan.a, lp), scheme
         trace = rep.extras["trace"]

@@ -37,6 +37,7 @@ from uavrice.files import bundled_scenario, load_scenario
 from uavrice.solvers import (
     ConcaveRows,
     _NewtonSystem,
+    dual_bound,
     maximize_concave_program,
     solve_lp,
 )
@@ -171,6 +172,29 @@ class TestSolveLP:
                     cold.objective, cold.status, cold.feasibility,
                     cold.stationarity)
                 assert np.all(warm.smoothed > 0.0)
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.3, 0.8])
+    def test_dual_bound_lies_above_eta_at_any_weights(self, zeros):
+        # weak duality on 3 x 40 seeded rate blocks, the zero rates
+        # splitting some into components and leaving some nodes without
+        # any rate: the bound at random nonnegative weights, some of them
+        # zero, is never below eta (the rounding of an M-term sum aside),
+        # and at the LP's own duals it is the certificate's bound
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 200))
+            rates = rng.uniform(0.05, 5.0, (n, m)) * 10.0 ** rng.uniform(
+                -3.0, 3.0, (n, 1))
+            rates[rng.random((n, m)) < zeros] = 0.0
+            rep = solve_lp(rates)
+            for _ in range(20):
+                w = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+                w[rng.integers(n)] += 0.5
+                assert dual_bound(w, rates) >= rep.objective * (1 - 1e-13)
+            own = dual_bound(rep.duals, rates)
+            assert rep.stationarity == max(
+                0.0, (own - rep.objective) / (1.0 + rep.objective))
+            assert own == pytest.approx(rep.objective, rel=1e-12, abs=1e-300)
 
     def test_smoothing_runs_the_short_ladder_from_a_warm_start(self,
                                                                monkeypatch):
