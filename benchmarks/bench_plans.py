@@ -11,7 +11,9 @@ with the surrogate fitted to ``scenario_4sn``.  Under ``fits`` it records
 each fit's wall time (``fit_logistic`` alone), b1, b2, c1 and rmse: one
 per bundled scenario and one per point of a grid, the outage targets
 ``FIT_EPS`` by k_max in ``FIT_KMAX_DB`` (k_min 0 dB, 200 samples).  Per plan it records the
-wall time, the outer iterations, the interior-point solves (calls, Newton
+wall time, the outer iterations, why the ascent stopped
+(``extras["stop"]``), its block attempts (calls of the two trajectory
+blocks, skipped ones included), the interior-point solves (calls, Newton
 steps, and how many did not end "optimal"), the scheduling LPs (calls and
 dual-simplex pivots), ``eta_achieved``, ``extras["ipm_not_optimal"]`` and the sha256 of
 the plan's ``q``, ``z`` and ``a`` bytes.  Under ``blocks`` it splits the
@@ -39,9 +41,10 @@ output: whether the sha256 is equal, the relative change in
 ``eta_achieved``, and the outer iterations, Newton steps, LP pivots and
 non-optimal interior-point solves as [previous, this run], and each
 block's counts the same way when the earlier output has them.  The LP
-calls, the trials and the corrections are paired the same way (None where
-the earlier output lacks them), but they are reported, not gated: a
-change to which LPs run or to the line search may move them while every
+calls, the trials, the corrections, the stop reason and the block
+attempts are paired the same way (None where the earlier output lacks
+them), but they are reported, not gated: a change to which LPs run, to
+the line search or to when the ascent stops may move them while every
 plan stays.  The comparison
 goes into each run's ``parity`` entry and, as Markdown tables,
 to stderr; a run the earlier output lacks gets none.  The stderr report
@@ -111,21 +114,22 @@ BLOCKS = ("horizontal", "vertical")
 BLOCK_COUNTS = ("calls", "newton_steps", "max_steps", "not_optimal")
 #: line-search counts, per block and per plan: reported, not gated
 TRIAL_COUNTS = ("trials", "corrections")
-#: plan counts paired by ``--against`` but not gated: a change to which
-#: LPs run may move them while every plan and gated count stays
-REPORTED_COUNTS = ("lp_calls",) + TRIAL_COUNTS
+#: plan fields paired by ``--against`` but not gated: a change to which
+#: LPs run or to when the ascent stops may move them while every plan and
+#: gated count stays
+REPORTED = ("lp_calls",) + TRIAL_COUNTS + ("stop", "attempts")
 
 
 class Counter:
     """Collects the interior-point reports of each trajectory block, counts
-    each block's line-search trials and epigraph corrections, and counts
-    the scheduling LPs while installed."""
+    the block attempts, each block's line-search trials and epigraph
+    corrections, and the scheduling LPs while installed."""
 
     def __init__(self):
         self.reports = {name: [] for name in BLOCKS}
         self.line_search = {name: dict.fromkeys(TRIAL_COUNTS, 0)
                             for name in BLOCKS}
-        self.lp = self.pivots = 0
+        self.lp = self.pivots = self.attempts = 0
         self.block = None
 
     def __enter__(self):
@@ -138,6 +142,7 @@ class Counter:
             def counted(*args, reports, **kwargs):
                 mine = []
                 self.block = name
+                self.attempts += 1
                 out = solve(*args, reports=mine, **kwargs)
                 self.reports[name] += mine
                 reports += mine
@@ -196,6 +201,8 @@ def run_plan(scheme, scenario, model):
     return {
         "wall_s": round(wall, 4),
         "outer_iters": rep.extras["iterations"],
+        "stop": rep.extras["stop"],
+        "attempts": count.attempts,
         "ipm_calls": sum(b["calls"] for b in blocks.values()),
         "newton_steps": sum(b["newton_steps"] for b in blocks.values()),
         "ipm_not_optimal": sum(b["not_optimal"] for b in blocks.values()),
@@ -302,7 +309,7 @@ def parity(prev, run):
     out = {"sha256_equal": prev["sha256"] == run["sha256"],
            "eta_rel_change": (run["eta_achieved"] - eta0) / abs(eta0)}
     out.update({key: [prev[key], run[key]] for key in PARITY_COUNTS})
-    out.update({key: [prev.get(key), run[key]] for key in REPORTED_COUNTS})
+    out.update({key: [prev.get(key), run[key]] for key in REPORTED})
     if "blocks" in prev:
         out["blocks"] = {
             name: {key: [prev["blocks"][name].get(key),
@@ -314,7 +321,7 @@ def parity(prev, run):
 
 def _count_pairs(par):
     """Every gated [previous, this run] count pair of a ``parity`` entry:
-    the REPORTED_COUNTS are left out."""
+    the REPORTED fields are left out."""
     pairs = [par[key] for key in PARITY_COUNTS]
     for block in par.get("blocks", {}).values():
         pairs += [block[key] for key in BLOCK_COUNTS]
@@ -350,13 +357,14 @@ def parity_table(runs):
     """Markdown table of the runs' ``parity`` entries."""
     lines = ["| plan | sha256 equal | eta rel. change | outer iters "
              "| Newton steps | LP pivots | IPM not optimal | LP calls "
-             "| trials | corrections |", "|---" * 10 + "|"]
+             "| trials | corrections | stop | block attempts |",
+             "|---" * 12 + "|"]
     for key, run in runs.items():
         if "parity" not in run:
             continue
         par = run["parity"]
         counts = " | ".join("{} -> {}".format(*par[c])
-                            for c in PARITY_COUNTS + REPORTED_COUNTS)
+                            for c in PARITY_COUNTS + REPORTED)
         lines.append(f"| {key} | {'yes' if par['sha256_equal'] else 'no'} "
                      f"| {par['eta_rel_change']:.2e} | {counts} |")
     return "\n".join(lines)

@@ -405,6 +405,7 @@ def run_scheme(scheme, scenario: Scenario, model: Optional[LogisticModel] = None
     extras = {"trace": [float(t) for t in info["trace"]],
               "iterations": info["iterations"],
               "converged": info["converged"],
+              "stop": info["stop"],
               "ipm_not_optimal": info["ipm_not_optimal"]}
     if scheme == "rffsa":
         extras["altitude_sweep"] = sweep

@@ -14,6 +14,7 @@ k corresponds to slot k+1 at waypoint k+1.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -499,16 +500,19 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
     starts from the first start whose LP max-min is largest, and its LP
     schedule replaces the start's own.  Every later LP is warm-started from the incumbent's
     smoothed weights.  A block's move is accepted iff the trial's LP
-    max-min is at least the incumbent's, and each outer iteration tries
-    each block once.  The ascent stops, converged, when an iteration gains
-    less than ``BCD_TOL`` relative or accepts no trajectory move, a fixed
-    point, and unconverged after ``BCD_MAX_ITERS`` iterations.  The chosen
-    start and every trial (under the incumbent's schedule) must pass
-    check_plan, or RuntimeError names the block and the violations.
-    Returns (plan, info) where info carries the per-iteration objective
-    trace, iteration count, convergence flag, and ``ipm_not_optimal``:
-    per trajectory block, how many interior-point solves did not end
-    "optimal" (their moves face the same test).
+    max-min is at least the incumbent's.  Each outer iteration tries the
+    horizontal block, then the vertical one.  After every attempt (skipped
+    or rejected too) the ascent stops, converged, when the last attempts,
+    one per block, gain less than ``BCD_TOL`` relative (``stop``
+    "tolerance", or "fixed point" when they accepted no move), and
+    unconverged after ``BCD_MAX_ITERS`` outer iterations ("iteration
+    cap").  The chosen start and every trial (under the incumbent's
+    schedule) must pass check_plan, or RuntimeError names the block and
+    the violations.  Returns (plan, info) where info carries the objective
+    trace (the start, then one per outer iteration begun), the
+    ``iterations`` begun, the convergence flag, ``stop`` and
+    ``ipm_not_optimal``: per trajectory block, how many interior-point
+    solves did not end "optimal" (their moves face the same test).
     """
     if starts is None:
         starts = [initialize_plan(scenario)]
@@ -537,24 +541,22 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
             inc, pick = cand, i
     plan, eta = inc[:2]
     _require_feasible(plan, scenario, "scheduling")
+    # block functions are looked up per call, so module wrappers apply
+    blocks = [("q", "horizontal", solve_horizontal)]
+    if not freeze_vertical:
+        blocks.append(("z", "vertical", solve_vertical))
+    n = len(blocks)
     trace = [eta]
-    converged = False
-    iterations = 0
+    window = deque([inc], maxlen=n + 1)     # incumbents of the last n attempts
+    stop = None
     not_optimal = {"horizontal": 0, "vertical": 0}
 
-    for _ in range(BCD_MAX_ITERS):
-        iterations += 1
-        # block functions are looked up per call, so module wrappers apply
-        blocks = [("q", "horizontal", solve_horizontal)]
-        if not freeze_vertical:
-            blocks.append(("z", "vertical", solve_vertical))
-        moved = False
-        for attr, name, solve in blocks:
-            reports = []
-            new = solve(plan, scenario, model, reports=reports)
-            not_optimal[name] += sum(r.status != "optimal" for r in reports)
-            if new is None:
-                continue
+    for k in range(1, BCD_MAX_ITERS * n + 1):
+        attr, name, solve = blocks[(k - 1) % n]
+        reports = []
+        new = solve(plan, scenario, model, reports=reports)
+        not_optimal[name] += sum(r.status != "optimal" for r in reports)
+        if new is not None:
             trial = replace(plan, **{attr: new})
             _require_feasible(trial, scenario, name)
             trial = scheduled(trial, predicted_rates(trial.q, trial.z,
@@ -562,16 +564,17 @@ def run_bcd(scenario: Scenario, model: LogisticModel, *,
             if trial and trial[1] >= eta:
                 inc = trial
                 plan, eta = inc[:2]
-                moved = True
+        window.append(inc)
+        old = window[0]
+        if k >= n and (eta - old[1]) / max(abs(old[1]), 1e-12) < BCD_TOL:
+            # with no move taken the next window would replay this one
+            stop = "fixed point" if old is inc else "tolerance"
+        if stop or k % n == 0:
+            trace.append(eta)       # one entry per outer iteration begun
+            if stop:
+                break
 
-        rel = (eta - trace[-1]) / max(abs(trace[-1]), 1e-12)
-        trace.append(eta)
-        # with no trajectory move the next iteration would replay this one:
-        # the same programs from the same scheduled plan
-        if not moved or 0.0 <= rel < BCD_TOL:
-            converged = True
-            break
-
-    info = {"trace": trace, "iterations": iterations, "converged": converged,
+    info = {"trace": trace, "iterations": len(trace) - 1,
+            "converged": stop is not None, "stop": stop or "iteration cap",
             "eta_model": eta, "ipm_not_optimal": not_optimal}
     return plan, info

@@ -1,6 +1,6 @@
 """``benchmarks/bench_plans.py --against``: the parity record and the exit
 rule, on hand-made run records with no planning, and the line-search
-counts on one small plan."""
+counts, block attempts and stop reason on one small plan."""
 
 import importlib.util
 from pathlib import Path
@@ -14,7 +14,7 @@ _spec.loader.exec_module(bench_plans)
 
 
 def _run(sha="aa", outer_iters=17, vertical_max_steps=20,
-         vertical_trials=500, lp_calls=15):
+         vertical_trials=500, lp_calls=15, stop="tolerance", attempts=34):
     """One plan's record as ``run_plan`` writes it, without timings."""
     blocks = {name: {"calls": 17, "newton_steps": 219, "max_steps": 20,
                      "not_optimal": 0, "trials": 500, "corrections": 400}
@@ -22,16 +22,22 @@ def _run(sha="aa", outer_iters=17, vertical_max_steps=20,
     blocks["vertical"]["max_steps"] = vertical_max_steps
     blocks["vertical"]["trials"] = vertical_trials
     return {"eta_achieved": 0.25, "sha256": sha, "outer_iters": outer_iters,
-            "newton_steps": 438, "lp_calls": lp_calls, "lp_pivots": 8,
-            "ipm_not_optimal": 0,
+            "stop": stop, "attempts": attempts, "newton_steps": 438,
+            "lp_calls": lp_calls, "lp_pivots": 8, "ipm_not_optimal": 0,
             "trials": 500 + vertical_trials, "corrections": 800,
             "blocks": blocks}
 
 
 def test_parity_pairs_every_count():
     par = bench_plans.parity(_run(), _run(sha="bb", outer_iters=18,
-                                          lp_calls=5))
+                                          lp_calls=5, stop="fixed point",
+                                          attempts=35))
     assert par["sha256_equal"] is False and par["eta_rel_change"] == 0.0
+    assert par["stop"] == ["tolerance", "fixed point"]
+    assert par["attempts"] == [34, 35]
+    assert ("| 15 -> 5 | 1000 -> 1000 | 800 -> 800 "
+            "| tolerance -> fixed point | 34 -> 35 |"
+            in bench_plans.parity_table({"p": {"parity": par}}))
     assert par["lp_calls"] == [15, 5] and par["lp_pivots"] == [8, 8]
     assert par["outer_iters"] == [17, 18] and par["newton_steps"] == [438, 438]
     assert par["blocks"]["vertical"]["max_steps"] == [20, 20]
@@ -41,14 +47,16 @@ def test_parity_pairs_every_count():
     old = _run()
     del old["blocks"]
     assert "blocks" not in bench_plans.parity(old, _run())
-    # nor LP calls and trial counts where it lacks them
+    # nor LP calls, trial counts, stops and attempts where it lacks them
     old = _run()
-    del old["lp_calls"]
+    del old["lp_calls"], old["stop"], old["attempts"]
     for rec in [old, *old["blocks"].values()]:
         del rec["trials"], rec["corrections"]
     par = bench_plans.parity(old, _run(vertical_trials=60))
     assert par["lp_calls"] == [None, 15] and par["trials"] == [None, 560]
     assert par["blocks"]["vertical"]["trials"] == [None, 60]
+    assert par["stop"] == [None, "tolerance"]
+    assert par["attempts"] == [None, 34]
     assert ("| 8 -> 8 | 0 -> 0 | None -> 15 | None -> 560 | None -> 800 |"
             in bench_plans.parity_table({"p": {"parity": par}}))
 
@@ -61,8 +69,9 @@ def test_parity_pairs_every_count():
     ({"sha": "bb", "outer_iters": 18}, "p", "p"),
     ({"vertical_trials": 60}, "none", "none"),
     ({"lp_calls": 5}, "none", "none"),
+    ({"stop": "iteration cap", "attempts": 100}, "none", "none"),
 ], ids=["equal", "sha256", "outer-iters", "block-count", "both", "trials",
-        "lp-calls"])
+        "lp-calls", "stop"])
 def test_exit_rule_names_sha256_and_count_changes(change, moved, drift,
                                                   capsys):
     runs = {"p": _run(**change), "q": _run(sha="new")}
@@ -161,6 +170,12 @@ def test_counter_counts_each_blocks_trials_and_corrections():
     for key in bench_plans.TRIAL_COUNTS:
         assert run[key] == sum(block[key] for block in blocks)
     assert run["corrections"] > 0
+    # every attempt of a block, skipped or not, is counted, and the ascent
+    # begins an outer iteration with each horizontal attempt
+    assert run["attempts"] >= sum(block["calls"] for block in blocks)
+    assert run["attempts"] in (2 * run["outer_iters"] - 1,
+                               2 * run["outer_iters"])
+    assert run["stop"] in ("tolerance", "fixed point")
     # the wrapped helpers are restored
     assert bench_plans.solvers._trial_steps.__name__ == "_trial_steps"
     assert (bench_plans.solvers._epigraph_correction.__name__

@@ -812,6 +812,41 @@ class TestTrajectoryBlocks:
         _assert_feasible(plan, scen)
 
 
+def _script_blocks(monkeypatch, gains):
+    """Scripted trajectory blocks on one node whose surrogate rate is one
+    constant per plan, so a plan's LP max-min is that constant: attempt i
+    moves the incumbent's free waypoints (or altitudes) by 0.1 m, and its
+    trial's rate is the incumbent's times 1 + gains[i]; a None gain skips
+    the attempt.  Returns the list each attempt's block name goes to."""
+    rate_of = {}
+    attempts = []
+
+    def key(q, z):
+        return np.asarray(q).tobytes(), np.asarray(z).tobytes()
+
+    def rates(q, z, scenario, model):
+        return np.full((1, scenario.n_slots), rate_of.get(key(q, z), 1.0))
+
+    def block(name, attr):
+        def solve(plan, scenario, model, *, reports):
+            gain = gains[len(attempts)]
+            attempts.append(name)
+            if gain is None:
+                return None
+            new = getattr(plan, attr).copy()
+            new[1:-1] += 0.1
+            trial = dataclasses.replace(plan, **{attr: new})
+            rate_of[key(trial.q, trial.z)] = (
+                rate_of.get(key(plan.q, plan.z), 1.0) * (1.0 + gain))
+            return new
+        return solve
+
+    monkeypatch.setattr(planner, "predicted_rates", rates)
+    monkeypatch.setattr(planner, "solve_horizontal", block("h", "q"))
+    monkeypatch.setattr(planner, "solve_vertical", block("v", "z"))
+    return attempts
+
+
 class TestOuterLoop:
     def test_trace_never_decreases_any_variant(self):
         scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
@@ -845,10 +880,10 @@ class TestOuterLoop:
 
     def test_rfb_solves_only_the_lps_duality_leaves_open(self,
                                                          monkeypatch):
-        # rfb on scenario_4sn has 9 + 6 candidates, one start per cruise
-        # level and one trial per block per outer iteration, and solves
+        # rfb on scenario_4sn has 9 + 5 candidates, one start per cruise
+        # level and one trial per block attempt (H, V, H, V, H), and solves
         # 1 + 4 LPs: the first start scanned leads, and the incumbent's LP
-        # duals bound the other 10 below its max-min.  Each skipped
+        # duals bound the other 9 below its max-min.  Each skipped
         # candidate's cold LP is indeed below the incumbent's, so no skip
         # changed a decision; no LP runs twice on equal rates; the first
         # LP is cold, and every other starts from the smoothed weights of
@@ -894,8 +929,8 @@ class TestOuterLoop:
                 skipped += 1
                 incumbent = lead if n_cand <= levels else top
                 assert lp(rates).objective < incumbent
-        assert n_cand == levels + 2 * rep.extras["iterations"] == 15
-        assert skipped == 10
+        assert n_cand == levels + 2 * rep.extras["iterations"] - 1 == 14
+        assert skipped == 9
 
         assert calls[0][1] is None
         for i, (rates, start, warm) in enumerate(calls[1:], 1):
@@ -1082,6 +1117,98 @@ class TestOuterLoop:
         replays = len(calls) - len(set(calls))
         assert replays == 0
         assert rep.extras["converged"] is True
+
+    @pytest.mark.parametrize("gains, frozen, n_attempts, stop", [
+        # V2 and H3 together gain under BCD_TOL: no V3
+        ([1e-2, 1e-2, 1e-2, 5e-5, 4e-5, 1e-2], False, 5, "tolerance"),
+        # every attempt gains under BCD_TOL, every window of two more
+        ([6e-5] * 6 + [None, 1e-2], False, 7, "tolerance"),
+        ([None, None, 1e-2], False, 2, "fixed point"),
+        # a rejected and a skipped attempt leave eta as it was
+        ([1e-2, 1e-2, -1e-3, None, 1e-2], False, 4, "fixed point"),
+        # one block: the window is one outer iteration, as it always was
+        ([1e-2, 1e-3, 5e-5, 1e-2], True, 3, "tolerance"),
+        ([1e-2, -1e-3, 1e-2], True, 2, "fixed point"),
+    ], ids=["vh-window", "cycle-gains", "no-move", "rejected-skipped",
+            "frozen-tolerance", "frozen-rejected"])
+    def test_stops_once_a_window_of_blocks_stalls(self, gains, frozen,
+                                                  n_attempts, stop,
+                                                  monkeypatch):
+        # the test follows every attempt: the last len(blocks) attempts,
+        # each block once, must gain BCD_TOL relative or the ascent stops
+        attempts = _script_blocks(monkeypatch, gains)
+        _, info = run_bcd(_scenario([[150.0, 120.0]]), FIT,
+                          freeze_vertical=frozen)
+        cycle = ["h"] if frozen else ["h", "v"]
+        assert attempts == (cycle * n_attempts)[:n_attempts]
+        assert (info["stop"], info["converged"]) == (stop, True)
+        assert info["iterations"] == -(-n_attempts // len(cycle))
+        trace = info["trace"]
+        assert len(trace) == info["iterations"] + 1
+        assert np.all(np.diff(trace) >= 0.0)
+        assert trace[-1] == info["eta_model"]
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "free"])
+    def test_iteration_cap_still_ends_the_ascent(self, frozen, monkeypatch):
+        attempts = _script_blocks(monkeypatch, [1e-2] * 5)
+        monkeypatch.setattr(planner, "BCD_MAX_ITERS", 2)
+        _, info = run_bcd(_scenario([[150.0, 120.0]]), FIT,
+                          freeze_vertical=frozen)
+        assert len(attempts) == (2 if frozen else 4)
+        assert (info["stop"], info["converged"]) == ("iteration cap", False)
+        assert info["iterations"] == 2 and len(info["trace"]) == 3
+        assert info["trace"][-1] == pytest.approx(1.01 ** len(attempts))
+
+    def test_rfb_on_4sn_stops_after_its_third_horizontal_attempt(
+            self, monkeypatch):
+        # V2 is rejected and H3 gains 6e-6 relative, so the (V2, H3)
+        # window ends the ascent by tolerance before a third vertical solve
+        scen = load_scenario(bundled_scenario("scenario_4sn.json"))
+        attempts = []
+        for name in ("solve_horizontal", "solve_vertical"):
+            def spy(*args, _solve=getattr(planner, name), _name=name, **kw):
+                attempts.append(_name)
+                return _solve(*args, **kw)
+
+            monkeypatch.setattr(planner, name, spy)
+        _, rep = run_scheme("rfb", scen, fit_for_scenario(scen),
+                            simulate=False)
+        h, v = "solve_horizontal", "solve_vertical"
+        assert attempts == [h, v, h, v, h]
+        assert rep.extras["stop"] == "tolerance"
+        assert rep.extras["iterations"] == 3
+        assert len(rep.extras["trace"]) == 4
+
+    def test_result_names_why_the_ascent_stopped(self, monkeypatch):
+        scen = _scenario([[260.0, 310.0], [700.0, 620.0]], m_slots=10,
+                         duration_s=10.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "BCD_MAX_ITERS", 1)
+            _, rep = run_scheme("rfb", scen, FIT, simulate=False)
+        assert rep.extras["stop"] == "iteration cap"
+        assert rep.extras["converged"] is False
+        with monkeypatch.context() as patch:
+            for name in ("solve_horizontal", "solve_vertical"):
+                patch.setattr(planner, name, lambda *a, reports: None)
+            _, rep = run_scheme("rfb", scen, FIT, simulate=False)
+        assert rep.extras["stop"] == "fixed point"
+        assert rep.extras["iterations"] == 1
+
+        # rffsa reports the stop of the cruise level it keeps: each
+        # level's ascent is tagged with its own
+        ascents = []
+        real = evaluation.run_bcd
+
+        def tagged(*args, **kw):
+            plan, info = real(*args, **kw)
+            ascents.append(plan)
+            return plan, {**info, "stop": f"ascent {len(ascents)}"}
+
+        monkeypatch.setattr(evaluation, "run_bcd", tagged)
+        plan, rep = run_scheme("rffsa", scen, FIT, simulate=False)
+        assert len(ascents) == len(evaluation.cruise_levels(scen)) > 1
+        kept = [i for i, p in enumerate(ascents, 1) if p is plan]
+        assert rep.extras["stop"] == f"ascent {kept[0]}"
 
     def test_matches_brute_force_grid_tiny_case(self, monkeypatch):
         # two slots, one free waypoint, frozen altitude: sweep the free
